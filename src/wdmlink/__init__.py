@@ -13,7 +13,7 @@ from .channel import (
     assemble_H,
     assemble_R,
     emi_variance,
-    load_channel_set,
+    load_matching_channel_set,
     max_modes,
     save_channel_set,
     spatial_frequency,
@@ -62,7 +62,7 @@ __all__ = [
     "gz_kernel",
     "integrate_1d",
     "integrate_2d",
-    "load_channel_set",
+    "load_matching_channel_set",
     "max_modes",
     "peak_location_boresight",
     "peak_locations_general",

@@ -33,14 +33,18 @@ isotropic with spatial correlation sinc(2 ||r' - r|| / lambda), variance
 sigma2_emi; hardware noise adds a white sigma2_hdw on top.  ``whiten``
 factors C = sigma2_emi R + sigma2_hdw I = L L^H and returns
 H_tilde = L^{-1} H for the receiver stage.
+
+A channel file (:func:`save_channel_set`) is an npz archive:
+``np.load(path)`` gives the canonical ``header`` string, ``H`` and ``R``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 from dataclasses import dataclass, fields
-from typing import TextIO, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -65,7 +69,7 @@ __all__ = [
     "emi_variance",
     "channel_header",
     "save_channel_set",
-    "load_channel_set",
+    "load_matching_channel_set",
 ]
 
 # Row-block size for the noise-correlation contraction; bounds the
@@ -303,17 +307,16 @@ def emi_variance(power: float, snr_db: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: a plain text format whose floats are written with repr()
-# so that reloading reproduces every matrix bit for bit.
+# Channel files: an npz archive of the header string, H and R.  C, L and
+# H_tilde follow from R and the config, so loading re-runs ``whiten``.
 
-_MATRIX_ORDER = ("H", "R", "C", "L", "H_tilde")
-_FORMAT_TAG = "wdmlink-channel-set v1"
+_FORMAT_TAG = "wdmlink-channel-set v2"
 
 
 def channel_header(geom: LinkGeometry, cfg: WdmConfig) -> str:
     """Canonical header describing one (geometry, config) pair.
 
-    Used verbatim in channel files and hashed for cache file names; two
+    Stored verbatim in channel files and hashed for cache file names; two
     runs produce the same header exactly when every parameter matches.
     """
     lines = [_FORMAT_TAG]
@@ -333,101 +336,40 @@ def channel_cache_key(geom: LinkGeometry, cfg: WdmConfig) -> str:
     return hashlib.sha256(channel_header(geom, cfg).encode()).hexdigest()[:24]
 
 
-def _write_matrix(out: TextIO, name: str, mat: np.ndarray) -> None:
-    rows, cols = mat.shape
-    out.write(f"matrix {name} {rows} {cols}\n")
-    for i in range(rows):
-        parts = []
-        for v in mat[i]:
-            parts.append(repr(float(v.real)))
-            parts.append(repr(float(v.imag)))
-        out.write(" ".join(parts) + "\n")
-
-
 def save_channel_set(
     path: str, ch: ChannelSet, geom: LinkGeometry, cfg: WdmConfig
 ) -> None:
-    """Write a channel set with its provenance header to ``path``."""
-    with open(path, "w", encoding="ascii", newline="\n") as out:
-        out.write(channel_header(geom, cfg))
-        for name in _MATRIX_ORDER:
-            _write_matrix(out, name, np.asarray(getattr(ch, name), dtype=complex))
-        out.write("end\n")
+    """Write ``header``, ``H`` and ``R`` to ``path`` as an npz archive.
 
-
-def _parse_header_value(raw: str):
-    if raw == "True":
-        return True
-    if raw == "False":
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        return float(raw)
-
-
-def load_channel_set(path: str) -> Tuple[ChannelSet, LinkGeometry, WdmConfig]:
-    """Read a channel set written by :func:`save_channel_set`.
-
-    Returns:
-        (channel_set, geometry, config); matrices compare equal to the
-        saved ones.
-
-    Raises:
-        ValueError: On a malformed or inconsistent file.
+    The archive goes to a per-process temporary file next to ``path``
+    and is renamed into place, so a crash never leaves a partial file
+    under ``path``.  Equal inputs give equal bytes.
     """
-    with open(path, "r", encoding="ascii") as inp:
-        first = inp.readline().rstrip("\n")
-        if first != _FORMAT_TAG:
-            raise ValueError(f"{path}: not a channel-set file (leading line {first!r})")
-        geom_kv = {}
-        wdm_kv = {}
-        quad_kv = {}
-        line = inp.readline()
-        while line and not line.startswith("matrix "):
-            key, _, raw = line.rstrip("\n").partition(" = ")
-            section, _, name = key.partition(".")
-            target = {"geometry": geom_kv, "wdm": wdm_kv, "quadrature": quad_kv}.get(
-                section
-            )
-            if target is None or not name:
-                raise ValueError(f"{path}: unexpected header line {line!r}")
-            target[name] = _parse_header_value(raw)
-            line = inp.readline()
-        matrices = {}
-        while line and line.strip() != "end":
-            tag, name, rows, cols = line.split()
-            if tag != "matrix":
-                raise ValueError(f"{path}: unexpected line {line!r}")
-            rows, cols = int(rows), int(cols)
-            mat = np.empty((rows, cols), dtype=complex)
-            for i in range(rows):
-                nums = inp.readline().split()
-                if len(nums) != 2 * cols:
-                    raise ValueError(f"{path}: short row {i} in matrix {name}")
-                row = np.array([float(v) for v in nums])
-                mat[i] = row[0::2] + 1j * row[1::2]
-            matrices[name] = mat
-            line = inp.readline()
-        if line.strip() != "end":
-            raise ValueError(f"{path}: truncated file, missing end marker")
-    missing = [n for n in _MATRIX_ORDER if n not in matrices]
-    if missing:
-        raise ValueError(f"{path}: missing matrices {missing}")
-    geom = LinkGeometry(**geom_kv)
-    cfg = WdmConfig(quadrature=QuadratureSpec(**quad_kv), **wdm_kv)
-    ch = ChannelSet(**{name: matrices[name] for name in _MATRIX_ORDER})
-    return ch, geom, cfg
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        # a file handle keeps np.savez from appending ".npz" to the name
+        with open(tmp, "wb") as out:
+            np.savez(out, header=np.array(channel_header(geom, cfg)), H=ch.H, R=ch.R)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_matching_channel_set(
     path: str, geom: LinkGeometry, cfg: WdmConfig
 ) -> ChannelSet:
-    """Load a channel set and require its header to match ``geom``/``cfg``."""
-    ch, file_geom, file_cfg = load_channel_set(path)
-    if file_geom != geom or file_cfg != cfg:
-        raise ValueError(
-            f"{path}: stored header does not match the requested "
-            f"geometry/config (stored {file_geom}, {file_cfg})"
-        )
-    return ch
+    """Load the channel set at ``path``, whitened for ``cfg``.
+
+    Raises:
+        ValueError: If the stored header differs from
+            ``channel_header(geom, cfg)`` or the file is no npz archive.
+        OSError, zipfile.BadZipFile, EOFError: On an unreadable file.
+    """
+    with np.load(path) as data:
+        if str(data.get("header")) != channel_header(geom, cfg):
+            raise ValueError(
+                f"{path}: stored header does not match the requested geometry/config"
+            )
+        return whiten(data["H"], data["R"], cfg)

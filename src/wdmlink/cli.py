@@ -2,24 +2,23 @@
 
 Subcommands: pattern, field, sweep, avg-sweep, dump-channel, selfcheck.
 Each resolves its configuration from a built-in profile, an optional
-config file and a handful of flag overrides, in that order.  Angles on
-the command line are degrees.
+config file and flag overrides, in that order.  Every value flag sets one
+entry of :data:`wdmlink.config.PARAMETERS` and is converted exactly like
+its config-file key; angles are degrees.
 
-Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
-3 I/O failure.
+Exit codes: 0 success, 1 invalid configuration or command line,
+2 numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 import numpy as np
 
-from .config import RunConfig, load_config, profile_by_name
+from .config import PARAMETERS, RunConfig, apply_entries, load_config, profile_by_name
 from .experiments import (
     run_avg_sweep,
     run_channel_dump,
@@ -36,62 +35,50 @@ _DEFAULT_CSV = {
     "avg-sweep": "avg_sweep.csv",
 }
 
+_COMMON_FLAGS = (
+    "--out", "--svg", "--workers", "--seed", "--dx", "--dz", "--theta", "--phi", "--n-modes",
+)
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--profile", default="desk", help="base profile: desk or full")
-    sub.add_argument("--config", default=None, help="INI config file overriding the profile")
-    sub.add_argument("--out", default=None, help="output CSV (or channel file) path")
-    sub.add_argument("--svg", default=None, help="SVG plot path (default: next to the CSV)")
-    sub.add_argument("--no-svg", action="store_true", help="skip the SVG plot")
-    sub.add_argument("--workers", type=int, default=None, help="parallel worker count")
-    sub.add_argument("--seed", type=int, default=None, help="ensemble seed")
-    sub.add_argument("--dx", type=float, default=None, help="lateral offset d_x [m]")
-    sub.add_argument("--dz", type=float, default=None, help="vertical offset d_z [m]")
-    sub.add_argument("--theta", type=float, default=None, help="tilt theta_s [deg]")
-    sub.add_argument("--phi", type=float, default=None, help="azimuth phi_s [deg]")
-    sub.add_argument("--n-modes", type=int, default=None, help="mode count N")
+# subcommand: (help, value flags on top of the common ones)
+_COMMANDS = {
+    "pattern": ("radiation pattern cuts of selected modes", ("--mode-offsets", "--step")),
+    "field": ("received field profiles of selected modes",
+              ("--mode-offsets", "--grid-points")),
+    "sweep": ("spectral efficiency over a parameter grid",
+              ("--parameter", "--start", "--stop", "--count", "--cache-dir")),
+    "avg-sweep": ("orientation-averaged SE versus d_x",
+                  ("--start", "--stop", "--count", "--draws", "--cache-dir")),
+    "dump-channel": ("assemble and save the channel matrices", ()),
+    "selfcheck": ("run numerical health checks", ()),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as invalid configuration (exit 1)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wdmlink",
         description="Line-of-sight wavenumber-division multiplexing link simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pattern", help="radiation pattern cuts of selected modes")
-    _add_common(p)
-    p.add_argument("--mode-offsets", default=None,
-                   help="comma list of offsets from the center mode")
-    p.add_argument("--step", type=float, default=None, help="angular step [deg]")
-
-    p = sub.add_parser("field", help="received field profiles of selected modes")
-    _add_common(p)
-    p.add_argument("--mode-offsets", default=None,
-                   help="comma list of offsets from the center mode")
-    p.add_argument("--grid-points", type=int, default=None, help="heights per profile")
-
-    p = sub.add_parser("sweep", help="spectral efficiency over a parameter grid")
-    _add_common(p)
-    p.add_argument("--parameter", default=None, choices=("d_z", "theta_s", "d_x"))
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--cache-dir", default=None, help="channel cache directory")
-
-    p = sub.add_parser("avg-sweep", help="orientation-averaged SE versus d_x")
-    _add_common(p)
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--draws", type=int, default=None, help="tilt draws per azimuth")
-    p.add_argument("--cache-dir", default=None, help="channel cache directory")
-
-    p = sub.add_parser("dump-channel", help="assemble and save the channel matrices")
-    _add_common(p)
-
-    p = sub.add_parser("selfcheck", help="run numerical health checks")
-    _add_common(p)
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--profile", default="desk", help="base profile: desk or full")
+        p.add_argument("--config", default=None, help="INI config file overriding the profile")
+        p.add_argument("--no-svg", action="store_true", help="skip the SVG plot")
+        # --mode-offsets sets [pattern] for the pattern command, [field] otherwise
+        offsets = "pattern" if command == "pattern" else "field"
+        for param in PARAMETERS:
+            if param.flag in _COMMON_FLAGS + flags and (
+                param.key != "mode_offsets" or param.section == offsets
+            ):
+                p.add_argument(param.flag, dest=f"{param.section}.{param.key}",
+                               metavar="VALUE", help=f"sets [{param.section}] {param.key}")
     return parser
 
 
@@ -99,85 +86,19 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = profile_by_name(args.profile)
     if args.config:
         cfg = load_config(args.config, base=cfg)
-
-    geom = cfg.geometry
-    geom_kwargs = {}
-    if args.dx is not None:
-        geom_kwargs["d_x"] = args.dx
-    if args.dz is not None:
-        geom_kwargs["d_z"] = args.dz
-    if args.theta is not None:
-        geom_kwargs["theta_s"] = math.radians(args.theta)
-    if args.phi is not None:
-        geom_kwargs["phi_s"] = math.radians(args.phi)
-    if geom_kwargs:
-        geom = replace(geom, **geom_kwargs)
-
-    wdm = cfg.wdm
-    if args.n_modes is not None:
-        wdm = replace(wdm, n_modes=args.n_modes)
-
-    sweep = cfg.sweep
-    sweep_kwargs = {}
-    for name, key in (
-        ("parameter", "parameter"),
-        ("start", "start"),
-        ("stop", "stop"),
-        ("count", "count"),
-        ("seed", "seed"),
-        ("draws", "draws_per_phi"),
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            sweep_kwargs[key] = value
-    if getattr(args, "command", "") == "avg-sweep":
-        sweep_kwargs.setdefault("parameter", "d_x")
-        if "start" not in sweep_kwargs and cfg.sweep.parameter != "d_x":
+    entries = [
+        (*dest.split("."), raw)
+        for dest, raw in vars(args).items()
+        if "." in dest and raw is not None
+    ]
+    if args.command == "avg-sweep":
+        defaults = [("sweep", "parameter", "d_x")]
+        if getattr(args, "sweep.start") is None and cfg.sweep.parameter != "d_x":
             # profile sweeps move d_z by default; fall back to the
             # 5..15 m lateral range the averaged curves are read over
-            sweep_kwargs.setdefault("start", 5.0)
-            sweep_kwargs.setdefault("stop", 15.0)
-    if sweep_kwargs:
-        sweep = replace(sweep, **sweep_kwargs)
-
-    field = cfg.field
-    if getattr(args, "grid_points", None) is not None:
-        field = replace(field, grid_points=args.grid_points)
-    pattern = cfg.pattern
-    if getattr(args, "step", None) is not None:
-        pattern = replace(pattern, step_deg=args.step)
-    offsets = getattr(args, "mode_offsets", None)
-    if offsets is not None:
-        parsed = tuple(int(v.strip()) for v in offsets.split(",") if v.strip())
-        if not parsed:
-            raise ValueError("--mode-offsets must list at least one offset")
-        if args.command == "pattern":
-            pattern = replace(pattern, mode_offsets=parsed)
-        else:
-            field = replace(field, mode_offsets=parsed)
-
-    output = cfg.output
-    out_kwargs = {}
-    if args.workers is not None:
-        out_kwargs["workers"] = args.workers
-    if getattr(args, "cache_dir", None) is not None:
-        out_kwargs["cache_dir"] = args.cache_dir
-    if args.out is not None:
-        out_kwargs["csv_path"] = args.out
-    if args.svg is not None:
-        out_kwargs["svg_path"] = args.svg
-    if out_kwargs:
-        output = replace(output, **out_kwargs)
-
-    return RunConfig(
-        geometry=geom,
-        wdm=wdm,
-        sweep=sweep,
-        field=field,
-        pattern=pattern,
-        output=output,
-        mmse_form=cfg.mmse_form,
-    )
+            defaults += [("sweep", "start", "5"), ("sweep", "stop", "15")]
+        entries = defaults + entries
+    return apply_entries(cfg, entries, "command line")
 
 
 def _csv_and_svg(cfg: RunConfig, command: str, no_svg: bool):
@@ -191,8 +112,8 @@ def _csv_and_svg(cfg: RunConfig, command: str, no_svg: bool):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         no_svg = getattr(args, "no_svg", False)
         if args.command == "pattern":

@@ -1,11 +1,15 @@
-"""Run configuration: built-in profiles and the INI-style config file.
+"""Run configuration: built-in profiles, the parameter table and config files.
 
 A run is described by a :class:`RunConfig`.  Two profiles ship with the
 package: ``desk`` (a bench-sized link that keeps every experiment fast)
-and ``full`` (the production-scale link).  A config file can override
-any subset of keys; angles in files and on the command line are degrees,
-lengths are meters, powers are A^2 and noise levels are given as a power
-ratio in dB.
+and ``full`` (the production-scale link).
+
+:data:`PARAMETERS` lists every settable parameter once: its INI section
+and key, the command-line flag that sets the same value, the RunConfig
+field it lands in and the converter from the raw string.  Config files
+(:func:`load_config`) and CLI flags both turn into (section, key, raw)
+entries that :func:`apply_entries` applies to a base config.  Angles are
+degrees, lengths meters, powers A^2 and noise levels a power ratio in dB.
 
 Sections and keys:
 
@@ -25,14 +29,14 @@ from __future__ import annotations
 
 import configparser
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .channel import WdmConfig, emi_variance, max_modes, total_power
 from .geometry import LinkGeometry
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "SweepSettings",
@@ -43,6 +47,9 @@ __all__ = [
     "desk_profile",
     "full_profile",
     "profile_by_name",
+    "Param",
+    "PARAMETERS",
+    "apply_entries",
     "load_config",
 ]
 
@@ -132,58 +139,31 @@ class RunConfig:
     mmse_form: str = "hermitian"
 
 
-def _wdm_for(
-    wavelength: float,
-    L_s: float,
-    n_modes: Optional[int],
-    source_power: float,
-    snr_emi_db: float,
-    sigma2_hdw: float,
-    quadrature: QuadratureSpec,
-) -> WdmConfig:
-    if n_modes is None:
-        n_modes = max_modes(L_s, wavelength)
-    probe = WdmConfig(
-        wavelength=wavelength,
-        n_modes=n_modes,
-        source_power=source_power,
-        sigma2_emi=1.0,
-        sigma2_hdw=sigma2_hdw,
-        quadrature=quadrature,
-    )
-    return replace(probe, sigma2_emi=emi_variance(total_power(probe), snr_emi_db))
+DEFAULT_SNR_EMI_DB = 90.0
+
+
+def _with_snr(wdm: WdmConfig, snr_emi_db: float) -> WdmConfig:
+    """``wdm`` with sigma2_emi set snr_emi_db below its power budget."""
+    return replace(wdm, sigma2_emi=emi_variance(total_power(wdm), snr_emi_db))
+
+
+def _max_mode_wdm(wavelength: float, L_s: float) -> WdmConfig:
+    wdm = WdmConfig(wavelength=wavelength, n_modes=max_modes(L_s, wavelength))
+    return _with_snr(wdm, DEFAULT_SNR_EMI_DB)
 
 
 def desk_profile() -> RunConfig:
     """Bench-sized link: 2 cm wavelength, 1 m receive segment, 21 modes."""
     geom = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0)
-    wdm = _wdm_for(
-        wavelength=0.02,
-        L_s=geom.L_s,
-        n_modes=None,
-        source_power=1e-7,
-        snr_emi_db=90.0,
-        sigma2_hdw=0.0,
-        quadrature=QuadratureSpec(),
-    )
-    return RunConfig(geometry=geom, wdm=wdm)
+    return RunConfig(geometry=geom, wdm=_max_mode_wdm(0.02, geom.L_s))
 
 
 def full_profile() -> RunConfig:
     """Full-sized link: 1 cm wavelength, 3 m receive segment, 41 modes."""
     geom = LinkGeometry(L_s=0.2, L_r=3.0, d_x=5.0)
-    wdm = _wdm_for(
-        wavelength=0.01,
-        L_s=geom.L_s,
-        n_modes=None,
-        source_power=1e-7,
-        snr_emi_db=90.0,
-        sigma2_hdw=0.0,
-        quadrature=QuadratureSpec(),
-    )
     return RunConfig(
         geometry=geom,
-        wdm=wdm,
+        wdm=_max_mode_wdm(0.01, geom.L_s),
         sweep=SweepSettings(stop=5.0),
         field=FieldSettings(mode_offsets=(-2, 0, 5)),
         pattern=PatternSettings(mode_offsets=(-17, -10, -5, 0, 5, 10, 17)),
@@ -202,48 +182,148 @@ def profile_by_name(name: str) -> RunConfig:
         ) from None
 
 
-def _get_typed(section, key: str, kind, errors: list):
-    raw = section.get(key)
+def _radians(raw: str) -> float:
+    return math.radians(float(raw))
+
+
+def _n_modes(raw: str) -> Optional[int]:
+    """Mode count; ``max`` gives None, resolved once L_s and wavelength are known."""
+    return None if raw.strip().lower() == "max" else int(raw)
+
+
+def _listed(kind: Callable[[str], Any]) -> Callable[[str], tuple]:
+    def convert(raw: str) -> tuple:
+        values = tuple(kind(part) for part in raw.split(",") if part.strip())
+        if not values:
+            raise ValueError("empty list")
+        return values
+
+    return convert
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def convert(raw: str) -> str:
+        value = raw.strip().lower()
+        if value not in options:
+            raise ValueError(f"not one of {options}")
+        return value
+
+    return convert
+
+
+class Param(NamedTuple):
+    """One settable parameter.
+
+    Attributes:
+        section: Config-file section.
+        key: Config-file key within ``section``.
+        flag: Command-line flag setting the same value, or None.
+        field: Target as ``part.attr`` of :class:`RunConfig` (``part`` is
+            a RunConfig field or ``quadrature``), or a bare RunConfig
+            field name.
+        convert: Raw string to value; raises ValueError when malformed.
+    """
+
+    section: str
+    key: str
+    flag: Optional[str]
+    field: str
+    convert: Callable[[str], Any]
+
+
+# Every parameter a config file or a flag can set.  ``snr_emi_db`` has no
+# WdmConfig field: it re-derives ``sigma2_emi`` (see :func:`apply_entries`).
+PARAMETERS = (
+    Param("geometry", "L_s", None, "geometry.L_s", float),
+    Param("geometry", "L_r", None, "geometry.L_r", float),
+    Param("geometry", "d_x", "--dx", "geometry.d_x", float),
+    Param("geometry", "d_z", "--dz", "geometry.d_z", float),
+    Param("geometry", "theta_s", "--theta", "geometry.theta_s", _radians),
+    Param("geometry", "phi_s", "--phi", "geometry.phi_s", _radians),
+    Param("wdm", "wavelength", None, "wdm.wavelength", float),
+    Param("wdm", "n_modes", "--n-modes", "wdm.n_modes", _n_modes),
+    Param("wdm", "source_power", None, "wdm.source_power", float),
+    Param("wdm", "snr_emi_db", None, "wdm.snr_emi_db", float),
+    Param("wdm", "sigma2_hdw", None, "wdm.sigma2_hdw", float),
+    Param("wdm", "mmse_form", None, "mmse_form", _choice("hermitian", "table")),
+    Param("quadrature", "points_per_wavelength", None, "quadrature.points_per_wavelength", float),
+    Param("quadrature", "nodes_per_panel", None, "quadrature.nodes_per_panel", int),
+    Param("quadrature", "max_panels", None, "quadrature.max_panels", int),
+    Param("quadrature", "rel_tol", None, "quadrature.rel_tol", float),
+    Param("sweep", "parameter", "--parameter", "sweep.parameter", _choice(*SWEEP_PARAMETERS)),
+    Param("sweep", "start", "--start", "sweep.start", float),
+    Param("sweep", "stop", "--stop", "sweep.stop", float),
+    Param("sweep", "count", "--count", "sweep.count", int),
+    Param("sweep", "seed", "--seed", "sweep.seed", int),
+    Param("sweep", "draws_per_phi", "--draws", "sweep.draws_per_phi", int),
+    Param("sweep", "phi_set", None, "sweep.phi_set_deg", _listed(float)),
+    Param("sweep", "theta_max", None, "sweep.theta_max_deg", float),
+    Param("field", "mode_offsets", "--mode-offsets", "field.mode_offsets", _listed(int)),
+    Param("field", "grid_points", "--grid-points", "field.grid_points", int),
+    Param("pattern", "mode_offsets", "--mode-offsets", "pattern.mode_offsets", _listed(int)),
+    Param("pattern", "step_deg", "--step", "pattern.step_deg", float),
+    Param("output", "csv", "--out", "output.csv_path", str),
+    Param("output", "svg", "--svg", "output.svg_path", str),
+    Param("output", "cache_dir", "--cache-dir", "output.cache_dir", str),
+    Param("output", "workers", "--workers", "output.workers", int),
+)
+
+_BY_KEY = {(p.section, p.key): p for p in PARAMETERS}
+
+
+def apply_entries(
+    base: RunConfig, entries: Iterable[Tuple[str, str, str]], source: str
+) -> RunConfig:
+    """Apply (section, key, raw string) entries to ``base``; later entries win.
+
+    ``sigma2_emi`` keeps its base value unless ``snr_emi_db`` is given or
+    the wavelength or source power changes; then it is derived from
+    ``snr_emi_db`` (default 90 dB) against the new power budget.
+
+    Raises:
+        ValueError: On unknown keys, malformed values or an invalid
+            result, naming ``source`` and every offender.
+    """
+    changes: Dict[str, Dict[str, Any]] = defaultdict(dict)
+    errors = []
+    for section, key, raw in entries:
+        param = _BY_KEY.get((section, key))
+        if param is None:
+            errors.append(f"unknown key [{section}] {key}")
+            continue
+        try:
+            value = param.convert(raw)
+        except ValueError:
+            errors.append(f"[{section}] {key} = {raw!r}")
+            continue
+        part, _, name = param.field.rpartition(".")
+        changes[part][name] = value
+    if errors:
+        raise ValueError(f"invalid {source}: " + "; ".join(errors))
+
     try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        errors.append(f"[{section.name}] {key} = {raw!r}")
-        return None
-
-
-def _int_tuple(raw: str) -> Tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _float_tuple(raw: str) -> Tuple[float, ...]:
-    return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
-
-
-_SECTION_KEYS = {
-    "geometry": {"L_s", "L_r", "d_x", "d_z", "theta_s", "phi_s"},
-    "wdm": {
-        "wavelength",
-        "n_modes",
-        "source_power",
-        "snr_emi_db",
-        "sigma2_hdw",
-        "mmse_form",
-    },
-    "quadrature": {"points_per_wavelength", "nodes_per_panel", "max_panels", "rel_tol"},
-    "sweep": {
-        "parameter",
-        "start",
-        "stop",
-        "count",
-        "seed",
-        "draws_per_phi",
-        "phi_set",
-        "theta_max",
-    },
-    "field": {"mode_offsets", "grid_points"},
-    "pattern": {"mode_offsets", "step_deg"},
-    "output": {"csv", "svg", "cache_dir", "workers"},
-}
+        geometry = replace(base.geometry, **changes["geometry"])
+        wdm_changes = changes["wdm"]
+        snr_emi_db = wdm_changes.pop("snr_emi_db", None)
+        if "n_modes" in wdm_changes and wdm_changes["n_modes"] is None:
+            wavelength = wdm_changes.get("wavelength", base.wdm.wavelength)
+            wdm_changes["n_modes"] = max_modes(geometry.L_s, wavelength)
+        quadrature = replace(base.wdm.quadrature, **changes["quadrature"])
+        wdm = replace(base.wdm, quadrature=quadrature, **wdm_changes)
+        rescaled = (wdm.wavelength, wdm.source_power) != (
+            base.wdm.wavelength, base.wdm.source_power
+        )
+        if snr_emi_db is None and rescaled:
+            snr_emi_db = DEFAULT_SNR_EMI_DB
+        if snr_emi_db is not None:
+            wdm = _with_snr(wdm, snr_emi_db)
+        settings = {
+            part: replace(getattr(base, part), **changes[part])
+            for part in ("sweep", "field", "pattern", "output")
+        }
+        return replace(base, geometry=geometry, wdm=wdm, **settings, **changes[""])
+    except ValueError as exc:
+        raise ValueError(f"invalid {source}: {exc}") from None
 
 
 def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
@@ -253,7 +333,6 @@ def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
         ValueError: On unknown sections/keys or malformed values, with
             every offender listed.
     """
-    base = base if base is not None else desk_profile()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     # keys like L_s are case sensitive; the default folds them to lower case
     parser.optionxform = str
@@ -262,167 +341,11 @@ def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ValueError(f"cannot parse config file {path}: {exc}") from None
-
-    errors: list = []
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            errors.append(f"unknown section [{section}]")
-            continue
-        for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
-                errors.append(f"unknown key {key!r} in [{section}]")
-    if errors:
-        raise ValueError(f"invalid config file {path}: " + "; ".join(errors))
-
-    geom = base.geometry
-    if parser.has_section("geometry"):
-        sec = parser["geometry"]
-        kwargs = {}
-        for key in ("L_s", "L_r", "d_x", "d_z"):
-            if key in sec:
-                kwargs[key] = _get_typed(sec, key, float, errors)
-        for key in ("theta_s", "phi_s"):
-            if key in sec:
-                val = _get_typed(sec, key, float, errors)
-                if val is not None:
-                    kwargs[key] = math.radians(val)
-        if not errors:
-            geom = replace(geom, **kwargs)
-
-    quad = base.wdm.quadrature
-    if parser.has_section("quadrature"):
-        sec = parser["quadrature"]
-        kwargs = {}
-        if "points_per_wavelength" in sec:
-            kwargs["points_per_wavelength"] = _get_typed(
-                sec, "points_per_wavelength", float, errors
-            )
-        if "nodes_per_panel" in sec:
-            kwargs["nodes_per_panel"] = _get_typed(sec, "nodes_per_panel", int, errors)
-        if "max_panels" in sec:
-            kwargs["max_panels"] = _get_typed(sec, "max_panels", int, errors)
-        if "rel_tol" in sec:
-            kwargs["rel_tol"] = _get_typed(sec, "rel_tol", float, errors)
-        if not errors:
-            quad = replace(quad, **kwargs)
-
-    mmse_form = base.mmse_form
-    wdm = base.wdm
-    if parser.has_section("wdm") or quad is not base.wdm.quadrature:
-        sec = parser["wdm"] if parser.has_section("wdm") else {}
-        wavelength = base.wdm.wavelength
-        if "wavelength" in sec:
-            wavelength = _get_typed(parser["wdm"], "wavelength", float, errors)
-        n_modes: Optional[int] = base.wdm.n_modes
-        if "n_modes" in sec:
-            raw = parser["wdm"]["n_modes"].strip().lower()
-            if raw == "max":
-                n_modes = None
-            else:
-                n_modes = _get_typed(parser["wdm"], "n_modes", int, errors)
-        source_power = base.wdm.source_power
-        if "source_power" in sec:
-            source_power = _get_typed(parser["wdm"], "source_power", float, errors)
-        snr_emi_db = None
-        if "snr_emi_db" in sec:
-            snr_emi_db = _get_typed(parser["wdm"], "snr_emi_db", float, errors)
-        sigma2_hdw = base.wdm.sigma2_hdw
-        if "sigma2_hdw" in sec:
-            sigma2_hdw = _get_typed(parser["wdm"], "sigma2_hdw", float, errors)
-        if "mmse_form" in sec:
-            mmse_form = parser["wdm"]["mmse_form"].strip().lower()
-            if mmse_form not in ("hermitian", "table"):
-                errors.append(f"[wdm] mmse_form = {mmse_form!r}")
-        if errors:
-            raise ValueError(f"invalid config file {path}: " + "; ".join(errors))
-        if snr_emi_db is None:
-            # Keep the base EMI level only if the power scale is unchanged,
-            # otherwise re-derive it from the default 90 dB ratio.
-            same_scale = (
-                wavelength == base.wdm.wavelength
-                and source_power == base.wdm.source_power
-            )
-            if same_scale:
-                probe = _wdm_for(
-                    wavelength, geom.L_s, n_modes, source_power, 90.0, sigma2_hdw, quad
-                )
-                wdm = replace(probe, sigma2_emi=base.wdm.sigma2_emi)
-            else:
-                wdm = _wdm_for(
-                    wavelength, geom.L_s, n_modes, source_power, 90.0, sigma2_hdw, quad
-                )
-        else:
-            wdm = _wdm_for(
-                wavelength, geom.L_s, n_modes, source_power, snr_emi_db, sigma2_hdw, quad
-            )
-
-    sweep = base.sweep
-    if parser.has_section("sweep"):
-        sec = parser["sweep"]
-        kwargs = {}
-        if "parameter" in sec:
-            kwargs["parameter"] = sec["parameter"].strip()
-        for key in ("start", "stop"):
-            if key in sec:
-                kwargs[key] = _get_typed(sec, key, float, errors)
-        for key in ("count", "seed", "draws_per_phi"):
-            if key in sec:
-                kwargs[key] = _get_typed(sec, key, int, errors)
-        if "phi_set" in sec:
-            kwargs["phi_set_deg"] = _get_typed(sec, "phi_set", _float_tuple, errors)
-        if "theta_max" in sec:
-            kwargs["theta_max_deg"] = _get_typed(sec, "theta_max", float, errors)
-        if not errors:
-            sweep = replace(sweep, **kwargs)
-
-    field = base.field
-    if parser.has_section("field"):
-        sec = parser["field"]
-        kwargs = {}
-        if "mode_offsets" in sec:
-            kwargs["mode_offsets"] = _get_typed(sec, "mode_offsets", _int_tuple, errors)
-        if "grid_points" in sec:
-            kwargs["grid_points"] = _get_typed(sec, "grid_points", int, errors)
-        if not errors:
-            field = replace(field, **kwargs)
-
-    pattern = base.pattern
-    if parser.has_section("pattern"):
-        sec = parser["pattern"]
-        kwargs = {}
-        if "mode_offsets" in sec:
-            kwargs["mode_offsets"] = _get_typed(sec, "mode_offsets", _int_tuple, errors)
-        if "step_deg" in sec:
-            kwargs["step_deg"] = _get_typed(sec, "step_deg", float, errors)
-        if not errors:
-            pattern = replace(pattern, **kwargs)
-
-    output = base.output
-    if parser.has_section("output"):
-        sec = parser["output"]
-        kwargs = {}
-        if "csv" in sec:
-            kwargs["csv_path"] = sec["csv"].strip()
-        if "svg" in sec:
-            kwargs["svg_path"] = sec["svg"].strip()
-        if "cache_dir" in sec:
-            kwargs["cache_dir"] = sec["cache_dir"].strip()
-        if "workers" in sec:
-            kwargs["workers"] = _get_typed(sec, "workers", int, errors)
-        if not errors:
-            output = replace(output, **kwargs)
-
-    if errors:
-        raise ValueError(f"invalid config file {path}: " + "; ".join(errors))
-    try:
-        return RunConfig(
-            geometry=geom,
-            wdm=wdm,
-            sweep=sweep,
-            field=field,
-            pattern=pattern,
-            output=output,
-            mmse_form=mmse_form,
-        )
-    except ValueError as exc:
-        raise ValueError(f"invalid config file {path}: {exc}") from None
+    entries = [
+        (section, key, raw)
+        for section in parser.sections()
+        for key, raw in parser[section].items()
+    ]
+    return apply_entries(
+        base if base is not None else desk_profile(), entries, f"config file {path}"
+    )

@@ -8,8 +8,10 @@ flagged row with empty values instead of aborting the file.  For a fixed
 config and seed the bytes written are identical from run to run.
 
 Sweep grid points are independent, so they can be distributed over a
-process pool (``[output] workers`` or the WDMLINK_WORKERS environment
-variable); rows are emitted in grid order regardless of worker count.
+process pool (``[output] workers``); rows are emitted in grid order
+regardless of worker count.  With ``[output] cache_dir`` every channel
+set is stored under a hash of its header; an entry that cannot be read
+or does not match is recomputed and rewritten.
 The interference matrix R depends only on the receive segment, the
 wavelength and the mode count, so sweeps that do not move those reuse
 one R per process instead of re-integrating it per point.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -63,22 +66,9 @@ __all__ = [
 
 SCHEME_ORDER = (Scheme.SVD, Scheme.MMSE, Scheme.MR, Scheme.PLAIN)
 
-WORKERS_ENV_VAR = "WDMLINK_WORKERS"
-
 
 def resolve_workers(cfg: RunConfig) -> int:
-    """Worker count: the environment variable overrides the config."""
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-        if workers < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be positive, got {workers}")
-        return workers
+    """Worker count of a sweep: ``[output] workers``."""
     return cfg.output.workers
 
 
@@ -258,15 +248,17 @@ def _memoized_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
 
 
 def _channel_for(geom: LinkGeometry, cfg: WdmConfig, cache_dir: str) -> ChannelSet:
-    if cache_dir:
-        path = os.path.join(cache_dir, channel_cache_key(geom, cfg) + ".wdmch")
-        if os.path.exists(path):
-            return load_matching_channel_set(path, geom, cfg)
-        ch = whiten(assemble_H(geom, cfg), _memoized_R(geom, cfg), cfg)
-        os.makedirs(cache_dir, exist_ok=True)
-        save_channel_set(path, ch, geom, cfg)
-        return ch
-    return whiten(assemble_H(geom, cfg), _memoized_R(geom, cfg), cfg)
+    if not cache_dir:
+        return whiten(assemble_H(geom, cfg), _memoized_R(geom, cfg), cfg)
+    path = os.path.join(cache_dir, channel_cache_key(geom, cfg) + ".wdmch")
+    try:
+        return load_matching_channel_set(path, geom, cfg)
+    except (ValueError, OSError, zipfile.BadZipFile, EOFError):
+        pass  # missing, truncated or mismatched entry: recompute and rewrite it
+    ch = whiten(assemble_H(geom, cfg), _memoized_R(geom, cfg), cfg)
+    os.makedirs(cache_dir, exist_ok=True)
+    save_channel_set(path, ch, geom, cfg)
+    return ch
 
 
 def _geometry_at(geom: LinkGeometry, parameter: str, value: float) -> LinkGeometry:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wdmlink.cli as cli
+from wdmlink.config import PARAMETERS
 
 from conftest import read_csv_columns
 
@@ -48,8 +49,8 @@ def test_dump_channel_honors_geometry_flags(tmp_path):
     out = tmp_path / "link.wdmch"
     rc = cli.main(["dump-channel", "--out", str(out), "--dx", "3.0"])
     assert rc == 0
-    text = out.read_text()
-    assert "geometry.d_x = 3.0" in text
+    with np.load(out) as data:
+        assert "geometry.d_x = 3.0" in str(data["header"])
 
 
 def test_unknown_profile_exits_1(tmp_path, capsys):
@@ -61,6 +62,34 @@ def test_unknown_profile_exits_1(tmp_path, capsys):
 def test_invalid_sweep_grid_exits_1(tmp_path):
     rc = cli.main(["sweep", "--out", str(tmp_path / "s.csv"), "--count", "-3"])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--dx", "wide"], "d_x"),
+        (["--count", "2.5"], "count"),
+        (["--parameter", "L_s"], "parameter"),
+        (["--n-modes", "many"], "n_modes"),
+    ],
+)
+def test_malformed_flag_value_exits_1_naming_the_key(tmp_path, capsys, flags, key):
+    rc = cli.main(["sweep", "--out", str(tmp_path / "s.csv"), *flags])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_empty_mode_offsets_flag_exits_1(tmp_path, capsys):
+    rc = cli.main(["field", "--out", str(tmp_path / "f.csv"), "--mode-offsets="])
+    assert rc == 1
+    assert "mode_offsets" in capsys.readouterr().err
+
+
+def test_unknown_flag_exits_1(tmp_path, capsys):
+    rc = cli.main(["sweep", "--out", str(tmp_path / "s.csv"), "--bogus", "1"])
+    assert rc == 1
+    assert "--bogus" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_2(tmp_path, monkeypatch, capsys):
@@ -85,3 +114,51 @@ def test_selfcheck_reports_through_exit_code(monkeypatch):
     assert cli.main(["selfcheck"]) == 0
     monkeypatch.setattr(cli, "run_selfcheck", lambda cfg: False)
     assert cli.main(["selfcheck"]) == 2
+
+
+# A valid raw value for every table entry that has a flag.
+FLAG_SAMPLES = {
+    ("geometry", "d_x"): "3.5",
+    ("geometry", "d_z"): "0.25",
+    ("geometry", "theta_s"): "12.5",
+    ("geometry", "phi_s"): "40",
+    ("wdm", "n_modes"): "9",
+    ("sweep", "parameter"): "theta_s",
+    ("sweep", "start"): "0.5",
+    ("sweep", "stop"): "1.5",
+    ("sweep", "count"): "3",
+    ("sweep", "seed"): "7",
+    ("sweep", "draws_per_phi"): "3",
+    ("field", "mode_offsets"): "-1,0,2",
+    ("field", "grid_points"): "11",
+    ("pattern", "mode_offsets"): "-3,1",
+    ("pattern", "step_deg"): "2",
+    ("output", "csv"): "x.csv",
+    ("output", "svg"): "x.svg",
+    ("output", "cache_dir"): "cache",
+    ("output", "workers"): "2",
+}
+
+
+def _first_command_setting(parser, param, raw):
+    """(command, parsed args) of the first subcommand whose flag sets ``param``."""
+    for command in cli._COMMANDS:
+        args, _ = parser.parse_known_args([command, f"{param.flag}={raw}"])
+        if getattr(args, f"{param.section}.{param.key}", None) == raw:
+            return command, args
+    raise AssertionError(f"no subcommand sets [{param.section}] {param.key}")
+
+
+def test_each_flag_equals_its_config_key(tmp_path):
+    parser = cli._build_parser()
+    flagged = [p for p in PARAMETERS if p.flag]
+    assert {(p.section, p.key) for p in flagged} == set(FLAG_SAMPLES)
+    for param in flagged:
+        raw = FLAG_SAMPLES[(param.section, param.key)]
+        command, args = _first_command_setting(parser, param, raw)
+        cfg_file = tmp_path / "one.cfg"
+        cfg_file.write_text(f"[{param.section}]\n{param.key} = {raw}\n")
+        from_file = cli._resolve_config(
+            parser.parse_args([command, "--config", str(cfg_file)])
+        )
+        assert cli._resolve_config(args) == from_file, param.flag

@@ -1,10 +1,14 @@
+import configparser
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wdmlink.channel import total_power
 from wdmlink.config import (
+    PARAMETERS,
     FieldSettings,
     OutputSettings,
     PatternSettings,
@@ -180,6 +184,15 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="d_x"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("field", "mode_offsets"), ("pattern", "mode_offsets"), ("sweep", "phi_set")],
+    )
+    def test_empty_list_rejected(self, tmp_path, section, key):
+        path = self.write(tmp_path, f"[{section}]\n{key} =\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
+
     def test_invalid_mmse_form(self, tmp_path):
         path = self.write(tmp_path, "[wdm]\nmmse_form = fancy\n")
         with pytest.raises(ValueError, match="mmse_form"):
@@ -199,3 +212,21 @@ class TestLoadConfig:
         path = self.write(tmp_path, "[sweep]\ncount = -2\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_matches_the_table(tmp_path):
+    example = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    path = tmp_path / "readme.cfg"
+    path.write_text(example)
+    cfg = load_config(str(path))
+    assert cfg.wdm.n_modes == 41
+    assert cfg.sweep.phi_set_deg == (0.0, 22.5, 45.0, 77.5, 90.0)
+    assert cfg.output.cache_dir == ".channels"
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
+    parser.read_string(example)
+    documented = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert documented == {(p.section, p.key) for p in PARAMETERS}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wdmlink.experiments as experiments
-from wdmlink.channel import load_matching_channel_set
+from wdmlink.channel import channel_cache_key, load_matching_channel_set
 from wdmlink.config import FieldSettings, SweepSettings
 from wdmlink.experiments import (
     resolve_workers,
@@ -166,6 +166,24 @@ class TestRunSweep:
         run_sweep(cfg, str(plain))
         assert warm.read_bytes() == cold.read_bytes() == plain.read_bytes()
 
+    def test_truncated_cache_entry_is_recomputed(self, desk, tmp_path):
+        cache = tmp_path / "cache"
+        cfg = small_sweep(desk, count=5)
+        cached = replace(cfg, output=replace(cfg.output, cache_dir=str(cache)))
+        cold = tmp_path / "cold.csv"
+        rerun = tmp_path / "rerun.csv"
+        run_sweep(cached, str(cold))
+        task = experiments._sweep_tasks(cfg)[2]
+        victim = cache / (channel_cache_key(task.geometry, task.wdm) + ".wdmch")
+        victim.write_bytes(victim.read_bytes()[:100])
+        records = run_sweep(cached, str(rerun))
+        assert [rec.error for rec in records] == [""] * 5
+        assert rerun.read_bytes() == cold.read_bytes()
+        assert len(os.listdir(cache)) == 5
+        loaded = load_matching_channel_set(str(victim), task.geometry, task.wdm)
+        fresh = experiments._channel_for(task.geometry, task.wdm, cache_dir="")
+        assert np.array_equal(loaded.H_tilde, fresh.H_tilde)
+
     def test_tilt_sweep_reports_degrees(self, desk, tmp_path):
         tilt = small_sweep(desk, parameter="theta_s", start=0.0, stop=30.0, count=3)
         tilt_path = str(tmp_path / "tilt.csv")
@@ -306,17 +324,3 @@ class TestResolveWorkers:
     def test_config_value_is_default(self, desk, monkeypatch):
         monkeypatch.delenv("WDMLINK_WORKERS", raising=False)
         assert resolve_workers(desk) == desk.output.workers
-
-    def test_environment_overrides_config(self, desk, monkeypatch):
-        monkeypatch.setenv("WDMLINK_WORKERS", "3")
-        assert resolve_workers(desk) == 3
-
-    def test_blank_environment_is_ignored(self, desk, monkeypatch):
-        monkeypatch.setenv("WDMLINK_WORKERS", "  ")
-        assert resolve_workers(desk) == desk.output.workers
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "two"])
-    def test_bad_environment_value_rejected(self, desk, monkeypatch, raw):
-        monkeypatch.setenv("WDMLINK_WORKERS", raw)
-        with pytest.raises(ValueError, match="WDMLINK_WORKERS"):
-            resolve_workers(desk)
