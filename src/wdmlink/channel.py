@@ -18,15 +18,14 @@ The coupling and noise-correlation matrices are double integrals
     R[n, m] = II sinc(2 |r' - r| / lambda) conj(psi_n(r)) psi_m(r') dr dr',
 
 both over the physical segment supports (the receive axis runs over
-[d_z - L_r/2, d_z + L_r/2]; a d_z shift phases R as
-R -> D^H R D with D = diag(exp(j kappa_n d_z)), congruent and therefore
-performance-neutral).  Every entry is a tensor-product composite
-Gauss-Legendre sum on the node set of :mod:`wdmlink.quadrature`; the
-kernel does not depend on (n, m), so the assembly evaluates it once on
-the node grid and contracts it with the tone matrices.  Entries agree
-with per-entry :func:`wdmlink.quadrature.integrate_2d` calls to rounding
-error, and the contraction order is fixed, so repeated runs are
-bit-identical.
+[d_z - L_r/2, d_z + L_r/2]).  H is a tensor-product composite
+Gauss-Legendre sum on the node set of :mod:`wdmlink.quadrature`: the
+kernel is evaluated once on the node grid and contracted with the tone
+matrices.  The R kernel depends only on the lag t = r' - r, so R is one
+composite sum over the lag on the centred segment, phased by the d_z
+congruence R -> D^H R D, D = diag(exp(j kappa_n d_z)), which is
+performance-neutral (see :func:`assemble_R`).  Reductions run in a
+fixed order, so repeated runs are bit-identical.
 
 Ambient electromagnetic interference reaching the receive segment is
 isotropic with spatial correlation sinc(2 ||r' - r|| / lambda), variance
@@ -71,11 +70,6 @@ __all__ = [
     "save_channel_set",
     "load_matching_channel_set",
 ]
-
-# Row-block size for the noise-correlation contraction; bounds the
-# temporary kernel slab to a few tens of MB at any grid size.
-_R_BLOCK_ROWS = 2048
-
 
 @dataclass(frozen=True)
 class WdmConfig:
@@ -229,29 +223,43 @@ def assemble_H(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
 def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     """Interference correlation matrix between receive tones.
 
-    The isotropic-interference correlation sinc(2 |r' - r| / lambda)
-    combined with the tones oscillates at a rate of at most 2 kappa per
-    axis, so the node set matches the one used for H.  The result is
-    symmetrized to (R + R^H) / 2 after assembly to remove rounding skew.
+    On the centred segment of length L = L_r, with K(t) = sinc(2 t / lambda)
+    and Delta = kappa_m - kappa_n, integrating over r at fixed lag t gives
+    R(0) = P + P^H with
+
+        P[n, m] = int_0^L K(t) exp(j kappa_m t) I_nm(t) dt,
+        I_nm(t) = (exp(j Delta (L/2 - t)) - exp(-j Delta L/2)) / (j Delta),
+
+    and I_nn(t) = L - t.  The t-dependence of I_nm cancels against
+    exp(j kappa_m t), so with the tone transforms g_n = int K(t)
+    exp(j kappa_n t) dt and h_n = int t K(t) exp(j kappa_n t) dt,
+
+        P[n, m] = (exp(j Delta L/2) g_n - exp(-j Delta L/2) g_m) / (j Delta),
+        P[n, n] = L g_n - h_n.
+
+    g and h are composite Gauss-Legendre sums on [0, L_r] with the node
+    count of one H axis (kernel plus tone oscillate with period lambda/2).
+    Then R = D^H R(0) D, symmetrized to (R + R^H) / 2 against rounding.
 
     Returns:
         Complex Hermitian PSD array (N, N).
     """
     _validate_mode_count(geom, cfg)
-    osc = cfg.wavelength / 2.0
-    r_nodes, r_weights = composite_gauss_nodes(
-        geom.d_z - geom.L_r / 2.0, geom.d_z + geom.L_r / 2.0, osc, cfg.quadrature
-    )
+    L = geom.L_r
+    t, w = composite_gauss_nodes(0.0, L, cfg.wavelength / 2.0, cfg.quadrature)
     kappas = _mode_frequencies(cfg, geom)
-    tones = np.exp(1j * np.outer(r_nodes, kappas)) * r_weights[:, None]
-    out = np.zeros((cfg.n_modes, cfg.n_modes), dtype=complex)
-    for lo in range(0, r_nodes.size, _R_BLOCK_ROWS):
-        hi = min(lo + _R_BLOCK_ROWS, r_nodes.size)
-        kern_block = np.sinc(
-            2.0 * np.abs(r_nodes[lo:hi, None] - r_nodes[None, :]) / cfg.wavelength
-        )
-        out += tones[lo:hi].conj().T @ (kern_block @ tones)
-    return 0.5 * (out + out.conj().T)
+    wk = w * np.sinc(2.0 * t / cfg.wavelength)
+    g, h = np.stack([wk, wk * t]) @ np.exp(1j * np.outer(t, kappas))
+    delta = kappas[None, :] - kappas[:, None]
+    half = np.exp(0.5j * L * delta)
+    # the identity only keeps the diagonal finite; it is overwritten next
+    P = (half * g[:, None] - half.conj() * g[None, :]) / (
+        1j * (delta + np.eye(cfg.n_modes))
+    )
+    np.fill_diagonal(P, L * g - h)
+    phase = np.exp(1j * kappas * geom.d_z)
+    R = (P + P.conj().T) * np.outer(phase.conj(), phase)
+    return 0.5 * (R + R.conj().T)
 
 
 def whiten(H: np.ndarray, R: np.ndarray, cfg: WdmConfig) -> ChannelSet:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, NoReturn, Optional
 
 import numpy as np
 
-from .config import PARAMETERS, RunConfig, apply_entries, load_config, profile_by_name
+from .config import PARAMETERS, RunConfig, apply_entries, profile_by_name, read_config_entries
 from .experiments import (
     run_avg_sweep,
     run_channel_dump,
@@ -83,21 +84,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = profile_by_name(args.profile)
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
+    profile = profile_by_name(args.profile)
+    file_entries = read_config_entries(args.config) if args.config else []
+    source = f"config file {args.config}"
+    cfg = apply_entries(profile, file_entries, source)
     entries = [
         (*dest.split("."), raw)
         for dest, raw in vars(args).items()
         if "." in dest and raw is not None
     ]
     if args.command == "avg-sweep":
-        defaults = [("sweep", "parameter", "d_x")]
-        if getattr(args, "sweep.start") is None and cfg.sweep.parameter != "d_x":
-            # profile sweeps move d_z by default; fall back to the
-            # 5..15 m lateral range the averaged curves are read over
-            defaults += [("sweep", "start", "5"), ("sweep", "stop", "15")]
-        entries = defaults + entries
+        given = {(section, key) for section, key, _ in file_entries + entries}
+        if ("sweep", "start") not in given and cfg.sweep.parameter != "d_x":
+            # profile sweeps move d_z by default; the file and the flags
+            # apply on top of the 5..15 m lateral range the averaged
+            # curves are read over
+            ranged = replace(profile, sweep=replace(profile.sweep, start=5.0, stop=15.0))
+            cfg = apply_entries(ranged, file_entries, source)
+        entries = [("sweep", "parameter", "d_x")] + entries
     return apply_entries(cfg, entries, "command line")
 
 

@@ -7,9 +7,10 @@ and ``full`` (the production-scale link).
 :data:`PARAMETERS` lists every settable parameter once: its INI section
 and key, the command-line flag that sets the same value, the RunConfig
 field it lands in and the converter from the raw string.  Config files
-(:func:`load_config`) and CLI flags both turn into (section, key, raw)
-entries that :func:`apply_entries` applies to a base config.  Angles are
-degrees, lengths meters, powers A^2 and noise levels a power ratio in dB.
+(:func:`read_config_entries`) and CLI flags both turn into (section, key,
+raw) entries that :func:`apply_entries` applies to a base config.  Angles
+are degrees, lengths meters, powers A^2 and noise levels a power ratio in
+dB.
 
 Sections and keys:
 
@@ -31,7 +32,7 @@ import configparser
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "Param",
     "PARAMETERS",
     "apply_entries",
+    "read_config_entries",
     "load_config",
 ]
 
@@ -326,13 +328,8 @@ def apply_entries(
         raise ValueError(f"invalid {source}: {exc}") from None
 
 
-def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
-    """Parse a config file, overriding ``base`` (default: desk profile).
-
-    Raises:
-        ValueError: On unknown sections/keys or malformed values, with
-            every offender listed.
-    """
+def read_config_entries(path: str) -> List[Tuple[str, str, str]]:
+    """(section, key, raw string) entries of a config file in file order; ValueError if not INI."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     # keys like L_s are case sensitive; the default folds them to lower case
     parser.optionxform = str
@@ -341,11 +338,21 @@ def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ValueError(f"cannot parse config file {path}: {exc}") from None
-    entries = [
+    return [
         (section, key, raw)
         for section in parser.sections()
         for key, raw in parser[section].items()
     ]
+
+
+def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
+    """Parse a config file, overriding ``base`` (default: desk profile).
+
+    Raises:
+        ValueError: On unknown sections/keys or malformed values, with
+            every offender listed.
+    """
+    entries = read_config_entries(path)
     return apply_entries(
         base if base is not None else desk_profile(), entries, f"config file {path}"
     )

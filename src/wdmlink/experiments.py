@@ -12,9 +12,6 @@ process pool (``[output] workers``); rows are emitted in grid order
 regardless of worker count.  With ``[output] cache_dir`` every channel
 set is stored under a hash of its header; an entry that cannot be read
 or does not match is recomputed and rewritten.
-The interference matrix R depends only on the receive segment, the
-wavelength and the mode count, so sweeps that do not move those reuse
-one R per process instead of re-integrating it per point.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from .channel import (
     WdmConfig,
     assemble_H,
     assemble_R,
+    assemble_channel_set,
     channel_cache_key,
     load_matching_channel_set,
     save_channel_set,
@@ -224,38 +222,15 @@ class _PointTask:
     cache_dir: str
 
 
-# Per-process memo of interference matrices; R is orientation-blind so
-# d_x/theta_s sweeps hit it once.
-_R_MEMO: Dict[tuple, np.ndarray] = {}
-
-
-def _memoized_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
-    key = (
-        cfg.wavelength,
-        geom.L_r,
-        geom.d_z,
-        cfg.n_modes,
-        geom.L_s,
-        cfg.quadrature,
-    )
-    cached = _R_MEMO.get(key)
-    if cached is None:
-        if len(_R_MEMO) > 8:
-            _R_MEMO.clear()
-        cached = assemble_R(geom, cfg)
-        _R_MEMO[key] = cached
-    return cached
-
-
 def _channel_for(geom: LinkGeometry, cfg: WdmConfig, cache_dir: str) -> ChannelSet:
     if not cache_dir:
-        return whiten(assemble_H(geom, cfg), _memoized_R(geom, cfg), cfg)
+        return assemble_channel_set(geom, cfg)
     path = os.path.join(cache_dir, channel_cache_key(geom, cfg) + ".wdmch")
     try:
         return load_matching_channel_set(path, geom, cfg)
     except (ValueError, OSError, zipfile.BadZipFile, EOFError):
         pass  # missing, truncated or mismatched entry: recompute and rewrite it
-    ch = whiten(assemble_H(geom, cfg), _memoized_R(geom, cfg), cfg)
+    ch = assemble_channel_set(geom, cfg)
     os.makedirs(cache_dir, exist_ok=True)
     save_channel_set(path, ch, geom, cfg)
     return ch

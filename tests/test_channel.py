@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdmlink.channel import (
     ChannelSet,
@@ -23,7 +25,12 @@ from wdmlink.channel import (
 )
 from wdmlink.em_field import EmConstants, NearFieldWarning, gz_kernel, spatial_frequency
 from wdmlink.geometry import LinkGeometry, source_direction
-from wdmlink.quadrature import QuadratureSpec, integrate_1d, integrate_2d
+from wdmlink.quadrature import (
+    QuadratureSpec,
+    composite_gauss_nodes,
+    integrate_1d,
+    integrate_2d,
+)
 
 REDUCED_GEOM = LinkGeometry(L_s=0.2, L_r=0.5, d_x=1.0)
 REDUCED_CFG = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=1.0)
@@ -57,6 +64,30 @@ def midpoint_coupling_oracle(geom, cfg, n_s, n_r):
             tone_r = np.exp(-1j * k_n * r)
             out[n - 1, m - 1] = (tone_r @ kern @ tone_s) * (geom.L_s / n_s) * (geom.L_r / n_r)
     return out
+
+
+def _R_oracle_2d(geom, cfg):
+    """Noise correlation as the tensor-product sum over (r, r').
+
+    The sinc kernel is evaluated on the full receive-node grid of the
+    shifted segment, in row blocks, and contracted with the tones; no lag
+    form and no d_z congruence are used, so it checks both.  Row blocks of
+    2048 bound the kernel slab to a few tens of MB.
+    """
+    r, w = composite_gauss_nodes(
+        geom.d_z - geom.L_r / 2.0, geom.d_z + geom.L_r / 2.0,
+        cfg.wavelength / 2.0, cfg.quadrature,
+    )
+    kappas = np.array(
+        [spatial_frequency(n, cfg.n_modes, geom.L_s) for n in range(1, cfg.n_modes + 1)]
+    )
+    tones = np.exp(1j * np.outer(r, kappas)) * w[:, None]
+    out = np.zeros((cfg.n_modes, cfg.n_modes), dtype=complex)
+    for lo in range(0, r.size, 2048):
+        hi = min(lo + 2048, r.size)
+        kern = np.sinc(2.0 * np.abs(r[lo:hi, None] - r[None, :]) / cfg.wavelength)
+        out += tones[lo:hi].conj().T @ (kern @ tones)
+    return 0.5 * (out + out.conj().T)
 
 
 class TestMaxModes:
@@ -235,6 +266,39 @@ class TestAssembleR:
         R = assemble_R(desk.geometry, desk.wdm)
         R_fine = assemble_R(desk.geometry, fine)
         assert np.linalg.norm(R - R_fine) <= 1e-6 * np.linalg.norm(R_fine)
+
+
+def _oracle_mismatch(geom, cfg):
+    R = assemble_R(geom, cfg)
+    oracle = _R_oracle_2d(geom, cfg)
+    return np.linalg.norm(R - oracle) / np.linalg.norm(oracle)
+
+
+class TestAssembleRAgainstOracle:
+    def test_desk(self, desk):
+        assert _oracle_mismatch(desk.geometry, desk.wdm) <= 1e-12
+
+    def test_reduced_full_scale_offset(self, full_scale):
+        # full wavelength and mode count on 1.05 m of the 3 m receive segment;
+        # 1.05 m is no multiple of L_s, so the h term of the diagonal is nonzero
+        geom = replace(full_scale.geometry, L_r=1.05, d_z=2.5)
+        assert _oracle_mismatch(geom, full_scale.wdm) <= 1e-12
+
+    def test_short_segment(self, desk):
+        # Delta * L_r is small here, where the 1 / (j Delta) form can cancel
+        geom = replace(desk.geometry, L_r=3.0 * desk.wdm.wavelength, d_z=-0.4)
+        assert _oracle_mismatch(geom, desk.wdm) <= 1e-12
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        d_z=st.floats(-3.0, 3.0),
+        L_r=st.floats(0.05, 0.6),
+        n_modes=st.integers(1, 21),
+    )
+    def test_offset_and_length_property(self, desk, d_z, L_r, n_modes):
+        geom = replace(desk.geometry, L_r=L_r, d_z=d_z)
+        cfg = replace(desk.wdm, n_modes=n_modes)
+        assert _oracle_mismatch(geom, cfg) <= 1e-12
 
 
 class TestWhiten:

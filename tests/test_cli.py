@@ -162,3 +162,35 @@ def test_each_flag_equals_its_config_key(tmp_path):
             parser.parse_args([command, "--config", str(cfg_file)])
         )
         assert cli._resolve_config(args) == from_file, param.flag
+
+
+def _resolved_range(*argv):
+    cfg = cli._resolve_config(cli._build_parser().parse_args(list(argv)))
+    return cfg.sweep.parameter, cfg.sweep.start, cfg.sweep.stop
+
+
+def test_avg_sweep_keeps_the_config_file_range(tmp_path):
+    cfg_file = tmp_path / "range.cfg"
+    cfg_file.write_text("[sweep]\nparameter = theta_s\nstart = 2\nstop = 9\n")
+    assert _resolved_range("avg-sweep", "--config", str(cfg_file)) == ("d_x", 2.0, 9.0)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ((), ("d_x", 5.0, 15.0)),
+        (("--stop", "9"), ("d_x", 5.0, 9.0)),
+        (("--start", "1", "--stop", "4"), ("d_x", 1.0, 4.0)),
+        (("--profile", "full", "--start", "3"), ("d_x", 3.0, 5.0)),
+    ],
+)
+def test_avg_sweep_default_range_without_config(argv, expected):
+    assert _resolved_range("avg-sweep", *argv) == expected
+
+
+def test_avg_sweep_stop_from_file_equals_stop_flag(tmp_path):
+    cfg_file = tmp_path / "stop.cfg"
+    cfg_file.write_text("[sweep]\nstop = 9\n")
+    assert _resolved_range("avg-sweep", "--config", str(cfg_file)) == _resolved_range(
+        "avg-sweep", "--stop", "9"
+    )
