@@ -18,14 +18,15 @@ The coupling and noise-correlation matrices are double integrals
     R[n, m] = II sinc(2 |r' - r| / lambda) conj(psi_n(r)) psi_m(r') dr dr',
 
 both over the physical segment supports (the receive axis runs over
-[d_z - L_r/2, d_z + L_r/2]).  H is a tensor-product composite
-Gauss-Legendre sum on the node set of :mod:`wdmlink.quadrature`: the
-kernel is evaluated once on the node grid and contracted with the tone
-matrices.  The R kernel depends only on the lag t = r' - r, so R is one
-composite sum over the lag on the centred segment, phased by the d_z
-congruence R -> D^H R D, D = diag(exp(j kappa_n d_z)), which is
-performance-neutral (see :func:`assemble_R`).  Reductions run in a
-fixed order, so repeated runs are bit-identical.
+[d_z - L_r/2, d_z + L_r/2]).  H is the projection of the tone fields
+int gz(r - s s_hat) phi_m(s) ds (:func:`wdmlink.em_field.tone_fields`)
+onto the receive tones, a tensor-product composite Gauss-Legendre sum
+on the node set of :mod:`wdmlink.quadrature`.  The R kernel depends
+only on the lag t = r' - r, so R is one composite sum over the lag on
+the centred segment, phased by the d_z congruence R -> D^H R D,
+D = diag(exp(j kappa_n d_z)), which is performance-neutral (see
+:func:`assemble_R`).  Reductions run in a fixed order, so repeated runs
+are bit-identical.
 
 Ambient electromagnetic interference reaching the receive segment is
 isotropic with spatial correlation sinc(2 ||r' - r|| / lambda), variance
@@ -46,11 +47,10 @@ import os
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from . import em_field
 from .em_field import EmConstants, spatial_frequency
-from .geometry import LinkGeometry, source_direction
+from .geometry import LinkGeometry
 from .quadrature import QuadratureSpec, composite_gauss_nodes
 
 __all__ = [
@@ -176,10 +176,12 @@ def _validate_mode_count(geom: LinkGeometry, cfg: WdmConfig) -> None:
 def assemble_H(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     """Mode coupling matrix of the link.
 
-    H[n, m] couples transmit tone m to receive tone n through the scalar
-    far-field kernel.  Both integration axes oscillate at a rate of at
-    most 2 kappa (propagation phase plus tone), so the composite rule is
-    sized with half a wavelength as the oscillation period.
+    H[n, m] couples transmit tone m to receive tone n: it is receive
+    tone n projected onto the field that tone m radiates along the
+    receive segment (:func:`wdmlink.em_field.tone_fields`).  Both
+    integration axes oscillate at a rate of at most 2 kappa (propagation
+    phase plus tone), so both composite rules are sized with half a
+    wavelength as the oscillation period.
 
     Returns:
         Complex array (N, N), row index = receive tone.
@@ -188,36 +190,16 @@ def assemble_H(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
         NearFieldWarning: If the segments come within ten wavelengths.
     """
     _validate_mode_count(geom, cfg)
-    k = EmConstants(cfg.wavelength)
-    osc = cfg.wavelength / 2.0
-    s_nodes, s_weights = composite_gauss_nodes(
-        -geom.L_s / 2.0, geom.L_s / 2.0, osc, cfg.quadrature
-    )
+    half = geom.L_r / 2.0
     r_nodes, r_weights = composite_gauss_nodes(
-        geom.d_z - geom.L_r / 2.0, geom.d_z + geom.L_r / 2.0, osc, cfg.quadrature
+        geom.d_z - half, geom.d_z + half, cfg.wavelength / 2.0, cfg.quadrature
     )
-    s_hat = source_direction(geom.theta_s, geom.phi_s)
-    u = np.empty((r_nodes.size, s_nodes.size, 3))
-    u[:, :, 0] = geom.d_x - s_nodes[None, :] * s_hat[0]
-    u[:, :, 1] = -s_nodes[None, :] * s_hat[1]
-    u[:, :, 2] = r_nodes[:, None] - s_nodes[None, :] * s_hat[2]
-    d_min = float(np.sqrt(np.min(np.sum(u * u, axis=-1))))
-    if d_min < em_field.FAR_FIELD_GUARD_WAVELENGTHS * cfg.wavelength:
-        import warnings
-
-        warnings.warn(
-            f"closest segment separation {d_min:.3g} m is below "
-            f"{em_field.FAR_FIELD_GUARD_WAVELENGTHS:g} wavelengths",
-            em_field.NearFieldWarning,
-            stacklevel=2,
-        )
-    kern = em_field.gz_kernel(u, geom.theta_s, geom.phi_s, k)
     kappas = _mode_frequencies(cfg, geom)
-    tx = np.exp(1j * np.outer(s_nodes, kappas)) / math.sqrt(geom.L_s)
+    fields = em_field.tone_fields(
+        geom, EmConstants(cfg.wavelength), r_nodes, kappas, cfg.quadrature
+    )
     rx = np.exp(1j * np.outer(r_nodes, kappas))
-    left = (rx.conj() * r_weights[:, None]).T
-    right = tx * s_weights[:, None]
-    return (left @ kern) @ right
+    return (rx.conj() * r_weights[:, None]).T @ fields
 
 
 def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
@@ -272,8 +254,8 @@ def whiten(H: np.ndarray, R: np.ndarray, cfg: WdmConfig) -> ChannelSet:
 
     Returns:
         ChannelSet with C = sigma2_emi R + sigma2_hdw I, its lower
-        Cholesky factor L and H_tilde = L^{-1} H (triangular solve, no
-        explicit inverse).
+        Cholesky factor L and H_tilde = L^{-1} H (a linear solve with L,
+        no explicit inverse).
 
     Raises:
         numpy.linalg.LinAlgError: If C is not positive definite; the
@@ -292,7 +274,7 @@ def whiten(H: np.ndarray, R: np.ndarray, cfg: WdmConfig) -> ChannelSet:
             f"noise covariance is not positive definite "
             f"(smallest eigenvalue {smallest:.6e})"
         ) from None
-    H_tilde = scipy.linalg.solve_triangular(L, H, lower=True)
+    H_tilde = np.linalg.solve(L, H)
     return ChannelSet(H=H, R=R, C=C, L=L, H_tilde=H_tilde)
 
 

@@ -21,6 +21,10 @@ assembling 3x3 dyads inside quadrature loops:
                - u_y u_z sin(phi_s) sin(theta_s)
                + (u_x^2 + u_y^2) cos(theta_s)).
 
+``tone_fields`` integrates it against the transmit tones (below) at
+receive heights; the coupling matrix H of :mod:`wdmlink.channel` and
+``received_field_profile`` are both built on that one integral.
+
 The approximation degrades below roughly ten wavelengths of separation;
 operations that evaluate it warn (``NearFieldWarning``) instead of
 failing, since grazing node pairs can dip below the guard while the
@@ -62,6 +66,7 @@ __all__ = [
     "green_dyadic_ff",
     "gz_kernel",
     "radiation_pattern",
+    "tone_fields",
     "received_field_profile",
     "boresight_reference_peak",
     "peak_location_boresight",
@@ -182,8 +187,8 @@ def gz_kernel(
     """Scalar channel kernel z_hat^T g(u) s_hat(theta_s, phi_s).
 
     Vectorized over leading axes of ``u``; this is the hot path of the
-    channel assembly, so no far-field guard is applied here (the callers
-    check the node set once).
+    channel assembly, so no far-field guard is applied here
+    (:func:`tone_fields` checks the node set once).
 
     Args:
         u: Separation vectors, array (..., 3) [m], nonzero.
@@ -233,6 +238,48 @@ def radiation_pattern(
     return st * st * np.sinc(arg) ** 2
 
 
+def tone_fields(
+    geom: LinkGeometry,
+    k: EmConstants,
+    r_z: np.ndarray,
+    kappas: np.ndarray,
+    spec: QuadratureSpec,
+) -> np.ndarray:
+    """Scalar fields of transmit tones along the receive line.
+
+    Returns the (len(r_z), len(kappas)) array of Integral phi_m(s)
+    gz(r - s s_hat) ds, with phi_m(s) = exp(j kappa_m s) / sqrt(L_s) and
+    r = (d_x, 0, r_z).  Tone plus propagation phase oscillate at most at
+    2 kappa along s, so the s-rule is sized with half a wavelength as the
+    period.  The kernel is evaluated once on the (r_z, s) node grid.
+
+    Warns:
+        NearFieldWarning: If any node pair falls below the guard; the
+            warning points at the caller of ``assemble_H`` or
+            ``received_field_profile``.
+    """
+    s_nodes, s_weights = composite_gauss_nodes(
+        -geom.L_s / 2.0, geom.L_s / 2.0, k.wavelength / 2.0, spec
+    )
+    s_hat = source_direction(geom.theta_s, geom.phi_s)
+    r_z = np.asarray(r_z, dtype=float)
+    u = np.empty((r_z.size, s_nodes.size, 3))
+    u[:, :, 0] = geom.d_x - s_nodes[None, :] * s_hat[0]
+    u[:, :, 1] = -s_nodes[None, :] * s_hat[1]
+    u[:, :, 2] = r_z[:, None] - s_nodes[None, :] * s_hat[2]
+    d_min = float(np.sqrt(np.min(np.sum(u * u, axis=-1))))
+    if d_min < FAR_FIELD_GUARD_WAVELENGTHS * k.wavelength:
+        warnings.warn(
+            f"closest source/receive separation {d_min:.3g} m is below "
+            f"{FAR_FIELD_GUARD_WAVELENGTHS:g} wavelengths",
+            NearFieldWarning,
+            stacklevel=3,
+        )
+    kern = gz_kernel(u, geom.theta_s, geom.phi_s, k)
+    tx = np.exp(1j * np.outer(s_nodes, kappas)) / math.sqrt(geom.L_s)
+    return kern @ (tx * s_weights[:, None])
+
+
 def received_field_profile(
     mode: ModeIndex,
     geom: LinkGeometry,
@@ -242,9 +289,7 @@ def received_field_profile(
 ) -> np.ndarray:
     """Complex e_z along the receive segment for a unit-amplitude mode.
 
-    Evaluates j kappa Z0 * Integral phi_n(s) gz(r - s s_hat) ds at every
-    grid height, with phi_n(s) = exp(j kappa_n s) / sqrt(L_s) the mode's
-    current profile along the segment.
+    Returns j kappa Z0 times the mode's :func:`tone_fields` column.
 
     Args:
         mode: Transmit mode.
@@ -263,27 +308,8 @@ def received_field_profile(
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(np.abs(grid - geom.d_z) > geom.L_r / 2.0 + 1e-12 * geom.L_r):
         raise ValueError("grid extends beyond the receive segment")
-    # The integrand oscillates through exp(j kappa ||u||) times the mode
-    # tone, at a combined rate of at most 2 kappa along s.
-    s_nodes, s_weights = composite_gauss_nodes(
-        -geom.L_s / 2.0, geom.L_s / 2.0, k.wavelength / 2.0, spec
-    )
-    s_hat = source_direction(geom.theta_s, geom.phi_s)
-    u = np.empty((grid.size, s_nodes.size, 3))
-    u[:, :, 0] = geom.d_x - s_nodes[None, :] * s_hat[0]
-    u[:, :, 1] = -s_nodes[None, :] * s_hat[1]
-    u[:, :, 2] = grid[:, None] - s_nodes[None, :] * s_hat[2]
-    d_min = float(np.sqrt(np.min(np.sum(u * u, axis=-1))))
-    if d_min < FAR_FIELD_GUARD_WAVELENGTHS * k.wavelength:
-        warnings.warn(
-            f"closest source/receive separation {d_min:.3g} m is below "
-            f"{FAR_FIELD_GUARD_WAVELENGTHS:g} wavelengths",
-            NearFieldWarning,
-            stacklevel=2,
-        )
-    kern = gz_kernel(u, geom.theta_s, geom.phi_s, k)
-    tone = np.exp(1j * mode.kappa_n * s_nodes) / math.sqrt(geom.L_s)
-    return 1j * k.kappa * k.z0 * (kern @ (tone * s_weights))
+    fields = tone_fields(geom, k, grid, np.array([mode.kappa_n]), spec)
+    return 1j * k.kappa * k.z0 * fields[:, 0]
 
 
 def boresight_reference_peak(

@@ -59,15 +59,9 @@ __all__ = [
     "run_avg_sweep",
     "run_channel_dump",
     "run_selfcheck",
-    "resolve_workers",
 ]
 
 SCHEME_ORDER = (Scheme.SVD, Scheme.MMSE, Scheme.MR, Scheme.PLAIN)
-
-
-def resolve_workers(cfg: RunConfig) -> int:
-    """Worker count of a sweep: ``[output] workers``."""
-    return cfg.output.workers
 
 
 def _fmt(value: float) -> str:
@@ -214,7 +208,6 @@ class AvgSweepRecord:
 
 @dataclass(frozen=True)
 class _PointTask:
-    index: int
     value: float
     geometry: LinkGeometry
     wdm: WdmConfig
@@ -266,14 +259,13 @@ def _run_tasks(tasks: Sequence[_PointTask], workers: int) -> List[SweepRecord]:
 def _sweep_tasks(cfg: RunConfig) -> List[_PointTask]:
     values = cfg.sweep.values()
     tasks = []
-    for i, value in enumerate(values):
+    for value in values:
         point_value = float(value)
         if cfg.sweep.parameter == "theta_s":
             point_value = math.radians(point_value)
         geom = _geometry_at(cfg.geometry, cfg.sweep.parameter, point_value)
         tasks.append(
             _PointTask(
-                index=i,
                 value=float(value),
                 geometry=geom,
                 wdm=cfg.wdm,
@@ -309,7 +301,7 @@ def run_sweep(
     are meters.
     """
     tasks = _sweep_tasks(cfg)
-    records = _run_tasks(tasks, resolve_workers(cfg))
+    records = _run_tasks(tasks, cfg.output.workers)
     header = ["value", "se_svd", "se_mmse", "se_mr", "se_plain", "error"]
     _write_csv(csv_path, header, [_record_cells(r) for r in records])
     if svg_path:
@@ -360,14 +352,13 @@ def run_avg_sweep(
     ]
     values = cfg.sweep.values()
     tasks = []
-    for i, value in enumerate(values):
-        for j, (theta, phi) in enumerate(orientations):
+    for value in values:
+        for theta, phi in orientations:
             geom = replace(
                 cfg.geometry, d_x=float(value), theta_s=float(theta), phi_s=float(phi)
             )
             tasks.append(
                 _PointTask(
-                    index=i * len(orientations) + j,
                     value=float(value),
                     geometry=geom,
                     wdm=cfg.wdm,
@@ -375,7 +366,7 @@ def run_avg_sweep(
                     cache_dir=cfg.output.cache_dir,
                 )
             )
-    flat = _run_tasks(tasks, resolve_workers(cfg))
+    flat = _run_tasks(tasks, cfg.output.workers)
     records: List[AvgSweepRecord] = []
     n_ens = len(orientations)
     for i, value in enumerate(values):

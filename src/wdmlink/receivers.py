@@ -180,29 +180,30 @@ def scheme_matrices(
     raise ValueError(f"unknown scheme {kind!r}")
 
 
-def sinr(
-    combiner: np.ndarray, channel: np.ndarray, p: np.ndarray, n: int
-) -> float:
-    """SINR of mode ``n`` for one combiner against an effective channel.
+def sinr(combiners: np.ndarray, channel: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per-mode SINR of a combiner bank against an effective channel.
 
     Args:
-        combiner: Combining vector b_n (nonzero).
+        combiners: Combiner bank B whose column n is mode n's combiner
+            b_n (nonzero).
         channel: Effective channel H_tilde A whose columns carry the
             per-mode streams.
         p: Per-mode powers.
-        n: Mode index (0-based).
 
     Returns:
-        |b^H g_n|^2 p_n / (sum_{m != n} |b^H g_m|^2 p_m + ||b||^2).
+        SINR_n = |b_n^H g_n|^2 p_n / (sum_{m != n} |b_n^H g_m|^2 p_m
+        + ||b_n||^2) for every mode n.
+
+    Raises:
+        ValueError: If a combiner column is zero.
     """
-    b = np.asarray(combiner)
-    norm2 = float(np.real(np.vdot(b, b)))
-    if norm2 == 0.0:
-        raise ValueError("combiner must be nonzero")
-    cross = np.abs(b.conj() @ np.asarray(channel)) ** 2
-    signal = cross[n] * p[n]
-    interference = float(np.dot(cross, p) - cross[n] * p[n])
-    return float(signal / (interference + norm2))
+    B = np.asarray(combiners)
+    norm2 = np.sum(np.abs(B) ** 2, axis=0)
+    if np.any(norm2 == 0.0):
+        raise ValueError("combiners must be nonzero")
+    cross = np.abs(B.conj().T @ np.asarray(channel)) ** 2
+    signal = np.diag(cross) * p
+    return signal / (cross @ p - signal + norm2)
 
 
 def spectral_efficiency(
@@ -231,10 +232,7 @@ def spectral_efficiency(
         chi = scheme_gains(kind, ch)
         p, mu = waterfill(chi, power)
         A, B, chi = scheme_matrices(kind, ch, p, mmse_form)
-    effective = ch.H_tilde @ A
-    sinr_values = np.array(
-        [sinr(B[:, n], effective, p, n) for n in range(ch.H_tilde.shape[0])]
-    )
+    sinr_values = sinr(B, ch.H_tilde @ A, p)
     if kind is Scheme.SVD:
         se = float(np.sum(np.log2(1.0 + p * chi)))
     else:

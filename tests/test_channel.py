@@ -169,11 +169,27 @@ class TestAssembleH:
     def test_against_midpoint_oracle_tilted(self):
         geom = replace(REDUCED_GEOM, theta_s=math.radians(20.0), phi_s=math.radians(30.0), d_z=0.2)
         # this tilt drops the closest approach just under 10 wavelengths
-        with pytest.warns(NearFieldWarning):
+        with pytest.warns(NearFieldWarning) as record:
             H = assemble_H(geom, REDUCED_CFG)
+        assert record[0].filename == __file__  # attributed to the caller
         oracle = midpoint_coupling_oracle(geom, REDUCED_CFG, 1000, 1200)
         rel = np.linalg.norm(H - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-4
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(
+        theta_s=st.floats(0.0, math.pi),
+        phi_s=st.floats(1e-9, 2.0 * math.pi - 1e-9),
+        d_z=st.floats(-3.0, 3.0),
+    )
+    def test_mirror_in_azimuth_property(self, desk, theta_s, phi_s, d_z):
+        # y -> -y maps the receive line onto itself and s_hat(theta, phi)
+        # onto s_hat(theta, 2 pi - phi), so the coupling matrix is unchanged
+        geom = replace(desk.geometry, theta_s=theta_s, phi_s=phi_s, d_z=d_z)
+        mirror = replace(geom, phi_s=2.0 * math.pi - phi_s)
+        H = assemble_H(geom, desk.wdm)
+        H_mirror = assemble_H(mirror, desk.wdm)
+        assert np.linalg.norm(H - H_mirror) <= 1e-12 * np.linalg.norm(H)
 
     def test_quadrature_convergence(self):
         fine = replace(

@@ -1,8 +1,13 @@
 """Command line behavior: routing, overrides and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import wdmlink
 import wdmlink.cli as cli
 from wdmlink.config import PARAMETERS
 
@@ -194,3 +199,24 @@ def test_avg_sweep_stop_from_file_equals_stop_flag(tmp_path):
     assert _resolved_range("avg-sweep", "--config", str(cfg_file)) == _resolved_range(
         "avg-sweep", "--stop", "9"
     )
+
+
+def test_cli_and_whitening_load_no_scipy():
+    # numpy is the only numerical library: importing the CLI and whitening
+    # a desk channel must not pull in scipy
+    code = (
+        "import sys\n"
+        "import wdmlink.cli\n"
+        "from wdmlink.channel import assemble_H, assemble_R, whiten\n"
+        "from wdmlink.config import desk_profile\n"
+        "cfg = desk_profile()\n"
+        "whiten(assemble_H(cfg.geometry, cfg.wdm), assemble_R(cfg.geometry, cfg.wdm), cfg.wdm)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wdmlink.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"

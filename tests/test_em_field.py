@@ -207,8 +207,9 @@ class TestReceivedFieldProfile:
         geom = replace(desk.geometry, d_x=0.1)  # below the 10-wavelength guard
         k = EmConstants(desk.wdm.wavelength)
         m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, k)
-        with pytest.warns(NearFieldWarning):
+        with pytest.warns(NearFieldWarning) as record:
             received_field_profile(m, geom, k, np.zeros(1), desk.wdm.quadrature)
+        assert record[0].filename == __file__  # attributed to the caller
 
 
 class TestPeakLocationBoresight:

@@ -11,7 +11,6 @@ import wdmlink.experiments as experiments
 from wdmlink.channel import channel_cache_key, load_matching_channel_set
 from wdmlink.config import FieldSettings, SweepSettings
 from wdmlink.experiments import (
-    resolve_workers,
     run_avg_sweep,
     run_channel_dump,
     run_field,
@@ -301,7 +300,7 @@ class TestRunAvgSweep:
 
 
 # ---------------------------------------------------------------------------
-# Channel dump, self-check, worker resolution
+# Channel dump and self-check
 
 
 def test_channel_dump_roundtrip(desk, desk_channel, tmp_path):
@@ -318,9 +317,3 @@ def test_selfcheck_passes_on_desk_link(desk, capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 5
     assert "[FAIL]" not in out
-
-
-class TestResolveWorkers:
-    def test_config_value_is_default(self, desk, monkeypatch):
-        monkeypatch.delenv("WDMLINK_WORKERS", raising=False)
-        assert resolve_workers(desk) == desk.output.workers

@@ -122,9 +122,7 @@ class TestSchemeMatrices:
 class TestSinr:
     def test_identity_channel(self):
         G = np.eye(3, dtype=complex)
-        p = np.ones(3)
-        for n in range(3):
-            assert sinr(G[:, n], G, p, n) == pytest.approx(1.0, rel=1e-14)
+        assert np.allclose(sinr(G, G, np.ones(3)), 1.0, rtol=1e-14, atol=0.0)
 
     def test_svd_interference_free(self, desk_channel, desk):
         P = total_power(desk.wdm)
@@ -137,15 +135,31 @@ class TestSinr:
     def test_combiner_scale_invariance(self, rng):
         G = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         p = np.abs(rng.standard_normal(5)) + 0.1
-        b = G[:, 2]
-        base = sinr(b, G, p, 2)
-        assert sinr(5j * b, G, p, 2) == pytest.approx(base, rel=1e-12)
-        z = complex(rng.standard_normal(), rng.standard_normal())
-        assert sinr(z * b, G, p, 2) == pytest.approx(base, rel=1e-12)
+        base = sinr(G, G, p)
+        assert np.allclose(sinr(5j * G, G, p), base, rtol=1e-12, atol=0.0)
+        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        assert np.allclose(sinr(G * z[None, :], G, p), base, rtol=1e-12, atol=0.0)
+
+    def test_bank_matches_per_mode_formula(self, rng):
+        G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        p = np.abs(rng.standard_normal(6))
+        expected = []
+        for n in range(6):
+            cross = np.abs(np.vdot(B[:, n], G[:, n])) ** 2
+            others = sum(
+                np.abs(np.vdot(B[:, n], G[:, m])) ** 2 * p[m] for m in range(6) if m != n
+            )
+            expected.append(cross * p[n] / (others + np.vdot(B[:, n], B[:, n]).real))
+        assert np.allclose(sinr(B, G, p), expected, rtol=1e-12, atol=0.0)
 
     def test_zero_combiner_rejected(self):
         with pytest.raises(ValueError):
-            sinr(np.zeros(3), np.eye(3, dtype=complex), np.ones(3), 0)
+            sinr(np.zeros((3, 3)), np.eye(3, dtype=complex), np.ones(3))
+        B = np.eye(3, dtype=complex)
+        B[:, 1] = 0.0
+        with pytest.raises(ValueError):
+            sinr(B, np.eye(3, dtype=complex), np.ones(3))
 
 
 class TestSpectralEfficiency:
