@@ -6,6 +6,14 @@ profiles, the wavenumber-domain channel and interference matrices, and
 the spectral efficiency of four linear transceiver architectures.
 """
 
+import os
+
+# H is contracted in many small BLAS calls; between them OpenBLAS helper
+# threads busy-wait on the other cores, doubling CPU time and starving pool
+# workers.  Parallelism comes from the process pool instead.  This must run
+# before numpy loads OpenBLAS; a value already in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .channel import (
     ChannelSet,
     WdmConfig,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -190,6 +191,17 @@ class TestAssembleH:
         H = assemble_H(geom, desk.wdm)
         H_mirror = assemble_H(mirror, desk.wdm)
         assert np.linalg.norm(H - H_mirror) <= 1e-12 * np.linalg.norm(H)
+
+    def test_full_scale_peak_memory(self, full_scale):
+        # the receive-node blocks bound the kernel temporaries; evaluating
+        # the kernel on the whole (9600 x 640) node grid peaked at ~490 MB
+        tracemalloc.start()
+        try:
+            assemble_H(full_scale.geometry, full_scale.wdm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
 
     def test_quadrature_convergence(self):
         fine = replace(

@@ -220,3 +220,20 @@ def test_cli_and_whitening_load_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])
+def test_import_defaults_openblas_to_one_thread(preset, seen):
+    # the package sets the OpenBLAS thread count before numpy loads;
+    # a value the user set is kept
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wdmlink.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, wdmlink; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == seen

@@ -1,9 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wdmlink import em_field
 from wdmlink.em_field import (
     EmConstants,
     ModeIndex,
@@ -16,9 +18,31 @@ from wdmlink.em_field import (
     radiation_pattern,
     received_field_profile,
     spatial_frequency,
+    tone_fields,
 )
 from wdmlink.geometry import LinkGeometry, source_direction
-from wdmlink.quadrature import QuadratureSpec
+from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
+
+
+def s_rule(geom, k, spec):
+    return composite_gauss_nodes(-geom.L_s / 2, geom.L_s / 2, k.wavelength / 2, spec)
+
+
+def tone_fields_one_slab(geom, k, r_z, kappas, spec):
+    """tone_fields as one (r_z, s, 3) separation grid and one product.
+
+    The unblocked evaluation: the same kernel values and the same
+    contraction per row, so the blocked form must match it bit for bit.
+    """
+    s_nodes, s_weights = s_rule(geom, k, spec)
+    s_hat = source_direction(geom.theta_s, geom.phi_s)
+    u = np.empty((r_z.size, s_nodes.size, 3))
+    u[:, :, 0] = geom.d_x - s_nodes[None, :] * s_hat[0]
+    u[:, :, 1] = -s_nodes[None, :] * s_hat[1]
+    u[:, :, 2] = r_z[:, None] - s_nodes[None, :] * s_hat[2]
+    kern = gz_kernel(u, geom.theta_s, geom.phi_s, k)
+    tx = np.exp(1j * np.outer(s_nodes, kappas)) / math.sqrt(geom.L_s)
+    return kern @ (tx * s_weights[:, None])
 
 
 class TestEmConstants:
@@ -150,6 +174,34 @@ class TestRadiationPattern:
             radiation_pattern(math.pi + 0.1, m, desk.geometry, k)
 
 
+class TestToneFields:
+    def test_ragged_blocks_match_one_slab(self, desk):
+        geom = replace(
+            desk.geometry, theta_s=math.radians(35.0), phi_s=math.radians(70.0), d_z=0.3
+        )
+        spec = desk.wdm.quadrature
+        k = EmConstants(desk.wdm.wavelength)
+        r_z, _ = composite_gauss_nodes(
+            geom.d_z - geom.L_r / 2, geom.d_z + geom.L_r / 2, k.wavelength / 2, spec
+        )
+        rows = em_field._BLOCK_PAIRS // s_rule(geom, k, spec)[0].size
+        assert r_z.size > rows and r_z.size % rows != 0  # several blocks, last ragged
+        kappas = np.array(
+            [spatial_frequency(n, desk.wdm.n_modes, geom.L_s) for n in (1, 6, 11, 21)]
+        )
+        got = tone_fields(geom, k, r_z, kappas, spec)
+        assert np.array_equal(got, tone_fields_one_slab(geom, k, r_z, kappas, spec))
+
+    def test_grid_within_one_block_matches_one_slab(self, desk):
+        geom = replace(desk.geometry, theta_s=math.radians(12.0))
+        spec = desk.wdm.quadrature
+        k = EmConstants(desk.wdm.wavelength)
+        r_z = np.linspace(-0.4, 0.45, 7)
+        kappas = np.array([spatial_frequency(4, desk.wdm.n_modes, geom.L_s)])
+        got = tone_fields(geom, k, r_z, kappas, spec)
+        assert np.array_equal(got, tone_fields_one_slab(geom, k, r_z, kappas, spec))
+
+
 class TestReceivedFieldProfile:
     def test_center_mode_profile_is_symmetric(self, desk):
         k = EmConstants(desk.wdm.wavelength)
@@ -210,6 +262,28 @@ class TestReceivedFieldProfile:
         with pytest.warns(NearFieldWarning) as record:
             received_field_profile(m, geom, k, np.zeros(1), desk.wdm.quadrature)
         assert record[0].filename == __file__  # attributed to the caller
+
+    def test_guard_takes_minimum_over_all_blocks(self, desk):
+        # broadside segment along x: only receive heights within ~9 cm of
+        # r_z = 0 come closer than 10 wavelengths (0.2 m); with four blocks
+        # those heights lie in the two middle ones
+        geom = replace(desk.geometry, d_x=0.28, theta_s=math.pi / 2)
+        spec = desk.wdm.quadrature
+        k = EmConstants(desk.wdm.wavelength)
+        m = ModeIndex.from_mode_number(11, 21, geom.L_s, k)
+        s_nodes, _ = s_rule(geom, k, spec)
+        rows = em_field._BLOCK_PAIRS // s_nodes.size
+        grid = np.linspace(-geom.L_r / 2, geom.L_r / 2, 4 * rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NearFieldWarning)
+            received_field_profile(m, geom, k, grid[:rows], spec)
+            received_field_profile(m, geom, k, grid[-rows:], spec)
+        with pytest.warns(NearFieldWarning) as record:
+            received_field_profile(m, geom, k, grid, spec)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+        d_min = np.min(np.hypot(geom.d_x - s_nodes[None, :], grid[:, None]))
+        assert f"{d_min:.3g} m" in str(record[0].message)
 
 
 class TestPeakLocationBoresight:
