@@ -80,10 +80,13 @@ FREE_SPACE_IMPEDANCE = 376.73  # [Ohm]
 FAR_FIELD_GUARD_WAVELENGTHS = 10.0
 
 # Node pairs per receive-node block of tone_fields.  The block's float64
-# and complex128 temporaries take a few MB and stay cache-resident instead
-# of streaming a whole (r_z, s) slab through memory; at full scale on a
-# 2-core Xeon (2 MiB L2 per core) 2**16 was the fastest of 2**12 .. 2**20.
-_BLOCK_PAIRS = 2**16
+# and complex128 temporaries take about 1 MB and stay cache-resident
+# instead of streaming a whole (r_z, s) slab through memory.  With the
+# default rule (160 s nodes at full scale, 80 at desk) on a 2-core Xeon
+# (2 MiB L2 per core), 2**14 and 2**15 tied as the fastest of
+# 2**13 .. 2**19 at full (about 15 % below 2**16, five repeated runs);
+# desk, at 3.7-4.2 ms, could not tell them apart.
+_BLOCK_PAIRS = 2**14
 
 # Denominator threshold below which the cone/line intersection is solved
 # via its surviving linear equation.

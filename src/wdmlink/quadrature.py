@@ -47,8 +47,8 @@ class QuadratureSpec:
         rel_tol: Relative tolerance used by convergence self-checks.
     """
 
-    points_per_wavelength: float = 16.0
-    nodes_per_panel: int = 8
+    points_per_wavelength: float = 4.0
+    nodes_per_panel: int = 16
     max_panels: int = 50_000
     rel_tol: float = 1e-6
 

@@ -174,12 +174,17 @@ class TestRadiationPattern:
             radiation_pattern(math.pi + 0.1, m, desk.geometry, k)
 
 
+# A rule whose desk receive segment (1600 nodes) spans many blocks of
+# tone_fields whatever the block size; the default rule gives 400 nodes.
+SEVERAL_BLOCKS_SPEC = QuadratureSpec(points_per_wavelength=16.0, nodes_per_panel=8)
+
+
 class TestToneFields:
     def test_ragged_blocks_match_one_slab(self, desk):
         geom = replace(
             desk.geometry, theta_s=math.radians(35.0), phi_s=math.radians(70.0), d_z=0.3
         )
-        spec = desk.wdm.quadrature
+        spec = SEVERAL_BLOCKS_SPEC
         k = EmConstants(desk.wdm.wavelength)
         r_z, _ = composite_gauss_nodes(
             geom.d_z - geom.L_r / 2, geom.d_z + geom.L_r / 2, k.wavelength / 2, spec

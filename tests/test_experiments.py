@@ -317,3 +317,11 @@ def test_selfcheck_passes_on_desk_link(desk, capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 5
     assert "[FAIL]" not in out
+
+
+def test_selfcheck_passes_on_full_link(full_scale, capsys):
+    # node doubling of H and R at full scale, which the desk link does not reach
+    assert run_selfcheck(full_scale) is True
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 5
+    assert "[FAIL]" not in out

@@ -16,8 +16,8 @@ from wdmlink.quadrature import (
 class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
-        assert spec.points_per_wavelength == 16.0
-        assert spec.nodes_per_panel == 8
+        assert spec.points_per_wavelength == 4.0
+        assert spec.nodes_per_panel == 16
 
     def test_validation(self):
         with pytest.raises(ValueError):
