@@ -17,9 +17,17 @@ so most of this module works with the scalar contraction
 assembling 3x3 dyads inside quadrature loops:
 
     gz(u) = exp(j kappa ||u||) / (4 pi ||u||^3)
-            * (-u_x u_z cos(phi_s) sin(theta_s)
-               - u_y u_z sin(phi_s) sin(theta_s)
-               + (u_x^2 + u_y^2) cos(theta_s)).
+            * ((u_x^2 + u_y^2) cos(theta_s) - u_z (u_x, u_y) . s_hat).
+
+Every unit phasor on the path to H and R comes from ``_phasor`` in
+half-angle-tangent form: with c the phase in cycles reduced to
+[-1/2, 1/2] and t = tan(pi c),
+
+    exp(2 pi j c) = ((1 - t^2) + 2 j t) / (1 + t^2),
+
+one vectorised tangent in place of a complex exponential or a sine and
+a cosine.  With numpy 2.4 on a 2-core Xeon, float64 np.tan takes about
+3 ns per element, np.cos about 29 ns and complex np.exp about 48 ns.
 
 ``tone_fields`` integrates it against the transmit tones (below) at
 receive heights, one bounded block of receive nodes at a time; the
@@ -81,11 +89,14 @@ FAR_FIELD_GUARD_WAVELENGTHS = 10.0
 
 # Node pairs per receive-node block of tone_fields.  The block's float64
 # and complex128 temporaries take about 1 MB and stay cache-resident
-# instead of streaming a whole (r_z, s) slab through memory.  With the
-# default rule (160 s nodes at full scale, 80 at desk) on a 2-core Xeon
-# (2 MiB L2 per core), 2**14 and 2**15 tied as the fastest of
-# 2**13 .. 2**19 at full (about 15 % below 2**16, five repeated runs);
-# desk, at 3.7-4.2 ms, could not tell them apart.
+# instead of streaming a whole (r_z, s) slab through memory.  Timed with
+# the half-angle-tangent kernel and the default rule (160 s nodes at full
+# scale, 80 at desk) on a 2-core Xeon (2 MiB L2 per core), five
+# alternating rounds over 2**13 .. 2**17: at full 2**13, 2**14 and 2**15
+# tied (18-21 ms) and 2**16, 2**17 were 30-70 % slower; at desk 2**13 was
+# fastest (2.0-2.8 ms against 2.4-3.4 ms for 2**14), a saving of about
+# 0.02 s over the 60 points of an orientation-averaged desk run, too small
+# to resolve end to end, so the value stays.
 _BLOCK_PAIRS = 2**14
 
 # Denominator threshold below which the cone/line intersection is solved
@@ -208,29 +219,67 @@ def gz_kernel(
         Complex array of shape u.shape[:-1].
     """
     u = np.asarray(u, dtype=float)
-    return _gz(u[..., 0], u[..., 1], u[..., 2], theta_s, phi_s, k)
+    s_hat = source_direction(theta_s, phi_s)
+    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
+    uxy2 = ux * ux + uy * uy
+    lean = ux * s_hat[0] + uy * s_hat[1]
+    return _gz(uxy2, lean, uz, uxy2 + uz * uz, s_hat[2], k)
 
 
 def _gz(
-    ux: np.ndarray,
-    uy: np.ndarray,
+    uxy2: np.ndarray,
+    lean: np.ndarray,
     uz: np.ndarray,
-    theta_s: float,
-    phi_s: float,
+    dist2: np.ndarray,
+    cos_theta: float,
     k: EmConstants,
 ) -> np.ndarray:
-    """:func:`gz_kernel` on separation components that broadcast together."""
-    dist2 = ux * ux + uy * uy + uz * uz
+    """:func:`gz_kernel` on separation terms that broadcast together.
+
+    ``uxy2`` = u_x^2 + u_y^2, ``lean`` = (u_x, u_y) . s_hat and ``dist2``
+    = ||u||^2, so the bracket is uxy2 cos(theta_s) - u_z lean.  The
+    amplitude bracket / (4 pi ||u||^3) is real and scales the phasor of
+    ||u|| / lambda cycles.  1 / (4 pi) is applied to ``uxy2`` and ``lean``,
+    which in :func:`tone_fields` are rows over s, not to every pair.
+    """
     if np.any(dist2 == 0.0):
         raise ValueError("kernel evaluated at zero separation")
     dist = np.sqrt(dist2)
-    st = math.sin(theta_s)
-    bracket = (
-        (ux * ux + uy * uy) * math.cos(theta_s)
-        - ux * uz * (math.cos(phi_s) * st)
-        - uy * uz * (math.sin(phi_s) * st)
-    )
-    return np.exp(1j * k.kappa * dist) * bracket / (4.0 * math.pi * dist * dist2)
+    inv_4pi = 0.25 / math.pi
+    amp = uxy2 * (cos_theta * inv_4pi) - uz * (lean * inv_4pi)
+    amp /= dist * dist2
+    return _phasor(dist / k.wavelength, amp)
+
+
+def _phasor(cycles: np.ndarray, scale=1.0) -> np.ndarray:
+    """scale * exp(2 pi j cycles) without sin, cos or complex exp.
+
+    The phase is reduced to c = cycles - rint(cycles) in [-1/2, 1/2] and
+    written through t = tan(pi c): cos = (1 - t^2) / (1 + t^2) and
+    sin = 2 t / (1 + t^2).  At c = +/-1/2, t is finite (about 1.6e16), so
+    nothing overflows and the real part is -scale up to rounding.
+
+    Args:
+        cycles: Phases in turns; their shape is the result's shape.
+        scale: Real amplitude, broadcasting against ``cycles``.
+
+    Returns:
+        Complex array of cycles.shape, within about 3e-16 |scale| of
+        scale * exp(2 pi j cycles) for the reduced phase.
+    """
+    t = np.rint(np.atleast_1d(cycles))
+    np.subtract(cycles, t, out=t)
+    t *= math.pi
+    np.tan(t, out=t)
+    t2 = t * t
+    w = t2 + 1.0
+    np.divide(scale, w, out=w)
+    np.subtract(1.0, t2, out=t2)
+    t += t
+    out = np.empty(w.shape, dtype=complex)
+    np.multiply(w, t2, out=out.real)
+    np.multiply(w, t, out=out.imag)
+    return out.reshape(np.shape(cycles))
 
 
 def radiation_pattern(
@@ -273,7 +322,9 @@ def tone_fields(
     ``_BLOCK_PAIRS`` node pairs each, and every block is contracted with
     the weighted tones into its rows of the result, so memory stays
     bounded whatever the node count.  Of the separation r - s s_hat only
-    the z-part depends on r; the x- and y-parts are rows over s.
+    the z-part depends on r; the x- and y-parts, and the kernel terms
+    built from them alone, are rows over s.  Each block's squared
+    distances serve both the kernel and the near-field guard.
 
     Warns:
         NearFieldWarning: If any node pair falls below the guard; the
@@ -288,17 +339,20 @@ def tone_fields(
     ux = (geom.d_x - s_nodes * s_hat[0])[None, :]
     uy = (-s_nodes * s_hat[1])[None, :]
     uxy2 = ux * ux + uy * uy
+    lean = ux * s_hat[0] + uy * s_hat[1]
     s_z = s_nodes[None, :] * s_hat[2]
-    weighted_tones = (
-        np.exp(1j * np.outer(s_nodes, kappas)) / math.sqrt(geom.L_s)
-    ) * s_weights[:, None]
+    weighted_tones = _phasor(
+        np.outer(s_nodes, kappas / (2.0 * math.pi)),
+        (s_weights / math.sqrt(geom.L_s))[:, None],
+    )
     out = np.empty((r_z.size, weighted_tones.shape[1]), dtype=complex)
     rows = max(1, _BLOCK_PAIRS // s_nodes.size)
     d2_min = math.inf
     for start in range(0, r_z.size, rows):
         uz = r_z[start : start + rows, None] - s_z
-        d2_min = min(d2_min, float(np.min(uxy2 + uz * uz)))
-        kern = _gz(ux, uy, uz, geom.theta_s, geom.phi_s, k)
+        dist2 = uxy2 + uz * uz
+        d2_min = min(d2_min, float(np.min(dist2)))
+        kern = _gz(uxy2, lean, uz, dist2, s_hat[2], k)
         np.matmul(kern, weighted_tones, out=out[start : start + rows])
     d_min = math.sqrt(d2_min)
     if d_min < FAR_FIELD_GUARD_WAVELENGTHS * k.wavelength:

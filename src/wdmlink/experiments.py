@@ -251,8 +251,10 @@ def _evaluate_point(task: _PointTask) -> SweepRecord:
 
 def _run_tasks(tasks: Sequence[_PointTask], workers: int) -> List[SweepRecord]:
     if workers > 1 and len(tasks) > 1:
+        # about four chunks per worker: fewer round trips, still balanced
+        chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_evaluate_point, tasks))
+            return list(pool.map(_evaluate_point, tasks, chunksize=chunk))
     return [_evaluate_point(t) for t in tasks]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wdmlink import channel
 from wdmlink.channel import (
     ChannelSet,
     WdmConfig,
@@ -35,6 +36,13 @@ from wdmlink.quadrature import (
 
 REDUCED_GEOM = LinkGeometry(L_s=0.2, L_r=0.5, d_x=1.0)
 REDUCED_CFG = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=1.0)
+
+# The R oracle comparisons pit two discretisations of one integral against
+# each other at 1e-12, so they run on a rule fine enough that quadrature
+# error stays below that bound; the default rule (16-node panels at 4
+# points per period) differs from the oracle by up to ~2e-11.  Its 16x
+# larger node grid also makes the full-scale H memory test bite.
+ORACLE_SPEC = QuadratureSpec(points_per_wavelength=16.0, nodes_per_panel=8)
 
 
 def midpoint_coupling_oracle(geom, cfg, n_s, n_r):
@@ -212,6 +220,28 @@ class TestBases:
         assert rx_basis(17, 0.51, desk.wdm, desk.geometry) == 0.0
 
 
+class TestToneTable:
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    @pytest.mark.parametrize("parity", ["odd", "even", "one"])
+    def test_matches_complex_exponentials(self, request, profile, parity):
+        # on the receive nodes of assemble_H (at d_z = 0 and 2, and negated
+        # for the conjugate tones) and the lag nodes of assemble_R
+        prof = request.getfixturevalue(profile)
+        geom, cfg = prof.geometry, prof.wdm
+        n_modes = {"odd": cfg.n_modes, "even": cfg.n_modes - 1, "one": 1}[parity]
+        kappas = np.array(
+            [spatial_frequency(n, n_modes, geom.L_s) for n in range(1, n_modes + 1)]
+        )
+        period = cfg.wavelength / 2.0
+        spans = [(-geom.L_r / 2, geom.L_r / 2), (2.0 - geom.L_r / 2, 2.0 + geom.L_r / 2)]
+        spans.append((0.0, geom.L_r))
+        node_sets = [composite_gauss_nodes(a, b, period, cfg.quadrature)[0] for a, b in spans]
+        for x in node_sets + [-node_sets[1]]:
+            got = channel._tone_table(x, n_modes, geom.L_s)
+            assert got.shape == (n_modes, x.size)
+            assert np.max(np.abs(got - np.exp(1j * np.outer(x, kappas)).T)) <= 1e-12
+
+
 class TestAssembleH:
     def test_mirror_symmetry_broadside(self):
         # z -> -z maps mode n to N+1-n at both ends; the kernel is even in
@@ -253,11 +283,12 @@ class TestAssembleH:
         assert np.linalg.norm(H - H_mirror) <= 1e-12 * np.linalg.norm(H)
 
     def test_full_scale_peak_memory(self, full_scale):
-        # the receive-node blocks bound the kernel temporaries; evaluating
-        # the kernel on the whole (9600 x 640) node grid peaked at ~490 MB
+        # the receive-node blocks bound the kernel temporaries; at this rule
+        # the whole (9600 x 640) node grid as one slab peaks at ~450 MB
+        cfg = replace(full_scale.wdm, quadrature=ORACLE_SPEC)
         tracemalloc.start()
         try:
-            assemble_H(full_scale.geometry, full_scale.wdm)
+            assemble_H(full_scale.geometry, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,13 +481,6 @@ class TestAssembleR:
         R = assemble_R(desk.geometry, desk.wdm)
         R_fine = assemble_R(desk.geometry, fine)
         assert np.linalg.norm(R - R_fine) <= 1e-6 * np.linalg.norm(R_fine)
-
-
-# The oracle comparisons below pit two discretisations of one integral
-# against each other at 1e-12, so they run on a rule fine enough that
-# quadrature error stays below that bound; the default rule (16-node
-# panels at 4 points per period) differs from the oracle by up to ~2e-11.
-ORACLE_SPEC = QuadratureSpec(points_per_wavelength=16.0, nodes_per_panel=8)
 
 
 def _oracle_mismatch(geom, cfg):

@@ -31,8 +31,9 @@ def s_rule(geom, k, spec):
 def tone_fields_one_slab(geom, k, r_z, kappas, spec):
     """tone_fields as one (r_z, s, 3) separation grid and one product.
 
-    The unblocked evaluation: the same kernel values and the same
-    contraction per row, so the blocked form must match it bit for bit.
+    The unblocked evaluation: the same kernel values, the same weighted
+    transmit tones and the same contraction per row, so the blocked form
+    must match it bit for bit.
     """
     s_nodes, s_weights = s_rule(geom, k, spec)
     s_hat = source_direction(geom.theta_s, geom.phi_s)
@@ -41,8 +42,11 @@ def tone_fields_one_slab(geom, k, r_z, kappas, spec):
     u[:, :, 1] = -s_nodes[None, :] * s_hat[1]
     u[:, :, 2] = r_z[:, None] - s_nodes[None, :] * s_hat[2]
     kern = gz_kernel(u, geom.theta_s, geom.phi_s, k)
-    tx = np.exp(1j * np.outer(s_nodes, kappas)) / math.sqrt(geom.L_s)
-    return kern @ (tx * s_weights[:, None])
+    weighted_tones = em_field._phasor(
+        np.outer(s_nodes, kappas / (2.0 * math.pi)),
+        (s_weights / math.sqrt(geom.L_s))[:, None],
+    )
+    return kern @ weighted_tones
 
 
 class TestEmConstants:
@@ -111,7 +115,11 @@ class TestGzKernel:
         u[:, 0] += 4.0
         got = gz_kernel(u, 0.0, 0.0, k)
         d = np.linalg.norm(u, axis=-1)
-        expected = np.exp(1j * k.kappa * d) * (u[:, 0] ** 2 + u[:, 1] ** 2) / (4.0 * math.pi * d**3)
+        # exp(j kappa d) with the phase reduced in cycles first: the same
+        # value, without the ~1e-13 rounding of kappa d at hundreds of radians
+        c = d / k.wavelength
+        phase = np.exp(2j * np.pi * (c - np.rint(c)))
+        expected = phase * (u[:, 0] ** 2 + u[:, 1] ** 2) / (4.0 * math.pi * d**3)
         assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
 
     def test_axial_direction_vanishes(self):
@@ -139,6 +147,36 @@ class TestGzKernel:
             if reference != 0.0:
                 worst = max(worst, abs(got - reference) / abs(reference))
         assert worst < 1e-12
+
+
+class TestPhasor:
+    def test_matches_cos_and_sin_of_reduced_angle(self, rng):
+        cycles = rng.uniform(-1e4, 1e4, size=200_000)
+        got = em_field._phasor(cycles)
+        angle = 2.0 * np.pi * (cycles - np.rint(cycles))
+        assert np.max(np.abs(got.real - np.cos(angle))) <= 1e-15
+        assert np.max(np.abs(got.imag - np.sin(angle))) <= 1e-15
+
+    def test_exact_at_eighth_turns(self):
+        # c = k / 8 for k = -4..4 after reduction, c = +/-1/2 included
+        eighths = np.arange(-12, 13)
+        got = em_field._phasor(eighths / 8.0 + 1000.0)
+        h = math.sqrt(0.5)
+        unit = [1.0, h, 0.0, -h, -1.0, -h, 0.0, h]
+        exact_cos = np.array([unit[k % 8] for k in eighths])
+        exact_sin = np.array([unit[(k - 2) % 8] for k in eighths])
+        # one unit in the last place of 1, and +/-1 itself where cos is +/-1
+        assert np.max(np.abs(got.real - exact_cos)) <= 2.0**-52
+        assert np.max(np.abs(got.imag - exact_sin)) <= 2.0**-52
+        assert np.all(got.real[eighths % 4 == 0] == exact_cos[eighths % 4 == 0])
+
+    def test_real_scale_broadcasts(self, rng):
+        cycles = rng.uniform(-50.0, 50.0, size=(7, 5))
+        scale = rng.uniform(-3.0, 3.0, size=(7, 1))
+        got = em_field._phasor(cycles, scale)
+        assert got.shape == cycles.shape
+        expected = scale * np.exp(2j * np.pi * (cycles - np.rint(cycles)))
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(scale))
 
 
 class TestRadiationPattern:

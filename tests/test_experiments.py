@@ -149,6 +149,23 @@ class TestRunSweep:
         assert paths[1].read_bytes() == ref
         assert paths[2].read_bytes() == ref
 
+    def test_chunked_pool_run_matches_serial_bytes(self, desk, tmp_path, monkeypatch):
+        # 19 points on two workers go out in chunks of 2, the last one ragged
+        chunksizes = []
+
+        class RecordingPool(experiments.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                chunksizes.append(kwargs.get("chunksize", 1))
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_sweep(desk, count=19)
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        run_sweep(cfg, str(serial))
+        run_sweep(replace(cfg, output=replace(cfg.output, workers=2)), str(pooled))
+        assert chunksizes == [2]
+        assert pooled.read_bytes() == serial.read_bytes()
+
     def test_channel_cache_reuse_matches_fresh_assembly(self, desk, tmp_path):
         cache = tmp_path / "cache"
         cfg = small_sweep(desk, count=5)
