@@ -60,8 +60,6 @@ __all__ = [
     "ChannelSet",
     "max_modes",
     "spatial_frequency",
-    "tx_basis",
-    "rx_basis",
     "assemble_H",
     "assemble_R",
     "whiten",
@@ -162,31 +160,6 @@ def _tone_table(x: np.ndarray, n_modes: int, L_s: float) -> np.ndarray:
         np.multiply(table[n - 1], step, out=table[n])
     np.conj(table[n_modes - 1 : n_modes - 1 - mid : -1], out=table[:mid])
     return table
-
-
-def tx_basis(n: int, s: np.ndarray, cfg: WdmConfig, geom: LinkGeometry) -> np.ndarray:
-    """Transmit tone phi_n evaluated at arc length(s) ``s`` [m].
-
-    Unit-norm on the segment, zero outside it.
-    """
-    kappa_n = spatial_frequency(n, cfg.n_modes, geom.L_s)
-    s = np.asarray(s, dtype=float)
-    inside = np.abs(s) <= geom.L_s / 2.0
-    return np.where(
-        inside, np.exp(1j * kappa_n * s) / math.sqrt(geom.L_s), 0.0 + 0.0j
-    )
-
-
-def rx_basis(n: int, r_z: np.ndarray, cfg: WdmConfig, geom: LinkGeometry) -> np.ndarray:
-    """Receive tone psi_n at height(s) ``r_z`` [m].
-
-    Unit modulus on the segment (deliberately unnormalized), zero
-    outside it.
-    """
-    kappa_n = spatial_frequency(n, cfg.n_modes, geom.L_s)
-    r_z = np.asarray(r_z, dtype=float)
-    inside = np.abs(r_z - geom.d_z) <= geom.L_r / 2.0
-    return np.where(inside, np.exp(1j * kappa_n * r_z), 0.0 + 0.0j)
 
 
 def _validate_mode_count(geom: LinkGeometry, cfg: WdmConfig) -> None:
@@ -383,7 +356,9 @@ def load_matching_channel_set(
             ``channel_header(geom, cfg)`` or the file is no npz archive.
         OSError, zipfile.BadZipFile, EOFError: On an unreadable file.
     """
-    with np.load(path) as data:
+    # np.load raises on a truncated archive before it closes a file it
+    # opened itself, so the file is opened and closed here
+    with open(path, "rb") as fh, np.load(fh) as data:
         if str(data.get("header")) != channel_header(geom, cfg):
             raise ValueError(
                 f"{path}: stored header does not match the requested geometry/config"

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, NamedTuple
 
 import numpy as np
@@ -406,8 +406,6 @@ def boresight_reference_peak(
     placed at theta_s = phi_s = 0 and d_z = 0, evaluated on ``grid``
     recentered about zero.
     """
-    from dataclasses import replace
-
     ref_geom = replace(geom, theta_s=0.0, phi_s=0.0, d_z=0.0)
     ref_grid = np.asarray(grid, dtype=float) - geom.d_z
     ref_mode = ModeIndex(n=0, kappa_n=0.0, gamma_n=0.0)

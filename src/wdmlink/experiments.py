@@ -43,11 +43,13 @@ from .em_field import (
     EmConstants,
     ModeIndex,
     boresight_reference_peak,
+    green_dyadic_ff,
+    gz_kernel,
     radiation_pattern,
     received_field_profile,
 )
-from .geometry import LinkGeometry
-from .receivers import Scheme, spectral_efficiency
+from .geometry import LinkGeometry, source_direction
+from .receivers import Scheme, spectral_efficiency, waterfill
 from .svgplot import line_plot_svg, polar_plot_svg, write_svg
 
 __all__ = [
@@ -445,10 +447,6 @@ def run_selfcheck(cfg: RunConfig, verbose: bool = True) -> bool:
     factorization and the water-filling optimality conditions.  Prints
     one PASS/FAIL line per check and returns overall success.
     """
-    from . import em_field
-    from .geometry import source_direction
-    from .receivers import waterfill
-
     checks: List[Tuple[str, bool, str]] = []
     geom, wdm = cfg.geometry, cfg.wdm
 
@@ -492,8 +490,8 @@ def run_selfcheck(cfg: RunConfig, verbose: bool = True) -> bool:
         u *= (20.0 * wdm.wavelength) / np.linalg.norm(u)
         theta = rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        direct = em_field.gz_kernel(u, theta, phi, k)
-        dyad = em_field.green_dyadic_ff(u, np.zeros(3), k)
+        direct = gz_kernel(u, theta, phi, k)
+        dyad = green_dyadic_ff(u, np.zeros(3), k)
         via_dyad = dyad[2] @ source_direction(theta, phi)
         worst = max(worst, abs(direct - via_dyad) / abs(via_dyad))
     checks.append(

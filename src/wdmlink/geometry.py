@@ -24,8 +24,6 @@ __all__ = [
     "LinkGeometry",
     "source_direction",
     "rotation_matrix",
-    "source_point",
-    "receive_point",
 ]
 
 
@@ -110,39 +108,3 @@ def rotation_matrix(theta_s: float, phi_s: float) -> np.ndarray:
             [cp * st, sp * st, ct],
         ]
     )
-
-
-def source_point(rho_s: float, geom: LinkGeometry) -> np.ndarray:
-    """Point on the transmit segment at arc length ``rho_s`` from its center.
-
-    Args:
-        rho_s: Signed arc-length coordinate [m], |rho_s| <= L_s / 2.
-        geom: Link geometry.
-
-    Returns:
-        Array (3,) with rho_s * s_hat.
-    """
-    if abs(rho_s) > geom.L_s / 2.0:
-        raise ValueError(
-            f"arc length {rho_s} outside the transmit segment "
-            f"[-{geom.L_s / 2.0}, {geom.L_s / 2.0}]"
-        )
-    return rho_s * source_direction(geom.theta_s, geom.phi_s)
-
-
-def receive_point(r_z: float, geom: LinkGeometry) -> np.ndarray:
-    """Point on the receive segment at height ``r_z``.
-
-    Args:
-        r_z: Absolute z-coordinate [m], |r_z - d_z| <= L_r / 2.
-        geom: Link geometry.
-
-    Returns:
-        Array (3,) with (d_x, 0, r_z).
-    """
-    if abs(r_z - geom.d_z) > geom.L_r / 2.0:
-        raise ValueError(
-            f"height {r_z} outside the receive segment centered at {geom.d_z} "
-            f"with half-length {geom.L_r / 2.0}"
-        )
-    return np.array([geom.d_x, 0.0, r_z])

@@ -9,8 +9,8 @@ panel count is
     ceil((b - a) / osc_wavelength * points_per_wavelength / nodes_per_panel)
 
 with at least one panel, so that every oscillation period receives
-``points_per_wavelength`` nodes.  Results are reduced in a fixed order,
-which makes repeated runs bit-identical.
+``points_per_wavelength`` nodes.  Equal arguments give bit-identical
+nodes and weights, so every sum over them repeats exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,8 +27,6 @@ __all__ = [
     "PanelLimitError",
     "panel_count",
     "composite_gauss_nodes",
-    "integrate_1d",
-    "integrate_2d",
 ]
 
 
@@ -118,54 +116,3 @@ def composite_gauss_nodes(
     x = (centers[:, None] + half * base_x[None, :]).ravel()
     w = np.broadcast_to(half * base_w, (n_panels, base_x.size)).ravel()
     return x, w.copy()
-
-
-def integrate_1d(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    osc_wavelength: float,
-    spec: QuadratureSpec,
-) -> complex:
-    """Integrate a complex-valued function over [a, b].
-
-    Args:
-        f: Vectorized integrand; must accept an ndarray of abscissas and
-            evaluate elementwise.
-        a, b: Interval, a < b.
-        osc_wavelength: Shortest oscillation period of ``f`` [m].
-        spec: Rule sizing.
-
-    Returns:
-        The quadrature value as a complex number.
-    """
-    x, w = composite_gauss_nodes(a, b, osc_wavelength, spec)
-    return complex(np.dot(w, np.asarray(f(x))))
-
-
-def integrate_2d(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    domain: Tuple[float, float, float, float],
-    osc_wavelengths: Tuple[float, float],
-    spec: QuadratureSpec,
-) -> complex:
-    """Integrate over the rectangle [ax, bx] x [ay, by].
-
-    The rule is the tensor product of two 1-D composite rules, one per
-    axis, each sized from its own oscillation wavelength.
-
-    Args:
-        f: Vectorized integrand f(x, y); receives broadcastable arrays of
-            shape (nx, 1) and (1, ny).
-        domain: (ax, bx, ay, by).
-        osc_wavelengths: Shortest oscillation period along x and y [m].
-        spec: Rule sizing.
-
-    Returns:
-        The quadrature value as a complex number.
-    """
-    ax, bx, ay, by = domain
-    x, wx = composite_gauss_nodes(ax, bx, osc_wavelengths[0], spec)
-    y, wy = composite_gauss_nodes(ay, by, osc_wavelengths[1], spec)
-    vals = np.asarray(f(x[:, None], y[None, :]))
-    return complex(np.dot(np.dot(wx, vals), wy))

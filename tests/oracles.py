@@ -1,0 +1,188 @@
+"""Reference implementations the tests compare wdmlink against.
+
+Each oracle evaluates a quantity by a different route from the package:
+its own kernel formula, node grid or integration order, so a defect in
+the production code cannot cancel against the same defect here.  The
+small link and the fine rule that several test modules share live here
+too.
+"""
+
+import math
+
+import numpy as np
+
+from wdmlink.channel import ChannelSet, WdmConfig
+from wdmlink import em_field
+from wdmlink.em_field import gz_kernel, spatial_frequency
+from wdmlink.geometry import LinkGeometry, source_direction
+from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
+
+REDUCED_GEOM = LinkGeometry(L_s=0.2, L_r=0.5, d_x=1.0)
+REDUCED_CFG = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=1.0)
+
+# The R oracle comparisons pit two discretisations of one integral against
+# each other at 1e-12, so they run on a rule fine enough that quadrature
+# error stays below that bound; the default rule (16-node panels at 4
+# points per period) differs from the oracle by up to ~2e-11.  Its 16x
+# larger node grid also makes the full-scale H memory test bite.
+ORACLE_SPEC = QuadratureSpec(points_per_wavelength=16.0, nodes_per_panel=8)
+
+
+def tensor_sum(f, domain, osc_wavelengths, spec):
+    """Tensor-product composite Gauss-Legendre sum of f over a rectangle.
+
+    ``f(x, y)`` receives broadcastable node arrays of shape (nx, 1) and
+    (1, ny); ``domain`` is (ax, bx, ay, by) and each axis gets its own
+    composite rule sized from its oscillation wavelength.
+    """
+    ax, bx, ay, by = domain
+    x, wx = composite_gauss_nodes(ax, bx, osc_wavelengths[0], spec)
+    y, wy = composite_gauss_nodes(ay, by, osc_wavelengths[1], spec)
+    return complex(wx @ np.asarray(f(x[:, None], y[None, :])) @ wy)
+
+
+def s_rule(geom, k, spec):
+    """Nodes and weights on the transmit segment, as tone_fields lays them."""
+    return composite_gauss_nodes(-geom.L_s / 2, geom.L_s / 2, k.wavelength / 2, spec)
+
+
+def tone_fields_one_slab(geom, k, r_z, kappas, spec):
+    """tone_fields as one (r_z, s, 3) separation grid and one product.
+
+    The unblocked evaluation: the same kernel values, the same weighted
+    transmit tones and the same contraction per row, so the blocked form
+    must match it bit for bit.
+    """
+    s_nodes, s_weights = s_rule(geom, k, spec)
+    s_hat = source_direction(geom.theta_s, geom.phi_s)
+    u = np.empty((r_z.size, s_nodes.size, 3))
+    u[:, :, 0] = geom.d_x - s_nodes[None, :] * s_hat[0]
+    u[:, :, 1] = -s_nodes[None, :] * s_hat[1]
+    u[:, :, 2] = r_z[:, None] - s_nodes[None, :] * s_hat[2]
+    kern = gz_kernel(u, geom.theta_s, geom.phi_s, k)
+    weighted_tones = em_field._phasor(
+        np.outer(s_nodes, kappas / (2.0 * math.pi)),
+        (s_weights / math.sqrt(geom.L_s))[:, None],
+    )
+    return kern @ weighted_tones
+
+
+def midpoint_coupling_oracle(geom, cfg, n_s, n_r):
+    """Independent brute-force evaluation of the coupling matrix.
+
+    Midpoint rule with its own inline kernel formula so that a defect in
+    the production kernel cannot cancel against the same defect here.
+    """
+    kap = 2.0 * math.pi / cfg.wavelength
+    th, ph = geom.theta_s, geom.phi_s
+    sx = math.cos(ph) * math.sin(th)
+    sy = math.sin(ph) * math.sin(th)
+    sz = math.cos(th)
+    s = -geom.L_s / 2 + (np.arange(n_s) + 0.5) * (geom.L_s / n_s)
+    r = geom.d_z - geom.L_r / 2 + (np.arange(n_r) + 0.5) * (geom.L_r / n_r)
+    ux = geom.d_x - s[None, :] * sx
+    uy = -s[None, :] * sy
+    uz = r[:, None] - s[None, :] * sz
+    dist = np.sqrt(ux * ux + uy * uy + uz * uz)
+    bracket = -ux * uz * sx - uy * uz * sy + (ux * ux + uy * uy) * sz
+    kern = np.exp(1j * kap * dist) / (4.0 * math.pi * dist**3) * bracket
+    out = np.empty((cfg.n_modes, cfg.n_modes), dtype=complex)
+    for n in range(1, cfg.n_modes + 1):
+        k_n = 2.0 * math.pi / geom.L_s * (n - (cfg.n_modes + 1) / 2.0)
+        for m in range(1, cfg.n_modes + 1):
+            k_m = 2.0 * math.pi / geom.L_s * (m - (cfg.n_modes + 1) / 2.0)
+            tone_s = np.exp(1j * k_m * s) / math.sqrt(geom.L_s)
+            tone_r = np.exp(-1j * k_n * r)
+            out[n - 1, m - 1] = (tone_r @ kern @ tone_s) * (geom.L_s / n_s) * (geom.L_r / n_r)
+    return out
+
+
+def R_oracle_2d(geom, cfg):
+    """Noise correlation as the tensor-product sum over (r, r').
+
+    The sinc kernel is evaluated on the full receive-node grid of the
+    shifted segment, in row blocks, and contracted with the tones; no lag
+    form and no d_z congruence are used, so it checks both.  Row blocks of
+    2048 bound the kernel slab to a few tens of MB.
+    """
+    r, w = composite_gauss_nodes(
+        geom.d_z - geom.L_r / 2.0, geom.d_z + geom.L_r / 2.0,
+        cfg.wavelength / 2.0, cfg.quadrature,
+    )
+    kappas = np.array(
+        [spatial_frequency(n, cfg.n_modes, geom.L_s) for n in range(1, cfg.n_modes + 1)]
+    )
+    tones = np.exp(1j * np.outer(r, kappas)) * w[:, None]
+    out = np.zeros((cfg.n_modes, cfg.n_modes), dtype=complex)
+    for lo in range(0, r.size, 2048):
+        hi = min(lo + 2048, r.size)
+        kern = np.sinc(2.0 * np.abs(r[lo:hi, None] - r[None, :]) / cfg.wavelength)
+        out += tones[lo:hi].conj().T @ (kern @ tones)
+    return 0.5 * (out + out.conj().T)
+
+
+def lag_coupling_oracle(geom, cfg):
+    """Coupling matrix of an untilted source (theta_s = 0) as a lag integral.
+
+    With s_hat = z_hat the kernel depends only on the lag t = r_z - s:
+    K(t) = d_x^2 exp(j kappa rho) / (4 pi rho^3), rho = sqrt(d_x^2 + t^2).
+    Substituting r_z = t + s,
+
+        H[n, m] = L_s^(-1/2) int K(t) exp(-j kappa_n t)
+                  int_lo(t)^hi(t) exp(j (kappa_m - kappa_n) s) ds dt,
+
+    lo = max(-L_s/2, d_z - L_r/2 - t), hi = min(L_s/2, d_z + L_r/2 - t).
+    The inner integral is closed form; the overlap [lo, hi] bends at the
+    kinks t = d_z +/- (L_r +/- L_s)/2, so the t-rule is split there.  The
+    t-rule is this function's own: 24-node Gauss-Legendre panels one
+    wavelength wide.
+
+    Returns H and N L_s^(-1/2) int |K(t)| (hi - lo) dt, the Frobenius norm
+    H would have if nothing cancelled.  Rounding error of any quadrature
+    sum for H grows with that magnitude, not with |H|.
+    """
+    assert geom.theta_s == 0.0
+    kap = 2.0 * math.pi / cfg.wavelength
+    kappas = np.array(
+        [spatial_frequency(n, cfg.n_modes, geom.L_s) for n in range(1, cfg.n_modes + 1)]
+    )
+    delta = kappas[None, :] - kappas[:, None]
+    kinks = sorted(
+        geom.d_z + outer * (geom.L_r + inner * geom.L_s) / 2.0
+        for outer in (-1.0, 1.0)
+        for inner in (-1.0, 1.0)
+    )
+    x0, w0 = np.polynomial.legendre.leggauss(24)
+    t_parts, w_parts = [], []
+    for a, b in zip(kinks[:-1], kinks[1:]):
+        if b <= a:  # L_r == L_s: the middle piece is empty
+            continue
+        edges = np.linspace(a, b, max(1, math.ceil((b - a) / cfg.wavelength)) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        t_parts.append((0.5 * (edges[:-1] + edges[1:])[:, None] + half * x0).ravel())
+        w_parts.append((half * w0).ravel())
+    t, w = np.concatenate(t_parts), np.concatenate(w_parts)
+    rho = np.sqrt(geom.d_x**2 + t * t)
+    kern = geom.d_x**2 * np.exp(1j * kap * rho) / (4.0 * math.pi * rho**3)
+    lo = np.maximum(-geom.L_s / 2.0, geom.d_z - geom.L_r / 2.0 - t)
+    hi = np.minimum(geom.L_s / 2.0, geom.d_z + geom.L_r / 2.0 - t)
+    length, mid = hi - lo, 0.5 * (hi + lo)
+    out = np.zeros((cfg.n_modes, cfg.n_modes), dtype=complex)
+    for i in range(0, t.size, 512):
+        b = slice(i, i + 512)
+        # int_lo^hi exp(j D s) ds = (hi - lo) exp(j D mid) sinc(D (hi - lo) / 2 pi)
+        overlap = length[b, None, None] * np.sinc(
+            delta * length[b, None, None] / (2.0 * math.pi)
+        )
+        rx = (w[b] * kern[b])[:, None] * np.exp(-1j * np.outer(t[b] + mid[b], kappas))
+        tx = np.exp(1j * np.outer(mid[b], kappas))
+        out += np.einsum("tn,tnm,tm->nm", rx, overlap, tx)
+    magnitude = cfg.n_modes * np.sum(w * np.abs(kern) * length)
+    return out / math.sqrt(geom.L_s), magnitude / math.sqrt(geom.L_s)
+
+
+def white_channel(G):
+    """Wrap an already-white effective channel for receiver tests."""
+    n = G.shape[0]
+    eye = np.eye(n, dtype=complex)
+    return ChannelSet(H=G, R=eye, C=eye, L=eye, H_tilde=G)

@@ -17,7 +17,6 @@ from wdmlink.channel import (
     assemble_channel_set,
     max_modes,
     total_power,
-    whiten,
 )
 from wdmlink.em_field import (
     EmConstants,
@@ -31,8 +30,7 @@ from wdmlink.experiments import run_sweep
 from wdmlink.geometry import rotation_matrix, source_direction
 from wdmlink.receivers import Scheme, scheme_matrices, sinr, spectral_efficiency, waterfill
 
-from test_channel import REDUCED_CFG, REDUCED_GEOM, midpoint_coupling_oracle
-from test_receivers import white_channel
+from oracles import REDUCED_CFG, REDUCED_GEOM, midpoint_coupling_oracle, white_channel
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wdmlink import channel
 from wdmlink.channel import (
-    ChannelSet,
     WdmConfig,
     assemble_H,
     assemble_R,
@@ -19,144 +18,23 @@ from wdmlink.channel import (
     emi_variance,
     load_matching_channel_set,
     max_modes,
-    rx_basis,
     save_channel_set,
     total_power,
-    tx_basis,
     whiten,
 )
 from wdmlink.em_field import EmConstants, NearFieldWarning, gz_kernel, spatial_frequency
-from wdmlink.geometry import LinkGeometry, source_direction
-from wdmlink.quadrature import (
-    QuadratureSpec,
-    composite_gauss_nodes,
-    integrate_1d,
-    integrate_2d,
+from wdmlink.geometry import source_direction
+from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
+
+from oracles import (
+    ORACLE_SPEC,
+    REDUCED_CFG,
+    REDUCED_GEOM,
+    R_oracle_2d,
+    lag_coupling_oracle,
+    midpoint_coupling_oracle,
+    tensor_sum,
 )
-
-REDUCED_GEOM = LinkGeometry(L_s=0.2, L_r=0.5, d_x=1.0)
-REDUCED_CFG = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=1.0)
-
-# The R oracle comparisons pit two discretisations of one integral against
-# each other at 1e-12, so they run on a rule fine enough that quadrature
-# error stays below that bound; the default rule (16-node panels at 4
-# points per period) differs from the oracle by up to ~2e-11.  Its 16x
-# larger node grid also makes the full-scale H memory test bite.
-ORACLE_SPEC = QuadratureSpec(points_per_wavelength=16.0, nodes_per_panel=8)
-
-
-def midpoint_coupling_oracle(geom, cfg, n_s, n_r):
-    """Independent brute-force evaluation of the coupling matrix.
-
-    Midpoint rule with its own inline kernel formula so that a defect in
-    the production kernel cannot cancel against the same defect here.
-    """
-    kap = 2.0 * math.pi / cfg.wavelength
-    th, ph = geom.theta_s, geom.phi_s
-    sx = math.cos(ph) * math.sin(th)
-    sy = math.sin(ph) * math.sin(th)
-    sz = math.cos(th)
-    s = -geom.L_s / 2 + (np.arange(n_s) + 0.5) * (geom.L_s / n_s)
-    r = geom.d_z - geom.L_r / 2 + (np.arange(n_r) + 0.5) * (geom.L_r / n_r)
-    ux = geom.d_x - s[None, :] * sx
-    uy = -s[None, :] * sy
-    uz = r[:, None] - s[None, :] * sz
-    dist = np.sqrt(ux * ux + uy * uy + uz * uz)
-    bracket = -ux * uz * sx - uy * uz * sy + (ux * ux + uy * uy) * sz
-    kern = np.exp(1j * kap * dist) / (4.0 * math.pi * dist**3) * bracket
-    out = np.empty((cfg.n_modes, cfg.n_modes), dtype=complex)
-    for n in range(1, cfg.n_modes + 1):
-        k_n = 2.0 * math.pi / geom.L_s * (n - (cfg.n_modes + 1) / 2.0)
-        for m in range(1, cfg.n_modes + 1):
-            k_m = 2.0 * math.pi / geom.L_s * (m - (cfg.n_modes + 1) / 2.0)
-            tone_s = np.exp(1j * k_m * s) / math.sqrt(geom.L_s)
-            tone_r = np.exp(-1j * k_n * r)
-            out[n - 1, m - 1] = (tone_r @ kern @ tone_s) * (geom.L_s / n_s) * (geom.L_r / n_r)
-    return out
-
-
-def _R_oracle_2d(geom, cfg):
-    """Noise correlation as the tensor-product sum over (r, r').
-
-    The sinc kernel is evaluated on the full receive-node grid of the
-    shifted segment, in row blocks, and contracted with the tones; no lag
-    form and no d_z congruence are used, so it checks both.  Row blocks of
-    2048 bound the kernel slab to a few tens of MB.
-    """
-    r, w = composite_gauss_nodes(
-        geom.d_z - geom.L_r / 2.0, geom.d_z + geom.L_r / 2.0,
-        cfg.wavelength / 2.0, cfg.quadrature,
-    )
-    kappas = np.array(
-        [spatial_frequency(n, cfg.n_modes, geom.L_s) for n in range(1, cfg.n_modes + 1)]
-    )
-    tones = np.exp(1j * np.outer(r, kappas)) * w[:, None]
-    out = np.zeros((cfg.n_modes, cfg.n_modes), dtype=complex)
-    for lo in range(0, r.size, 2048):
-        hi = min(lo + 2048, r.size)
-        kern = np.sinc(2.0 * np.abs(r[lo:hi, None] - r[None, :]) / cfg.wavelength)
-        out += tones[lo:hi].conj().T @ (kern @ tones)
-    return 0.5 * (out + out.conj().T)
-
-
-def lag_coupling_oracle(geom, cfg):
-    """Coupling matrix of an untilted source (theta_s = 0) as a lag integral.
-
-    With s_hat = z_hat the kernel depends only on the lag t = r_z - s:
-    K(t) = d_x^2 exp(j kappa rho) / (4 pi rho^3), rho = sqrt(d_x^2 + t^2).
-    Substituting r_z = t + s,
-
-        H[n, m] = L_s^(-1/2) int K(t) exp(-j kappa_n t)
-                  int_lo(t)^hi(t) exp(j (kappa_m - kappa_n) s) ds dt,
-
-    lo = max(-L_s/2, d_z - L_r/2 - t), hi = min(L_s/2, d_z + L_r/2 - t).
-    The inner integral is closed form; the overlap [lo, hi] bends at the
-    kinks t = d_z +/- (L_r +/- L_s)/2, so the t-rule is split there.  The
-    t-rule is this function's own: 24-node Gauss-Legendre panels one
-    wavelength wide.
-
-    Returns H and N L_s^(-1/2) int |K(t)| (hi - lo) dt, the Frobenius norm
-    H would have if nothing cancelled.  Rounding error of any quadrature
-    sum for H grows with that magnitude, not with |H|.
-    """
-    assert geom.theta_s == 0.0
-    kap = 2.0 * math.pi / cfg.wavelength
-    kappas = np.array(
-        [spatial_frequency(n, cfg.n_modes, geom.L_s) for n in range(1, cfg.n_modes + 1)]
-    )
-    delta = kappas[None, :] - kappas[:, None]
-    kinks = sorted(
-        geom.d_z + outer * (geom.L_r + inner * geom.L_s) / 2.0
-        for outer in (-1.0, 1.0)
-        for inner in (-1.0, 1.0)
-    )
-    x0, w0 = np.polynomial.legendre.leggauss(24)
-    t_parts, w_parts = [], []
-    for a, b in zip(kinks[:-1], kinks[1:]):
-        if b <= a:  # L_r == L_s: the middle piece is empty
-            continue
-        edges = np.linspace(a, b, max(1, math.ceil((b - a) / cfg.wavelength)) + 1)
-        half = 0.5 * np.diff(edges)[:, None]
-        t_parts.append((0.5 * (edges[:-1] + edges[1:])[:, None] + half * x0).ravel())
-        w_parts.append((half * w0).ravel())
-    t, w = np.concatenate(t_parts), np.concatenate(w_parts)
-    rho = np.sqrt(geom.d_x**2 + t * t)
-    kern = geom.d_x**2 * np.exp(1j * kap * rho) / (4.0 * math.pi * rho**3)
-    lo = np.maximum(-geom.L_s / 2.0, geom.d_z - geom.L_r / 2.0 - t)
-    hi = np.minimum(geom.L_s / 2.0, geom.d_z + geom.L_r / 2.0 - t)
-    length, mid = hi - lo, 0.5 * (hi + lo)
-    out = np.zeros((cfg.n_modes, cfg.n_modes), dtype=complex)
-    for i in range(0, t.size, 512):
-        b = slice(i, i + 512)
-        # int_lo^hi exp(j D s) ds = (hi - lo) exp(j D mid) sinc(D (hi - lo) / 2 pi)
-        overlap = length[b, None, None] * np.sinc(
-            delta * length[b, None, None] / (2.0 * math.pi)
-        )
-        rx = (w[b] * kern[b])[:, None] * np.exp(-1j * np.outer(t[b] + mid[b], kappas))
-        tx = np.exp(1j * np.outer(mid[b], kappas))
-        out += np.einsum("tn,tnm,tm->nm", rx, overlap, tx)
-    magnitude = cfg.n_modes * np.sum(w * np.abs(kern) * length)
-    return out / math.sqrt(geom.L_s), magnitude / math.sqrt(geom.L_s)
 
 
 class TestMaxModes:
@@ -187,39 +65,6 @@ class TestWdmConfig:
             assemble_H(desk.geometry, over)
 
 
-class TestBases:
-    def test_tx_center_mode_amplitude(self, desk):
-        val = tx_basis(11, 0.0, desk.wdm, desk.geometry)
-        assert val == pytest.approx(1.0 / math.sqrt(0.2), rel=1e-15)
-
-    def test_tx_orthonormality(self, desk):
-        spec = QuadratureSpec()
-        L = desk.geometry.L_s
-        for n, m in [(11, 11), (3, 3), (11, 12), (3, 17)]:
-
-            def f(s, n=n, m=m):
-                return tx_basis(m, s, desk.wdm, desk.geometry) * np.conj(
-                    tx_basis(n, s, desk.wdm, desk.geometry)
-                )
-
-            val = integrate_1d(f, -L / 2, L / 2, L / (2 * desk.wdm.n_modes), spec)
-            assert abs(val - (1.0 if n == m else 0.0)) < 1e-12
-
-    def test_tx_zero_outside_segment(self, desk):
-        assert tx_basis(11, 0.11, desk.wdm, desk.geometry) == 0.0
-
-    def test_rx_center_mode_is_one(self, desk):
-        assert rx_basis(11, 0.37, desk.wdm, desk.geometry) == 1.0 + 0.0j
-
-    def test_rx_unit_modulus(self, desk):
-        r = np.linspace(-0.5, 0.5, 7)
-        vals = rx_basis(17, r, desk.wdm, desk.geometry)
-        assert np.allclose(np.abs(vals), 1.0, atol=1e-15)
-
-    def test_rx_zero_outside_segment(self, desk):
-        assert rx_basis(17, 0.51, desk.wdm, desk.geometry) == 0.0
-
-
 class TestToneTable:
     @pytest.mark.parametrize("profile", ["desk", "full_scale"])
     @pytest.mark.parametrize("parity", ["odd", "even", "one"])
@@ -240,6 +85,33 @@ class TestToneTable:
             got = channel._tone_table(x, n_modes, geom.L_s)
             assert got.shape == (n_modes, x.size)
             assert np.max(np.abs(got - np.exp(1j * np.outer(x, kappas)).T)) <= 1e-12
+
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    @pytest.mark.parametrize("parity", ["odd", "even", "one"])
+    def test_transmit_tones_orthonormal(self, request, profile, parity):
+        # phi_n = tone / sqrt(L_s) on a rule that resolves the fastest
+        # product phi_m conj(phi_n), whose period is L_s / (N - 1)
+        prof = request.getfixturevalue(profile)
+        geom, cfg = prof.geometry, prof.wdm
+        n_modes = {"odd": cfg.n_modes, "even": cfg.n_modes - 1, "one": 1}[parity]
+        L = geom.L_s
+        s, w = composite_gauss_nodes(-L / 2, L / 2, L / (2 * cfg.n_modes), cfg.quadrature)
+        phi = channel._tone_table(s, n_modes, L) / math.sqrt(L)
+        gram = (phi * w) @ phi.conj().T
+        assert np.max(np.abs(gram - np.eye(n_modes))) <= 1e-12
+
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    def test_receive_tones_unit_modulus(self, request, profile):
+        # each recurrence step can add one rounding to the modulus, so the
+        # outermost rows may be off by about N/2 ulps
+        prof = request.getfixturevalue(profile)
+        geom, cfg = prof.geometry, prof.wdm
+        for d_z in (0.0, 2.0):
+            r, _ = composite_gauss_nodes(
+                d_z - geom.L_r / 2, d_z + geom.L_r / 2, cfg.wavelength / 2.0, cfg.quadrature
+            )
+            tones = channel._tone_table(r, cfg.n_modes, geom.L_s)
+            assert np.max(np.abs(np.abs(tones) - 1.0)) <= 1e-14
 
 
 class TestAssembleH:
@@ -304,8 +176,8 @@ class TestAssembleH:
         assert np.linalg.norm(H - H_fine) <= 1e-6 * np.linalg.norm(H_fine)
 
     def test_entries_equal_direct_quadrature(self):
-        # the batched assembly must reproduce integrate_2d entry by entry:
-        # same node set, so only summation-order roundoff may differ
+        # the batched assembly must reproduce a tensor-product sum entry by
+        # entry: same node set, so only summation-order roundoff may differ
         geom, cfg = REDUCED_GEOM, REDUCED_CFG
         H = assemble_H(geom, cfg)
         k = EmConstants(cfg.wavelength)
@@ -331,7 +203,7 @@ class TestAssembleH:
                         * np.exp(-1j * k_n * r)
                     )
 
-                direct = integrate_2d(
+                direct = tensor_sum(
                     f,
                     (-geom.L_r / 2, geom.L_r / 2, -geom.L_s / 2, geom.L_s / 2),
                     (lam_half, lam_half),
@@ -486,7 +358,7 @@ class TestAssembleR:
 def _oracle_mismatch(geom, cfg):
     cfg = replace(cfg, quadrature=ORACLE_SPEC)
     R = assemble_R(geom, cfg)
-    oracle = _R_oracle_2d(geom, cfg)
+    oracle = R_oracle_2d(geom, cfg)
     return np.linalg.norm(R - oracle) / np.linalg.norm(oracle)
 
 

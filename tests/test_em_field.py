@@ -23,30 +23,7 @@ from wdmlink.em_field import (
 from wdmlink.geometry import LinkGeometry, source_direction
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 
-
-def s_rule(geom, k, spec):
-    return composite_gauss_nodes(-geom.L_s / 2, geom.L_s / 2, k.wavelength / 2, spec)
-
-
-def tone_fields_one_slab(geom, k, r_z, kappas, spec):
-    """tone_fields as one (r_z, s, 3) separation grid and one product.
-
-    The unblocked evaluation: the same kernel values, the same weighted
-    transmit tones and the same contraction per row, so the blocked form
-    must match it bit for bit.
-    """
-    s_nodes, s_weights = s_rule(geom, k, spec)
-    s_hat = source_direction(geom.theta_s, geom.phi_s)
-    u = np.empty((r_z.size, s_nodes.size, 3))
-    u[:, :, 0] = geom.d_x - s_nodes[None, :] * s_hat[0]
-    u[:, :, 1] = -s_nodes[None, :] * s_hat[1]
-    u[:, :, 2] = r_z[:, None] - s_nodes[None, :] * s_hat[2]
-    kern = gz_kernel(u, geom.theta_s, geom.phi_s, k)
-    weighted_tones = em_field._phasor(
-        np.outer(s_nodes, kappas / (2.0 * math.pi)),
-        (s_weights / math.sqrt(geom.L_s))[:, None],
-    )
-    return kern @ weighted_tones
+from oracles import s_rule, tone_fields_one_slab
 
 
 class TestEmConstants:

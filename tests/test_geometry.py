@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wdmlink.geometry import (
-    LinkGeometry,
-    receive_point,
-    rotation_matrix,
-    source_direction,
-    source_point,
-)
+from wdmlink.geometry import LinkGeometry, rotation_matrix, source_direction
 
 
 class TestLinkGeometry:
@@ -74,37 +68,3 @@ class TestRotationMatrix:
             assert np.linalg.norm(Q.T @ Q - np.eye(3)) < 1e-12
             assert abs(np.linalg.det(Q) - 1.0) < 1e-12
             assert np.linalg.norm(Q @ source_direction(th, ph) - [0.0, 0.0, 1.0]) < 1e-12
-
-
-class TestSourcePoint:
-    def test_origin(self):
-        g = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0, theta_s=1.0, phi_s=2.0)
-        assert np.allclose(source_point(0.0, g), [0.0, 0.0, 0.0])
-
-    def test_endpoint_vertical(self):
-        g = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0)
-        assert np.allclose(source_point(0.1, g), [0.0, 0.0, 0.1])
-
-    def test_tilted(self):
-        g = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0, theta_s=math.radians(10.0))
-        assert source_point(0.1, g) == pytest.approx([0.017365, 0.0, 0.098481], abs=5e-7)
-
-    def test_out_of_segment(self):
-        g = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0)
-        with pytest.raises(ValueError):
-            source_point(0.11, g)
-
-
-class TestReceivePoint:
-    def test_center(self):
-        g = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0, d_z=0.5)
-        assert np.allclose(receive_point(0.5, g), [2.0, 0.0, 0.5])
-
-    def test_endpoint(self):
-        g = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0, d_z=0.5)
-        assert np.allclose(receive_point(1.0, g), [2.0, 0.0, 1.0])
-
-    def test_out_of_segment(self):
-        g = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0, d_z=0.5)
-        with pytest.raises(ValueError):
-            receive_point(1.5, g)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wdmlink.channel import ChannelSet, total_power
+from wdmlink.channel import total_power
 from wdmlink.receivers import (
     Scheme,
     scheme_gains,
@@ -13,12 +13,7 @@ from wdmlink.receivers import (
     waterfill,
 )
 
-
-def white_channel(G):
-    """Wrap an already-white effective channel for receiver tests."""
-    n = G.shape[0]
-    eye = np.eye(n, dtype=complex)
-    return ChannelSet(H=G, R=eye, C=eye, L=eye, H_tilde=G)
+from oracles import white_channel
 
 
 class TestWaterfill:
