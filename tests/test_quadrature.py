@@ -141,6 +141,6 @@ class TestDeterminism:
         def f(x):
             return np.exp(2j * math.pi * x / 0.03) / (1.0 + x * x)
 
-        a = composite_gauss_nodes(0.0, 0.7, 0.03, spec)
-        b = composite_gauss_nodes(0.0, 0.7, 0.03, spec)
-        assert a[1] @ f(a[0]) == b[1] @ f(b[0])
+        x_a, w_a = composite_gauss_nodes(0.0, 0.7, 0.03, spec)
+        x_b, w_b = composite_gauss_nodes(0.0, 0.7, 0.03, spec)
+        assert w_a @ f(x_a) == w_b @ f(x_b)
