@@ -29,13 +29,6 @@ from .experiments import (
     run_sweep,
 )
 
-_DEFAULT_CSV = {
-    "pattern": "pattern.csv",
-    "field": "field.csv",
-    "sweep": "sweep.csv",
-    "avg-sweep": "avg_sweep.csv",
-}
-
 _COMMON_FLAGS = (
     "--out", "--svg", "--workers", "--seed", "--dx", "--dz", "--theta", "--phi", "--n-modes",
 )
@@ -105,52 +98,37 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return apply_entries(cfg, entries, "command line")
 
 
-def _csv_and_svg(cfg: RunConfig, command: str, no_svg: bool):
-    csv_path = cfg.output.csv_path or _DEFAULT_CSV[command]
-    if no_svg:
-        return csv_path, None
-    if cfg.output.svg_path:
-        return csv_path, cfg.output.svg_path
-    stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-    return csv_path, stem + ".svg"
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        no_svg = getattr(args, "no_svg", False)
-        if args.command == "pattern":
-            csv_path, svg_path = _csv_and_svg(cfg, args.command, no_svg)
-            run_pattern(cfg, csv_path, svg_path)
-            print(f"wrote {csv_path}" + (f" and {svg_path}" if svg_path else ""))
-        elif args.command == "field":
-            csv_path, svg_path = _csv_and_svg(cfg, args.command, no_svg)
-            run_field(cfg, csv_path, svg_path)
-            print(f"wrote {csv_path}" + (f" and {svg_path}" if svg_path else ""))
-        elif args.command == "sweep":
-            csv_path, svg_path = _csv_and_svg(cfg, args.command, no_svg)
-            records = run_sweep(cfg, csv_path, svg_path)
-            flagged = sum(1 for r in records if r.error)
-            print(
-                f"wrote {csv_path}: {len(records)} points"
-                + (f", {flagged} flagged" if flagged else "")
-            )
-        elif args.command == "avg-sweep":
-            csv_path, svg_path = _csv_and_svg(cfg, args.command, no_svg)
-            records = run_avg_sweep(cfg, csv_path, svg_path)
-            flagged = sum(1 for r in records if r.error)
-            print(
-                f"wrote {csv_path}: {len(records)} points"
-                + (f", {flagged} flagged" if flagged else "")
-            )
-        elif args.command == "dump-channel":
+        if args.command == "dump-channel":
             out = cfg.output.csv_path or "channel.wdmch"
             run_channel_dump(cfg, out)
             print(f"wrote {out}")
         elif args.command == "selfcheck":
             if not run_selfcheck(cfg):
                 return 2
+        else:
+            # looked up per call, so a rebound module attribute is seen
+            runner, default_csv = {
+                "pattern": (run_pattern, "pattern.csv"),
+                "field": (run_field, "field.csv"),
+                "sweep": (run_sweep, "sweep.csv"),
+                "avg-sweep": (run_avg_sweep, "avg_sweep.csv"),
+            }[args.command]
+            csv_path = cfg.output.csv_path or default_csv
+            stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
+            svg_path = None if args.no_svg else cfg.output.svg_path or stem + ".svg"
+            result = runner(cfg, csv_path, svg_path)
+            if args.command in ("pattern", "field"):
+                print(f"wrote {csv_path}" + (f" and {svg_path}" if svg_path else ""))
+            else:
+                flagged = sum(1 for r in result if r.error)
+                print(
+                    f"wrote {csv_path}: {len(result)} points"
+                    + (f", {flagged} flagged" if flagged else "")
+                )
         return 0
     # LinAlgError subclasses ValueError, so the numerical arm goes first
     except (np.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:

@@ -114,17 +114,18 @@ class EmConstants:
 
     Attributes:
         wavelength: Free-space wavelength [m].
-        z0: Free-space impedance [Ohm].
     """
 
     wavelength: float
-    z0: float = FREE_SPACE_IMPEDANCE
 
     def __post_init__(self) -> None:
         if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if not self.z0 > 0.0:
-            raise ValueError(f"z0 must be positive, got {self.z0}")
+
+    @property
+    def z0(self) -> float:
+        """Free-space impedance [Ohm]."""
+        return FREE_SPACE_IMPEDANCE
 
     @property
     def kappa(self) -> float:

@@ -7,11 +7,15 @@ every row ends with an ``error`` column: a failed sweep point produces a
 flagged row with empty values instead of aborting the file.  For a fixed
 config and seed the bytes written are identical from run to run.
 
-Sweep grid points are independent, so they can be distributed over a
-process pool (``[output] workers``); rows are emitted in grid order
-regardless of worker count.  With ``[output] cache_dir`` every channel
-set is stored under a hash of its header; an entry that cannot be read
-or does not match is recomputed and rewritten.
+Both SE sweeps run on one engine: each grid value carries a group of
+link geometries, one for a plain sweep and one per source orientation
+for an averaged sweep, and the averaged runner reduces each group to
+mean and standard error.  The points are independent, so they can be
+distributed over a process pool (``[output] workers``); rows are
+emitted in grid order regardless of worker count.  With ``[output]
+cache_dir`` every channel set is stored under a hash of its header; an
+entry that cannot be read or does not match is recomputed and
+rewritten.
 """
 
 from __future__ import annotations
@@ -231,10 +235,6 @@ def _channel_for(geom: LinkGeometry, cfg: WdmConfig, cache_dir: str) -> ChannelS
     return ch
 
 
-def _geometry_at(geom: LinkGeometry, parameter: str, value: float) -> LinkGeometry:
-    return replace(geom, **{parameter: value})
-
-
 def _evaluate_point(task: _PointTask) -> SweepRecord:
     try:
         ch = _channel_for(task.geometry, task.wdm, task.cache_dir)
@@ -251,49 +251,67 @@ def _evaluate_point(task: _PointTask) -> SweepRecord:
         )
 
 
-def _run_tasks(tasks: Sequence[_PointTask], workers: int) -> List[SweepRecord]:
+def _run_groups(
+    cfg: RunConfig, groups: Sequence[Tuple[float, Sequence[LinkGeometry]]]
+) -> List[List[SweepRecord]]:
+    """Point records of each (grid value, geometries) group, in grid order."""
+    tasks = [
+        _PointTask(value, geom, cfg.wdm, cfg.mmse_form, cfg.output.cache_dir)
+        for value, geometries in groups
+        for geom in geometries
+    ]
+    workers = cfg.output.workers
     if workers > 1 and len(tasks) > 1:
         # about four chunks per worker: fewer round trips, still balanced
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_evaluate_point, tasks, chunksize=chunk))
-    return [_evaluate_point(t) for t in tasks]
-
-
-def _sweep_tasks(cfg: RunConfig) -> List[_PointTask]:
-    values = cfg.sweep.values()
-    tasks = []
-    for value in values:
-        point_value = float(value)
-        if cfg.sweep.parameter == "theta_s":
-            point_value = math.radians(point_value)
-        geom = _geometry_at(cfg.geometry, cfg.sweep.parameter, point_value)
-        tasks.append(
-            _PointTask(
-                value=float(value),
-                geometry=geom,
-                wdm=cfg.wdm,
-                mmse_form=cfg.mmse_form,
-                cache_dir=cfg.output.cache_dir,
-            )
-        )
-    return tasks
+            flat = list(pool.map(_evaluate_point, tasks, chunksize=chunk))
+    else:
+        flat = [_evaluate_point(t) for t in tasks]
+    points = iter(flat)
+    return [[next(points) for _ in geometries] for _, geometries in groups]
 
 
 _SWEEP_LABELS = {"d_z": "d_z [m]", "theta_s": "theta_s [deg]", "d_x": "d_x [m]"}
 
 
-def _record_cells(rec: SweepRecord) -> List[str]:
-    if rec.error:
-        return [_fmt(rec.value), "", "", "", "", rec.error]
-    return [
-        _fmt(rec.value),
-        _fmt(rec.se_svd),
-        _fmt(rec.se_mmse),
-        _fmt(rec.se_mr),
-        _fmt(rec.se_plain),
-        "",
+def _write_se_outputs(
+    cfg: RunConfig,
+    csv_path: str,
+    svg_path: Optional[str],
+    columns: Sequence[str],
+    records: Sequence,
+    cells: Sequence[Sequence[float]],
+    ylabel: str,
+    title: str,
+) -> None:
+    """CSV and four-scheme SVG of sweep records.
+
+    ``cells[i]`` are the SE columns of ``records[i]``, the SVD, MMSE, MR
+    and plain values first; those four are plotted over the grid.  A
+    flagged record gets blank SE cells and its error.
+    """
+    rows = [
+        [_fmt(rec.value)]
+        + ([""] * len(row) + [rec.error] if rec.error else [_fmt(v) for v in row] + [""])
+        for rec, row in zip(records, cells)
     ]
+    _write_csv(csv_path, ["value", *columns, "error"], rows)
+    if svg_path:
+        xs = np.array([rec.value for rec in records])
+        series = [
+            (name, xs, np.array([row[i] for row in cells]))
+            for i, name in enumerate(("SVD", "MMSE", "MR", "plain"))
+        ]
+        write_svg(
+            svg_path,
+            line_plot_svg(
+                series,
+                xlabel=_SWEEP_LABELS[cfg.sweep.parameter],
+                ylabel=ylabel,
+                title=title,
+            ),
+        )
 
 
 def run_sweep(
@@ -304,29 +322,23 @@ def run_sweep(
     Sweeping theta_s interprets the grid in degrees; d_z and d_x grids
     are meters.
     """
-    tasks = _sweep_tasks(cfg)
-    records = _run_tasks(tasks, cfg.output.workers)
-    header = ["value", "se_svd", "se_mmse", "se_mr", "se_plain", "error"]
-    _write_csv(csv_path, header, [_record_cells(r) for r in records])
-    if svg_path:
-        values = np.array([r.value for r in records])
-        series = []
-        for name, attr in (
-            ("SVD", "se_svd"),
-            ("MMSE", "se_mmse"),
-            ("MR", "se_mr"),
-            ("plain", "se_plain"),
-        ):
-            series.append((name, values, np.array([getattr(r, attr) for r in records])))
-        write_svg(
-            svg_path,
-            line_plot_svg(
-                series,
-                xlabel=_SWEEP_LABELS[cfg.sweep.parameter],
-                ylabel="spectral efficiency [bit per channel use]",
-                title=f"SE sweep over {cfg.sweep.parameter}",
-            ),
-        )
+    parameter = cfg.sweep.parameter
+    to_geometry = math.radians if parameter == "theta_s" else float
+    groups = [
+        (float(value), [replace(cfg.geometry, **{parameter: to_geometry(float(value))})])
+        for value in cfg.sweep.values()
+    ]
+    records = [group[0] for group in _run_groups(cfg, groups)]
+    _write_se_outputs(
+        cfg,
+        csv_path,
+        svg_path,
+        [f"se_{s.value}" for s in SCHEME_ORDER],
+        records,
+        [(r.se_svd, r.se_mmse, r.se_mr, r.se_plain) for r in records],
+        ylabel="spectral efficiency [bit per channel use]",
+        title=f"SE sweep over {parameter}",
+    )
     return records
 
 
@@ -340,7 +352,8 @@ def run_avg_sweep(
     ``draws_per_phi`` polar tilts drawn uniformly from
     (0, theta_max]; the draw set comes from the configured seed once per
     sweep and is shared across grid points, so curves differ only
-    through the geometry.
+    through the geometry.  A grid point with a failed orientation is
+    flagged with the first failure.
     """
     if cfg.sweep.parameter != "d_x":
         raise ValueError(
@@ -349,82 +362,36 @@ def run_avg_sweep(
     rng = np.random.default_rng(cfg.sweep.seed)
     theta_draws = rng.uniform(0.0, math.radians(cfg.sweep.theta_max_deg),
                               cfg.sweep.draws_per_phi)
-    orientations = [
-        (theta, math.radians(phi_deg))
+    oriented = [
+        replace(cfg.geometry, theta_s=float(theta), phi_s=math.radians(phi_deg))
         for phi_deg in cfg.sweep.phi_set_deg
         for theta in theta_draws
     ]
-    values = cfg.sweep.values()
-    tasks = []
-    for value in values:
-        for theta, phi in orientations:
-            geom = replace(
-                cfg.geometry, d_x=float(value), theta_s=float(theta), phi_s=float(phi)
-            )
-            tasks.append(
-                _PointTask(
-                    value=float(value),
-                    geometry=geom,
-                    wdm=cfg.wdm,
-                    mmse_form=cfg.mmse_form,
-                    cache_dir=cfg.output.cache_dir,
-                )
-            )
-    flat = _run_tasks(tasks, cfg.output.workers)
-    records: List[AvgSweepRecord] = []
-    n_ens = len(orientations)
-    for i, value in enumerate(values):
-        group = flat[i * n_ens : (i + 1) * n_ens]
-        failed = [g for g in group if g.error]
-        if failed:
-            records.append(
-                AvgSweepRecord(
-                    float(value),
-                    (math.nan,) * 4,
-                    (math.nan,) * 4,
-                    error=failed[0].error,
-                )
-            )
-            continue
+    groups = [
+        (float(value), [replace(geom, d_x=float(value)) for geom in oriented])
+        for value in cfg.sweep.values()
+    ]
+    records = []
+    for (value, _), group in zip(groups, _run_groups(cfg, groups)):
+        # a failed orientation holds NaN, so its grid point averages to NaN
         table = np.array(
             [[g.se_svd, g.se_mmse, g.se_mr, g.se_plain] for g in group]
         )
+        n_ens = len(group)
         mean = table.mean(axis=0)
         stderr = table.std(axis=0, ddof=1) / math.sqrt(n_ens) if n_ens > 1 else 0 * mean
-        records.append(AvgSweepRecord(float(value), tuple(mean), tuple(stderr)))
-    header = (
-        ["value"]
-        + [f"se_{s}_mean" for s in ("svd", "mmse", "mr", "plain")]
-        + [f"se_{s}_stderr" for s in ("svd", "mmse", "mr", "plain")]
-        + ["error"]
+        error = next((g.error for g in group if g.error), "")
+        records.append(AvgSweepRecord(value, tuple(mean), tuple(stderr), error))
+    _write_se_outputs(
+        cfg,
+        csv_path,
+        svg_path,
+        [f"se_{s.value}_{stat}" for stat in ("mean", "stderr") for s in SCHEME_ORDER],
+        records,
+        [r.mean + r.stderr for r in records],
+        ylabel="average spectral efficiency [bit per channel use]",
+        title="Orientation-averaged SE",
     )
-    rows = []
-    for rec in records:
-        if rec.error:
-            rows.append([_fmt(rec.value)] + [""] * 8 + [rec.error])
-        else:
-            rows.append(
-                [_fmt(rec.value)]
-                + [_fmt(v) for v in rec.mean]
-                + [_fmt(v) for v in rec.stderr]
-                + [""]
-            )
-    _write_csv(csv_path, header, rows)
-    if svg_path:
-        xs = np.array([r.value for r in records])
-        series = [
-            (name, xs, np.array([r.mean[i] if not r.error else math.nan for r in records]))
-            for i, name in enumerate(("SVD", "MMSE", "MR", "plain"))
-        ]
-        write_svg(
-            svg_path,
-            line_plot_svg(
-                series,
-                xlabel="d_x [m]",
-                ylabel="average spectral efficiency [bit per channel use]",
-                title="Orientation-averaged SE",
-            ),
-        )
     return records
 
 
@@ -457,30 +424,17 @@ def run_selfcheck(cfg: RunConfig, verbose: bool = True) -> bool:
             points_per_wavelength=2.0 * wdm.quadrature.points_per_wavelength,
         ),
     )
-    H = assemble_H(geom, wdm)
-    H_fine = assemble_H(geom, fine)
-    drift_h = float(
-        np.linalg.norm(H - H_fine) / max(np.linalg.norm(H_fine), 1e-300)
-    )
-    checks.append(
-        (
-            "H quadrature convergence",
-            drift_h < wdm.quadrature.rel_tol,
-            f"relative drift {drift_h:.3e} under node doubling",
+    H, R = assemble_H(geom, wdm), assemble_R(geom, wdm)
+    for name, coarse, assemble in (("H", H, assemble_H), ("R", R, assemble_R)):
+        ref = assemble(geom, fine)
+        drift = float(np.linalg.norm(coarse - ref) / max(np.linalg.norm(ref), 1e-300))
+        checks.append(
+            (
+                f"{name} quadrature convergence",
+                drift < wdm.quadrature.rel_tol,
+                f"relative drift {drift:.3e} under node doubling",
+            )
         )
-    )
-    R = assemble_R(geom, wdm)
-    R_fine = assemble_R(geom, fine)
-    drift_r = float(
-        np.linalg.norm(R - R_fine) / max(np.linalg.norm(R_fine), 1e-300)
-    )
-    checks.append(
-        (
-            "R quadrature convergence",
-            drift_r < wdm.quadrature.rel_tol,
-            f"relative drift {drift_r:.3e} under node doubling",
-        )
-    )
 
     k = EmConstants(wdm.wavelength)
     rng = np.random.default_rng(202404)

@@ -1,8 +1,11 @@
 """Command line behavior: routing, overrides and exit codes."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +59,29 @@ def test_dump_channel_honors_geometry_flags(tmp_path):
     assert rc == 0
     with np.load(out) as data:
         assert "geometry.d_x = 3.0" in str(data["header"])
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["pattern", "--step", "10", "--out", "{d}/p.csv"], "wrote {d}/p.csv and {d}/p.svg"),
+        (["pattern", "--step", "10", "--out", "{d}/p.csv", "--no-svg"], "wrote {d}/p.csv"),
+        (["field", "--grid-points", "5", "--out", "{d}/f.csv"], "wrote {d}/f.csv and {d}/f.svg"),
+        (["field", "--grid-points", "5", "--out", "{d}/f.csv", "--no-svg"], "wrote {d}/f.csv"),
+        (["sweep", "--count", "2", "--out", "{d}/s.csv"], "wrote {d}/s.csv: 2 points"),
+        (["sweep", "--count", "3", "--n-modes", "99", "--out", "{d}/s.csv"],
+         "wrote {d}/s.csv: 3 points, 3 flagged"),
+        (["avg-sweep", "--count", "1", "--draws", "1", "--out", "{d}/a.csv", "--no-svg"],
+         "wrote {d}/a.csv: 1 points"),
+        (["avg-sweep", "--count", "2", "--draws", "1", "--n-modes", "99", "--out", "{d}/a.csv"],
+         "wrote {d}/a.csv: 2 points, 2 flagged"),
+        (["dump-channel", "--out", "{d}/link.wdmch"], "wrote {d}/link.wdmch"),
+    ],
+)
+def test_each_command_reports_one_line(tmp_path, capsys, argv, line):
+    d = str(tmp_path)
+    assert cli.main([arg.format(d=d) for arg in argv]) == 0
+    assert capsys.readouterr().out == line.format(d=d) + "\n"
 
 
 def test_unknown_profile_exits_1(tmp_path, capsys):
@@ -119,6 +145,27 @@ def test_selfcheck_reports_through_exit_code(monkeypatch):
     assert cli.main(["selfcheck"]) == 0
     monkeypatch.setattr(cli, "run_selfcheck", lambda cfg: False)
     assert cli.main(["selfcheck"]) == 2
+
+
+def _readme_commands():
+    """Arguments of every ``wdmlink`` command in the README's sh blocks."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["wdmlink"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_shows_every_command():
+    assert sorted(argv[0] for argv in _readme_commands()) == sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_parses_and_resolves(argv):
+    cli._resolve_config(cli._build_parser().parse_args(argv))
 
 
 # A valid raw value for every table entry that has a flag.

@@ -12,7 +12,6 @@ from wdmlink.config import (
     FieldSettings,
     OutputSettings,
     PatternSettings,
-    RunConfig,
     SweepSettings,
     desk_profile,
     load_config,

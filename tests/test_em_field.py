@@ -35,8 +35,6 @@ class TestEmConstants:
     def test_validation(self):
         with pytest.raises(ValueError):
             EmConstants(wavelength=0.0)
-        with pytest.raises(ValueError):
-            EmConstants(wavelength=0.01, z0=-1.0)
 
 
 class TestSpatialFrequency:

@@ -9,7 +9,7 @@ import pytest
 
 import wdmlink.experiments as experiments
 from wdmlink.channel import channel_cache_key, load_matching_channel_set
-from wdmlink.config import FieldSettings, SweepSettings
+from wdmlink.config import FieldSettings
 from wdmlink.experiments import (
     run_avg_sweep,
     run_channel_dump,
@@ -189,15 +189,15 @@ class TestRunSweep:
         cold = tmp_path / "cold.csv"
         rerun = tmp_path / "rerun.csv"
         run_sweep(cached, str(cold))
-        task = experiments._sweep_tasks(cfg)[2]
-        victim = cache / (channel_cache_key(task.geometry, task.wdm) + ".wdmch")
+        geom = replace(cfg.geometry, d_z=float(cfg.sweep.values()[2]))
+        victim = cache / (channel_cache_key(geom, cfg.wdm) + ".wdmch")
         victim.write_bytes(victim.read_bytes()[:100])
         records = run_sweep(cached, str(rerun))
         assert [rec.error for rec in records] == [""] * 5
         assert rerun.read_bytes() == cold.read_bytes()
         assert len(os.listdir(cache)) == 5
-        loaded = load_matching_channel_set(str(victim), task.geometry, task.wdm)
-        fresh = experiments._channel_for(task.geometry, task.wdm, cache_dir="")
+        loaded = load_matching_channel_set(str(victim), geom, cfg.wdm)
+        fresh = experiments._channel_for(geom, cfg.wdm, cache_dir="")
         assert np.array_equal(loaded.H_tilde, fresh.H_tilde)
 
     def test_tilt_sweep_reports_degrees(self, desk, tmp_path):
@@ -292,6 +292,44 @@ class TestRunAvgSweep:
         for rec in records:
             assert all(m > 0.0 for m in rec.mean)
             assert all(s >= 0.0 for s in rec.stderr)
+
+    def test_failed_orientation_flags_its_grid_point(self, desk, tmp_path, monkeypatch):
+        cfg = small_sweep(
+            desk, parameter="d_x", start=2.0, stop=4.0, count=3,
+            draws_per_phi=2, phi_set_deg=(0.0, 90.0), seed=5,
+        )
+        real = experiments._channel_for
+        failures = []
+
+        def sabotaged(geom, wdm, cache_dir):
+            # both orientations at phi = 90 degrees fail at d_x = 3
+            if geom.d_x == 3.0 and geom.phi_s > 0.0:
+                failures.append(geom.theta_s)
+                raise RuntimeError(f"synthetic failure {len(failures)}")
+            return real(geom, wdm, cache_dir)
+
+        monkeypatch.setattr(experiments, "_channel_for", sabotaged)
+        path = str(tmp_path / "avg.csv")
+        svg = tmp_path / "avg.svg"
+        records = run_avg_sweep(cfg, path, str(svg))
+        assert len(failures) == 2
+        assert [rec.error for rec in records] == [
+            "", "RuntimeError: synthetic failure 1", "",
+        ]
+        assert all(math.isnan(m) for m in records[1].mean)
+        for rec in (records[0], records[2]):
+            assert all(m > 0.0 for m in rec.mean)
+        cols = read_csv_columns(path)
+        assert cols["value"] == ["2", "3", "4"]
+        se_columns = [name for name in cols if name.startswith("se_")]
+        assert len(se_columns) == 8
+        for col in se_columns:
+            assert cols[col][1] == ""
+            assert cols[col][0] != "" and cols[col][2] != ""
+        assert cols["error"] == ["", "RuntimeError: synthetic failure 1", ""]
+        text = svg.read_text()
+        assert text.startswith("<svg")
+        assert "</svg>" in text
 
     def test_requires_distance_parameter(self, desk, tmp_path):
         with pytest.raises(ValueError, match="d_x"):
