@@ -59,7 +59,6 @@ __all__ = [
     "WdmConfig",
     "ChannelSet",
     "max_modes",
-    "spatial_frequency",
     "assemble_H",
     "assemble_R",
     "whiten",

@@ -83,6 +83,8 @@ class SweepSettings:
             )
         if self.count < 1:
             raise ValueError(f"sweep count must be positive, got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("sweep start and stop must be finite")
         if self.count > 1 and not self.stop > self.start:
             raise ValueError("sweep needs stop > start when count > 1")
         if self.draws_per_phi < 1:
@@ -91,8 +93,6 @@ class SweepSettings:
             raise ValueError("theta_max must lie in [0, 180] degrees")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.start])
         return np.linspace(self.start, self.stop, self.count)
 
 

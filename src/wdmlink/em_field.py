@@ -48,9 +48,9 @@ radiated power at polar angle ``theta_bar`` from the segment axis is
 
 with gamma_n = kappa_n / kappa, peaking at theta_bar = acos(gamma_n)
 with value 1 - gamma_n^2.  The beam therefore leaves the segment on a
-cone of aperture acos(gamma_n) about its axis; ``peak_location_boresight``
-and ``peak_locations_general`` intersect that cone with the receive line
-to predict where |e_z| is maximal.
+cone of aperture acos(gamma_n) about its axis; for an untilted segment
+``peak_location_boresight`` intersects that cone with the receive line
+to predict where |e_z| is maximal (any tilt: ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +79,6 @@ __all__ = [
     "received_field_profile",
     "boresight_reference_peak",
     "peak_location_boresight",
-    "peak_locations_general",
 ]
 
 FREE_SPACE_IMPEDANCE = 376.73  # [Ohm]
@@ -98,10 +97,6 @@ FAR_FIELD_GUARD_WAVELENGTHS = 10.0
 # 0.02 s over the 60 points of an orientation-averaged desk run, too small
 # to resolve end to end, so the value stays.
 _BLOCK_PAIRS = 2**14
-
-# Denominator threshold below which the cone/line intersection is solved
-# via its surviving linear equation.
-_DEGENERATE_TOL = 1e-12
 
 
 class NearFieldWarning(UserWarning):
@@ -440,56 +435,3 @@ def peak_location_boresight(mode: ModeIndex, geom: LinkGeometry) -> FieldPeak:
         raise ValueError(f"no finite peak for |gamma_n| >= 1, got {g}")
     r_z = geom.d_x * g / math.sqrt(1.0 - g * g)
     return FieldPeak(r_z=r_z, in_segment=abs(r_z - geom.d_z) < geom.L_r / 2.0)
-
-
-def peak_locations_general(mode: ModeIndex, geom: LinkGeometry) -> List[FieldPeak]:
-    """Peak heights for an arbitrarily tilted segment.
-
-    Intersects the mode's beam cone (axis s_hat, aperture acos(gamma_n))
-    with the receive line x = d_x, y = 0.  Writing a = d_x cos(phi_s)
-    sin(theta_s) and c = cos(theta_s), the heights solve
-
-        (c^2 - gamma_n^2) r^2 + 2 a c r + a^2 - gamma_n^2 d_x^2 = 0,
-
-    i.e. r = d_x (-cos(phi_s) sin(theta_s) cos(theta_s)
-                  +/- |gamma_n| sqrt(Delta)) / (c^2 - gamma_n^2)
-    with Delta = 1 - sin^2(phi_s) sin^2(theta_s) - gamma_n^2.  Only roots
-    on the forward nappe of the cone are kept, which requires the signed
-    condition sign(a + c r) = sign(gamma_n); squaring introduced the
-    mirrored nappe.  When c^2 = gamma_n^2 the quadratic degenerates and
-    the surviving linear equation is solved instead.
-
-    Returns:
-        Zero, one or two peaks, sorted by height.  Empty when Delta < 0
-        (the cone misses the plane of the line entirely).
-    """
-    g = mode.gamma_n
-    a = geom.d_x * math.cos(geom.phi_s) * math.sin(geom.theta_s)
-    c = math.cos(geom.theta_s)
-    delta = 1.0 - (math.sin(geom.phi_s) * math.sin(geom.theta_s)) ** 2 - g * g
-    if delta < 0.0:
-        return []
-    denom = c * c - g * g
-    roots: List[float] = []
-    if abs(denom) < _DEGENERATE_TOL:
-        lin = 2.0 * a * c
-        if abs(lin) < _DEGENERATE_TOL * max(1.0, geom.d_x):
-            return []
-        roots.append((g * g * geom.d_x * geom.d_x - a * a) / lin)
-    else:
-        spread = abs(g) * math.sqrt(delta) * geom.d_x
-        r_plus = (-a * c + spread) / denom
-        r_minus = (-a * c - spread) / denom
-        roots.append(r_minus)
-        if r_plus != r_minus:
-            roots.append(r_plus)
-    peaks = []
-    for r in sorted(roots):
-        axial = a + c * r
-        # Forward-nappe test; gamma = 0 peaks lie on the plane axial = 0.
-        if g > 0.0 and axial < 0.0:
-            continue
-        if g < 0.0 and axial > 0.0:
-            continue
-        peaks.append(FieldPeak(r_z=r, in_segment=abs(r - geom.d_z) < geom.L_r / 2.0))
-    return peaks

@@ -21,6 +21,7 @@ rewritten.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import zipfile
@@ -212,15 +213,6 @@ class AvgSweepRecord:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class _PointTask:
-    value: float
-    geometry: LinkGeometry
-    wdm: WdmConfig
-    mmse_form: str
-    cache_dir: str
-
-
 def _channel_for(geom: LinkGeometry, cfg: WdmConfig, cache_dir: str) -> ChannelSet:
     if not cache_dir:
         return assemble_channel_set(geom, cfg)
@@ -235,19 +227,21 @@ def _channel_for(geom: LinkGeometry, cfg: WdmConfig, cache_dir: str) -> ChannelS
     return ch
 
 
-def _evaluate_point(task: _PointTask) -> SweepRecord:
+def _evaluate_point(
+    wdm: WdmConfig, mmse_form: str, cache_dir: str, value: float, geom: LinkGeometry
+) -> SweepRecord:
     try:
-        ch = _channel_for(task.geometry, task.wdm, task.cache_dir)
-        power = total_power(task.wdm)
+        ch = _channel_for(geom, wdm, cache_dir)
+        power = total_power(wdm)
         ses = [
-            spectral_efficiency(kind, ch, power, task.mmse_form).se_total
+            spectral_efficiency(kind, ch, power, mmse_form).se_total
             for kind in SCHEME_ORDER
         ]
-        return SweepRecord(task.value, *ses)
+        return SweepRecord(value, *ses)
     except Exception as exc:  # flagged row per grid point, file stays complete
         nan = float("nan")
         return SweepRecord(
-            task.value, nan, nan, nan, nan, error=f"{type(exc).__name__}: {exc}"
+            value, nan, nan, nan, nan, error=f"{type(exc).__name__}: {exc}"
         )
 
 
@@ -255,19 +249,19 @@ def _run_groups(
     cfg: RunConfig, groups: Sequence[Tuple[float, Sequence[LinkGeometry]]]
 ) -> List[List[SweepRecord]]:
     """Point records of each (grid value, geometries) group, in grid order."""
-    tasks = [
-        _PointTask(value, geom, cfg.wdm, cfg.mmse_form, cfg.output.cache_dir)
-        for value, geometries in groups
-        for geom in geometries
-    ]
+    evaluate = functools.partial(
+        _evaluate_point, cfg.wdm, cfg.mmse_form, cfg.output.cache_dir
+    )
+    values = [value for value, geometries in groups for _ in geometries]
+    geoms = [geom for _, geometries in groups for geom in geometries]
     workers = cfg.output.workers
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(geoms) > 1:
         # about four chunks per worker: fewer round trips, still balanced
-        chunk = max(1, len(tasks) // (4 * workers))
+        chunk = max(1, len(geoms) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_evaluate_point, tasks, chunksize=chunk))
+            flat = list(pool.map(evaluate, values, geoms, chunksize=chunk))
     else:
-        flat = [_evaluate_point(t) for t in tasks]
+        flat = list(map(evaluate, values, geoms))
     points = iter(flat)
     return [[next(points) for _ in geometries] for _, geometries in groups]
 
@@ -401,12 +395,12 @@ def run_avg_sweep(
 
 def run_channel_dump(cfg: RunConfig, out_path: str) -> str:
     """Assemble the configured channel and write it to ``out_path``."""
-    ch = _channel_for(cfg.geometry, cfg.wdm, cache_dir="")
+    ch = assemble_channel_set(cfg.geometry, cfg.wdm)
     save_channel_set(out_path, ch, cfg.geometry, cfg.wdm)
     return out_path
 
 
-def run_selfcheck(cfg: RunConfig, verbose: bool = True) -> bool:
+def run_selfcheck(cfg: RunConfig) -> bool:
     """Numerical health checks on the configured link.
 
     Verifies quadrature convergence of H and R under node doubling, the
@@ -488,6 +482,5 @@ def run_selfcheck(cfg: RunConfig, verbose: bool = True) -> bool:
     ok = True
     for name, passed, detail in checks:
         ok = ok and bool(passed)
-        if verbose:
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     return ok

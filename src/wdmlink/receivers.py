@@ -93,8 +93,9 @@ def waterfill(chi: np.ndarray, power: float) -> Tuple[np.ndarray, float]:
         (p, mu) with p_n = max(0, mu - 1/chi_n) and sum p = power.
 
     Raises:
-        ValueError: On a negative gain, an all-zero gain vector or a
-            nonpositive budget.
+        ValueError: On a negative gain, an all-zero gain vector, a
+            nonpositive budget or a budget lost to rounding against the
+            strongest mode's 1/chi.
     """
     chi = np.asarray(chi, dtype=float)
     if chi.ndim != 1 or chi.size == 0:
@@ -117,8 +118,11 @@ def waterfill(chi: np.ndarray, power: float) -> Tuple[np.ndarray, float]:
         if candidate > inv_sorted[k - 1]:
             mu = candidate
             count = k
-    if count == 0:  # cannot happen for power > 0, kept as a guard
-        raise ValueError("water-filling found no active mode")
+    if count == 0:  # power + 1/chi rounds to 1/chi for the strongest mode
+        raise ValueError(
+            f"water-filling found no active mode: power {power:g} + 1/chi "
+            f"rounds to 1/chi = {inv_sorted[0]:g}"
+        )
     p = np.zeros_like(chi)
     p[active] = np.maximum(0.0, mu - inv)
     return p, mu

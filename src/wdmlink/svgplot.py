@@ -34,12 +34,12 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> List[float]:
+def _nice_ticks(lo: float, hi: float) -> List[float]:
     if not math.isfinite(lo) or not math.isfinite(hi):
         return []
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(1, target)
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -86,7 +86,7 @@ def line_plot_svg(
     series: Sequence[Tuple[str, np.ndarray, np.ndarray]],
     xlabel: str,
     ylabel: str,
-    title: str = "",
+    title: str,
 ) -> str:
     """Render labelled (x, y) series as one SVG line plot.
 
@@ -154,8 +154,7 @@ def line_plot_svg(
                 run = []
         if len(run) > 1:
             parts.append(_polyline(run, color))
-    if title:
-        parts.append(_text(_W / 2, 24, title, size=15))
+    parts.append(_text(_W / 2, 24, title, size=15))
     parts.append(_text(_W / 2, _H - 16, xlabel, size=13))
     parts.append(
         f'<text x="18" y="{_H / 2:.1f}" font-size="13" font-family="sans-serif" '
@@ -168,8 +167,7 @@ def line_plot_svg(
 
 def polar_plot_svg(
     series: Sequence[Tuple[str, np.ndarray, np.ndarray]],
-    title: str = "",
-    r_max: float = 1.0,
+    title: str,
 ) -> str:
     """Render labelled (angle_deg, radius) series as a half polar plot.
 
@@ -181,7 +179,7 @@ def polar_plot_svg(
 
     def to_xy(theta_deg: float, r: float) -> Tuple[float, float]:
         ang = math.radians(theta_deg)
-        scale = radius * min(r, r_max) / r_max
+        scale = radius * min(r, 1.0)
         return cx + scale * math.sin(ang), cy - scale * math.cos(ang)
 
     parts = [
@@ -195,16 +193,16 @@ def polar_plot_svg(
             f'stroke="#dddddd"/>'
         )
         parts.append(
-            _text(cx + 4, cy - radius * frac + 12, _fmt(r_max * frac), size=11,
+            _text(cx + 4, cy - radius * frac + 12, _fmt(frac), size=11,
                   anchor="start")
         )
     for deg in range(0, 181, 30):
-        x, y = to_xy(deg, r_max)
+        x, y = to_xy(deg, 1.0)
         parts.append(
             f'<line x1="{cx}" y1="{cy}" x2="{x:.1f}" y2="{y:.1f}" '
             f'stroke="#dddddd"/>'
         )
-        lx, ly = to_xy(deg, r_max * 1.09)
+        lx, ly = to_xy(deg, 1.09)
         parts.append(_text(lx, ly + 4, f"{deg}&#176;", size=12))
     for i, (label, theta_deg, r) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
@@ -215,8 +213,7 @@ def polar_plot_svg(
         ]
         if len(pts) > 1:
             parts.append(_polyline(pts, color))
-    if title:
-        parts.append(_text(_W / 2, 24, title, size=15))
+    parts.append(_text(_W / 2, 24, title, size=15))
     parts.extend(_legend([label for label, _, _ in series], _W - _MR - 150, _MT + 16))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -8,12 +8,13 @@ too.
 """
 
 import math
+from typing import List
 
 import numpy as np
 
 from wdmlink.channel import ChannelSet, WdmConfig
 from wdmlink import em_field
-from wdmlink.em_field import gz_kernel, spatial_frequency
+from wdmlink.em_field import FieldPeak, ModeIndex, gz_kernel, spatial_frequency
 from wdmlink.geometry import LinkGeometry, source_direction
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 
@@ -179,6 +180,64 @@ def lag_coupling_oracle(geom, cfg):
         out += np.einsum("tn,tnm,tm->nm", rx, overlap, tx)
     magnitude = cfg.n_modes * np.sum(w * np.abs(kern) * length)
     return out / math.sqrt(geom.L_s), magnitude / math.sqrt(geom.L_s)
+
+
+# Denominator threshold below which the cone/line intersection is solved
+# via its surviving linear equation.
+_DEGENERATE_TOL = 1e-12
+
+
+def peak_locations_general(mode: ModeIndex, geom: LinkGeometry) -> List[FieldPeak]:
+    """Peak heights for an arbitrarily tilted segment.
+
+    Intersects the mode's beam cone (axis s_hat, aperture acos(gamma_n))
+    with the receive line x = d_x, y = 0.  Writing a = d_x cos(phi_s)
+    sin(theta_s) and c = cos(theta_s), the heights solve
+
+        (c^2 - gamma_n^2) r^2 + 2 a c r + a^2 - gamma_n^2 d_x^2 = 0,
+
+    i.e. r = d_x (-cos(phi_s) sin(theta_s) cos(theta_s)
+                  +/- |gamma_n| sqrt(Delta)) / (c^2 - gamma_n^2)
+    with Delta = 1 - sin^2(phi_s) sin^2(theta_s) - gamma_n^2.  Only roots
+    on the forward nappe of the cone are kept, which requires the signed
+    condition sign(a + c r) = sign(gamma_n); squaring introduced the
+    mirrored nappe.  When c^2 = gamma_n^2 the quadratic degenerates and
+    the surviving linear equation is solved instead.
+
+    Returns:
+        Zero, one or two peaks, sorted by height.  Empty when Delta < 0
+        (the cone misses the plane of the line entirely).
+    """
+    g = mode.gamma_n
+    a = geom.d_x * math.cos(geom.phi_s) * math.sin(geom.theta_s)
+    c = math.cos(geom.theta_s)
+    delta = 1.0 - (math.sin(geom.phi_s) * math.sin(geom.theta_s)) ** 2 - g * g
+    if delta < 0.0:
+        return []
+    denom = c * c - g * g
+    roots: List[float] = []
+    if abs(denom) < _DEGENERATE_TOL:
+        lin = 2.0 * a * c
+        if abs(lin) < _DEGENERATE_TOL * max(1.0, geom.d_x):
+            return []
+        roots.append((g * g * geom.d_x * geom.d_x - a * a) / lin)
+    else:
+        spread = abs(g) * math.sqrt(delta) * geom.d_x
+        r_plus = (-a * c + spread) / denom
+        r_minus = (-a * c - spread) / denom
+        roots.append(r_minus)
+        if r_plus != r_minus:
+            roots.append(r_plus)
+    peaks = []
+    for r in sorted(roots):
+        axial = a + c * r
+        # Forward-nappe test; gamma = 0 peaks lie on the plane axial = 0.
+        if g > 0.0 and axial < 0.0:
+            continue
+        if g < 0.0 and axial > 0.0:
+            continue
+        peaks.append(FieldPeak(r_z=r, in_segment=abs(r - geom.d_z) < geom.L_r / 2.0))
+    return peaks
 
 
 def white_channel(G):

@@ -28,6 +28,9 @@ class TestSweepSettings:
     def test_single_point_grid(self):
         s = SweepSettings(start=1.5, stop=1.5, count=1)
         assert np.array_equal(s.values(), [1.5])
+        # one point is the start, wherever stop lies
+        s = SweepSettings(start=0.3, stop=0.1, count=1)
+        assert np.array_equal(s.values(), [0.3])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,6 +39,9 @@ class TestSweepSettings:
             SweepSettings(count=0)
         with pytest.raises(ValueError):
             SweepSettings(start=2.0, stop=1.0, count=3)
+        for start, stop in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                SweepSettings(start=start, stop=stop, count=1)
         with pytest.raises(ValueError):
             SweepSettings(draws_per_phi=0)
         with pytest.raises(ValueError):

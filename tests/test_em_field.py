@@ -14,7 +14,6 @@ from wdmlink.em_field import (
     green_dyadic_ff,
     gz_kernel,
     peak_location_boresight,
-    peak_locations_general,
     radiation_pattern,
     received_field_profile,
     spatial_frequency,
@@ -23,7 +22,7 @@ from wdmlink.em_field import (
 from wdmlink.geometry import LinkGeometry, source_direction
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 
-from oracles import s_rule, tone_fields_one_slab
+from oracles import peak_locations_general, s_rule, tone_fields_one_slab
 
 
 class TestEmConstants:
@@ -264,6 +263,34 @@ class TestReceivedFieldProfile:
             desk.wdm.wavelength, 2.0 * step
         )
         assert prof[i] / e0 == pytest.approx(math.cos(th) ** 2, rel=0.05)
+
+    def test_tilted_peaks_match_cone_intersection(self, desk):
+        # every tilt and mode whose beam cone meets the receive line once,
+        # at least 0.1 m inside the segment: the |e_z| maximum lies within
+        # c04's tolerance of the intersection
+        wdm = desk.wdm
+        k = EmConstants(wdm.wavelength)
+        grid = np.linspace(-0.5, 0.5, 1201)
+        tol = max(wdm.wavelength, 2.0 * (grid[1] - grid[0]))
+        checked = 0
+        for theta_deg in (5, 10, 15, 20, 30):
+            for phi_deg in (0, 45, 90, 135, 180, 270):
+                geom = replace(
+                    desk.geometry,
+                    theta_s=math.radians(theta_deg),
+                    phi_s=math.radians(phi_deg),
+                )
+                for n in range(1, wdm.n_modes + 1):
+                    m = ModeIndex.from_mode_number(n, wdm.n_modes, geom.L_s, k)
+                    peaks = peak_locations_general(m, geom)
+                    if len(peaks) != 1 or abs(peaks[0].r_z) > geom.L_r / 2 - 0.1:
+                        continue
+                    prof = np.abs(
+                        received_field_profile(m, geom, k, grid, wdm.quadrature)
+                    )
+                    assert abs(grid[np.argmax(prof)] - peaks[0].r_z) <= tol
+                    checked += 1
+        assert checked > 100
 
     def test_grid_outside_segment_rejected(self, desk):
         k = EmConstants(desk.wdm.wavelength)

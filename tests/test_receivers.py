@@ -72,6 +72,8 @@ class TestWaterfill:
             waterfill(np.array([1.0]), 0.0)
         with pytest.raises(ValueError):
             waterfill(np.array([]), 1.0)
+        with pytest.raises(ValueError, match=r"\+ 1/chi rounds to 1/chi"):
+            waterfill(np.array([1e-18]), 1e-3)
 
 
 class TestSchemeMatrices:
