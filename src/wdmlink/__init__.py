@@ -6,6 +6,7 @@ profiles, the wavenumber-domain channel and interference matrices, and
 the spectral efficiency of four linear transceiver architectures.
 """
 
+import ctypes
 import os
 
 # H is contracted in many small BLAS calls; between them OpenBLAS helper
@@ -13,5 +14,51 @@ import os
 # workers.  Parallelism comes from the process pool instead.  This must run
 # before numpy loads OpenBLAS; a value already in the environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# glibc's trim and mmap thresholds [bytes].  With its defaults, glibc maps
+# each block of 128 KiB or more afresh and hands free heap above 128 KiB at
+# the top back to the OS (raising both limits only as mapped blocks are
+# freed), so the temporaries of em_field.tone_fields blocks (130-260 KB
+# each) and a full-scale H's three (2400 x 41) complex arrays were
+# page-faulted in again on every call, at ~3-4 us a fault.  Faults of a
+# repeated desk assemble_H / full assemble_channel_set after one warm-up
+# call, 2-core Xeon, glibc 2.36: defaults 446 / 1185; 1 MiB 348 / 1740;
+# 2 and 4 MiB 0 / 1185 (the ~4.6 MB a full point frees at the heap top is
+# trimmed); 8, 16 and 32 MiB (glibc's dynamic ceiling) 0 / 0.  At 8 MiB,
+# the smallest with no faults, the median desk H fell from 3.3 to 1.6 ms
+# and a full-scale H from 22.7 to 18.3 ms (five alternating rounds).
+_MALLOC_THRESHOLD = 8 << 20
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap_resident() -> None:
+    """Raise glibc's trim and mmap thresholds to ``_MALLOC_THRESHOLD``.
+
+    Pool workers started by spawn or forkserver import this package but not
+    the CLI, and forked ones inherit the setting.  A threshold already set
+    in the environment wins, and nothing happens off glibc.
+    """
+    if any(
+        name in os.environ
+        for name in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+    ):
+        return
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        # no confstr (Windows), a name the platform lacks (macOS) or one
+        # its libc rejects (musl)
+        return
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
+
+
+_keep_freed_heap_resident()
 
 __version__ = "0.1.0"

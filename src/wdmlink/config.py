@@ -52,7 +52,6 @@ __all__ = [
     "PARAMETERS",
     "apply_entries",
     "read_config_entries",
-    "load_config",
 ]
 
 SWEEP_PARAMETERS = ("d_z", "theta_s", "d_x")
@@ -344,15 +343,3 @@ def read_config_entries(path: str) -> List[Tuple[str, str, str]]:
         for key, raw in parser[section].items()
     ]
 
-
-def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
-    """Parse a config file, overriding ``base`` (default: desk profile).
-
-    Raises:
-        ValueError: On unknown sections/keys or malformed values, with
-            every offender listed.
-    """
-    entries = read_config_entries(path)
-    return apply_entries(
-        base if base is not None else desk_profile(), entries, f"config file {path}"
-    )

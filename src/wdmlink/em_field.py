@@ -88,14 +88,15 @@ FAR_FIELD_GUARD_WAVELENGTHS = 10.0
 
 # Node pairs per receive-node block of tone_fields.  The block's float64
 # and complex128 temporaries take about 1 MB and stay cache-resident
-# instead of streaming a whole (r_z, s) slab through memory.  Timed with
-# the half-angle-tangent kernel and the default rule (160 s nodes at full
-# scale, 80 at desk) on a 2-core Xeon (2 MiB L2 per core), five
-# alternating rounds over 2**13 .. 2**17: at full 2**13, 2**14 and 2**15
-# tied (18-21 ms) and 2**16, 2**17 were 30-70 % slower; at desk 2**13 was
-# fastest (2.0-2.8 ms against 2.4-3.4 ms for 2**14), a saving of about
-# 0.02 s over the 60 points of an orientation-averaged desk run, too small
-# to resolve end to end, so the value stays.
+# instead of streaming a whole (r_z, s) slab through memory.  Timed as
+# medians of assemble_H with the half-angle-tangent kernel, the default
+# rule (160 s nodes at full scale, 80 at desk) and the package's 8 MiB
+# malloc thresholds (``wdmlink._MALLOC_THRESHOLD``; freed blocks stay
+# resident) on a 2-core Xeon (2 MiB L2 per core), five alternating rounds
+# over 2**13 .. 2**17: at desk every size tied (1.53-1.64 ms); at full
+# 2**14 and 2**15 tied (17.4 and 17.7 ms), 2**13 took 18.3 ms, 2**16
+# 19.9 ms, and 2**17 30.4 ms, whose larger free heap top is trimmed again
+# (3040 page faults per call against 0 for the others).
 _BLOCK_PAIRS = 2**14
 
 

@@ -75,7 +75,7 @@ def test_c03_radiation_pattern_peak_values_and_locations(full_scale):
 def test_c04_field_peak_locations_and_heights(desk):
     geom, wdm = desk.geometry, desk.wdm
     k = EmConstants(wdm.wavelength)
-    grid = np.linspace(-geom.L_r / 2.0, geom.L_r / 2.0, 1201)
+    grid = np.linspace(-geom.L_r / 2.0, geom.L_r / 2.0, 2001)
     tol = max(wdm.wavelength, 2.0 * (grid[1] - grid[0]))
     e0 = boresight_reference_peak(geom, k, grid, wdm.quadrature)
     # modes whose beam cone meets the receive segment (|gamma| <= 0.2 here)

@@ -1,6 +1,7 @@
 """Command line behavior: routing, overrides and exit codes."""
 
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -287,3 +288,48 @@ def test_import_defaults_openblas_to_one_thread(preset, seen):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.split() == ["True", seen]
+
+
+_REPEAT_FAULTS = (
+    "import resource\n"
+    "import wdmlink\n"
+    "from wdmlink.channel import assemble_H, assemble_channel_set\n"
+    "from wdmlink.config import desk_profile, full_profile\n"
+    "def faults(assemble, cfg):\n"
+    "    assemble(cfg.geometry, cfg.wdm)\n"
+    "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    "    assemble(cfg.geometry, cfg.wdm)\n"
+    "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+    "print(faults(assemble_H, desk_profile()), faults(assemble_channel_set, full_profile()))\n"
+)
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="page-fault counts of glibc's allocator",
+)
+@pytest.mark.parametrize("glibc_defaults", [False, True], ids=["default-env", "thresholds-in-env"])
+def test_import_keeps_freed_heap_resident(glibc_defaults):
+    # after one warm-up call, a repeated desk H and full-scale channel set
+    # reuse the heap the first call freed instead of faulting it in again;
+    # thresholds set in the environment (here glibc's own defaults) are
+    # left alone, and then every repeat faults
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wdmlink.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES"):
+        env.pop(name, None)
+    if glibc_defaults:
+        env["MALLOC_TRIM_THRESHOLD_"] = env["MALLOC_MMAP_THRESHOLD_"] = "131072"
+    done = subprocess.run(
+        [sys.executable, "-c", _REPEAT_FAULTS],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    desk_H, full_set = map(int, done.stdout.split())
+    if glibc_defaults:
+        assert desk_H >= 100 and full_set >= 100
+    else:
+        assert desk_H <= 10 and full_set <= 10

@@ -13,10 +13,11 @@ from wdmlink.config import (
     OutputSettings,
     PatternSettings,
     SweepSettings,
+    apply_entries,
     desk_profile,
-    load_config,
     full_profile,
     profile_by_name,
+    read_config_entries,
 )
 
 
@@ -136,7 +137,7 @@ class TestLoadConfig:
             workers = 3
             """,
         )
-        cfg = load_config(path)
+        cfg = apply_entries(desk_profile(), read_config_entries(path), path)
         assert cfg.geometry.L_r == 0.5
         assert cfg.geometry.theta_s == pytest.approx(math.radians(30.0))
         assert cfg.geometry.phi_s == pytest.approx(math.radians(90.0))
@@ -158,7 +159,7 @@ class TestLoadConfig:
 
     def test_partial_override_keeps_base(self, tmp_path):
         path = self.write(tmp_path, "[sweep]\ncount = 5\n")
-        cfg = load_config(path)
+        cfg = apply_entries(desk_profile(), read_config_entries(path), path)
         base = desk_profile()
         assert cfg.sweep.count == 5
         assert cfg.wdm == base.wdm
@@ -166,12 +167,12 @@ class TestLoadConfig:
 
     def test_n_modes_max_keyword(self, tmp_path):
         path = self.write(tmp_path, "[wdm]\nwavelength = 0.01\nn_modes = max\n")
-        cfg = load_config(path)
+        cfg = apply_entries(desk_profile(), read_config_entries(path), path)
         assert cfg.wdm.n_modes == 41
 
     def test_wavelength_change_rederives_emi_level(self, tmp_path):
         path = self.write(tmp_path, "[wdm]\nwavelength = 0.01\n")
-        cfg = load_config(path)
+        cfg = apply_entries(desk_profile(), read_config_entries(path), path)
         assert cfg.wdm.sigma2_emi == pytest.approx(total_power(cfg.wdm) * 1e-9, rel=1e-12)
 
     def test_unknown_entries_all_reported(self, tmp_path):
@@ -180,14 +181,14 @@ class TestLoadConfig:
             "[geometry]\nL_q = 1\n\n[nonsense]\nx = 1\n",
         )
         with pytest.raises(ValueError) as err:
-            load_config(path)
+            apply_entries(desk_profile(), read_config_entries(path), path)
         assert "L_q" in str(err.value)
         assert "nonsense" in str(err.value)
 
     def test_malformed_value_reported(self, tmp_path):
         path = self.write(tmp_path, "[geometry]\nd_x = wide\n")
         with pytest.raises(ValueError, match="d_x"):
-            load_config(path)
+            apply_entries(desk_profile(), read_config_entries(path), path)
 
     @pytest.mark.parametrize(
         "section, key",
@@ -196,27 +197,27 @@ class TestLoadConfig:
     def test_empty_list_rejected(self, tmp_path, section, key):
         path = self.write(tmp_path, f"[{section}]\n{key} =\n")
         with pytest.raises(ValueError, match=key):
-            load_config(path)
+            apply_entries(desk_profile(), read_config_entries(path), path)
 
     def test_invalid_mmse_form(self, tmp_path):
         path = self.write(tmp_path, "[wdm]\nmmse_form = fancy\n")
         with pytest.raises(ValueError, match="mmse_form"):
-            load_config(path)
+            apply_entries(desk_profile(), read_config_entries(path), path)
 
     def test_explicit_base(self, tmp_path):
         path = self.write(tmp_path, "[geometry]\nd_z = 1.0\n")
-        cfg = load_config(path, base=full_profile())
+        cfg = apply_entries(full_profile(), read_config_entries(path), path)
         assert cfg.wdm.n_modes == 41
         assert cfg.geometry.d_z == 1.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
-            load_config(str(tmp_path / "absent.cfg"))
+            read_config_entries(str(tmp_path / "absent.cfg"))
 
     def test_out_of_range_value_rejected(self, tmp_path):
         path = self.write(tmp_path, "[sweep]\ncount = -2\n")
         with pytest.raises(ValueError):
-            load_config(path)
+            apply_entries(desk_profile(), read_config_entries(path), path)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -226,7 +227,7 @@ def test_readme_config_example_matches_the_table(tmp_path):
     example = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
     path = tmp_path / "readme.cfg"
     path.write_text(example)
-    cfg = load_config(str(path))
+    cfg = apply_entries(desk_profile(), read_config_entries(str(path)), str(path))
     assert cfg.wdm.n_modes == 41
     assert cfg.sweep.phi_set_deg == (0.0, 22.5, 45.0, 77.5, 90.0)
     assert cfg.output.cache_dir == ".channels"
