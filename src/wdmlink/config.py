@@ -28,7 +28,6 @@ Sections and keys:
 
 from __future__ import annotations
 
-import configparser
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -97,6 +96,8 @@ class SweepSettings:
 
 @dataclass(frozen=True)
 class FieldSettings:
+    """Received field profile grid, the ``[field]`` section."""
+
     mode_offsets: Tuple[int, ...] = (-2, 0, 5)
     grid_points: int = 1201
 
@@ -107,6 +108,8 @@ class FieldSettings:
 
 @dataclass(frozen=True)
 class PatternSettings:
+    """Radiation pattern cut, the ``[pattern]`` section."""
+
     mode_offsets: Tuple[int, ...] = (-9, -5, 0, 5, 9)
     step_deg: float = 0.1
 
@@ -117,6 +120,8 @@ class PatternSettings:
 
 @dataclass(frozen=True)
 class OutputSettings:
+    """Output paths, channel cache and worker count, the ``[output]`` section."""
+
     csv_path: str = ""
     svg_path: str = ""
     cache_dir: str = ""
@@ -329,6 +334,8 @@ def apply_entries(
 
 def read_config_entries(path: str) -> List[Tuple[str, str, str]]:
     """(section, key, raw string) entries of a config file in file order; ValueError if not INI."""
+    import configparser  # ~3 ms with its regex compiles, so only --config pays
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     # keys like L_s are case sensitive; the default folds them to lower case
     parser.optionxform = str

@@ -24,8 +24,6 @@ import csv
 import functools
 import math
 import os
-import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -216,6 +214,8 @@ class AvgSweepRecord:
 def _channel_for(geom: LinkGeometry, cfg: WdmConfig, cache_dir: str) -> ChannelSet:
     if not cache_dir:
         return assemble_channel_set(geom, cfg)
+    import zipfile  # ~5 ms; only its BadZipFile is needed, and only with a cache
+
     path = os.path.join(cache_dir, channel_cache_key(geom, cfg) + ".wdmch")
     try:
         return load_matching_channel_set(path, geom, cfg)
@@ -256,6 +256,9 @@ def _run_groups(
     geoms = [geom for _, geometries in groups for geom in geometries]
     workers = cfg.output.workers
     if workers > 1 and len(geoms) > 1:
+        # ~20 ms and 2 MB (multiprocessing, socket), so only a pooled run pays
+        from concurrent.futures import ProcessPoolExecutor
+
         # about four chunks per worker: fewer round trips, still balanced
         chunk = max(1, len(geoms) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

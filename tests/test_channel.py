@@ -166,6 +166,20 @@ class TestAssembleH:
             tracemalloc.stop()
         assert peak <= 64e6
 
+    def test_repeated_full_scale_channel_set_peak_memory(self, full_scale):
+        # with the receive tones weighted in place a full channel set peaks
+        # at ~3.4 MB, and repeated calls must not pile up
+        geom, cfg = full_scale.geometry, full_scale.wdm
+        assemble_channel_set(geom, cfg)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                assemble_channel_set(geom, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
+
     def test_quadrature_convergence(self):
         fine = replace(
             REDUCED_CFG,
@@ -345,6 +359,23 @@ class TestAssembleR:
         )
         D = np.diag(np.exp(1j * k_all * d_z))
         assert np.linalg.norm(Rz - D.conj().T @ R0 @ D) <= 1e-12 * np.linalg.norm(Rz)
+
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    def test_offset_is_a_congruence_of_the_cholesky_factor(self, request, profile):
+        # D^H L(0) D is lower triangular with L(0)'s positive diagonal and
+        # D^H C(0) D = C(d_z), so it is the Cholesky factor at d_z
+        prof = request.getfixturevalue(profile)
+        d_z = 0.7
+        L0 = assemble_channel_set(prof.geometry, prof.wdm).L
+        Lz = assemble_channel_set(replace(prof.geometry, d_z=d_z), prof.wdm).L
+        k_all = np.array(
+            [
+                spatial_frequency(n, prof.wdm.n_modes, prof.geometry.L_s)
+                for n in range(1, prof.wdm.n_modes + 1)
+            ]
+        )
+        D = np.diag(np.exp(1j * k_all * d_z))
+        assert np.linalg.norm(Lz - D.conj().T @ L0 @ D) <= 1e-12 * np.linalg.norm(Lz)
 
     def test_quadrature_convergence(self, desk):
         fine = replace(

@@ -249,25 +249,61 @@ def test_avg_sweep_stop_from_file_equals_stop_flag(tmp_path):
     )
 
 
-def test_cli_and_whitening_load_no_scipy():
-    # numpy is the only numerical library: importing the CLI and whitening
-    # a desk channel must not pull in scipy
-    code = (
-        "import sys\n"
-        "import wdmlink.cli\n"
-        "from wdmlink.channel import assemble_H, assemble_R, whiten\n"
-        "from wdmlink.config import desk_profile\n"
-        "cfg = desk_profile()\n"
-        "whiten(assemble_H(cfg.geometry, cfg.wdm), assemble_R(cfg.geometry, cfg.wdm), cfg.wdm)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+# modules a serial, uncached run without a config file never needs; numpy
+# is the only numerical library, so scipy is never needed at all
+_IMPORT_BUDGET = frozenset(
+    (
+        "concurrent.futures.process",
+        "multiprocessing",
+        "hashlib",
+        "configparser",
+        "zipfile",
+        "scipy",
     )
+)
+
+_NEW_MODULES = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import wdmlink.cli\n"
+    "assert wdmlink.cli.main(sys.argv[1:]) == 0\n"
+    "print(*sorted(set(sys.modules) - before))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "flags, loads",
+    [
+        ((), set()),
+        (("--workers", "2"), {"concurrent.futures.process", "multiprocessing"}),
+        (("--cache-dir", "cache"), {"hashlib"}),
+        (("--config", "two.cfg"), {"configparser"}),
+    ],
+    ids=["serial", "pool", "cache", "config"],
+)
+def test_run_loads_only_what_its_command_uses(tmp_path, flags, loads):
+    # a 2-point desk sweep imports the pool, the cache hash and the INI
+    # parser only when its flags ask for them
+    (tmp_path / "two.cfg").write_text("[sweep]\ncount = 2\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(wdmlink.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["sweep", "--profile", "desk", "--count", "2", "--no-svg", "--out", "sweep.csv"]
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", _NEW_MODULES, *argv, *flags],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        check=True,
     )
-    assert done.stdout.strip() == "[]"
+    new = set(done.stdout.split())
+    assert loads <= new
+    unasked = _IMPORT_BUDGET - loads
+    if "multiprocessing" in loads:
+        # a forkserver pool authenticates its workers through hmac
+        unasked -= {"hashlib"}
+    assert not new & unasked
 
 
 @pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])

@@ -1,5 +1,6 @@
 """Runner-level tests: CSV output, determinism, caching, worker handling."""
 
+import concurrent.futures
 import math
 import os
 from dataclasses import replace
@@ -153,12 +154,13 @@ class TestRunSweep:
         # 19 points on two workers go out in chunks of 2, the last one ragged
         chunksizes = []
 
-        class RecordingPool(experiments.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def map(self, fn, *iterables, **kwargs):
                 chunksizes.append(kwargs.get("chunksize", 1))
                 return super().map(fn, *iterables, **kwargs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        # experiments imports the pool class from here when a run needs it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = small_sweep(desk, count=19)
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         run_sweep(cfg, str(serial))
