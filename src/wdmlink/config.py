@@ -85,6 +85,8 @@ class SweepSettings:
             raise ValueError("sweep start and stop must be finite")
         if self.count > 1 and not self.stop > self.start:
             raise ValueError("sweep needs stop > start when count > 1")
+        if self.seed < 0:
+            raise ValueError(f"[sweep] seed must be non-negative, got {self.seed}")
         if self.draws_per_phi < 1:
             raise ValueError("draws_per_phi must be positive")
         if not 0.0 <= self.theta_max_deg <= 180.0:

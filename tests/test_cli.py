@@ -112,6 +112,18 @@ def test_malformed_flag_value_exits_1_naming_the_key(tmp_path, capsys, flags, ke
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "avg-sweep"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_negative_seed_exits_1_naming_the_key(tmp_path, capsys, command, source):
+    cfg_file = tmp_path / "seed.cfg"
+    cfg_file.write_text("[sweep]\nseed = -3\n")
+    given = ["--seed", "-3"] if source == "flag" else ["--config", str(cfg_file)]
+    rc = cli.main([command, "--out", str(tmp_path / "s.csv"), *given])
+    assert rc == 1
+    assert "[sweep] seed" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_empty_mode_offsets_flag_exits_1(tmp_path, capsys):
     rc = cli.main(["field", "--out", str(tmp_path / "f.csv"), "--mode-offsets="])
     assert rc == 1
@@ -250,7 +262,8 @@ def test_avg_sweep_stop_from_file_equals_stop_flag(tmp_path):
 
 
 # modules a serial, uncached run without a config file never needs; numpy
-# is the only numerical library, so scipy is never needed at all
+# is the only numerical library, so scipy is never needed at all, and the
+# tilt ensemble is drawn without numpy.random
 _IMPORT_BUDGET = frozenset(
     (
         "concurrent.futures.process",
@@ -259,6 +272,7 @@ _IMPORT_BUDGET = frozenset(
         "configparser",
         "zipfile",
         "scipy",
+        "numpy.random",
     )
 )
 
@@ -270,34 +284,43 @@ _NEW_MODULES = (
     "print(*sorted(set(sys.modules) - before))\n"
 )
 
+_SWEEP = ("sweep", "--profile", "desk", "--count", "2", "--no-svg", "--out", "sweep.csv")
+_AVG_SWEEP = ("avg-sweep", "--profile", "desk", "--count", "1", "--draws", "2",
+              "--no-svg", "--out", "avg.csv")
+_POOL = {"concurrent.futures.process", "multiprocessing"}
+
 
 @pytest.mark.parametrize(
-    "flags, loads",
+    "argv, loads",
     [
-        ((), set()),
-        (("--workers", "2"), {"concurrent.futures.process", "multiprocessing"}),
-        (("--cache-dir", "cache"), {"hashlib"}),
-        (("--config", "two.cfg"), {"configparser"}),
+        (_SWEEP, set()),
+        (_SWEEP + ("--workers", "2"), _POOL),
+        (_SWEEP + ("--cache-dir", "cache"), {"hashlib"}),
+        (_SWEEP + ("--config", "two.cfg"), {"configparser"}),
+        (_AVG_SWEEP, set()),
+        (_AVG_SWEEP + ("--workers", "2"), _POOL),
+        (("selfcheck", "--profile", "desk"), set()),
     ],
-    ids=["serial", "pool", "cache", "config"],
+    ids=["serial", "pool", "cache", "config", "avg-serial", "avg-pool", "selfcheck"],
 )
-def test_run_loads_only_what_its_command_uses(tmp_path, flags, loads):
+def test_run_loads_only_what_its_command_uses(tmp_path, argv, loads):
     # a 2-point desk sweep imports the pool, the cache hash and the INI
-    # parser only when its flags ask for them
+    # parser only when its flags ask for them; averaged sweeps and the
+    # self-check draw their random numbers without numpy.random
     (tmp_path / "two.cfg").write_text("[sweep]\ncount = 2\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(wdmlink.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["sweep", "--profile", "desk", "--count", "2", "--no-svg", "--out", "sweep.csv"]
     done = subprocess.run(
-        [sys.executable, "-c", _NEW_MODULES, *argv, *flags],
+        [sys.executable, "-c", _NEW_MODULES, *argv],
         capture_output=True,
         text=True,
         env=env,
         cwd=tmp_path,
         check=True,
     )
-    new = set(done.stdout.split())
+    # the command's own report comes first, the new modules on the last line
+    new = set(done.stdout.splitlines()[-1].split())
     assert loads <= new
     unasked = _IMPORT_BUDGET - loads
     if "multiprocessing" in loads:

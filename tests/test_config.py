@@ -43,6 +43,8 @@ class TestSweepSettings:
         for start, stop in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0)):
             with pytest.raises(ValueError, match="finite"):
                 SweepSettings(start=start, stop=stop, count=1)
+        with pytest.raises(ValueError, match=r"\[sweep\] seed"):
+            SweepSettings(seed=-1)
         with pytest.raises(ValueError):
             SweepSettings(draws_per_phi=0)
         with pytest.raises(ValueError):

@@ -356,6 +356,45 @@ class TestRunAvgSweep:
         assert (max(svd) - min(svd)) / max(svd) < 0.25
 
 
+# The tilt ensemble's stream against numpy's Generator
+
+
+_NAMED_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 10**50]
+_RANDOM_SEEDS = [
+    int(s) for s in np.random.default_rng(20261018).integers(0, 2**64, 100, dtype=np.uint64)
+]
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [[s] for s in _NAMED_SEEDS] + [_RANDOM_SEEDS],
+    ids=[f"seed={s}" for s in _NAMED_SEEDS] + ["100-random-64-bit-seeds"],
+)
+def test_uniform_stream_is_numpy_default_rng(seeds):
+    # one stream per (size, range), so each starts at the seed's first draw
+    for seed in seeds:
+        for size in (1, 4, 20, 257):
+            for low, high in ((0.0, math.radians(30.0)), (-1.0, 1.0), (0.1, 10.0)):
+                ours = experiments._UniformStream(seed).uniform(low, high, size)
+                theirs = np.random.default_rng(seed).uniform(low, high, size)
+                assert ours.dtype == theirs.dtype
+                assert ours.tobytes() == theirs.tobytes(), (seed, size, low, high)
+
+
+@pytest.mark.parametrize("profile", ["desk", "full_scale"])
+def test_uniform_stream_follows_selfcheck_call_sequence(profile, request):
+    # interleaved vector and scalar calls consume one stream, as run_selfcheck does
+    n_modes = request.getfixturevalue(profile).wdm.n_modes
+    ours = experiments._UniformStream(202404)
+    theirs = np.random.default_rng(202404)
+    for _ in range(200):
+        assert ours.uniform(-1.0, 1.0, 3).tobytes() == theirs.uniform(-1.0, 1.0, 3).tobytes()
+        for high in (math.pi, 2.0 * math.pi):
+            a, b = ours.uniform(0.0, high), theirs.uniform(0.0, high)
+            assert type(a) is type(b) is float and a == b
+    assert ours.uniform(0.1, 10.0, n_modes).tobytes() == theirs.uniform(0.1, 10.0, n_modes).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Channel dump and self-check
 
