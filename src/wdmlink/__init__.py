@@ -18,15 +18,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # glibc's trim and mmap thresholds [bytes].  With its defaults, glibc maps
 # each block of 128 KiB or more afresh and hands free heap above 128 KiB at
 # the top back to the OS (raising both limits only as mapped blocks are
-# freed), so the temporaries of em_field.tone_fields blocks (130-260 KB
-# each) and a full-scale H's three (2400 x 41) complex arrays were
-# page-faulted in again on every call, at ~3-4 us a fault.  Faults of a
-# repeated desk assemble_H / full assemble_channel_set after one warm-up
-# call, 2-core Xeon, glibc 2.36: defaults 446 / 1185; 1 MiB 348 / 1740;
-# 2 and 4 MiB 0 / 1185 (the ~4.6 MB a full point frees at the heap top is
-# trimmed); 8, 16 and 32 MiB (glibc's dynamic ceiling) 0 / 0.  At 8 MiB,
-# the smallest with no faults, the median desk H fell from 3.3 to 1.6 ms
-# and a full-scale H from 22.7 to 18.3 ms (five alternating rounds).
+# freed), so the temporaries of each em_field._kernel_blocks block
+# (130-260 KB) were page-faulted in again on every call, at ~3-4 us a
+# fault.  Faults of a repeated desk assemble_H / full assemble_channel_set
+# after one warm-up call, 2-core Xeon, glibc 2.36: defaults 500 / 5386;
+# 1 MiB 363 / 491; 2 MiB 0 / 491; 4 and 8 MiB 0 / 0.  8 MiB was chosen
+# when H still held whole-segment (2400 x 41) arrays, as the smallest
+# threshold without faults then; it cut the median desk H from 3.3 to
+# 1.6 ms and a full-scale H from 22.7 to 18.3 ms (five alternating rounds).
 _MALLOC_THRESHOLD = 8 << 20
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3

@@ -21,11 +21,14 @@ both over the physical segment supports (the receive axis runs over
 [d_z - L_r/2, d_z + L_r/2]).  H is the projection of the tone fields
 int gz(r - s s_hat) phi_m(s) ds (:func:`wdmlink.em_field.tone_fields`)
 onto the receive tones, a tensor-product composite Gauss-Legendre sum
-on the node set of :mod:`wdmlink.quadrature`.  The R kernel depends
-only on the lag t = r' - r, so R is one composite sum over the lag on
-the centred segment, phased by the d_z congruence R -> D^H R D,
-D = diag(exp(j kappa_n d_z)), which is performance-neutral (see
-:func:`assemble_R`).  The tones exp(j kappa_n x) on the receive and lag
+on the node set of :mod:`wdmlink.quadrature`, contracted one kernel
+block of receive nodes at a time.  The R kernel depends only on the
+lag t = r' - r, so R is one composite sum over the lag on the centred
+segment, taken over blocks of lag nodes and phased by the d_z
+congruence R -> D^H R D, D = diag(exp(j kappa_n d_z)), which is
+performance-neutral (see :func:`assemble_R`).  Neither holds an array
+over the whole receive segment beyond its nodes, so memory does not
+grow with L_r.  The tones exp(j kappa_n x) on the receive and lag
 nodes come from one recurrence over the equally spaced kappa_n
 (``_tone_table``), not from N complex exponentials per node.
 Reductions run in a fixed order, so repeated runs are bit-identical.
@@ -177,7 +180,9 @@ def assemble_H(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     receive segment (:func:`wdmlink.em_field.tone_fields`).  Both
     integration axes oscillate at a rate of at most 2 kappa (propagation
     phase plus tone), so both composite rules are sized with half a
-    wavelength as the oscillation period.
+    wavelength as the oscillation period.  Each kernel block of receive
+    nodes is contracted with its weighted receive tones into an (N, S)
+    sum over the s-nodes, which meets the weighted transmit tones once.
 
     Returns:
         Complex array (N, N), row index = receive tone.
@@ -190,14 +195,17 @@ def assemble_H(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     r_nodes, r_weights = composite_gauss_nodes(
         geom.d_z - half, geom.d_z + half, cfg.wavelength / 2.0, cfg.quadrature
     )
-    kappas = _mode_frequencies(cfg, geom)
-    fields = em_field.tone_fields(
-        geom, EmConstants(cfg.wavelength), r_nodes, kappas, cfg.quadrature
+    k = EmConstants(cfg.wavelength)
+    s_nodes, tx_tones = em_field._transmit_tones(
+        geom, k, _mode_frequencies(cfg, geom), cfg.quadrature
     )
-    # the conjugate receive tones, exp(-j kappa_n r_z)
-    rx_conj = _tone_table(-r_nodes, cfg.n_modes, geom.L_s)
-    rx_conj *= r_weights
-    return rx_conj @ fields
+    rx_kern = np.zeros((cfg.n_modes, s_nodes.size), dtype=complex)
+    for rows, kern in em_field._kernel_blocks(geom, k, r_nodes, s_nodes, stacklevel=3):
+        # the block's weighted conjugate receive tones, exp(-j kappa_n r_z) w_r
+        rx = _tone_table(-r_nodes[rows], cfg.n_modes, geom.L_s)
+        rx *= r_weights[rows]
+        rx_kern += rx @ kern
+    return rx_kern @ tx_tones
 
 
 def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
@@ -218,7 +226,9 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
         P[n, n] = L g_n - h_n.
 
     g and h are composite Gauss-Legendre sums on [0, L_r] with the node
-    count of one H axis (kernel plus tone oscillate with period lambda/2).
+    count of one H axis (kernel plus tone oscillate with period lambda/2),
+    taken over blocks of lag nodes so that no (N, nodes) tone table is
+    held whole.
     Then R = D^H R(0) D, symmetrized to (R + R^H) / 2 against rounding.
 
     Returns:
@@ -229,7 +239,13 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     t, w = composite_gauss_nodes(0.0, L, cfg.wavelength / 2.0, cfg.quadrature)
     kappas = _mode_frequencies(cfg, geom)
     wk = w * np.sinc(2.0 * t / cfg.wavelength)
-    g, h = np.stack([wk, wk * t]) @ _tone_table(t, cfg.n_modes, geom.L_s).T
+    g_and_h_weights = np.stack([wk, wk * t])
+    gh = np.zeros((2, cfg.n_modes), dtype=complex)
+    step = max(1, em_field._BLOCK_PAIRS // cfg.n_modes)
+    for start in range(0, t.size, step):
+        blk = slice(start, start + step)
+        gh += g_and_h_weights[:, blk] @ _tone_table(t[blk], cfg.n_modes, geom.L_s).T
+    g, h = gh
     delta = kappas[None, :] - kappas[:, None]
     half = em_field._phasor(L * delta / (4.0 * math.pi))
     # the identity only keeps the diagonal finite; it is overwritten next
@@ -304,8 +320,9 @@ _FORMAT_TAG = "wdmlink-channel-set v2"
 def channel_header(geom: LinkGeometry, cfg: WdmConfig) -> str:
     """Canonical header describing one (geometry, config) pair.
 
-    Stored verbatim in channel files and hashed for cache file names; two
-    runs produce the same header exactly when every parameter matches.
+    Stored verbatim in channel files and checksummed for cache file names
+    (:func:`channel_cache_key`); two runs produce the same header exactly
+    when every parameter matches.
     """
     lines = [_FORMAT_TAG]
     for f in fields(geom):
@@ -320,10 +337,19 @@ def channel_header(geom: LinkGeometry, cfg: WdmConfig) -> str:
 
 
 def channel_cache_key(geom: LinkGeometry, cfg: WdmConfig) -> str:
-    """Stable hash of the header, suitable as a cache file stem."""
-    import hashlib  # ~6 ms and 3.6 MB (OpenSSL), so only a cached run pays
+    """Stable 16-hex-digit digest of the header, a cache file stem.
 
-    return hashlib.sha256(channel_header(geom, cfg).encode()).hexdigest()[:24]
+    The header's CRC-32 and Adler-32, which depend on its bytes alone, not
+    on process, platform or Python version.  zlib is already loaded by the
+    zipfile reader every cached run needs, where a cryptographic hash
+    would load OpenSSL (~3.5 MB).  A collision can only cost a
+    recompute: :func:`load_matching_channel_set` rejects an entry whose
+    stored header differs.
+    """
+    import zlib
+
+    header = channel_header(geom, cfg).encode()
+    return f"{zlib.crc32(header):08x}{zlib.adler32(header):08x}"
 
 
 def save_channel_set(

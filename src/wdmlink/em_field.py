@@ -29,10 +29,15 @@ one vectorised tangent in place of a complex exponential or a sine and
 a cosine.  With numpy 2.4 on a 2-core Xeon, float64 np.tan takes about
 3 ns per element, np.cos about 29 ns and complex np.exp about 48 ns.
 
-``tone_fields`` integrates it against the transmit tones (below) at
-receive heights, one bounded block of receive nodes at a time; the
-coupling matrix H of :mod:`wdmlink.channel` and ``received_field_profile``
-are both built on that one integral.
+One private generator, ``_kernel_blocks``, evaluates it on bounded
+blocks of receive nodes against the transmit-segment nodes and applies
+the near-field guard over all of them, so the transmit-field integral
+has one implementation.  ``tone_fields`` (behind
+``received_field_profile``) contracts each block with the weighted
+transmit tones (below); the coupling matrix H of :mod:`wdmlink.channel`
+contracts each block with its receive tones first and the transmit
+tones once at the end, so neither holds an array over the whole
+receive segment beyond its nodes.
 
 The approximation degrades below roughly ten wavelengths of separation;
 operations that evaluate it warn (``NearFieldWarning``) instead of
@@ -58,7 +63,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -86,17 +91,19 @@ FREE_SPACE_IMPEDANCE = 376.73  # [Ohm]
 # Separations below this many wavelengths trigger NearFieldWarning.
 FAR_FIELD_GUARD_WAVELENGTHS = 10.0
 
-# Node pairs per receive-node block of tone_fields.  The block's float64
-# and complex128 temporaries take about 1 MB and stay cache-resident
-# instead of streaming a whole (r_z, s) slab through memory.  Timed as
-# medians of assemble_H with the half-angle-tangent kernel, the default
-# rule (160 s nodes at full scale, 80 at desk) and the package's 8 MiB
-# malloc thresholds (``wdmlink._MALLOC_THRESHOLD``; freed blocks stay
-# resident) on a 2-core Xeon (2 MiB L2 per core), five alternating rounds
-# over 2**13 .. 2**17: at desk every size tied (1.53-1.64 ms); at full
-# 2**14 and 2**15 tied (17.4 and 17.7 ms), 2**13 took 18.3 ms, 2**16
-# 19.9 ms, and 2**17 30.4 ms, whose larger free heap top is trimmed again
-# (3040 page faults per call against 0 for the others).
+# Node pairs per block of _kernel_blocks (and lag nodes times modes per
+# block of channel.assemble_R).  The block's float64 and complex128
+# temporaries take about 1 MB and stay cache-resident, and they set the
+# traced peak of a channel set.  Re-timed with H contracted block by
+# block: medians of assemble_H over seven alternating rounds on a 2-core
+# Xeon (2 MiB L2 per core), default rule and the package's 8 MiB malloc
+# thresholds (``wdmlink._MALLOC_THRESHOLD``), against the traced peak of
+# a full-scale channel set:
+#   2**13: desk 1.90 ms, full 22.2 ms, 1.08 MB
+#   2**14: desk 1.67 ms, full 19.6 ms, 1.89 MB
+#   2**15: desk 1.50 ms, full 17.8 ms, 3.53 MB
+# 2**15 is ~9 % quicker at full scale but nearly doubles the peak, so
+# 2**14 is kept.
 _BLOCK_PAIRS = 2**14
 
 
@@ -313,53 +320,80 @@ def tone_fields(
 
     Returns the (len(r_z), len(kappas)) array of Integral phi_m(s)
     gz(r - s s_hat) ds, with phi_m(s) = exp(j kappa_m s) / sqrt(L_s) and
-    r = (d_x, 0, r_z).  Tone plus propagation phase oscillate at most at
-    2 kappa along s, so the s-rule is sized with half a wavelength as the
-    period.  The kernel is evaluated on blocks of receive nodes of about
-    ``_BLOCK_PAIRS`` node pairs each, and every block is contracted with
-    the weighted tones into its rows of the result, so memory stays
-    bounded whatever the node count.  Of the separation r - s s_hat only
-    the z-part depends on r; the x- and y-parts, and the kernel terms
-    built from them alone, are rows over s.  Each block's squared
-    distances serve both the kernel and the near-field guard.
+    r = (d_x, 0, r_z): each kernel block of :func:`_kernel_blocks` times
+    the weighted tones of :func:`_transmit_tones`, written into its rows
+    of the result.
 
     Warns:
         NearFieldWarning: If any node pair falls below the guard; the
-            warning points at the caller of ``assemble_H`` or
-            ``received_field_profile``.
+            warning points at the caller of ``received_field_profile``.
+    """
+    s_nodes, weighted_tones = _transmit_tones(geom, k, kappas, spec)
+    r_z = np.asarray(r_z, dtype=float)
+    out = np.empty((r_z.size, weighted_tones.shape[1]), dtype=complex)
+    for rows, kern in _kernel_blocks(geom, k, r_z, s_nodes, stacklevel=4):
+        np.matmul(kern, weighted_tones, out=out[rows])
+    return out
+
+
+def _transmit_tones(
+    geom: LinkGeometry, k: EmConstants, kappas: np.ndarray, spec: QuadratureSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the s-rule and the weighted tones on them.
+
+    Tone plus propagation phase oscillate at most at 2 kappa along s, so
+    the s-rule is sized with half a wavelength as the period.  Returns
+    the nodes and the (S, len(kappas)) array w_s phi_m(s).
     """
     s_nodes, s_weights = composite_gauss_nodes(
         -geom.L_s / 2.0, geom.L_s / 2.0, k.wavelength / 2.0, spec
     )
+    weighted_tones = _phasor(
+        np.outer(s_nodes, kappas / (2.0 * math.pi)),
+        (s_weights / math.sqrt(geom.L_s))[:, None],
+    )
+    return s_nodes, weighted_tones
+
+
+def _kernel_blocks(
+    geom: LinkGeometry,
+    k: EmConstants,
+    r_z: np.ndarray,
+    s_nodes: np.ndarray,
+    stacklevel: int,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, gz(r - s s_hat)) over r_z x s_nodes, block by block.
+
+    Each block covers about ``_BLOCK_PAIRS`` node pairs, so memory stays
+    bounded whatever the node count; ``rows`` is the block's slice of
+    r_z.  Of the separation r - s s_hat only the z-part depends on r; the
+    x- and y-parts, and the kernel terms built from them alone, are rows
+    over s.  Each block's squared distances serve both the kernel and the
+    near-field guard, which warns once after the last block, at
+    ``stacklevel`` counted from here (the consumer is level 2).
+    """
     s_hat = source_direction(geom.theta_s, geom.phi_s)
-    r_z = np.asarray(r_z, dtype=float)
     ux = (geom.d_x - s_nodes * s_hat[0])[None, :]
     uy = (-s_nodes * s_hat[1])[None, :]
     uxy2 = ux * ux + uy * uy
     lean = ux * s_hat[0] + uy * s_hat[1]
     s_z = s_nodes[None, :] * s_hat[2]
-    weighted_tones = _phasor(
-        np.outer(s_nodes, kappas / (2.0 * math.pi)),
-        (s_weights / math.sqrt(geom.L_s))[:, None],
-    )
-    out = np.empty((r_z.size, weighted_tones.shape[1]), dtype=complex)
-    rows = max(1, _BLOCK_PAIRS // s_nodes.size)
+    step = max(1, _BLOCK_PAIRS // s_nodes.size)
     d2_min = math.inf
-    for start in range(0, r_z.size, rows):
-        uz = r_z[start : start + rows, None] - s_z
+    for start in range(0, r_z.size, step):
+        rows = slice(start, start + step)
+        uz = r_z[rows, None] - s_z
         dist2 = uxy2 + uz * uz
         d2_min = min(d2_min, float(np.min(dist2)))
-        kern = _gz(uxy2, lean, uz, dist2, s_hat[2], k)
-        np.matmul(kern, weighted_tones, out=out[start : start + rows])
+        yield rows, _gz(uxy2, lean, uz, dist2, s_hat[2], k)
     d_min = math.sqrt(d2_min)
     if d_min < FAR_FIELD_GUARD_WAVELENGTHS * k.wavelength:
         warnings.warn(
             f"closest source/receive separation {d_min:.3g} m is below "
             f"{FAR_FIELD_GUARD_WAVELENGTHS:g} wavelengths",
             NearFieldWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
-    return out
 
 
 def received_field_profile(

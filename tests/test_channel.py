@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdmlink import channel
+from wdmlink import channel, em_field
 from wdmlink.channel import (
     WdmConfig,
     assemble_H,
@@ -33,7 +33,9 @@ from oracles import (
     R_oracle_2d,
     lag_coupling_oracle,
     midpoint_coupling_oracle,
+    s_rule,
     tensor_sum,
+    tone_fields_one_slab,
 )
 
 
@@ -114,6 +116,18 @@ class TestToneTable:
             assert np.max(np.abs(np.abs(tones) - 1.0)) <= 1e-14
 
 
+def _channel_set_peak(geom, cfg):
+    """Traced peak bytes of three channel sets after one warm-up call."""
+    assemble_channel_set(geom, cfg)
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            assemble_channel_set(geom, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestAssembleH:
     def test_mirror_symmetry_broadside(self):
         # z -> -z maps mode n to N+1-n at both ends; the kernel is even in
@@ -138,6 +152,49 @@ class TestAssembleH:
         oracle = midpoint_coupling_oracle(geom, REDUCED_CFG, 1000, 1200)
         rel = np.linalg.norm(H - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-4
+
+    def test_blocked_contraction_matches_one_slab(self, desk):
+        # H sums receive tones times kernel over the receive-node blocks and
+        # meets the transmit tones once; the unblocked field slab projected
+        # onto np.exp receive tones differs only in summation order
+        geom = replace(
+            desk.geometry, theta_s=math.radians(35.0), phi_s=math.radians(70.0), d_z=0.3
+        )
+        cfg = replace(desk.wdm, quadrature=ORACLE_SPEC)
+        k = EmConstants(cfg.wavelength)
+        r, w = composite_gauss_nodes(
+            geom.d_z - geom.L_r / 2, geom.d_z + geom.L_r / 2, k.wavelength / 2, cfg.quadrature
+        )
+        rows = em_field._BLOCK_PAIRS // s_rule(geom, k, cfg.quadrature)[0].size
+        assert r.size > 4 * rows and r.size % rows != 0  # many blocks, last ragged
+        kappas = np.array(
+            [spatial_frequency(n, cfg.n_modes, geom.L_s) for n in range(1, cfg.n_modes + 1)]
+        )
+        slab = tone_fields_one_slab(geom, k, r, kappas, cfg.quadrature)
+        ref = (np.exp(-1j * np.outer(kappas, r)) * w) @ slab
+        H = assemble_H(geom, cfg)
+        assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_guard_takes_minimum_over_all_blocks(self, desk):
+        # broadside segment along x: only receive nodes within ~9 cm of
+        # r_z = 0 come closer than 10 wavelengths (0.2 m); on this rule they
+        # lie in the middle kernel blocks, neither the first nor the last
+        geom = replace(desk.geometry, d_x=0.28, theta_s=math.pi / 2)
+        cfg = replace(desk.wdm, quadrature=ORACLE_SPEC)
+        k = EmConstants(cfg.wavelength)
+        s_nodes, _ = s_rule(geom, k, cfg.quadrature)
+        r_nodes, _ = composite_gauss_nodes(
+            -geom.L_r / 2, geom.L_r / 2, k.wavelength / 2, cfg.quadrature
+        )
+        sep = np.hypot(geom.d_x - s_nodes[None, :], r_nodes[:, None]).min(axis=1)
+        near = sep < 10.0 * k.wavelength
+        rows = em_field._BLOCK_PAIRS // s_nodes.size
+        assert near.any() and not near[:rows].any() and not near[-rows:].any()
+        with pytest.warns(NearFieldWarning) as record:
+            assemble_H(geom, cfg)
+        assert len(record) == 1
+        assert record[0].filename == __file__  # attributed to the caller
+        assert f"{sep.min():.3g} m" in str(record[0].message)
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(
@@ -167,18 +224,19 @@ class TestAssembleH:
         assert peak <= 64e6
 
     def test_repeated_full_scale_channel_set_peak_memory(self, full_scale):
-        # with the receive tones weighted in place a full channel set peaks
-        # at ~3.4 MB, and repeated calls must not pile up
+        # with H and R contracted one block of receive or lag nodes at a
+        # time a full channel set peaks at ~1.9 MB (whole-segment tone
+        # tables would take it to 3.4 MB), and repeated calls must not pile up
+        assert _channel_set_peak(full_scale.geometry, full_scale.wdm) <= 2.2e6
+
+    def test_channel_set_peak_memory_does_not_grow_with_receive_length(self, full_scale):
+        # a 4x longer receive segment has 4x the receive and lag nodes, but
+        # only their node arrays grow: ~2.0 MB against ~1.9 MB (whole-segment
+        # tone tables would take it to 13.3 MB)
         geom, cfg = full_scale.geometry, full_scale.wdm
-        assemble_channel_set(geom, cfg)
-        tracemalloc.start()
-        try:
-            for _ in range(3):
-                assemble_channel_set(geom, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5e6
+        short = _channel_set_peak(geom, cfg)
+        long = _channel_set_peak(replace(geom, L_r=4.0 * geom.L_r), cfg)
+        assert long <= 1.1 * short
 
     def test_quadrature_convergence(self):
         fine = replace(
@@ -511,6 +569,11 @@ class TestSerialization:
         assert base != channel_cache_key(
             REDUCED_GEOM, replace(REDUCED_CFG, sigma2_emi=2.0)
         )
+
+    def test_cache_key_is_pinned(self):
+        # the file name is the header's CRC-32 and Adler-32, which depend on
+        # its bytes alone: not on the process, platform or Python version
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "540f8a4eab957c0c"
 
     def test_header_contains_every_parameter(self):
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)

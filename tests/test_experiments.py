@@ -202,6 +202,23 @@ class TestRunSweep:
         fresh = experiments._channel_for(geom, cfg.wdm, cache_dir="")
         assert np.array_equal(loaded.H_tilde, fresh.H_tilde)
 
+    def test_colliding_cache_keys_only_cost_a_recompute(self, desk, tmp_path, monkeypatch):
+        # every channel set of two different tilt sweeps lands in one file;
+        # the stored header tells the entries apart, so each point either
+        # loads its own set or recomputes and overwrites the other's
+        monkeypatch.setattr(experiments, "channel_cache_key", lambda geom, cfg: "same")
+        cache = tmp_path / "cache"
+        for i, (start, stop) in enumerate(((0.0, 30.0), (40.0, 70.0))):
+            cfg = small_sweep(desk, parameter="theta_s", start=start, stop=stop, count=3)
+            cached = replace(cfg, output=replace(cfg.output, cache_dir=str(cache)))
+            plain = tmp_path / f"plain{i}.csv"
+            run_sweep(cfg, str(plain))
+            for rerun in range(2):
+                out = tmp_path / f"cached{i}_{rerun}.csv"
+                run_sweep(cached, str(out))
+                assert out.read_bytes() == plain.read_bytes()
+        assert os.listdir(cache) == ["same.wdmch"]
+
     def test_tilt_sweep_reports_degrees(self, desk, tmp_path):
         tilt = small_sweep(desk, parameter="theta_s", start=0.0, stop=30.0, count=3)
         tilt_path = str(tmp_path / "tilt.csv")
