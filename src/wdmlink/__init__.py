@@ -19,13 +19,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # each block of 128 KiB or more afresh and hands free heap above 128 KiB at
 # the top back to the OS (raising both limits only as mapped blocks are
 # freed), so the temporaries of each em_field._kernel_blocks block
-# (130-260 KB) were page-faulted in again on every call, at ~3-4 us a
-# fault.  Faults of a repeated desk assemble_H / full assemble_channel_set
-# after one warm-up call, 2-core Xeon, glibc 2.36: defaults 500 / 5386;
-# 1 MiB 363 / 491; 2 MiB 0 / 491; 4 and 8 MiB 0 / 0.  8 MiB was chosen
-# when H still held whole-segment (2400 x 41) arrays, as the smallest
-# threshold without faults then; it cut the median desk H from 3.3 to
-# 1.6 ms and a full-scale H from 22.7 to 18.3 ms (five alternating rounds).
+# (130-260 KB) and R's lag-tone table (~1.8 MB at full scale) are
+# page-faulted in again on every call, at ~3-4 us a fault.  Faults of a
+# repeated desk assemble_H / full assemble_channel_set after one warm-up
+# call, 2-core Xeon, glibc 2.36: defaults 362 / 428; 1 MiB 332 / 863;
+# 2 MiB 0 / 478; 4 and 8 MiB 0 / 0.  With twice the kernel block
+# (em_field._BLOCK_PAIRS = 2**15) 4 and 8 MiB still give 0 / 0; with four
+# times it 4 MiB gives 0 / 1638 and 8 MiB 0 / 0, so 8 MiB keeps that
+# headroom for the block size.
 _MALLOC_THRESHOLD = 8 << 20
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3

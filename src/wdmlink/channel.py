@@ -24,13 +24,13 @@ onto the receive tones, a tensor-product composite Gauss-Legendre sum
 on the node set of :mod:`wdmlink.quadrature`, contracted one kernel
 block of receive nodes at a time.  The R kernel depends only on the
 lag t = r' - r, so R is one composite sum over the lag on the centred
-segment, taken over blocks of lag nodes and phased by the d_z
-congruence R -> D^H R D, D = diag(exp(j kappa_n d_z)), which is
-performance-neutral (see :func:`assemble_R`).  Neither holds an array
-over the whole receive segment beyond its nodes, so memory does not
-grow with L_r.  The tones exp(j kappa_n x) on the receive and lag
-nodes come from one recurrence over the equally spaced kappa_n
-(``_tone_table``), not from N complex exponentials per node.
+segment, phased by the d_z congruence R -> D^H R D,
+D = diag(exp(j kappa_n d_z)), which is performance-neutral (see
+:func:`assemble_R`).  H holds no array over the whole receive segment
+beyond its nodes, so its memory does not grow with L_r; R holds one
+(N, nodes) table of lag tones.  The tones exp(j kappa_n x) on the
+receive and lag nodes come from one recurrence over the equally spaced
+kappa_n (``_tone_table``), not from N complex exponentials per node.
 Reductions run in a fixed order, so repeated runs are bit-identical.
 
 Ambient electromagnetic interference reaching the receive segment is
@@ -226,9 +226,7 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
         P[n, n] = L g_n - h_n.
 
     g and h are composite Gauss-Legendre sums on [0, L_r] with the node
-    count of one H axis (kernel plus tone oscillate with period lambda/2),
-    taken over blocks of lag nodes so that no (N, nodes) tone table is
-    held whole.
+    count of one H axis (kernel plus tone oscillate with period lambda/2).
     Then R = D^H R(0) D, symmetrized to (R + R^H) / 2 against rounding.
 
     Returns:
@@ -239,13 +237,7 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     t, w = composite_gauss_nodes(0.0, L, cfg.wavelength / 2.0, cfg.quadrature)
     kappas = _mode_frequencies(cfg, geom)
     wk = w * np.sinc(2.0 * t / cfg.wavelength)
-    g_and_h_weights = np.stack([wk, wk * t])
-    gh = np.zeros((2, cfg.n_modes), dtype=complex)
-    step = max(1, em_field._BLOCK_PAIRS // cfg.n_modes)
-    for start in range(0, t.size, step):
-        blk = slice(start, start + step)
-        gh += g_and_h_weights[:, blk] @ _tone_table(t[blk], cfg.n_modes, geom.L_s).T
-    g, h = gh
+    g, h = np.stack([wk, wk * t]) @ _tone_table(t, cfg.n_modes, geom.L_s).T
     delta = kappas[None, :] - kappas[:, None]
     half = em_field._phasor(L * delta / (4.0 * math.pi))
     # the identity only keeps the diagonal finite; it is overwritten next

@@ -91,14 +91,13 @@ FREE_SPACE_IMPEDANCE = 376.73  # [Ohm]
 # Separations below this many wavelengths trigger NearFieldWarning.
 FAR_FIELD_GUARD_WAVELENGTHS = 10.0
 
-# Node pairs per block of _kernel_blocks (and lag nodes times modes per
-# block of channel.assemble_R).  The block's float64 and complex128
-# temporaries take about 1 MB and stay cache-resident, and they set the
-# traced peak of a channel set.  Re-timed with H contracted block by
-# block: medians of assemble_H over seven alternating rounds on a 2-core
-# Xeon (2 MiB L2 per core), default rule and the package's 8 MiB malloc
+# Node pairs per block of _kernel_blocks.  The block's float64 and
+# complex128 temporaries take about 1 MB and stay cache-resident, and they
+# set the traced peak of H.  Re-timed with H contracted block by block:
+# medians of assemble_H over seven alternating rounds on a 2-core Xeon
+# (2 MiB L2 per core), default rule and the package's 8 MiB malloc
 # thresholds (``wdmlink._MALLOC_THRESHOLD``), against the traced peak of
-# a full-scale channel set:
+# a full-scale assemble_H:
 #   2**13: desk 1.90 ms, full 22.2 ms, 1.08 MB
 #   2**14: desk 1.67 ms, full 19.6 ms, 1.89 MB
 #   2**15: desk 1.50 ms, full 17.8 ms, 3.53 MB

@@ -116,13 +116,13 @@ class TestToneTable:
             assert np.max(np.abs(np.abs(tones) - 1.0)) <= 1e-14
 
 
-def _channel_set_peak(geom, cfg):
-    """Traced peak bytes of three channel sets after one warm-up call."""
-    assemble_channel_set(geom, cfg)
+def _traced_peak(assemble, geom, cfg):
+    """Traced peak bytes of three calls of ``assemble`` after one warm-up call."""
+    assemble(geom, cfg)
     tracemalloc.start()
     try:
         for _ in range(3):
-            assemble_channel_set(geom, cfg)
+            assemble(geom, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,18 +224,19 @@ class TestAssembleH:
         assert peak <= 64e6
 
     def test_repeated_full_scale_channel_set_peak_memory(self, full_scale):
-        # with H and R contracted one block of receive or lag nodes at a
-        # time a full channel set peaks at ~1.9 MB (whole-segment tone
-        # tables would take it to 3.4 MB), and repeated calls must not pile up
-        assert _channel_set_peak(full_scale.geometry, full_scale.wdm) <= 2.2e6
+        # with H contracted one block of receive nodes at a time a full
+        # channel set peaks at ~1.9 MB (H; R's lag-tone table takes ~1.8 MB,
+        # whole-segment receive tones in H took it to 3.4 MB), and repeated
+        # calls must not pile up
+        peak = _traced_peak(assemble_channel_set, full_scale.geometry, full_scale.wdm)
+        assert peak <= 2.2e6
 
-    def test_channel_set_peak_memory_does_not_grow_with_receive_length(self, full_scale):
-        # a 4x longer receive segment has 4x the receive and lag nodes, but
-        # only their node arrays grow: ~2.0 MB against ~1.9 MB (whole-segment
-        # tone tables would take it to 13.3 MB)
+    def test_peak_memory_does_not_grow_with_receive_length(self, full_scale):
+        # a 4x longer receive segment has 4x the receive nodes, but only
+        # their node arrays grow: ~2.0 MB against ~1.9 MB
         geom, cfg = full_scale.geometry, full_scale.wdm
-        short = _channel_set_peak(geom, cfg)
-        long = _channel_set_peak(replace(geom, L_r=4.0 * geom.L_r), cfg)
+        short = _traced_peak(assemble_H, geom, cfg)
+        long = _traced_peak(assemble_H, replace(geom, L_r=4.0 * geom.L_r), cfg)
         assert long <= 1.1 * short
 
     def test_quadrature_convergence(self):
