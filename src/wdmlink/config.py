@@ -37,6 +37,7 @@ import numpy as np
 
 from .channel import WdmConfig, emi_variance, max_modes, total_power
 from .geometry import LinkGeometry
+from .receivers import MMSE_FORMS
 
 __all__ = [
     "SweepSettings",
@@ -253,7 +254,7 @@ PARAMETERS = (
     Param("wdm", "source_power", None, "wdm.source_power", float),
     Param("wdm", "snr_emi_db", None, "wdm.snr_emi_db", float),
     Param("wdm", "sigma2_hdw", None, "wdm.sigma2_hdw", float),
-    Param("wdm", "mmse_form", None, "mmse_form", _choice("hermitian", "table")),
+    Param("wdm", "mmse_form", None, "mmse_form", _choice(*MMSE_FORMS)),
     Param("quadrature", "points_per_wavelength", None, "quadrature.points_per_wavelength", float),
     Param("quadrature", "nodes_per_panel", None, "quadrature.nodes_per_panel", int),
     Param("quadrature", "max_panels", None, "quadrature.max_panels", int),

@@ -234,7 +234,7 @@ def _evaluate_point(
         ch = _channel_for(geom, wdm, cache_dir)
         power = total_power(wdm)
         ses = [
-            spectral_efficiency(kind, ch, power, mmse_form).se_total
+            spectral_efficiency(kind, ch.H_tilde, power, mmse_form).se_total
             for kind in SCHEME_ORDER
         ]
         return SweepRecord(value, *ses)

@@ -1,26 +1,26 @@
 """Linear transceiver architectures and their spectral efficiency.
 
-The whitened link y = H_tilde x + z with z ~ CN(0, I) is driven through
-a precoder A (x = A x', per-mode powers p on x') and a bank of combiners
-B_tilde.  Four architectures are supported:
+The whitened link y = H_tilde x + z with z ~ CN(0, I) carries one stream
+per mode with powers p.  Four architectures are supported:
 
-    SVD    A = V, B_tilde = U from H_tilde = U S V^H; chi_n = S[n,n]^2.
-    MMSE   A = I; B_tilde = (H_tilde P H_tilde^H + I)^{-1} H_tilde with
+    SVD    precoder V, combiners U from H_tilde = U S V^H; the modes
+           decouple, SINR_n = p_n chi_n with chi_n = S[n,n]^2.
+    MMSE   combiners (H_tilde P H_tilde^H + I)^{-1} H_tilde with
            P = diag(p); chi_n = ||column n of H_tilde||^2.
-    MR     A = I, B_tilde = H_tilde; chi_n as for MMSE.
-    PLAIN  A = I, B_tilde = I (no receive processing); chi_n =
-           |H_tilde[n, n]|^2.
+    MR     combiners H_tilde; chi_n as for MMSE.
+    PLAIN  combiners I (no receive processing); chi_n = |H_tilde[n, n]|^2.
 
-Powers are water-filled against the gains chi: p_n = max(0, mu - 1/chi_n)
-with sum p = P, solved exactly by the sorted-breakpoint method.  The
-per-mode quality is
+Only SVD's singular values are computed here; its U and V, like every
+precoder and combiner matrix, exist only in the tests' reference
+implementation.  The other three have no precoder, so their streams are
+the columns g_m of H_tilde.  Powers are water-filled against the gains:
+p_n = max(0, mu - 1/chi_n) with sum p = P, solved exactly by the
+sorted-breakpoint method.  A combiner bank gives per-mode qualities
 
     SINR_n = |b_n^H g_n|^2 p_n
              / (sum_{m != n} |b_n^H g_m|^2 p_m + b_n^H b_n),
 
-where g_m are columns of the effective channel H_tilde A, and the sum
-spectral efficiency is sum log2(1 + SINR_n); for SVD the exact
-equivalent sum log2(1 + p_n chi_n) is used directly.
+and the sum spectral efficiency is sum log2(1 + SINR_n).
 
 The textbook MMSE filter above differs from writing the power matrix in
 front of the Gram product; ``mmse_form="table"`` switches to that
@@ -31,23 +31,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .channel import ChannelSet
-
 __all__ = [
+    "MMSE_FORMS",
     "Scheme",
     "SchemeResult",
     "waterfill",
     "scheme_gains",
-    "scheme_matrices",
     "sinr",
     "spectral_efficiency",
 ]
 
-_MMSE_FORMS = ("hermitian", "table")
+# Variants of the MMSE filter (see module docs); the config key
+# ``mmse_form`` accepts exactly these.
+MMSE_FORMS = ("hermitian", "table")
 
 
 class Scheme(enum.Enum):
@@ -69,8 +69,6 @@ class SchemeResult:
         mu: Water level.
         sinr: Per-mode SINR.
         se_total: Sum spectral efficiency [bit per channel use].
-        A: Precoder.
-        B_tilde: Combiner bank (columns are per-mode combiners).
     """
 
     scheme: Scheme
@@ -78,8 +76,6 @@ class SchemeResult:
     mu: float
     sinr: np.ndarray
     se_total: float
-    A: np.ndarray
-    B_tilde: np.ndarray
 
 
 def waterfill(chi: np.ndarray, power: float) -> Tuple[np.ndarray, float]:
@@ -128,60 +124,30 @@ def waterfill(chi: np.ndarray, power: float) -> Tuple[np.ndarray, float]:
     return p, mu
 
 
-def scheme_gains(kind: Scheme, ch: ChannelSet) -> np.ndarray:
+def scheme_gains(kind: Scheme, H_tilde: np.ndarray) -> np.ndarray:
     """Water-filling gains chi_n of one architecture (see module docs)."""
-    H_t = ch.H_tilde
     if kind is Scheme.SVD:
-        s = np.linalg.svd(H_t, compute_uv=False)
+        s = np.linalg.svd(H_tilde, compute_uv=False)
         return s * s
     if kind in (Scheme.MMSE, Scheme.MR):
-        return np.sum(np.abs(H_t) ** 2, axis=0)
+        return np.sum(np.abs(H_tilde) ** 2, axis=0)
     if kind is Scheme.PLAIN:
-        return np.abs(np.diag(H_t)) ** 2
+        return np.abs(np.diag(H_tilde)) ** 2
     raise ValueError(f"unknown scheme {kind!r}")
 
 
-def scheme_matrices(
-    kind: Scheme,
-    ch: ChannelSet,
-    p: Optional[np.ndarray] = None,
-    mmse_form: str = "hermitian",
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precoder, combiner bank and gains of one architecture.
-
-    Args:
-        kind: Architecture.
-        ch: Whitened channel.
-        p: Per-mode powers; required by MMSE (its filter depends on the
-            allocation), ignored by the other architectures.
-        mmse_form: "hermitian" for the textbook filter, "table" for the
-            power-in-front variant.
-
-    Returns:
-        (A, B_tilde, chi).
-    """
-    H_t = ch.H_tilde
-    n = H_t.shape[0]
-    eye = np.eye(n)
-    if kind is Scheme.SVD:
-        u, s, vh = np.linalg.svd(H_t)
-        return vh.conj().T, u, s * s
+def _combiners(kind: Scheme, H_tilde: np.ndarray, p: np.ndarray, mmse_form: str) -> np.ndarray:
+    """Combiner bank of MMSE, MR or PLAIN; column n is mode n's combiner."""
     if kind is Scheme.MR:
-        return eye, H_t.copy(), scheme_gains(kind, ch)
+        return H_tilde
+    eye = np.eye(H_tilde.shape[0])
     if kind is Scheme.PLAIN:
-        return eye, eye.copy(), scheme_gains(kind, ch)
-    if kind is Scheme.MMSE:
-        if p is None:
-            raise ValueError("MMSE combiner requires the power allocation p")
-        if mmse_form not in _MMSE_FORMS:
-            raise ValueError(f"mmse_form must be one of {_MMSE_FORMS}, got {mmse_form!r}")
-        p = np.asarray(p, dtype=float)
-        if mmse_form == "hermitian":
-            gram = (H_t * p[None, :]) @ H_t.conj().T + eye
-        else:
-            gram = p[:, None] * (H_t @ H_t.conj().T) + eye
-        return eye, np.linalg.solve(gram, H_t), scheme_gains(kind, ch)
-    raise ValueError(f"unknown scheme {kind!r}")
+        return eye
+    if mmse_form == "hermitian":
+        gram = (H_tilde * p[None, :]) @ H_tilde.conj().T + eye
+    else:
+        gram = p[:, None] * (H_tilde @ H_tilde.conj().T) + eye
+    return np.linalg.solve(gram, H_tilde)
 
 
 def sinr(combiners: np.ndarray, channel: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -190,8 +156,8 @@ def sinr(combiners: np.ndarray, channel: np.ndarray, p: np.ndarray) -> np.ndarra
     Args:
         combiners: Combiner bank B whose column n is mode n's combiner
             b_n (nonzero).
-        channel: Effective channel H_tilde A whose columns carry the
-            per-mode streams.
+        channel: Effective channel whose columns carry the per-mode
+            streams (H_tilde for architectures without a precoder).
         p: Per-mode powers.
 
     Returns:
@@ -207,40 +173,34 @@ def sinr(combiners: np.ndarray, channel: np.ndarray, p: np.ndarray) -> np.ndarra
         raise ValueError("combiners must be nonzero")
     cross = np.abs(B.conj().T @ np.asarray(channel)) ** 2
     signal = np.diag(cross) * p
-    return signal / (cross @ p - signal + norm2)
+    np.fill_diagonal(cross, 0.0)  # interference sums m != n without cancelling the signal
+    return signal / (cross @ p + norm2)
 
 
 def spectral_efficiency(
-    kind: Scheme, ch: ChannelSet, power: float, mmse_form: str = "hermitian"
+    kind: Scheme, H_tilde: np.ndarray, power: float, mmse_form: str = "hermitian"
 ) -> SchemeResult:
-    """Water-fill, build the architecture and evaluate its sum rate.
+    """Water-fill one architecture and evaluate its sum rate.
 
-    The gains chi of Table-style water-filling never depend on p, so the
-    allocation is computed first and the (possibly p-dependent) combiner
-    afterwards.
+    The gains chi never depend on p, so the allocation is computed first
+    and the (for MMSE p-dependent) combiner bank afterwards.
 
     Args:
         kind: Architecture.
-        ch: Whitened channel.
+        H_tilde: Whitened channel matrix.
         power: Total power budget P.
-        mmse_form: Passed through to :func:`scheme_matrices`.
+        mmse_form: One of :data:`MMSE_FORMS`, the MMSE filter variant.
 
     Returns:
-        SchemeResult; ``se_total`` uses sum log2(1 + p chi) for SVD and
-        sum log2(1 + SINR) otherwise.
+        SchemeResult with ``se_total`` = sum log2(1 + SINR).
     """
+    if mmse_form not in MMSE_FORMS:
+        raise ValueError(f"mmse_form must be one of {MMSE_FORMS}, got {mmse_form!r}")
+    chi = scheme_gains(kind, H_tilde)
+    p, mu = waterfill(chi, power)
     if kind is Scheme.SVD:
-        A, B, chi = scheme_matrices(kind, ch)
-        p, mu = waterfill(chi, power)
+        sinr_values = p * chi
     else:
-        chi = scheme_gains(kind, ch)
-        p, mu = waterfill(chi, power)
-        A, B, chi = scheme_matrices(kind, ch, p, mmse_form)
-    sinr_values = sinr(B, ch.H_tilde @ A, p)
-    if kind is Scheme.SVD:
-        se = float(np.sum(np.log2(1.0 + p * chi)))
-    else:
-        se = float(np.sum(np.log2(1.0 + sinr_values)))
-    return SchemeResult(
-        scheme=kind, p=p, mu=mu, sinr=sinr_values, se_total=se, A=A, B_tilde=B
-    )
+        sinr_values = sinr(_combiners(kind, H_tilde, p, mmse_form), H_tilde, p)
+    se = float(np.sum(np.log2(1.0 + sinr_values)))
+    return SchemeResult(scheme=kind, p=p, mu=mu, sinr=sinr_values, se_total=se)

@@ -12,11 +12,12 @@ from typing import List
 
 import numpy as np
 
-from wdmlink.channel import ChannelSet, WdmConfig
+from wdmlink.channel import WdmConfig
 from wdmlink import em_field
 from wdmlink.em_field import FieldPeak, ModeIndex, gz_kernel, spatial_frequency
 from wdmlink.geometry import LinkGeometry, source_direction
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
+from wdmlink.receivers import Scheme
 
 REDUCED_GEOM = LinkGeometry(L_s=0.2, L_r=0.5, d_x=1.0)
 REDUCED_CFG = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=1.0)
@@ -240,8 +241,46 @@ def peak_locations_general(mode: ModeIndex, geom: LinkGeometry) -> List[FieldPea
     return peaks
 
 
-def white_channel(G):
-    """Wrap an already-white effective channel for receiver tests."""
-    n = G.shape[0]
-    eye = np.eye(n, dtype=complex)
-    return ChannelSet(H=G, R=eye, C=eye, L=eye, H_tilde=G)
+def scheme_matrices(kind, H_t, p=None, mmse_form="hermitian"):
+    """Precoder A, combiner bank B and gains chi of one architecture.
+
+    The reference for ``wdmlink.receivers``, which builds neither A nor
+    SVD's U and V: here every architecture gets its full matrices, the
+    SINR then follows from ``sinr(B, H_t @ A, p)``.  ``p`` is required by
+    MMSE (its filter depends on the allocation) and ignored otherwise;
+    ``mmse_form`` is "hermitian" for the textbook filter, "table" for the
+    power-in-front variant.
+    """
+    n = H_t.shape[0]
+    eye = np.eye(n)
+    col_gains = np.sum(np.abs(H_t) ** 2, axis=0)
+    if kind is Scheme.SVD:
+        u, s, vh = np.linalg.svd(H_t)
+        return vh.conj().T, u, s * s
+    if kind is Scheme.MR:
+        return eye, H_t.copy(), col_gains
+    if kind is Scheme.PLAIN:
+        return eye, eye.copy(), np.abs(np.diag(H_t)) ** 2
+    if kind is Scheme.MMSE:
+        if p is None:
+            raise ValueError("MMSE combiner requires the power allocation p")
+        if mmse_form not in ("hermitian", "table"):
+            raise ValueError(f"unknown mmse_form {mmse_form!r}")
+        p = np.asarray(p, dtype=float)
+        if mmse_form == "hermitian":
+            gram = (H_t * p[None, :]) @ H_t.conj().T + eye
+        else:
+            gram = p[:, None] * (H_t @ H_t.conj().T) + eye
+        return eye, np.linalg.solve(gram, H_t), col_gains
+    raise ValueError(f"unknown scheme {kind!r}")
+
+
+def sinr(B, G, p):
+    """Per-mode SINR of combiner bank B against effective channel G, mode by mode."""
+    modes = range(G.shape[1])
+    out = np.empty(G.shape[1])
+    for n in modes:
+        gain = [abs(np.vdot(B[:, n], G[:, m])) ** 2 for m in modes]
+        others = sum(gain[m] * p[m] for m in modes if m != n)
+        out[n] = gain[n] * p[n] / (others + np.vdot(B[:, n], B[:, n]).real)
+    return out

@@ -19,6 +19,7 @@ from wdmlink.config import (
     profile_by_name,
     read_config_entries,
 )
+from wdmlink.receivers import MMSE_FORMS
 
 
 class TestSweepSettings:
@@ -205,6 +206,11 @@ class TestLoadConfig:
         path = self.write(tmp_path, "[wdm]\nmmse_form = fancy\n")
         with pytest.raises(ValueError, match="mmse_form"):
             apply_entries(desk_profile(), read_config_entries(path), path)
+
+    def test_every_receiver_mmse_form_accepted(self):
+        for form in MMSE_FORMS:
+            cfg = apply_entries(desk_profile(), [("wdm", "mmse_form", form)], "entries")
+            assert cfg.mmse_form == form
 
     def test_explicit_base(self, tmp_path):
         path = self.write(tmp_path, "[geometry]\nd_z = 1.0\n")
