@@ -37,10 +37,12 @@ Ambient electromagnetic interference reaching the receive segment is
 isotropic with spatial correlation sinc(2 ||r' - r|| / lambda), variance
 sigma2_emi; hardware noise adds a white sigma2_hdw on top.  ``whiten``
 factors C = sigma2_emi R + sigma2_hdw I = L L^H and returns
-H_tilde = L^{-1} H for the receiver stage.
+H_tilde = L^{-1} H for the receiver stage; a sweep factors C once
+(:func:`noise_factor`) and whitens each point as L0^{-1} (D H) instead.
 
-A channel file (:func:`save_channel_set`) is an npz archive:
-``np.load(path)`` gives the canonical ``header`` string, ``H`` and ``R``.
+A channel file (:func:`save_channel_set`) is an npz archive of the
+``header`` string and named arrays: ``H`` and ``R`` from ``dump-channel``,
+``H_tilde`` (L0^{-1} D H) in a cache entry.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -59,12 +61,12 @@ from .quadrature import QuadratureSpec, composite_gauss_nodes
 
 __all__ = [
     "WdmConfig",
-    "ChannelSet",
     "max_modes",
     "assemble_H",
     "assemble_R",
     "whiten",
-    "assemble_channel_set",
+    "noise_factor",
+    "white_channel",
     "total_power",
     "emi_variance",
     "channel_header",
@@ -104,25 +106,6 @@ class WdmConfig:
             raise ValueError("noise variances must be nonnegative")
         if self.sigma2_emi == 0.0 and self.sigma2_hdw == 0.0:
             raise ValueError("at least one noise variance must be positive")
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    """Matrices describing one link realization.
-
-    Attributes:
-        H: Mode coupling matrix (N, N).
-        R: Interference correlation matrix (N, N), Hermitian PSD.
-        C: Noise covariance sigma2_emi R + sigma2_hdw I.
-        L: Lower Cholesky factor of C.
-        H_tilde: Whitened channel L^{-1} H.
-    """
-
-    H: np.ndarray
-    R: np.ndarray
-    C: np.ndarray
-    L: np.ndarray
-    H_tilde: np.ndarray
 
 
 def max_modes(L_s: float, wavelength: float) -> int:
@@ -227,7 +210,8 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
 
     g and h are composite Gauss-Legendre sums on [0, L_r] with the node
     count of one H axis (kernel plus tone oscillate with period lambda/2).
-    Then R = D^H R(0) D, symmetrized to (R + R^H) / 2 against rounding.
+    Then R = D^H R(0) D (``_dz_phase``), symmetrized to (R + R^H) / 2
+    against rounding.
 
     Returns:
         Complex Hermitian PSD array (N, N).
@@ -245,12 +229,30 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
         1j * (delta + np.eye(cfg.n_modes))
     )
     np.fill_diagonal(P, L * g - h)
-    phase = em_field._phasor(kappas * (geom.d_z / (2.0 * math.pi)))
+    phase = _dz_phase(geom, cfg)
     R = (P + P.conj().T) * np.outer(phase.conj(), phase)
     return 0.5 * (R + R.conj().T)
 
 
-def whiten(H: np.ndarray, R: np.ndarray, cfg: WdmConfig) -> ChannelSet:
+def _dz_phase(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
+    """exp(j kappa_n d_z), the diagonal of D in R(d_z) = D^H R(0) D."""
+    return em_field._phasor(_mode_frequencies(cfg, geom) * (geom.d_z / (2.0 * math.pi)))
+
+
+def _factor_noise(R: np.ndarray, cfg: WdmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """C = sigma2_emi R + sigma2_hdw I and its lower Cholesky factor."""
+    C = cfg.sigma2_emi * R + cfg.sigma2_hdw * np.eye(R.shape[0])
+    try:
+        return C, np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(C)[0])
+        raise np.linalg.LinAlgError(
+            f"noise covariance is not positive definite "
+            f"(smallest eigenvalue {smallest:.6e})"
+        ) from None
+
+
+def whiten(H: np.ndarray, R: np.ndarray, cfg: WdmConfig) -> tuple[np.ndarray, ...]:
     """Factor the noise covariance and whiten the channel.
 
     Args:
@@ -259,9 +261,8 @@ def whiten(H: np.ndarray, R: np.ndarray, cfg: WdmConfig) -> ChannelSet:
         cfg: Noise variances.
 
     Returns:
-        ChannelSet with C = sigma2_emi R + sigma2_hdw I, its lower
-        Cholesky factor L and H_tilde = L^{-1} H (a linear solve with L,
-        no explicit inverse).
+        C = sigma2_emi R + sigma2_hdw I, its lower Cholesky factor L and
+        H_tilde = L^{-1} H (a linear solve with L, no explicit inverse).
 
     Raises:
         numpy.linalg.LinAlgError: If C is not positive definite; the
@@ -271,22 +272,26 @@ def whiten(H: np.ndarray, R: np.ndarray, cfg: WdmConfig) -> ChannelSet:
     R = np.asarray(R)
     if H.shape != R.shape or H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H and R must be square and congruent, got {H.shape} and {R.shape}")
-    C = cfg.sigma2_emi * R + cfg.sigma2_hdw * np.eye(H.shape[0])
-    try:
-        L = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(C)[0])
-        raise np.linalg.LinAlgError(
-            f"noise covariance is not positive definite "
-            f"(smallest eigenvalue {smallest:.6e})"
-        ) from None
-    H_tilde = np.linalg.solve(L, H)
-    return ChannelSet(H=H, R=R, C=C, L=L, H_tilde=H_tilde)
+    C, L = _factor_noise(R, cfg)
+    return C, L, np.linalg.solve(L, H)
 
 
-def assemble_channel_set(geom: LinkGeometry, cfg: WdmConfig) -> ChannelSet:
-    """Assemble H and R for the geometry and whiten in one step."""
-    return whiten(assemble_H(geom, cfg), assemble_R(geom, cfg), cfg)
+def noise_factor(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
+    """Lower Cholesky factor L0 of C at d_z = 0, raising as :func:`whiten`.
+
+    Beyond the d_z congruence R depends on the geometry only through L_s
+    and L_r, so one L0 serves every point of a sweep (:func:`white_channel`).
+    """
+    return _factor_noise(assemble_R(replace(geom, d_z=0.0), cfg), cfg)[1]
+
+
+def white_channel(geom: LinkGeometry, cfg: WdmConfig, L0: np.ndarray) -> np.ndarray:
+    """Whitened channel L0^{-1} (D H) of the geometry, L0 from :func:`noise_factor`.
+
+    The factor at d_z is D^H L0 D, so this is D times whiten's L^{-1} H,
+    and no receiver's SE sees a unit diagonal on the left.
+    """
+    return np.linalg.solve(L0, _dz_phase(geom, cfg)[:, None] * assemble_H(geom, cfg))
 
 
 def total_power(cfg: WdmConfig) -> float:
@@ -303,10 +308,9 @@ def emi_variance(power: float, snr_db: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Channel files: an npz archive of the header string, H and R.  C, L and
-# H_tilde follow from R and the config, so loading re-runs ``whiten``.
+# Channel files: an npz archive of the header string and named arrays.
 
-_FORMAT_TAG = "wdmlink-channel-set v2"
+_FORMAT_TAG = "wdmlink-channel-set v3"
 
 
 def channel_header(geom: LinkGeometry, cfg: WdmConfig) -> str:
@@ -345,9 +349,9 @@ def channel_cache_key(geom: LinkGeometry, cfg: WdmConfig) -> str:
 
 
 def save_channel_set(
-    path: str, ch: ChannelSet, geom: LinkGeometry, cfg: WdmConfig
+    path: str, geom: LinkGeometry, cfg: WdmConfig, **arrays: np.ndarray
 ) -> None:
-    """Write ``header``, ``H`` and ``R`` to ``path`` as an npz archive.
+    """Write ``header`` and the named ``arrays`` to ``path`` as an npz archive.
 
     The archive goes to a per-process temporary file next to ``path``
     and is renamed into place, so a crash never leaves a partial file
@@ -357,7 +361,7 @@ def save_channel_set(
     try:
         # a file handle keeps np.savez from appending ".npz" to the name
         with open(tmp, "wb") as out:
-            np.savez(out, header=np.array(channel_header(geom, cfg)), H=ch.H, R=ch.R)
+            np.savez(out, header=np.array(channel_header(geom, cfg)), **arrays)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -367,8 +371,8 @@ def save_channel_set(
 
 def load_matching_channel_set(
     path: str, geom: LinkGeometry, cfg: WdmConfig
-) -> ChannelSet:
-    """Load the channel set at ``path``, whitened for ``cfg``.
+) -> dict[str, np.ndarray]:
+    """The arrays :func:`save_channel_set` stored at ``path``, by name.
 
     Raises:
         ValueError: If the stored header differs from
@@ -382,4 +386,4 @@ def load_matching_channel_set(
             raise ValueError(
                 f"{path}: stored header does not match the requested geometry/config"
             )
-        return whiten(data["H"], data["R"], cfg)
+        return {name: data[name] for name in data.files if name != "header"}

@@ -10,12 +10,13 @@ config and seed the bytes written are identical from run to run.
 Both SE sweeps run on one engine: each grid value carries a group of
 link geometries, one for a plain sweep and one per source orientation
 for an averaged sweep, and the averaged runner reduces each group to
-mean and standard error.  The points are independent, so they can be
-distributed over a process pool (``[output] workers``); rows are
-emitted in grid order regardless of worker count.  With ``[output]
-cache_dir`` every channel set is stored under a hash of its header; an
-entry that cannot be read or does not match is recomputed and
-rewritten.
+mean and standard error.  The points are independent and share one
+noise factor (:func:`wdmlink.channel.noise_factor`), so chunks of them
+can go to a process pool (``[output] workers``), each chunk factoring
+once; rows are emitted in grid order regardless of worker count.  With
+``[output] cache_dir`` every point's whitened channel is stored under a
+checksum of its header; an entry that cannot be read or does not match
+is recomputed and rewritten.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import (
-    ChannelSet,
     WdmConfig,
     assemble_H,
     assemble_R,
-    assemble_channel_set,
     channel_cache_key,
     load_matching_channel_set,
+    noise_factor,
     save_channel_set,
     total_power,
+    white_channel,
     whiten,
 )
 from .config import RunConfig
@@ -211,62 +212,65 @@ class AvgSweepRecord:
     error: str = ""
 
 
-def _channel_for(geom: LinkGeometry, cfg: WdmConfig, cache_dir: str) -> ChannelSet:
-    if not cache_dir:
-        return assemble_channel_set(geom, cfg)
+def _cached_white(path: str, geom: LinkGeometry, wdm: WdmConfig) -> Optional[np.ndarray]:
+    """The whitened channel stored at ``path``, or None to recompute and rewrite it."""
     import zipfile  # ~5 ms; only its BadZipFile is needed, and only with a cache
 
-    path = os.path.join(cache_dir, channel_cache_key(geom, cfg) + ".wdmch")
     try:
-        return load_matching_channel_set(path, geom, cfg)
-    except (ValueError, OSError, zipfile.BadZipFile, EOFError):
-        pass  # missing, truncated or mismatched entry: recompute and rewrite it
-    ch = assemble_channel_set(geom, cfg)
-    os.makedirs(cache_dir, exist_ok=True)
-    save_channel_set(path, ch, geom, cfg)
-    return ch
+        return load_matching_channel_set(path, geom, wdm)["H_tilde"]
+    except (ValueError, OSError, KeyError, zipfile.BadZipFile, EOFError):
+        return None  # missing, truncated or mismatched entry, or one without H_tilde
 
 
-def _evaluate_point(
-    wdm: WdmConfig, mmse_form: str, cache_dir: str, value: float, geom: LinkGeometry
-) -> SweepRecord:
-    try:
-        ch = _channel_for(geom, wdm, cache_dir)
-        power = total_power(wdm)
-        ses = [
-            spectral_efficiency(kind, ch.H_tilde, power, mmse_form).se_total
-            for kind in SCHEME_ORDER
-        ]
-        return SweepRecord(value, *ses)
-    except Exception as exc:  # flagged row per grid point, file stays complete
-        nan = float("nan")
-        return SweepRecord(
-            value, nan, nan, nan, nan, error=f"{type(exc).__name__}: {exc}"
-        )
+def _evaluate_points(
+    wdm: WdmConfig, mmse_form: str, cache_dir: str, points: Sequence[Tuple[float, LinkGeometry]]
+) -> List[SweepRecord]:
+    """SE records of (grid value, geometry) points in order, a failed point flagged.
+
+    The points differ only in d_x, d_z and orientation, so one noise factor,
+    built at the first point not loaded from the cache, whitens them all.
+    """
+    power, L0, records = total_power(wdm), None, []
+    for value, geom in points:
+        try:
+            path = cache_dir and os.path.join(cache_dir, channel_cache_key(geom, wdm) + ".wdmch")
+            H_tilde = _cached_white(path, geom, wdm) if path else None
+            if H_tilde is None:
+                # a failed factor flags this point, and the next one tries again
+                L0 = noise_factor(geom, wdm) if L0 is None else L0
+                H_tilde = white_channel(geom, wdm, L0)
+                if path:
+                    os.makedirs(cache_dir, exist_ok=True)
+                    save_channel_set(path, geom, wdm, H_tilde=H_tilde)
+            results = [spectral_efficiency(s, H_tilde, power, mmse_form) for s in SCHEME_ORDER]
+            records.append(SweepRecord(value, *(r.se_total for r in results)))
+        except Exception as exc:  # flagged row per grid point, file stays complete
+            error = f"{type(exc).__name__}: {exc}"
+            records.append(SweepRecord(value, *[math.nan] * 4, error=error))
+    return records
 
 
 def _run_groups(
     cfg: RunConfig, groups: Sequence[Tuple[float, Sequence[LinkGeometry]]]
 ) -> List[List[SweepRecord]]:
     """Point records of each (grid value, geometries) group, in grid order."""
-    evaluate = functools.partial(
-        _evaluate_point, cfg.wdm, cfg.mmse_form, cfg.output.cache_dir
-    )
-    values = [value for value, geometries in groups for _ in geometries]
-    geoms = [geom for _, geometries in groups for geom in geometries]
+    evaluate = functools.partial(_evaluate_points, cfg.wdm, cfg.mmse_form, cfg.output.cache_dir)
+    points = [(value, geom) for value, geometries in groups for geom in geometries]
     workers = cfg.output.workers
-    if workers > 1 and len(geoms) > 1:
+    if workers > 1 and len(points) > 1:
         # ~20 ms and 2 MB (multiprocessing, socket), so only a pooled run pays
         from concurrent.futures import ProcessPoolExecutor
 
-        # about four chunks per worker: fewer round trips, still balanced
-        chunk = max(1, len(geoms) // (4 * workers))
+        # about four chunks per worker: fewer round trips, still balanced;
+        # each chunk builds its own noise factor, so the parent builds none
+        size = max(1, len(points) // (4 * workers))
+        chunks = [points[i : i + size] for i in range(0, len(points), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(evaluate, values, geoms, chunksize=chunk))
+            flat = [rec for chunk in pool.map(evaluate, chunks) for rec in chunk]
     else:
-        flat = list(map(evaluate, values, geoms))
-    points = iter(flat)
-    return [[next(points) for _ in geometries] for _, geometries in groups]
+        flat = evaluate(points)
+    records = iter(flat)
+    return [[next(records) for _ in geometries] for _, geometries in groups]
 
 
 _SWEEP_LABELS = {"d_z": "d_z [m]", "theta_s": "theta_s [deg]", "d_x": "d_x [m]"}
@@ -466,9 +470,9 @@ def run_avg_sweep(
 
 
 def run_channel_dump(cfg: RunConfig, out_path: str) -> str:
-    """Assemble the configured channel and write it to ``out_path``."""
-    ch = assemble_channel_set(cfg.geometry, cfg.wdm)
-    save_channel_set(out_path, ch, cfg.geometry, cfg.wdm)
+    """Write the configured link's H and R, unwhitened, to ``out_path``."""
+    geom, wdm = cfg.geometry, cfg.wdm
+    save_channel_set(out_path, geom, wdm, H=assemble_H(geom, wdm), R=assemble_R(geom, wdm))
     return out_path
 
 
@@ -522,10 +526,8 @@ def run_selfcheck(cfg: RunConfig) -> bool:
         )
     )
 
-    ch = whiten(H, R, wdm)
-    recon = float(
-        np.linalg.norm(ch.L @ ch.L.conj().T - ch.C) / np.linalg.norm(ch.C)
-    )
+    C, L, _ = whiten(H, R, wdm)
+    recon = float(np.linalg.norm(L @ L.conj().T - C) / np.linalg.norm(C))
     checks.append(
         (
             "noise factorization",

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from wdmlink.channel import assemble_channel_set
 from wdmlink.config import desk_profile, full_profile
+
+import oracles
 
 
 @pytest.fixture(scope="session")
@@ -19,8 +20,8 @@ def full_scale():
 
 @pytest.fixture(scope="session")
 def desk_channel(desk):
-    """Desk-scale ChannelSet at broadside alignment, assembled once per session."""
-    return assemble_channel_set(desk.geometry, desk.wdm)
+    """Desk-scale H, R, C, L and H_tilde at broadside, assembled once per session."""
+    return oracles.channel_set(desk.geometry, desk.wdm)
 
 
 @pytest.fixture(scope="session")

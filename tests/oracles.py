@@ -8,11 +8,12 @@ too.
 """
 
 import math
+from types import SimpleNamespace
 from typing import List
 
 import numpy as np
 
-from wdmlink.channel import WdmConfig
+from wdmlink.channel import WdmConfig, assemble_H, assemble_R, whiten
 from wdmlink import em_field
 from wdmlink.em_field import FieldPeak, ModeIndex, gz_kernel, spatial_frequency
 from wdmlink.geometry import LinkGeometry, source_direction
@@ -28,6 +29,17 @@ REDUCED_CFG = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=1.0)
 # points per period) differs from the oracle by up to ~2e-11.  Its 16x
 # larger node grid also makes the full-scale H memory test bite.
 ORACLE_SPEC = QuadratureSpec(points_per_wavelength=16.0, nodes_per_panel=8)
+
+
+def channel_set(geom, cfg):
+    """H, R and whiten's C, L and H_tilde of one geometry.
+
+    Each point whitened against its own R(d_z), the route a sweep replaced
+    with one noise factor per run (``channel.noise_factor``).
+    """
+    H, R = assemble_H(geom, cfg), assemble_R(geom, cfg)
+    C, L, H_tilde = whiten(H, R, cfg)
+    return SimpleNamespace(H=H, R=R, C=C, L=L, H_tilde=H_tilde)
 
 
 def tensor_sum(f, domain, osc_wavelengths, spec):

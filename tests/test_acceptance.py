@@ -14,7 +14,6 @@ import pytest
 from wdmlink.channel import (
     assemble_H,
     assemble_R,
-    assemble_channel_set,
     max_modes,
     total_power,
 )
@@ -30,7 +29,13 @@ from wdmlink.experiments import run_sweep
 from wdmlink.geometry import rotation_matrix, source_direction
 from wdmlink.receivers import Scheme, sinr, spectral_efficiency, waterfill
 
-from oracles import REDUCED_CFG, REDUCED_GEOM, midpoint_coupling_oracle, scheme_matrices
+from oracles import (
+    REDUCED_CFG,
+    REDUCED_GEOM,
+    channel_set,
+    midpoint_coupling_oracle,
+    scheme_matrices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -194,9 +199,9 @@ def test_c11_geometry_trends(desk, desk_channel, desk_dz_sweep):
     power = total_power(desk.wdm)
     plain_broadside = spectral_efficiency(Scheme.PLAIN, desk_channel.H_tilde, power).se_total
     theta = math.radians(30.0)
-    tilted_x = assemble_channel_set(replace(desk.geometry, theta_s=theta), desk.wdm)
+    tilted_x = channel_set(replace(desk.geometry, theta_s=theta), desk.wdm)
     plain_x = spectral_efficiency(Scheme.PLAIN, tilted_x.H_tilde, power).se_total
-    tilted_y = assemble_channel_set(
+    tilted_y = channel_set(
         replace(desk.geometry, theta_s=theta, phi_s=math.radians(90.0)), desk.wdm
     )
     plain_y = spectral_efficiency(Scheme.PLAIN, tilted_y.H_tilde, power).se_total

@@ -12,25 +12,28 @@ from wdmlink.channel import (
     WdmConfig,
     assemble_H,
     assemble_R,
-    assemble_channel_set,
     channel_cache_key,
     channel_header,
     emi_variance,
     load_matching_channel_set,
     max_modes,
+    noise_factor,
     save_channel_set,
     total_power,
+    white_channel,
     whiten,
 )
 from wdmlink.em_field import EmConstants, NearFieldWarning, gz_kernel, spatial_frequency
 from wdmlink.geometry import source_direction
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
+from wdmlink.receivers import MMSE_FORMS, Scheme, spectral_efficiency
 
 from oracles import (
     ORACLE_SPEC,
     REDUCED_CFG,
     REDUCED_GEOM,
     R_oracle_2d,
+    channel_set,
     lag_coupling_oracle,
     midpoint_coupling_oracle,
     s_rule,
@@ -224,11 +227,14 @@ class TestAssembleH:
         assert peak <= 64e6
 
     def test_repeated_full_scale_channel_set_peak_memory(self, full_scale):
-        # with H contracted one block of receive nodes at a time a full
-        # channel set peaks at ~1.9 MB (H; R's lag-tone table takes ~1.8 MB,
-        # whole-segment receive tones in H took it to 3.4 MB), and repeated
-        # calls must not pile up
-        peak = _traced_peak(assemble_channel_set, full_scale.geometry, full_scale.wdm)
+        # with H contracted one block of receive nodes at a time a cold
+        # full-scale point, its noise factor included, peaks at ~1.9 MB (H;
+        # R's lag-tone table takes ~1.8 MB, whole-segment receive tones in H
+        # took it to 3.4 MB), and repeated calls must not pile up
+        def cold_point(geom, cfg):
+            return white_channel(geom, cfg, noise_factor(geom, cfg))
+
+        peak = _traced_peak(cold_point, full_scale.geometry, full_scale.wdm)
         assert peak <= 2.2e6
 
     def test_peak_memory_does_not_grow_with_receive_length(self, full_scale):
@@ -425,8 +431,8 @@ class TestAssembleR:
         # D^H C(0) D = C(d_z), so it is the Cholesky factor at d_z
         prof = request.getfixturevalue(profile)
         d_z = 0.7
-        L0 = assemble_channel_set(prof.geometry, prof.wdm).L
-        Lz = assemble_channel_set(replace(prof.geometry, d_z=d_z), prof.wdm).L
+        L0 = channel_set(prof.geometry, prof.wdm).L
+        Lz = channel_set(replace(prof.geometry, d_z=d_z), prof.wdm).L
         k_all = np.array(
             [
                 spatial_frequency(n, prof.wdm.n_modes, prof.geometry.L_s)
@@ -483,24 +489,24 @@ class TestWhiten:
     def test_white_interference_passthrough(self):
         cfg = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=1.0, sigma2_hdw=0.0)
         H = np.arange(9, dtype=complex).reshape(3, 3) + 1j
-        ch = whiten(H, np.eye(3, dtype=complex), cfg)
-        assert np.allclose(ch.L, np.eye(3))
-        assert np.allclose(ch.H_tilde, H)
+        _, L, H_tilde = whiten(H, np.eye(3, dtype=complex), cfg)
+        assert np.allclose(L, np.eye(3))
+        assert np.allclose(H_tilde, H)
 
     def test_hardware_noise_only(self):
         cfg = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=0.0, sigma2_hdw=4.0)
         H = np.arange(9, dtype=complex).reshape(3, 3) - 2j
-        ch = whiten(H, np.eye(3, dtype=complex), cfg)
-        assert np.allclose(ch.L, 2.0 * np.eye(3))
-        assert np.allclose(ch.H_tilde, H / 2.0)
+        _, L, H_tilde = whiten(H, np.eye(3, dtype=complex), cfg)
+        assert np.allclose(L, 2.0 * np.eye(3))
+        assert np.allclose(H_tilde, H / 2.0)
 
     def test_cholesky_reconstruction(self, rng):
         n = 6
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         R = A @ A.conj().T + n * np.eye(n)
         cfg = WdmConfig(wavelength=0.1, n_modes=n, sigma2_emi=0.5, sigma2_hdw=0.25)
-        ch = whiten(np.eye(n, dtype=complex), R, cfg)
-        err = np.linalg.norm(ch.L @ ch.L.conj().T - ch.C) / np.linalg.norm(ch.C)
+        C, L, _ = whiten(np.eye(n, dtype=complex), R, cfg)
+        err = np.linalg.norm(L @ L.conj().T - C) / np.linalg.norm(C)
         assert err < 1e-12
 
     def test_whitened_noise_is_white(self, desk_channel):
@@ -541,24 +547,27 @@ class TestPowerModel:
 
 class TestSerialization:
     def test_roundtrip_is_bit_exact(self, tmp_path):
-        ch = assemble_channel_set(REDUCED_GEOM, REDUCED_CFG)
+        # the named arrays come back as stored, without whitening
+        ch = channel_set(REDUCED_GEOM, REDUCED_CFG)
+        arrays = {name: getattr(ch, name) for name in ("H", "R", "H_tilde")}
         path = tmp_path / "link.wdmch"
-        save_channel_set(str(path), ch, REDUCED_GEOM, REDUCED_CFG)
+        save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, **arrays)
         loaded = load_matching_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG)
-        for name in ("H", "R", "C", "L", "H_tilde"):
-            assert np.array_equal(getattr(loaded, name), getattr(ch, name))
+        assert sorted(loaded) == sorted(arrays)
+        for name, array in arrays.items():
+            assert np.array_equal(loaded[name], array)
 
     def test_rewrite_identical_bytes(self, tmp_path):
-        ch = assemble_channel_set(REDUCED_GEOM, REDUCED_CFG)
+        H_tilde = channel_set(REDUCED_GEOM, REDUCED_CFG).H_tilde
         p1, p2 = tmp_path / "a.wdmch", tmp_path / "b.wdmch"
-        save_channel_set(str(p1), ch, REDUCED_GEOM, REDUCED_CFG)
-        save_channel_set(str(p2), ch, REDUCED_GEOM, REDUCED_CFG)
+        save_channel_set(str(p1), REDUCED_GEOM, REDUCED_CFG, H_tilde=H_tilde)
+        save_channel_set(str(p2), REDUCED_GEOM, REDUCED_CFG, H_tilde=H_tilde)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_matching_load_rejects_other_geometry(self, tmp_path):
-        ch = assemble_channel_set(REDUCED_GEOM, REDUCED_CFG)
+        H_tilde = channel_set(REDUCED_GEOM, REDUCED_CFG).H_tilde
         path = tmp_path / "link.wdmch"
-        save_channel_set(str(path), ch, REDUCED_GEOM, REDUCED_CFG)
+        save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, H_tilde=H_tilde)
         other = replace(REDUCED_GEOM, d_x=1.5)
         with pytest.raises(ValueError):
             load_matching_channel_set(str(path), other, REDUCED_CFG)
@@ -574,7 +583,8 @@ class TestSerialization:
     def test_cache_key_is_pinned(self):
         # the file name is the header's CRC-32 and Adler-32, which depend on
         # its bytes alone: not on the process, platform or Python version
-        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "540f8a4eab957c0c"
+        # (the header's format tag is v3, entries holding the whitened channel)
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "485a2d84acf77c0d"
 
     def test_header_contains_every_parameter(self):
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)
@@ -585,10 +595,68 @@ class TestSerialization:
 
 
 class TestChannelSetAssembly:
-    def test_composition(self, desk, desk_channel):
-        H = assemble_H(desk.geometry, desk.wdm)
-        R = assemble_R(desk.geometry, desk.wdm)
-        assert np.array_equal(desk_channel.H, H)
-        assert np.array_equal(desk_channel.R, R)
-        direct = whiten(H, R, desk.wdm)
-        assert np.array_equal(desk_channel.H_tilde, direct.H_tilde)
+    def test_composition(self, desk):
+        # the noise factor of any point is whiten's L at d_z = 0, bit for bit;
+        # TestNoiseFactor holds white_channel to D times whiten's H_tilde
+        geom, cfg = replace(desk.geometry, d_z=0.37), desk.wdm
+        at_zero = channel_set(replace(geom, d_z=0.0), cfg)
+        assert np.array_equal(noise_factor(geom, cfg), at_zero.L)
+
+
+def _kappas(geom, cfg):
+    return np.array(
+        [spatial_frequency(n, cfg.n_modes, geom.L_s) for n in range(1, cfg.n_modes + 1)]
+    )
+
+
+class TestNoiseFactor:
+    def test_ignores_what_a_sweep_moves(self, desk):
+        # R depends on L_s and L_r and, through the congruence, on d_z only
+        geom, cfg = desk.geometry, desk.wdm
+        L0 = noise_factor(geom, cfg)
+        for moved in (
+            replace(geom, d_z=1.5),
+            replace(geom, d_x=0.5),
+            replace(geom, theta_s=1.2, phi_s=0.7),
+        ):
+            assert np.array_equal(noise_factor(moved, cfg), L0)
+
+    def test_indefinite_covariance_rejected_as_whiten(self, monkeypatch):
+        cfg = WdmConfig(wavelength=0.1, n_modes=2, sigma2_emi=1.0)
+        R = np.diag([1.0, -0.5]).astype(complex)
+        monkeypatch.setattr(channel, "assemble_R", lambda geom, cfg: R)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            noise_factor(REDUCED_GEOM, cfg)
+        with pytest.raises(np.linalg.LinAlgError) as ref:
+            whiten(np.eye(2, dtype=complex), R, cfg)
+        assert "smallest eigenvalue -5.000000e-01" in str(ours.value)
+        assert str(ours.value) == str(ref.value)
+
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    @pytest.mark.parametrize("mmse_form", MMSE_FORMS)
+    def test_se_matches_per_point_whitening(self, request, profile, mmse_form):
+        # L0^{-1} (D H) and whiten(H, R(d_z)).H_tilde differ by the unit
+        # diagonal D on the left, which no scheme's SE sees (D is periodic
+        # in d_z with period L_s, so 0.37 and 1.5 give D != I).  The table
+        # MMSE form amplifies rounding: multiplying the reference alone by
+        # the exact D moves its SE by up to 9.3e-13 over these geometries,
+        # and the two paths differ by 1.5e-12 at desk, d_x = 20 wavelengths,
+        # theta_s = 1.2, d_z = 0.37, so that form is held to 1e-11 and every
+        # other scheme and form to 1e-12 (measured <= 1.4e-15).
+        prof = request.getfixturevalue(profile)
+        cfg, power = prof.wdm, total_power(prof.wdm)
+        L0 = noise_factor(prof.geometry, cfg)
+        for d_x in (prof.geometry.d_x, 20.0 * cfg.wavelength):
+            for theta_s in (0.0, 0.3, 1.2):
+                for d_z in (0.0, 0.37, 1.5):
+                    geom = replace(prof.geometry, d_x=d_x, theta_s=theta_s, d_z=d_z)
+                    ours = white_channel(geom, cfg, L0)
+                    ref = whiten(assemble_H(geom, cfg), assemble_R(geom, cfg), cfg)[2]
+                    D = np.exp(1j * _kappas(geom, cfg) * d_z)
+                    err = np.linalg.norm(ours - D[:, None] * ref)
+                    assert err <= 1e-13 * np.linalg.norm(ref), geom
+                    for kind in Scheme:
+                        tol = 1e-11 if (kind, mmse_form) == (Scheme.MMSE, "table") else 1e-12
+                        want = spectral_efficiency(kind, ref, power, mmse_form).se_total
+                        got = spectral_efficiency(kind, ours, power, mmse_form).se_total
+                        assert abs(got - want) <= tol * want, (geom, kind)

@@ -1,5 +1,6 @@
 """Runner-level tests: CSV output, determinism, caching, worker handling."""
 
+import collections
 import concurrent.futures
 import math
 import os
@@ -9,7 +10,13 @@ import numpy as np
 import pytest
 
 import wdmlink.experiments as experiments
-from wdmlink.channel import channel_cache_key, load_matching_channel_set
+from wdmlink import channel
+from wdmlink.channel import (
+    channel_cache_key,
+    load_matching_channel_set,
+    noise_factor,
+    white_channel,
+)
 from wdmlink.config import FieldSettings
 from wdmlink.experiments import (
     run_avg_sweep,
@@ -152,12 +159,12 @@ class TestRunSweep:
 
     def test_chunked_pool_run_matches_serial_bytes(self, desk, tmp_path, monkeypatch):
         # 19 points on two workers go out in chunks of 2, the last one ragged
-        chunksizes = []
+        chunk_lengths = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                chunksizes.append(kwargs.get("chunksize", 1))
-                return super().map(fn, *iterables, **kwargs)
+            def map(self, fn, chunks, **kwargs):
+                chunk_lengths.extend(len(chunk) for chunk in chunks)
+                return super().map(fn, chunks, **kwargs)
 
         # experiments imports the pool class from here when a run needs it
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -165,7 +172,7 @@ class TestRunSweep:
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         run_sweep(cfg, str(serial))
         run_sweep(replace(cfg, output=replace(cfg.output, workers=2)), str(pooled))
-        assert chunksizes == [2]
+        assert chunk_lengths == [2] * 9 + [1]
         assert pooled.read_bytes() == serial.read_bytes()
 
     def test_channel_cache_reuse_matches_fresh_assembly(self, desk, tmp_path):
@@ -198,9 +205,17 @@ class TestRunSweep:
         assert [rec.error for rec in records] == [""] * 5
         assert rerun.read_bytes() == cold.read_bytes()
         assert len(os.listdir(cache)) == 5
+        # an entry holds the whitened channel only
         loaded = load_matching_channel_set(str(victim), geom, cfg.wdm)
-        fresh = experiments._channel_for(geom, cfg.wdm, cache_dir="")
-        assert np.array_equal(loaded.H_tilde, fresh.H_tilde)
+        assert list(loaded) == ["H_tilde"]
+        fresh = white_channel(geom, cfg.wdm, noise_factor(geom, cfg.wdm))
+        assert np.array_equal(loaded["H_tilde"], fresh)
+        # a channel dump under the entry's name matches its header but holds
+        # no whitened channel, so it is replaced as well
+        run_channel_dump(replace(cfg, geometry=geom), str(victim))
+        assert run_sweep(cached, str(rerun))[2].error == ""
+        assert rerun.read_bytes() == cold.read_bytes()
+        assert list(load_matching_channel_set(str(victim), geom, cfg.wdm)) == ["H_tilde"]
 
     def test_colliding_cache_keys_only_cost_a_recompute(self, desk, tmp_path, monkeypatch):
         # every channel set of two different tilt sweeps lands in one file;
@@ -237,14 +252,14 @@ class TestRunSweep:
 
     def test_failed_point_flags_row_without_aborting(self, desk, tmp_path, monkeypatch):
         cfg = small_sweep(desk, count=3)
-        real = experiments._channel_for
+        real = experiments.white_channel
 
-        def sabotaged(geom, wdm, cache_dir):
+        def sabotaged(geom, wdm, L0):
             if geom.d_z == 1.0:
                 raise RuntimeError("synthetic failure")
-            return real(geom, wdm, cache_dir)
+            return real(geom, wdm, L0)
 
-        monkeypatch.setattr(experiments, "_channel_for", sabotaged)
+        monkeypatch.setattr(experiments, "white_channel", sabotaged)
         path = str(tmp_path / "sweep.csv")
         records = run_sweep(cfg, path)
         assert [rec.error for rec in records] == [
@@ -259,6 +274,27 @@ class TestRunSweep:
             assert cols[col][0] != "" and cols[col][2] != ""
         assert cols["error"][1] == "RuntimeError: synthetic failure"
 
+    def test_failed_noise_factor_flags_every_row(self, desk, tmp_path, monkeypatch):
+        # an indefinite covariance fails the factor; each point tries it
+        # again, is flagged with its message, and the CSV stays complete
+        monkeypatch.setattr(
+            channel, "assemble_R", lambda geom, wdm: -np.eye(wdm.n_modes, dtype=complex)
+        )
+        cfg = small_sweep(desk, count=3)
+        path = str(tmp_path / "sweep.csv")
+        records = run_sweep(cfg, path)
+        with pytest.raises(np.linalg.LinAlgError) as failure:
+            noise_factor(cfg.geometry, cfg.wdm)
+        message = f"LinAlgError: {failure.value}"
+        assert "not positive definite" in message
+        assert [rec.error for rec in records] == [message] * 3
+        assert all(math.isnan(rec.se_svd) for rec in records)
+        cols = read_csv_columns(path)
+        assert cols["value"] == ["0", "1", "2"]
+        assert cols["error"] == [message] * 3
+        for col in ("se_svd", "se_mmse", "se_mr", "se_plain"):
+            assert cols[col] == ["", "", ""]
+
     def test_svg_smoke(self, desk, tmp_path):
         cfg = small_sweep(desk, count=3)
         svg = tmp_path / "sweep.svg"
@@ -266,6 +302,69 @@ class TestRunSweep:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert "</svg>" in text
+
+
+# ---------------------------------------------------------------------------
+# One noise factor per run
+
+
+def _count_calls(monkeypatch):
+    """Count the calls of H, R and the noise factor a sweep makes in this process."""
+    calls = collections.Counter()
+    for module, name in (
+        (channel, "assemble_H"),
+        (channel, "assemble_R"),
+        (experiments, "noise_factor"),
+    ):
+
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestNoiseFactorPerRun:
+    def test_cold_serial_sweep_factors_once(self, desk, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        run_sweep(small_sweep(desk, count=5), str(tmp_path / "sweep.csv"))
+        assert calls == {"assemble_H": 5, "assemble_R": 1, "noise_factor": 1}
+
+    def test_warm_sweep_assembles_nothing(self, desk, tmp_path, monkeypatch):
+        cfg = small_sweep(desk, count=5)
+        cached = replace(cfg, output=replace(cfg.output, cache_dir=str(tmp_path / "cache")))
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+        run_sweep(cached, str(cold))
+        calls = _count_calls(monkeypatch)
+        run_sweep(cached, str(warm))
+        assert calls == {}
+        assert warm.read_bytes() == cold.read_bytes()
+
+    def test_first_cache_miss_builds_the_factor(self, desk, tmp_path, monkeypatch):
+        cfg = small_sweep(desk, count=5)
+        cache = tmp_path / "cache"
+        cached = replace(cfg, output=replace(cfg.output, cache_dir=str(cache)))
+        cold, rerun = tmp_path / "cold.csv", tmp_path / "rerun.csv"
+        run_sweep(cached, str(cold))
+        for value in (cfg.sweep.values()[1], cfg.sweep.values()[3]):
+            geom = replace(cfg.geometry, d_z=float(value))
+            os.remove(cache / (channel_cache_key(geom, cfg.wdm) + ".wdmch"))
+        calls = _count_calls(monkeypatch)
+        run_sweep(cached, str(rerun))
+        assert calls == {"assemble_H": 2, "assemble_R": 1, "noise_factor": 1}
+        assert rerun.read_bytes() == cold.read_bytes()
+
+    def test_pool_parent_never_factors(self, desk, tmp_path, monkeypatch):
+        # the workers factor per chunk; the parent only hands out chunks,
+        # so its peak memory holds no R
+        cfg = small_sweep(desk, count=5)
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        run_sweep(cfg, str(serial))
+        calls = _count_calls(monkeypatch)
+        run_sweep(replace(cfg, output=replace(cfg.output, workers=2)), str(pooled))
+        assert calls["assemble_R"] == calls["noise_factor"] == 0
+        assert pooled.read_bytes() == serial.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +416,17 @@ class TestRunAvgSweep:
             desk, parameter="d_x", start=2.0, stop=4.0, count=3,
             draws_per_phi=2, phi_set_deg=(0.0, 90.0), seed=5,
         )
-        real = experiments._channel_for
+        real = experiments.white_channel
         failures = []
 
-        def sabotaged(geom, wdm, cache_dir):
+        def sabotaged(geom, wdm, L0):
             # both orientations at phi = 90 degrees fail at d_x = 3
             if geom.d_x == 3.0 and geom.phi_s > 0.0:
                 failures.append(geom.theta_s)
                 raise RuntimeError(f"synthetic failure {len(failures)}")
-            return real(geom, wdm, cache_dir)
+            return real(geom, wdm, L0)
 
-        monkeypatch.setattr(experiments, "_channel_for", sabotaged)
+        monkeypatch.setattr(experiments, "white_channel", sabotaged)
         path = str(tmp_path / "avg.csv")
         svg = tmp_path / "avg.svg"
         records = run_avg_sweep(cfg, path, str(svg))
@@ -417,12 +516,22 @@ def test_uniform_stream_follows_selfcheck_call_sequence(profile, request):
 
 
 def test_channel_dump_roundtrip(desk, desk_channel, tmp_path):
+    # a dump holds H and R as assembled; loading it does not whiten
     path = str(tmp_path / "link.wdmch")
     assert run_channel_dump(desk, path) == path
     loaded = load_matching_channel_set(path, desk.geometry, desk.wdm)
-    assert np.array_equal(loaded.H, desk_channel.H)
-    assert np.array_equal(loaded.R, desk_channel.R)
-    assert np.array_equal(loaded.H_tilde, desk_channel.H_tilde)
+    assert sorted(loaded) == ["H", "R"]
+    assert np.array_equal(loaded["H"], desk_channel.H)
+    assert np.array_equal(loaded["R"], desk_channel.R)
+
+
+def test_channel_dump_needs_no_positive_definite_covariance(desk, tmp_path, monkeypatch):
+    indefinite = -np.eye(desk.wdm.n_modes, dtype=complex)
+    monkeypatch.setattr(experiments, "assemble_R", lambda geom, wdm: indefinite)
+    path = str(tmp_path / "link.wdmch")
+    assert run_channel_dump(desk, path) == path
+    loaded = load_matching_channel_set(path, desk.geometry, desk.wdm)
+    assert np.array_equal(loaded["R"], indefinite)
 
 
 def test_selfcheck_passes_on_desk_link(desk, capsys):

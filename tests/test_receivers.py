@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wdmlink.channel import assemble_channel_set, total_power
+from wdmlink.channel import total_power
 from wdmlink.receivers import Scheme, scheme_gains, sinr, spectral_efficiency, waterfill
 
 import oracles
@@ -219,7 +219,7 @@ class TestAgainstSchemeMatrices:
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
     def test_all_schemes_match_oracle(self, desk, desk_channel, full_scale, rng):
-        full = assemble_channel_set(full_scale.geometry, full_scale.wdm)
+        full = oracles.channel_set(full_scale.geometry, full_scale.wdm)
         channels = [
             (desk_channel.H_tilde, total_power(desk.wdm)),
             (full.H_tilde, total_power(full_scale.wdm)),
