@@ -18,16 +18,20 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # glibc's trim and mmap thresholds [bytes].  With its defaults, glibc maps
 # each block of 128 KiB or more afresh and hands free heap above 128 KiB at
 # the top back to the OS (raising both limits only as mapped blocks are
-# freed), so the temporaries of each em_field._kernel_blocks block
-# (130-260 KB) are page-faulted in again at every point, at ~3-4 us a
-# fault.  Faults of a repeated desk assemble_H / cold full-scale point
-# (noise factor, with R's ~1.8 MB lag-tone table, and whitened channel)
-# after two warm-up calls, 2-core Xeon, glibc 2.36: defaults 379 / 0;
+# freed), so temporaries of that size are page-faulted in again at every
+# point, at ~3-4 us a fault.  em_field._kernel_blocks writes its blocks in
+# place into three arrays of at most 128 KiB and R sums its lag tones in
+# blocks of that size, so little of a point reaches those limits any more.
+# Faults of a repeated desk assemble_H / cold full-scale point (noise
+# factor and whitened channel) after two warm-up calls, 2-core Xeon,
+# glibc 2.36, the ranges over import-time allocations: defaults 0 / 0-77;
 # glibc's 128 KiB set in the environment, which stops the raising,
-# 471-522 / 5222-5440; 1 MiB 332-364 / 813-879; 2 MiB 1 / 459-492; 4 and
-# 8 MiB 1 / 0.  With twice the kernel block (em_field._BLOCK_PAIRS =
-# 2**15) 4 and 8 MiB give 0 / 0; with four times it 4 MiB gives 0 / 1638
-# and 8 MiB 0 / 0, so 8 MiB keeps that headroom for the block size.
+# 16 / 51-274; 1 to 8 MiB 0 / 0.  With twice the kernel block
+# (em_field._BLOCK_PAIRS = 2**14) the defaults give 0 / 241 and 1 MiB 0 / 0;
+# with four times it the defaults 250 / 554, 1 MiB 300 / 643 and 2 MiB
+# 0 / 0; with eight times it 2 MiB 0 / 759 and 4 MiB 0 / 0; with sixteen
+# times it 4 MiB 0 / 1515 and 8 MiB 0 / 0, so 8 MiB keeps ample headroom
+# for the block size.
 _MALLOC_THRESHOLD = 8 << 20
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3

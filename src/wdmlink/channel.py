@@ -26,11 +26,12 @@ block of receive nodes at a time.  The R kernel depends only on the
 lag t = r' - r, so R is one composite sum over the lag on the centred
 segment, phased by the d_z congruence R -> D^H R D,
 D = diag(exp(j kappa_n d_z)), which is performance-neutral (see
-:func:`assemble_R`).  H holds no array over the whole receive segment
-beyond its nodes, so its memory does not grow with L_r; R holds one
-(N, nodes) table of lag tones.  The tones exp(j kappa_n x) on the
-receive and lag nodes come from one recurrence over the equally spaced
-kappa_n (``_tone_table``), not from N complex exponentials per node.
+:func:`assemble_R`).  Neither holds an array over the whole receive
+segment beyond its nodes, so their memory does not grow with L_r: H
+takes each kernel block's receive tones from one ``_phasor`` of the
+(N, rows) phases, and R sums its lag tones one block of lag nodes at a
+time, each block from one recurrence over the equally spaced kappa_n
+(``_tone_table``), not from N complex exponentials per node.
 Reductions run in a fixed order, so repeated runs are bit-identical.
 
 Ambient electromagnetic interference reaching the receive segment is
@@ -179,14 +180,13 @@ def assemble_H(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
         geom.d_z - half, geom.d_z + half, cfg.wavelength / 2.0, cfg.quadrature
     )
     k = EmConstants(cfg.wavelength)
-    s_nodes, tx_tones = em_field._transmit_tones(
-        geom, k, _mode_frequencies(cfg, geom), cfg.quadrature
-    )
+    kappas = _mode_frequencies(cfg, geom)
+    s_nodes, tx_tones = em_field._transmit_tones(geom, k, kappas, cfg.quadrature)
+    rx_cycles = -kappas / (2.0 * math.pi)
     rx_kern = np.zeros((cfg.n_modes, s_nodes.size), dtype=complex)
     for rows, kern in em_field._kernel_blocks(geom, k, r_nodes, s_nodes, stacklevel=3):
         # the block's weighted conjugate receive tones, exp(-j kappa_n r_z) w_r
-        rx = _tone_table(-r_nodes[rows], cfg.n_modes, geom.L_s)
-        rx *= r_weights[rows]
+        rx = em_field._phasor(np.outer(rx_cycles, r_nodes[rows]), r_weights[rows])
         rx_kern += rx @ kern
     return rx_kern @ tx_tones
 
@@ -209,7 +209,9 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
         P[n, n] = L g_n - h_n.
 
     g and h are composite Gauss-Legendre sums on [0, L_r] with the node
-    count of one H axis (kernel plus tone oscillate with period lambda/2).
+    count of one H axis (kernel plus tone oscillate with period lambda/2),
+    accumulated over blocks of lag nodes whose (N, block) tone table
+    fits in ``em_field._BLOCK_PAIRS`` complex entries.
     Then R = D^H R(0) D (``_dz_phase``), symmetrized to (R + R^H) / 2
     against rounding.
 
@@ -221,7 +223,14 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     t, w = composite_gauss_nodes(0.0, L, cfg.wavelength / 2.0, cfg.quadrature)
     kappas = _mode_frequencies(cfg, geom)
     wk = w * np.sinc(2.0 * t / cfg.wavelength)
-    g, h = np.stack([wk, wk * t]) @ _tone_table(t, cfg.n_modes, geom.L_s).T
+    g = np.zeros(cfg.n_modes, dtype=complex)
+    h = np.zeros(cfg.n_modes, dtype=complex)
+    step = max(1, em_field._BLOCK_PAIRS // cfg.n_modes)
+    for start in range(0, t.size, step):
+        lags = slice(start, start + step)
+        tones = _tone_table(t[lags], cfg.n_modes, geom.L_s)
+        g += tones @ wk[lags]
+        h += tones @ (wk[lags] * t[lags])
     delta = kappas[None, :] - kappas[:, None]
     half = em_field._phasor(L * delta / (4.0 * math.pi))
     # the identity only keeps the diagonal finite; it is overwritten next

@@ -19,9 +19,9 @@ assembling 3x3 dyads inside quadrature loops:
     gz(u) = exp(j kappa ||u||) / (4 pi ||u||^3)
             * ((u_x^2 + u_y^2) cos(theta_s) - u_z (u_x, u_y) . s_hat).
 
-Every unit phasor on the path to H and R comes from ``_phasor`` in
-half-angle-tangent form: with c the phase in cycles reduced to
-[-1/2, 1/2] and t = tan(pi c),
+Every unit phasor on the path to H and R comes from ``_phasor_into``
+(behind ``_phasor``) in half-angle-tangent form: with c the phase in
+cycles reduced to [-1/2, 1/2] and t = tan(pi c),
 
     exp(2 pi j c) = ((1 - t^2) + 2 j t) / (1 + t^2),
 
@@ -30,9 +30,10 @@ a cosine.  With numpy 2.4 on a 2-core Xeon, float64 np.tan takes about
 3 ns per element, np.cos about 29 ns and complex np.exp about 48 ns.
 
 One private generator, ``_kernel_blocks``, evaluates it on bounded
-blocks of receive nodes against the transmit-segment nodes and applies
-the near-field guard over all of them, so the transmit-field integral
-has one implementation.  ``tone_fields`` (behind
+blocks of receive nodes against the transmit-segment nodes, in place
+into three arrays reused for every block (``_gz_into``, which
+``gz_kernel`` calls too), and applies the near-field guard over all of
+them, so the transmit-field integral has one implementation.  ``tone_fields`` (behind
 ``received_field_profile``) contracts each block with the weighted
 transmit tones (below); the coupling matrix H of :mod:`wdmlink.channel`
 contracts each block with its receive tones first and the transmit
@@ -91,19 +92,22 @@ FREE_SPACE_IMPEDANCE = 376.73  # [Ohm]
 # Separations below this many wavelengths trigger NearFieldWarning.
 FAR_FIELD_GUARD_WAVELENGTHS = 10.0
 
-# Node pairs per block of _kernel_blocks.  The block's float64 and
-# complex128 temporaries take about 1 MB and stay cache-resident, and they
-# set the traced peak of H.  Re-timed with H contracted block by block:
-# medians of assemble_H over seven alternating rounds on a 2-core Xeon
+# Node pairs per block of _kernel_blocks.  A block is written in place
+# into two float64 arrays and one complex128 array, which at 2**13 pairs
+# take at most 64 + 64 + 128 KiB: the complex one stays within glibc's
+# default 128 KiB mmap threshold, and the three set the traced peak of H.
+# Medians of assemble_H over seven alternating rounds on a 2-core Xeon
 # (2 MiB L2 per core), default rule and the package's 8 MiB malloc
 # thresholds (``wdmlink._MALLOC_THRESHOLD``), against the traced peak of
 # a full-scale assemble_H:
-#   2**13: desk 1.90 ms, full 22.2 ms, 1.08 MB
-#   2**14: desk 1.67 ms, full 19.6 ms, 1.89 MB
-#   2**15: desk 1.50 ms, full 17.8 ms, 3.53 MB
-# 2**15 is ~9 % quicker at full scale but nearly doubles the peak, so
-# 2**14 is kept.
-_BLOCK_PAIRS = 2**14
+#   2**12: desk 1.76 ms, full 21.6 ms, 0.51 MB
+#   2**13: desk 1.59 ms, full 15.4 ms, 0.69 MB
+#   2**14: desk 1.30 ms, full 15.0 ms, 1.02 MB
+#   2**15: desk 1.26 ms, full 14.1 ms, 1.77 MB
+# 2**14 is ~0.3 ms quicker on desk (two blocks instead of four) but adds a
+# third to the peak, and a cold full-scale point's peak RSS grows with it,
+# so 2**13 is kept.
+_BLOCK_PAIRS = 2**13
 
 
 class NearFieldWarning(UserWarning):
@@ -223,44 +227,62 @@ def gz_kernel(
     """
     u = np.asarray(u, dtype=float)
     s_hat = source_direction(theta_s, phi_s)
-    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
-    uxy2 = ux * ux + uy * uy
-    lean = ux * s_hat[0] + uy * s_hat[1]
-    return _gz(uxy2, lean, uz, uxy2 + uz * uz, s_hat[2], k)
+    out = np.empty(u.shape[:-1], dtype=complex)
+    lateral = _gz_lateral(u[..., 0], u[..., 1], s_hat)
+    _gz_into(out, u[..., 2].copy(), np.empty(out.shape), lateral, k)
+    return out
 
 
-def _gz(
-    uxy2: np.ndarray,
-    lean: np.ndarray,
+def _gz_lateral(
+    u_x: np.ndarray, u_y: np.ndarray, s_hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of :func:`gz_kernel` built from u_x and u_y alone.
+
+    Returns uxy2 = u_x^2 + u_y^2, uxy2 cos(theta_s) / (4 pi) and
+    (u_x, u_y) . s_hat / (4 pi), so the amplitude bracket / (4 pi) is the
+    second minus u_z times the third.  In :func:`_kernel_blocks` these are
+    rows over s, computed once rather than for every pair.
+    """
+    inv_4pi = 0.25 / math.pi
+    uxy2 = u_x * u_x + u_y * u_y
+    lean = u_x * s_hat[0] + u_y * s_hat[1]
+    return uxy2, uxy2 * (s_hat[2] * inv_4pi), lean * inv_4pi
+
+
+def _gz_into(
+    out: np.ndarray,
     uz: np.ndarray,
     dist2: np.ndarray,
-    cos_theta: float,
+    lateral: tuple[np.ndarray, np.ndarray, np.ndarray],
     k: EmConstants,
-) -> np.ndarray:
-    """:func:`gz_kernel` on separation terms that broadcast together.
+) -> float:
+    """Write gz(u) into ``out`` and return the smallest ||u||^2.
 
-    ``uxy2`` = u_x^2 + u_y^2, ``lean`` = (u_x, u_y) . s_hat and ``dist2``
-    = ||u||^2, so the bracket is uxy2 cos(theta_s) - u_z lean.  The
-    amplitude bracket / (4 pi ||u||^3) is real and scales the phasor of
-    ||u|| / lambda cycles.  1 / (4 pi) is applied to ``uxy2`` and ``lean``,
-    which in :func:`tone_fields` are rows over s, not to every pair.
+    ``uz`` holds u_z and ``lateral`` the :func:`_gz_lateral` terms, which
+    broadcast against it; ``uz`` and ``dist2`` are float arrays of out's
+    shape and are overwritten, and ``out`` is C-contiguous, so the kernel
+    allocates nothing.  ``uz`` turns into the amplitude bracket / (4 pi
+    ||u||^3), ``dist2`` into ||u||^3 and then the ||u|| / lambda cycles of
+    :func:`_phasor_into`; ||u|| itself lives in out's memory.
     """
-    if np.any(dist2 == 0.0):
+    uxy2, bracket_xy, lean = lateral
+    np.multiply(uz, uz, out=dist2)
+    np.add(uxy2, dist2, out=dist2)
+    d2_min = float(np.min(dist2, initial=math.inf))
+    if d2_min == 0.0:
         raise ValueError("kernel evaluated at zero separation")
-    dist = np.sqrt(dist2)
-    inv_4pi = 0.25 / math.pi
-    amp = uxy2 * (cos_theta * inv_4pi) - uz * (lean * inv_4pi)
-    amp /= dist * dist2
-    return _phasor(dist / k.wavelength, amp)
+    amp = np.multiply(uz, lean, out=uz)
+    np.subtract(bracket_xy, amp, out=amp)
+    dist = np.sqrt(dist2, out=_float_halves(out)[0])
+    np.multiply(dist, dist2, out=dist2)
+    np.divide(amp, dist2, out=amp)
+    cycles = np.divide(dist, k.wavelength, out=dist2)
+    _phasor_into(out, cycles, amp)
+    return d2_min
 
 
 def _phasor(cycles: np.ndarray, scale=1.0) -> np.ndarray:
     """scale * exp(2 pi j cycles) without sin, cos or complex exp.
-
-    The phase is reduced to c = cycles - rint(cycles) in [-1/2, 1/2] and
-    written through t = tan(pi c): cos = (1 - t^2) / (1 + t^2) and
-    sin = 2 t / (1 + t^2).  At c = +/-1/2, t is finite (about 1.6e16), so
-    nothing overflows and the real part is -scale up to rounding.
 
     Args:
         cycles: Phases in turns; their shape is the result's shape.
@@ -270,19 +292,45 @@ def _phasor(cycles: np.ndarray, scale=1.0) -> np.ndarray:
         Complex array of cycles.shape, within about 3e-16 |scale| of
         scale * exp(2 pi j cycles) for the reduced phase.
     """
-    t = np.rint(np.atleast_1d(cycles))
+    work = np.array(cycles, dtype=float, ndmin=1)
+    out = np.empty(work.shape, dtype=complex)
+    _phasor_into(out, work, np.full(work.shape, scale, dtype=float))
+    return out.reshape(np.shape(cycles))
+
+
+def _phasor_into(out: np.ndarray, cycles: np.ndarray, scale: np.ndarray) -> None:
+    """Write scale * exp(2 pi j cycles) into ``out``, overwriting both inputs.
+
+    The phase is reduced to c = cycles - rint(cycles) in [-1/2, 1/2] and
+    written through t = tan(pi c): cos = (1 - t^2) / (1 + t^2) and
+    sin = 2 t / (1 + t^2).  At c = +/-1/2, t is finite (about 1.6e16), so
+    nothing overflows and the real part is -scale up to rounding.
+
+    ``cycles`` and ``scale`` are float arrays of out's shape, and ``out``
+    is C-contiguous: t and t^2 live in the two contiguous halves of its
+    memory, so every step but the two final copies runs on contiguous
+    arrays.
+    """
+    t, t2 = _float_halves(out)
+    np.rint(cycles, out=t)
     np.subtract(cycles, t, out=t)
     t *= math.pi
     np.tan(t, out=t)
-    t2 = t * t
-    w = t2 + 1.0
+    np.multiply(t, t, out=t2)
+    w = np.add(t2, 1.0, out=cycles)
     np.divide(scale, w, out=w)
     np.subtract(1.0, t2, out=t2)
     t += t
-    out = np.empty(w.shape, dtype=complex)
-    np.multiply(w, t2, out=out.real)
-    np.multiply(w, t, out=out.imag)
-    return out.reshape(np.shape(cycles))
+    np.multiply(w, t, out=scale)
+    np.multiply(w, t2, out=w)
+    out.real = w
+    out.imag = scale
+
+
+def _float_halves(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The memory of C-contiguous complex ``out`` as two float arrays of its shape."""
+    halves = out.reshape(-1).view(float).reshape((2,) + out.shape)
+    return halves[0, ...], halves[1, ...]
 
 
 def radiation_pattern(
@@ -365,26 +413,28 @@ def _kernel_blocks(
 
     Each block covers about ``_BLOCK_PAIRS`` node pairs, so memory stays
     bounded whatever the node count; ``rows`` is the block's slice of
-    r_z.  Of the separation r - s s_hat only the z-part depends on r; the
-    x- and y-parts, and the kernel terms built from them alone, are rows
-    over s.  Each block's squared distances serve both the kernel and the
+    r_z.  Every block is written in place into the same three arrays, so
+    a yielded block is valid only until the next one is requested.  Of
+    the separation r - s s_hat only the z-part depends on r; the x- and
+    y-parts, and the kernel terms built from them alone, are rows over s.
+    Each block's squared distances serve both the kernel and the
     near-field guard, which warns once after the last block, at
     ``stacklevel`` counted from here (the consumer is level 2).
     """
     s_hat = source_direction(geom.theta_s, geom.phi_s)
-    ux = (geom.d_x - s_nodes * s_hat[0])[None, :]
-    uy = (-s_nodes * s_hat[1])[None, :]
-    uxy2 = ux * ux + uy * uy
-    lean = ux * s_hat[0] + uy * s_hat[1]
-    s_z = s_nodes[None, :] * s_hat[2]
+    lateral = _gz_lateral(geom.d_x - s_nodes * s_hat[0], -s_nodes * s_hat[1], s_hat)
+    s_z = s_nodes * s_hat[2]
     step = max(1, _BLOCK_PAIRS // s_nodes.size)
+    shape = (min(step, r_z.size), s_nodes.size)
+    uz, dist2 = np.empty(shape), np.empty(shape)
+    kern = np.empty(shape, dtype=complex)
     d2_min = math.inf
     for start in range(0, r_z.size, step):
-        rows = slice(start, start + step)
-        uz = r_z[rows, None] - s_z
-        dist2 = uxy2 + uz * uz
-        d2_min = min(d2_min, float(np.min(dist2)))
-        yield rows, _gz(uxy2, lean, uz, dist2, s_hat[2], k)
+        rows = slice(start, min(start + step, r_z.size))
+        n = rows.stop - start
+        np.subtract(r_z[rows, None], s_z, out=uz[:n])
+        d2_min = min(d2_min, _gz_into(kern[:n], uz[:n], dist2[:n], lateral, k))
+        yield rows, kern[:n]
     d_min = math.sqrt(d2_min)
     if d_min < FAR_FIELD_GUARD_WAVELENGTHS * k.wavelength:
         warnings.warn(

@@ -25,6 +25,7 @@ import csv
 import functools
 import math
 import os
+import zipfile
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -214,8 +215,6 @@ class AvgSweepRecord:
 
 def _cached_white(path: str, geom: LinkGeometry, wdm: WdmConfig) -> Optional[np.ndarray]:
     """The whitened channel stored at ``path``, or None to recompute and rewrite it."""
-    import zipfile  # ~5 ms; only its BadZipFile is needed, and only with a cache
-
     try:
         return load_matching_channel_set(path, geom, wdm)["H_tilde"]
     except (ValueError, OSError, KeyError, zipfile.BadZipFile, EOFError):

@@ -60,6 +60,27 @@ def s_rule(geom, k, spec):
     return composite_gauss_nodes(-geom.L_s / 2, geom.L_s / 2, k.wavelength / 2, spec)
 
 
+def leggauss_oracle(order):
+    """Gauss-Legendre nodes and weights by numpy's eigenvalue route.
+
+    numpy's ``leggauss`` takes the nodes as eigenvalues of the scaled
+    companion matrix (LAPACK), polishes them with one Newton step and
+    normalises the weights; the package runs Newton's method on the
+    three-term recurrence from cosine guesses instead.
+    """
+    return np.polynomial.legendre.leggauss(order)
+
+
+def separation_grid(geom, r_z, s_nodes):
+    """The (r_z, s, 3) array of separations r - s s_hat, r = (d_x, 0, r_z)."""
+    s_hat = source_direction(geom.theta_s, geom.phi_s)
+    u = np.empty((r_z.size, s_nodes.size, 3))
+    u[:, :, 0] = geom.d_x - s_nodes[None, :] * s_hat[0]
+    u[:, :, 1] = -s_nodes[None, :] * s_hat[1]
+    u[:, :, 2] = r_z[:, None] - s_nodes[None, :] * s_hat[2]
+    return u
+
+
 def tone_fields_one_slab(geom, k, r_z, kappas, spec):
     """tone_fields as one (r_z, s, 3) separation grid and one product.
 
@@ -68,11 +89,7 @@ def tone_fields_one_slab(geom, k, r_z, kappas, spec):
     must match it bit for bit.
     """
     s_nodes, s_weights = s_rule(geom, k, spec)
-    s_hat = source_direction(geom.theta_s, geom.phi_s)
-    u = np.empty((r_z.size, s_nodes.size, 3))
-    u[:, :, 0] = geom.d_x - s_nodes[None, :] * s_hat[0]
-    u[:, :, 1] = -s_nodes[None, :] * s_hat[1]
-    u[:, :, 2] = r_z[:, None] - s_nodes[None, :] * s_hat[2]
+    u = separation_grid(geom, r_z, s_nodes)
     kern = gz_kernel(u, geom.theta_s, geom.phi_s, k)
     weighted_tones = em_field._phasor(
         np.outer(s_nodes, kappas / (2.0 * math.pi)),
@@ -166,7 +183,7 @@ def lag_coupling_oracle(geom, cfg):
         for outer in (-1.0, 1.0)
         for inner in (-1.0, 1.0)
     )
-    x0, w0 = np.polynomial.legendre.leggauss(24)
+    x0, w0 = leggauss_oracle(24)
     t_parts, w_parts = [], []
     for a, b in zip(kinks[:-1], kinks[1:]):
         if b <= a:  # L_r == L_s: the middle piece is empty

@@ -159,9 +159,14 @@ class TestAssembleH:
     def test_blocked_contraction_matches_one_slab(self, desk):
         # H sums receive tones times kernel over the receive-node blocks and
         # meets the transmit tones once; the unblocked field slab projected
-        # onto np.exp receive tones differs only in summation order
+        # onto np.exp receive tones differs only in summation order; a 0.99 m
+        # receive segment gives 1584 nodes, 63 blocks of 25 and one of 9
         geom = replace(
-            desk.geometry, theta_s=math.radians(35.0), phi_s=math.radians(70.0), d_z=0.3
+            desk.geometry,
+            L_r=0.99,
+            theta_s=math.radians(35.0),
+            phi_s=math.radians(70.0),
+            d_z=0.3,
         )
         cfg = replace(desk.wdm, quadrature=ORACLE_SPEC)
         k = EmConstants(cfg.wavelength)
@@ -227,23 +232,23 @@ class TestAssembleH:
         assert peak <= 64e6
 
     def test_repeated_full_scale_channel_set_peak_memory(self, full_scale):
-        # with H contracted one block of receive nodes at a time a cold
-        # full-scale point, its noise factor included, peaks at ~1.9 MB (H;
-        # R's lag-tone table takes ~1.8 MB, whole-segment receive tones in H
-        # took it to 3.4 MB), and repeated calls must not pile up
+        # H's kernel blocks are written in place into arrays of at most
+        # 128 KiB and R sums its lag tones block by block, so a cold
+        # full-scale point, its noise factor included, peaks at ~0.71 MB
+        # (set by H), and repeated calls must not pile up
         def cold_point(geom, cfg):
             return white_channel(geom, cfg, noise_factor(geom, cfg))
 
         peak = _traced_peak(cold_point, full_scale.geometry, full_scale.wdm)
-        assert peak <= 2.2e6
+        assert peak <= 1.0e6
 
     def test_peak_memory_does_not_grow_with_receive_length(self, full_scale):
         # a 4x longer receive segment has 4x the receive nodes, but only
-        # their node arrays grow: ~2.0 MB against ~1.9 MB
+        # their node arrays grow: ~0.80 MB against ~0.69 MB
         geom, cfg = full_scale.geometry, full_scale.wdm
         short = _traced_peak(assemble_H, geom, cfg)
         long = _traced_peak(assemble_H, replace(geom, L_r=4.0 * geom.L_r), cfg)
-        assert long <= 1.1 * short
+        assert long - short <= 0.19e6
 
     def test_quadrature_convergence(self):
         fine = replace(
@@ -424,6 +429,16 @@ class TestAssembleR:
         )
         D = np.diag(np.exp(1j * k_all * d_z))
         assert np.linalg.norm(Rz - D.conj().T @ R0 @ D) <= 1e-12 * np.linalg.norm(Rz)
+
+    def test_full_scale_peak_memory(self, full_scale):
+        # g and h sum the lag tones one block of at most 128 KiB at a time,
+        # so R peaks at ~0.39 MB
+        assert _traced_peak(assemble_R, full_scale.geometry, full_scale.wdm) <= 0.5e6
+
+    def test_peak_memory_stays_bounded_with_receive_length(self, full_scale):
+        # with 4x the lag nodes only the node arrays grow: ~0.56 MB
+        geom = replace(full_scale.geometry, L_r=4.0 * full_scale.geometry.L_r)
+        assert _traced_peak(assemble_R, geom, full_scale.wdm) <= 0.7e6
 
     @pytest.mark.parametrize("profile", ["desk", "full_scale"])
     def test_offset_is_a_congruence_of_the_cholesky_factor(self, request, profile):

@@ -22,7 +22,7 @@ from wdmlink.em_field import (
 from wdmlink.geometry import LinkGeometry, source_direction
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 
-from oracles import peak_locations_general, s_rule, tone_fields_one_slab
+from oracles import peak_locations_general, s_rule, separation_grid, tone_fields_one_slab
 
 
 class TestEmConstants:
@@ -191,16 +191,29 @@ class TestRadiationPattern:
 SEVERAL_BLOCKS_SPEC = QuadratureSpec(points_per_wavelength=16.0, nodes_per_panel=8)
 
 
+def _tilted_receive_nodes(desk):
+    """A tilted desk link, its k and SEVERAL_BLOCKS_SPEC receive nodes.
+
+    A 0.99 m receive segment has 1584 nodes, so the last block is short.
+    """
+    geom = replace(
+        desk.geometry,
+        L_r=0.99,
+        theta_s=math.radians(35.0),
+        phi_s=math.radians(70.0),
+        d_z=0.3,
+    )
+    k = EmConstants(desk.wdm.wavelength)
+    r_z, _ = composite_gauss_nodes(
+        geom.d_z - geom.L_r / 2, geom.d_z + geom.L_r / 2, k.wavelength / 2, SEVERAL_BLOCKS_SPEC
+    )
+    return geom, k, r_z
+
+
 class TestToneFields:
     def test_ragged_blocks_match_one_slab(self, desk):
-        geom = replace(
-            desk.geometry, theta_s=math.radians(35.0), phi_s=math.radians(70.0), d_z=0.3
-        )
+        geom, k, r_z = _tilted_receive_nodes(desk)
         spec = SEVERAL_BLOCKS_SPEC
-        k = EmConstants(desk.wdm.wavelength)
-        r_z, _ = composite_gauss_nodes(
-            geom.d_z - geom.L_r / 2, geom.d_z + geom.L_r / 2, k.wavelength / 2, spec
-        )
         rows = em_field._BLOCK_PAIRS // s_rule(geom, k, spec)[0].size
         assert r_z.size > rows and r_z.size % rows != 0  # several blocks, last ragged
         kappas = np.array(
@@ -208,6 +221,21 @@ class TestToneFields:
         )
         got = tone_fields(geom, k, r_z, kappas, spec)
         assert np.array_equal(got, tone_fields_one_slab(geom, k, r_z, kappas, spec))
+
+    def test_kernel_blocks_equal_gz_kernel_bit_for_bit(self, desk):
+        # each block is written in place into the same arrays, so it is
+        # copied before the next one is requested
+        geom, k, r_z = _tilted_receive_nodes(desk)
+        s_nodes, _ = s_rule(geom, k, SEVERAL_BLOCKS_SPEC)
+        blocks = [
+            (rows, kern.copy())
+            for rows, kern in em_field._kernel_blocks(geom, k, r_z, s_nodes, stacklevel=2)
+        ]
+        assert len(blocks) > 2 and blocks[-1][1].shape[0] < blocks[0][1].shape[0]
+        assert blocks[-1][0].stop == r_z.size
+        expected = gz_kernel(separation_grid(geom, r_z, s_nodes), geom.theta_s, geom.phi_s, k)
+        for rows, kern in blocks:
+            assert np.array_equal(kern, expected[rows])
 
     def test_grid_within_one_block_matches_one_slab(self, desk):
         geom = replace(desk.geometry, theta_s=math.radians(12.0))

@@ -6,11 +6,12 @@ import pytest
 from wdmlink.quadrature import (
     PanelLimitError,
     QuadratureSpec,
+    _leggauss,
     composite_gauss_nodes,
     panel_count,
 )
 
-from oracles import tensor_sum
+from oracles import leggauss_oracle, tensor_sum
 
 
 class TestQuadratureSpec:
@@ -26,6 +27,33 @@ class TestQuadratureSpec:
             QuadratureSpec(nodes_per_panel=1)
         with pytest.raises(ValueError):
             QuadratureSpec(max_panels=0)
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("order", range(2, 65))
+    def test_against_eigenvalue_oracle(self, order):
+        # numpy's own weights are off by up to 1.8e-12 relative against
+        # 40-digit values, the Newton weights by up to 1e-13
+        nodes, weights = _leggauss(order)
+        ref_nodes, ref_weights = leggauss_oracle(order)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 2.2e-16
+        assert np.max(np.abs(weights / ref_weights - 1.0)) <= 2e-12
+
+    @pytest.mark.parametrize("order", range(2, 65))
+    def test_symmetric_and_exact_to_degree_2n_minus_1(self, order):
+        nodes, weights = _leggauss(order)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert abs(math.fsum(weights) - 2.0) <= 4.0 * np.finfo(float).eps
+        for degree in range(2 * order):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert abs(weights @ nodes**degree - exact) <= 2e-15
+
+    def test_cached_and_read_only(self):
+        nodes, weights = _leggauss(16)
+        assert _leggauss(16)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 class TestPanelCount:
