@@ -42,8 +42,9 @@ H_tilde = L^{-1} H for the receiver stage; a sweep factors C once
 (:func:`noise_factor`) and whitens each point as L0^{-1} (D H) instead.
 
 A channel file (:func:`save_channel_set`) is an npz archive of the
-``header`` string and named arrays: ``H`` and ``R`` from ``dump-channel``,
-``H_tilde`` (L0^{-1} D H) in a cache entry.
+``header`` string and named arrays: ``H`` and ``R`` from ``dump-channel``;
+a sweep's cache entry holds ``se``, the point's four spectral
+efficiencies, under ``<cache_dir>/<FORMAT_VERSION>/``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from . import em_field
 from .em_field import EmConstants, spatial_frequency
 from .geometry import LinkGeometry
 from .quadrature import QuadratureSpec, composite_gauss_nodes
+from .receivers import MMSE_FORMS
 
 __all__ = [
     "WdmConfig",
@@ -70,6 +72,7 @@ __all__ = [
     "white_channel",
     "total_power",
     "emi_variance",
+    "FORMAT_VERSION",
     "channel_header",
     "save_channel_set",
     "load_matching_channel_set",
@@ -87,6 +90,8 @@ class WdmConfig:
         sigma2_hdw: White hardware noise variance [V^2/m^2]; zero keeps
             the noise purely interference-limited.
         quadrature: Sizing of all channel integrals.
+        mmse_form: MMSE filter variant, one of
+            :data:`wdmlink.receivers.MMSE_FORMS`.
     """
 
     wavelength: float
@@ -95,6 +100,7 @@ class WdmConfig:
     sigma2_emi: float = 1.0
     sigma2_hdw: float = 0.0
     quadrature: QuadratureSpec = QuadratureSpec()
+    mmse_form: str = "hermitian"
 
     def __post_init__(self) -> None:
         if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
@@ -107,6 +113,8 @@ class WdmConfig:
             raise ValueError("noise variances must be nonnegative")
         if self.sigma2_emi == 0.0 and self.sigma2_hdw == 0.0:
             raise ValueError("at least one noise variance must be positive")
+        if self.mmse_form not in MMSE_FORMS:
+            raise ValueError(f"mmse_form must be one of {MMSE_FORMS}, got {self.mmse_form!r}")
 
 
 def max_modes(L_s: float, wavelength: float) -> int:
@@ -319,7 +327,10 @@ def emi_variance(power: float, snr_db: float) -> float:
 # ---------------------------------------------------------------------------
 # Channel files: an npz archive of the header string and named arrays.
 
-_FORMAT_TAG = "wdmlink-channel-set v3"
+# A sweep's cache keeps its entries in a directory of this name, so a
+# format change leaves the old entries in one directory to delete.
+FORMAT_VERSION = "v4"
+_FORMAT_TAG = f"wdmlink-channel-set {FORMAT_VERSION}"
 
 
 def channel_header(geom: LinkGeometry, cfg: WdmConfig) -> str:

@@ -145,7 +145,6 @@ class RunConfig:
     field: FieldSettings = FieldSettings()
     pattern: PatternSettings = PatternSettings()
     output: OutputSettings = OutputSettings()
-    mmse_form: str = "hermitian"
 
 
 DEFAULT_SNR_EMI_DB = 90.0
@@ -228,8 +227,7 @@ class Param(NamedTuple):
         key: Config-file key within ``section``.
         flag: Command-line flag setting the same value, or None.
         field: Target as ``part.attr`` of :class:`RunConfig` (``part`` is
-            a RunConfig field or ``quadrature``), or a bare RunConfig
-            field name.
+            a RunConfig field or ``quadrature``).
         convert: Raw string to value; raises ValueError when malformed.
     """
 
@@ -254,7 +252,7 @@ PARAMETERS = (
     Param("wdm", "source_power", None, "wdm.source_power", float),
     Param("wdm", "snr_emi_db", None, "wdm.snr_emi_db", float),
     Param("wdm", "sigma2_hdw", None, "wdm.sigma2_hdw", float),
-    Param("wdm", "mmse_form", None, "mmse_form", _choice(*MMSE_FORMS)),
+    Param("wdm", "mmse_form", None, "wdm.mmse_form", _choice(*MMSE_FORMS)),
     Param("quadrature", "points_per_wavelength", None, "quadrature.points_per_wavelength", float),
     Param("quadrature", "nodes_per_panel", None, "quadrature.nodes_per_panel", int),
     Param("quadrature", "max_panels", None, "quadrature.max_panels", int),
@@ -305,7 +303,7 @@ def apply_entries(
         except ValueError:
             errors.append(f"[{section}] {key} = {raw!r}")
             continue
-        part, _, name = param.field.rpartition(".")
+        part, name = param.field.split(".")
         changes[part][name] = value
     if errors:
         raise ValueError(f"invalid {source}: " + "; ".join(errors))
@@ -330,7 +328,7 @@ def apply_entries(
             part: replace(getattr(base, part), **changes[part])
             for part in ("sweep", "field", "pattern", "output")
         }
-        return replace(base, geometry=geometry, wdm=wdm, **settings, **changes[""])
+        return replace(base, geometry=geometry, wdm=wdm, **settings)
     except ValueError as exc:
         raise ValueError(f"invalid {source}: {exc}") from None
 

@@ -14,9 +14,10 @@ mean and standard error.  The points are independent and share one
 noise factor (:func:`wdmlink.channel.noise_factor`), so chunks of them
 can go to a process pool (``[output] workers``), each chunk factoring
 once; rows are emitted in grid order regardless of worker count.  With
-``[output] cache_dir`` every point's whitened channel is stored under a
-checksum of its header; an entry that cannot be read or does not match
-is recomputed and rewritten.
+``[output] cache_dir`` every point's four spectral efficiencies are
+stored under a checksum of its header, so a point found there runs no
+channel assembly, whitening or receiver; an entry that cannot be read,
+does not match or holds no four SE values is recomputed and rewritten.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import (
+    FORMAT_VERSION,
     WdmConfig,
     assemble_H,
     assemble_R,
@@ -213,16 +215,17 @@ class AvgSweepRecord:
     error: str = ""
 
 
-def _cached_white(path: str, geom: LinkGeometry, wdm: WdmConfig) -> Optional[np.ndarray]:
-    """The whitened channel stored at ``path``, or None to recompute and rewrite it."""
+def _cached_se(path: str, geom: LinkGeometry, wdm: WdmConfig) -> Optional[np.ndarray]:
+    """The four SE values stored at ``path``, or None to recompute and rewrite them."""
     try:
-        return load_matching_channel_set(path, geom, wdm)["H_tilde"]
+        se = load_matching_channel_set(path, geom, wdm)["se"]
     except (ValueError, OSError, KeyError, zipfile.BadZipFile, EOFError):
-        return None  # missing, truncated or mismatched entry, or one without H_tilde
+        return None  # missing, truncated or mismatched entry, or one without se
+    return se if se.shape == (len(SCHEME_ORDER),) and se.dtype == np.float64 else None
 
 
 def _evaluate_points(
-    wdm: WdmConfig, mmse_form: str, cache_dir: str, points: Sequence[Tuple[float, LinkGeometry]]
+    wdm: WdmConfig, cache_dir: str, points: Sequence[Tuple[float, LinkGeometry]]
 ) -> List[SweepRecord]:
     """SE records of (grid value, geometry) points in order, a failed point flagged.
 
@@ -232,17 +235,22 @@ def _evaluate_points(
     power, L0, records = total_power(wdm), None, []
     for value, geom in points:
         try:
-            path = cache_dir and os.path.join(cache_dir, channel_cache_key(geom, wdm) + ".wdmch")
-            H_tilde = _cached_white(path, geom, wdm) if path else None
-            if H_tilde is None:
+            path = cache_dir and os.path.join(
+                cache_dir, FORMAT_VERSION, channel_cache_key(geom, wdm) + ".wdmch"
+            )
+            se = _cached_se(path, geom, wdm) if path else None
+            if se is None:
                 # a failed factor flags this point, and the next one tries again
                 L0 = noise_factor(geom, wdm) if L0 is None else L0
                 H_tilde = white_channel(geom, wdm, L0)
+                se = np.array([
+                    spectral_efficiency(s, H_tilde, power, wdm.mmse_form).se_total
+                    for s in SCHEME_ORDER
+                ])
                 if path:
-                    os.makedirs(cache_dir, exist_ok=True)
-                    save_channel_set(path, geom, wdm, H_tilde=H_tilde)
-            results = [spectral_efficiency(s, H_tilde, power, mmse_form) for s in SCHEME_ORDER]
-            records.append(SweepRecord(value, *(r.se_total for r in results)))
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                    save_channel_set(path, geom, wdm, se=se)
+            records.append(SweepRecord(value, *se.tolist()))
         except Exception as exc:  # flagged row per grid point, file stays complete
             error = f"{type(exc).__name__}: {exc}"
             records.append(SweepRecord(value, *[math.nan] * 4, error=error))
@@ -253,7 +261,7 @@ def _run_groups(
     cfg: RunConfig, groups: Sequence[Tuple[float, Sequence[LinkGeometry]]]
 ) -> List[List[SweepRecord]]:
     """Point records of each (grid value, geometries) group, in grid order."""
-    evaluate = functools.partial(_evaluate_points, cfg.wdm, cfg.mmse_form, cfg.output.cache_dir)
+    evaluate = functools.partial(_evaluate_points, cfg.wdm, cfg.output.cache_dir)
     points = [(value, geom) for value, geometries in groups for geom in geometries]
     workers = cfg.output.workers
     if workers > 1 and len(points) > 1:

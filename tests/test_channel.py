@@ -63,6 +63,8 @@ class TestWdmConfig:
             WdmConfig(wavelength=0.01, n_modes=3, source_power=-1.0)
         with pytest.raises(ValueError):
             WdmConfig(wavelength=0.01, n_modes=3, sigma2_emi=0.0, sigma2_hdw=0.0)
+        with pytest.raises(ValueError, match="mmse_form"):
+            WdmConfig(wavelength=0.01, n_modes=3, mmse_form="other")
 
     def test_mode_count_capped_by_segment(self, desk):
         over = replace(desk.wdm, n_modes=23)  # desk maximum is 21
@@ -594,18 +596,23 @@ class TestSerialization:
         assert base != channel_cache_key(
             REDUCED_GEOM, replace(REDUCED_CFG, sigma2_emi=2.0)
         )
+        assert base != channel_cache_key(
+            REDUCED_GEOM, replace(REDUCED_CFG, mmse_form="table")
+        )
 
     def test_cache_key_is_pinned(self):
         # the file name is the header's CRC-32 and Adler-32, which depend on
         # its bytes alone: not on the process, platform or Python version
-        # (the header's format tag is v3, entries holding the whitened channel)
-        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "485a2d84acf77c0d"
+        # (the header's format tag is v4, entries holding a point's four SE
+        # values, and the header names the MMSE form)
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "eb2d883ad2db85df"
 
     def test_header_contains_every_parameter(self):
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)
         for token in ("L_s", "L_r", "d_x", "d_z", "theta_s", "phi_s",
                       "wavelength", "n_modes", "source_power", "sigma2_emi",
-                      "sigma2_hdw", "points_per_wavelength", "nodes_per_panel"):
+                      "sigma2_hdw", "mmse_form", "points_per_wavelength",
+                      "nodes_per_panel"):
             assert token in header
 
 

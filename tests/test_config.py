@@ -150,7 +150,7 @@ class TestLoadConfig:
         assert cfg.wdm.sigma2_hdw == 0.5
         assert cfg.wdm.quadrature.points_per_wavelength == 24.0
         assert cfg.wdm.quadrature.nodes_per_panel == 6
-        assert cfg.mmse_form == "table"
+        assert cfg.wdm.mmse_form == "table"
         assert cfg.sweep.parameter == "theta_s"
         assert cfg.sweep.count == 7
         assert cfg.sweep.phi_set_deg == (0.0, 45.0, 90.0)
@@ -210,7 +210,7 @@ class TestLoadConfig:
     def test_every_receiver_mmse_form_accepted(self):
         for form in MMSE_FORMS:
             cfg = apply_entries(desk_profile(), [("wdm", "mmse_form", form)], "entries")
-            assert cfg.mmse_form == form
+            assert cfg.wdm.mmse_form == form
 
     def test_explicit_base(self, tmp_path):
         path = self.write(tmp_path, "[geometry]\nd_z = 1.0\n")

@@ -12,13 +12,17 @@ import pytest
 import wdmlink.experiments as experiments
 from wdmlink import channel
 from wdmlink.channel import (
+    FORMAT_VERSION,
     channel_cache_key,
     load_matching_channel_set,
     noise_factor,
+    save_channel_set,
+    total_power,
     white_channel,
 )
 from wdmlink.config import FieldSettings
 from wdmlink.experiments import (
+    SCHEME_ORDER,
     run_avg_sweep,
     run_channel_dump,
     run_field,
@@ -26,6 +30,7 @@ from wdmlink.experiments import (
     run_selfcheck,
     run_sweep,
 )
+from wdmlink.receivers import spectral_efficiency
 
 from conftest import read_csv_columns
 
@@ -34,6 +39,24 @@ SWEEP_HEADER = ["value", "se_svd", "se_mmse", "se_mr", "se_plain", "error"]
 
 def small_sweep(cfg, **overrides):
     return replace(cfg, sweep=replace(cfg.sweep, **overrides))
+
+
+def with_cache(cfg, cache, workers=1):
+    return replace(cfg, output=replace(cfg.output, cache_dir=str(cache), workers=workers))
+
+
+def cache_entry(cache, geom, wdm):
+    """Where a sweep keeps the point's entry: one directory per format."""
+    return cache / FORMAT_VERSION / (channel_cache_key(geom, wdm) + ".wdmch")
+
+
+def fresh_se(geom, wdm):
+    """The four SE values of the point, computed without a cache."""
+    H_tilde = white_channel(geom, wdm, noise_factor(geom, wdm))
+    return np.array(
+        [spectral_efficiency(s, H_tilde, total_power(wdm), wdm.mmse_form).se_total
+         for s in SCHEME_ORDER]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,44 +201,96 @@ class TestRunSweep:
     def test_channel_cache_reuse_matches_fresh_assembly(self, desk, tmp_path):
         cache = tmp_path / "cache"
         cfg = small_sweep(desk, count=5)
-        cached = replace(cfg, output=replace(cfg.output, cache_dir=str(cache)))
+        cached = with_cache(cfg, cache)
         cold = tmp_path / "cold.csv"
         warm = tmp_path / "warm.csv"
         plain = tmp_path / "plain.csv"
         run_sweep(cached, str(cold))
-        stored = sorted(os.listdir(cache))
+        # entries live in one directory per format
+        assert os.listdir(cache) == [FORMAT_VERSION]
+        stored = sorted(os.listdir(cache / FORMAT_VERSION))
         assert len(stored) == 5
         assert all(name.endswith(".wdmch") for name in stored)
         run_sweep(cached, str(warm))
-        assert sorted(os.listdir(cache)) == stored
+        assert sorted(os.listdir(cache / FORMAT_VERSION)) == stored
         run_sweep(cfg, str(plain))
         assert warm.read_bytes() == cold.read_bytes() == plain.read_bytes()
 
     def test_truncated_cache_entry_is_recomputed(self, desk, tmp_path):
         cache = tmp_path / "cache"
         cfg = small_sweep(desk, count=5)
-        cached = replace(cfg, output=replace(cfg.output, cache_dir=str(cache)))
+        cached = with_cache(cfg, cache)
         cold = tmp_path / "cold.csv"
         rerun = tmp_path / "rerun.csv"
         run_sweep(cached, str(cold))
         geom = replace(cfg.geometry, d_z=float(cfg.sweep.values()[2]))
-        victim = cache / (channel_cache_key(geom, cfg.wdm) + ".wdmch")
+        victim = cache_entry(cache, geom, cfg.wdm)
         victim.write_bytes(victim.read_bytes()[:100])
         records = run_sweep(cached, str(rerun))
         assert [rec.error for rec in records] == [""] * 5
         assert rerun.read_bytes() == cold.read_bytes()
-        assert len(os.listdir(cache)) == 5
-        # an entry holds the whitened channel only
+        assert len(os.listdir(cache / FORMAT_VERSION)) == 5
+        # an entry holds the point's four SE values only, as computed afresh
         loaded = load_matching_channel_set(str(victim), geom, cfg.wdm)
-        assert list(loaded) == ["H_tilde"]
-        fresh = white_channel(geom, cfg.wdm, noise_factor(geom, cfg.wdm))
-        assert np.array_equal(loaded["H_tilde"], fresh)
-        # a channel dump under the entry's name matches its header but holds
-        # no whitened channel, so it is replaced as well
-        run_channel_dump(replace(cfg, geometry=geom), str(victim))
-        assert run_sweep(cached, str(rerun))[2].error == ""
+        assert list(loaded) == ["se"]
+        assert np.array_equal(loaded["se"], fresh_se(geom, cfg.wdm))
+        # a channel dump, or an entry holding the whitened channel as the
+        # previous format did, matches the header under the entry's name but
+        # holds no SE values, so it is replaced as well
+        H_tilde = white_channel(geom, cfg.wdm, noise_factor(geom, cfg.wdm))
+        for plant in (
+            lambda: run_channel_dump(replace(cfg, geometry=geom), str(victim)),
+            lambda: save_channel_set(str(victim), geom, cfg.wdm, H_tilde=H_tilde),
+        ):
+            plant()
+            assert run_sweep(cached, str(rerun))[2].error == ""
+            assert rerun.read_bytes() == cold.read_bytes()
+            assert list(load_matching_channel_set(str(victim), geom, cfg.wdm)) == ["se"]
+
+    @pytest.mark.parametrize(
+        "planted",
+        [np.array([9.0, 8.0, 7.0]), np.ones((2, 2)), np.arange(4), np.ones(4, dtype=complex)],
+        ids=["three-values", "two-by-two", "integers", "complex"],
+    )
+    def test_misshaped_se_entry_is_recomputed(self, desk, tmp_path, planted):
+        # an entry whose se is not four floats is a miss: recomputed and
+        # rewritten, never a flagged row
+        cache = tmp_path / "cache"
+        cfg = small_sweep(desk, count=3)
+        cached = with_cache(cfg, cache)
+        cold, rerun = tmp_path / "cold.csv", tmp_path / "rerun.csv"
+        run_sweep(cached, str(cold))
+        geom = replace(cfg.geometry, d_z=float(cfg.sweep.values()[1]))
+        victim = cache_entry(cache, geom, cfg.wdm)
+        save_channel_set(str(victim), geom, cfg.wdm, se=planted)
+        records = run_sweep(cached, str(rerun))
+        assert [rec.error for rec in records] == [""] * 3
         assert rerun.read_bytes() == cold.read_bytes()
-        assert list(load_matching_channel_set(str(victim), geom, cfg.wdm)) == ["H_tilde"]
+        loaded = load_matching_channel_set(str(victim), geom, cfg.wdm)
+        assert np.array_equal(loaded["se"], fresh_se(geom, cfg.wdm))
+
+    def test_mmse_forms_keep_their_own_entries(self, desk, tmp_path):
+        # the MMSE form is part of the header, so a hermitian and a table
+        # run into one cache write separate entries and each reads its own
+        cache = tmp_path / "cache"
+        cfg = small_sweep(desk, count=3)
+        outputs = {}
+        for form in ("hermitian", "table"):
+            run = replace(cfg, wdm=replace(cfg.wdm, mmse_form=form))
+            plain, cold = tmp_path / f"{form}.csv", tmp_path / f"{form}-cold.csv"
+            run_sweep(run, str(plain))
+            run_sweep(with_cache(run, cache), str(cold))
+            assert cold.read_bytes() == plain.read_bytes()
+            outputs[form] = (run, plain)
+        assert len(os.listdir(cache / FORMAT_VERSION)) == 6
+        for form, (run, plain) in outputs.items():
+            warm = tmp_path / f"{form}-warm.csv"
+            run_sweep(with_cache(run, cache), str(warm))
+            assert warm.read_bytes() == plain.read_bytes()
+        # the forms differ in the MMSE column, so a shared entry would show
+        hermitian, table = (read_csv_columns(str(o[1])) for o in outputs.values())
+        assert hermitian["se_mmse"] != table["se_mmse"]
+        assert hermitian["se_svd"] == table["se_svd"]
 
     def test_colliding_cache_keys_only_cost_a_recompute(self, desk, tmp_path, monkeypatch):
         # every channel set of two different tilt sweeps lands in one file;
@@ -225,14 +300,14 @@ class TestRunSweep:
         cache = tmp_path / "cache"
         for i, (start, stop) in enumerate(((0.0, 30.0), (40.0, 70.0))):
             cfg = small_sweep(desk, parameter="theta_s", start=start, stop=stop, count=3)
-            cached = replace(cfg, output=replace(cfg.output, cache_dir=str(cache)))
+            cached = with_cache(cfg, cache)
             plain = tmp_path / f"plain{i}.csv"
             run_sweep(cfg, str(plain))
             for rerun in range(2):
                 out = tmp_path / f"cached{i}_{rerun}.csv"
                 run_sweep(cached, str(out))
                 assert out.read_bytes() == plain.read_bytes()
-        assert os.listdir(cache) == ["same.wdmch"]
+        assert os.listdir(cache / FORMAT_VERSION) == ["same.wdmch"]
 
     def test_tilt_sweep_reports_degrees(self, desk, tmp_path):
         tilt = small_sweep(desk, parameter="theta_s", start=0.0, stop=30.0, count=3)
@@ -309,12 +384,13 @@ class TestRunSweep:
 
 
 def _count_calls(monkeypatch):
-    """Count the calls of H, R and the noise factor a sweep makes in this process."""
+    """Count the calls of H, R, the noise factor and the receivers a sweep makes here."""
     calls = collections.Counter()
     for module, name in (
         (channel, "assemble_H"),
         (channel, "assemble_R"),
         (experiments, "noise_factor"),
+        (experiments, "spectral_efficiency"),
     ):
 
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
@@ -329,11 +405,14 @@ class TestNoiseFactorPerRun:
     def test_cold_serial_sweep_factors_once(self, desk, tmp_path, monkeypatch):
         calls = _count_calls(monkeypatch)
         run_sweep(small_sweep(desk, count=5), str(tmp_path / "sweep.csv"))
-        assert calls == {"assemble_H": 5, "assemble_R": 1, "noise_factor": 1}
+        assert calls == {
+            "assemble_H": 5, "assemble_R": 1, "noise_factor": 1, "spectral_efficiency": 20,
+        }
 
     def test_warm_sweep_assembles_nothing(self, desk, tmp_path, monkeypatch):
+        # a warm point reads its SE values: no H, R, noise factor or receiver
         cfg = small_sweep(desk, count=5)
-        cached = replace(cfg, output=replace(cfg.output, cache_dir=str(tmp_path / "cache")))
+        cached = with_cache(cfg, tmp_path / "cache")
         cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
         run_sweep(cached, str(cold))
         calls = _count_calls(monkeypatch)
@@ -344,15 +423,17 @@ class TestNoiseFactorPerRun:
     def test_first_cache_miss_builds_the_factor(self, desk, tmp_path, monkeypatch):
         cfg = small_sweep(desk, count=5)
         cache = tmp_path / "cache"
-        cached = replace(cfg, output=replace(cfg.output, cache_dir=str(cache)))
+        cached = with_cache(cfg, cache)
         cold, rerun = tmp_path / "cold.csv", tmp_path / "rerun.csv"
         run_sweep(cached, str(cold))
         for value in (cfg.sweep.values()[1], cfg.sweep.values()[3]):
             geom = replace(cfg.geometry, d_z=float(value))
-            os.remove(cache / (channel_cache_key(geom, cfg.wdm) + ".wdmch"))
+            os.remove(cache_entry(cache, geom, cfg.wdm))
         calls = _count_calls(monkeypatch)
         run_sweep(cached, str(rerun))
-        assert calls == {"assemble_H": 2, "assemble_R": 1, "noise_factor": 1}
+        assert calls == {
+            "assemble_H": 2, "assemble_R": 1, "noise_factor": 1, "spectral_efficiency": 8,
+        }
         assert rerun.read_bytes() == cold.read_bytes()
 
     def test_pool_parent_never_factors(self, desk, tmp_path, monkeypatch):
@@ -448,6 +529,30 @@ class TestRunAvgSweep:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert "</svg>" in text
+
+    def test_pooled_warm_run_reads_a_serial_fill(self, desk, tmp_path):
+        # the pool's workers read the entries a serial cold run wrote, give
+        # the same bytes and rewrite none of them (a rewrite is a rename,
+        # so it would change the inode as well as the modification time)
+        cfg = small_sweep(
+            desk, parameter="d_x", start=2.0, stop=3.0, count=2,
+            draws_per_phi=2, phi_set_deg=(0.0, 90.0), seed=7,
+        )
+        cache = tmp_path / "cache"
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+        run_avg_sweep(with_cache(cfg, cache), str(cold))
+
+        def stamps():
+            return {
+                e.name: (e.stat().st_ino, e.stat().st_mtime_ns)
+                for e in os.scandir(cache / FORMAT_VERSION)
+            }
+
+        filled = stamps()
+        assert len(filled) == 8
+        run_avg_sweep(with_cache(cfg, cache, workers=2), str(warm))
+        assert stamps() == filled
+        assert warm.read_bytes() == cold.read_bytes()
 
     def test_requires_distance_parameter(self, desk, tmp_path):
         with pytest.raises(ValueError, match="d_x"):
