@@ -52,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import zlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -356,14 +357,12 @@ def channel_cache_key(geom: LinkGeometry, cfg: WdmConfig) -> str:
     """Stable 16-hex-digit digest of the header, a cache file stem.
 
     The header's CRC-32 and Adler-32, which depend on its bytes alone, not
-    on process, platform or Python version.  zlib is already loaded by the
-    zipfile reader every cached run needs, where a cryptographic hash
-    would load OpenSSL (~3.5 MB).  A collision can only cost a
-    recompute: :func:`load_matching_channel_set` rejects an entry whose
-    stored header differs.
+    on process, platform or Python version.  zlib is loaded in every run
+    anyway (``zipfile`` imports it, and :mod:`wdmlink.experiments` imports
+    ``zipfile``), where a cryptographic hash would load OpenSSL (~3.5 MB).
+    A collision can only cost a recompute: :func:`load_matching_channel_set`
+    rejects an entry whose stored header differs.
     """
-    import zlib
-
     header = channel_header(geom, cfg).encode()
     return f"{zlib.crc32(header):08x}{zlib.adler32(header):08x}"
 

@@ -95,18 +95,23 @@ FAR_FIELD_GUARD_WAVELENGTHS = 10.0
 # Node pairs per block of _kernel_blocks.  A block is written in place
 # into two float64 arrays and one complex128 array, which at 2**13 pairs
 # take at most 64 + 64 + 128 KiB: the complex one stays within glibc's
-# default 128 KiB mmap threshold, and the three set the traced peak of H.
-# Medians of assemble_H over seven alternating rounds on a 2-core Xeon
-# (2 MiB L2 per core), default rule and the package's 8 MiB malloc
-# thresholds (``wdmlink._MALLOC_THRESHOLD``), against the traced peak of
-# a full-scale assemble_H:
-#   2**12: desk 1.76 ms, full 21.6 ms, 0.51 MB
-#   2**13: desk 1.59 ms, full 15.4 ms, 0.69 MB
-#   2**14: desk 1.30 ms, full 15.0 ms, 1.02 MB
-#   2**15: desk 1.26 ms, full 14.1 ms, 1.77 MB
-# 2**14 is ~0.3 ms quicker on desk (two blocks instead of four) but adds a
-# third to the peak, and a cold full-scale point's peak RSS grows with it,
-# so 2**13 is kept.
+# default 128 KiB mmap threshold, so no block is mapped afresh at each
+# call, and the three set the traced peak of H.  Medians of assemble_H
+# over 21 alternating rounds, one process per size and round, on a
+# 2-core Xeon (2 MiB L2 per core), default rule, glibc 2.36 with its
+# default thresholds; minor page faults of a repeated desk / full-scale
+# assemble_H after two warm-up calls; traced peak of a full-scale
+# assemble_H:
+#   2**12: desk 1.61 ms, full 20.8 ms, faults 0 / 60, 0.51 MB
+#   2**13: desk 1.50 ms, full 18.1 ms, faults 0 / 115, 0.69 MB
+#   2**14: desk 1.60 ms, full 15.8 ms, faults 144 / 205, 1.02 MB
+#   2**15: desk 2.03 ms, full 15.4 ms, faults 300 / 388, 1.77 MB
+# At full scale the blocks freed at the top of the heap are trimmed and
+# faulted in again by the next call; that costs no measurable time (full
+# assemble_H 17.7 ms both ways over 15 alternating rounds against 8 MiB
+# trim and mmap thresholds, which fault 0 times).  Larger blocks are
+# 2-3 ms quicker at full scale but slower on desk, where a repeat then
+# faults too, and they add half or more to the peak, so 2**13 is kept.
 _BLOCK_PAIRS = 2**13
 
 

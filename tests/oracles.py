@@ -15,7 +15,7 @@ import numpy as np
 
 from wdmlink.channel import WdmConfig, assemble_H, assemble_R, whiten
 from wdmlink import em_field
-from wdmlink.em_field import FieldPeak, ModeIndex, gz_kernel, spatial_frequency
+from wdmlink.em_field import EmConstants, FieldPeak, ModeIndex, gz_kernel, spatial_frequency
 from wdmlink.geometry import LinkGeometry, source_direction
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 from wdmlink.receivers import Scheme
@@ -126,6 +126,56 @@ def midpoint_coupling_oracle(geom, cfg, n_s, n_r):
             tone_r = np.exp(-1j * k_n * r)
             out[n - 1, m - 1] = (tone_r @ kern @ tone_s) * (geom.L_s / n_s) * (geom.L_r / n_r)
     return out
+
+
+def exact_gz_kernel(u, theta_s, phi_s, k):
+    """z_hat^T G(u) s_hat of the exact free-space dyad.
+
+    G = g [(1 + j/kr - 1/(kr)^2) I - (1 + 3j/kr - 3/(kr)^2) u_hat u_hat^T]
+    with g = exp(j kappa r) / (4 pi r) and r = ||u||; the far-field dyad
+    of the package keeps only the leading 1 of each bracket.  The phase is
+    taken from the separation in wavelengths reduced to [-1/2, 1/2], so it
+    stays accurate however large kr grows.  Vectorized over leading axes
+    of ``u``.
+    """
+    u = np.asarray(u, dtype=float)
+    st = math.sin(theta_s)
+    s_hat = np.array([st * math.cos(phi_s), st * math.sin(phi_s), math.cos(theta_s)])
+    r = np.sqrt(np.sum(u * u, axis=-1))
+    inv_kr = 1.0 / (k.kappa * r)
+    a = 1.0 + 1j * inv_kr - inv_kr**2
+    b = 1.0 + 3j * inv_kr - 3.0 * inv_kr**2
+    u_z, u_s = u[..., 2] / r, (u @ s_hat) / r
+    cycles = r / k.wavelength
+    g = np.exp(2j * math.pi * (cycles - np.rint(cycles))) / (4.0 * math.pi * r)
+    return g * (a * s_hat[2] - b * u_z * u_s)
+
+
+def kernel_coupling_oracle(geom, cfg, kernel):
+    """Coupling matrix of an arbitrary kernel on the fine oracle rule.
+
+    ``kernel(u)`` maps an (r_z, s, 3) separation grid to its complex
+    values; tones come from np.exp on ``ORACLE_SPEC`` nodes.  Row blocks
+    of 256 receive nodes bound the grid to a few MB.  Returns H and the
+    smallest node separation.
+    """
+    k = EmConstants(cfg.wavelength)
+    s, w_s = s_rule(geom, k, ORACLE_SPEC)
+    r, w_r = composite_gauss_nodes(
+        geom.d_z - geom.L_r / 2.0, geom.d_z + geom.L_r / 2.0, cfg.wavelength / 2.0, ORACLE_SPEC
+    )
+    kappas = np.array(
+        [spatial_frequency(n, cfg.n_modes, geom.L_s) for n in range(1, cfg.n_modes + 1)]
+    )
+    rx = np.exp(-1j * np.outer(kappas, r)) * w_r
+    tx = np.exp(1j * np.outer(s, kappas)) * (w_s / math.sqrt(geom.L_s))[:, None]
+    out = np.zeros((cfg.n_modes, cfg.n_modes), dtype=complex)
+    d2_min = math.inf
+    for lo in range(0, r.size, 256):
+        u = separation_grid(geom, r[lo : lo + 256], s)
+        out += rx[:, lo : lo + 256] @ kernel(u) @ tx
+        d2_min = min(d2_min, float(np.min(np.sum(u * u, axis=-1))))
+    return out, math.sqrt(d2_min)
 
 
 def R_oracle_2d(geom, cfg):

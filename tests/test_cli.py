@@ -1,7 +1,6 @@
 """Command line behavior: routing, overrides and exit codes."""
 
 import os
-import platform
 import re
 import shlex
 import subprocess
@@ -353,56 +352,29 @@ def test_import_defaults_openblas_to_one_thread(preset, seen):
     assert done.stdout.split() == ["True", seen]
 
 
-_REPEAT_FAULTS = (
-    "import resource\n"
+_IMPORT_EFFECTS = (
+    "import os, sys\n"
+    "modules, environ = set(sys.modules), dict(os.environ)\n"
     "import wdmlink\n"
-    "from wdmlink.channel import assemble_H, noise_factor, white_channel\n"
-    "from wdmlink.config import desk_profile, full_profile\n"
-    "def cold_point(geom, wdm):\n"
-    "    return white_channel(geom, wdm, noise_factor(geom, wdm))\n"
-    "def faults(assemble, cfg):\n"
-    "    for _ in range(2):\n"
-    "        assemble(cfg.geometry, cfg.wdm)\n"
-    "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-    "    assemble(cfg.geometry, cfg.wdm)\n"
-    "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
-    "print(faults(assemble_H, desk_profile()), faults(cold_point, full_profile()))\n"
+    "print(*sorted(set(sys.modules) - modules))\n"
+    "names = {*environ, *os.environ}\n"
+    "print(*sorted(k for k in names if environ.get(k) != os.environ.get(k)))\n"
 )
 
 
-@pytest.mark.skipif(
-    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-    reason="page-fault counts of glibc's allocator",
-)
-@pytest.mark.parametrize("threshold_in_env", [False, True], ids=["default-env", "thresholds-in-env"])
-def test_import_keeps_freed_heap_resident(threshold_in_env):
-    # after two warm-up calls, a repeated desk H and cold full-scale point
-    # (noise factor and whitened channel) reuse the heap the warm-ups freed
-    # instead of faulting it in again; a threshold set in the environment
-    # is left alone, and then every repeat faults.  Here that is an mmap
-    # threshold of 0, so each array the free heap cannot hold is mapped
-    # afresh and unmapped when freed: ~600 / ~8000 faults.  glibc's own
-    # 128 KiB lies above the kernel block, and with it a repeat faults
-    # only 0-16 / 50-280 times, depending on import-time allocations.  The
-    # second warm-up also touches heap pages that one call leaves inside
-    # the extended break, which otherwise fault on the repeat by a count
-    # that varies with the process's import-time allocations.
+def test_import_touches_only_the_blas_default():
+    # importing the package alone loads no other module (no numpy, no
+    # ctypes) and sets no environment variable but the OpenBLAS thread
+    # count; the allocator is left to glibc and the user
     src = os.path.dirname(os.path.dirname(os.path.abspath(wdmlink.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for name in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES"):
-        env.pop(name, None)
-    if threshold_in_env:
-        env["MALLOC_MMAP_THRESHOLD_"] = "0"
+    env.pop("OPENBLAS_NUM_THREADS", None)
     done = subprocess.run(
-        [sys.executable, "-c", _REPEAT_FAULTS],
+        [sys.executable, "-c", _IMPORT_EFFECTS],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    desk_H, full_set = map(int, done.stdout.split())
-    if threshold_in_env:
-        assert desk_H >= 100 and full_set >= 100
-    else:
-        assert desk_H <= 10 and full_set <= 10
+    assert done.stdout.splitlines() == ["wdmlink", "OPENBLAS_NUM_THREADS"]

@@ -22,7 +22,13 @@ from wdmlink.em_field import (
 from wdmlink.geometry import LinkGeometry, source_direction
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 
-from oracles import peak_locations_general, s_rule, separation_grid, tone_fields_one_slab
+from oracles import (
+    exact_gz_kernel,
+    peak_locations_general,
+    s_rule,
+    separation_grid,
+    tone_fields_one_slab,
+)
 
 
 class TestEmConstants:
@@ -121,6 +127,28 @@ class TestGzKernel:
             if reference != 0.0:
                 worst = max(worst, abs(got - reference) / abs(reference))
         assert worst < 1e-12
+
+
+class TestExactKernelLimit:
+    def test_exact_kernel_tends_to_far_field(self):
+        # the exact dyad's brackets a = 1 + j/kr - 1/(kr)^2 and
+        # b = 1 + 3j/kr - 3/(kr)^2 multiply terms of modulus <= 1 in units of
+        # 1/(4 pi r), so the two kernels differ by at most 4/kr + 4/(kr)^2
+        # there, plus rounding; separations with exact norms give both the
+        # same r / lambda, so their phases agree to rounding at any kr, and
+        # past kr ~ 1e17 the kernels agree to rounding (~0.8 eps seen)
+        u = np.array([[3.0, 0.0, 4.0], [2.0, 3.0, 6.0], [1.0, 4.0, 8.0], [6.0, 6.0, 7.0]])
+        r = np.array([5.0, 7.0, 9.0, 11.0])
+        eps = np.finfo(float).eps
+        for p in range(0, 64, 3):
+            k = EmConstants(wavelength=0.7 * 2.0**-p)
+            kr = k.kappa * r
+            for th, ph in ((0.0, 0.0), (0.3, 1.1), (1.2, 2.5), (math.pi / 2, 0.0)):
+                exact = exact_gz_kernel(u, th, ph, k)
+                gap = np.abs(exact - gz_kernel(u, th, ph, k)) * (4.0 * math.pi * r)
+                assert np.all(gap <= 4.0 / kr + 4.0 / kr**2 + 4.0 * eps)
+                if kr.min() > 1e17:
+                    assert np.all(gap <= 4.0 * eps)
 
 
 class TestPhasor:
