@@ -41,91 +41,40 @@ factors C = sigma2_emi R + sigma2_hdw I = L L^H and returns
 H_tilde = L^{-1} H for the receiver stage; a sweep factors C once
 (:func:`noise_factor`) and whitens each point as L0^{-1} (D H) instead.
 
-A channel file (:func:`save_channel_set`) is an npz archive of the
-``header`` string and named arrays: ``H`` and ``R`` from ``dump-channel``;
-a sweep's cache entry holds ``se``, the point's four spectral
-efficiencies, under ``<cache_dir>/<FORMAT_VERSION>/``.
+A channel dump (:func:`save_channel_dump`) is an npz archive of the
+``header`` string and ``H`` and ``R``.  A sweep's cache entry is text
+and needs no numpy (:mod:`wdmlink.cache`); its writer and reader are
+importable from here as :func:`save_channel_set` and
+:func:`load_matching_channel_set`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import em_field
+from .cache import channel_header, replacing
+# the cache entry writer and reader, which perfbench/layers.py traces
+# under these names
+from .cache import load_matching_channel_set, save_channel_set
+from .config import WdmConfig, max_modes
 from .em_field import EmConstants, spatial_frequency
 from .geometry import LinkGeometry
-from .quadrature import QuadratureSpec, composite_gauss_nodes
-from .receivers import MMSE_FORMS
+from .quadrature import composite_gauss_nodes
 
 __all__ = [
-    "WdmConfig",
-    "max_modes",
     "assemble_H",
     "assemble_R",
     "whiten",
     "noise_factor",
     "white_channel",
-    "total_power",
-    "emi_variance",
-    "FORMAT_VERSION",
-    "channel_header",
+    "save_channel_dump",
     "save_channel_set",
     "load_matching_channel_set",
 ]
-
-@dataclass(frozen=True)
-class WdmConfig:
-    """Multiplexing and noise parameters.
-
-    Attributes:
-        wavelength: Carrier wavelength [m].
-        n_modes: Number of multiplexed tones N.
-        source_power: Current power constraint P_s [A^2].
-        sigma2_emi: Interference variance at the receive segment [V^2/m^2].
-        sigma2_hdw: White hardware noise variance [V^2/m^2]; zero keeps
-            the noise purely interference-limited.
-        quadrature: Sizing of all channel integrals.
-        mmse_form: MMSE filter variant, one of
-            :data:`wdmlink.receivers.MMSE_FORMS`.
-    """
-
-    wavelength: float
-    n_modes: int
-    source_power: float = 1e-7
-    sigma2_emi: float = 1.0
-    sigma2_hdw: float = 0.0
-    quadrature: QuadratureSpec = QuadratureSpec()
-    mmse_form: str = "hermitian"
-
-    def __post_init__(self) -> None:
-        if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if int(self.n_modes) != self.n_modes or self.n_modes < 1:
-            raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
-        if not (self.source_power >= 0.0 and math.isfinite(self.source_power)):
-            raise ValueError(f"source_power must be nonnegative, got {self.source_power}")
-        if self.sigma2_emi < 0.0 or self.sigma2_hdw < 0.0:
-            raise ValueError("noise variances must be nonnegative")
-        if self.sigma2_emi == 0.0 and self.sigma2_hdw == 0.0:
-            raise ValueError("at least one noise variance must be positive")
-        if self.mmse_form not in MMSE_FORMS:
-            raise ValueError(f"mmse_form must be one of {MMSE_FORMS}, got {self.mmse_form!r}")
-
-
-def max_modes(L_s: float, wavelength: float) -> int:
-    """Largest usable mode count, 2 * floor(L_s / wavelength) + 1."""
-    if not L_s > 0.0:
-        raise ValueError(f"L_s must be positive, got {L_s}")
-    if not wavelength > 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    return 2 * math.floor(L_s / wavelength) + 1
-
 
 def _mode_frequencies(cfg: WdmConfig, geom: LinkGeometry) -> np.ndarray:
     return np.array(
@@ -312,97 +261,17 @@ def white_channel(geom: LinkGeometry, cfg: WdmConfig, L0: np.ndarray) -> np.ndar
     return np.linalg.solve(L0, _dz_phase(geom, cfg)[:, None] * assemble_H(geom, cfg))
 
 
-def total_power(cfg: WdmConfig) -> float:
-    """Transmit power budget P = (kappa * Z0)^2 * P_s [V^2/m^2]."""
-    k = EmConstants(cfg.wavelength)
-    return (k.kappa * k.z0) ** 2 * cfg.source_power
-
-
-def emi_variance(power: float, snr_db: float) -> float:
-    """Interference variance giving the ratio power/sigma2_emi in dB."""
-    if not power > 0.0:
-        raise ValueError(f"power must be positive, got {power}")
-    return power / 10.0 ** (snr_db / 10.0)
-
-
-# ---------------------------------------------------------------------------
-# Channel files: an npz archive of the header string and named arrays.
-
-# A sweep's cache keeps its entries in a directory of this name, so a
-# format change leaves the old entries in one directory to delete.
-FORMAT_VERSION = "v4"
-_FORMAT_TAG = f"wdmlink-channel-set {FORMAT_VERSION}"
-
-
-def channel_header(geom: LinkGeometry, cfg: WdmConfig) -> str:
-    """Canonical header describing one (geometry, config) pair.
-
-    Stored verbatim in channel files and checksummed for cache file names
-    (:func:`channel_cache_key`); two runs produce the same header exactly
-    when every parameter matches.
-    """
-    lines = [_FORMAT_TAG]
-    for f in fields(geom):
-        lines.append(f"geometry.{f.name} = {getattr(geom, f.name)!r}")
-    for f in fields(cfg):
-        if f.name == "quadrature":
-            continue
-        lines.append(f"wdm.{f.name} = {getattr(cfg, f.name)!r}")
-    for f in fields(cfg.quadrature):
-        lines.append(f"quadrature.{f.name} = {getattr(cfg.quadrature, f.name)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def channel_cache_key(geom: LinkGeometry, cfg: WdmConfig) -> str:
-    """Stable 16-hex-digit digest of the header, a cache file stem.
-
-    The header's CRC-32 and Adler-32, which depend on its bytes alone, not
-    on process, platform or Python version.  zlib is loaded in every run
-    anyway (``zipfile`` imports it, and :mod:`wdmlink.experiments` imports
-    ``zipfile``), where a cryptographic hash would load OpenSSL (~3.5 MB).
-    A collision can only cost a recompute: :func:`load_matching_channel_set`
-    rejects an entry whose stored header differs.
-    """
-    header = channel_header(geom, cfg).encode()
-    return f"{zlib.crc32(header):08x}{zlib.adler32(header):08x}"
-
-
-def save_channel_set(
-    path: str, geom: LinkGeometry, cfg: WdmConfig, **arrays: np.ndarray
+def save_channel_dump(
+    path: str, geom: LinkGeometry, cfg: WdmConfig, H: np.ndarray, R: np.ndarray
 ) -> None:
-    """Write ``header`` and the named ``arrays`` to ``path`` as an npz archive.
+    """Write ``H`` and ``R`` with their header to ``path`` as an npz archive.
 
-    The archive goes to a per-process temporary file next to ``path``
-    and is renamed into place, so a crash never leaves a partial file
-    under ``path``.  Equal inputs give equal bytes.
+    The header leaves out the receiver-only fields
+    (``channel_header(geom, cfg, receivers=False)``), which change neither
+    matrix.  The archive replaces ``path`` only once complete
+    (:func:`wdmlink.cache.replacing`), and equal inputs give equal bytes.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        # a file handle keeps np.savez from appending ".npz" to the name
-        with open(tmp, "wb") as out:
-            np.savez(out, header=np.array(channel_header(geom, cfg)), **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
-def load_matching_channel_set(
-    path: str, geom: LinkGeometry, cfg: WdmConfig
-) -> dict[str, np.ndarray]:
-    """The arrays :func:`save_channel_set` stored at ``path``, by name.
-
-    Raises:
-        ValueError: If the stored header differs from
-            ``channel_header(geom, cfg)`` or the file is no npz archive.
-        OSError, zipfile.BadZipFile, EOFError: On an unreadable file.
-    """
-    # np.load raises on a truncated archive before it closes a file it
-    # opened itself, so the file is opened and closed here
-    with open(path, "rb") as fh, np.load(fh) as data:
-        if str(data.get("header")) != channel_header(geom, cfg):
-            raise ValueError(
-                f"{path}: stored header does not match the requested geometry/config"
-            )
-        return {name: data[name] for name in data.files if name != "header"}
+    header = channel_header(geom, cfg, receivers=False)
+    # a file handle keeps np.savez from appending ".npz" to the name
+    with replacing(path) as out:
+        np.savez(out, header=np.array(header), H=H, R=R)

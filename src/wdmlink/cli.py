@@ -8,26 +8,21 @@ its config-file key; angles are degrees.
 
 Exit codes: 0 success, 1 invalid configuration or command line,
 2 numerical failure, 3 I/O failure.
+
+A command's runner is imported when the command runs, so the command
+line itself loads no numpy: ``sweep`` and ``avg-sweep`` load it only at
+their first point not found in the cache (:mod:`wdmlink.experiments`).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from dataclasses import replace
-from typing import List, NoReturn, Optional
-
-import numpy as np
+from typing import Callable, List, NoReturn, Optional
 
 from .config import PARAMETERS, RunConfig, apply_entries, profile_by_name, read_config_entries
-from .experiments import (
-    run_avg_sweep,
-    run_channel_dump,
-    run_field,
-    run_pattern,
-    run_selfcheck,
-    run_sweep,
-)
 
 _COMMON_FLAGS = (
     "--out", "--svg", "--workers", "--seed", "--dx", "--dz", "--theta", "--phi", "--n-modes",
@@ -98,25 +93,42 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return apply_entries(cfg, entries, "command line")
 
 
+def _runner(module: str, name: str) -> Callable:
+    """``wdmlink.<module>.<name>``, looked up per call so a rebound attribute is seen."""
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def _numerical_failure(exc: Exception) -> bool:
+    """Whether ``exc`` is a numerical failure (exit 2).
+
+    numpy's LinAlgError subclasses ValueError.  It can only have been
+    raised once numpy is loaded, so it is looked up, not imported.
+    """
+    numpy = sys.modules.get("numpy")
+    return isinstance(exc, (RuntimeError, ArithmeticError)) or (
+        numpy is not None and isinstance(exc, numpy.linalg.LinAlgError)
+    )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         if args.command == "dump-channel":
             out = cfg.output.csv_path or "channel.wdmch"
-            run_channel_dump(cfg, out)
+            _runner("numerical", "run_channel_dump")(cfg, out)
             print(f"wrote {out}")
         elif args.command == "selfcheck":
-            if not run_selfcheck(cfg):
+            if not _runner("numerical", "run_selfcheck")(cfg):
                 return 2
         else:
-            # looked up per call, so a rebound module attribute is seen
-            runner, default_csv = {
-                "pattern": (run_pattern, "pattern.csv"),
-                "field": (run_field, "field.csv"),
-                "sweep": (run_sweep, "sweep.csv"),
-                "avg-sweep": (run_avg_sweep, "avg_sweep.csv"),
+            module, name, default_csv = {
+                "pattern": ("numerical", "run_pattern", "pattern.csv"),
+                "field": ("numerical", "run_field", "field.csv"),
+                "sweep": ("experiments", "run_sweep", "sweep.csv"),
+                "avg-sweep": ("experiments", "run_avg_sweep", "avg_sweep.csv"),
             }[args.command]
+            runner = _runner(module, name)
             csv_path = cfg.output.csv_path or default_csv
             stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
             svg_path = None if args.no_svg else cfg.output.svg_path or stem + ".svg"
@@ -130,11 +142,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     + (f", {flagged} flagged" if flagged else "")
                 )
         return 0
-    # LinAlgError subclasses ValueError, so the numerical arm goes first
-    except (np.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        if _numerical_failure(exc):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

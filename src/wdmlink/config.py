@@ -1,6 +1,11 @@
 """Run configuration: built-in profiles, the parameter table and config files.
 
-A run is described by a :class:`RunConfig`.  Two profiles ship with the
+A run is described by a :class:`RunConfig`; its link by a
+:class:`wdmlink.geometry.LinkGeometry` and a :class:`WdmConfig`, whose
+integrals are sized by a :class:`QuadratureSpec`.  Like the sweep engine
+(:mod:`wdmlink.experiments`) and the cache (:mod:`wdmlink.cache`), this
+module needs no numpy: a sweep whose every point is cached never loads
+it.  Two profiles ship with the
 package: ``desk`` (a bench-sized link that keeps every experiment fast)
 and ``full`` (the production-scale link).
 
@@ -28,18 +33,23 @@ Sections and keys:
 
 from __future__ import annotations
 
+import enum
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
-from .channel import WdmConfig, emi_variance, max_modes, total_power
 from .geometry import LinkGeometry
-from .receivers import MMSE_FORMS
 
 __all__ = [
+    "FREE_SPACE_IMPEDANCE",
+    "MMSE_FORMS",
+    "Scheme",
+    "QuadratureSpec",
+    "WdmConfig",
+    "max_modes",
+    "total_power",
+    "emi_variance",
     "SweepSettings",
     "FieldSettings",
     "PatternSettings",
@@ -53,6 +63,115 @@ __all__ = [
     "apply_entries",
     "read_config_entries",
 ]
+
+FREE_SPACE_IMPEDANCE = 376.73  # [Ohm]
+
+
+class Scheme(enum.Enum):
+    """Receiver architecture (:mod:`wdmlink.receivers`)."""
+
+    SVD = "svd"
+    MMSE = "mmse"
+    MR = "mr"
+    PLAIN = "plain"
+
+
+# Variants of the MMSE filter (see :mod:`wdmlink.receivers`); the config
+# key ``mmse_form`` accepts exactly these.
+MMSE_FORMS = ("hermitian", "table")
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Sizing of the composite Gauss-Legendre rule.
+
+    Attributes:
+        points_per_wavelength: Nodes laid per oscillation wavelength.
+        nodes_per_panel: Gauss-Legendre order of each panel.
+        max_panels: Safety cap on the panel count of one interval.
+        rel_tol: Relative tolerance used by convergence self-checks.
+    """
+
+    points_per_wavelength: float = 4.0
+    nodes_per_panel: int = 16
+    max_panels: int = 50_000
+    rel_tol: float = 1e-6
+
+    def __post_init__(self) -> None:
+        if not self.points_per_wavelength >= 2.0:
+            raise ValueError(
+                "points_per_wavelength must be at least 2, got "
+                f"{self.points_per_wavelength}"
+            )
+        if not 2 <= int(self.nodes_per_panel) <= 64:
+            raise ValueError(
+                f"nodes_per_panel must lie in [2, 64], got {self.nodes_per_panel}"
+            )
+        if self.max_panels < 1:
+            raise ValueError(f"max_panels must be positive, got {self.max_panels}")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+
+
+@dataclass(frozen=True)
+class WdmConfig:
+    """Multiplexing and noise parameters.
+
+    Attributes:
+        wavelength: Carrier wavelength [m].
+        n_modes: Number of multiplexed tones N.
+        source_power: Current power constraint P_s [A^2].
+        sigma2_emi: Interference variance at the receive segment [V^2/m^2].
+        sigma2_hdw: White hardware noise variance [V^2/m^2]; zero keeps
+            the noise purely interference-limited.
+        quadrature: Sizing of all channel integrals.
+        mmse_form: MMSE filter variant, one of :data:`MMSE_FORMS`.
+    """
+
+    wavelength: float
+    n_modes: int
+    source_power: float = 1e-7
+    sigma2_emi: float = 1.0
+    sigma2_hdw: float = 0.0
+    quadrature: QuadratureSpec = QuadratureSpec()
+    mmse_form: str = "hermitian"
+
+    def __post_init__(self) -> None:
+        if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
+            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if int(self.n_modes) != self.n_modes or self.n_modes < 1:
+            raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
+        if not (self.source_power >= 0.0 and math.isfinite(self.source_power)):
+            raise ValueError(f"source_power must be nonnegative, got {self.source_power}")
+        if self.sigma2_emi < 0.0 or self.sigma2_hdw < 0.0:
+            raise ValueError("noise variances must be nonnegative")
+        if self.sigma2_emi == 0.0 and self.sigma2_hdw == 0.0:
+            raise ValueError("at least one noise variance must be positive")
+        if self.mmse_form not in MMSE_FORMS:
+            raise ValueError(f"mmse_form must be one of {MMSE_FORMS}, got {self.mmse_form!r}")
+
+
+def max_modes(L_s: float, wavelength: float) -> int:
+    """Largest usable mode count, 2 * floor(L_s / wavelength) + 1."""
+    if not L_s > 0.0:
+        raise ValueError(f"L_s must be positive, got {L_s}")
+    if not wavelength > 0.0:
+        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    return 2 * math.floor(L_s / wavelength) + 1
+
+
+def total_power(cfg: WdmConfig) -> float:
+    """Transmit power budget P = (kappa * Z0)^2 * P_s [V^2/m^2]."""
+    kappa = 2.0 * math.pi / cfg.wavelength
+    return (kappa * FREE_SPACE_IMPEDANCE) ** 2 * cfg.source_power
+
+
+def emi_variance(power: float, snr_db: float) -> float:
+    """Interference variance giving the ratio power/sigma2_emi in dB."""
+    if not power > 0.0:
+        raise ValueError(f"power must be positive, got {power}")
+    return power / 10.0 ** (snr_db / 10.0)
+
 
 SWEEP_PARAMETERS = ("d_z", "theta_s", "d_x")
 
@@ -93,8 +212,25 @@ class SweepSettings:
         if not 0.0 <= self.theta_max_deg <= 180.0:
             raise ValueError("theta_max must lie in [0, 180] degrees")
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+    def values(self) -> List[float]:
+        """The grid, bit for bit ``np.linspace(start, stop, count)``.
+
+        The same operations in numpy's order: i * step + start, or
+        (i / (count - 1)) * delta + start when the step underflows to
+        zero, and the last point set to stop.
+        """
+        start, stop = float(self.start), float(self.stop)
+        delta = stop - start
+        if self.count == 1:
+            return [0.0 * delta + start]
+        div = self.count - 1
+        step = delta / div
+        if step == 0.0:
+            grid = [i / div * delta + start for i in range(self.count)]
+        else:
+            grid = [i * step + start for i in range(self.count)]
+        grid[-1] = stop
+        return grid
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,11 @@ with value 1 - gamma_n^2.  The beam therefore leaves the segment on a
 cone of aperture acos(gamma_n) about its axis; for an untilted segment
 ``peak_location_boresight`` intersects that cone with the receive line
 to predict where |e_z| is maximal (any tilt: ``tests/oracles.py``).
+
+The segment points along ``source_direction(theta_s, phi_s)``;
+``rotation_matrix`` returns the orthogonal matrix Q that maps it onto
+the z-axis, the rotation by ``theta_s`` about the horizontal axis
+perpendicular to both, expressed directly in terms of the two angles.
 """
 
 from __future__ import annotations
@@ -68,16 +73,18 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import LinkGeometry, source_direction
+from .config import FREE_SPACE_IMPEDANCE
+from .geometry import LinkGeometry
 from .quadrature import QuadratureSpec, composite_gauss_nodes
 
 __all__ = [
-    "FREE_SPACE_IMPEDANCE",
     "EmConstants",
     "ModeIndex",
     "NearFieldWarning",
     "FieldPeak",
     "spatial_frequency",
+    "source_direction",
+    "rotation_matrix",
     "green_dyadic_ff",
     "gz_kernel",
     "radiation_pattern",
@@ -86,8 +93,6 @@ __all__ = [
     "boresight_reference_peak",
     "peak_location_boresight",
 ]
-
-FREE_SPACE_IMPEDANCE = 376.73  # [Ohm]
 
 # Separations below this many wavelengths trigger NearFieldWarning.
 FAR_FIELD_GUARD_WAVELENGTHS = 10.0
@@ -155,6 +160,53 @@ def spatial_frequency(n: int, n_modes: int, L_s: float) -> float:
     if not L_s > 0.0:
         raise ValueError(f"L_s must be positive, got {L_s}")
     return 2.0 * math.pi / L_s * (n - (n_modes + 1) / 2.0)
+
+
+def source_direction(theta_s: float, phi_s: float) -> np.ndarray:
+    """Unit vector along the transmit segment.
+
+    Args:
+        theta_s: Polar angle from the z-axis [rad].
+        phi_s: Azimuth from the x-axis [rad].
+
+    Returns:
+        Array (3,) with (cos(phi_s) sin(theta_s), sin(phi_s) sin(theta_s),
+        cos(theta_s)).
+    """
+    st = math.sin(theta_s)
+    return np.array(
+        [math.cos(phi_s) * st, math.sin(phi_s) * st, math.cos(theta_s)]
+    )
+
+
+def rotation_matrix(theta_s: float, phi_s: float) -> np.ndarray:
+    """Orthogonal matrix taking the segment direction onto the z-axis.
+
+    Satisfies Q @ source_direction(theta_s, phi_s) = (0, 0, 1), with
+    det Q = +1.  For theta_s = 0 the matrix is the identity.
+
+    Args:
+        theta_s: Polar angle [rad].
+        phi_s: Azimuth [rad].
+
+    Returns:
+        Array (3, 3).
+    """
+    ct = math.cos(theta_s)
+    st = math.sin(theta_s)
+    if 1.0 - ct == 0.0:
+        # The general expression reduces to sin^2 + cos^2 on the diagonal,
+        # which need not round to 1.0; return the exact limit instead.
+        return np.eye(3)
+    cp = math.cos(phi_s)
+    sp = math.sin(phi_s)
+    return np.array(
+        [
+            [sp * sp + cp * cp * ct, -sp * cp * (1.0 - ct), -cp * st],
+            [-sp * cp * (1.0 - ct), cp * cp + sp * sp * ct, -sp * st],
+            [cp * st, sp * st, ct],
+        ]
+    )
 
 
 @dataclass(frozen=True)

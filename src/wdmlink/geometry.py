@@ -1,16 +1,15 @@
 """Geometry of a line-of-sight link between two linear segments.
 
 The transmit segment has length ``L_s``, is centered at the origin and
-points along the unit vector ``s_hat(theta_s, phi_s)``.  The receive
-segment has length ``L_r`` and lies parallel to the z-axis at lateral
-offset ``d_x``, vertically centered at ``d_z``:
+points along the unit vector ``s_hat(theta_s, phi_s)``
+(:func:`wdmlink.em_field.source_direction`).  The receive segment has
+length ``L_r`` and lies parallel to the z-axis at lateral offset
+``d_x``, vertically centered at ``d_z``:
 
     V_r = {(d_x, 0, r_z) : |r_z - d_z| <= L_r / 2}.
 
-``rotation_matrix`` returns the orthogonal matrix Q that maps ``s_hat``
-onto the z-axis; it is the rotation by ``theta_s`` about the horizontal
-axis perpendicular to both, expressed directly in terms of the two
-angles.  All lengths are in meters and all angles in radians.
+All lengths are in meters and all angles in radians.  This module needs
+no numpy, so a run that only reads cached results never loads it.
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = [
-    "LinkGeometry",
-    "source_direction",
-    "rotation_matrix",
-]
+__all__ = ["LinkGeometry"]
 
 
 @dataclass(frozen=True)
@@ -61,50 +54,3 @@ class LinkGeometry:
             raise ValueError(f"theta_s must lie in [0, pi], got {self.theta_s}")
         if not 0.0 <= self.phi_s < 2.0 * math.pi:
             raise ValueError(f"phi_s must lie in [0, 2*pi), got {self.phi_s}")
-
-
-def source_direction(theta_s: float, phi_s: float) -> np.ndarray:
-    """Unit vector along the transmit segment.
-
-    Args:
-        theta_s: Polar angle from the z-axis [rad].
-        phi_s: Azimuth from the x-axis [rad].
-
-    Returns:
-        Array (3,) with (cos(phi_s) sin(theta_s), sin(phi_s) sin(theta_s),
-        cos(theta_s)).
-    """
-    st = math.sin(theta_s)
-    return np.array(
-        [math.cos(phi_s) * st, math.sin(phi_s) * st, math.cos(theta_s)]
-    )
-
-
-def rotation_matrix(theta_s: float, phi_s: float) -> np.ndarray:
-    """Orthogonal matrix taking the segment direction onto the z-axis.
-
-    Satisfies Q @ source_direction(theta_s, phi_s) = (0, 0, 1), with
-    det Q = +1.  For theta_s = 0 the matrix is the identity.
-
-    Args:
-        theta_s: Polar angle [rad].
-        phi_s: Azimuth [rad].
-
-    Returns:
-        Array (3, 3).
-    """
-    ct = math.cos(theta_s)
-    st = math.sin(theta_s)
-    if 1.0 - ct == 0.0:
-        # The general expression reduces to sin^2 + cos^2 on the diagonal,
-        # which need not round to 1.0; return the exact limit instead.
-        return np.eye(3)
-    cp = math.cos(phi_s)
-    sp = math.sin(phi_s)
-    return np.array(
-        [
-            [sp * sp + cp * cp * ct, -sp * cp * (1.0 - ct), -cp * st],
-            [-sp * cp * (1.0 - ct), cp * cp + sp * sp * ct, -sp * st],
-            [cp * st, sp * st, ct],
-        ]
-    )

@@ -3,8 +3,8 @@
 The integrands in this package are smooth but oscillate at a known
 spatial rate, so a fixed composite rule sized from the oscillation
 wavelength is both accurate and reproducible: the node set depends only
-on the interval and the ``QuadratureSpec``, never on the integrand.  The
-panel count is
+on the interval and the :class:`wdmlink.config.QuadratureSpec`, never on
+the integrand.  The panel count is
 
     ceil((b - a) / osc_wavelength * points_per_wavelength / nodes_per_panel)
 
@@ -24,14 +24,14 @@ weights are good to 1e-13 relative against 40-digit values, numpy's to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
+from .config import QuadratureSpec
+
 __all__ = [
-    "QuadratureSpec",
     "PanelLimitError",
     "panel_count",
     "composite_gauss_nodes",
@@ -40,38 +40,6 @@ __all__ = [
 
 class PanelLimitError(RuntimeError):
     """Raised when an interval would require more panels than allowed."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Sizing of the composite Gauss-Legendre rule.
-
-    Attributes:
-        points_per_wavelength: Nodes laid per oscillation wavelength.
-        nodes_per_panel: Gauss-Legendre order of each panel.
-        max_panels: Safety cap on the panel count of one interval.
-        rel_tol: Relative tolerance used by convergence self-checks.
-    """
-
-    points_per_wavelength: float = 4.0
-    nodes_per_panel: int = 16
-    max_panels: int = 50_000
-    rel_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not self.points_per_wavelength >= 2.0:
-            raise ValueError(
-                "points_per_wavelength must be at least 2, got "
-                f"{self.points_per_wavelength}"
-            )
-        if not 2 <= int(self.nodes_per_panel) <= 64:
-            raise ValueError(
-                f"nodes_per_panel must lie in [2, 64], got {self.nodes_per_panel}"
-            )
-        if self.max_panels < 1:
-            raise ValueError(f"max_panels must be positive, got {self.max_panels}")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
 
 
 @lru_cache(maxsize=None)

@@ -24,39 +24,31 @@ and the sum spectral efficiency is sum log2(1 + SINR_n).
 
 The textbook MMSE filter above differs from writing the power matrix in
 front of the Gram product; ``mmse_form="table"`` switches to that
-variant, (P H_tilde H_tilde^H + I)^{-1} H_tilde, for comparison.
+variant, (P H_tilde H_tilde^H + I)^{-1} H_tilde, for comparison.  Its
+Gram matrix is not Hermitian, and where H_tilde is ill-conditioned the
+solve amplifies rounding: at desk with d_x = 0.4 m, theta_s = 1.2 and
+d_z = 0.37 (cond(H_tilde) about 3e16), an exact unit diagonal on
+H_tilde, which leaves every SE unchanged in exact arithmetic, moves the
+table form's SE by 7.3e-13 relative against at most 3.1e-16 for the
+hermitian form; 9-digit CSV cells do not show it.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
+from .config import MMSE_FORMS, Scheme
+
 __all__ = [
-    "MMSE_FORMS",
-    "Scheme",
     "SchemeResult",
     "waterfill",
     "scheme_gains",
     "sinr",
     "spectral_efficiency",
 ]
-
-# Variants of the MMSE filter (see module docs); the config key
-# ``mmse_form`` accepts exactly these.
-MMSE_FORMS = ("hermitian", "table")
-
-
-class Scheme(enum.Enum):
-    """Receiver architecture."""
-
-    SVD = "svd"
-    MMSE = "mmse"
-    MR = "mr"
-    PLAIN = "plain"
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
 """Small self-contained SVG plotter for experiment outputs.
 
-Generates static line and polar plots without any plotting dependency;
-output is deterministic (no timestamps, no randomness) so repeated runs
-produce identical files.
+Generates static line and polar plots without any plotting dependency,
+numpy included; output is deterministic (no timestamps, no randomness)
+so repeated runs produce identical files.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 __all__ = ["line_plot_svg", "polar_plot_svg", "write_svg"]
 
@@ -83,7 +81,7 @@ def _legend(labels: Sequence[str], x0: float, y0: float) -> List[str]:
 
 
 def line_plot_svg(
-    series: Sequence[Tuple[str, np.ndarray, np.ndarray]],
+    series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
     xlabel: str,
     ylabel: str,
     title: str,
@@ -93,16 +91,10 @@ def line_plot_svg(
     NaN samples break the polyline, so flagged sweep points show up as
     gaps rather than interpolated segments.
     """
-    xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
-    ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
-    finite_x = xs[np.isfinite(xs)]
-    finite_y = ys[np.isfinite(ys)]
-    x_lo, x_hi = (
-        (float(finite_x.min()), float(finite_x.max())) if finite_x.size else (0.0, 1.0)
-    )
-    y_lo, y_hi = (
-        (float(finite_y.min()), float(finite_y.max())) if finite_y.size else (0.0, 1.0)
-    )
+    finite_x = [float(v) for _, x, _ in series for v in x if math.isfinite(v)]
+    finite_y = [float(v) for _, _, y in series for v in y if math.isfinite(v)]
+    x_lo, x_hi = (min(finite_x), max(finite_x)) if finite_x else (0.0, 1.0)
+    y_lo, y_hi = (min(finite_y), max(finite_y)) if finite_y else (0.0, 1.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -142,12 +134,10 @@ def line_plot_svg(
     )
     for i, (label, x, y) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         run: List[Tuple[float, float]] = []
         for xi, yi in zip(x, y):
             if math.isfinite(xi) and math.isfinite(yi):
-                run.append((sx(xi), sy(yi)))
+                run.append((sx(float(xi)), sy(float(yi))))
             elif run:
                 if len(run) > 1:
                     parts.append(_polyline(run, color))
@@ -166,7 +156,7 @@ def line_plot_svg(
 
 
 def polar_plot_svg(
-    series: Sequence[Tuple[str, np.ndarray, np.ndarray]],
+    series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
     title: str,
 ) -> str:
     """Render labelled (angle_deg, radius) series as a half polar plot.
@@ -208,8 +198,8 @@ def polar_plot_svg(
         color = _COLORS[i % len(_COLORS)]
         pts = [
             to_xy(float(t), float(v))
-            for t, v in zip(np.asarray(theta_deg), np.asarray(r))
-            if math.isfinite(float(t)) and math.isfinite(float(v))
+            for t, v in zip(theta_deg, r)
+            if math.isfinite(t) and math.isfinite(v)
         ]
         if len(pts) > 1:
             parts.append(_polyline(pts, color))

@@ -13,10 +13,18 @@ from typing import List
 
 import numpy as np
 
-from wdmlink.channel import WdmConfig, assemble_H, assemble_R, whiten
+from wdmlink.channel import assemble_H, assemble_R, whiten
+from wdmlink.config import WdmConfig
 from wdmlink import em_field
-from wdmlink.em_field import EmConstants, FieldPeak, ModeIndex, gz_kernel, spatial_frequency
-from wdmlink.geometry import LinkGeometry, source_direction
+from wdmlink.em_field import (
+    EmConstants,
+    FieldPeak,
+    ModeIndex,
+    gz_kernel,
+    source_direction,
+    spatial_frequency,
+)
+from wdmlink.geometry import LinkGeometry
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 from wdmlink.receivers import Scheme
 

@@ -11,12 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wdmlink.channel import (
-    assemble_H,
-    assemble_R,
-    max_modes,
-    total_power,
-)
+from wdmlink.channel import assemble_H, assemble_R
+from wdmlink.config import max_modes, total_power
 from wdmlink.em_field import (
     EmConstants,
     ModeIndex,
@@ -24,9 +20,10 @@ from wdmlink.em_field import (
     peak_location_boresight,
     radiation_pattern,
     received_field_profile,
+    rotation_matrix,
+    source_direction,
 )
 from wdmlink.experiments import run_sweep
-from wdmlink.geometry import rotation_matrix, source_direction
 from wdmlink.receivers import Scheme, sinr, spectral_efficiency, waterfill
 
 from oracles import (

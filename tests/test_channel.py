@@ -8,25 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wdmlink import channel, em_field
+from wdmlink.cache import channel_cache_key, channel_header
 from wdmlink.channel import (
-    WdmConfig,
     assemble_H,
     assemble_R,
-    channel_cache_key,
-    channel_header,
-    emi_variance,
     load_matching_channel_set,
-    max_modes,
     noise_factor,
+    save_channel_dump,
     save_channel_set,
-    total_power,
     white_channel,
     whiten,
 )
-from wdmlink.em_field import EmConstants, NearFieldWarning, gz_kernel, spatial_frequency
-from wdmlink.geometry import source_direction
+from wdmlink.config import MMSE_FORMS, WdmConfig, emi_variance, max_modes, total_power
+from wdmlink.em_field import (
+    EmConstants,
+    NearFieldWarning,
+    gz_kernel,
+    source_direction,
+    spatial_frequency,
+)
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
-from wdmlink.receivers import MMSE_FORMS, Scheme, spectral_efficiency
+from wdmlink.receivers import Scheme, spectral_efficiency
 
 from oracles import (
     ORACLE_SPEC,
@@ -604,32 +606,63 @@ class TestPowerModel:
             emi_variance(0.0, 90.0)
 
 
+# four SE values with full 53-bit mantissas, a subnormal and a zero
+SE_VALUES = (math.pi * 20.0, 1.0 / 3.0, 5e-324, 0.0)
+
+
 class TestSerialization:
     def test_roundtrip_is_bit_exact(self, tmp_path):
-        # the named arrays come back as stored, without whitening
-        ch = channel_set(REDUCED_GEOM, REDUCED_CFG)
-        arrays = {name: getattr(ch, name) for name in ("H", "R", "H_tilde")}
-        path = tmp_path / "link.wdmch"
-        save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, **arrays)
+        # a cache entry gives its four values back bit for bit; a dump
+        # gives H and R back as assembled, without whitening
+        path = tmp_path / "entry.wdmch"
+        save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
         loaded = load_matching_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG)
-        assert sorted(loaded) == sorted(arrays)
-        for name, array in arrays.items():
-            assert np.array_equal(loaded[name], array)
+        assert [v.hex() for v in loaded] == [v.hex() for v in SE_VALUES]
+        ch = channel_set(REDUCED_GEOM, REDUCED_CFG)
+        dump = tmp_path / "link.wdmch"
+        save_channel_dump(str(dump), REDUCED_GEOM, REDUCED_CFG, ch.H, ch.R)
+        with np.load(dump) as data:
+            assert sorted(data.files) == ["H", "R", "header"]
+            assert np.array_equal(data["H"], ch.H)
+            assert np.array_equal(data["R"], ch.R)
 
     def test_rewrite_identical_bytes(self, tmp_path):
-        H_tilde = channel_set(REDUCED_GEOM, REDUCED_CFG).H_tilde
         p1, p2 = tmp_path / "a.wdmch", tmp_path / "b.wdmch"
-        save_channel_set(str(p1), REDUCED_GEOM, REDUCED_CFG, H_tilde=H_tilde)
-        save_channel_set(str(p2), REDUCED_GEOM, REDUCED_CFG, H_tilde=H_tilde)
+        save_channel_set(str(p1), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
+        save_channel_set(str(p2), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
+        assert p1.read_bytes() == p2.read_bytes()
+        ch = channel_set(REDUCED_GEOM, REDUCED_CFG)
+        for p in (p1, p2):
+            save_channel_dump(str(p), REDUCED_GEOM, REDUCED_CFG, ch.H, ch.R)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_matching_load_rejects_other_geometry(self, tmp_path):
-        H_tilde = channel_set(REDUCED_GEOM, REDUCED_CFG).H_tilde
-        path = tmp_path / "link.wdmch"
-        save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, H_tilde=H_tilde)
+        path = tmp_path / "entry.wdmch"
+        save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
         other = replace(REDUCED_GEOM, d_x=1.5)
         with pytest.raises(ValueError):
             load_matching_channel_set(str(path), other, REDUCED_CFG)
+
+    def test_entry_is_header_then_hex_values(self, tmp_path):
+        # a v5 entry is text: the header, then one float.hex line per scheme
+        path = tmp_path / "entry.wdmch"
+        save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
+        header = channel_header(REDUCED_GEOM, REDUCED_CFG)
+        assert header.startswith("wdmlink-channel-set v5\n")
+        body = "".join(f"{v.hex()}\n" for v in SE_VALUES)
+        assert path.read_text(encoding="ascii") == header + body
+
+    def test_dump_header_leaves_out_receiver_fields(self, tmp_path):
+        # H and R do not depend on the MMSE form, so a dump's header does
+        # not name it and matches the link under either form
+        ch = channel_set(REDUCED_GEOM, REDUCED_CFG)
+        path = tmp_path / "link.wdmch"
+        table = replace(REDUCED_CFG, mmse_form="table")
+        save_channel_dump(str(path), REDUCED_GEOM, table, ch.H, ch.R)
+        with np.load(path) as data:
+            header = str(data["header"])
+        assert "mmse_form" not in header
+        assert header == channel_header(REDUCED_GEOM, REDUCED_CFG, receivers=False)
 
     def test_cache_key_distinguishes_configs(self):
         base = channel_cache_key(REDUCED_GEOM, REDUCED_CFG)
@@ -645,9 +678,27 @@ class TestSerialization:
     def test_cache_key_is_pinned(self):
         # the file name is the header's CRC-32 and Adler-32, which depend on
         # its bytes alone: not on the process, platform or Python version
-        # (the header's format tag is v4, entries holding a point's four SE
-        # values, and the header names the MMSE form)
-        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "eb2d883ad2db85df"
+        # (the header's format tag is v5, text entries holding a point's
+        # four SE values, and the header names the MMSE form but not
+        # quadrature.rel_tol)
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "5eb71ae517e17cd3"
+
+    def test_cache_key_follows_exactly_what_the_se_depends_on(self):
+        # only selfcheck reads rel_tol, so it keeps the key; every field
+        # a point's SE depends on changes it
+        base = channel_cache_key(REDUCED_GEOM, REDUCED_CFG)
+        quad = REDUCED_CFG.quadrature
+        assert base == channel_cache_key(
+            REDUCED_GEOM, replace(REDUCED_CFG, quadrature=replace(quad, rel_tol=1e-3))
+        )
+        for changed in (
+            replace(REDUCED_CFG, mmse_form="table"),
+            replace(REDUCED_CFG, sigma2_hdw=1e-3),
+            replace(REDUCED_CFG, source_power=2e-7),
+            replace(REDUCED_CFG, quadrature=replace(quad, points_per_wavelength=8.0)),
+            replace(REDUCED_CFG, quadrature=replace(quad, nodes_per_panel=8)),
+        ):
+            assert channel_cache_key(REDUCED_GEOM, changed) != base, changed
 
     def test_header_contains_every_parameter(self):
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)

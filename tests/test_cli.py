@@ -12,6 +12,8 @@ import pytest
 
 import wdmlink
 import wdmlink.cli as cli
+import wdmlink.experiments as experiments
+import wdmlink.numerical as numerical
 from wdmlink.config import PARAMETERS
 
 from conftest import read_csv_columns
@@ -59,6 +61,17 @@ def test_dump_channel_honors_geometry_flags(tmp_path):
     assert rc == 0
     with np.load(out) as data:
         assert "geometry.d_x = 3.0" in str(data["header"])
+
+
+def test_dump_channel_ignores_the_mmse_form(tmp_path):
+    # H and R do not depend on the receivers' MMSE form, so a dump written
+    # under either form is the same file and loads against the other
+    table = tmp_path / "table.cfg"
+    table.write_text("[wdm]\nmmse_form = table\n")
+    default, tabled = tmp_path / "default.wdmch", tmp_path / "table.wdmch"
+    assert cli.main(["dump-channel", "--out", str(default)]) == 0
+    assert cli.main(["dump-channel", "--config", str(table), "--out", str(tabled)]) == 0
+    assert tabled.read_bytes() == default.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -139,7 +152,7 @@ def test_numerical_failure_exits_2(tmp_path, monkeypatch, capsys):
     def blow_up(cfg, csv_path, svg_path=None):
         raise np.linalg.LinAlgError("factorization failed")
 
-    monkeypatch.setattr(cli, "run_sweep", blow_up)
+    monkeypatch.setattr(experiments, "run_sweep", blow_up)
     rc = cli.main(["sweep", "--out", str(tmp_path / "s.csv"), "--no-svg"])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
@@ -153,9 +166,9 @@ def test_io_failure_exits_3(tmp_path, capsys):
 
 
 def test_selfcheck_reports_through_exit_code(monkeypatch):
-    monkeypatch.setattr(cli, "run_selfcheck", lambda cfg: True)
+    monkeypatch.setattr(numerical, "run_selfcheck", lambda cfg: True)
     assert cli.main(["selfcheck"]) == 0
-    monkeypatch.setattr(cli, "run_selfcheck", lambda cfg: False)
+    monkeypatch.setattr(numerical, "run_selfcheck", lambda cfg: False)
     assert cli.main(["selfcheck"]) == 2
 
 
@@ -263,9 +276,11 @@ def test_avg_sweep_stop_from_file_equals_stop_flag(tmp_path):
 # modules a serial, uncached run without a config file never needs; numpy
 # is the only numerical library, so scipy is never needed at all, the
 # tilt ensemble is drawn without numpy.random and the Gauss-Legendre rule
-# is built without numpy.polynomial
+# is built without numpy.polynomial; numpy itself loads only when a point
+# has to be computed
 _IMPORT_BUDGET = frozenset(
     (
+        "numpy",
         "concurrent.futures.process",
         "multiprocessing",
         "hashlib",
@@ -281,49 +296,68 @@ _NEW_MODULES = (
     "import sys\n"
     "before = set(sys.modules)\n"
     "import wdmlink.cli\n"
-    "assert wdmlink.cli.main(sys.argv[1:]) == 0\n"
+    "try:\n"
+    "    rc = wdmlink.cli.main(sys.argv[1:])\n"
+    "except SystemExit as exc:  # --help\n"
+    "    rc = exc.code\n"
+    "assert rc == 0, rc\n"
     "print(*sorted(set(sys.modules) - before))\n"
 )
 
-_SWEEP = ("sweep", "--profile", "desk", "--count", "2", "--no-svg", "--out", "sweep.csv")
-_AVG_SWEEP = ("avg-sweep", "--profile", "desk", "--count", "1", "--draws", "2",
-              "--no-svg", "--out", "avg.csv")
-_POOL = {"concurrent.futures.process", "multiprocessing"}
 
-
-@pytest.mark.parametrize(
-    "argv, loads",
-    [
-        (_SWEEP, set()),
-        (_SWEEP + ("--workers", "2"), _POOL),
-        (_SWEEP + ("--cache-dir", "cache"), set()),
-        (_SWEEP + ("--config", "two.cfg"), {"configparser"}),
-        (_AVG_SWEEP, set()),
-        (_AVG_SWEEP + ("--workers", "2"), _POOL),
-        (("selfcheck", "--profile", "desk"), set()),
-    ],
-    ids=["serial", "pool", "cache", "config", "avg-serial", "avg-pool", "selfcheck"],
-)
-def test_run_loads_only_what_its_command_uses(tmp_path, argv, loads):
-    # a 2-point desk sweep imports the pool and the INI parser only when
-    # its flags ask for them, and a cached one names its files without
-    # hashlib (OpenSSL); averaged sweeps and the self-check draw their
-    # random numbers without numpy.random, and no command loads
-    # numpy.polynomial
-    (tmp_path / "two.cfg").write_text("[sweep]\ncount = 2\n")
+def _python(tmp_path, *args):
+    """stdout of ``python args`` run in ``tmp_path`` with this checkout's src importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(wdmlink.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _NEW_MODULES, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=tmp_path,
         check=True,
     )
+    return done.stdout
+
+
+_SWEEP = ("sweep", "--profile", "desk", "--count", "2", "--no-svg", "--out", "sweep.csv")
+_AVG_SWEEP = ("avg-sweep", "--profile", "desk", "--count", "1", "--draws", "2",
+              "--no-svg", "--out", "avg.csv")
+_CACHE = ("--cache-dir", "cache")
+_PAIR = ("--workers", "2")
+_POOL = {"concurrent.futures.process", "multiprocessing"}
+_NUMPY = {"numpy"}
+
+
+@pytest.mark.parametrize(
+    "argv, warm, loads",
+    [
+        (_SWEEP, False, _NUMPY),
+        (_SWEEP + _PAIR, False, _POOL | _NUMPY),
+        (_SWEEP + _CACHE, False, _NUMPY),
+        (_SWEEP + ("--config", "two.cfg"), False, {"configparser"} | _NUMPY),
+        (_AVG_SWEEP, False, _NUMPY),
+        (_AVG_SWEEP + _PAIR, False, _POOL | _NUMPY),
+        (("selfcheck", "--profile", "desk"), False, _NUMPY),
+        (_SWEEP + _CACHE, True, set()),
+        (_SWEEP + _CACHE + _PAIR, True, set()),
+        (_AVG_SWEEP + _CACHE + _PAIR, True, set()),
+        (("--help",), False, set()),
+    ],
+    ids=["serial", "pool", "cache", "config", "avg-serial", "avg-pool", "selfcheck",
+         "warm", "warm-pool", "avg-warm-pool", "help"],
+)
+def test_run_loads_only_what_its_command_uses(tmp_path, argv, warm, loads):
+    # a 2-point desk sweep imports the pool and the INI parser only when
+    # its flags ask for them, and a cached one names its files without
+    # hashlib (OpenSSL); averaged sweeps and the self-check draw their
+    # random numbers without numpy.random, and no command loads
+    # numpy.polynomial.  A sweep whose every point is cached (the same
+    # command run once before) loads neither numpy nor, with workers,
+    # the pool, and the command line alone loads no numpy.
+    (tmp_path / "two.cfg").write_text("[sweep]\ncount = 2\n")
+    if warm:
+        _python(tmp_path, "-c", _NEW_MODULES, *argv)
+    stdout = _python(tmp_path, "-c", _NEW_MODULES, *argv)
     # the command's own report comes first, the new modules on the last line
-    new = set(done.stdout.splitlines()[-1].split())
+    new = set(stdout.splitlines()[-1].split())
     assert loads <= new
     unasked = _IMPORT_BUDGET - loads
     if "multiprocessing" in loads:
@@ -332,24 +366,47 @@ def test_run_loads_only_what_its_command_uses(tmp_path, argv, loads):
     assert not new & unasked
 
 
+_POOL_AFTER_NUMPY = (
+    "import sys\n"
+    "import concurrent.futures as futures\n"
+    "seen = []\n"
+    "class Pool(futures.ProcessPoolExecutor):\n"
+    "    def __init__(self, *args, **kwargs):\n"
+    "        seen.append('numpy' in sys.modules)\n"
+    "        super().__init__(*args, **kwargs)\n"
+    "futures.ProcessPoolExecutor = Pool\n"
+    "import wdmlink.cli\n"
+    "assert 'numpy' not in sys.modules\n"
+    "assert wdmlink.cli.main(sys.argv[1:]) == 0\n"
+    "print(*seen)\n"
+)
+
+
+@pytest.mark.parametrize("argv", [_SWEEP + _PAIR, _AVG_SWEEP + _CACHE + _PAIR],
+                         ids=["sweep", "avg-sweep"])
+def test_cold_pool_starts_after_numpy_loads(tmp_path, argv):
+    # the parent imports the numerical layer at the first point not found
+    # in the cache, before it starts the pool, so the forked workers
+    # inherit numpy instead of each importing it again
+    stdout = _python(tmp_path, "-c", _POOL_AFTER_NUMPY, *argv)
+    assert stdout.splitlines()[-1] == "True"
+
+
 @pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])
-def test_import_defaults_openblas_to_one_thread(preset, seen):
-    # importing the CLI loads numpy, and the package sets the OpenBLAS
-    # thread count before that happens; a value the user set is kept
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wdmlink.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("OPENBLAS_NUM_THREADS", None)
+def test_import_defaults_openblas_to_one_thread(preset, seen, tmp_path, monkeypatch):
+    # the CLI loads no numpy; the numerical layer, imported after it as a
+    # run's first cache miss does, finds the OpenBLAS thread count the
+    # package set, and a value the user set is kept
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
     code = (
         "import os, sys, wdmlink.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import wdmlink.numerical\n"
         "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert done.stdout.split() == ["True", seen]
+    assert _python(tmp_path, "-c", code).split() == ["True", seen]
 
 
 _IMPORT_EFFECTS = (

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wdmlink.channel import total_power
 from wdmlink.config import (
+    MMSE_FORMS,
     PARAMETERS,
     FieldSettings,
     OutputSettings,
@@ -18,8 +20,8 @@ from wdmlink.config import (
     full_profile,
     profile_by_name,
     read_config_entries,
+    total_power,
 )
-from wdmlink.receivers import MMSE_FORMS
 
 
 class TestSweepSettings:
@@ -33,6 +35,26 @@ class TestSweepSettings:
         # one point is the start, wherever stop lies
         s = SweepSettings(start=0.3, stop=0.1, count=1)
         assert np.array_equal(s.values(), [0.3])
+
+    @given(
+        start=st.floats(-1e3, 1e3),
+        span=st.floats(0.0, 1e3, exclude_min=True),
+        count=st.integers(1, 300),
+    )
+    @example(start=0.0, span=1.0, count=1)
+    @example(start=-0.0, span=2.0, count=1)
+    @example(start=-0.0, span=2.0, count=5)
+    @example(start=0.0, span=5e-324 * 3, count=10)  # the step underflows to zero
+    @example(start=-1e-320, span=1e-320, count=7)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_grid_is_linspace_bit_for_bit(self, start, span, count):
+        # the grid is computed without numpy, in numpy's order of operations
+        stop = start + span
+        if not stop > start:
+            stop = start if count == 1 else math.nextafter(start, math.inf)
+        ours = SweepSettings(start=start, stop=stop, count=count).values()
+        assert all(type(v) is float for v in ours)
+        assert np.array(ours).tobytes() == np.linspace(start, stop, count).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

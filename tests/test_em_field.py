@@ -16,10 +16,11 @@ from wdmlink.em_field import (
     peak_location_boresight,
     radiation_pattern,
     received_field_profile,
+    source_direction,
     spatial_frequency,
     tone_fields,
 )
-from wdmlink.geometry import LinkGeometry, source_direction
+from wdmlink.geometry import LinkGeometry
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 
 from oracles import (

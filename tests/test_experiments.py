@@ -10,26 +10,13 @@ import numpy as np
 import pytest
 
 import wdmlink.experiments as experiments
+import wdmlink.numerical as numerical
 from wdmlink import channel
-from wdmlink.channel import (
-    FORMAT_VERSION,
-    channel_cache_key,
-    load_matching_channel_set,
-    noise_factor,
-    save_channel_set,
-    total_power,
-    white_channel,
-)
-from wdmlink.config import FieldSettings
-from wdmlink.experiments import (
-    SCHEME_ORDER,
-    run_avg_sweep,
-    run_channel_dump,
-    run_field,
-    run_pattern,
-    run_selfcheck,
-    run_sweep,
-)
+from wdmlink.cache import FORMAT_VERSION, channel_cache_key, channel_header
+from wdmlink.channel import load_matching_channel_set, noise_factor, white_channel
+from wdmlink.config import FieldSettings, total_power
+from wdmlink.experiments import SCHEME_ORDER, run_avg_sweep, run_sweep
+from wdmlink.numerical import run_channel_dump, run_field, run_pattern, run_selfcheck
 from wdmlink.receivers import spectral_efficiency
 
 from conftest import read_csv_columns
@@ -232,29 +219,40 @@ class TestRunSweep:
         assert len(os.listdir(cache / FORMAT_VERSION)) == 5
         # an entry holds the point's four SE values only, as computed afresh
         loaded = load_matching_channel_set(str(victim), geom, cfg.wdm)
-        assert list(loaded) == ["se"]
-        assert np.array_equal(loaded["se"], fresh_se(geom, cfg.wdm))
-        # a channel dump, or an entry holding the whitened channel as the
-        # previous format did, matches the header under the entry's name but
-        # holds no SE values, so it is replaced as well
-        H_tilde = white_channel(geom, cfg.wdm, noise_factor(geom, cfg.wdm))
+        assert np.array_equal(loaded, fresh_se(geom, cfg.wdm))
+
+        def plant_npz_entry():
+            # the previous format: an npz archive of the header and the values
+            with open(victim, "wb") as out:
+                np.savez(out, header=np.array(channel_header(geom, cfg.wdm)),
+                         se=fresh_se(geom, cfg.wdm))
+
+        # a channel dump, or an npz entry as the previous format wrote
+        # them, sits under the entry's name but is no text entry, so it is
+        # replaced as well
         for plant in (
             lambda: run_channel_dump(replace(cfg, geometry=geom), str(victim)),
-            lambda: save_channel_set(str(victim), geom, cfg.wdm, H_tilde=H_tilde),
+            plant_npz_entry,
         ):
             plant()
             assert run_sweep(cached, str(rerun))[2].error == ""
             assert rerun.read_bytes() == cold.read_bytes()
-            assert list(load_matching_channel_set(str(victim), geom, cfg.wdm)) == ["se"]
+            loaded = load_matching_channel_set(str(victim), geom, cfg.wdm)
+            assert np.array_equal(loaded, fresh_se(geom, cfg.wdm))
 
     @pytest.mark.parametrize(
         "planted",
-        [np.array([9.0, 8.0, 7.0]), np.ones((2, 2)), np.arange(4), np.ones(4, dtype=complex)],
+        [
+            "".join(f"{v.hex()}\n" for v in (9.0, 8.0, 7.0)),
+            "".join(f"{v.hex()} {v.hex()}\n" for v in (9.0, 8.0)),
+            "9\n8\n7\n6\n",
+            "(9+0j)\n(8+0j)\n(7+0j)\n(6+0j)\n",
+        ],
         ids=["three-values", "two-by-two", "integers", "complex"],
     )
     def test_misshaped_se_entry_is_recomputed(self, desk, tmp_path, planted):
-        # an entry whose se is not four floats is a miss: recomputed and
-        # rewritten, never a flagged row
+        # an entry whose header is followed by anything but four float.hex
+        # lines is a miss: recomputed and rewritten, never a flagged row
         cache = tmp_path / "cache"
         cfg = small_sweep(desk, count=3)
         cached = with_cache(cfg, cache)
@@ -262,12 +260,12 @@ class TestRunSweep:
         run_sweep(cached, str(cold))
         geom = replace(cfg.geometry, d_z=float(cfg.sweep.values()[1]))
         victim = cache_entry(cache, geom, cfg.wdm)
-        save_channel_set(str(victim), geom, cfg.wdm, se=planted)
+        victim.write_text(channel_header(geom, cfg.wdm) + planted, encoding="ascii")
         records = run_sweep(cached, str(rerun))
         assert [rec.error for rec in records] == [""] * 3
         assert rerun.read_bytes() == cold.read_bytes()
         loaded = load_matching_channel_set(str(victim), geom, cfg.wdm)
-        assert np.array_equal(loaded["se"], fresh_se(geom, cfg.wdm))
+        assert np.array_equal(loaded, fresh_se(geom, cfg.wdm))
 
     def test_mmse_forms_keep_their_own_entries(self, desk, tmp_path):
         # the MMSE form is part of the header, so a hermitian and a table
@@ -327,14 +325,14 @@ class TestRunSweep:
 
     def test_failed_point_flags_row_without_aborting(self, desk, tmp_path, monkeypatch):
         cfg = small_sweep(desk, count=3)
-        real = experiments.white_channel
+        real = numerical.white_channel
 
         def sabotaged(geom, wdm, L0):
             if geom.d_z == 1.0:
                 raise RuntimeError("synthetic failure")
             return real(geom, wdm, L0)
 
-        monkeypatch.setattr(experiments, "white_channel", sabotaged)
+        monkeypatch.setattr(numerical, "white_channel", sabotaged)
         path = str(tmp_path / "sweep.csv")
         records = run_sweep(cfg, path)
         assert [rec.error for rec in records] == [
@@ -389,8 +387,8 @@ def _count_calls(monkeypatch):
     for module, name in (
         (channel, "assemble_H"),
         (channel, "assemble_R"),
-        (experiments, "noise_factor"),
-        (experiments, "spectral_efficiency"),
+        (numerical, "noise_factor"),
+        (numerical, "spectral_efficiency"),
     ):
 
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
@@ -497,7 +495,7 @@ class TestRunAvgSweep:
             desk, parameter="d_x", start=2.0, stop=4.0, count=3,
             draws_per_phi=2, phi_set_deg=(0.0, 90.0), seed=5,
         )
-        real = experiments.white_channel
+        real = numerical.white_channel
         failures = []
 
         def sabotaged(geom, wdm, L0):
@@ -507,7 +505,7 @@ class TestRunAvgSweep:
                 raise RuntimeError(f"synthetic failure {len(failures)}")
             return real(geom, wdm, L0)
 
-        monkeypatch.setattr(experiments, "white_channel", sabotaged)
+        monkeypatch.setattr(numerical, "white_channel", sabotaged)
         path = str(tmp_path / "avg.csv")
         svg = tmp_path / "avg.svg"
         records = run_avg_sweep(cfg, path, str(svg))
@@ -577,6 +575,24 @@ class TestRunAvgSweep:
         assert (max(svd) - min(svd)) / max(svd) < 0.25
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 100, 129, 1000])
+def test_ensemble_statistics_are_numpy_bit_for_bit(size):
+    # the averaged sweep's mean and standard error, computed without
+    # numpy, against numpy's mean and std(ddof=1) over the ensemble axis of
+    # an (orientations, schemes) table, as the averaged runner computed
+    # them before; a NaN (a failed orientation) spreads to its column
+    draws = np.random.default_rng(20261019 + size)
+    for trial in range(20):
+        table = draws.uniform(0.0, 120.0, (size, 4)) * 10.0 ** draws.integers(-3, 3, 4)
+        if trial % 5 == 4:
+            table[draws.integers(size), 1] = math.nan
+        mean = table.mean(axis=0)
+        stderr = table.std(axis=0, ddof=1) / math.sqrt(size) if size > 1 else 0 * mean
+        ours = [experiments._mean_stderr(table[:, j].tolist()) for j in range(4)]
+        assert np.array([m for m, _ in ours]).tobytes() == mean.tobytes(), (size, trial)
+        assert np.array([e for _, e in ours]).tobytes() == stderr.tobytes(), (size, trial)
+
+
 # The tilt ensemble's stream against numpy's Generator
 
 
@@ -598,8 +614,8 @@ def test_uniform_stream_is_numpy_default_rng(seeds):
             for low, high in ((0.0, math.radians(30.0)), (-1.0, 1.0), (0.1, 10.0)):
                 ours = experiments._UniformStream(seed).uniform(low, high, size)
                 theirs = np.random.default_rng(seed).uniform(low, high, size)
-                assert ours.dtype == theirs.dtype
-                assert ours.tobytes() == theirs.tobytes(), (seed, size, low, high)
+                assert all(type(x) is float for x in ours)
+                assert np.array(ours).tobytes() == theirs.tobytes(), (seed, size, low, high)
 
 
 @pytest.mark.parametrize("profile", ["desk", "full_scale"])
@@ -609,11 +625,13 @@ def test_uniform_stream_follows_selfcheck_call_sequence(profile, request):
     ours = experiments._UniformStream(202404)
     theirs = np.random.default_rng(202404)
     for _ in range(200):
-        assert ours.uniform(-1.0, 1.0, 3).tobytes() == theirs.uniform(-1.0, 1.0, 3).tobytes()
+        vector = np.array(ours.uniform(-1.0, 1.0, 3))
+        assert vector.tobytes() == theirs.uniform(-1.0, 1.0, 3).tobytes()
         for high in (math.pi, 2.0 * math.pi):
             a, b = ours.uniform(0.0, high), theirs.uniform(0.0, high)
             assert type(a) is type(b) is float and a == b
-    assert ours.uniform(0.1, 10.0, n_modes).tobytes() == theirs.uniform(0.1, 10.0, n_modes).tobytes()
+    chi = np.array(ours.uniform(0.1, 10.0, n_modes))
+    assert chi.tobytes() == theirs.uniform(0.1, 10.0, n_modes).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -621,22 +639,24 @@ def test_uniform_stream_follows_selfcheck_call_sequence(profile, request):
 
 
 def test_channel_dump_roundtrip(desk, desk_channel, tmp_path):
-    # a dump holds H and R as assembled; loading it does not whiten
+    # a dump holds its header and H and R as assembled, not whitened
     path = str(tmp_path / "link.wdmch")
     assert run_channel_dump(desk, path) == path
-    loaded = load_matching_channel_set(path, desk.geometry, desk.wdm)
-    assert sorted(loaded) == ["H", "R"]
-    assert np.array_equal(loaded["H"], desk_channel.H)
-    assert np.array_equal(loaded["R"], desk_channel.R)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["H", "R", "header"]
+        header = channel_header(desk.geometry, desk.wdm, receivers=False)
+        assert str(data["header"]) == header
+        assert np.array_equal(data["H"], desk_channel.H)
+        assert np.array_equal(data["R"], desk_channel.R)
 
 
 def test_channel_dump_needs_no_positive_definite_covariance(desk, tmp_path, monkeypatch):
     indefinite = -np.eye(desk.wdm.n_modes, dtype=complex)
-    monkeypatch.setattr(experiments, "assemble_R", lambda geom, wdm: indefinite)
+    monkeypatch.setattr(numerical, "assemble_R", lambda geom, wdm: indefinite)
     path = str(tmp_path / "link.wdmch")
     assert run_channel_dump(desk, path) == path
-    loaded = load_matching_channel_set(path, desk.geometry, desk.wdm)
-    assert np.array_equal(loaded["R"], indefinite)
+    with np.load(path) as data:
+        assert np.array_equal(data["R"], indefinite)
 
 
 def test_selfcheck_passes_on_desk_link(desk, capsys):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wdmlink.geometry import LinkGeometry, rotation_matrix, source_direction
+from wdmlink.em_field import rotation_matrix, source_direction
+from wdmlink.geometry import LinkGeometry
 
 
 class TestLinkGeometry:

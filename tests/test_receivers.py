@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wdmlink.channel import total_power
+from wdmlink.config import total_power
 from wdmlink.receivers import Scheme, scheme_gains, sinr, spectral_efficiency, waterfill
 
 import oracles
