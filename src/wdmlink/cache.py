@@ -32,7 +32,7 @@ __all__ = [
 
 # A sweep's cache keeps its entries in a directory of this name, so a
 # format change leaves the old entries in one directory to delete.
-FORMAT_VERSION = "v5"
+FORMAT_VERSION = "v6"
 _FORMAT_TAG = f"wdmlink-channel-set {FORMAT_VERSION}"
 
 # WdmConfig fields that only the receivers read: they change the SE of a

@@ -22,17 +22,15 @@ both over the physical segment supports (the receive axis runs over
 int gz(r - s s_hat) phi_m(s) ds (:func:`wdmlink.em_field.tone_fields`)
 onto the receive tones, a tensor-product composite Gauss-Legendre sum
 on the node set of :mod:`wdmlink.quadrature`, contracted one kernel
-block of receive nodes at a time.  The R kernel depends only on the
-lag t = r' - r, so R is one composite sum over the lag on the centred
-segment, phased by the d_z congruence R -> D^H R D,
-D = diag(exp(j kappa_n d_z)), which is performance-neutral (see
-:func:`assemble_R`).  Neither holds an array over the whole receive
-segment beyond its nodes, so their memory does not grow with L_r: H
-takes each kernel block's receive tones from one ``_phasor`` of the
-(N, rows) phases, and R sums its lag tones one block of lag nodes at a
-time, each block from one recurrence over the equally spaced kappa_n
-(``_tone_table``), not from N complex exponentials per node.
-Reductions run in a fixed order, so repeated runs are bit-identical.
+block of receive nodes at a time, each block's receive tones from one
+``_phasor`` of the (N, rows) phases, so its memory does not grow with
+L_r beyond the nodes.  The R kernel depends only on the lag t = r' - r,
+and its lag integrals over the centred segment have closed forms in the
+sine and cosine integrals Si and Cin (see :func:`assemble_R`), so R
+needs no quadrature rule and holds no array over the segment; the d_z
+congruence R -> D^H R D, D = diag(exp(j kappa_n d_z)), moves it onto
+the shifted segment.  Reductions run in a fixed order, so repeated runs
+are bit-identical.
 
 Ambient electromagnetic interference reaching the receive segment is
 isotropic with spatial correlation sinc(2 ||r' - r|| / lambda), variance
@@ -82,27 +80,41 @@ def _mode_frequencies(cfg: WdmConfig, geom: LinkGeometry) -> np.ndarray:
     )
 
 
-def _tone_table(x: np.ndarray, n_modes: int, L_s: float) -> np.ndarray:
-    """Tones exp(j kappa_n x) of all N modes, array (N, x.size).
+# Si(x) / x and Cin(x) / x^2 as power series in x^2, highest power first;
+# the last of the 20 terms is below 1e-20 for x < 4
+_SI_SERIES = [(-1) ** n / ((2 * n + 1) * math.factorial(2 * n + 1)) for n in range(19, -1, -1)]
+_CIN_SERIES = [(-1) ** n / ((2 * n + 2) * math.factorial(2 * n + 2)) for n in range(19, -1, -1)]
 
-    The wavenumbers step by 2 pi / L_s and are symmetric about zero.  From
-    the middle row (kappa = 0 for odd N, pi / L_s for even N) each row up is
-    the one below times exp(2 pi j x / L_s), and the rows below the middle
-    are the conjugates of those above: two phasors, about N/2 products
-    and no complex exponential.  Each product adds about one rounding of
-    the step phase, so the error of the outermost rows grows with N/2 and
-    |x| / L_s (about 2e-13 at full scale for |x| up to 3.5 m, against
-    3.6e-13 for np.exp of kappa_n x).
+
+def _si_cin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Si(x) = int_0^x sin(t) / t dt and Cin(x) = int_0^x (1 - cos t) / t dt, x >= 0.
+
+    Below x = 4 both are power series (odd and even in x, so a
+    rounding-sized negative x is harmless).  From 4 up, exp(jx) E1(jx) =
+    1 / (1 + jx - 1 / (3 + jx - 4 / (5 + jx - ...))) by the modified Lentz
+    method (Abramowitz & Stegun 5.2; ``cisi`` in Numerical Recipes), with
+    E1(jx) = -Ci(x) + j (Si(x) - pi/2) and Cin(x) = gamma + ln x - Ci(x).
     """
-    x = np.asarray(x, dtype=float)
-    table = np.empty((n_modes, x.size), dtype=complex)
-    mid = n_modes // 2  # first row with kappa_n >= 0
-    table[mid] = em_field._phasor(x * ((mid + 1 - (n_modes + 1) / 2.0) / L_s))
-    step = em_field._phasor(x / L_s)
-    for n in range(mid + 1, n_modes):
-        np.multiply(table[n - 1], step, out=table[n])
-    np.conj(table[n_modes - 1 : n_modes - 1 - mid : -1], out=table[:mid])
-    return table
+    si, cin = np.empty_like(x), np.empty_like(x)
+    series = x < 4.0
+    x2 = x[series] ** 2
+    si[series] = x[series] * np.polyval(_SI_SERIES, x2)
+    cin[series] = x2 * np.polyval(_CIN_SERIES, x2)
+    z = x[~series]
+    b = 1.0 + 1j * z
+    c, d = np.full_like(b, 1e300), 1.0 / b  # c starts "infinite": the first step sets c = b
+    e1 = d
+    for i in range(1, 100):
+        b = b + 2.0
+        c, d = b - i * i / c, 1.0 / (b - i * i * d)
+        step = c * d
+        e1 = e1 * step
+        if (np.abs(step - 1.0) <= 2.3e-16).all():
+            break
+    e1 = e1 * em_field._phasor(z / (-2.0 * math.pi))
+    si[~series] = 0.5 * math.pi + e1.imag
+    cin[~series] = 0.5772156649015329 + np.log(z) + e1.real  # Euler's gamma
+    return si, cin
 
 
 def _validate_mode_count(geom: LinkGeometry, cfg: WdmConfig) -> None:
@@ -166,34 +178,34 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
         P[n, m] = (exp(j Delta L/2) g_n - exp(-j Delta L/2) g_m) / (j Delta),
         P[n, n] = L g_n - h_n.
 
-    g and h are composite Gauss-Legendre sums on [0, L_r] with the node
-    count of one H axis (kernel plus tone oscillate with period lambda/2),
-    accumulated over blocks of lag nodes whose (N, block) tone table
-    fits in ``em_field._BLOCK_PAIRS`` complex entries.
+    With k = 2 pi / lambda, a = k + kappa_n, b = k - kappa_n (both >= 0),
+    Si and Cin from :func:`_si_cin` and E(c) = int_0^L exp(j c t) dt =
+    L exp(j c L/2) sinc(c L / 2 pi), which is exact at c = 0,
+
+        g_n = (Cin(b L) - Cin(a L) + j (Si(a L) + Si(b L))) / (2 j k),
+        h_n = (E(a) - E(-b)) / (2 j k).
+
     Then R = D^H R(0) D (``_dz_phase``), symmetrized to (R + R^H) / 2
-    against rounding.
+    against rounding.  No quadrature rule enters R.
 
     Returns:
         Complex Hermitian PSD array (N, N).
     """
     _validate_mode_count(geom, cfg)
     L = geom.L_r
-    t, w = composite_gauss_nodes(0.0, L, cfg.wavelength / 2.0, cfg.quadrature)
+    k = EmConstants(cfg.wavelength).kappa
     kappas = _mode_frequencies(cfg, geom)
-    wk = w * np.sinc(2.0 * t / cfg.wavelength)
-    g = np.zeros(cfg.n_modes, dtype=complex)
-    h = np.zeros(cfg.n_modes, dtype=complex)
-    step = max(1, em_field._BLOCK_PAIRS // cfg.n_modes)
-    for start in range(0, t.size, step):
-        lags = slice(start, start + step)
-        tones = _tone_table(t[lags], cfg.n_modes, geom.L_s)
-        g += tones @ wk[lags]
-        h += tones @ (wk[lags] * t[lags])
+    n = cfg.n_modes
+    si, cin = _si_cin(np.concatenate((k + kappas, k - kappas)) * L)
+    g = (cin[n:] - cin[:n] + 1j * (si[:n] + si[n:])) / (2j * k)
+    c = np.concatenate((k + kappas, kappas - k))  # a, then -b
+    e = em_field._phasor(c * (L / (4.0 * math.pi)), L * np.sinc(c * (L / (2.0 * math.pi))))
+    h = (e[:n] - e[n:]) / (2j * k)
     delta = kappas[None, :] - kappas[:, None]
     half = em_field._phasor(L * delta / (4.0 * math.pi))
     # the identity only keeps the diagonal finite; it is overwritten next
     P = (half * g[:, None] - half.conj() * g[None, :]) / (
-        1j * (delta + np.eye(cfg.n_modes))
+        1j * (delta + np.eye(n))
     )
     np.fill_diagonal(P, L * g - h)
     phase = _dz_phase(geom, cfg)

@@ -124,7 +124,7 @@ class WdmConfig:
         sigma2_emi: Interference variance at the receive segment [V^2/m^2].
         sigma2_hdw: White hardware noise variance [V^2/m^2]; zero keeps
             the noise purely interference-limited.
-        quadrature: Sizing of all channel integrals.
+        quadrature: Sizing of the H and field-profile integrals.
         mmse_form: MMSE filter variant, one of :data:`MMSE_FORMS`.
     """
 

@@ -191,32 +191,26 @@ def run_channel_dump(cfg: RunConfig, out_path: str) -> str:
 def run_selfcheck(cfg: RunConfig) -> bool:
     """Numerical health checks on the configured link.
 
-    Verifies quadrature convergence of H and R under node doubling, the
-    scalar kernel against the dyadic Green's function, the whitening
-    factorization and the water-filling optimality conditions.  Prints
-    one PASS/FAIL line per check and returns overall success.
+    Verifies quadrature convergence of H under node doubling (R is in
+    closed form and has no rule), the scalar kernel against the dyadic
+    Green's function, the whitening factorization and the water-filling
+    optimality conditions.  Prints one PASS/FAIL line per check and
+    returns overall success.
     """
     checks: List[Tuple[str, bool, str]] = []
     geom, wdm = cfg.geometry, cfg.wdm
 
-    fine = replace(
-        wdm,
-        quadrature=replace(
-            wdm.quadrature,
-            points_per_wavelength=2.0 * wdm.quadrature.points_per_wavelength,
-        ),
-    )
-    H, R = assemble_H(geom, wdm), assemble_R(geom, wdm)
-    for name, coarse, assemble in (("H", H, assemble_H), ("R", R, assemble_R)):
-        ref = assemble(geom, fine)
-        drift = float(np.linalg.norm(coarse - ref) / max(np.linalg.norm(ref), 1e-300))
-        checks.append(
-            (
-                f"{name} quadrature convergence",
-                drift < wdm.quadrature.rel_tol,
-                f"relative drift {drift:.3e} under node doubling",
-            )
+    doubled = 2.0 * wdm.quadrature.points_per_wavelength
+    fine = replace(wdm, quadrature=replace(wdm.quadrature, points_per_wavelength=doubled))
+    H, ref = assemble_H(geom, wdm), assemble_H(geom, fine)
+    drift = float(np.linalg.norm(H - ref) / max(np.linalg.norm(ref), 1e-300))
+    checks.append(
+        (
+            "H quadrature convergence",
+            drift < wdm.quadrature.rel_tol,
+            f"relative drift {drift:.3e} under node doubling",
         )
+    )
 
     k = EmConstants(wdm.wavelength)
     rng = _UniformStream(202404)
@@ -238,7 +232,7 @@ def run_selfcheck(cfg: RunConfig) -> bool:
         )
     )
 
-    C, L, _ = whiten(H, R, wdm)
+    C, L, _ = whiten(H, assemble_R(geom, wdm), wdm)
     recon = float(np.linalg.norm(L @ L.conj().T - C) / np.linalg.norm(C))
     checks.append(
         (

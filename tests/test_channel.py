@@ -79,50 +79,58 @@ class TestWdmConfig:
 class TestToneTable:
     @pytest.mark.parametrize("profile", ["desk", "full_scale"])
     @pytest.mark.parametrize("parity", ["odd", "even", "one"])
-    def test_matches_complex_exponentials(self, request, profile, parity):
-        # on the receive nodes of assemble_H (at d_z = 0 and 2, and negated
-        # for the conjugate tones) and the lag nodes of assemble_R
+    def test_transmit_tones_orthonormal(self, request, profile, parity):
+        # the weighted tones w_s phi_m(s) that H contracts, against phi_n
+        # from complex exponentials, on the oracle rule: the fastest product
+        # phi_m conj(phi_n) has period lambda / 2, where the default rule
+        # misses orthogonality by ~6e-11
         prof = request.getfixturevalue(profile)
         geom, cfg = prof.geometry, prof.wdm
         n_modes = {"odd": cfg.n_modes, "even": cfg.n_modes - 1, "one": 1}[parity]
         kappas = np.array(
             [spatial_frequency(n, n_modes, geom.L_s) for n in range(1, n_modes + 1)]
         )
-        period = cfg.wavelength / 2.0
-        spans = [(-geom.L_r / 2, geom.L_r / 2), (2.0 - geom.L_r / 2, 2.0 + geom.L_r / 2)]
-        spans.append((0.0, geom.L_r))
-        node_sets = [composite_gauss_nodes(a, b, period, cfg.quadrature)[0] for a, b in spans]
-        for x in node_sets + [-node_sets[1]]:
-            got = channel._tone_table(x, n_modes, geom.L_s)
-            assert got.shape == (n_modes, x.size)
-            assert np.max(np.abs(got - np.exp(1j * np.outer(x, kappas)).T)) <= 1e-12
-
-    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
-    @pytest.mark.parametrize("parity", ["odd", "even", "one"])
-    def test_transmit_tones_orthonormal(self, request, profile, parity):
-        # phi_n = tone / sqrt(L_s) on a rule that resolves the fastest
-        # product phi_m conj(phi_n), whose period is L_s / (N - 1)
-        prof = request.getfixturevalue(profile)
-        geom, cfg = prof.geometry, prof.wdm
-        n_modes = {"odd": cfg.n_modes, "even": cfg.n_modes - 1, "one": 1}[parity]
-        L = geom.L_s
-        s, w = composite_gauss_nodes(-L / 2, L / 2, L / (2 * cfg.n_modes), cfg.quadrature)
-        phi = channel._tone_table(s, n_modes, L) / math.sqrt(L)
-        gram = (phi * w) @ phi.conj().T
+        k = EmConstants(cfg.wavelength)
+        s, tones = em_field._transmit_tones(geom, k, kappas, ORACLE_SPEC)
+        phi = np.exp(1j * np.outer(s, kappas)) / math.sqrt(geom.L_s)
+        gram = tones.T @ phi.conj()
         assert np.max(np.abs(gram - np.eye(n_modes))) <= 1e-12
 
-    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
-    def test_receive_tones_unit_modulus(self, request, profile):
-        # each recurrence step can add one rounding to the modulus, so the
-        # outermost rows may be off by about N/2 ulps
-        prof = request.getfixturevalue(profile)
-        geom, cfg = prof.geometry, prof.wdm
-        for d_z in (0.0, 2.0):
-            r, _ = composite_gauss_nodes(
-                d_z - geom.L_r / 2, d_z + geom.L_r / 2, cfg.wavelength / 2.0, cfg.quadrature
-            )
-            tones = channel._tone_table(r, cfg.n_modes, geom.L_s)
-            assert np.max(np.abs(np.abs(tones) - 1.0)) <= 1e-14
+
+class TestSiCin:
+    def test_reference_values(self):
+        # Abramowitz & Stegun, Table 5.1: Si(1), Si(pi) and Ci(1), with
+        # Cin(1) = gamma - Ci(1) = 0.5772156649015329 - 0.3374039229009681
+        si, cin = channel._si_cin(np.array([1.0, math.pi]))
+        assert si[0] == pytest.approx(0.9460830703671830, rel=1e-15)
+        assert si[1] == pytest.approx(1.851937051982466, rel=1e-15)
+        assert cin[0] == pytest.approx(0.2398117420005648, rel=1e-15)
+
+    def test_zero(self):
+        si, cin = channel._si_cin(np.zeros(1))
+        assert si[0] == 0.0 and cin[0] == 0.0
+
+    @pytest.mark.parametrize("x", [0.5, 3.9, 4.0, 4.1, 50.0, "2 kappa L_r"])
+    def test_matches_defining_integrals(self, full_scale, x):
+        # a composite Gauss-Legendre sum of sin(t) / t and
+        # (1 - cos t) / t = 2 sin(t/2)^2 / t, 32 points per period 2 pi, on
+        # both sides of the switch and up to 2 kappa L_r, the largest
+        # argument of a full-scale R
+        if x == "2 kappa L_r":
+            x = 2.0 * EmConstants(full_scale.wdm.wavelength).kappa * full_scale.geometry.L_r
+        si, cin = channel._si_cin(np.array([x]))
+        spec = QuadratureSpec(points_per_wavelength=32.0, nodes_per_panel=16)
+        t, w = composite_gauss_nodes(0.0, x, 2.0 * math.pi, spec)
+        assert si[0] == pytest.approx(w @ np.sinc(t / math.pi), rel=1e-14)
+        assert cin[0] == pytest.approx(w @ (2.0 * np.sin(t / 2.0) ** 2 / t), rel=1e-14)
+
+    def test_continuous_across_the_series_switch(self):
+        # the series ends just below x = 4 and the continued fraction starts
+        # there; one ulp of x moves Si and Cin by less than 2e-16
+        below = np.nextafter(4.0, 0.0)
+        si, cin = channel._si_cin(np.array([below, 4.0]))
+        assert abs(si[1] - si[0]) <= 1e-15
+        assert abs(cin[1] - cin[0]) <= 1e-15
 
 
 def _traced_peak(assemble, geom, cfg):
@@ -239,9 +247,9 @@ class TestAssembleH:
 
     def test_repeated_full_scale_channel_set_peak_memory(self, full_scale):
         # H's kernel blocks are written in place into arrays of at most
-        # 128 KiB and R sums its lag tones block by block, so a cold
-        # full-scale point, its noise factor included, peaks at ~0.71 MB
-        # (set by H), and repeated calls must not pile up
+        # 128 KiB and R is in closed form, so a cold full-scale point, its
+        # noise factor included, peaks at ~0.71 MB (set by H), and
+        # repeated calls must not pile up
         def cold_point(geom, cfg):
             return white_channel(geom, cfg, noise_factor(geom, cfg))
 
@@ -477,12 +485,12 @@ class TestAssembleR:
         assert np.linalg.norm(Rz - D.conj().T @ R0 @ D) <= 1e-12 * np.linalg.norm(Rz)
 
     def test_full_scale_peak_memory(self, full_scale):
-        # g and h sum the lag tones one block of at most 128 KiB at a time,
-        # so R peaks at ~0.39 MB
+        # g and h are closed forms in 2N values of Si and Cin, so R peaks
+        # at ~0.18 MB, in the (N, N) arrays of the P assembly
         assert _traced_peak(assemble_R, full_scale.geometry, full_scale.wdm) <= 0.5e6
 
     def test_peak_memory_stays_bounded_with_receive_length(self, full_scale):
-        # with 4x the lag nodes only the node arrays grow: ~0.56 MB
+        # R's closed form holds nothing over the receive segment: ~0.18 MB
         geom = replace(full_scale.geometry, L_r=4.0 * full_scale.geometry.L_r)
         assert _traced_peak(assemble_R, geom, full_scale.wdm) <= 0.7e6
 
@@ -503,13 +511,11 @@ class TestAssembleR:
         D = np.diag(np.exp(1j * k_all * d_z))
         assert np.linalg.norm(Lz - D.conj().T @ L0 @ D) <= 1e-12 * np.linalg.norm(Lz)
 
-    def test_quadrature_convergence(self, desk):
-        fine = replace(
-            desk.wdm, quadrature=replace(desk.wdm.quadrature, points_per_wavelength=32.0)
-        )
+    def test_independent_of_quadrature_rule(self, desk):
+        # R is in closed form, so no rule setting changes a bit of it
         R = assemble_R(desk.geometry, desk.wdm)
-        R_fine = assemble_R(desk.geometry, fine)
-        assert np.linalg.norm(R - R_fine) <= 1e-6 * np.linalg.norm(R_fine)
+        for spec in (ORACLE_SPEC, QuadratureSpec(points_per_wavelength=2.0, nodes_per_panel=4)):
+            assert np.array_equal(assemble_R(desk.geometry, replace(desk.wdm, quadrature=spec)), R)
 
 
 def _oracle_mismatch(geom, cfg):
@@ -644,11 +650,11 @@ class TestSerialization:
             load_matching_channel_set(str(path), other, REDUCED_CFG)
 
     def test_entry_is_header_then_hex_values(self, tmp_path):
-        # a v5 entry is text: the header, then one float.hex line per scheme
+        # a v6 entry is text: the header, then one float.hex line per scheme
         path = tmp_path / "entry.wdmch"
         save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)
-        assert header.startswith("wdmlink-channel-set v5\n")
+        assert header.startswith("wdmlink-channel-set v6\n")
         body = "".join(f"{v.hex()}\n" for v in SE_VALUES)
         assert path.read_text(encoding="ascii") == header + body
 
@@ -678,10 +684,10 @@ class TestSerialization:
     def test_cache_key_is_pinned(self):
         # the file name is the header's CRC-32 and Adler-32, which depend on
         # its bytes alone: not on the process, platform or Python version
-        # (the header's format tag is v5, text entries holding a point's
-        # four SE values, and the header names the MMSE form but not
-        # quadrature.rel_tol)
-        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "5eb71ae517e17cd3"
+        # (the header's format tag is v6, text entries holding a point's
+        # four SE values from the closed-form R, and the header names the
+        # MMSE form but not quadrature.rel_tol)
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "d24098fe19447cd4"
 
     def test_cache_key_follows_exactly_what_the_se_depends_on(self):
         # only selfcheck reads rel_tol, so it keeps the key; every field

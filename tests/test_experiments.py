@@ -662,13 +662,13 @@ def test_channel_dump_needs_no_positive_definite_covariance(desk, tmp_path, monk
 def test_selfcheck_passes_on_desk_link(desk, capsys):
     assert run_selfcheck(desk) is True
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 5
+    assert out.count("[PASS]") == 4
     assert "[FAIL]" not in out
 
 
 def test_selfcheck_passes_on_full_link(full_scale, capsys):
-    # node doubling of H and R at full scale, which the desk link does not reach
+    # node doubling of H at full scale, which the desk link does not reach
     assert run_selfcheck(full_scale) is True
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 5
+    assert out.count("[PASS]") == 4
     assert "[FAIL]" not in out
