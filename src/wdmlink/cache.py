@@ -32,7 +32,7 @@ __all__ = [
 
 # A sweep's cache keeps its entries in a directory of this name, so a
 # format change leaves the old entries in one directory to delete.
-FORMAT_VERSION = "v6"
+FORMAT_VERSION = "v7"
 _FORMAT_TAG = f"wdmlink-channel-set {FORMAT_VERSION}"
 
 # WdmConfig fields that only the receivers read: they change the SE of a
@@ -45,9 +45,9 @@ def channel_header(geom: LinkGeometry, cfg: WdmConfig, receivers: bool = True) -
 
     The format tag, then one ``section.name = repr(value)`` line per
     parameter, so two runs produce the same header exactly when every
-    parameter matches.  ``quadrature.rel_tol`` is left out, since only
-    ``selfcheck`` reads it; with ``receivers=False`` so are the
-    :data:`RECEIVER_FIELDS`, as in a ``dump-channel`` file of H and R.
+    parameter matches.  With ``receivers=False`` the
+    :data:`RECEIVER_FIELDS` are left out, as in a ``dump-channel`` file
+    of H and R.
     """
     lines = [_FORMAT_TAG]
     lines += [f"geometry.{f.name} = {getattr(geom, f.name)!r}" for f in fields(geom)]
@@ -59,7 +59,6 @@ def channel_header(geom: LinkGeometry, cfg: WdmConfig, receivers: bool = True) -
     lines += [
         f"quadrature.{f.name} = {getattr(cfg.quadrature, f.name)!r}"
         for f in fields(cfg.quadrature)
-        if f.name != "rel_tol"
     ]
     return "\n".join(lines) + "\n"
 

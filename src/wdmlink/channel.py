@@ -59,7 +59,7 @@ from .cache import channel_header, replacing
 # under these names
 from .cache import load_matching_channel_set, save_channel_set
 from .config import WdmConfig, max_modes
-from .em_field import EmConstants, spatial_frequency
+from .em_field import spatial_frequency
 from .geometry import LinkGeometry
 from .quadrature import composite_gauss_nodes
 
@@ -149,12 +149,12 @@ def assemble_H(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     r_nodes, r_weights = composite_gauss_nodes(
         geom.d_z - half, geom.d_z + half, cfg.wavelength / 2.0, cfg.quadrature
     )
-    k = EmConstants(cfg.wavelength)
     kappas = _mode_frequencies(cfg, geom)
-    s_nodes, tx_tones = em_field._transmit_tones(geom, k, kappas, cfg.quadrature)
+    s_nodes, tx_tones = em_field._transmit_tones(geom, cfg.wavelength, kappas, cfg.quadrature)
     rx_cycles = -kappas / (2.0 * math.pi)
     rx_kern = np.zeros((cfg.n_modes, s_nodes.size), dtype=complex)
-    for rows, kern in em_field._kernel_blocks(geom, k, r_nodes, s_nodes, stacklevel=3):
+    blocks = em_field._kernel_blocks(geom, cfg.wavelength, r_nodes, s_nodes, stacklevel=3)
+    for rows, kern in blocks:
         # the block's weighted conjugate receive tones, exp(-j kappa_n r_z) w_r
         rx = em_field._phasor(np.outer(rx_cycles, r_nodes[rows]), r_weights[rows])
         rx_kern += rx @ kern
@@ -193,7 +193,7 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     """
     _validate_mode_count(geom, cfg)
     L = geom.L_r
-    k = EmConstants(cfg.wavelength).kappa
+    k = 2.0 * math.pi / cfg.wavelength
     kappas = _mode_frequencies(cfg, geom)
     n = cfg.n_modes
     si, cin = _si_cin(np.concatenate((k + kappas, k - kappas)) * L)

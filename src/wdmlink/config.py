@@ -22,8 +22,7 @@ Sections and keys:
     [geometry]   L_s, L_r, d_x, d_z, theta_s, phi_s
     [wdm]        wavelength, n_modes ("max" allowed), source_power,
                  snr_emi_db, sigma2_hdw, mmse_form
-    [quadrature] points_per_wavelength, nodes_per_panel, max_panels,
-                 rel_tol
+    [quadrature] points_per_wavelength, nodes_per_panel
     [sweep]      parameter (d_z | theta_s | d_x), start, stop, count,
                  seed, draws_per_phi, phi_set, theta_max
     [field]      mode_offsets, grid_points
@@ -88,14 +87,10 @@ class QuadratureSpec:
     Attributes:
         points_per_wavelength: Nodes laid per oscillation wavelength.
         nodes_per_panel: Gauss-Legendre order of each panel.
-        max_panels: Safety cap on the panel count of one interval.
-        rel_tol: Relative tolerance used by convergence self-checks.
     """
 
     points_per_wavelength: float = 4.0
     nodes_per_panel: int = 16
-    max_panels: int = 50_000
-    rel_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if not self.points_per_wavelength >= 2.0:
@@ -107,10 +102,6 @@ class QuadratureSpec:
             raise ValueError(
                 f"nodes_per_panel must lie in [2, 64], got {self.nodes_per_panel}"
             )
-        if self.max_panels < 1:
-            raise ValueError(f"max_panels must be positive, got {self.max_panels}")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -391,8 +382,6 @@ PARAMETERS = (
     Param("wdm", "mmse_form", None, "wdm.mmse_form", _choice(*MMSE_FORMS)),
     Param("quadrature", "points_per_wavelength", None, "quadrature.points_per_wavelength", float),
     Param("quadrature", "nodes_per_panel", None, "quadrature.nodes_per_panel", int),
-    Param("quadrature", "max_panels", None, "quadrature.max_panels", int),
-    Param("quadrature", "rel_tol", None, "quadrature.rel_tol", float),
     Param("sweep", "parameter", "--parameter", "sweep.parameter", _choice(*SWEEP_PARAMETERS)),
     Param("sweep", "start", "--start", "sweep.start", float),
     Param("sweep", "stop", "--stop", "sweep.stop", float),

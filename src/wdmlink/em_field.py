@@ -11,6 +11,10 @@ with the far-field dyadic Green's function
     g(r, s) = exp(j * kappa * ||r - s||) / (4 * pi * ||r - s||)
               * (I - p_hat p_hat^T),          p = r - s.
 
+The medium enters only through the wavelength lambda, which every
+function here takes as a plain float: kappa = 2 pi / lambda, and Z0 is
+:data:`wdmlink.config.FREE_SPACE_IMPEDANCE`.
+
 Only the z-component of the field is picked up by the receive segment,
 so most of this module works with the scalar contraction
 ``gz_kernel(u) = z_hat^T g(u) s_hat``, written out explicitly to avoid
@@ -78,7 +82,6 @@ from .geometry import LinkGeometry
 from .quadrature import QuadratureSpec, composite_gauss_nodes
 
 __all__ = [
-    "EmConstants",
     "ModeIndex",
     "NearFieldWarning",
     "FieldPeak",
@@ -122,31 +125,6 @@ _BLOCK_PAIRS = 2**13
 
 class NearFieldWarning(UserWarning):
     """Far-field expressions evaluated below the 10-wavelength guard."""
-
-
-@dataclass(frozen=True)
-class EmConstants:
-    """Wavelength-derived constants of the propagation medium.
-
-    Attributes:
-        wavelength: Free-space wavelength [m].
-    """
-
-    wavelength: float
-
-    def __post_init__(self) -> None:
-        if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-
-    @property
-    def z0(self) -> float:
-        """Free-space impedance [Ohm]."""
-        return FREE_SPACE_IMPEDANCE
-
-    @property
-    def kappa(self) -> float:
-        """Wavenumber 2*pi/wavelength [rad/m]."""
-        return 2.0 * math.pi / self.wavelength
 
 
 def spatial_frequency(n: int, n_modes: int, L_s: float) -> float:
@@ -225,20 +203,18 @@ class ModeIndex:
     gamma_n: float
 
     @classmethod
-    def from_mode_number(
-        cls, n: int, n_modes: int, L_s: float, k: EmConstants
-    ) -> "ModeIndex":
+    def from_mode_number(cls, n: int, n_modes: int, L_s: float, wavelength: float) -> "ModeIndex":
         kappa_n = spatial_frequency(n, n_modes, L_s)
-        return cls(n=n, kappa_n=kappa_n, gamma_n=kappa_n / k.kappa)
+        return cls(n=n, kappa_n=kappa_n, gamma_n=kappa_n / (2.0 * math.pi / wavelength))
 
 
-def green_dyadic_ff(r: np.ndarray, s: np.ndarray, k: EmConstants) -> np.ndarray:
+def green_dyadic_ff(r: np.ndarray, s: np.ndarray, wavelength: float) -> np.ndarray:
     """Far-field dyadic Green's function between two points.
 
     Args:
         r: Observation point, array (3,) [m].
         s: Source point, array (3,) [m].
-        k: Medium constants.
+        wavelength: Free-space wavelength [m].
 
     Returns:
         Complex array (3, 3):
@@ -254,7 +230,7 @@ def green_dyadic_ff(r: np.ndarray, s: np.ndarray, k: EmConstants) -> np.ndarray:
     d = float(np.linalg.norm(p))
     if d == 0.0:
         raise ValueError("observation and source points coincide")
-    if d < FAR_FIELD_GUARD_WAVELENGTHS * k.wavelength:
+    if d < FAR_FIELD_GUARD_WAVELENGTHS * wavelength:
         warnings.warn(
             f"separation {d:.3g} m is below {FAR_FIELD_GUARD_WAVELENGTHS:g} "
             f"wavelengths; the far-field dyad is inaccurate here",
@@ -263,12 +239,10 @@ def green_dyadic_ff(r: np.ndarray, s: np.ndarray, k: EmConstants) -> np.ndarray:
         )
     p_hat = p / d
     proj = np.eye(3) - np.outer(p_hat, p_hat)
-    return np.exp(1j * k.kappa * d) / (4.0 * math.pi * d) * proj
+    return np.exp(1j * (2.0 * math.pi / wavelength) * d) / (4.0 * math.pi * d) * proj
 
 
-def gz_kernel(
-    u: np.ndarray, theta_s: float, phi_s: float, k: EmConstants
-) -> np.ndarray:
+def gz_kernel(u: np.ndarray, theta_s: float, phi_s: float, wavelength: float) -> np.ndarray:
     """Scalar channel kernel z_hat^T g(u) s_hat(theta_s, phi_s).
 
     Vectorized over leading axes of ``u``.  No far-field guard is applied
@@ -277,7 +251,7 @@ def gz_kernel(
     Args:
         u: Separation vectors, array (..., 3) [m], nonzero.
         theta_s, phi_s: Transmit segment orientation [rad].
-        k: Medium constants.
+        wavelength: Free-space wavelength [m].
 
     Returns:
         Complex array of shape u.shape[:-1].
@@ -286,7 +260,7 @@ def gz_kernel(
     s_hat = source_direction(theta_s, phi_s)
     out = np.empty(u.shape[:-1], dtype=complex)
     lateral = _gz_lateral(u[..., 0], u[..., 1], s_hat)
-    _gz_into(out, u[..., 2].copy(), np.empty(out.shape), lateral, k)
+    _gz_into(out, u[..., 2].copy(), np.empty(out.shape), lateral, wavelength)
     return out
 
 
@@ -311,7 +285,7 @@ def _gz_into(
     uz: np.ndarray,
     dist2: np.ndarray,
     lateral: tuple[np.ndarray, np.ndarray, np.ndarray],
-    k: EmConstants,
+    wavelength: float,
 ) -> float:
     """Write gz(u) into ``out`` and return the smallest ||u||^2.
 
@@ -333,7 +307,7 @@ def _gz_into(
     dist = np.sqrt(dist2, out=_float_halves(out)[0])
     np.multiply(dist, dist2, out=dist2)
     np.divide(amp, dist2, out=amp)
-    cycles = np.divide(dist, k.wavelength, out=dist2)
+    cycles = np.divide(dist, wavelength, out=dist2)
     _phasor_into(out, cycles, amp)
     return d2_min
 
@@ -391,7 +365,7 @@ def _float_halves(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def radiation_pattern(
-    theta_bar: np.ndarray, mode: ModeIndex, geom: LinkGeometry, k: EmConstants
+    theta_bar: np.ndarray, mode: ModeIndex, geom: LinkGeometry, wavelength: float
 ) -> np.ndarray:
     """Normalized radiated power of one mode versus cone angle.
 
@@ -399,7 +373,7 @@ def radiation_pattern(
         theta_bar: Polar angle(s) from the segment axis [rad], in [0, pi].
         mode: Transmit mode.
         geom: Link geometry (only L_s enters).
-        k: Medium constants.
+        wavelength: Free-space wavelength [m].
 
     Returns:
         sin(theta_bar)^2 * sinc(2 L_s/lambda (gamma_n - cos theta_bar))^2,
@@ -409,13 +383,13 @@ def radiation_pattern(
     if np.any((theta_bar < 0.0) | (theta_bar > math.pi)):
         raise ValueError("theta_bar must lie in [0, pi]")
     st = np.sin(theta_bar)
-    arg = 2.0 * geom.L_s / k.wavelength * (mode.gamma_n - np.cos(theta_bar))
+    arg = 2.0 * geom.L_s / wavelength * (mode.gamma_n - np.cos(theta_bar))
     return st * st * np.sinc(arg) ** 2
 
 
 def tone_fields(
     geom: LinkGeometry,
-    k: EmConstants,
+    wavelength: float,
     r_z: np.ndarray,
     kappas: np.ndarray,
     spec: QuadratureSpec,
@@ -432,16 +406,16 @@ def tone_fields(
         NearFieldWarning: If any node pair falls below the guard; the
             warning points at the caller of ``received_field_profile``.
     """
-    s_nodes, weighted_tones = _transmit_tones(geom, k, kappas, spec)
+    s_nodes, weighted_tones = _transmit_tones(geom, wavelength, kappas, spec)
     r_z = np.asarray(r_z, dtype=float)
     out = np.empty((r_z.size, weighted_tones.shape[1]), dtype=complex)
-    for rows, kern in _kernel_blocks(geom, k, r_z, s_nodes, stacklevel=4):
+    for rows, kern in _kernel_blocks(geom, wavelength, r_z, s_nodes, stacklevel=4):
         np.matmul(kern, weighted_tones, out=out[rows])
     return out
 
 
 def _transmit_tones(
-    geom: LinkGeometry, k: EmConstants, kappas: np.ndarray, spec: QuadratureSpec
+    geom: LinkGeometry, wavelength: float, kappas: np.ndarray, spec: QuadratureSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of the s-rule and the weighted tones on them.
 
@@ -450,7 +424,7 @@ def _transmit_tones(
     the nodes and the (S, len(kappas)) array w_s phi_m(s).
     """
     s_nodes, s_weights = composite_gauss_nodes(
-        -geom.L_s / 2.0, geom.L_s / 2.0, k.wavelength / 2.0, spec
+        -geom.L_s / 2.0, geom.L_s / 2.0, wavelength / 2.0, spec
     )
     weighted_tones = _phasor(
         np.outer(s_nodes, kappas / (2.0 * math.pi)),
@@ -461,7 +435,7 @@ def _transmit_tones(
 
 def _kernel_blocks(
     geom: LinkGeometry,
-    k: EmConstants,
+    wavelength: float,
     r_z: np.ndarray,
     s_nodes: np.ndarray,
     stacklevel: int,
@@ -490,10 +464,10 @@ def _kernel_blocks(
         rows = slice(start, min(start + step, r_z.size))
         n = rows.stop - start
         np.subtract(r_z[rows, None], s_z, out=uz[:n])
-        d2_min = min(d2_min, _gz_into(kern[:n], uz[:n], dist2[:n], lateral, k))
+        d2_min = min(d2_min, _gz_into(kern[:n], uz[:n], dist2[:n], lateral, wavelength))
         yield rows, kern[:n]
     d_min = math.sqrt(d2_min)
-    if d_min < FAR_FIELD_GUARD_WAVELENGTHS * k.wavelength:
+    if d_min < FAR_FIELD_GUARD_WAVELENGTHS * wavelength:
         warnings.warn(
             f"closest source/receive separation {d_min:.3g} m is below "
             f"{FAR_FIELD_GUARD_WAVELENGTHS:g} wavelengths",
@@ -505,7 +479,7 @@ def _kernel_blocks(
 def received_field_profile(
     mode: ModeIndex,
     geom: LinkGeometry,
-    k: EmConstants,
+    wavelength: float,
     grid: np.ndarray,
     spec: QuadratureSpec,
 ) -> np.ndarray:
@@ -516,7 +490,7 @@ def received_field_profile(
     Args:
         mode: Transmit mode.
         geom: Link geometry.
-        k: Medium constants.
+        wavelength: Free-space wavelength [m].
         grid: Heights r_z [m]; every point must lie on the receive
             segment.
         spec: Quadrature sizing.
@@ -530,12 +504,12 @@ def received_field_profile(
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(np.abs(grid - geom.d_z) > geom.L_r / 2.0 + 1e-12 * geom.L_r):
         raise ValueError("grid extends beyond the receive segment")
-    fields = tone_fields(geom, k, grid, np.array([mode.kappa_n]), spec)
-    return 1j * k.kappa * k.z0 * fields[:, 0]
+    fields = tone_fields(geom, wavelength, grid, np.array([mode.kappa_n]), spec)
+    return 1j * (2.0 * math.pi / wavelength) * FREE_SPACE_IMPEDANCE * fields[:, 0]
 
 
 def boresight_reference_peak(
-    geom: LinkGeometry, k: EmConstants, grid: np.ndarray, spec: QuadratureSpec
+    geom: LinkGeometry, wavelength: float, grid: np.ndarray, spec: QuadratureSpec
 ) -> float:
     """Field normalization constant e_0.
 
@@ -546,7 +520,7 @@ def boresight_reference_peak(
     ref_geom = replace(geom, theta_s=0.0, phi_s=0.0, d_z=0.0)
     ref_grid = np.asarray(grid, dtype=float) - geom.d_z
     ref_mode = ModeIndex(n=0, kappa_n=0.0, gamma_n=0.0)
-    profile = received_field_profile(ref_mode, ref_geom, k, ref_grid, spec)
+    profile = received_field_profile(ref_mode, ref_geom, wavelength, ref_grid, spec)
     return float(np.max(np.abs(profile)))
 
 

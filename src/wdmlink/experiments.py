@@ -121,7 +121,8 @@ def _compute(cfg: RunConfig, points: Sequence[Point]) -> List[SweepRecord]:
         # each chunk builds its own noise factor, so the parent builds none
         size = max(1, len(points) // (4 * workers))
         chunks = [points[i : i + size] for i in range(0, len(points), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked pool starts every worker at once, so start none without a chunk
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             return [rec for chunk in pool.map(evaluate, chunks) for rec in chunk]
     return evaluate(points)
 

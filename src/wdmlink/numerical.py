@@ -28,7 +28,6 @@ from .channel import (
 )
 from .config import RunConfig, WdmConfig, total_power
 from .em_field import (
-    EmConstants,
     ModeIndex,
     boresight_reference_peak,
     green_dyadic_ff,
@@ -83,7 +82,6 @@ def _center_mode(n_modes: int) -> int:
 def _modes_from_offsets(
     offsets: Sequence[int], cfg: RunConfig
 ) -> List[ModeIndex]:
-    k = EmConstants(cfg.wdm.wavelength)
     center = _center_mode(cfg.wdm.n_modes)
     modes = []
     for off in offsets:
@@ -94,7 +92,7 @@ def _modes_from_offsets(
                 f"(center {center}, N = {cfg.wdm.n_modes})"
             )
         modes.append(
-            ModeIndex.from_mode_number(n, cfg.wdm.n_modes, cfg.geometry.L_s, k)
+            ModeIndex.from_mode_number(n, cfg.wdm.n_modes, cfg.geometry.L_s, cfg.wdm.wavelength)
         )
     return modes
 
@@ -112,11 +110,10 @@ def run_pattern(
     degrees, one column per mode.
     """
     modes = _modes_from_offsets(cfg.pattern.mode_offsets, cfg)
-    k = EmConstants(cfg.wdm.wavelength)
     steps = int(round(180.0 / cfg.pattern.step_deg))
     theta_deg = np.linspace(0.0, 180.0, steps + 1)
     theta = np.radians(theta_deg)
-    values = {m.n: radiation_pattern(theta, m, cfg.geometry, k) for m in modes}
+    values = {m.n: radiation_pattern(theta, m, cfg.geometry, cfg.wdm.wavelength) for m in modes}
     header = ["theta_deg"] + [f"mode_{m.n}" for m in modes] + ["error"]
     rows = [
         [_fmt(theta_deg[i])] + [_fmt(values[m.n][i]) for m in modes] + [""]
@@ -146,14 +143,13 @@ def run_field(
     first column.
     """
     modes = _modes_from_offsets(cfg.field.mode_offsets, cfg)
-    geom = cfg.geometry
-    k = EmConstants(cfg.wdm.wavelength)
+    geom, wdm = cfg.geometry, cfg.wdm
     grid = np.linspace(
         geom.d_z - geom.L_r / 2.0, geom.d_z + geom.L_r / 2.0, cfg.field.grid_points
     )
-    e0 = boresight_reference_peak(geom, k, grid, cfg.wdm.quadrature)
+    e0 = boresight_reference_peak(geom, wdm.wavelength, grid, wdm.quadrature)
     profiles = {
-        m.n: np.abs(received_field_profile(m, geom, k, grid, cfg.wdm.quadrature)) / e0
+        m.n: np.abs(received_field_profile(m, geom, wdm.wavelength, grid, wdm.quadrature)) / e0
         for m in modes
     }
     offsets = grid - geom.d_z
@@ -188,6 +184,10 @@ def run_channel_dump(cfg: RunConfig, out_path: str) -> str:
     return out_path
 
 
+# Largest relative change of H under node doubling that selfcheck passes.
+_H_DRIFT_TOL = 1e-6
+
+
 def run_selfcheck(cfg: RunConfig) -> bool:
     """Numerical health checks on the configured link.
 
@@ -207,12 +207,11 @@ def run_selfcheck(cfg: RunConfig) -> bool:
     checks.append(
         (
             "H quadrature convergence",
-            drift < wdm.quadrature.rel_tol,
-            f"relative drift {drift:.3e} under node doubling",
+            drift < _H_DRIFT_TOL,
+            f"relative drift {drift:.3e} under node doubling (tolerance {_H_DRIFT_TOL:g})",
         )
     )
 
-    k = EmConstants(wdm.wavelength)
     rng = _UniformStream(202404)
     worst = 0.0
     for _ in range(200):
@@ -220,8 +219,8 @@ def run_selfcheck(cfg: RunConfig) -> bool:
         u *= (20.0 * wdm.wavelength) / np.linalg.norm(u)
         theta = rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        direct = gz_kernel(u, theta, phi, k)
-        dyad = green_dyadic_ff(u, np.zeros(3), k)
+        direct = gz_kernel(u, theta, phi, wdm.wavelength)
+        dyad = green_dyadic_ff(u, np.zeros(3), wdm.wavelength)
         via_dyad = dyad[2] @ source_direction(theta, phi)
         worst = max(worst, abs(direct - via_dyad) / abs(via_dyad))
     checks.append(

@@ -32,14 +32,20 @@ import numpy as np
 from .config import QuadratureSpec
 
 __all__ = [
+    "MAX_PANELS",
     "PanelLimitError",
     "panel_count",
     "composite_gauss_nodes",
 ]
 
 
+# Most panels one interval may take, a guard against runaway sizes from
+# outside input.
+MAX_PANELS = 50_000
+
+
 class PanelLimitError(RuntimeError):
-    """Raised when an interval would require more panels than allowed."""
+    """Raised when an interval would require more than MAX_PANELS panels."""
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +93,10 @@ def panel_count(a: float, b: float, osc_wavelength: float, spec: QuadratureSpec)
             (b - a) / osc_wavelength * spec.points_per_wavelength / spec.nodes_per_panel
         ),
     )
-    if n > spec.max_panels:
+    if n > MAX_PANELS:
         raise PanelLimitError(
             f"interval [{a}, {b}] needs {n} panels at oscillation wavelength "
-            f"{osc_wavelength}, above the cap of {spec.max_panels}"
+            f"{osc_wavelength}, above the cap of {MAX_PANELS}"
         )
     return n
 

@@ -17,7 +17,6 @@ from wdmlink.channel import assemble_H, assemble_R, whiten
 from wdmlink.config import WdmConfig
 from wdmlink import em_field
 from wdmlink.em_field import (
-    EmConstants,
     FieldPeak,
     ModeIndex,
     gz_kernel,
@@ -63,9 +62,9 @@ def tensor_sum(f, domain, osc_wavelengths, spec):
     return complex(wx @ np.asarray(f(x[:, None], y[None, :])) @ wy)
 
 
-def s_rule(geom, k, spec):
+def s_rule(geom, wavelength, spec):
     """Nodes and weights on the transmit segment, as tone_fields lays them."""
-    return composite_gauss_nodes(-geom.L_s / 2, geom.L_s / 2, k.wavelength / 2, spec)
+    return composite_gauss_nodes(-geom.L_s / 2, geom.L_s / 2, wavelength / 2, spec)
 
 
 def leggauss_oracle(order):
@@ -89,16 +88,16 @@ def separation_grid(geom, r_z, s_nodes):
     return u
 
 
-def tone_fields_one_slab(geom, k, r_z, kappas, spec):
+def tone_fields_one_slab(geom, wavelength, r_z, kappas, spec):
     """tone_fields as one (r_z, s, 3) separation grid and one product.
 
     The unblocked evaluation: the same kernel values, the same weighted
     transmit tones and the same contraction per row, so the blocked form
     must match it bit for bit.
     """
-    s_nodes, s_weights = s_rule(geom, k, spec)
+    s_nodes, s_weights = s_rule(geom, wavelength, spec)
     u = separation_grid(geom, r_z, s_nodes)
-    kern = gz_kernel(u, geom.theta_s, geom.phi_s, k)
+    kern = gz_kernel(u, geom.theta_s, geom.phi_s, wavelength)
     weighted_tones = em_field._phasor(
         np.outer(s_nodes, kappas / (2.0 * math.pi)),
         (s_weights / math.sqrt(geom.L_s))[:, None],
@@ -136,7 +135,7 @@ def midpoint_coupling_oracle(geom, cfg, n_s, n_r):
     return out
 
 
-def exact_gz_kernel(u, theta_s, phi_s, k):
+def exact_gz_kernel(u, theta_s, phi_s, wavelength):
     """z_hat^T G(u) s_hat of the exact free-space dyad.
 
     G = g [(1 + j/kr - 1/(kr)^2) I - (1 + 3j/kr - 3/(kr)^2) u_hat u_hat^T]
@@ -150,11 +149,11 @@ def exact_gz_kernel(u, theta_s, phi_s, k):
     st = math.sin(theta_s)
     s_hat = np.array([st * math.cos(phi_s), st * math.sin(phi_s), math.cos(theta_s)])
     r = np.sqrt(np.sum(u * u, axis=-1))
-    inv_kr = 1.0 / (k.kappa * r)
+    inv_kr = 1.0 / (2.0 * math.pi / wavelength * r)
     a = 1.0 + 1j * inv_kr - inv_kr**2
     b = 1.0 + 3j * inv_kr - 3.0 * inv_kr**2
     u_z, u_s = u[..., 2] / r, (u @ s_hat) / r
-    cycles = r / k.wavelength
+    cycles = r / wavelength
     g = np.exp(2j * math.pi * (cycles - np.rint(cycles))) / (4.0 * math.pi * r)
     return g * (a * s_hat[2] - b * u_z * u_s)
 
@@ -167,8 +166,7 @@ def kernel_coupling_oracle(geom, cfg, kernel):
     of 256 receive nodes bound the grid to a few MB.  Returns H and the
     smallest node separation.
     """
-    k = EmConstants(cfg.wavelength)
-    s, w_s = s_rule(geom, k, ORACLE_SPEC)
+    s, w_s = s_rule(geom, cfg.wavelength, ORACLE_SPEC)
     r, w_r = composite_gauss_nodes(
         geom.d_z - geom.L_r / 2.0, geom.d_z + geom.L_r / 2.0, cfg.wavelength / 2.0, ORACLE_SPEC
     )

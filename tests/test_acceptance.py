@@ -14,7 +14,6 @@ import pytest
 from wdmlink.channel import assemble_H, assemble_R
 from wdmlink.config import max_modes, total_power
 from wdmlink.em_field import (
-    EmConstants,
     ModeIndex,
     boresight_reference_peak,
     peak_location_boresight,
@@ -62,28 +61,29 @@ def test_c02_rotation_matrix_orthonormality(rng):
 
 def test_c03_radiation_pattern_peak_values_and_locations(full_scale):
     geom, wdm = full_scale.geometry, full_scale.wdm
-    k = EmConstants(wdm.wavelength)
+    wavelength = wdm.wavelength
     theta_grid = np.radians(np.linspace(0.0, 180.0, 1801))
     for n in range(1, wdm.n_modes + 1):
-        mode = ModeIndex.from_mode_number(n, wdm.n_modes, geom.L_s, k)
+        mode = ModeIndex.from_mode_number(n, wdm.n_modes, geom.L_s, wavelength)
         gamma = mode.gamma_n
-        on_axis = radiation_pattern(np.array([math.acos(gamma)]), mode, geom, k)[0]
+        on_axis = radiation_pattern(np.array([math.acos(gamma)]), mode, geom, wavelength)[0]
         assert abs(on_axis - (1.0 - gamma**2)) <= 1e-12
         if abs(gamma) <= 0.9:
-            grid_peak = theta_grid[int(np.argmax(radiation_pattern(theta_grid, mode, geom, k)))]
+            pattern = radiation_pattern(theta_grid, mode, geom, wavelength)
+            grid_peak = theta_grid[int(np.argmax(pattern))]
             assert abs(math.degrees(grid_peak) - math.degrees(math.acos(gamma))) < 0.5
 
 
 def test_c04_field_peak_locations_and_heights(desk):
     geom, wdm = desk.geometry, desk.wdm
-    k = EmConstants(wdm.wavelength)
+    wavelength = wdm.wavelength
     grid = np.linspace(-geom.L_r / 2.0, geom.L_r / 2.0, 2001)
     tol = max(wdm.wavelength, 2.0 * (grid[1] - grid[0]))
-    e0 = boresight_reference_peak(geom, k, grid, wdm.quadrature)
+    e0 = boresight_reference_peak(geom, wavelength, grid, wdm.quadrature)
     # modes whose beam cone meets the receive segment (|gamma| <= 0.2 here)
     for n in (9, 10, 11, 12, 13):
-        mode = ModeIndex.from_mode_number(n, wdm.n_modes, geom.L_s, k)
-        prof = np.abs(received_field_profile(mode, geom, k, grid, wdm.quadrature)) / e0
+        mode = ModeIndex.from_mode_number(n, wdm.n_modes, geom.L_s, wavelength)
+        prof = np.abs(received_field_profile(mode, geom, wavelength, grid, wdm.quadrature)) / e0
         i = int(np.argmax(prof))
         peak = peak_location_boresight(mode, geom)
         assert peak.in_segment
@@ -94,8 +94,8 @@ def test_c04_field_peak_locations_and_heights(desk):
     # scales its peak by cos^2(theta_s)
     theta_s = math.radians(10.0)
     tilted = replace(geom, theta_s=theta_s)
-    center = ModeIndex.from_mode_number(11, wdm.n_modes, geom.L_s, k)
-    prof = np.abs(received_field_profile(center, tilted, k, grid, wdm.quadrature)) / e0
+    center = ModeIndex.from_mode_number(11, wdm.n_modes, geom.L_s, wavelength)
+    prof = np.abs(received_field_profile(center, tilted, wavelength, grid, wdm.quadrature)) / e0
     i = int(np.argmax(prof))
     assert abs(grid[i] - (-geom.d_x * math.tan(theta_s))) <= tol
     expected = math.cos(theta_s) ** 2

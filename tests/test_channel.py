@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,14 +19,21 @@ from wdmlink.channel import (
     white_channel,
     whiten,
 )
-from wdmlink.config import MMSE_FORMS, WdmConfig, emi_variance, max_modes, total_power
+from wdmlink.config import (
+    FREE_SPACE_IMPEDANCE,
+    MMSE_FORMS,
+    WdmConfig,
+    emi_variance,
+    max_modes,
+    total_power,
+)
 from wdmlink.em_field import (
-    EmConstants,
     NearFieldWarning,
     gz_kernel,
     source_direction,
     spatial_frequency,
 )
+from wdmlink.geometry import LinkGeometry
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 from wdmlink.receivers import Scheme, spectral_efficiency
 
@@ -90,8 +97,7 @@ class TestToneTable:
         kappas = np.array(
             [spatial_frequency(n, n_modes, geom.L_s) for n in range(1, n_modes + 1)]
         )
-        k = EmConstants(cfg.wavelength)
-        s, tones = em_field._transmit_tones(geom, k, kappas, ORACLE_SPEC)
+        s, tones = em_field._transmit_tones(geom, cfg.wavelength, kappas, ORACLE_SPEC)
         phi = np.exp(1j * np.outer(s, kappas)) / math.sqrt(geom.L_s)
         gram = tones.T @ phi.conj()
         assert np.max(np.abs(gram - np.eye(n_modes))) <= 1e-12
@@ -117,7 +123,7 @@ class TestSiCin:
         # both sides of the switch and up to 2 kappa L_r, the largest
         # argument of a full-scale R
         if x == "2 kappa L_r":
-            x = 2.0 * EmConstants(full_scale.wdm.wavelength).kappa * full_scale.geometry.L_r
+            x = 4.0 * math.pi / full_scale.wdm.wavelength * full_scale.geometry.L_r
         si, cin = channel._si_cin(np.array([x]))
         spec = QuadratureSpec(points_per_wavelength=32.0, nodes_per_panel=16)
         t, w = composite_gauss_nodes(0.0, x, 2.0 * math.pi, spec)
@@ -183,16 +189,16 @@ class TestAssembleH:
             d_z=0.3,
         )
         cfg = replace(desk.wdm, quadrature=ORACLE_SPEC)
-        k = EmConstants(cfg.wavelength)
+        wavelength = cfg.wavelength
         r, w = composite_gauss_nodes(
-            geom.d_z - geom.L_r / 2, geom.d_z + geom.L_r / 2, k.wavelength / 2, cfg.quadrature
+            geom.d_z - geom.L_r / 2, geom.d_z + geom.L_r / 2, wavelength / 2, cfg.quadrature
         )
-        rows = em_field._BLOCK_PAIRS // s_rule(geom, k, cfg.quadrature)[0].size
+        rows = em_field._BLOCK_PAIRS // s_rule(geom, wavelength, cfg.quadrature)[0].size
         assert r.size > 4 * rows and r.size % rows != 0  # many blocks, last ragged
         kappas = np.array(
             [spatial_frequency(n, cfg.n_modes, geom.L_s) for n in range(1, cfg.n_modes + 1)]
         )
-        slab = tone_fields_one_slab(geom, k, r, kappas, cfg.quadrature)
+        slab = tone_fields_one_slab(geom, wavelength, r, kappas, cfg.quadrature)
         ref = (np.exp(-1j * np.outer(kappas, r)) * w) @ slab
         H = assemble_H(geom, cfg)
         assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -203,13 +209,13 @@ class TestAssembleH:
         # lie in the middle kernel blocks, neither the first nor the last
         geom = replace(desk.geometry, d_x=0.28, theta_s=math.pi / 2)
         cfg = replace(desk.wdm, quadrature=ORACLE_SPEC)
-        k = EmConstants(cfg.wavelength)
-        s_nodes, _ = s_rule(geom, k, cfg.quadrature)
+        wavelength = cfg.wavelength
+        s_nodes, _ = s_rule(geom, wavelength, cfg.quadrature)
         r_nodes, _ = composite_gauss_nodes(
-            -geom.L_r / 2, geom.L_r / 2, k.wavelength / 2, cfg.quadrature
+            -geom.L_r / 2, geom.L_r / 2, wavelength / 2, cfg.quadrature
         )
         sep = np.hypot(geom.d_x - s_nodes[None, :], r_nodes[:, None]).min(axis=1)
-        near = sep < 10.0 * k.wavelength
+        near = sep < 10.0 * wavelength
         rows = em_field._BLOCK_PAIRS // s_nodes.size
         assert near.any() and not near[:rows].any() and not near[-rows:].any()
         with pytest.warns(NearFieldWarning) as record:
@@ -278,7 +284,7 @@ class TestAssembleH:
         # entry: same node set, so only summation-order roundoff may differ
         geom, cfg = REDUCED_GEOM, REDUCED_CFG
         H = assemble_H(geom, cfg)
-        k = EmConstants(cfg.wavelength)
+        wavelength = cfg.wavelength
         s_hat = source_direction(geom.theta_s, geom.phi_s)
         lam_half = cfg.wavelength / 2.0
         scale = np.max(np.abs(H))
@@ -293,7 +299,7 @@ class TestAssembleH:
                         [geom.d_x - s * s_hat[0], -s * s_hat[1], r - s * s_hat[2]],
                         axis=-1,
                     )
-                    kern = gz_kernel(u, geom.theta_s, geom.phi_s, k)
+                    kern = gz_kernel(u, geom.theta_s, geom.phi_s, wavelength)
                     return (
                         kern
                         * np.exp(1j * k_m * s)
@@ -389,20 +395,21 @@ class TestFarFieldModelError:
         geom = replace(
             desk.geometry, d_x=d_x_wavelengths * cfg.wavelength, theta_s=theta_s, d_z=d_z
         )
-        k = EmConstants(cfg.wavelength)
+        wavelength = cfg.wavelength
         exact, d_min = kernel_coupling_oracle(
-            geom, cfg, lambda u: exact_gz_kernel(u, theta_s, geom.phi_s, k)
+            geom, cfg, lambda u: exact_gz_kernel(u, theta_s, geom.phi_s, wavelength)
         )
         rel = np.linalg.norm(assemble_H(geom, cfg) - exact) / np.linalg.norm(exact)
-        assert rel <= self.C_MODEL / (k.kappa * d_min)
+        assert rel <= self.C_MODEL / (2.0 * math.pi / wavelength * d_min)
 
     def test_oracle_with_far_field_kernel_matches_H(self, desk):
         # the oracle's own route, given the package's kernel, reproduces H
         # (3.4e-14 relative here), so the gap above is the kernel's alone
         cfg = desk.wdm
         geom = replace(desk.geometry, theta_s=0.3, d_z=0.4)
-        k = EmConstants(cfg.wavelength)
-        ff, _ = kernel_coupling_oracle(geom, cfg, lambda u: gz_kernel(u, 0.3, geom.phi_s, k))
+        ff, _ = kernel_coupling_oracle(
+            geom, cfg, lambda u: gz_kernel(u, 0.3, geom.phi_s, cfg.wavelength)
+        )
         H = assemble_H(geom, cfg)
         assert np.linalg.norm(H - ff) <= 1e-12 * np.linalg.norm(ff)
 
@@ -598,8 +605,7 @@ class TestWhiten:
 class TestPowerModel:
     def test_reference_budget(self):
         cfg = WdmConfig(wavelength=0.01, n_modes=1, source_power=1e-7)
-        k = EmConstants(0.01)
-        assert total_power(cfg) == (k.kappa * k.z0) ** 2 * 1e-7
+        assert total_power(cfg) == (2.0 * math.pi / 0.01 * FREE_SPACE_IMPEDANCE) ** 2 * 1e-7
         assert total_power(cfg) == pytest.approx(5.603e3, rel=1e-3)
 
     def test_zero_source_power(self):
@@ -650,11 +656,11 @@ class TestSerialization:
             load_matching_channel_set(str(path), other, REDUCED_CFG)
 
     def test_entry_is_header_then_hex_values(self, tmp_path):
-        # a v6 entry is text: the header, then one float.hex line per scheme
+        # a v7 entry is text: the header, then one float.hex line per scheme
         path = tmp_path / "entry.wdmch"
         save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)
-        assert header.startswith("wdmlink-channel-set v6\n")
+        assert header.startswith("wdmlink-channel-set v7\n")
         body = "".join(f"{v.hex()}\n" for v in SE_VALUES)
         assert path.read_text(encoding="ascii") == header + body
 
@@ -684,19 +690,15 @@ class TestSerialization:
     def test_cache_key_is_pinned(self):
         # the file name is the header's CRC-32 and Adler-32, which depend on
         # its bytes alone: not on the process, platform or Python version
-        # (the header's format tag is v6, text entries holding a point's
+        # (the header's format tag is v7, text entries holding a point's
         # four SE values from the closed-form R, and the header names the
-        # MMSE form but not quadrature.rel_tol)
-        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "d24098fe19447cd4"
+        # MMSE form and both QuadratureSpec fields)
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "d429af2bf2f972c5"
 
     def test_cache_key_follows_exactly_what_the_se_depends_on(self):
-        # only selfcheck reads rel_tol, so it keeps the key; every field
-        # a point's SE depends on changes it
+        # every field a point's SE depends on changes the key
         base = channel_cache_key(REDUCED_GEOM, REDUCED_CFG)
         quad = REDUCED_CFG.quadrature
-        assert base == channel_cache_key(
-            REDUCED_GEOM, replace(REDUCED_CFG, quadrature=replace(quad, rel_tol=1e-3))
-        )
         for changed in (
             replace(REDUCED_CFG, mmse_form="table"),
             replace(REDUCED_CFG, sigma2_hdw=1e-3),
@@ -707,12 +709,13 @@ class TestSerialization:
             assert channel_cache_key(REDUCED_GEOM, changed) != base, changed
 
     def test_header_contains_every_parameter(self):
-        header = channel_header(REDUCED_GEOM, REDUCED_CFG)
-        for token in ("L_s", "L_r", "d_x", "d_z", "theta_s", "phi_s",
-                      "wavelength", "n_modes", "source_power", "sigma2_emi",
-                      "sigma2_hdw", "mmse_form", "points_per_wavelength",
-                      "nodes_per_panel"):
-            assert token in header
+        # one line per dataclass field, so a field added later and left
+        # out of the header fails here; WdmConfig.quadrature is the spec's
+        expected = [f"geometry.{f.name}" for f in fields(LinkGeometry)]
+        expected += [f"wdm.{f.name}" for f in fields(WdmConfig) if f.name != "quadrature"]
+        expected += [f"quadrature.{f.name}" for f in fields(QuadratureSpec)]
+        lines = channel_header(REDUCED_GEOM, REDUCED_CFG).splitlines()[1:]
+        assert [line.split(" = ")[0] for line in lines] == expected
 
 
 class TestChannelSetAssembly:

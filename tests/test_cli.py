@@ -142,6 +142,18 @@ def test_empty_mode_offsets_flag_exits_1(tmp_path, capsys):
     assert "mode_offsets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, raw", [("max_panels", "4096"), ("rel_tol", "1e-6")])
+def test_fixed_quadrature_settings_are_unknown_keys(tmp_path, capsys, key, raw):
+    # the panel cap and selfcheck's tolerance change no result, so no
+    # config file sets them
+    cfg_file = tmp_path / "quad.cfg"
+    cfg_file.write_text(f"[quadrature]\n{key} = {raw}\n")
+    rc = cli.main(["sweep", "--out", str(tmp_path / "s.csv"), "--config", str(cfg_file)])
+    assert rc == 1
+    assert f"unknown key [quadrature] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_unknown_flag_exits_1(tmp_path, capsys):
     rc = cli.main(["sweep", "--out", str(tmp_path / "s.csv"), "--bogus", "1"])
     assert rc == 1

@@ -7,7 +7,6 @@ import pytest
 
 from wdmlink import em_field
 from wdmlink.em_field import (
-    EmConstants,
     ModeIndex,
     NearFieldWarning,
     boresight_reference_peak,
@@ -32,17 +31,6 @@ from oracles import (
 )
 
 
-class TestEmConstants:
-    def test_wavenumber(self):
-        k = EmConstants(wavelength=0.01)
-        assert abs(k.kappa * k.wavelength - 2.0 * math.pi) < 1e-12
-        assert k.z0 == 376.73
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EmConstants(wavelength=0.0)
-
-
 class TestSpatialFrequency:
     def test_center_mode_is_dc(self):
         assert spatial_frequency(21, 41, 0.2) == 0.0
@@ -62,69 +50,70 @@ class TestSpatialFrequency:
 
 class TestGreenDyadic:
     def test_axial_separation_has_no_longitudinal_field(self):
-        k = EmConstants(wavelength=0.01)
-        G = green_dyadic_ff(np.array([0.0, 0.0, 3.0]), np.zeros(3), k)
+        wavelength = 0.01
+        G = green_dyadic_ff(np.array([0.0, 0.0, 3.0]), np.zeros(3), wavelength)
         assert abs(G[2, 2]) < 1e-16
 
     def test_amplitude_law(self):
-        k = EmConstants(wavelength=0.01)
+        wavelength = 0.01
         d = 0.01 * 1e6
-        G = green_dyadic_ff(np.array([d, 0.0, 0.0]), np.zeros(3), k)
+        G = green_dyadic_ff(np.array([d, 0.0, 0.0]), np.zeros(3), wavelength)
         assert np.max(np.abs(G)) == pytest.approx(1.0 / (4.0 * math.pi * d), rel=1e-12)
 
     def test_transverse_entry_closed_form(self):
-        k = EmConstants(wavelength=0.01)
-        G = green_dyadic_ff(np.array([5.0, 0.0, 0.0]), np.zeros(3), k)
-        expected = np.exp(1j * k.kappa * 5.0) / (20.0 * math.pi)
+        wavelength = 0.01
+        G = green_dyadic_ff(np.array([5.0, 0.0, 0.0]), np.zeros(3), wavelength)
+        expected = np.exp(1j * (2.0 * math.pi / wavelength) * 5.0) / (20.0 * math.pi)
         assert G[1, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_coincident_points_rejected(self):
-        k = EmConstants(wavelength=0.01)
+        wavelength = 0.01
         with pytest.raises(ValueError):
-            green_dyadic_ff(np.zeros(3), np.zeros(3), k)
+            green_dyadic_ff(np.zeros(3), np.zeros(3), wavelength)
 
     def test_near_field_warns(self):
-        k = EmConstants(wavelength=0.01)
+        wavelength = 0.01
         with pytest.warns(NearFieldWarning):
-            green_dyadic_ff(np.array([0.05, 0.0, 0.0]), np.zeros(3), k)
+            green_dyadic_ff(np.array([0.05, 0.0, 0.0]), np.zeros(3), wavelength)
 
 
 class TestGzKernel:
     def test_vertical_source_closed_form(self, rng):
-        k = EmConstants(wavelength=0.02)
+        wavelength = 0.02
         u = rng.uniform(-3.0, 3.0, size=(50, 3))
         u[:, 0] += 4.0
-        got = gz_kernel(u, 0.0, 0.0, k)
+        got = gz_kernel(u, 0.0, 0.0, wavelength)
         d = np.linalg.norm(u, axis=-1)
         # exp(j kappa d) with the phase reduced in cycles first: the same
         # value, without the ~1e-13 rounding of kappa d at hundreds of radians
-        c = d / k.wavelength
+        c = d / wavelength
         phase = np.exp(2j * np.pi * (c - np.rint(c)))
         expected = phase * (u[:, 0] ** 2 + u[:, 1] ** 2) / (4.0 * math.pi * d**3)
         assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
 
     def test_axial_direction_vanishes(self):
-        k = EmConstants(wavelength=0.02)
-        assert gz_kernel(np.array([0.0, 0.0, 2.0]), 0.0, 0.0, k) == 0.0
+        wavelength = 0.02
+        assert gz_kernel(np.array([0.0, 0.0, 2.0]), 0.0, 0.0, wavelength) == 0.0
 
     def test_matches_dyadic_contraction_at_quoted_point(self):
-        k = EmConstants(wavelength=0.01)
+        wavelength = 0.01
         th = math.radians(10.0)
         u = np.array([5.0, 0.0, 1.0])
-        G = green_dyadic_ff(u, np.zeros(3), k)
+        G = green_dyadic_ff(u, np.zeros(3), wavelength)
         expected = G[2, :] @ source_direction(th, 0.0)
-        assert gz_kernel(u, th, 0.0, k) == pytest.approx(expected, rel=1e-12)
+        assert gz_kernel(u, th, 0.0, wavelength) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_dyadic_contraction_randomized(self, rng):
-        k = EmConstants(wavelength=0.01)
+        wavelength = 0.01
         worst = 0.0
         for _ in range(1000):
             u = rng.uniform(-2.0, 2.0, size=3)
             u[0] += 3.0
             th = rng.uniform(0.0, math.pi)
             ph = rng.uniform(0.0, 2.0 * math.pi)
-            reference = green_dyadic_ff(u, np.zeros(3), k)[2, :] @ source_direction(th, ph)
-            got = gz_kernel(u, th, ph, k)
+            dyad = green_dyadic_ff(u, np.zeros(3), wavelength)
+            reference = dyad[2, :] @ source_direction(th, ph)
+            got = gz_kernel(u, th, ph, wavelength)
             if reference != 0.0:
                 worst = max(worst, abs(got - reference) / abs(reference))
         assert worst < 1e-12
@@ -142,11 +131,11 @@ class TestExactKernelLimit:
         r = np.array([5.0, 7.0, 9.0, 11.0])
         eps = np.finfo(float).eps
         for p in range(0, 64, 3):
-            k = EmConstants(wavelength=0.7 * 2.0**-p)
-            kr = k.kappa * r
+            wavelength = 0.7 * 2.0**-p
+            kr = 2.0 * math.pi / wavelength * r
             for th, ph in ((0.0, 0.0), (0.3, 1.1), (1.2, 2.5), (math.pi / 2, 0.0)):
-                exact = exact_gz_kernel(u, th, ph, k)
-                gap = np.abs(exact - gz_kernel(u, th, ph, k)) * (4.0 * math.pi * r)
+                exact = exact_gz_kernel(u, th, ph, wavelength)
+                gap = np.abs(exact - gz_kernel(u, th, ph, wavelength)) * (4.0 * math.pi * r)
                 assert np.all(gap <= 4.0 / kr + 4.0 / kr**2 + 4.0 * eps)
                 if kr.min() > 1e17:
                     assert np.all(gap <= 4.0 * eps)
@@ -184,35 +173,36 @@ class TestPhasor:
 
 class TestRadiationPattern:
     def test_peak_value_identity(self, full_scale):
-        k = EmConstants(full_scale.wdm.wavelength)
-        for n in range(1, full_scale.wdm.n_modes + 1):
-            m = ModeIndex.from_mode_number(n, full_scale.wdm.n_modes, full_scale.geometry.L_s, k)
+        wdm, geom = full_scale.wdm, full_scale.geometry
+        for n in range(1, wdm.n_modes + 1):
+            m = ModeIndex.from_mode_number(n, wdm.n_modes, geom.L_s, wdm.wavelength)
             g = min(1.0, max(-1.0, m.gamma_n))
-            val = radiation_pattern(math.acos(g), m, full_scale.geometry, k)
+            val = radiation_pattern(math.acos(g), m, geom, wdm.wavelength)
             assert abs(val - (1.0 - g * g)) < 1e-12
 
     def test_center_mode_broadside_maximum(self, desk):
-        k = EmConstants(desk.wdm.wavelength)
-        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, k)
-        assert radiation_pattern(math.pi / 2.0, m, desk.geometry, k) == pytest.approx(1.0, abs=1e-15)
+        wavelength = desk.wdm.wavelength
+        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, wavelength)
+        value = radiation_pattern(math.pi / 2.0, m, desk.geometry, wavelength)
+        assert value == pytest.approx(1.0, abs=1e-15)
 
     def test_grid_argmax_near_cone_angle(self, full_scale):
         # gamma = 0.25 beams toward acos(0.25) = 75.52 deg
-        k = EmConstants(full_scale.wdm.wavelength)
-        m = ModeIndex.from_mode_number(26, 41, full_scale.geometry.L_s, k)
+        wavelength = full_scale.wdm.wavelength
+        m = ModeIndex.from_mode_number(26, 41, full_scale.geometry.L_s, wavelength)
         assert m.gamma_n == pytest.approx(0.25, rel=1e-15)
         grid = np.radians(np.arange(0.0, 180.0001, 0.01))
-        vals = radiation_pattern(grid, m, full_scale.geometry, k)
+        vals = radiation_pattern(grid, m, full_scale.geometry, wavelength)
         best = math.degrees(grid[int(np.argmax(vals))])
         assert abs(best - math.degrees(math.acos(0.25))) < 0.5
 
     def test_range_validation(self, desk):
-        k = EmConstants(desk.wdm.wavelength)
-        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, k)
+        wavelength = desk.wdm.wavelength
+        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, wavelength)
         with pytest.raises(ValueError):
-            radiation_pattern(-0.1, m, desk.geometry, k)
+            radiation_pattern(-0.1, m, desk.geometry, wavelength)
         with pytest.raises(ValueError):
-            radiation_pattern(math.pi + 0.1, m, desk.geometry, k)
+            radiation_pattern(math.pi + 0.1, m, desk.geometry, wavelength)
 
 
 # A rule whose desk receive segment (1600 nodes) spans many blocks of
@@ -221,7 +211,7 @@ SEVERAL_BLOCKS_SPEC = QuadratureSpec(points_per_wavelength=16.0, nodes_per_panel
 
 
 def _tilted_receive_nodes(desk):
-    """A tilted desk link, its k and SEVERAL_BLOCKS_SPEC receive nodes.
+    """A tilted desk link, its wavelength and SEVERAL_BLOCKS_SPEC receive nodes.
 
     A 0.99 m receive segment has 1584 nodes, so the last block is short.
     """
@@ -232,56 +222,58 @@ def _tilted_receive_nodes(desk):
         phi_s=math.radians(70.0),
         d_z=0.3,
     )
-    k = EmConstants(desk.wdm.wavelength)
+    wavelength = desk.wdm.wavelength
     r_z, _ = composite_gauss_nodes(
-        geom.d_z - geom.L_r / 2, geom.d_z + geom.L_r / 2, k.wavelength / 2, SEVERAL_BLOCKS_SPEC
+        geom.d_z - geom.L_r / 2, geom.d_z + geom.L_r / 2, wavelength / 2, SEVERAL_BLOCKS_SPEC
     )
-    return geom, k, r_z
+    return geom, wavelength, r_z
 
 
 class TestToneFields:
     def test_ragged_blocks_match_one_slab(self, desk):
-        geom, k, r_z = _tilted_receive_nodes(desk)
+        geom, wavelength, r_z = _tilted_receive_nodes(desk)
         spec = SEVERAL_BLOCKS_SPEC
-        rows = em_field._BLOCK_PAIRS // s_rule(geom, k, spec)[0].size
+        rows = em_field._BLOCK_PAIRS // s_rule(geom, wavelength, spec)[0].size
         assert r_z.size > rows and r_z.size % rows != 0  # several blocks, last ragged
         kappas = np.array(
             [spatial_frequency(n, desk.wdm.n_modes, geom.L_s) for n in (1, 6, 11, 21)]
         )
-        got = tone_fields(geom, k, r_z, kappas, spec)
-        assert np.array_equal(got, tone_fields_one_slab(geom, k, r_z, kappas, spec))
+        got = tone_fields(geom, wavelength, r_z, kappas, spec)
+        assert np.array_equal(got, tone_fields_one_slab(geom, wavelength, r_z, kappas, spec))
 
     def test_kernel_blocks_equal_gz_kernel_bit_for_bit(self, desk):
         # each block is written in place into the same arrays, so it is
         # copied before the next one is requested
-        geom, k, r_z = _tilted_receive_nodes(desk)
-        s_nodes, _ = s_rule(geom, k, SEVERAL_BLOCKS_SPEC)
+        geom, wavelength, r_z = _tilted_receive_nodes(desk)
+        s_nodes, _ = s_rule(geom, wavelength, SEVERAL_BLOCKS_SPEC)
         blocks = [
             (rows, kern.copy())
-            for rows, kern in em_field._kernel_blocks(geom, k, r_z, s_nodes, stacklevel=2)
+            for rows, kern in em_field._kernel_blocks(geom, wavelength, r_z, s_nodes, stacklevel=2)
         ]
         assert len(blocks) > 2 and blocks[-1][1].shape[0] < blocks[0][1].shape[0]
         assert blocks[-1][0].stop == r_z.size
-        expected = gz_kernel(separation_grid(geom, r_z, s_nodes), geom.theta_s, geom.phi_s, k)
+        u = separation_grid(geom, r_z, s_nodes)
+        expected = gz_kernel(u, geom.theta_s, geom.phi_s, wavelength)
         for rows, kern in blocks:
             assert np.array_equal(kern, expected[rows])
 
     def test_grid_within_one_block_matches_one_slab(self, desk):
         geom = replace(desk.geometry, theta_s=math.radians(12.0))
         spec = desk.wdm.quadrature
-        k = EmConstants(desk.wdm.wavelength)
+        wavelength = desk.wdm.wavelength
         r_z = np.linspace(-0.4, 0.45, 7)
         kappas = np.array([spatial_frequency(4, desk.wdm.n_modes, geom.L_s)])
-        got = tone_fields(geom, k, r_z, kappas, spec)
-        assert np.array_equal(got, tone_fields_one_slab(geom, k, r_z, kappas, spec))
+        got = tone_fields(geom, wavelength, r_z, kappas, spec)
+        assert np.array_equal(got, tone_fields_one_slab(geom, wavelength, r_z, kappas, spec))
 
 
 class TestReceivedFieldProfile:
     def test_center_mode_profile_is_symmetric(self, desk):
-        k = EmConstants(desk.wdm.wavelength)
-        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, k)
+        wavelength = desk.wdm.wavelength
+        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, wavelength)
         grid = np.linspace(-0.5, 0.5, 401)
-        prof = np.abs(received_field_profile(m, desk.geometry, k, grid, desk.wdm.quadrature))
+        field = received_field_profile(m, desk.geometry, wavelength, grid, desk.wdm.quadrature)
+        prof = np.abs(field)
         assert np.max(np.abs(prof - prof[::-1])) < 1e-9 * np.max(prof)
 
     def test_tilted_peaks_match_cone_intersection(self, desk):
@@ -289,7 +281,7 @@ class TestReceivedFieldProfile:
         # at least 0.1 m inside the segment: the |e_z| maximum lies within
         # c04's tolerance of the intersection
         wdm = desk.wdm
-        k = EmConstants(wdm.wavelength)
+        wavelength = wdm.wavelength
         grid = np.linspace(-0.5, 0.5, 1201)
         tol = max(wdm.wavelength, 2.0 * (grid[1] - grid[0]))
         checked = 0
@@ -301,31 +293,31 @@ class TestReceivedFieldProfile:
                     phi_s=math.radians(phi_deg),
                 )
                 for n in range(1, wdm.n_modes + 1):
-                    m = ModeIndex.from_mode_number(n, wdm.n_modes, geom.L_s, k)
+                    m = ModeIndex.from_mode_number(n, wdm.n_modes, geom.L_s, wavelength)
                     peaks = peak_locations_general(m, geom)
                     if len(peaks) != 1 or abs(peaks[0].r_z) > geom.L_r / 2 - 0.1:
                         continue
                     prof = np.abs(
-                        received_field_profile(m, geom, k, grid, wdm.quadrature)
+                        received_field_profile(m, geom, wavelength, grid, wdm.quadrature)
                     )
                     assert abs(grid[np.argmax(prof)] - peaks[0].r_z) <= tol
                     checked += 1
         assert checked > 100
 
     def test_grid_outside_segment_rejected(self, desk):
-        k = EmConstants(desk.wdm.wavelength)
-        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, k)
+        wavelength = desk.wdm.wavelength
+        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, wavelength)
         with pytest.raises(ValueError):
             received_field_profile(
-                m, desk.geometry, k, np.array([0.0, 0.51]), desk.wdm.quadrature
+                m, desk.geometry, wavelength, np.array([0.0, 0.51]), desk.wdm.quadrature
             )
 
     def test_short_range_warns(self, desk):
         geom = replace(desk.geometry, d_x=0.1)  # below the 10-wavelength guard
-        k = EmConstants(desk.wdm.wavelength)
-        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, k)
+        wavelength = desk.wdm.wavelength
+        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, wavelength)
         with pytest.warns(NearFieldWarning) as record:
-            received_field_profile(m, geom, k, np.zeros(1), desk.wdm.quadrature)
+            received_field_profile(m, geom, wavelength, np.zeros(1), desk.wdm.quadrature)
         assert record[0].filename == __file__  # attributed to the caller
 
     def test_guard_takes_minimum_over_all_blocks(self, desk):
@@ -334,17 +326,17 @@ class TestReceivedFieldProfile:
         # those heights lie in the two middle ones
         geom = replace(desk.geometry, d_x=0.28, theta_s=math.pi / 2)
         spec = desk.wdm.quadrature
-        k = EmConstants(desk.wdm.wavelength)
-        m = ModeIndex.from_mode_number(11, 21, geom.L_s, k)
-        s_nodes, _ = s_rule(geom, k, spec)
+        wavelength = desk.wdm.wavelength
+        m = ModeIndex.from_mode_number(11, 21, geom.L_s, wavelength)
+        s_nodes, _ = s_rule(geom, wavelength, spec)
         rows = em_field._BLOCK_PAIRS // s_nodes.size
         grid = np.linspace(-geom.L_r / 2, geom.L_r / 2, 4 * rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error", NearFieldWarning)
-            received_field_profile(m, geom, k, grid[:rows], spec)
-            received_field_profile(m, geom, k, grid[-rows:], spec)
+            received_field_profile(m, geom, wavelength, grid[:rows], spec)
+            received_field_profile(m, geom, wavelength, grid[-rows:], spec)
         with pytest.warns(NearFieldWarning) as record:
-            received_field_profile(m, geom, k, grid, spec)
+            received_field_profile(m, geom, wavelength, grid, spec)
         assert len(record) == 1
         assert record[0].filename == __file__
         d_min = np.min(np.hypot(geom.d_x - s_nodes[None, :], grid[:, None]))
@@ -353,8 +345,8 @@ class TestReceivedFieldProfile:
 
 class TestPeakLocationBoresight:
     def test_center_mode_at_segment_level(self, desk):
-        k = EmConstants(desk.wdm.wavelength)
-        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, k)
+        wavelength = desk.wdm.wavelength
+        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, wavelength)
         peak = peak_location_boresight(m, desk.geometry)
         assert peak.r_z == 0.0
         assert peak.in_segment
@@ -381,9 +373,9 @@ class TestPeakLocationBoresight:
 
 class TestPeakLocationsGeneral:
     def test_reduces_to_boresight(self, desk):
-        k = EmConstants(desk.wdm.wavelength)
+        wavelength = desk.wdm.wavelength
         for n in (8, 10, 11, 13, 15):
-            m = ModeIndex.from_mode_number(n, 21, desk.geometry.L_s, k)
+            m = ModeIndex.from_mode_number(n, 21, desk.geometry.L_s, wavelength)
             peaks = peak_locations_general(m, desk.geometry)
             assert len(peaks) == 1
             reference = peak_location_boresight(m, desk.geometry)
@@ -415,14 +407,14 @@ class TestPeakLocationsGeneral:
 
     def test_roots_lie_on_beam_cone(self, desk, rng):
         # every admissible root keeps r_hat . s_hat = gamma_n
-        k = EmConstants(desk.wdm.wavelength)
+        wavelength = desk.wdm.wavelength
         checked = 0
         for _ in range(300):
             n = int(rng.integers(2, 21))
             th = rng.uniform(0.0, math.radians(60.0))
             ph = rng.uniform(0.0, 2.0 * math.pi)
             geom = replace(desk.geometry, theta_s=th, phi_s=ph)
-            m = ModeIndex.from_mode_number(n, 21, desk.geometry.L_s, k)
+            m = ModeIndex.from_mode_number(n, 21, desk.geometry.L_s, wavelength)
             s_hat = source_direction(th, ph)
             for peak in peak_locations_general(m, geom):
                 r = np.array([geom.d_x, 0.0, peak.r_z])
@@ -434,17 +426,18 @@ class TestPeakLocationsGeneral:
 
 class TestBoresightReferencePeak:
     def test_matches_center_mode_maximum(self, desk):
-        k = EmConstants(desk.wdm.wavelength)
+        wavelength = desk.wdm.wavelength
         grid = np.linspace(-0.5, 0.5, 801)
-        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, k)
-        prof = np.abs(received_field_profile(m, desk.geometry, k, grid, desk.wdm.quadrature))
-        e0 = boresight_reference_peak(desk.geometry, k, grid, desk.wdm.quadrature)
+        m = ModeIndex.from_mode_number(11, 21, desk.geometry.L_s, wavelength)
+        field = received_field_profile(m, desk.geometry, wavelength, grid, desk.wdm.quadrature)
+        prof = np.abs(field)
+        e0 = boresight_reference_peak(desk.geometry, wavelength, grid, desk.wdm.quadrature)
         assert e0 == pytest.approx(float(np.max(prof)), rel=1e-12)
 
     def test_independent_of_orientation(self, desk):
-        k = EmConstants(desk.wdm.wavelength)
+        wavelength = desk.wdm.wavelength
         grid = np.linspace(-0.5, 0.5, 801)
         tilted = replace(desk.geometry, theta_s=0.4, phi_s=1.0)
-        a = boresight_reference_peak(desk.geometry, k, grid, desk.wdm.quadrature)
-        b = boresight_reference_peak(tilted, k, grid, desk.wdm.quadrature)
+        a = boresight_reference_peak(desk.geometry, wavelength, grid, desk.wdm.quadrature)
+        b = boresight_reference_peak(tilted, wavelength, grid, desk.wdm.quadrature)
         assert a == b

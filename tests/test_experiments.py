@@ -185,6 +185,32 @@ class TestRunSweep:
         assert chunk_lengths == [2] * 9 + [1]
         assert pooled.read_bytes() == serial.read_bytes()
 
+    def test_pool_starts_no_more_workers_than_chunks(self, desk, tmp_path, monkeypatch):
+        # a forked pool starts all its workers at once; 3 points make 3
+        # chunks, so asking for 64 workers must start 3
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = small_sweep(desk, count=3)
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        run_sweep(cfg, str(serial))
+        run_sweep(replace(cfg, output=replace(cfg.output, workers=64)), str(pooled))
+        assert sizes == [3]
+        assert pooled.read_bytes() == serial.read_bytes()
+
     def test_channel_cache_reuse_matches_fresh_assembly(self, desk, tmp_path):
         cache = tmp_path / "cache"
         cfg = small_sweep(desk, count=5)
@@ -663,6 +689,7 @@ def test_selfcheck_passes_on_desk_link(desk, capsys):
     assert run_selfcheck(desk) is True
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 4
+    assert "under node doubling (tolerance 1e-06)" in out
     assert "[FAIL]" not in out
 
 

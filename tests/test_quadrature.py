@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wdmlink.quadrature import (
+    MAX_PANELS,
     PanelLimitError,
     QuadratureSpec,
     _leggauss,
@@ -25,8 +26,6 @@ class TestQuadratureSpec:
             QuadratureSpec(points_per_wavelength=1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(nodes_per_panel=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_panels=0)
 
 
 class TestLegendreRule:
@@ -67,9 +66,14 @@ class TestPanelCount:
         assert panel_count(0.0, 2.0, 0.1, spec) == 40
 
     def test_limit_enforced(self):
-        spec = QuadratureSpec(max_panels=10)
+        # one panel per oscillation period: MAX_PANELS periods still fit,
+        # one more raises before any node is laid
+        spec = QuadratureSpec(points_per_wavelength=16.0, nodes_per_panel=16)
+        assert panel_count(0.0, float(MAX_PANELS), 1.0, spec) == MAX_PANELS
         with pytest.raises(PanelLimitError):
-            composite_gauss_nodes(0.0, 1.0, 1e-6, spec)
+            panel_count(0.0, MAX_PANELS + 1.0, 1.0, spec)
+        with pytest.raises(PanelLimitError):
+            composite_gauss_nodes(0.0, 1e3 * MAX_PANELS, 1.0, spec)
 
 
 class TestCompositeNodes:
