@@ -22,7 +22,6 @@ from .geometry import LinkGeometry
 
 __all__ = [
     "FORMAT_VERSION",
-    "RECEIVER_FIELDS",
     "channel_header",
     "channel_cache_key",
     "replacing",
@@ -32,29 +31,22 @@ __all__ = [
 
 # A sweep's cache keeps its entries in a directory of this name, so a
 # format change leaves the old entries in one directory to delete.
-FORMAT_VERSION = "v7"
+FORMAT_VERSION = "v8"
 _FORMAT_TAG = f"wdmlink-channel-set {FORMAT_VERSION}"
 
-# WdmConfig fields that only the receivers read: they change the SE of a
-# point but not its H or R.
-RECEIVER_FIELDS = ("mmse_form",)
 
-
-def channel_header(geom: LinkGeometry, cfg: WdmConfig, receivers: bool = True) -> str:
+def channel_header(geom: LinkGeometry, cfg: WdmConfig) -> str:
     """Canonical header describing one (geometry, config) pair.
 
     The format tag, then one ``section.name = repr(value)`` line per
     parameter, so two runs produce the same header exactly when every
-    parameter matches.  With ``receivers=False`` the
-    :data:`RECEIVER_FIELDS` are left out, as in a ``dump-channel`` file
-    of H and R.
+    parameter matches.  A sweep's cache entry and a ``dump-channel`` file
+    of H and R both start with it.
     """
     lines = [_FORMAT_TAG]
     lines += [f"geometry.{f.name} = {getattr(geom, f.name)!r}" for f in fields(geom)]
     lines += [
-        f"wdm.{f.name} = {getattr(cfg, f.name)!r}"
-        for f in fields(cfg)
-        if f.name != "quadrature" and (receivers or f.name not in RECEIVER_FIELDS)
+        f"wdm.{f.name} = {getattr(cfg, f.name)!r}" for f in fields(cfg) if f.name != "quadrature"
     ]
     lines += [
         f"quadrature.{f.name} = {getattr(cfg.quadrature, f.name)!r}"

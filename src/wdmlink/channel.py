@@ -278,12 +278,11 @@ def save_channel_dump(
 ) -> None:
     """Write ``H`` and ``R`` with their header to ``path`` as an npz archive.
 
-    The header leaves out the receiver-only fields
-    (``channel_header(geom, cfg, receivers=False)``), which change neither
-    matrix.  The archive replaces ``path`` only once complete
+    The header is :func:`wdmlink.cache.channel_header`.  The archive
+    replaces ``path`` only once complete
     (:func:`wdmlink.cache.replacing`), and equal inputs give equal bytes.
     """
-    header = channel_header(geom, cfg, receivers=False)
+    header = channel_header(geom, cfg)
     # a file handle keeps np.savez from appending ".npz" to the name
     with replacing(path) as out:
         np.savez(out, header=np.array(header), H=H, R=R)

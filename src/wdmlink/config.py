@@ -21,7 +21,7 @@ Sections and keys:
 
     [geometry]   L_s, L_r, d_x, d_z, theta_s, phi_s
     [wdm]        wavelength, n_modes ("max" allowed), source_power,
-                 snr_emi_db, sigma2_hdw, mmse_form
+                 snr_emi_db, sigma2_hdw
     [quadrature] points_per_wavelength, nodes_per_panel
     [sweep]      parameter (d_z | theta_s | d_x), start, stop, count,
                  seed, draws_per_phi, phi_set, theta_max
@@ -42,7 +42,6 @@ from .geometry import LinkGeometry
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
-    "MMSE_FORMS",
     "Scheme",
     "QuadratureSpec",
     "WdmConfig",
@@ -73,11 +72,6 @@ class Scheme(enum.Enum):
     MMSE = "mmse"
     MR = "mr"
     PLAIN = "plain"
-
-
-# Variants of the MMSE filter (see :mod:`wdmlink.receivers`); the config
-# key ``mmse_form`` accepts exactly these.
-MMSE_FORMS = ("hermitian", "table")
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,6 @@ class WdmConfig:
         sigma2_hdw: White hardware noise variance [V^2/m^2]; zero keeps
             the noise purely interference-limited.
         quadrature: Sizing of the H and field-profile integrals.
-        mmse_form: MMSE filter variant, one of :data:`MMSE_FORMS`.
     """
 
     wavelength: float
@@ -125,7 +118,6 @@ class WdmConfig:
     sigma2_emi: float = 1.0
     sigma2_hdw: float = 0.0
     quadrature: QuadratureSpec = QuadratureSpec()
-    mmse_form: str = "hermitian"
 
     def __post_init__(self) -> None:
         if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
@@ -138,8 +130,6 @@ class WdmConfig:
             raise ValueError("noise variances must be nonnegative")
         if self.sigma2_emi == 0.0 and self.sigma2_hdw == 0.0:
             raise ValueError("at least one noise variance must be positive")
-        if self.mmse_form not in MMSE_FORMS:
-            raise ValueError(f"mmse_form must be one of {MMSE_FORMS}, got {self.mmse_form!r}")
 
 
 def max_modes(L_s: float, wavelength: float) -> int:
@@ -379,7 +369,6 @@ PARAMETERS = (
     Param("wdm", "source_power", None, "wdm.source_power", float),
     Param("wdm", "snr_emi_db", None, "wdm.snr_emi_db", float),
     Param("wdm", "sigma2_hdw", None, "wdm.sigma2_hdw", float),
-    Param("wdm", "mmse_form", None, "wdm.mmse_form", _choice(*MMSE_FORMS)),
     Param("quadrature", "points_per_wavelength", None, "quadrature.points_per_wavelength", float),
     Param("quadrature", "nodes_per_panel", None, "quadrature.nodes_per_panel", int),
     Param("sweep", "parameter", "--parameter", "sweep.parameter", _choice(*SWEEP_PARAMETERS)),

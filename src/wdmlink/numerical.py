@@ -53,8 +53,10 @@ def evaluate_points(wdm: WdmConfig, points: Sequence[Point]) -> List[SweepRecord
     """SE records of (grid value, geometry, cache path) points in order, a failed point flagged.
 
     Each point's four SE values are stored at its path unless that is
-    empty.  The points differ only in d_x, d_z and orientation, so one
-    noise factor, built at the first point, whitens them all.
+    empty; a failed write raises its OSError, an i/o failure of the run
+    rather than of the point.  The points differ only in d_x, d_z and
+    orientation, so one noise factor, built at the first point, whitens
+    them all.
     """
     power, L0, records = total_power(wdm), None, []
     for value, geom, path in points:
@@ -62,16 +64,14 @@ def evaluate_points(wdm: WdmConfig, points: Sequence[Point]) -> List[SweepRecord
             # a failed factor flags this point, and the next one tries again
             L0 = noise_factor(geom, wdm) if L0 is None else L0
             H_tilde = white_channel(geom, wdm, L0)
-            se = [
-                spectral_efficiency(s, H_tilde, power, wdm.mmse_form).se_total
-                for s in SCHEME_ORDER
-            ]
-            if path:
-                save_channel_set(path, geom, wdm, se)
-            records.append(SweepRecord(value, *se))
+            se = [spectral_efficiency(s, H_tilde, power).se_total for s in SCHEME_ORDER]
         except Exception as exc:  # flagged row per grid point, file stays complete
             error = f"{type(exc).__name__}: {exc}"
             records.append(SweepRecord(value, *[math.nan] * 4, error=error))
+            continue
+        if path:
+            save_channel_set(path, geom, wdm, se)
+        records.append(SweepRecord(value, *se))
     return records
 
 

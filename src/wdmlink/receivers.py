@@ -21,16 +21,6 @@ sorted-breakpoint method.  A combiner bank gives per-mode qualities
              / (sum_{m != n} |b_n^H g_m|^2 p_m + b_n^H b_n),
 
 and the sum spectral efficiency is sum log2(1 + SINR_n).
-
-The textbook MMSE filter above differs from writing the power matrix in
-front of the Gram product; ``mmse_form="table"`` switches to that
-variant, (P H_tilde H_tilde^H + I)^{-1} H_tilde, for comparison.  Its
-Gram matrix is not Hermitian, and where H_tilde is ill-conditioned the
-solve amplifies rounding: at desk with d_x = 0.4 m, theta_s = 1.2 and
-d_z = 0.37 (cond(H_tilde) about 3e16), an exact unit diagonal on
-H_tilde, which leaves every SE unchanged in exact arithmetic, moves the
-table form's SE by 7.3e-13 relative against at most 3.1e-16 for the
-hermitian form; 9-digit CSV cells do not show it.
 """
 
 from __future__ import annotations
@@ -40,7 +30,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .config import MMSE_FORMS, Scheme
+from .config import Scheme
 
 __all__ = [
     "SchemeResult",
@@ -128,17 +118,14 @@ def scheme_gains(kind: Scheme, H_tilde: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown scheme {kind!r}")
 
 
-def _combiners(kind: Scheme, H_tilde: np.ndarray, p: np.ndarray, mmse_form: str) -> np.ndarray:
+def _combiners(kind: Scheme, H_tilde: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Combiner bank of MMSE, MR or PLAIN; column n is mode n's combiner."""
     if kind is Scheme.MR:
         return H_tilde
     eye = np.eye(H_tilde.shape[0])
     if kind is Scheme.PLAIN:
         return eye
-    if mmse_form == "hermitian":
-        gram = (H_tilde * p[None, :]) @ H_tilde.conj().T + eye
-    else:
-        gram = p[:, None] * (H_tilde @ H_tilde.conj().T) + eye
+    gram = (H_tilde * p[None, :]) @ H_tilde.conj().T + eye
     return np.linalg.solve(gram, H_tilde)
 
 
@@ -169,9 +156,7 @@ def sinr(combiners: np.ndarray, channel: np.ndarray, p: np.ndarray) -> np.ndarra
     return signal / (cross @ p + norm2)
 
 
-def spectral_efficiency(
-    kind: Scheme, H_tilde: np.ndarray, power: float, mmse_form: str = "hermitian"
-) -> SchemeResult:
+def spectral_efficiency(kind: Scheme, H_tilde: np.ndarray, power: float) -> SchemeResult:
     """Water-fill one architecture and evaluate its sum rate.
 
     The gains chi never depend on p, so the allocation is computed first
@@ -181,18 +166,15 @@ def spectral_efficiency(
         kind: Architecture.
         H_tilde: Whitened channel matrix.
         power: Total power budget P.
-        mmse_form: One of :data:`MMSE_FORMS`, the MMSE filter variant.
 
     Returns:
         SchemeResult with ``se_total`` = sum log2(1 + SINR).
     """
-    if mmse_form not in MMSE_FORMS:
-        raise ValueError(f"mmse_form must be one of {MMSE_FORMS}, got {mmse_form!r}")
     chi = scheme_gains(kind, H_tilde)
     p, mu = waterfill(chi, power)
     if kind is Scheme.SVD:
         sinr_values = p * chi
     else:
-        sinr_values = sinr(_combiners(kind, H_tilde, p, mmse_form), H_tilde, p)
+        sinr_values = sinr(_combiners(kind, H_tilde, p), H_tilde, p)
     se = float(np.sum(np.log2(1.0 + sinr_values)))
     return SchemeResult(scheme=kind, p=p, mu=mu, sinr=sinr_values, se_total=se)

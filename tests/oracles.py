@@ -326,15 +326,14 @@ def peak_locations_general(mode: ModeIndex, geom: LinkGeometry) -> List[FieldPea
     return peaks
 
 
-def scheme_matrices(kind, H_t, p=None, mmse_form="hermitian"):
+def scheme_matrices(kind, H_t, p=None):
     """Precoder A, combiner bank B and gains chi of one architecture.
 
     The reference for ``wdmlink.receivers``, which builds neither A nor
     SVD's U and V: here every architecture gets its full matrices, the
     SINR then follows from ``sinr(B, H_t @ A, p)``.  ``p`` is required by
-    MMSE (its filter depends on the allocation) and ignored otherwise;
-    ``mmse_form`` is "hermitian" for the textbook filter, "table" for the
-    power-in-front variant.
+    MMSE (its textbook filter (H_t P H_t^H + I)^{-1} H_t depends on the
+    allocation) and ignored otherwise.
     """
     n = H_t.shape[0]
     eye = np.eye(n)
@@ -349,13 +348,8 @@ def scheme_matrices(kind, H_t, p=None, mmse_form="hermitian"):
     if kind is Scheme.MMSE:
         if p is None:
             raise ValueError("MMSE combiner requires the power allocation p")
-        if mmse_form not in ("hermitian", "table"):
-            raise ValueError(f"unknown mmse_form {mmse_form!r}")
         p = np.asarray(p, dtype=float)
-        if mmse_form == "hermitian":
-            gram = (H_t * p[None, :]) @ H_t.conj().T + eye
-        else:
-            gram = p[:, None] * (H_t @ H_t.conj().T) + eye
+        gram = (H_t * p[None, :]) @ H_t.conj().T + eye
         return eye, np.linalg.solve(gram, H_t), col_gains
     raise ValueError(f"unknown scheme {kind!r}")
 

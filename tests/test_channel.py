@@ -21,7 +21,6 @@ from wdmlink.channel import (
 )
 from wdmlink.config import (
     FREE_SPACE_IMPEDANCE,
-    MMSE_FORMS,
     WdmConfig,
     emi_variance,
     max_modes,
@@ -74,8 +73,6 @@ class TestWdmConfig:
             WdmConfig(wavelength=0.01, n_modes=3, source_power=-1.0)
         with pytest.raises(ValueError):
             WdmConfig(wavelength=0.01, n_modes=3, sigma2_emi=0.0, sigma2_hdw=0.0)
-        with pytest.raises(ValueError, match="mmse_form"):
-            WdmConfig(wavelength=0.01, n_modes=3, mmse_form="other")
 
     def test_mode_count_capped_by_segment(self, desk):
         over = replace(desk.wdm, n_modes=23)  # desk maximum is 21
@@ -656,25 +653,21 @@ class TestSerialization:
             load_matching_channel_set(str(path), other, REDUCED_CFG)
 
     def test_entry_is_header_then_hex_values(self, tmp_path):
-        # a v7 entry is text: the header, then one float.hex line per scheme
+        # a v8 entry is text: the header, then one float.hex line per scheme
         path = tmp_path / "entry.wdmch"
         save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)
-        assert header.startswith("wdmlink-channel-set v7\n")
+        assert header.startswith("wdmlink-channel-set v8\n")
         body = "".join(f"{v.hex()}\n" for v in SE_VALUES)
         assert path.read_text(encoding="ascii") == header + body
 
-    def test_dump_header_leaves_out_receiver_fields(self, tmp_path):
-        # H and R do not depend on the MMSE form, so a dump's header does
-        # not name it and matches the link under either form
+    def test_dump_header_is_the_channel_header(self, tmp_path):
+        # a dump of H and R carries the same header as the link's cache entry
         ch = channel_set(REDUCED_GEOM, REDUCED_CFG)
         path = tmp_path / "link.wdmch"
-        table = replace(REDUCED_CFG, mmse_form="table")
-        save_channel_dump(str(path), REDUCED_GEOM, table, ch.H, ch.R)
+        save_channel_dump(str(path), REDUCED_GEOM, REDUCED_CFG, ch.H, ch.R)
         with np.load(path) as data:
-            header = str(data["header"])
-        assert "mmse_form" not in header
-        assert header == channel_header(REDUCED_GEOM, REDUCED_CFG, receivers=False)
+            assert str(data["header"]) == channel_header(REDUCED_GEOM, REDUCED_CFG)
 
     def test_cache_key_distinguishes_configs(self):
         base = channel_cache_key(REDUCED_GEOM, REDUCED_CFG)
@@ -683,24 +676,20 @@ class TestSerialization:
         assert base != channel_cache_key(
             REDUCED_GEOM, replace(REDUCED_CFG, sigma2_emi=2.0)
         )
-        assert base != channel_cache_key(
-            REDUCED_GEOM, replace(REDUCED_CFG, mmse_form="table")
-        )
 
     def test_cache_key_is_pinned(self):
         # the file name is the header's CRC-32 and Adler-32, which depend on
         # its bytes alone: not on the process, platform or Python version
-        # (the header's format tag is v7, text entries holding a point's
-        # four SE values from the closed-form R, and the header names the
-        # MMSE form and both QuadratureSpec fields)
-        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "d429af2bf2f972c5"
+        # (the header's format tag is v8, text entries holding a point's
+        # four SE values from the closed-form R, and the header names both
+        # QuadratureSpec fields)
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "1d84869ffef368f5"
 
     def test_cache_key_follows_exactly_what_the_se_depends_on(self):
         # every field a point's SE depends on changes the key
         base = channel_cache_key(REDUCED_GEOM, REDUCED_CFG)
         quad = REDUCED_CFG.quadrature
         for changed in (
-            replace(REDUCED_CFG, mmse_form="table"),
             replace(REDUCED_CFG, sigma2_hdw=1e-3),
             replace(REDUCED_CFG, source_power=2e-7),
             replace(REDUCED_CFG, quadrature=replace(quad, points_per_wavelength=8.0)),
@@ -757,16 +746,11 @@ class TestNoiseFactor:
         assert str(ours.value) == str(ref.value)
 
     @pytest.mark.parametrize("profile", ["desk", "full_scale"])
-    @pytest.mark.parametrize("mmse_form", MMSE_FORMS)
-    def test_se_matches_per_point_whitening(self, request, profile, mmse_form):
+    def test_se_matches_per_point_whitening(self, request, profile):
         # L0^{-1} (D H) and whiten(H, R(d_z)).H_tilde differ by the unit
         # diagonal D on the left, which no scheme's SE sees (D is periodic
-        # in d_z with period L_s, so 0.37 and 1.5 give D != I).  The table
-        # MMSE form amplifies rounding: multiplying the reference alone by
-        # the exact D moves its SE by up to 9.3e-13 over these geometries,
-        # and the two paths differ by 1.5e-12 at desk, d_x = 20 wavelengths,
-        # theta_s = 1.2, d_z = 0.37, so that form is held to 1e-11 and every
-        # other scheme and form to 1e-12 (measured <= 1.4e-15).
+        # in d_z with period L_s, so 0.37 and 1.5 give D != I); every scheme
+        # is held to 1e-12 (measured <= 1.4e-15).
         prof = request.getfixturevalue(profile)
         cfg, power = prof.wdm, total_power(prof.wdm)
         L0 = noise_factor(prof.geometry, cfg)
@@ -780,7 +764,6 @@ class TestNoiseFactor:
                     err = np.linalg.norm(ours - D[:, None] * ref)
                     assert err <= 1e-13 * np.linalg.norm(ref), geom
                     for kind in Scheme:
-                        tol = 1e-11 if (kind, mmse_form) == (Scheme.MMSE, "table") else 1e-12
-                        want = spectral_efficiency(kind, ref, power, mmse_form).se_total
-                        got = spectral_efficiency(kind, ours, power, mmse_form).se_total
-                        assert abs(got - want) <= tol * want, (geom, kind)
+                        want = spectral_efficiency(kind, ref, power).se_total
+                        got = spectral_efficiency(kind, ours, power).se_total
+                        assert abs(got - want) <= 1e-12 * want, (geom, kind)

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,17 +62,6 @@ def test_dump_channel_honors_geometry_flags(tmp_path):
     assert rc == 0
     with np.load(out) as data:
         assert "geometry.d_x = 3.0" in str(data["header"])
-
-
-def test_dump_channel_ignores_the_mmse_form(tmp_path):
-    # H and R do not depend on the receivers' MMSE form, so a dump written
-    # under either form is the same file and loads against the other
-    table = tmp_path / "table.cfg"
-    table.write_text("[wdm]\nmmse_form = table\n")
-    default, tabled = tmp_path / "default.wdmch", tmp_path / "table.wdmch"
-    assert cli.main(["dump-channel", "--out", str(default)]) == 0
-    assert cli.main(["dump-channel", "--config", str(table), "--out", str(tabled)]) == 0
-    assert tabled.read_bytes() == default.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -142,15 +132,19 @@ def test_empty_mode_offsets_flag_exits_1(tmp_path, capsys):
     assert "mode_offsets" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, raw", [("max_panels", "4096"), ("rel_tol", "1e-6")])
-def test_fixed_quadrature_settings_are_unknown_keys(tmp_path, capsys, key, raw):
-    # the panel cap and selfcheck's tolerance change no result, so no
-    # config file sets them
-    cfg_file = tmp_path / "quad.cfg"
-    cfg_file.write_text(f"[quadrature]\n{key} = {raw}\n")
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [("quadrature", "max_panels", "4096"), ("quadrature", "rel_tol", "1e-6"),
+     ("wdm", "mmse_form", "table")],
+)
+def test_fixed_quadrature_settings_are_unknown_keys(tmp_path, capsys, section, key, raw):
+    # the panel cap and selfcheck's tolerance change no result, and MMSE
+    # has one filter, so no config file sets them
+    cfg_file = tmp_path / "fixed.cfg"
+    cfg_file.write_text(f"[{section}]\n{key} = {raw}\n")
     rc = cli.main(["sweep", "--out", str(tmp_path / "s.csv"), "--config", str(cfg_file)])
     assert rc == 1
-    assert f"unknown key [quadrature] {key}" in capsys.readouterr().err
+    assert f"unknown key [{section}] {key}" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -174,6 +168,19 @@ def test_io_failure_exits_3(tmp_path, capsys):
     missing = tmp_path / "no_such_dir" / "cut.csv"
     rc = cli.main(["pattern", "--out", str(missing), "--step", "10", "--no-svg"])
     assert rc == 3
+    assert "i/o failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_cache_write_exits_3(tmp_path, capsys, workers):
+    # a point whose SE was computed but cannot be stored is an i/o failure
+    # of the run, not a flagged row
+    argv = ["sweep", "--count", "2", "--cache-dir", str(tmp_path / "cache"),
+            "--workers", workers, "--out", str(tmp_path / "s.csv"), "--no-svg"]
+    cfg = cli._resolve_config(cli._build_parser().parse_args(argv))
+    geom = replace(cfg.geometry, d_z=cfg.sweep.values()[0])
+    os.makedirs(experiments._entry_path(cfg.output.cache_dir, geom, cfg.wdm))
+    assert cli.main(argv) == 3
     assert "i/o failure" in capsys.readouterr().err
 
 

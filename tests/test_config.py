@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wdmlink.config import (
-    MMSE_FORMS,
     PARAMETERS,
     FieldSettings,
     OutputSettings,
@@ -131,7 +130,6 @@ class TestLoadConfig:
             source_power = 2e-7
             snr_emi_db = 80
             sigma2_hdw = 0.5
-            mmse_form = table
 
             [quadrature]
             points_per_wavelength = 24
@@ -172,7 +170,6 @@ class TestLoadConfig:
         assert cfg.wdm.sigma2_hdw == 0.5
         assert cfg.wdm.quadrature.points_per_wavelength == 24.0
         assert cfg.wdm.quadrature.nodes_per_panel == 6
-        assert cfg.wdm.mmse_form == "table"
         assert cfg.sweep.parameter == "theta_s"
         assert cfg.sweep.count == 7
         assert cfg.sweep.phi_set_deg == (0.0, 45.0, 90.0)
@@ -223,16 +220,6 @@ class TestLoadConfig:
         path = self.write(tmp_path, f"[{section}]\n{key} =\n")
         with pytest.raises(ValueError, match=key):
             apply_entries(desk_profile(), read_config_entries(path), path)
-
-    def test_invalid_mmse_form(self, tmp_path):
-        path = self.write(tmp_path, "[wdm]\nmmse_form = fancy\n")
-        with pytest.raises(ValueError, match="mmse_form"):
-            apply_entries(desk_profile(), read_config_entries(path), path)
-
-    def test_every_receiver_mmse_form_accepted(self):
-        for form in MMSE_FORMS:
-            cfg = apply_entries(desk_profile(), [("wdm", "mmse_form", form)], "entries")
-            assert cfg.wdm.mmse_form == form
 
     def test_explicit_base(self, tmp_path):
         path = self.write(tmp_path, "[geometry]\nd_z = 1.0\n")

@@ -41,8 +41,7 @@ def fresh_se(geom, wdm):
     """The four SE values of the point, computed without a cache."""
     H_tilde = white_channel(geom, wdm, noise_factor(geom, wdm))
     return np.array(
-        [spectral_efficiency(s, H_tilde, total_power(wdm), wdm.mmse_form).se_total
-         for s in SCHEME_ORDER]
+        [spectral_efficiency(s, H_tilde, total_power(wdm)).se_total for s in SCHEME_ORDER]
     )
 
 
@@ -292,29 +291,6 @@ class TestRunSweep:
         assert rerun.read_bytes() == cold.read_bytes()
         loaded = load_matching_channel_set(str(victim), geom, cfg.wdm)
         assert np.array_equal(loaded, fresh_se(geom, cfg.wdm))
-
-    def test_mmse_forms_keep_their_own_entries(self, desk, tmp_path):
-        # the MMSE form is part of the header, so a hermitian and a table
-        # run into one cache write separate entries and each reads its own
-        cache = tmp_path / "cache"
-        cfg = small_sweep(desk, count=3)
-        outputs = {}
-        for form in ("hermitian", "table"):
-            run = replace(cfg, wdm=replace(cfg.wdm, mmse_form=form))
-            plain, cold = tmp_path / f"{form}.csv", tmp_path / f"{form}-cold.csv"
-            run_sweep(run, str(plain))
-            run_sweep(with_cache(run, cache), str(cold))
-            assert cold.read_bytes() == plain.read_bytes()
-            outputs[form] = (run, plain)
-        assert len(os.listdir(cache / FORMAT_VERSION)) == 6
-        for form, (run, plain) in outputs.items():
-            warm = tmp_path / f"{form}-warm.csv"
-            run_sweep(with_cache(run, cache), str(warm))
-            assert warm.read_bytes() == plain.read_bytes()
-        # the forms differ in the MMSE column, so a shared entry would show
-        hermitian, table = (read_csv_columns(str(o[1])) for o in outputs.values())
-        assert hermitian["se_mmse"] != table["se_mmse"]
-        assert hermitian["se_svd"] == table["se_svd"]
 
     def test_colliding_cache_keys_only_cost_a_recompute(self, desk, tmp_path, monkeypatch):
         # every channel set of two different tilt sweeps lands in one file;
@@ -670,7 +646,7 @@ def test_channel_dump_roundtrip(desk, desk_channel, tmp_path):
     assert run_channel_dump(desk, path) == path
     with np.load(path) as data:
         assert sorted(data.files) == ["H", "R", "header"]
-        header = channel_header(desk.geometry, desk.wdm, receivers=False)
+        header = channel_header(desk.geometry, desk.wdm)
         assert str(data["header"]) == header
         assert np.array_equal(data["H"], desk_channel.H)
         assert np.array_equal(data["R"], desk_channel.R)

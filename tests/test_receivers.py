@@ -91,19 +91,13 @@ class TestSchemeMatrices:
 
     def test_mmse_reduces_to_mr_at_zero_power(self, rng):
         G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        for form in ("hermitian", "table"):
-            _, B, _ = oracles.scheme_matrices(Scheme.MMSE, G, p=np.zeros(4), mmse_form=form)
-            assert np.allclose(B, G, atol=1e-13)
+        _, B, _ = oracles.scheme_matrices(Scheme.MMSE, G, p=np.zeros(4))
+        assert np.allclose(B, G, atol=1e-13)
 
     def test_mmse_requires_powers(self, rng):
         G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         with pytest.raises(ValueError):
             oracles.scheme_matrices(Scheme.MMSE, G)
-
-    def test_mmse_form_validated(self, rng):
-        G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        with pytest.raises(ValueError):
-            oracles.scheme_matrices(Scheme.MMSE, G, p=np.ones(3), mmse_form="other")
 
 
 class TestSinr:
@@ -181,18 +175,6 @@ class TestSpectralEfficiency:
         assert np.array_equal(res_mmse.p, res_mr.p)
         assert np.all(res_mmse.sinr >= res_mr.sinr - 1e-9)
 
-    def test_mmse_table_form_runs(self, rng):
-        G = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        se_svd = spectral_efficiency(Scheme.SVD, G, 5.0).se_total
-        se_table = spectral_efficiency(Scheme.MMSE, G, 5.0, mmse_form="table").se_total
-        assert 0.0 < se_table <= se_svd + 1e-9
-
-    def test_mmse_form_validated(self, rng):
-        G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        for kind in Scheme:
-            with pytest.raises(ValueError, match="mmse_form"):
-                spectral_efficiency(kind, G, 1.0, mmse_form="other")
-
     def test_result_records_architecture(self, desk_channel, desk):
         P = total_power(desk.wdm)
         res = spectral_efficiency(Scheme.MR, desk_channel.H_tilde, P)
@@ -230,13 +212,12 @@ class TestAgainstSchemeMatrices:
             channels.append((G, float(rng.uniform(0.5, 50.0))))
         for H, P in channels:
             for kind in Scheme:
-                for form in ("hermitian", "table"):
-                    res = spectral_efficiency(kind, H, P, form)
-                    _, _, chi = oracles.scheme_matrices(kind, H, np.zeros(len(H)), form)
-                    p, _ = waterfill(chi, P)
-                    A, B, _ = oracles.scheme_matrices(kind, H, p, form)
-                    ratio = oracles.sinr(B, H @ A, p)
-                    se = float(np.sum(np.log2(1.0 + ratio)))
-                    assert self._rel(res.p, p) <= 1e-12, (kind, form)
-                    assert self._rel(res.sinr, ratio) <= 1e-12, (kind, form)
-                    assert abs(res.se_total - se) <= 1e-12 * se, (kind, form)
+                res = spectral_efficiency(kind, H, P)
+                _, _, chi = oracles.scheme_matrices(kind, H, np.zeros(len(H)))
+                p, _ = waterfill(chi, P)
+                A, B, _ = oracles.scheme_matrices(kind, H, p)
+                ratio = oracles.sinr(B, H @ A, p)
+                se = float(np.sum(np.log2(1.0 + ratio)))
+                assert self._rel(res.p, p) <= 1e-12, kind
+                assert self._rel(res.sinr, ratio) <= 1e-12, kind
+                assert abs(res.se_total - se) <= 1e-12 * se, kind
