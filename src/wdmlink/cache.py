@@ -31,7 +31,7 @@ __all__ = [
 
 # A sweep's cache keeps its entries in a directory of this name, so a
 # format change leaves the old entries in one directory to delete.
-FORMAT_VERSION = "v8"
+FORMAT_VERSION = "v9"
 _FORMAT_TAG = f"wdmlink-channel-set {FORMAT_VERSION}"
 
 

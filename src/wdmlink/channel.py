@@ -19,15 +19,29 @@ The coupling and noise-correlation matrices are double integrals
 
 both over the physical segment supports (the receive axis runs over
 [d_z - L_r/2, d_z + L_r/2]).  H is the projection of the tone fields
-int gz(r - s s_hat) phi_m(s) ds (:func:`wdmlink.em_field.tone_fields`)
-onto the receive tones, a tensor-product composite Gauss-Legendre sum
-on the node set of :mod:`wdmlink.quadrature`, contracted one kernel
-block of receive nodes at a time, each block's receive tones from one
-``_phasor`` of the (N, rows) phases, so its memory does not grow with
-L_r beyond the nodes.  The R kernel depends only on the lag t = r' - r,
-and its lag integrals over the centred segment have closed forms in the
-sine and cosine integrals Si and Cin (see :func:`assemble_R`), so R
-needs no quadrature rule and holds no array over the segment; the d_z
+F_m(r) = int gz(r - s s_hat) phi_m(s) ds
+(:func:`wdmlink.em_field.tone_fields`) onto the receive tones, a
+tensor-product composite Gauss-Legendre sum on the node set of
+:mod:`wdmlink.quadrature`.  It is formed as H = M G: G holds the reduced
+fields G_m = exp(-j kappa rho) F_m, rho the distance from the source
+centre, at the few first-kind Chebyshev points of the receive segment
+that fix them to rounding (:func:`_reduced_field`), and M =
+Psi^H W diag(exp(j kappa rho)) V interpolates them onto the receive
+nodes, weighs them and projects them onto the receive tones
+(:class:`ReceiveProjection`).  M does not depend on the source
+orientation, so a sweep builds it once per receive segment.  Near the
+source, where G would need samples at a quarter of the receive nodes,
+H is the direct sum over every node pair instead (:func:`_direct_H`),
+contracted one kernel block of receive nodes at a time.  Both forms
+build their arrays over blocks of at most ``em_field._BLOCK_PAIRS``
+entries, so memory does not grow with L_r beyond the nodes and the
+samples, and both see the near-field guard over the node set
+(:func:`wdmlink.em_field._near_field_guard`).
+
+The R kernel depends only on the lag t = r' - r, and its lag integrals
+over the centred segment have closed forms in the sine and cosine
+integrals Si and Cin (see :func:`assemble_R`), so R needs no
+quadrature rule and holds no array over the segment; the d_z
 congruence R -> D^H R D, D = diag(exp(j kappa_n d_z)), moves it onto
 the shifted segment.  Reductions run in a fixed order, so repeated runs
 are bit-identical.
@@ -50,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
@@ -64,6 +79,7 @@ from .geometry import LinkGeometry
 from .quadrature import composite_gauss_nodes
 
 __all__ = [
+    "ReceiveProjection",
     "assemble_H",
     "assemble_R",
     "whiten",
@@ -126,7 +142,172 @@ def _validate_mode_count(geom: LinkGeometry, cfg: WdmConfig) -> None:
         )
 
 
-def assemble_H(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
+# The reduced field passes at n samples once its last _TAIL_TERMS
+# Chebyshev coefficients are within _TAIL_TOL of its largest sample.  Its
+# rounding floor is ~1e-14 of that (the reduced kernel's phase is good to
+# rounding of ~L_s, not of the distance), and H then differs from the
+# direct sum by its own rounding, ~2e-13 relative at 500 wavelengths.
+_TAIL_TERMS = 8
+_TAIL_TOL = 1e-13
+
+
+def _chebyshev_points(geom: LinkGeometry, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angles theta_j = (2 j + 1) pi / (2 n) and the first-kind Chebyshev
+    points d_z + (L_r / 2) cos(theta_j) of the receive segment, j < n."""
+    angles = (2.0 * np.arange(n) + 1.0) * (math.pi / (2.0 * n))
+    return angles, geom.d_z + 0.5 * geom.L_r * np.cos(angles)
+
+
+class ReceiveProjection:
+    """The receive half of H: the (n, N) transpose of M = Psi^H W diag(exp(j kappa rho)) V.
+
+    H = M G, G the (n, N) reduced fields exp(-j kappa rho) F_m at n
+    first-kind Chebyshev points of the receive segment
+    (:func:`_reduced_field`), rho = ||r|| the distance from the source
+    centre.  V interpolates those samples onto the composite rule's
+    receive nodes (barycentric form), W weighs them and Psi^H projects
+    onto the receive tones.  None of this depends on the source
+    orientation, so one projection serves every orientation of one
+    receive segment (L_s, L_r, d_x, d_z and the config alike); it keeps
+    the receive nodes and builds M for each n asked of it once.
+    """
+
+    def __init__(self, geom: LinkGeometry, cfg: WdmConfig) -> None:
+        self._key = (replace(geom, theta_s=0.0, phi_s=0.0), cfg)
+        self.kappas = _mode_frequencies(cfg, geom)
+        # the near-field guard reads the nodes at every point; the weights
+        # are formed again where M or the direct sum needs them
+        self.nodes = self.rule()[0]
+        self._matrices: dict[int, np.ndarray] = {}
+
+    def rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the receive segment's composite rule."""
+        geom, cfg = self._key
+        half = geom.L_r / 2.0
+        return composite_gauss_nodes(
+            geom.d_z - half, geom.d_z + half, cfg.wavelength / 2.0, cfg.quadrature
+        )
+
+    def serves(self, geom: LinkGeometry, cfg: WdmConfig) -> bool:
+        """Whether the geometry differs from this one's at most in orientation."""
+        return self._key == (replace(geom, theta_s=0.0, phi_s=0.0), cfg)
+
+    def matrix(self, n: int) -> np.ndarray:
+        """M^T for n samples, built once, over blocks of at most _BLOCK_PAIRS entries."""
+        if n in self._matrices:
+            return self._matrices[n]
+        geom, cfg = self._key
+        angles, points = _chebyshev_points(geom, n)
+        bary = np.sin(angles)
+        bary[1::2] *= -1.0  # barycentric weights (-1)^j sin(theta_j)
+        rx_cycles = self.kappas / (-2.0 * math.pi)
+        weights = self.rule()[1]
+        m_t = np.zeros((n, self.kappas.size), dtype=complex)
+        step = max(1, em_field._BLOCK_PAIRS // max(n, self.kappas.size))
+        for start in range(0, self.nodes.size, step):
+            rows = slice(start, start + step)
+            r = self.nodes[rows]
+            # the weighted conjugate receive tones times exp(j kappa rho), (rows, N)
+            cycles = (np.hypot(geom.d_x, r) / cfg.wavelength)[:, None] + np.outer(r, rx_cycles)
+            tones = em_field._phasor(cycles, weights[rows, None])
+            m_t += _interpolation(r, points, bary).T @ tones
+        self._matrices[n] = m_t
+        return m_t
+
+
+def _interpolation(x: np.ndarray, points: np.ndarray, bary: np.ndarray) -> np.ndarray:
+    """(len(x), n) values at x of the Lagrange basis on ``points`` (barycentric form).
+
+    The values are real, held as complex: M's product then runs on
+    BLAS's complex kernels alone, as the rest of H does, where a real
+    product would page in the real ones (~0.25 MB of resident code) for
+    this one use.
+    """
+    basis = np.zeros((x.size, points.size), dtype=complex)
+    values = basis.real
+    np.subtract(x[:, None], points, out=values)
+    # at x on a point the basis is that point's unit vector: a difference
+    # of the smallest normal float gives it to rounding (|bary| <= 1, so
+    # nothing overflows)
+    values[values == 0.0] = np.finfo(float).tiny
+    np.divide(bary, values, out=values)
+    values /= values.sum(axis=1, keepdims=True)
+    return basis
+
+
+def _reduced_field(
+    geom: LinkGeometry,
+    cfg: WdmConfig,
+    s_nodes: np.ndarray,
+    tx_tones: np.ndarray,
+    limit: int,
+) -> tuple[Optional[np.ndarray], float]:
+    """Reduced tone fields at n first-kind Chebyshev points, or None from n = limit up.
+
+    G_m(r) = exp(-j kappa rho) F_m(r), F_m the tone field of
+    :func:`wdmlink.em_field.tone_fields`, is band-limited (Bucci &
+    Franceschetti, IEEE TAP 1989; Miller, Appl. Opt. 2000): in the far
+    field its phase moves along the receive line at most at kappa (L_s/2)
+    |d r_hat / dr| = kappa (L_s/2) d_x / rho^2, so over the half-length
+    L_r/2 of the segment by at most omega = kappa L_s L_r d_x / (4
+    rho_min^2).  n starts at 2 omega + 24, which the far field needs, and
+    doubles until the last _TAIL_TERMS Chebyshev coefficients pass
+    _TAIL_TOL; near the source omega is an overestimate that sends the
+    point to the direct sum at once.  Returns the (n, N) samples, or None
+    once n reaches ``limit``, and the last tail: its largest coefficient
+    over the samples' largest real or imaginary part (inf if no n was
+    tried).
+    """
+    gap = max(0.0, abs(geom.d_z) - geom.L_r / 2.0)  # height of the segment's nearest point
+    omega = math.pi * geom.L_s * geom.L_r * geom.d_x / (
+        2.0 * cfg.wavelength * (geom.d_x**2 + gap**2)
+    )
+    n = math.ceil(2.0 * omega) + 24
+    tail = math.inf
+    while n < limit:
+        angles, points = _chebyshev_points(geom, n)
+        samples = em_field._tone_sums(geom, cfg.wavelength, points, s_nodes, tx_tones, True)
+        # coefficient k of the Chebyshev series is (2 / n) sum_j cos(k theta_j) G(x_j)
+        coeffs = np.cos(np.outer(np.arange(n - _TAIL_TERMS, n), angles)) @ samples
+        # the largest real or imaginary part, within sqrt(2) of max |G|
+        # and, unlike np.abs, with no (n, N) temporary
+        parts = samples.view(float)
+        scale = max(float(parts.max()), -float(parts.min()))
+        top = 2.0 / n * float(np.max(np.abs(coeffs)))
+        tail = top / scale if scale > 0.0 else 0.0
+        if top <= _TAIL_TOL * scale:
+            return samples, tail
+        del samples  # before the next, larger set is evaluated
+        n *= 2
+    return None, tail
+
+
+def _direct_H(
+    geom: LinkGeometry,
+    cfg: WdmConfig,
+    projection: ReceiveProjection,
+    s_nodes: np.ndarray,
+    tx_tones: np.ndarray,
+) -> np.ndarray:
+    """H as the direct tensor-product sum over the receive and transmit nodes.
+
+    Each kernel block of receive nodes is contracted with its weighted
+    receive tones into an (N, S) sum over the s-nodes, which meets the
+    weighted transmit tones once.
+    """
+    r_nodes, r_weights = projection.rule()
+    rx_cycles = -projection.kappas / (2.0 * math.pi)
+    rx_kern = np.zeros((cfg.n_modes, s_nodes.size), dtype=complex)
+    for rows, kern in em_field._kernel_blocks(geom, cfg.wavelength, r_nodes, s_nodes):
+        # the block's weighted conjugate receive tones, exp(-j kappa_n r_z) w_r
+        rx = em_field._phasor(np.outer(rx_cycles, r_nodes[rows]), r_weights[rows])
+        rx_kern += rx @ kern
+    return rx_kern @ tx_tones
+
+
+def assemble_H(
+    geom: LinkGeometry, cfg: WdmConfig, projection: Optional[ReceiveProjection] = None
+) -> np.ndarray:
     """Mode coupling matrix of the link.
 
     H[n, m] couples transmit tone m to receive tone n: it is receive
@@ -134,31 +315,39 @@ def assemble_H(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     receive segment (:func:`wdmlink.em_field.tone_fields`).  Both
     integration axes oscillate at a rate of at most 2 kappa (propagation
     phase plus tone), so both composite rules are sized with half a
-    wavelength as the oscillation period.  Each kernel block of receive
-    nodes is contracted with its weighted receive tones into an (N, S)
-    sum over the s-nodes, which meets the weighted transmit tones once.
+    wavelength as the oscillation period.  H is M G from the reduced
+    field at n Chebyshev points (:func:`_reduced_field`,
+    :class:`ReceiveProjection`), or the direct sum over the node pairs
+    (:func:`_direct_H`) where n would reach a quarter of the receive
+    nodes, as it does near the source.
+
+    Args:
+        projection: The receive segment's projection, built here if not
+            given; a sweep passes one for all orientations of a segment.
 
     Returns:
         Complex array (N, N), row index = receive tone.
+
+    Raises:
+        ValueError: If ``projection`` serves another receive segment.
 
     Warns:
         NearFieldWarning: If the segments come within ten wavelengths.
     """
     _validate_mode_count(geom, cfg)
-    half = geom.L_r / 2.0
-    r_nodes, r_weights = composite_gauss_nodes(
-        geom.d_z - half, geom.d_z + half, cfg.wavelength / 2.0, cfg.quadrature
+    if projection is None:
+        projection = ReceiveProjection(geom, cfg)
+    elif not projection.serves(geom, cfg):
+        raise ValueError("the projection was built for another receive segment or config")
+    s_nodes, tx_tones = em_field._transmit_tones(
+        geom, cfg.wavelength, projection.kappas, cfg.quadrature
     )
-    kappas = _mode_frequencies(cfg, geom)
-    s_nodes, tx_tones = em_field._transmit_tones(geom, cfg.wavelength, kappas, cfg.quadrature)
-    rx_cycles = -kappas / (2.0 * math.pi)
-    rx_kern = np.zeros((cfg.n_modes, s_nodes.size), dtype=complex)
-    blocks = em_field._kernel_blocks(geom, cfg.wavelength, r_nodes, s_nodes, stacklevel=3)
-    for rows, kern in blocks:
-        # the block's weighted conjugate receive tones, exp(-j kappa_n r_z) w_r
-        rx = em_field._phasor(np.outer(rx_cycles, r_nodes[rows]), r_weights[rows])
-        rx_kern += rx @ kern
-    return rx_kern @ tx_tones
+    em_field._near_field_guard(geom, cfg.wavelength, projection.nodes, s_nodes, stacklevel=3)
+    samples, _ = _reduced_field(geom, cfg, s_nodes, tx_tones, projection.nodes.size // 4)
+    if samples is None:
+        return _direct_H(geom, cfg, projection, s_nodes, tx_tones)
+    del s_nodes, tx_tones  # done with; a first build of M needs the room
+    return projection.matrix(samples.shape[0]).T @ samples
 
 
 def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
@@ -264,13 +453,20 @@ def noise_factor(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     return _factor_noise(assemble_R(replace(geom, d_z=0.0), cfg), cfg)[1]
 
 
-def white_channel(geom: LinkGeometry, cfg: WdmConfig, L0: np.ndarray) -> np.ndarray:
+def white_channel(
+    geom: LinkGeometry,
+    cfg: WdmConfig,
+    L0: np.ndarray,
+    projection: Optional[ReceiveProjection] = None,
+) -> np.ndarray:
     """Whitened channel L0^{-1} (D H) of the geometry, L0 from :func:`noise_factor`.
 
     The factor at d_z is D^H L0 D, so this is D times whiten's L^{-1} H,
-    and no receiver's SE sees a unit diagonal on the left.
+    and no receiver's SE sees a unit diagonal on the left.  ``projection``
+    goes to :func:`assemble_H`.
     """
-    return np.linalg.solve(L0, _dz_phase(geom, cfg)[:, None] * assemble_H(geom, cfg))
+    H = assemble_H(geom, cfg, projection)
+    return np.linalg.solve(L0, _dz_phase(geom, cfg)[:, None] * H)
 
 
 def save_channel_dump(

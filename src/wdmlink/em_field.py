@@ -36,18 +36,25 @@ a cosine.  With numpy 2.4 on a 2-core Xeon, float64 np.tan takes about
 One private generator, ``_kernel_blocks``, evaluates it on bounded
 blocks of receive nodes against the transmit-segment nodes, in place
 into three arrays reused for every block (``_gz_into``, which
-``gz_kernel`` calls too), and applies the near-field guard over all of
-them, so the transmit-field integral has one implementation.  ``tone_fields`` (behind
+``gz_kernel`` calls too), so the transmit-field integral has one
+implementation.  It also gives the reduced kernel gz(u) exp(-j kappa
+rho), rho = ||r|| the distance from the source centre, whose phase
+kappa (||u|| - rho) it forms from ||u||^2 - rho^2 = s^2 - 2 s s_hat . r
+without cancellation.  ``tone_fields`` (behind
 ``received_field_profile``) contracts each block with the weighted
 transmit tones (below); the coupling matrix H of :mod:`wdmlink.channel`
-contracts each block with its receive tones first and the transmit
-tones once at the end, so neither holds an array over the whole
-receive segment beyond its nodes.
+does the same with the reduced kernel at a few Chebyshev points of the
+receive segment, or, where those would not be few, contracts each block
+of receive nodes with its receive tones and the transmit tones once at
+the end, so none holds an array over the whole receive segment beyond
+its nodes.
 
 The approximation degrades below roughly ten wavelengths of separation;
 operations that evaluate it warn (``NearFieldWarning``) instead of
 failing, since grazing node pairs can dip below the guard while the
-integral remains accurate.
+integral remains accurate.  The guard (``_near_field_guard``) looks at
+the closest pair of the quadrature nodes (``_closest_separation``), for
+tone_fields and both forms of H alike.
 
 Mode ``n`` of an N-mode multiplex excites phi_n(s) proportional to
 exp(j kappa_n s), a spatial tone of wavenumber kappa_n.  Its normalized
@@ -73,7 +80,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -106,26 +113,22 @@ __all__ = [
 # 1.2) reaches C ~ 2.9.
 FAR_FIELD_GUARD_WAVELENGTHS = 10.0
 
-# Node pairs per block of _kernel_blocks.  A block is written in place
+# Node pairs per block of _kernel_blocks, and array entries per block of
+# H's projection (wdmlink.channel).  A kernel block is written in place
 # into two float64 arrays and one complex128 array, which at 2**13 pairs
 # take at most 64 + 64 + 128 KiB: the complex one stays within glibc's
 # default 128 KiB mmap threshold, so no block is mapped afresh at each
-# call, and the three set the traced peak of H.  Medians of assemble_H
-# over 21 alternating rounds, one process per size and round, on a
-# 2-core Xeon (2 MiB L2 per core), default rule, glibc 2.36 with its
-# default thresholds; minor page faults of a repeated desk / full-scale
-# assemble_H after two warm-up calls; traced peak of a full-scale
-# assemble_H:
-#   2**12: desk 1.61 ms, full 20.8 ms, faults 0 / 60, 0.51 MB
-#   2**13: desk 1.50 ms, full 18.1 ms, faults 0 / 115, 0.69 MB
-#   2**14: desk 1.60 ms, full 15.8 ms, faults 144 / 205, 1.02 MB
-#   2**15: desk 2.03 ms, full 15.4 ms, faults 300 / 388, 1.77 MB
-# At full scale the blocks freed at the top of the heap are trimmed and
-# faulted in again by the next call; that costs no measurable time (full
-# assemble_H 17.7 ms both ways over 15 alternating rounds against 8 MiB
-# trim and mmap thresholds, which fault 0 times).  Larger blocks are
-# 2-3 ms quicker at full scale but slower on desk, where a repeat then
-# faults too, and they add half or more to the peak, so 2**13 is kept.
+# call, and the three set the traced peak of H.  Medians of the direct
+# sum over every node pair (channel._direct_H, the form H takes near the
+# source) over 7 alternating rounds, one process per size and round, on
+# a 2-core Xeon (2 MiB L2 per core), default rule, glibc 2.36 with its
+# default thresholds, and its traced peak at full scale:
+#   2**12: desk 1.70 ms, full 21.4 ms, 0.40 MB
+#   2**13: desk 1.37 ms, full 15.6 ms, 0.58 MB
+#   2**14: desk 1.27 ms, full 14.4 ms, 0.91 MB
+#   2**15: desk 1.71 ms, full 14.2 ms, 1.67 MB
+# Larger blocks would save ~1.3 ms per near-source full-scale point, but
+# they add half or more to the peak of every H, so 2**13 is kept.
 _BLOCK_PAIRS = 2**13
 
 
@@ -263,6 +266,8 @@ def gz_kernel(u: np.ndarray, theta_s: float, phi_s: float, wavelength: float) ->
         Complex array of shape u.shape[:-1].
     """
     u = np.asarray(u, dtype=float)
+    if np.any(np.sum(u * u, axis=-1) == 0.0):
+        raise ValueError("kernel evaluated at zero separation")
     s_hat = source_direction(theta_s, phi_s)
     out = np.empty(u.shape[:-1], dtype=complex)
     lateral = _gz_lateral(u[..., 0], u[..., 1], s_hat)
@@ -292,30 +297,43 @@ def _gz_into(
     dist2: np.ndarray,
     lateral: tuple[np.ndarray, np.ndarray, np.ndarray],
     wavelength: float,
-) -> float:
-    """Write gz(u) into ``out`` and return the smallest ||u||^2.
+    centre: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> None:
+    """Write gz(u) into ``out``, or gz(u) exp(-j kappa rho) with ``centre``.
 
     ``uz`` holds u_z and ``lateral`` the :func:`_gz_lateral` terms, which
     broadcast against it; ``uz`` and ``dist2`` are float arrays of out's
     shape and are overwritten, and ``out`` is C-contiguous, so the kernel
     allocates nothing.  ``uz`` turns into the amplitude bracket / (4 pi
-    ||u||^3), ``dist2`` into ||u||^3 and then the ||u|| / lambda cycles of
+    ||u||^3), ``dist2`` into ||u||^3 and then the phase in cycles for
     :func:`_phasor_into`; ||u|| itself lives in out's memory.
+
+    ``centre`` is (r_z, rho, q0, q1): the receive heights and their
+    distances rho = ||r|| from the source centre as columns, and the rows
+    q0 = s^2 - 2 s d_x s_hat_x and q1 = -2 s s_hat_z over s, so that
+    q0 + r_z q1 = ||u||^2 - rho^2 exactly in exact arithmetic.  The phase
+    is then (||u|| - rho) / lambda = (q0 + r_z q1) / ((||u|| + rho)
+    lambda), good to rounding of a quantity of the size of L_s rather
+    than of ||u||.
     """
     uxy2, bracket_xy, lean = lateral
     np.multiply(uz, uz, out=dist2)
     np.add(uxy2, dist2, out=dist2)
-    d2_min = float(np.min(dist2, initial=math.inf))
-    if d2_min == 0.0:
-        raise ValueError("kernel evaluated at zero separation")
     amp = np.multiply(uz, lean, out=uz)
     np.subtract(bracket_xy, amp, out=amp)
     dist = np.sqrt(dist2, out=_float_halves(out)[0])
     np.multiply(dist, dist2, out=dist2)
     np.divide(amp, dist2, out=amp)
-    cycles = np.divide(dist, wavelength, out=dist2)
+    if centre is None:
+        cycles = np.divide(dist, wavelength, out=dist2)
+    else:
+        r_z, rho, q0, q1 = centre
+        cycles = np.add(dist, rho, out=dist2)
+        cycles *= wavelength
+        lag = np.multiply(r_z, q1, out=dist)
+        lag += q0
+        np.divide(lag, cycles, out=cycles)
     _phasor_into(out, cycles, amp)
-    return d2_min
 
 
 def _phasor(cycles: np.ndarray, scale=1.0) -> np.ndarray:
@@ -404,9 +422,8 @@ def tone_fields(
 
     Returns the (len(r_z), len(kappas)) array of Integral phi_m(s)
     gz(r - s s_hat) ds, with phi_m(s) = exp(j kappa_m s) / sqrt(L_s) and
-    r = (d_x, 0, r_z): each kernel block of :func:`_kernel_blocks` times
-    the weighted tones of :func:`_transmit_tones`, written into its rows
-    of the result.
+    r = (d_x, 0, r_z): the :func:`_tone_sums` of the weighted tones of
+    :func:`_transmit_tones`.
 
     Warns:
         NearFieldWarning: If any node pair falls below the guard; the
@@ -414,8 +431,25 @@ def tone_fields(
     """
     s_nodes, weighted_tones = _transmit_tones(geom, wavelength, kappas, spec)
     r_z = np.asarray(r_z, dtype=float)
+    _near_field_guard(geom, wavelength, np.sort(r_z), s_nodes, stacklevel=4)
+    return _tone_sums(geom, wavelength, r_z, s_nodes, weighted_tones)
+
+
+def _tone_sums(
+    geom: LinkGeometry,
+    wavelength: float,
+    r_z: np.ndarray,
+    s_nodes: np.ndarray,
+    weighted_tones: np.ndarray,
+    reduced: bool = False,
+) -> np.ndarray:
+    """Each kernel block of :func:`_kernel_blocks` times ``weighted_tones``.
+
+    The (len(r_z), tones) sums over the s-nodes, written block by block
+    into the rows of the result; with ``reduced``, of the reduced kernel.
+    """
     out = np.empty((r_z.size, weighted_tones.shape[1]), dtype=complex)
-    for rows, kern in _kernel_blocks(geom, wavelength, r_z, s_nodes, stacklevel=4):
+    for rows, kern in _kernel_blocks(geom, wavelength, r_z, s_nodes, reduced):
         np.matmul(kern, weighted_tones, out=out[rows])
     return out
 
@@ -444,7 +478,7 @@ def _kernel_blocks(
     wavelength: float,
     r_z: np.ndarray,
     s_nodes: np.ndarray,
-    stacklevel: int,
+    reduced: bool = False,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, gz(r - s s_hat)) over r_z x s_nodes, block by block.
 
@@ -454,25 +488,61 @@ def _kernel_blocks(
     a yielded block is valid only until the next one is requested.  Of
     the separation r - s s_hat only the z-part depends on r; the x- and
     y-parts, and the kernel terms built from them alone, are rows over s.
-    Each block's squared distances serve both the kernel and the
-    near-field guard, which warns once after the last block, at
-    ``stacklevel`` counted from here (the consumer is level 2).
+    With ``reduced`` the blocks hold gz(r - s s_hat) exp(-j kappa ||r||)
+    (the ``centre`` form of :func:`_gz_into`).  No near-field guard is
+    applied here (:func:`_near_field_guard`).
     """
     s_hat = source_direction(geom.theta_s, geom.phi_s)
     lateral = _gz_lateral(geom.d_x - s_nodes * s_hat[0], -s_nodes * s_hat[1], s_hat)
     s_z = s_nodes * s_hat[2]
+    if reduced:
+        rho = np.hypot(geom.d_x, r_z)
+        lags = (s_nodes * (s_nodes - 2.0 * geom.d_x * s_hat[0]), -2.0 * s_z)
     step = max(1, _BLOCK_PAIRS // s_nodes.size)
     shape = (min(step, r_z.size), s_nodes.size)
     uz, dist2 = np.empty(shape), np.empty(shape)
     kern = np.empty(shape, dtype=complex)
-    d2_min = math.inf
     for start in range(0, r_z.size, step):
         rows = slice(start, min(start + step, r_z.size))
         n = rows.stop - start
         np.subtract(r_z[rows, None], s_z, out=uz[:n])
-        d2_min = min(d2_min, _gz_into(kern[:n], uz[:n], dist2[:n], lateral, wavelength))
+        centre = (r_z[rows, None], rho[rows, None], *lags) if reduced else None
+        _gz_into(kern[:n], uz[:n], dist2[:n], lateral, wavelength, centre)
         yield rows, kern[:n]
-    d_min = math.sqrt(d2_min)
+
+
+def _closest_separation(geom: LinkGeometry, r_z: np.ndarray, s_nodes: np.ndarray) -> float:
+    """Smallest ||r - s s_hat|| over the node pairs r_z x s_nodes, r = (d_x, 0, r_z).
+
+    ``r_z`` is ascending.  For each s-node the lateral part of ||u||^2 is
+    fixed, so the closest receive node is one of the two that bracket
+    s s_hat_z in r_z (``searchsorted``): O(S log R) instead of all R S
+    pairs.  ||u||^2 is formed as :func:`_gz_into` forms it, and rounding
+    is monotone, so the result equals the all-pairs minimum bit for bit.
+
+    Raises:
+        ValueError: If a receive node coincides with a transmit node.
+    """
+    s_hat = source_direction(geom.theta_s, geom.phi_s)
+    uxy2 = _gz_lateral(geom.d_x - s_nodes * s_hat[0], -s_nodes * s_hat[1], s_hat)[0]
+    s_z = s_nodes * s_hat[2]
+    above = np.searchsorted(r_z, s_z).clip(0, r_z.size - 1)
+    below = (above - 1).clip(0, None)
+    uz = np.minimum(np.abs(r_z[below] - s_z), np.abs(r_z[above] - s_z))
+    d2_min = float(np.min(uz * uz + uxy2))
+    if d2_min == 0.0:
+        raise ValueError("kernel evaluated at zero separation")
+    return math.sqrt(d2_min)
+
+
+def _near_field_guard(
+    geom: LinkGeometry, wavelength: float, r_z: np.ndarray, s_nodes: np.ndarray, stacklevel: int
+) -> None:
+    """Warn if the node pairs (``r_z`` ascending) come within the guard.
+
+    The warning points ``stacklevel`` frames up, counted from here.
+    """
+    d_min = _closest_separation(geom, r_z, s_nodes)
     if d_min < FAR_FIELD_GUARD_WAVELENGTHS * wavelength:
         warnings.warn(
             f"closest source/receive separation {d_min:.3g} m is below "

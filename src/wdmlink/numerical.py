@@ -19,6 +19,9 @@ import numpy as np
 
 from .cache import save_channel_set
 from .channel import (
+    ReceiveProjection,
+    _direct_H,
+    _reduced_field,
     assemble_H,
     assemble_R,
     noise_factor,
@@ -29,6 +32,7 @@ from .channel import (
 from .config import RunConfig, WdmConfig, total_power
 from .em_field import (
     ModeIndex,
+    _transmit_tones,
     boresight_reference_peak,
     green_dyadic_ff,
     gz_kernel,
@@ -56,14 +60,17 @@ def evaluate_points(wdm: WdmConfig, points: Sequence[Point]) -> List[SweepRecord
     empty; a failed write raises its OSError, an i/o failure of the run
     rather than of the point.  The points differ only in d_x, d_z and
     orientation, so one noise factor, built at the first point, whitens
-    them all.
+    them all, and one receive projection serves a run of points with the
+    same d_x and d_z, rebuilt where either changes.
     """
-    power, L0, records = total_power(wdm), None, []
+    power, L0, projection, records = total_power(wdm), None, None, []
     for value, geom, path in points:
         try:
             # a failed factor flags this point, and the next one tries again
             L0 = noise_factor(geom, wdm) if L0 is None else L0
-            H_tilde = white_channel(geom, wdm, L0)
+            if projection is None or not projection.serves(geom, wdm):
+                projection = ReceiveProjection(geom, wdm)
+            H_tilde = white_channel(geom, wdm, L0, projection)
             se = [spectral_efficiency(s, H_tilde, power).se_total for s in SCHEME_ORDER]
         except Exception as exc:  # flagged row per grid point, file stays complete
             error = f"{type(exc).__name__}: {exc}"
@@ -192,7 +199,8 @@ def run_selfcheck(cfg: RunConfig) -> bool:
     """Numerical health checks on the configured link.
 
     Verifies quadrature convergence of H under node doubling (R is in
-    closed form and has no rule), the scalar kernel against the dyadic
+    closed form and has no rule), H from the reduced field against the
+    direct sum over every node pair, the scalar kernel against the dyadic
     Green's function, the whitening factorization and the water-filling
     optimality conditions.  Prints one PASS/FAIL line per check and
     returns overall success.
@@ -209,6 +217,25 @@ def run_selfcheck(cfg: RunConfig) -> bool:
             "H quadrature convergence",
             drift < _H_DRIFT_TOL,
             f"relative drift {drift:.3e} under node doubling (tolerance {_H_DRIFT_TOL:g})",
+        )
+    )
+
+    projection = ReceiveProjection(geom, wdm)
+    s_nodes, tx_tones = _transmit_tones(geom, wdm.wavelength, projection.kappas, wdm.quadrature)
+    limit = projection.nodes.size // 4
+    samples, tail = _reduced_field(geom, wdm, s_nodes, tx_tones, limit)
+    direct = _direct_H(geom, wdm, projection, s_nodes, tx_tones)
+    gap = float(np.linalg.norm(H - direct) / max(np.linalg.norm(direct), 1e-300))
+    form = (
+        f"the direct sum: n would reach {limit} samples"
+        if samples is None
+        else f"{samples.shape[0]} Chebyshev samples, tail {tail:.1e}"
+    )
+    checks.append(
+        (
+            "H reduced field vs direct sum",
+            gap < _H_DRIFT_TOL,
+            f"relative gap {gap:.3e} with {form} (tolerance {_H_DRIFT_TOL:g})",
         )
     )
 

@@ -88,6 +88,17 @@ def separation_grid(geom, r_z, s_nodes):
     return u
 
 
+def closest_separation_all_pairs(geom, r_z, s_nodes):
+    """Smallest ||r - s s_hat|| by brute force over every (r_z, s) pair.
+
+    ||u||^2 is u_z^2 plus u_x^2 + u_y^2, the order in which the package's
+    kernel forms it, so the package's minimum must match bit for bit.
+    """
+    u = separation_grid(geom, np.asarray(r_z, dtype=float), s_nodes)
+    uxy2 = u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1]
+    return math.sqrt(float(np.min(u[..., 2] * u[..., 2] + uxy2)))
+
+
 def tone_fields_one_slab(geom, wavelength, r_z, kappas, spec):
     """tone_fields as one (r_z, s, 3) separation grid and one product.
 

@@ -197,6 +197,8 @@ class TestAssembleH:
         )
         slab = tone_fields_one_slab(geom, wavelength, r, kappas, cfg.quadrature)
         ref = (np.exp(-1j * np.outer(kappas, r)) * w) @ slab
+        direct, _ = _direct_and_samples(geom, cfg)
+        assert np.linalg.norm(direct - ref) <= 1e-12 * np.linalg.norm(ref)
         H = assemble_H(geom, cfg)
         assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -315,6 +317,121 @@ class TestAssembleH:
 
 def _rel_error(A, ref):
     return np.linalg.norm(A - ref) / np.linalg.norm(ref)
+
+
+def _direct_and_samples(geom, cfg):
+    """H as the direct sum over every node pair, and assemble_H's
+    reduced-field samples (None where it takes the direct sum)."""
+    projection = channel.ReceiveProjection(geom, cfg)
+    s_nodes, tx_tones = em_field._transmit_tones(
+        geom, cfg.wavelength, projection.kappas, cfg.quadrature
+    )
+    limit = projection.nodes.size // 4
+    samples, _ = channel._reduced_field(geom, cfg, s_nodes, tx_tones, limit)
+    return channel._direct_H(geom, cfg, projection, s_nodes, tx_tones), samples
+
+
+class TestReducedFieldH:
+    """H = M G from the reduced field against the direct sum over every node pair.
+
+    Both carry rounding of the propagation phase, ~1e-16 of kappa d, in
+    their own way, so they part by ~2e-13 at 500 wavelengths and ~5e-13
+    at 1500; the d_x ranges stop at 750 (desk) and 1000 (full) wavelengths.
+    """
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        theta_s=st.floats(0.0, math.pi),
+        phi_s=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        d_x_in_wavelengths=st.floats(80.0, 750.0),
+        d_z=st.floats(-3.0, 3.0),
+    )
+    def test_desk_matches_direct_sum(self, desk, theta_s, phi_s, d_x_in_wavelengths, d_z):
+        self._check(desk, theta_s, phi_s, d_x_in_wavelengths, d_z)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(
+        theta_s=st.floats(0.0, math.pi),
+        phi_s=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        d_x_in_wavelengths=st.floats(200.0, 1000.0),
+        d_z=st.floats(-3.0, 3.0),
+    )
+    def test_full_matches_direct_sum(self, full_scale, theta_s, phi_s, d_x_in_wavelengths, d_z):
+        self._check(full_scale, theta_s, phi_s, d_x_in_wavelengths, d_z)
+
+    @staticmethod
+    def _check(profile, theta_s, phi_s, d_x_in_wavelengths, d_z):
+        cfg = profile.wdm
+        geom = replace(
+            profile.geometry, theta_s=theta_s, phi_s=phi_s, d_z=d_z,
+            d_x=d_x_in_wavelengths * cfg.wavelength,
+        )
+        direct, samples = _direct_and_samples(geom, cfg)
+        assert samples is not None  # the reduced path is the one under test
+        assert np.linalg.norm(assemble_H(geom, cfg) - direct) <= 1e-12 * np.linalg.norm(direct)
+
+    @pytest.mark.filterwarnings("ignore::wdmlink.em_field.NearFieldWarning")
+    def test_near_source_takes_the_direct_sum(self, full_scale):
+        # 12 wavelengths out the reduced field would need more samples than
+        # a quarter of the 2400 receive nodes
+        cfg = full_scale.wdm
+        geom = replace(full_scale.geometry, d_x=12.0 * cfg.wavelength, theta_s=0.3, phi_s=1.1)
+        direct, samples = _direct_and_samples(geom, cfg)
+        assert samples is None
+        assert np.array_equal(assemble_H(geom, cfg), direct)
+
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    def test_default_link_takes_the_reduced_path(self, request, profile, monkeypatch):
+        # a sizing that fell back to the direct sum (2400 x 160 node pairs
+        # at full scale) would be many times slower
+        cfg = request.getfixturevalue(profile)
+        sizes = []
+        build = channel.ReceiveProjection.matrix
+
+        def recording(projection, n):
+            sizes.append(n)
+            return build(projection, n)
+
+        def forbidden(*args):
+            raise AssertionError("the direct sum ran")
+
+        monkeypatch.setattr(channel.ReceiveProjection, "matrix", recording)
+        monkeypatch.setattr(channel, "_direct_H", forbidden)
+        assemble_H(cfg.geometry, cfg.wdm)
+        assert len(sizes) == 1 and sizes[0] <= 64
+
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    def test_reused_projection_gives_the_fresh_H(self, request, profile):
+        cfg = request.getfixturevalue(profile)
+        geom = replace(cfg.geometry, d_z=0.4)
+        projection = channel.ReceiveProjection(geom, cfg.wdm)
+        for theta_s, phi_s in [(0.3, 1.1), (1.2, 0.5), (2.5, 4.0), (0.3, 1.1)]:
+            oriented = replace(geom, theta_s=theta_s, phi_s=phi_s)
+            reused = assemble_H(oriented, cfg.wdm, projection)
+            assert np.array_equal(reused, assemble_H(oriented, cfg.wdm))
+
+    def test_projection_serves_only_its_receive_segment(self, desk):
+        projection = channel.ReceiveProjection(desk.geometry, desk.wdm)
+        assert projection.serves(replace(desk.geometry, theta_s=0.7, phi_s=2.0), desk.wdm)
+        for other in (replace(desk.geometry, d_x=3.0), replace(desk.geometry, d_z=0.1)):
+            assert not projection.serves(other, desk.wdm)
+            with pytest.raises(ValueError):
+                assemble_H(other, desk.wdm, projection)
+        assert not projection.serves(desk.geometry, replace(desk.wdm, n_modes=5))
+
+    def test_interpolation_is_exact_on_the_points(self):
+        # barycentric weights of first-kind Chebyshev points; at a point the
+        # basis is that point's unit vector (to ~1e-306) although x - x_j = 0
+        geom = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0, d_z=0.3)
+        angles, points = channel._chebyshev_points(geom, 9)
+        bary = np.sin(angles) * (-1.0) ** np.arange(9)
+        basis = channel._interpolation(points, points, bary)
+        assert np.array_equal(np.diag(basis), np.ones(9))
+        assert np.max(np.abs(basis - np.eye(9))) < 1e-300
+        x = np.linspace(-0.2, 0.8, 11)
+        cubic = lambda t: 2.0 * t**3 - t + 0.5
+        assert np.allclose(channel._interpolation(x, points, bary) @ cubic(points), cubic(x),
+                           rtol=0.0, atol=1e-14)
 
 
 # Reference rule of the accuracy tests: the default's 16-node panels at
@@ -653,11 +770,11 @@ class TestSerialization:
             load_matching_channel_set(str(path), other, REDUCED_CFG)
 
     def test_entry_is_header_then_hex_values(self, tmp_path):
-        # a v8 entry is text: the header, then one float.hex line per scheme
+        # a v9 entry is text: the header, then one float.hex line per scheme
         path = tmp_path / "entry.wdmch"
         save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)
-        assert header.startswith("wdmlink-channel-set v8\n")
+        assert header.startswith("wdmlink-channel-set v9\n")
         body = "".join(f"{v.hex()}\n" for v in SE_VALUES)
         assert path.read_text(encoding="ascii") == header + body
 
@@ -680,10 +797,10 @@ class TestSerialization:
     def test_cache_key_is_pinned(self):
         # the file name is the header's CRC-32 and Adler-32, which depend on
         # its bytes alone: not on the process, platform or Python version
-        # (the header's format tag is v8, text entries holding a point's
-        # four SE values from the closed-form R, and the header names both
-        # QuadratureSpec fields)
-        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "1d84869ffef368f5"
+        # (the header's format tag is v9, text entries holding a point's
+        # four SE values from the closed-form R and the H of the reduced
+        # field, and the header names both QuadratureSpec fields)
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "68114a2c002b68f6"
 
     def test_cache_key_follows_exactly_what_the_se_depends_on(self):
         # every field a point's SE depends on changes the key

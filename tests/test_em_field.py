@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wdmlink import em_field
+from wdmlink import channel, em_field
+from wdmlink.channel import assemble_H
 from wdmlink.em_field import (
     ModeIndex,
     NearFieldWarning,
@@ -23,6 +24,7 @@ from wdmlink.geometry import LinkGeometry
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 
 from oracles import (
+    closest_separation_all_pairs,
     exact_gz_kernel,
     peak_locations_general,
     s_rule,
@@ -248,7 +250,7 @@ class TestToneFields:
         s_nodes, _ = s_rule(geom, wavelength, SEVERAL_BLOCKS_SPEC)
         blocks = [
             (rows, kern.copy())
-            for rows, kern in em_field._kernel_blocks(geom, wavelength, r_z, s_nodes, stacklevel=2)
+            for rows, kern in em_field._kernel_blocks(geom, wavelength, r_z, s_nodes)
         ]
         assert len(blocks) > 2 and blocks[-1][1].shape[0] < blocks[0][1].shape[0]
         assert blocks[-1][0].stop == r_z.size
@@ -341,6 +343,85 @@ class TestReceivedFieldProfile:
         assert record[0].filename == __file__
         d_min = np.min(np.hypot(geom.d_x - s_nodes[None, :], grid[:, None]))
         assert f"{d_min:.3g} m" in str(record[0].message)
+
+
+class TestNearFieldGuard:
+    """One closest-separation search serves tone_fields and both forms of H.
+
+    d_x from 10 to 12 wavelengths is where the guard's verdict turns on
+    the orientation; the last geometry puts the receive segment 2.5
+    wavelengths out and just above the source, within the guard but on
+    H's reduced path.
+    """
+
+    ORIENTATIONS = [(0.0, 0.0), (0.3, 1.1), (1.2, 0.5), (math.pi / 2, math.pi / 2)]
+
+    @staticmethod
+    def _geometries(link, wavelength):
+        for d_x_wavelengths in (10.0, 11.0, 12.0):
+            for d_z in (0.0, 0.4):
+                for theta_s, phi_s in TestNearFieldGuard.ORIENTATIONS:
+                    yield replace(
+                        link, d_x=d_x_wavelengths * wavelength, d_z=d_z,
+                        theta_s=theta_s, phi_s=phi_s,
+                    )
+        yield replace(link, d_x=2.5 * wavelength, d_z=0.66, L_r=1.0)
+
+    @staticmethod
+    def _nodes(geom, wdm):
+        r_z, _ = composite_gauss_nodes(
+            geom.d_z - geom.L_r / 2, geom.d_z + geom.L_r / 2, wdm.wavelength / 2, wdm.quadrature
+        )
+        return r_z, s_rule(geom, wdm.wavelength, wdm.quadrature)[0]
+
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    def test_closest_separation_is_the_all_pairs_minimum(self, request, profile):
+        cfg = request.getfixturevalue(profile)
+        for geom in self._geometries(cfg.geometry, cfg.wdm.wavelength):
+            r_z, s_nodes = self._nodes(geom, cfg.wdm)
+            oracle = closest_separation_all_pairs(geom, r_z, s_nodes)
+            assert em_field._closest_separation(geom, r_z, s_nodes) == oracle
+
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    def test_assemble_H_warns_where_the_pairs_come_within_the_guard(self, request, profile):
+        cfg = request.getfixturevalue(profile)
+        wdm = cfg.wdm
+        warned = 0
+        for geom in self._geometries(cfg.geometry, wdm.wavelength):
+            d_min = closest_separation_all_pairs(geom, *self._nodes(geom, wdm))
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                assemble_H(geom, wdm)
+            messages = [str(w.message) for w in record if w.category is NearFieldWarning]
+            if d_min < 10.0 * wdm.wavelength:
+                assert messages == [
+                    f"closest source/receive separation {d_min:.3g} m is below 10 wavelengths"
+                ]
+                assert record[0].filename == __file__  # attributed to the caller
+                warned += 1
+            else:
+                assert messages == []
+        assert 0 < warned < 25  # both verdicts occur
+        # the last geometry warns on the reduced path of H
+        projection = channel.ReceiveProjection(geom, wdm)
+        s_nodes, tx_tones = em_field._transmit_tones(
+            geom, wdm.wavelength, projection.kappas, wdm.quadrature
+        )
+        samples, _ = channel._reduced_field(
+            geom, wdm, s_nodes, tx_tones, projection.nodes.size // 4
+        )
+        assert messages and samples is not None
+
+    def test_tone_fields_take_an_unsorted_grid(self, desk):
+        geom = replace(desk.geometry, d_x=0.21, theta_s=math.pi / 2)
+        wavelength = desk.wdm.wavelength
+        s_nodes, _ = s_rule(geom, wavelength, desk.wdm.quadrature)
+        grid = np.array([0.3, -0.02, 0.45, -0.4, 0.01])
+        d_min = closest_separation_all_pairs(geom, grid, s_nodes)
+        assert d_min < 10.0 * wavelength
+        m = ModeIndex.from_mode_number(11, 21, geom.L_s, wavelength)
+        with pytest.warns(NearFieldWarning, match=f"separation {d_min:.3g} m "):
+            received_field_profile(m, geom, wavelength, grid, desk.wdm.quadrature)
 
 
 class TestPeakLocationBoresight:

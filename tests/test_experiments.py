@@ -4,6 +4,7 @@ import collections
 import concurrent.futures
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -329,10 +330,10 @@ class TestRunSweep:
         cfg = small_sweep(desk, count=3)
         real = numerical.white_channel
 
-        def sabotaged(geom, wdm, L0):
+        def sabotaged(geom, wdm, L0, projection):
             if geom.d_z == 1.0:
                 raise RuntimeError("synthetic failure")
-            return real(geom, wdm, L0)
+            return real(geom, wdm, L0, projection)
 
         monkeypatch.setattr(numerical, "white_channel", sabotaged)
         path = str(tmp_path / "sweep.csv")
@@ -492,6 +493,36 @@ class TestRunAvgSweep:
             assert all(m > 0.0 for m in rec.mean)
             assert all(s >= 0.0 for s in rec.stderr)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reused_projection_matches_one_per_point(self, desk, tmp_path, monkeypatch, workers):
+        # 3 d_x values x 20 orientations: two workers take chunks of 7
+        # points, two of which straddle a change of d_x, and one worker
+        # takes all 60 in one chunk and builds one projection per d_x
+        cfg = small_sweep(desk, parameter="d_x", start=5.0, stop=15.0, count=3,
+                          draws_per_phi=4, seed=3)
+        cfg = replace(cfg, output=replace(cfg.output, workers=workers))
+        built = []
+
+        class Counted(channel.ReceiveProjection):
+            def __init__(self, geom, wdm):
+                built.append(geom.d_x)
+                super().__init__(geom, wdm)
+
+        monkeypatch.setattr(numerical, "ReceiveProjection", Counted)
+        reused = tmp_path / "reused.csv"
+        run_avg_sweep(cfg, str(reused))
+        if workers == 1:
+            assert built == [5.0, 10.0, 15.0]
+        real = numerical.white_channel
+
+        def fresh_projection(geom, wdm, L0, projection):
+            return real(geom, wdm, L0)  # assemble_H builds its own
+
+        monkeypatch.setattr(numerical, "white_channel", fresh_projection)
+        rebuilt = tmp_path / "rebuilt.csv"
+        run_avg_sweep(cfg, str(rebuilt))
+        assert reused.read_bytes() == rebuilt.read_bytes()
+
     def test_failed_orientation_flags_its_grid_point(self, desk, tmp_path, monkeypatch):
         cfg = small_sweep(
             desk, parameter="d_x", start=2.0, stop=4.0, count=3,
@@ -500,12 +531,12 @@ class TestRunAvgSweep:
         real = numerical.white_channel
         failures = []
 
-        def sabotaged(geom, wdm, L0):
+        def sabotaged(geom, wdm, L0, projection):
             # both orientations at phi = 90 degrees fail at d_x = 3
             if geom.d_x == 3.0 and geom.phi_s > 0.0:
                 failures.append(geom.theta_s)
                 raise RuntimeError(f"synthetic failure {len(failures)}")
-            return real(geom, wdm, L0)
+            return real(geom, wdm, L0, projection)
 
         monkeypatch.setattr(numerical, "white_channel", sabotaged)
         path = str(tmp_path / "avg.csv")
@@ -664,8 +695,10 @@ def test_channel_dump_needs_no_positive_definite_covariance(desk, tmp_path, monk
 def test_selfcheck_passes_on_desk_link(desk, capsys):
     assert run_selfcheck(desk) is True
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 4
+    assert out.count("[PASS]") == 5
     assert "under node doubling (tolerance 1e-06)" in out
+    assert re.search(r"\[PASS\] H reduced field vs direct sum: relative gap \S+ with "
+                     r"\d+ Chebyshev samples, tail \S+ \(tolerance 1e-06\)", out)
     assert "[FAIL]" not in out
 
 
@@ -673,5 +706,5 @@ def test_selfcheck_passes_on_full_link(full_scale, capsys):
     # node doubling of H at full scale, which the desk link does not reach
     assert run_selfcheck(full_scale) is True
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 4
+    assert out.count("[PASS]") == 5
     assert "[FAIL]" not in out
