@@ -30,9 +30,10 @@ Psi^H W diag(exp(j kappa rho)) V interpolates them onto the receive
 nodes, weighs them and projects them onto the receive tones
 (:class:`ReceiveProjection`).  M does not depend on the source
 orientation, so a sweep builds it once per receive segment.  Near the
-source, where G would need samples at a quarter of the receive nodes,
-H is the direct sum over every node pair instead (:func:`_direct_H`),
-contracted one kernel block of receive nodes at a time.  Both forms
+source, where G needs so many samples that G and a fresh M would cost
+as much as the direct sum over every node pair (:func:`_form_H`), H
+is that sum instead (:func:`_direct_H`), contracted one kernel block
+of receive nodes at a time.  Both forms
 build their arrays over blocks of at most ``em_field._BLOCK_PAIRS``
 entries, so memory does not grow with L_r beyond the nodes and the
 samples, and both see the near-field guard over the node set
@@ -74,12 +75,12 @@ from .cache import channel_header, replacing
 # under these names
 from .cache import load_matching_channel_set, save_channel_set
 from .config import WdmConfig, max_modes
-from .em_field import spatial_frequency
 from .geometry import LinkGeometry
 from .quadrature import composite_gauss_nodes
 
 __all__ = [
     "ReceiveProjection",
+    "H_against_direct_sum",
     "assemble_H",
     "assemble_R",
     "whiten",
@@ -91,9 +92,12 @@ __all__ = [
 ]
 
 def _mode_frequencies(cfg: WdmConfig, geom: LinkGeometry) -> np.ndarray:
-    return np.array(
-        [spatial_frequency(n, cfg.n_modes, geom.L_s) for n in range(1, cfg.n_modes + 1)]
-    )
+    """kappa_n of :func:`wdmlink.em_field.spatial_frequency` for n = 1..N, as one array.
+
+    The same two roundings as there, so the same bits.
+    """
+    n = cfg.n_modes
+    return 2.0 * math.pi / geom.L_s * (np.arange(1, n + 1) - (n + 1) / 2.0)
 
 
 # Si(x) / x and Cin(x) / x^2 as power series in x^2, highest power first;
@@ -169,24 +173,18 @@ class ReceiveProjection:
     onto the receive tones.  None of this depends on the source
     orientation, so one projection serves every orientation of one
     receive segment (L_s, L_r, d_x, d_z and the config alike); it keeps
-    the receive nodes and builds M for each n asked of it once.
+    the receive rule's nodes and weights and builds M for each n asked of
+    it once.
     """
 
     def __init__(self, geom: LinkGeometry, cfg: WdmConfig) -> None:
         self._key = (replace(geom, theta_s=0.0, phi_s=0.0), cfg)
         self.kappas = _mode_frequencies(cfg, geom)
-        # the near-field guard reads the nodes at every point; the weights
-        # are formed again where M or the direct sum needs them
-        self.nodes = self.rule()[0]
-        self._matrices: dict[int, np.ndarray] = {}
-
-    def rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the receive segment's composite rule."""
-        geom, cfg = self._key
         half = geom.L_r / 2.0
-        return composite_gauss_nodes(
+        self.nodes, self.weights = composite_gauss_nodes(
             geom.d_z - half, geom.d_z + half, cfg.wavelength / 2.0, cfg.quadrature
         )
+        self._matrices: dict[int, np.ndarray] = {}
 
     def serves(self, geom: LinkGeometry, cfg: WdmConfig) -> bool:
         """Whether the geometry differs from this one's at most in orientation."""
@@ -201,7 +199,6 @@ class ReceiveProjection:
         bary = np.sin(angles)
         bary[1::2] *= -1.0  # barycentric weights (-1)^j sin(theta_j)
         rx_cycles = self.kappas / (-2.0 * math.pi)
-        weights = self.rule()[1]
         m_t = np.zeros((n, self.kappas.size), dtype=complex)
         step = max(1, em_field._BLOCK_PAIRS // max(n, self.kappas.size))
         for start in range(0, self.nodes.size, step):
@@ -209,7 +206,7 @@ class ReceiveProjection:
             r = self.nodes[rows]
             # the weighted conjugate receive tones times exp(j kappa rho), (rows, N)
             cycles = (np.hypot(geom.d_x, r) / cfg.wavelength)[:, None] + np.outer(r, rx_cycles)
-            tones = em_field._phasor(cycles, weights[rows, None])
+            tones = em_field._phasor(cycles, self.weights[rows, None])
             m_t += _interpolation(r, points, bary).T @ tones
         self._matrices[n] = m_t
         return m_t
@@ -238,8 +235,8 @@ def _interpolation(x: np.ndarray, points: np.ndarray, bary: np.ndarray) -> np.nd
 def _reduced_field(
     geom: LinkGeometry,
     cfg: WdmConfig,
-    s_nodes: np.ndarray,
-    tx_tones: np.ndarray,
+    kappas: np.ndarray,
+    s_rule: tuple[np.ndarray, np.ndarray],
     limit: int,
 ) -> tuple[Optional[np.ndarray], float]:
     """Reduced tone fields at n first-kind Chebyshev points, or None from n = limit up.
@@ -256,14 +253,17 @@ def _reduced_field(
     point to the direct sum at once.  Returns the (n, N) samples, or None
     once n reaches ``limit``, and the last tail: its largest coefficient
     over the samples' largest real or imaginary part (inf if no n was
-    tried).
+    tried).  The weighted transmit tones on ``s_rule`` are formed only
+    if an n is tried.
     """
     gap = max(0.0, abs(geom.d_z) - geom.L_r / 2.0)  # height of the segment's nearest point
     omega = math.pi * geom.L_s * geom.L_r * geom.d_x / (
         2.0 * cfg.wavelength * (geom.d_x**2 + gap**2)
     )
     n = math.ceil(2.0 * omega) + 24
-    tail = math.inf
+    if n >= limit:
+        return None, math.inf
+    s_nodes, tx_tones = s_rule[0], em_field._weighted_tones(geom, s_rule, kappas)
     while n < limit:
         angles, points = _chebyshev_points(geom, n)
         samples = em_field._tone_sums(geom, cfg.wavelength, points, s_nodes, tx_tones, True)
@@ -286,23 +286,52 @@ def _direct_H(
     geom: LinkGeometry,
     cfg: WdmConfig,
     projection: ReceiveProjection,
-    s_nodes: np.ndarray,
-    tx_tones: np.ndarray,
+    s_rule: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """H as the direct tensor-product sum over the receive and transmit nodes.
 
     Each kernel block of receive nodes is contracted with its weighted
     receive tones into an (N, S) sum over the s-nodes, which meets the
-    weighted transmit tones once.
+    weighted transmit tones once.  Those are formed only then, after
+    the kernel blocks are freed: at full scale with a 12 m receive
+    segment that takes the traced peak from 0.80 to 0.70 MB.
     """
-    r_nodes, r_weights = projection.rule()
     rx_cycles = -projection.kappas / (2.0 * math.pi)
-    rx_kern = np.zeros((cfg.n_modes, s_nodes.size), dtype=complex)
-    for rows, kern in em_field._kernel_blocks(geom, cfg.wavelength, r_nodes, s_nodes):
+    rx_kern = np.zeros((cfg.n_modes, s_rule[0].size), dtype=complex)
+    blocks = em_field._kernel_blocks(geom, cfg.wavelength, projection.nodes, s_rule[0])
+    for rows, kern in blocks:
         # the block's weighted conjugate receive tones, exp(-j kappa_n r_z) w_r
-        rx = em_field._phasor(np.outer(rx_cycles, r_nodes[rows]), r_weights[rows])
+        rx = em_field._phasor(
+            np.outer(rx_cycles, projection.nodes[rows]), projection.weights[rows]
+        )
         rx_kern += rx @ kern
-    return rx_kern @ tx_tones
+    return rx_kern @ em_field._weighted_tones(geom, s_rule, projection.kappas)
+
+
+def _form_H(
+    geom: LinkGeometry, cfg: WdmConfig, projection: ReceiveProjection
+) -> tuple[np.ndarray, Optional[int], float]:
+    """H, and the n and tail of the reduced field it came from (n None for the direct sum).
+
+    With R and S the receive and transmit node counts, G costs the kernel
+    at n S node pairs and a fresh M an interpolation of n R entries and
+    its product, against the kernel at the R S node pairs of the direct
+    sum.  So H is M G only while n (R + S) < R S: n below 66 on the
+    desk link and 150 on the full-scale one.  Per H with a fresh M, on a 2-core Xeon, M G took
+    0.51 to 0.82 of the direct sum's time for n from 20 to 60 on desk
+    and 0.39 to 0.73 for n from 62 to 140 at full scale, and first took
+    longer at n ~ 1.1 S on both.  With M reused it took 0.3 to 0.4 (desk)
+    and 0.06 to 0.13 (full scale).
+    """
+    s_rule = em_field._transmit_rule(geom, cfg.wavelength, cfg.quadrature)
+    em_field._near_field_guard(geom, cfg.wavelength, projection.nodes, s_rule[0], stacklevel=4)
+    r_count, s_count = projection.nodes.size, s_rule[0].size
+    limit = r_count * s_count // (r_count + s_count)
+    samples, tail = _reduced_field(geom, cfg, projection.kappas, s_rule, limit)
+    if samples is None:
+        return _direct_H(geom, cfg, projection, s_rule), None, tail
+    n = samples.shape[0]
+    return projection.matrix(n).T @ samples, n, tail
 
 
 def assemble_H(
@@ -318,8 +347,8 @@ def assemble_H(
     wavelength as the oscillation period.  H is M G from the reduced
     field at n Chebyshev points (:func:`_reduced_field`,
     :class:`ReceiveProjection`), or the direct sum over the node pairs
-    (:func:`_direct_H`) where n would reach a quarter of the receive
-    nodes, as it does near the source.
+    (:func:`_direct_H`) where n samples would cost as much as the direct
+    sum, as near the source (:func:`_form_H`).
 
     Args:
         projection: The receive segment's projection, built here if not
@@ -339,15 +368,27 @@ def assemble_H(
         projection = ReceiveProjection(geom, cfg)
     elif not projection.serves(geom, cfg):
         raise ValueError("the projection was built for another receive segment or config")
-    s_nodes, tx_tones = em_field._transmit_tones(
-        geom, cfg.wavelength, projection.kappas, cfg.quadrature
-    )
-    em_field._near_field_guard(geom, cfg.wavelength, projection.nodes, s_nodes, stacklevel=3)
-    samples, _ = _reduced_field(geom, cfg, s_nodes, tx_tones, projection.nodes.size // 4)
-    if samples is None:
-        return _direct_H(geom, cfg, projection, s_nodes, tx_tones)
-    del s_nodes, tx_tones  # done with; a first build of M needs the room
-    return projection.matrix(samples.shape[0]).T @ samples
+    return _form_H(geom, cfg, projection)[0]
+
+
+def H_against_direct_sum(
+    geom: LinkGeometry, cfg: WdmConfig
+) -> tuple[np.ndarray, np.ndarray, Optional[int], float]:
+    """:func:`assemble_H`'s H next to the direct sum over every node pair.
+
+    Returns H, the direct sum, and the number n of reduced-field samples
+    H came from and their Chebyshev tail (the largest of the last
+    coefficients over the largest sample); n is None where H is the
+    direct sum itself, and the tail is then inf if no n was tried.
+
+    Warns:
+        NearFieldWarning: As :func:`assemble_H`.
+    """
+    _validate_mode_count(geom, cfg)
+    projection = ReceiveProjection(geom, cfg)
+    H, n, tail = _form_H(geom, cfg, projection)
+    s_rule = em_field._transmit_rule(geom, cfg.wavelength, cfg.quadrature)
+    return H, _direct_H(geom, cfg, projection, s_rule), n, tail
 
 
 def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:

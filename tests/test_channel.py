@@ -81,6 +81,12 @@ class TestWdmConfig:
 
 
 class TestToneTable:
+    @pytest.mark.parametrize("n_modes", [1, 20, 21, 41])
+    def test_mode_frequencies_are_spatial_frequency_bit_for_bit(self, n_modes):
+        geom, cfg = REDUCED_GEOM, replace(REDUCED_CFG, n_modes=n_modes)
+        expected = [spatial_frequency(n, n_modes, geom.L_s) for n in range(1, n_modes + 1)]
+        assert channel._mode_frequencies(cfg, geom).tolist() == expected
+
     @pytest.mark.parametrize("profile", ["desk", "full_scale"])
     @pytest.mark.parametrize("parity", ["odd", "even", "one"])
     def test_transmit_tones_orthonormal(self, request, profile, parity):
@@ -197,9 +203,8 @@ class TestAssembleH:
         )
         slab = tone_fields_one_slab(geom, wavelength, r, kappas, cfg.quadrature)
         ref = (np.exp(-1j * np.outer(kappas, r)) * w) @ slab
-        direct, _ = _direct_and_samples(geom, cfg)
+        H, direct, _, _ = channel.H_against_direct_sum(geom, cfg)
         assert np.linalg.norm(direct - ref) <= 1e-12 * np.linalg.norm(ref)
-        H = assemble_H(geom, cfg)
         assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_guard_takes_minimum_over_all_blocks(self, desk):
@@ -319,18 +324,6 @@ def _rel_error(A, ref):
     return np.linalg.norm(A - ref) / np.linalg.norm(ref)
 
 
-def _direct_and_samples(geom, cfg):
-    """H as the direct sum over every node pair, and assemble_H's
-    reduced-field samples (None where it takes the direct sum)."""
-    projection = channel.ReceiveProjection(geom, cfg)
-    s_nodes, tx_tones = em_field._transmit_tones(
-        geom, cfg.wavelength, projection.kappas, cfg.quadrature
-    )
-    limit = projection.nodes.size // 4
-    samples, _ = channel._reduced_field(geom, cfg, s_nodes, tx_tones, limit)
-    return channel._direct_H(geom, cfg, projection, s_nodes, tx_tones), samples
-
-
 class TestReducedFieldH:
     """H = M G from the reduced field against the direct sum over every node pair.
 
@@ -366,39 +359,30 @@ class TestReducedFieldH:
             profile.geometry, theta_s=theta_s, phi_s=phi_s, d_z=d_z,
             d_x=d_x_in_wavelengths * cfg.wavelength,
         )
-        direct, samples = _direct_and_samples(geom, cfg)
-        assert samples is not None  # the reduced path is the one under test
-        assert np.linalg.norm(assemble_H(geom, cfg) - direct) <= 1e-12 * np.linalg.norm(direct)
+        H, direct, n, _ = channel.H_against_direct_sum(geom, cfg)
+        assert n is not None  # the reduced path is the one under test
+        assert np.linalg.norm(H - direct) <= 1e-12 * np.linalg.norm(direct)
 
     @pytest.mark.filterwarnings("ignore::wdmlink.em_field.NearFieldWarning")
-    def test_near_source_takes_the_direct_sum(self, full_scale):
-        # 12 wavelengths out the reduced field would need more samples than
-        # a quarter of the 2400 receive nodes
-        cfg = full_scale.wdm
-        geom = replace(full_scale.geometry, d_x=12.0 * cfg.wavelength, theta_s=0.3, phi_s=1.1)
-        direct, samples = _direct_and_samples(geom, cfg)
-        assert samples is None
-        assert np.array_equal(assemble_H(geom, cfg), direct)
+    @pytest.mark.parametrize("d_x", [0.12, 0.6, 1.0])
+    def test_near_source_takes_the_direct_sum(self, full_scale, d_x):
+        # from 12 wavelengths out to 1 m the reduced field needs 213 samples
+        # or more, which with a fresh M cost as much as the direct sum over
+        # the 2400 x 160 node pairs (the cut is 2400 * 160 / 2560 = 150)
+        geom = replace(full_scale.geometry, d_x=d_x, theta_s=0.3, phi_s=1.1)
+        H, direct, n, _ = channel.H_against_direct_sum(geom, full_scale.wdm)
+        assert n is None
+        assert np.array_equal(H, direct)
+        assert np.array_equal(assemble_H(geom, full_scale.wdm), direct)
 
     @pytest.mark.parametrize("profile", ["desk", "full_scale"])
-    def test_default_link_takes_the_reduced_path(self, request, profile, monkeypatch):
+    def test_default_link_takes_the_reduced_path(self, request, profile):
         # a sizing that fell back to the direct sum (2400 x 160 node pairs
         # at full scale) would be many times slower
         cfg = request.getfixturevalue(profile)
-        sizes = []
-        build = channel.ReceiveProjection.matrix
-
-        def recording(projection, n):
-            sizes.append(n)
-            return build(projection, n)
-
-        def forbidden(*args):
-            raise AssertionError("the direct sum ran")
-
-        monkeypatch.setattr(channel.ReceiveProjection, "matrix", recording)
-        monkeypatch.setattr(channel, "_direct_H", forbidden)
-        assemble_H(cfg.geometry, cfg.wdm)
-        assert len(sizes) == 1 and sizes[0] <= 64
+        _, _, n, tail = channel.H_against_direct_sum(cfg.geometry, cfg.wdm)
+        assert n is not None and n <= 64
+        assert tail <= channel._TAIL_TOL
 
     @pytest.mark.parametrize("profile", ["desk", "full_scale"])
     def test_reused_projection_gives_the_fresh_H(self, request, profile):

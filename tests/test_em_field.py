@@ -349,15 +349,16 @@ class TestNearFieldGuard:
     """One closest-separation search serves tone_fields and both forms of H.
 
     d_x from 10 to 12 wavelengths is where the guard's verdict turns on
-    the orientation; the last geometry puts the receive segment 2.5
-    wavelengths out and just above the source, within the guard but on
-    H's reduced path.
+    the orientation; the last geometry puts the receive segment 4
+    wavelengths out, its near end ``near_gap`` wavelengths above the
+    source centre, within the guard but on H's reduced path.
     """
 
     ORIENTATIONS = [(0.0, 0.0), (0.3, 1.1), (1.2, 0.5), (math.pi / 2, math.pi / 2)]
+    NEAR_GAPS = [("desk", 12.5), ("full_scale", 15.0)]
 
     @staticmethod
-    def _geometries(link, wavelength):
+    def _geometries(link, wavelength, near_gap):
         for d_x_wavelengths in (10.0, 11.0, 12.0):
             for d_z in (0.0, 0.4):
                 for theta_s, phi_s in TestNearFieldGuard.ORIENTATIONS:
@@ -365,7 +366,7 @@ class TestNearFieldGuard:
                         link, d_x=d_x_wavelengths * wavelength, d_z=d_z,
                         theta_s=theta_s, phi_s=phi_s,
                     )
-        yield replace(link, d_x=2.5 * wavelength, d_z=0.66, L_r=1.0)
+        yield replace(link, d_x=4.0 * wavelength, d_z=0.5 + near_gap * wavelength, L_r=1.0)
 
     @staticmethod
     def _nodes(geom, wdm):
@@ -374,20 +375,22 @@ class TestNearFieldGuard:
         )
         return r_z, s_rule(geom, wdm.wavelength, wdm.quadrature)[0]
 
-    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
-    def test_closest_separation_is_the_all_pairs_minimum(self, request, profile):
+    @pytest.mark.parametrize("profile, near_gap", NEAR_GAPS)
+    def test_closest_separation_is_the_all_pairs_minimum(self, request, profile, near_gap):
         cfg = request.getfixturevalue(profile)
-        for geom in self._geometries(cfg.geometry, cfg.wdm.wavelength):
+        for geom in self._geometries(cfg.geometry, cfg.wdm.wavelength, near_gap):
             r_z, s_nodes = self._nodes(geom, cfg.wdm)
             oracle = closest_separation_all_pairs(geom, r_z, s_nodes)
             assert em_field._closest_separation(geom, r_z, s_nodes) == oracle
 
-    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
-    def test_assemble_H_warns_where_the_pairs_come_within_the_guard(self, request, profile):
+    @pytest.mark.parametrize("profile, near_gap", NEAR_GAPS)
+    def test_assemble_H_warns_where_the_pairs_come_within_the_guard(
+        self, request, profile, near_gap
+    ):
         cfg = request.getfixturevalue(profile)
         wdm = cfg.wdm
         warned = 0
-        for geom in self._geometries(cfg.geometry, wdm.wavelength):
+        for geom in self._geometries(cfg.geometry, wdm.wavelength, near_gap):
             d_min = closest_separation_all_pairs(geom, *self._nodes(geom, wdm))
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
@@ -403,14 +406,19 @@ class TestNearFieldGuard:
                 assert messages == []
         assert 0 < warned < 25  # both verdicts occur
         # the last geometry warns on the reduced path of H
-        projection = channel.ReceiveProjection(geom, wdm)
-        s_nodes, tx_tones = em_field._transmit_tones(
-            geom, wdm.wavelength, projection.kappas, wdm.quadrature
-        )
-        samples, _ = channel._reduced_field(
-            geom, wdm, s_nodes, tx_tones, projection.nodes.size // 4
-        )
-        assert messages and samples is not None
+        with pytest.warns(NearFieldWarning):
+            _, _, n, _ = channel.H_against_direct_sum(geom, wdm)
+        assert messages and n is not None
+
+    def test_no_pair_on_an_empty_grid(self, desk):
+        geom, wavelength = desk.geometry, desk.wdm.wavelength
+        s_nodes, _ = s_rule(geom, wavelength, desk.wdm.quadrature)
+        assert em_field._closest_separation(geom, np.array([]), s_nodes) == math.inf
+        m = ModeIndex.from_mode_number(11, 21, geom.L_s, wavelength)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e_z = received_field_profile(m, geom, wavelength, [], desk.wdm.quadrature)
+        assert e_z.shape == (0,) and e_z.dtype == complex
 
     def test_tone_fields_take_an_unsorted_grid(self, desk):
         geom = replace(desk.geometry, d_x=0.21, theta_s=math.pi / 2)
