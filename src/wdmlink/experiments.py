@@ -21,10 +21,13 @@ imports :mod:`wdmlink.numerical`, and with it numpy, which assembles,
 whitens and evaluates it and stores the entry; an entry that cannot be
 read, does not match or holds no four SE values is recomputed and
 rewritten.  The points not found are independent and share one noise
-factor (:func:`wdmlink.channel.noise_factor`), so chunks of them can go
-to a process pool (``[output] workers``), each chunk factoring once; the
-pool starts after the import, so its forked workers inherit numpy.  Rows
-are emitted in grid order regardless of worker count.
+factor (:func:`wdmlink.channel.noise_factor`), so with ``[output]
+workers`` above 1 they are split into strided slices, one per forked
+child, each factoring once and sending its records back over a pipe.
+The children are forked after the import, so they inherit numpy, and
+the parent only waits for them.  Where ``os.fork`` does not exist
+(Windows) the run is serial.  Rows are emitted in grid order regardless
+of worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, List, NoReturn, Optional, Sequence, Tuple
 
 from .cache import FORMAT_VERSION, channel_cache_key, load_matching_channel_set
 from .config import RunConfig, Scheme, WdmConfig
@@ -107,24 +110,95 @@ def _cached_record(point: Point, wdm: WdmConfig) -> Optional[SweepRecord]:
 
 def _compute(cfg: RunConfig, points: Sequence[Point]) -> List[SweepRecord]:
     """Records of points not found in the cache, computed in grid order."""
-    from . import numerical  # numpy loads here, in the parent, before any pool forks
+    from . import numerical  # numpy loads here, in the parent, before any child forks
 
     if cfg.output.cache_dir:
         os.makedirs(os.path.join(cfg.output.cache_dir, FORMAT_VERSION), exist_ok=True)
     evaluate = functools.partial(numerical.evaluate_points, cfg.wdm)
-    workers = cfg.output.workers
-    if workers > 1 and len(points) > 1:
-        # ~20 ms and 2 MB (multiprocessing, socket), so only a pooled run pays
-        from concurrent.futures import ProcessPoolExecutor
-
-        # about four chunks per worker: fewer round trips, still balanced;
-        # each chunk builds its own noise factor, so the parent builds none
-        size = max(1, len(points) // (4 * workers))
-        chunks = [points[i : i + size] for i in range(0, len(points), size)]
-        # a forked pool starts every worker at once, so start none without a chunk
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            return [rec for chunk in pool.map(evaluate, chunks) for rec in chunk]
+    workers = min(cfg.output.workers, len(points))
+    if workers > 1 and hasattr(os, "fork"):
+        return _fork_join(evaluate, points, workers)
     return evaluate(points)
+
+
+def _fork_join(
+    evaluate: Callable[[Sequence[Point]], List[SweepRecord]],
+    points: Sequence[Point],
+    workers: int,
+) -> List[SweepRecord]:
+    """``evaluate(points)`` over ``workers`` forked children, one strided slice each.
+
+    Child ``i`` takes ``points[i::workers]``: striding balances cost along
+    the grid, and a run of points with the same d_x and d_z still shares
+    one receive projection.  It pickles its records, or the exception
+    that escaped ``evaluate``, to its pipe and leaves through ``os._exit``.
+    The parent computes nothing (so its peak memory stays that of the
+    imports): it reads each pipe to EOF, reaps each child, re-raises a
+    child's exception and interleaves the slices back into grid order.
+    A child that ends without a result raises RuntimeError.  Every child
+    not yet reaped when this returns or raises is killed and reaped.
+    """
+    import pickle
+    import signal
+
+    pipes, unreaped = [], []
+    try:
+        for i in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            # the parent's write end closes before the next fork, so each
+            # pipe reaches EOF once its own child has exited
+            with open(write_fd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(evaluate, points[i::workers], writer)
+                unreaped.append(pid)
+        slices = []
+        for pid, pipe in zip(list(unreaped), pipes):
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            unreaped.remove(pid)
+            if status or not data:
+                raise RuntimeError(
+                    f"worker process {pid} ended without a result (wait status {status})"
+                )
+            outcome = pickle.loads(data)
+            if isinstance(outcome, Exception):
+                raise outcome
+            slices.append(outcome)
+        return [slices[j % workers][j // workers] for j in range(len(points))]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in unreaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_child(
+    evaluate: Callable[[Sequence[Point]], List[SweepRecord]],
+    points: Sequence[Point],
+    writer: BinaryIO,
+) -> NoReturn:
+    """In a forked child: send ``evaluate(points)`` or its exception to ``writer``, then exit.
+
+    ``os._exit`` in every case, so the child never returns into the
+    parent's stack, runs no ``atexit`` handler and flushes none of the
+    parent's buffered output; exit status 0 means the outcome was sent.
+    """
+    import pickle
+
+    status = 1
+    try:
+        try:
+            outcome: object = evaluate(points)
+        except Exception as exc:  # re-raised by the parent
+            outcome = exc
+        pickle.dump(outcome, writer)
+        writer.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _entry_path(cache_dir: str, geom: LinkGeometry, wdm: WdmConfig) -> str:

@@ -184,6 +184,29 @@ def test_failed_cache_write_exits_3(tmp_path, capsys, workers):
     assert "i/o failure" in capsys.readouterr().err
 
 
+def test_worker_dying_without_a_result_exits_2(tmp_path, monkeypatch, capsys):
+    # a child that ends without sending its slice (here a bare os._exit,
+    # as a signal would) fails the run; no CSV is written and no child
+    # is left running or unreaped
+    parent, real = os.getpid(), numerical.evaluate_points
+    argv = ["sweep", "--count", "4", "--workers", "2", "--out", str(tmp_path / "s.csv"),
+            "--no-svg"]
+    second = cli._resolve_config(cli._build_parser().parse_args(argv)).sweep.values()[1]
+
+    def dies(wdm, points):
+        if os.getpid() != parent and points[0][0] == second:
+            os._exit(7)
+        return real(wdm, points)
+
+    monkeypatch.setattr(numerical, "evaluate_points", dies)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "ended without a result" in err
+    assert not (tmp_path / "s.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_selfcheck_reports_through_exit_code(monkeypatch):
     monkeypatch.setattr(numerical, "run_selfcheck", lambda cfg: True)
     assert cli.main(["selfcheck"]) == 0
@@ -341,7 +364,6 @@ _AVG_SWEEP = ("avg-sweep", "--profile", "desk", "--count", "1", "--draws", "2",
               "--no-svg", "--out", "avg.csv")
 _CACHE = ("--cache-dir", "cache")
 _PAIR = ("--workers", "2")
-_POOL = {"concurrent.futures.process", "multiprocessing"}
 _NUMPY = {"numpy"}
 
 
@@ -349,11 +371,11 @@ _NUMPY = {"numpy"}
     "argv, warm, loads",
     [
         (_SWEEP, False, _NUMPY),
-        (_SWEEP + _PAIR, False, _POOL | _NUMPY),
+        (_SWEEP + _PAIR, False, _NUMPY),
         (_SWEEP + _CACHE, False, _NUMPY),
         (_SWEEP + ("--config", "two.cfg"), False, {"configparser"} | _NUMPY),
         (_AVG_SWEEP, False, _NUMPY),
-        (_AVG_SWEEP + _PAIR, False, _POOL | _NUMPY),
+        (_AVG_SWEEP + _PAIR, False, _NUMPY),
         (("selfcheck", "--profile", "desk"), False, _NUMPY),
         (_SWEEP + _CACHE, True, set()),
         (_SWEEP + _CACHE + _PAIR, True, set()),
@@ -364,13 +386,14 @@ _NUMPY = {"numpy"}
          "warm", "warm-pool", "avg-warm-pool", "help"],
 )
 def test_run_loads_only_what_its_command_uses(tmp_path, argv, warm, loads):
-    # a 2-point desk sweep imports the pool and the INI parser only when
-    # its flags ask for them, and a cached one names its files without
-    # hashlib (OpenSSL); averaged sweeps and the self-check draw their
-    # random numbers without numpy.random, and no command loads
+    # a 2-point desk sweep imports the INI parser only when its flags ask
+    # for it, forks its workers without concurrent.futures or
+    # multiprocessing, and a cached one names its files without hashlib
+    # (OpenSSL); averaged sweeps and the self-check draw their random
+    # numbers without numpy.random, and no command loads
     # numpy.polynomial.  A sweep whose every point is cached (the same
-    # command run once before) loads neither numpy nor, with workers,
-    # the pool, and the command line alone loads no numpy.
+    # command run once before) loads no numpy, and the command line
+    # alone loads none.
     (tmp_path / "two.cfg").write_text("[sweep]\ncount = 2\n")
     if warm:
         _python(tmp_path, "-c", _NEW_MODULES, *argv)
@@ -378,22 +401,16 @@ def test_run_loads_only_what_its_command_uses(tmp_path, argv, warm, loads):
     # the command's own report comes first, the new modules on the last line
     new = set(stdout.splitlines()[-1].split())
     assert loads <= new
-    unasked = _IMPORT_BUDGET - loads
-    if "multiprocessing" in loads:
-        # a forkserver pool authenticates its workers through hmac
-        unasked -= {"hashlib", "_hashlib"}
-    assert not new & unasked
+    assert not new & (_IMPORT_BUDGET - loads)
 
 
-_POOL_AFTER_NUMPY = (
-    "import sys\n"
-    "import concurrent.futures as futures\n"
-    "seen = []\n"
-    "class Pool(futures.ProcessPoolExecutor):\n"
-    "    def __init__(self, *args, **kwargs):\n"
-    "        seen.append('numpy' in sys.modules)\n"
-    "        super().__init__(*args, **kwargs)\n"
-    "futures.ProcessPoolExecutor = Pool\n"
+_FORK_AFTER_NUMPY = (
+    "import os, sys\n"
+    "seen, fork = [], os.fork\n"
+    "def recorded():\n"
+    "    seen.append('numpy' in sys.modules)\n"
+    "    return fork()\n"
+    "os.fork = recorded\n"
     "import wdmlink.cli\n"
     "assert 'numpy' not in sys.modules\n"
     "assert wdmlink.cli.main(sys.argv[1:]) == 0\n"
@@ -405,10 +422,10 @@ _POOL_AFTER_NUMPY = (
                          ids=["sweep", "avg-sweep"])
 def test_cold_pool_starts_after_numpy_loads(tmp_path, argv):
     # the parent imports the numerical layer at the first point not found
-    # in the cache, before it starts the pool, so the forked workers
-    # inherit numpy instead of each importing it again
-    stdout = _python(tmp_path, "-c", _POOL_AFTER_NUMPY, *argv)
-    assert stdout.splitlines()[-1] == "True"
+    # in the cache, before it forks the workers, so each of the two
+    # inherits numpy instead of importing it again
+    stdout = _python(tmp_path, "-c", _FORK_AFTER_NUMPY, *argv)
+    assert stdout.splitlines()[-1].split() == ["True", "True"]
 
 
 @pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])

@@ -1,10 +1,11 @@
 """Runner-level tests: CSV output, determinism, caching, worker handling."""
 
 import collections
-import concurrent.futures
 import math
 import os
 import re
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -168,48 +169,94 @@ class TestRunSweep:
         assert paths[2].read_bytes() == ref
 
     def test_chunked_pool_run_matches_serial_bytes(self, desk, tmp_path, monkeypatch):
-        # 19 points on two workers go out in chunks of 2, the last one ragged
-        chunk_lengths = []
+        # 19 points on two workers: each child takes every second point,
+        # 10 and a ragged 9, and the parent interleaves them back
+        log = tmp_path / "slices.log"
+        real = numerical.evaluate_points
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, chunks, **kwargs):
-                chunk_lengths.extend(len(chunk) for chunk in chunks)
-                return super().map(fn, chunks, **kwargs)
+        def logged(wdm, points):
+            # runs in a child, so it reports through a file
+            with open(log, "a", encoding="ascii") as out:
+                out.write(" ".join(repr(value) for value, _, _ in points) + "\n")
+            return real(wdm, points)
 
-        # experiments imports the pool class from here when a run needs it
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = small_sweep(desk, count=19)
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         run_sweep(cfg, str(serial))
+        monkeypatch.setattr(numerical, "evaluate_points", logged)
         run_sweep(replace(cfg, output=replace(cfg.output, workers=2)), str(pooled))
-        assert chunk_lengths == [2] * 9 + [1]
+        values = [repr(v) for v in cfg.sweep.values()]
+        slices = sorted(line.split() for line in log.read_text().splitlines())
+        assert slices == [values[0::2], values[1::2]]
+        assert [len(part) for part in slices] == [10, 9]
         assert pooled.read_bytes() == serial.read_bytes()
 
     def test_pool_starts_no_more_workers_than_chunks(self, desk, tmp_path, monkeypatch):
-        # a forked pool starts all its workers at once; 3 points make 3
-        # chunks, so asking for 64 workers must start 3
-        sizes = []
+        # one child per point at most: 3 points asked onto 64 workers fork
+        # 3, each from a parent with no other thread (fork copies only the
+        # calling thread, and Python 3.12+ warns on a fork with threads)
+        forks = []
+        real = os.fork
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counted():
+            forks.append((os.getpid(), threading.active_count()))
+            return real()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "fork", counted)
         cfg = small_sweep(desk, count=3)
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         run_sweep(cfg, str(serial))
+        assert forks == []
         run_sweep(replace(cfg, output=replace(cfg.output, workers=64)), str(pooled))
-        assert sizes == [3]
+        assert forks == [(os.getpid(), 1)] * 3
         assert pooled.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_run_without_fork_is_serial(self, desk, tmp_path, monkeypatch, workers):
+        # where os.fork does not exist (Windows) workers run in the caller
+        cfg = small_sweep(desk, count=5)
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        run_sweep(cfg, str(serial))
+        monkeypatch.delattr(os, "fork")
+        calls = _count_calls(monkeypatch)
+        run_sweep(replace(cfg, output=replace(cfg.output, workers=workers)), str(pooled))
+        assert calls["noise_factor"] == 1 and calls["assemble_H"] == 5
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_strided_avg_run_matches_serial_bytes(self, desk, tmp_path, workers):
+        # 2 d_x values x 20 orientations: every slice crosses the change of
+        # d_x, and 40 points on 3 workers split 14, 13, 13
+        cfg = small_sweep(desk, parameter="d_x", start=5.0, stop=15.0, count=2,
+                          draws_per_phi=4, seed=3)
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        run_avg_sweep(cfg, str(serial))
+        run_avg_sweep(replace(cfg, output=replace(cfg.output, workers=workers)), str(pooled))
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_failed_slice_stops_every_child(self, desk, tmp_path, monkeypatch):
+        # a slice's exception reaches the caller as it was raised, and the
+        # other child, still busy, is killed and reaped rather than awaited
+        parent = os.getpid()
+        real = numerical.evaluate_points
+
+        def one_fails_one_hangs(wdm, points):
+            assert os.getpid() != parent
+            if points[0][0] == 0.0:
+                raise OSError(28, "synthetic full disk")
+            time.sleep(60)
+            return real(wdm, points)
+
+        monkeypatch.setattr(numerical, "evaluate_points", one_fails_one_hangs)
+        cfg = small_sweep(desk, start=0.0, stop=1.0, count=4)
+        started = time.monotonic()
+        with pytest.raises(OSError, match="synthetic full disk"):
+            run_sweep(replace(cfg, output=replace(cfg.output, workers=2)),
+                      str(tmp_path / "s.csv"))
+        assert time.monotonic() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_channel_cache_reuse_matches_fresh_assembly(self, desk, tmp_path):
         cache = tmp_path / "cache"
@@ -438,14 +485,15 @@ class TestNoiseFactorPerRun:
         assert rerun.read_bytes() == cold.read_bytes()
 
     def test_pool_parent_never_factors(self, desk, tmp_path, monkeypatch):
-        # the workers factor per chunk; the parent only hands out chunks,
-        # so its peak memory holds no R
+        # each child factors once for its slice; the parent only waits, so
+        # it assembles, factors and evaluates nothing and its peak memory
+        # holds no R and no H (the counts here are the parent's own)
         cfg = small_sweep(desk, count=5)
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         run_sweep(cfg, str(serial))
         calls = _count_calls(monkeypatch)
         run_sweep(replace(cfg, output=replace(cfg.output, workers=2)), str(pooled))
-        assert calls["assemble_R"] == calls["noise_factor"] == 0
+        assert calls == {}
         assert pooled.read_bytes() == serial.read_bytes()
 
 
@@ -495,9 +543,9 @@ class TestRunAvgSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reused_projection_matches_one_per_point(self, desk, tmp_path, monkeypatch, workers):
-        # 3 d_x values x 20 orientations: two workers take chunks of 7
-        # points, two of which straddle a change of d_x, and one worker
-        # takes all 60 in one chunk and builds one projection per d_x
+        # 3 d_x values x 20 orientations: two workers take every second
+        # point, 30 each, and each builds one projection per d_x; one
+        # worker takes all 60 and builds one projection per d_x
         cfg = small_sweep(desk, parameter="d_x", start=5.0, stop=15.0, count=3,
                           draws_per_phi=4, seed=3)
         cfg = replace(cfg, output=replace(cfg.output, workers=workers))
