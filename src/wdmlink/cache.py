@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import os
 import zlib
-from dataclasses import fields
 from typing import BinaryIO, Iterator, Sequence, Tuple
 
 from .config import Scheme, WdmConfig
@@ -44,13 +43,13 @@ def channel_header(geom: LinkGeometry, cfg: WdmConfig) -> str:
     of H and R both start with it.
     """
     lines = [_FORMAT_TAG]
-    lines += [f"geometry.{f.name} = {getattr(geom, f.name)!r}" for f in fields(geom)]
+    lines += [f"geometry.{name} = {value!r}" for name, value in zip(geom._fields, geom)]
     lines += [
-        f"wdm.{f.name} = {getattr(cfg, f.name)!r}" for f in fields(cfg) if f.name != "quadrature"
+        f"wdm.{name} = {value!r}" for name, value in zip(cfg._fields, cfg) if name != "quadrature"
     ]
     lines += [
-        f"quadrature.{f.name} = {getattr(cfg.quadrature, f.name)!r}"
-        for f in fields(cfg.quadrature)
+        f"quadrature.{name} = {value!r}"
+        for name, value in zip(cfg.quadrature._fields, cfg.quadrature)
     ]
     return "\n".join(lines) + "\n"
 

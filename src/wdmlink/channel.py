@@ -64,7 +64,6 @@ importable from here as :func:`save_channel_set` and
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -75,7 +74,7 @@ from .cache import channel_header, replacing
 # under these names
 from .cache import load_matching_channel_set, save_channel_set
 from .config import WdmConfig, max_modes
-from .geometry import LinkGeometry
+from .geometry import LinkGeometry, replace
 from .quadrature import composite_gauss_nodes
 
 __all__ = [

@@ -19,10 +19,10 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from dataclasses import replace
 from typing import Callable, List, NoReturn, Optional
 
 from .config import PARAMETERS, RunConfig, apply_entries, profile_by_name, read_config_entries
+from .geometry import replace
 
 _COMMON_FLAGS = (
     "--out", "--svg", "--workers", "--seed", "--dx", "--dz", "--theta", "--phi", "--n-modes",

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import defaultdict
-from dataclasses import dataclass, replace
+from collections import defaultdict, namedtuple
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .geometry import LinkGeometry
+from .geometry import LinkGeometry, is_azimuth, replace
 
 __all__ = [
     "FREE_SPACE_IMPEDANCE",
@@ -74,8 +73,9 @@ class Scheme(enum.Enum):
     PLAIN = "plain"
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(
+    namedtuple("QuadratureSpec", "points_per_wavelength nodes_per_panel", defaults=(4.0, 16))
+):
     """Sizing of the composite Gauss-Legendre rule.
 
     Attributes:
@@ -83,10 +83,10 @@ class QuadratureSpec:
         nodes_per_panel: Gauss-Legendre order of each panel.
     """
 
-    points_per_wavelength: float = 4.0
-    nodes_per_panel: int = 16
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> "QuadratureSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.points_per_wavelength >= 2.0:
             raise ValueError(
                 "points_per_wavelength must be at least 2, got "
@@ -96,10 +96,16 @@ class QuadratureSpec:
             raise ValueError(
                 f"nodes_per_panel must lie in [2, 64], got {self.nodes_per_panel}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class WdmConfig:
+class WdmConfig(
+    namedtuple(
+        "WdmConfig",
+        "wavelength n_modes source_power sigma2_emi sigma2_hdw quadrature",
+        defaults=(1e-7, 1.0, 0.0, QuadratureSpec()),
+    )
+):
     """Multiplexing and noise parameters.
 
     Attributes:
@@ -112,14 +118,10 @@ class WdmConfig:
         quadrature: Sizing of the H and field-profile integrals.
     """
 
-    wavelength: float
-    n_modes: int
-    source_power: float = 1e-7
-    sigma2_emi: float = 1.0
-    sigma2_hdw: float = 0.0
-    quadrature: QuadratureSpec = QuadratureSpec()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> "WdmConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if int(self.n_modes) != self.n_modes or self.n_modes < 1:
@@ -130,6 +132,7 @@ class WdmConfig:
             raise ValueError("noise variances must be nonnegative")
         if self.sigma2_emi == 0.0 and self.sigma2_hdw == 0.0:
             raise ValueError("at least one noise variance must be positive")
+        return self
 
 
 def max_modes(L_s: float, wavelength: float) -> int:
@@ -157,24 +160,23 @@ def emi_variance(power: float, snr_db: float) -> float:
 SWEEP_PARAMETERS = ("d_z", "theta_s", "d_x")
 
 
-@dataclass(frozen=True)
-class SweepSettings:
+class SweepSettings(
+    namedtuple(
+        "SweepSettings",
+        "parameter start stop count seed draws_per_phi phi_set_deg theta_max_deg",
+        defaults=("d_z", 0.0, 2.0, 21, 1, 20, (0.0, 22.5, 45.0, 77.5, 90.0), 30.0),
+    )
+):
     """Swept parameter grid and ensemble controls.
 
     ``seed``, ``draws_per_phi``, ``phi_set_deg`` and ``theta_max_deg``
     only matter for orientation-averaged sweeps.
     """
 
-    parameter: str = "d_z"
-    start: float = 0.0
-    stop: float = 2.0
-    count: int = 21
-    seed: int = 1
-    draws_per_phi: int = 20
-    phi_set_deg: Tuple[float, ...] = (0.0, 22.5, 45.0, 77.5, 90.0)
-    theta_max_deg: float = 30.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> "SweepSettings":
+        self = super().__new__(cls, *args, **kwargs)
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(
                 f"sweep parameter must be one of {SWEEP_PARAMETERS}, "
@@ -192,6 +194,10 @@ class SweepSettings:
             raise ValueError("draws_per_phi must be positive")
         if not 0.0 <= self.theta_max_deg <= 180.0:
             raise ValueError("theta_max must lie in [0, 180] degrees")
+        for phi in self.phi_set_deg:
+            if not is_azimuth(math.radians(phi)):
+                raise ValueError(f"phi_set values must lie in [0, 360) degrees, got {phi}")
+        return self
 
     def values(self) -> List[float]:
         """The grid, bit for bit ``np.linspace(start, stop, count)``.
@@ -214,46 +220,49 @@ class SweepSettings:
         return grid
 
 
-@dataclass(frozen=True)
-class FieldSettings:
+class FieldSettings(
+    namedtuple("FieldSettings", "mode_offsets grid_points", defaults=((-2, 0, 5), 1201))
+):
     """Received field profile grid, the ``[field]`` section."""
 
-    mode_offsets: Tuple[int, ...] = (-2, 0, 5)
-    grid_points: int = 1201
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> "FieldSettings":
+        self = super().__new__(cls, *args, **kwargs)
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
+        return self
 
 
-@dataclass(frozen=True)
-class PatternSettings:
+class PatternSettings(
+    namedtuple("PatternSettings", "mode_offsets step_deg", defaults=((-9, -5, 0, 5, 9), 0.1))
+):
     """Radiation pattern cut, the ``[pattern]`` section."""
 
-    mode_offsets: Tuple[int, ...] = (-9, -5, 0, 5, 9)
-    step_deg: float = 0.1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> "PatternSettings":
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.step_deg <= 10.0:
             raise ValueError("step_deg must lie in (0, 10] degrees")
+        return self
 
 
-@dataclass(frozen=True)
-class OutputSettings:
+class OutputSettings(
+    namedtuple("OutputSettings", "csv_path svg_path cache_dir workers", defaults=("", "", "", 1))
+):
     """Output paths, channel cache and worker count, the ``[output]`` section."""
 
-    csv_path: str = ""
-    svg_path: str = ""
-    cache_dir: str = ""
-    workers: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> "OutputSettings":
+        self = super().__new__(cls, *args, **kwargs)
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a single experiment run needs."""
 
     geometry: LinkGeometry

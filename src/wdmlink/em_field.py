@@ -79,13 +79,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .config import FREE_SPACE_IMPEDANCE
-from .geometry import LinkGeometry
+from .geometry import LinkGeometry, replace
 from .quadrature import QuadratureSpec, composite_gauss_nodes
 
 __all__ = [
@@ -196,8 +195,7 @@ def rotation_matrix(theta_s: float, phi_s: float) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class ModeIndex:
+class ModeIndex(NamedTuple):
     """One multiplexed mode.
 
     Attributes:

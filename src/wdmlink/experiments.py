@@ -37,12 +37,11 @@ import functools
 import math
 import operator
 import os
-from dataclasses import dataclass, replace
-from typing import BinaryIO, Callable, List, NoReturn, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from .cache import FORMAT_VERSION, channel_cache_key, load_matching_channel_set
 from .config import RunConfig, Scheme, WdmConfig
-from .geometry import LinkGeometry
+from .geometry import LinkGeometry, replace
 from .svgplot import line_plot_svg, write_svg
 
 __all__ = [
@@ -66,8 +65,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
         writer.writerows(rows)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One sweep grid point.
 
     ``error`` is empty on success; on failure it carries the exception
@@ -82,8 +80,7 @@ class SweepRecord:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class AvgSweepRecord:
+class AvgSweepRecord(NamedTuple):
     """One orientation-averaged grid point (mean and standard error)."""
 
     value: float

@@ -10,18 +10,42 @@ length ``L_r`` and lies parallel to the z-axis at lateral offset
 
 All lengths are in meters and all angles in radians.  This module needs
 no numpy, so a run that only reads cached results never loads it.
+
+The package's records are immutable named tuples.  One that checks its
+fields does so in ``__new__``, so change a field with :func:`replace`,
+which builds the new record through that constructor; a named tuple's
+own ``_replace`` skips the checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import Any, TypeVar
 
-__all__ = ["LinkGeometry"]
+__all__ = ["LinkGeometry", "is_azimuth", "replace"]
+
+_Record = TypeVar("_Record", bound=tuple)
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+def replace(record: _Record, **changes: Any) -> _Record:
+    """A copy of the named tuple ``record`` with ``changes``, checked as a new one.
+
+    Raises:
+        TypeError: If a change names no field of the record.
+        ValueError: If the record's constructor rejects the result.
+    """
+    return type(record)(**{**record._asdict(), **changes})
+
+
+def is_azimuth(phi: float) -> bool:
+    """Whether ``phi`` [rad] lies in [0, 2*pi), the range of ``phi_s``."""
+    return 0.0 <= phi < 2.0 * math.pi
+
+
+class LinkGeometry(
+    namedtuple("LinkGeometry", "L_s L_r d_x d_z theta_s phi_s", defaults=(0.0, 0.0, 0.0))
+):
     """Placement of the two segments.
 
     Attributes:
@@ -34,14 +58,10 @@ class LinkGeometry:
         phi_s: Azimuth of the transmit segment [rad], in [0, 2*pi).
     """
 
-    L_s: float
-    L_r: float
-    d_x: float
-    d_z: float = 0.0
-    theta_s: float = 0.0
-    phi_s: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> "LinkGeometry":
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.L_s > 0.0 and math.isfinite(self.L_s)):
             raise ValueError(f"L_s must be a positive length, got {self.L_s}")
         if not (self.L_r > 0.0 and math.isfinite(self.L_r)):
@@ -52,5 +72,6 @@ class LinkGeometry:
             raise ValueError(f"d_z must be finite, got {self.d_z}")
         if not 0.0 <= self.theta_s <= math.pi:
             raise ValueError(f"theta_s must lie in [0, pi], got {self.theta_s}")
-        if not 0.0 <= self.phi_s < 2.0 * math.pi:
+        if not is_azimuth(self.phi_s):
             raise ValueError(f"phi_s must lie in [0, 2*pi), got {self.phi_s}")
+        return self

@@ -12,7 +12,6 @@ line when one of those four commands runs.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +38,7 @@ from .em_field import (
     source_direction,
 )
 from .experiments import SCHEME_ORDER, Point, SweepRecord, _fmt, _UniformStream, _write_csv
+from .geometry import replace
 from .receivers import spectral_efficiency, waterfill
 from .svgplot import line_plot_svg, polar_plot_svg, write_svg
 

@@ -25,8 +25,7 @@ and the sum spectral efficiency is sum log2(1 + SINR_n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SchemeResult:
+class SchemeResult(NamedTuple):
     """Outcome of one architecture on one channel.
 
     Attributes:

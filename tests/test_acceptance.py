@@ -6,7 +6,6 @@ criterion.  Tolerances are stated inline next to each assertion.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from wdmlink.em_field import (
     source_direction,
 )
 from wdmlink.experiments import run_sweep
+from wdmlink.geometry import replace
 from wdmlink.receivers import Scheme, sinr, spectral_efficiency, waterfill
 
 from oracles import (

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from wdmlink.em_field import (
     source_direction,
     spatial_frequency,
 )
-from wdmlink.geometry import LinkGeometry
+from wdmlink.geometry import LinkGeometry, replace
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 from wdmlink.receivers import Scheme, spectral_efficiency
 
@@ -799,11 +798,11 @@ class TestSerialization:
             assert channel_cache_key(REDUCED_GEOM, changed) != base, changed
 
     def test_header_contains_every_parameter(self):
-        # one line per dataclass field, so a field added later and left
+        # one line per record field, so a field added later and left
         # out of the header fails here; WdmConfig.quadrature is the spec's
-        expected = [f"geometry.{f.name}" for f in fields(LinkGeometry)]
-        expected += [f"wdm.{f.name}" for f in fields(WdmConfig) if f.name != "quadrature"]
-        expected += [f"quadrature.{f.name}" for f in fields(QuadratureSpec)]
+        expected = [f"geometry.{name}" for name in LinkGeometry._fields]
+        expected += [f"wdm.{name}" for name in WdmConfig._fields if name != "quadrature"]
+        expected += [f"quadrature.{name}" for name in QuadratureSpec._fields]
         lines = channel_header(REDUCED_GEOM, REDUCED_CFG).splitlines()[1:]
         assert [line.split(" = ")[0] for line in lines] == expected
 

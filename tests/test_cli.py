@@ -5,7 +5,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ import wdmlink.cli as cli
 import wdmlink.experiments as experiments
 import wdmlink.numerical as numerical
 from wdmlink.config import PARAMETERS
+from wdmlink.geometry import replace
 
 from conftest import read_csv_columns
 
@@ -331,6 +331,7 @@ _IMPORT_BUDGET = frozenset(
         "scipy",
         "numpy.random",
         "numpy.polynomial",
+        "dataclasses",
     )
 )
 
@@ -391,9 +392,11 @@ def test_run_loads_only_what_its_command_uses(tmp_path, argv, warm, loads):
     # multiprocessing, and a cached one names its files without hashlib
     # (OpenSSL); averaged sweeps and the self-check draw their random
     # numbers without numpy.random, and no command loads
-    # numpy.polynomial.  A sweep whose every point is cached (the same
+    # numpy.polynomial.  No command loads dataclasses: the records are
+    # named tuples.  A sweep whose every point is cached (the same
     # command run once before) loads no numpy, and the command line
-    # alone loads none.
+    # alone loads none; a run without numpy loads no inspect either,
+    # which numpy imports for itself.
     (tmp_path / "two.cfg").write_text("[sweep]\ncount = 2\n")
     if warm:
         _python(tmp_path, "-c", _NEW_MODULES, *argv)
@@ -402,6 +405,8 @@ def test_run_loads_only_what_its_command_uses(tmp_path, argv, warm, loads):
     new = set(stdout.splitlines()[-1].split())
     assert loads <= new
     assert not new & (_IMPORT_BUDGET - loads)
+    if "numpy" not in loads:
+        assert "inspect" not in new
 
 
 _FORK_AFTER_NUMPY = (

@@ -236,6 +236,19 @@ class TestLoadConfig:
         with pytest.raises(ValueError):
             apply_entries(desk_profile(), read_config_entries(path), path)
 
+    @pytest.mark.parametrize("phi_set", ["0, 360", "-22.5, 45", "90, nan"])
+    def test_azimuth_outside_one_turn_rejected(self, tmp_path, phi_set):
+        # rejected as the file is applied, naming the key and the file, by
+        # the range LinkGeometry holds phi_s to, not at the first point
+        path = self.write(tmp_path, f"[sweep]\nphi_set = {phi_set}\n")
+        with pytest.raises(ValueError, match=rf"^invalid {re.escape(path)}: phi_set values"):
+            apply_entries(desk_profile(), read_config_entries(path), path)
+
+    def test_azimuth_just_below_one_turn_accepted(self, tmp_path):
+        path = self.write(tmp_path, "[sweep]\nphi_set = 0, 359.9\n")
+        cfg = apply_entries(desk_profile(), read_config_entries(path), path)
+        assert cfg.sweep.phi_set_deg == (0.0, 359.9)
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

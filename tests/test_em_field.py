@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from wdmlink.em_field import (
     spatial_frequency,
     tone_fields,
 )
-from wdmlink.geometry import LinkGeometry
+from wdmlink.geometry import LinkGeometry, replace
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 
 from oracles import (

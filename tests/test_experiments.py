@@ -6,7 +6,6 @@ import os
 import re
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from wdmlink.cache import FORMAT_VERSION, channel_cache_key, channel_header
 from wdmlink.channel import load_matching_channel_set, noise_factor, white_channel
 from wdmlink.config import FieldSettings, total_power
 from wdmlink.experiments import SCHEME_ORDER, run_avg_sweep, run_sweep
+from wdmlink.geometry import replace
 from wdmlink.numerical import run_channel_dump, run_field, run_pattern, run_selfcheck
 from wdmlink.receivers import spectral_efficiency
 

@@ -6,6 +6,17 @@ import pytest
 from wdmlink.em_field import rotation_matrix, source_direction
 from wdmlink.geometry import LinkGeometry
 
+# constructor arguments LinkGeometry rejects, one fault each
+INVALID_GEOMETRY = [
+    dict(L_s=0.0, L_r=1.0, d_x=2.0),
+    dict(L_s=0.2, L_r=-1.0, d_x=2.0),
+    dict(L_s=0.2, L_r=1.0, d_x=0.0),
+    dict(L_s=0.2, L_r=1.0, d_x=2.0, theta_s=-0.1),
+    dict(L_s=0.2, L_r=1.0, d_x=2.0, theta_s=math.pi + 0.1),
+    dict(L_s=0.2, L_r=1.0, d_x=2.0, phi_s=2.0 * math.pi),
+    dict(L_s=0.2, L_r=1.0, d_x=2.0, d_z=math.inf),
+]
+
 
 class TestLinkGeometry:
     def test_defaults_are_broadside(self):
@@ -14,18 +25,7 @@ class TestLinkGeometry:
         assert g.theta_s == 0.0
         assert g.phi_s == 0.0
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(L_s=0.0, L_r=1.0, d_x=2.0),
-            dict(L_s=0.2, L_r=-1.0, d_x=2.0),
-            dict(L_s=0.2, L_r=1.0, d_x=0.0),
-            dict(L_s=0.2, L_r=1.0, d_x=2.0, theta_s=-0.1),
-            dict(L_s=0.2, L_r=1.0, d_x=2.0, theta_s=math.pi + 0.1),
-            dict(L_s=0.2, L_r=1.0, d_x=2.0, phi_s=2.0 * math.pi),
-            dict(L_s=0.2, L_r=1.0, d_x=2.0, d_z=math.inf),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", INVALID_GEOMETRY)
     def test_rejects_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             LinkGeometry(**kwargs)
