@@ -1,31 +1,35 @@
 """Linear transceiver architectures and their spectral efficiency.
 
 The whitened link y = H_tilde x + z with z ~ CN(0, I) carries one stream
-per mode with powers p.  Four architectures are supported:
+per mode with powers p = diag(P).  Each architecture's gains chi and
+per-mode SINR follow from one statistic of H_tilde, in closed form:
 
-    SVD    precoder V, combiners U from H_tilde = U S V^H; the modes
-           decouple, SINR_n = p_n chi_n with chi_n = S[n,n]^2.
-    MMSE   combiners (H_tilde P H_tilde^H + I)^{-1} H_tilde with
-           P = diag(p); chi_n = ||column n of H_tilde||^2.
-    MR     combiners H_tilde; chi_n as for MMSE.
-    PLAIN  combiners I (no receive processing); chi_n = |H_tilde[n, n]|^2.
+    SVD    singular values S of H_tilde; the modes decouple,
+           chi_n = S_n^2 and SINR_n = p_n chi_n.
+    MMSE   Gram matrix G = H_tilde^H H_tilde; chi_n = G_nn and
+           1 + SINR_n = 1 / d_n with d_n = [(I + P^1/2 G P^1/2)^{-1}]_nn,
+           taken from one Cholesky factor.
+    MR     G again; chi_n = G_nn and
+           SINR_n = p_n G_nn^2 / (sum_{m != n} |G_nm|^2 p_m + G_nn).
+    PLAIN  |H_tilde|^2 entrywise (no receive processing);
+           chi_n = |H_tilde_nn|^2 and
+           SINR_n = p_n chi_n / (sum_{m != n} |H_tilde_nm|^2 p_m + 1).
 
-Only SVD's singular values are computed here; its U and V, like every
-precoder and combiner matrix, exist only in the tests' reference
-implementation.  The other three have no precoder, so their streams are
-the columns g_m of H_tilde.  Powers are water-filled against the gains:
+These are the SINRs of the combiner banks U behind precoder V
+(H_tilde = U S V^H), (H_tilde P H_tilde^H + I)^{-1} H_tilde, H_tilde and
+I (Tse & Viswanath, Fundamentals of Wireless Communication, ch. 8);
+those matrices exist only in the tests' reference implementation.  SVD
+keeps the singular values: the eigenvalues of G would square H_tilde's
+conditioning.  Powers are water-filled against the gains,
 p_n = max(0, mu - 1/chi_n) with sum p = P, solved exactly by the
-sorted-breakpoint method.  A combiner bank gives per-mode qualities
-
-    SINR_n = |b_n^H g_n|^2 p_n
-             / (sum_{m != n} |b_n^H g_m|^2 p_m + b_n^H b_n),
-
-and the sum spectral efficiency is sum log2(1 + SINR_n).
+sorted-breakpoint method, so a zero column of H_tilde gets no power and
+SINR 0.  The sum spectral efficiency is sum log2(1 + SINR_n), for MMSE
+-sum log2 d_n.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +39,6 @@ __all__ = [
     "SchemeResult",
     "waterfill",
     "scheme_gains",
-    "sinr",
     "spectral_efficiency",
 ]
 
@@ -47,7 +50,7 @@ class SchemeResult(NamedTuple):
         scheme: Architecture evaluated.
         p: Water-filled per-mode powers, sum p = P.
         mu: Water level.
-        sinr: Per-mode SINR.
+        sinr: Per-mode SINR; for MMSE 1/d_n - 1 (see module docs).
         se_total: Sum spectral efficiency [bit per channel use].
     """
 
@@ -104,61 +107,35 @@ def waterfill(chi: np.ndarray, power: float) -> Tuple[np.ndarray, float]:
     return p, mu
 
 
-def scheme_gains(kind: Scheme, H_tilde: np.ndarray) -> np.ndarray:
-    """Water-filling gains chi_n of one architecture (see module docs)."""
+def _statistic(kind: Scheme, H_tilde: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Gains chi of one architecture and the matrix its SINR is read from.
+
+    That matrix is G for MMSE, |G|^2 for MR, |H_tilde|^2 for PLAIN and
+    none for SVD, whose SINR needs only chi.
+    """
     if kind is Scheme.SVD:
         s = np.linalg.svd(H_tilde, compute_uv=False)
-        return s * s
-    if kind in (Scheme.MMSE, Scheme.MR):
-        return np.sum(np.abs(H_tilde) ** 2, axis=0)
+        return s * s, None
     if kind is Scheme.PLAIN:
-        return np.abs(np.diag(H_tilde)) ** 2
+        cross = np.abs(H_tilde) ** 2
+        return cross.diagonal().copy(), cross
+    if kind in (Scheme.MMSE, Scheme.MR):
+        gram = H_tilde.conj().T @ H_tilde
+        chi = gram.diagonal().real.copy()
+        return chi, gram if kind is Scheme.MMSE else np.abs(gram) ** 2
     raise ValueError(f"unknown scheme {kind!r}")
 
 
-def _combiners(kind: Scheme, H_tilde: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Combiner bank of MMSE, MR or PLAIN; column n is mode n's combiner."""
-    if kind is Scheme.MR:
-        return H_tilde
-    eye = np.eye(H_tilde.shape[0])
-    if kind is Scheme.PLAIN:
-        return eye
-    gram = (H_tilde * p[None, :]) @ H_tilde.conj().T + eye
-    return np.linalg.solve(gram, H_tilde)
-
-
-def sinr(combiners: np.ndarray, channel: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per-mode SINR of a combiner bank against an effective channel.
-
-    Args:
-        combiners: Combiner bank B whose column n is mode n's combiner
-            b_n (nonzero).
-        channel: Effective channel whose columns carry the per-mode
-            streams (H_tilde for architectures without a precoder).
-        p: Per-mode powers.
-
-    Returns:
-        SINR_n = |b_n^H g_n|^2 p_n / (sum_{m != n} |b_n^H g_m|^2 p_m
-        + ||b_n||^2) for every mode n.
-
-    Raises:
-        ValueError: If a combiner column is zero.
-    """
-    B = np.asarray(combiners)
-    norm2 = np.sum(np.abs(B) ** 2, axis=0)
-    if np.any(norm2 == 0.0):
-        raise ValueError("combiners must be nonzero")
-    cross = np.abs(B.conj().T @ np.asarray(channel)) ** 2
-    signal = np.diag(cross) * p
-    np.fill_diagonal(cross, 0.0)  # interference sums m != n without cancelling the signal
-    return signal / (cross @ p + norm2)
+def scheme_gains(kind: Scheme, H_tilde: np.ndarray) -> np.ndarray:
+    """Water-filling gains chi_n of one architecture (see module docs)."""
+    return _statistic(kind, H_tilde)[0]
 
 
 def spectral_efficiency(kind: Scheme, H_tilde: np.ndarray, power: float) -> SchemeResult:
     """Water-fill one architecture and evaluate its sum rate.
 
     The gains chi never depend on p, so the allocation is computed first
-    and the (for MMSE p-dependent) combiner bank afterwards.
+    and the SINR (for MMSE p-dependent) afterwards.
 
     Args:
         kind: Architecture.
@@ -168,11 +145,21 @@ def spectral_efficiency(kind: Scheme, H_tilde: np.ndarray, power: float) -> Sche
     Returns:
         SchemeResult with ``se_total`` = sum log2(1 + SINR).
     """
-    chi = scheme_gains(kind, H_tilde)
+    chi, stat = _statistic(kind, H_tilde)
     p, mu = waterfill(chi, power)
+    if kind is Scheme.MMSE:
+        root = np.sqrt(p)
+        K = np.eye(p.size) + root[:, None] * stat * root[None, :]
+        # K = L L^H gives K^{-1} = L^{-H} L^{-1}: d_n is column n's squared norm of L^{-1}
+        d = np.sum(np.abs(np.linalg.inv(np.linalg.cholesky(K))) ** 2, axis=0)
+        return SchemeResult(kind, p, mu, 1.0 / d - 1.0, -float(np.sum(np.log2(d))))
     if kind is Scheme.SVD:
-        sinr_values = p * chi
+        sinr = p * chi
     else:
-        sinr_values = sinr(_combiners(kind, H_tilde, p), H_tilde, p)
-    se = float(np.sum(np.log2(1.0 + sinr_values)))
-    return SchemeResult(scheme=kind, p=p, mu=mu, sinr=sinr_values, se_total=se)
+        signal = stat.diagonal() * p
+        np.fill_diagonal(stat, 0.0)  # interference sums m != n without cancelling the signal
+        noise = chi if kind is Scheme.MR else 1.0
+        den = stat @ p + noise
+        # a zero column of H_tilde (MR's G_nn = 0) has no signal and no noise
+        sinr = np.divide(signal, den, out=np.zeros_like(signal), where=den > 0.0)
+    return SchemeResult(kind, p, mu, sinr, float(np.sum(np.log2(1.0 + sinr))))

@@ -340,9 +340,10 @@ def peak_locations_general(mode: ModeIndex, geom: LinkGeometry) -> List[FieldPea
 def scheme_matrices(kind, H_t, p=None):
     """Precoder A, combiner bank B and gains chi of one architecture.
 
-    The reference for ``wdmlink.receivers``, which builds neither A nor
-    SVD's U and V: here every architecture gets its full matrices, the
-    SINR then follows from ``sinr(B, H_t @ A, p)``.  ``p`` is required by
+    The reference for ``wdmlink.receivers``, which builds no precoder or
+    combiner matrix but reads each SINR in closed form from the singular
+    values, the Gram matrix or |H_t|^2: here every architecture gets its
+    full matrices, the SINR then follows from ``sinr(B, H_t @ A, p)``.  ``p`` is required by
     MMSE (its textbook filter (H_t P H_t^H + I)^{-1} H_t depends on the
     allocation) and ignored otherwise.
     """

@@ -23,7 +23,7 @@ from wdmlink.em_field import (
 )
 from wdmlink.experiments import run_sweep
 from wdmlink.geometry import replace
-from wdmlink.receivers import Scheme, sinr, spectral_efficiency, waterfill
+from wdmlink.receivers import Scheme, spectral_efficiency, waterfill
 
 from oracles import (
     REDUCED_CFG,
@@ -31,6 +31,7 @@ from oracles import (
     channel_set,
     midpoint_coupling_oracle,
     scheme_matrices,
+    sinr,
 )
 
 
