@@ -22,22 +22,22 @@ both over the physical segment supports (the receive axis runs over
 F_m(r) = int gz(r - s s_hat) phi_m(s) ds
 (:func:`wdmlink.em_field.tone_fields`) onto the receive tones, a
 tensor-product composite Gauss-Legendre sum on the node set of
-:mod:`wdmlink.quadrature`.  It is formed as H = M G: G holds the reduced
+:mod:`wdmlink.quadrature`.  It is formed as H = sum_i M_i G_i over
+pieces of the receive segment (:func:`_pieces`): G_i holds the reduced
 fields G_m = exp(-j kappa rho) F_m, rho the distance from the source
-centre, at the few first-kind Chebyshev points of the receive segment
-that fix them to rounding (:func:`_reduced_field`), and M =
-Psi^H W diag(exp(j kappa rho)) V interpolates them onto the receive
-nodes, weighs them and projects them onto the receive tones
-(:class:`ReceiveProjection`).  M does not depend on the source
-orientation, so a sweep builds it once per receive segment.  Near the
-source, where G needs so many samples that G and a fresh M would cost
-as much as the direct sum over every node pair (:func:`_form_H`), H
-is that sum instead (:func:`_direct_H`), contracted one kernel block
-of receive nodes at a time.  Both forms
-build their arrays over blocks of at most ``em_field._BLOCK_PAIRS``
-entries, so memory does not grow with L_r beyond the nodes and the
-samples, and both see the near-field guard over the node set
-(:func:`wdmlink.em_field._near_field_guard`).
+centre, at the few first-kind Chebyshev points of piece i that fix them
+to rounding (:func:`_reduced_field`), and M_i interpolates them onto the
+piece's receive nodes, weighs them and projects them onto the receive
+tones (:class:`ReceiveProjection`).  Every default point takes one piece,
+the segment itself; near the source, where one sample count for the
+whole segment would follow its nearest point, each piece is sampled at
+its own rate.  M does not depend on the source orientation, so a sweep
+builds it once per receive segment.  The direct sum over every node
+pair (:func:`_direct_H`) is only the reference of
+:func:`H_against_direct_sum`.  Arrays are built over blocks of at most
+``em_field._BLOCK_PAIRS`` entries and one piece at a time, so memory
+grows little with L_r beyond the nodes, and the near-field guard looks
+at the node set (:func:`wdmlink.em_field._near_field_guard`).
 
 The R kernel depends only on the lag t = r' - r, and its lag integrals
 over the centred segment have closed forms in the sine and cosine
@@ -63,7 +63,9 @@ importable from here as :func:`save_channel_set` and
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
@@ -154,60 +156,119 @@ _TAIL_TERMS = 8
 _TAIL_TOL = 1e-13
 
 
-def _chebyshev_points(geom: LinkGeometry, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _chebyshev_points(centre: float, half: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Angles theta_j = (2 j + 1) pi / (2 n) and the first-kind Chebyshev
-    points d_z + (L_r / 2) cos(theta_j) of the receive segment, j < n."""
+    points centre + half cos(theta_j) of [centre - half, centre + half], j < n."""
     angles = (2.0 * np.arange(n) + 1.0) * (math.pi / (2.0 * n))
-    return angles, geom.d_z + 0.5 * geom.L_r * np.cos(angles)
+    return angles, centre + half * np.cos(angles)
+
+
+# A piece [centre - half, centre + half] of the receive segment, its start
+# count and its slice of the receive nodes (_pieces).
+_Piece = namedtuple("_Piece", "centre half start rows")
+
+
+# What the numpy calls of one more piece cost, in node pairs of the kernel:
+# ~0.1 ms per piece against ~40 ns per node pair (the direct sum's time
+# over its pairs) on desk and full scale alike, on a 2-core Xeon.
+_PIECE_COST = 3000.0
+
+
+def _pieces(geom: LinkGeometry, wavelength: float, nodes: np.ndarray, s_count: int) -> list:
+    """The pieces of the receive segment that H samples the reduced field on.
+
+    G_m(r) = exp(-j kappa rho) F_m(r), F_m the tone field of
+    :func:`wdmlink.em_field.tone_fields` and rho = ||r||, has a local
+    bandwidth (Bucci & Franceschetti, IEEE TAP 1989; Miller, Appl. Opt.
+    2000): in the far field its phase moves at most at kappa (L_s/2) d_x /
+    rho^2 along the receive line, so over a piece of half-length h by at
+    most omega = kappa L_s h d_x / (2 rho_min^2), and the piece starts at
+    n = 2 omega + 24 samples (near the source omega is an overestimate).
+
+    n samples cost the kernel at n S node pairs and an interpolation of
+    n R_i entries, R and S the receive and transmit node counts and R_i
+    the piece's share of R.  The segment is one piece while n (R + S) <
+    R S, the direct sum's pairs; elsewhere it is halved, and the halves
+    halved again, into the pieces of least sum n_i (S + R_i) +
+    _PIECE_COST.  Only the segment itself is built from d_z and L_r / 2,
+    so one piece keeps the bits of one sampling over the segment.
+    """
+    r_count, top = nodes.size, (geom.d_z, geom.L_r / 2.0)
+
+    def cheapest(centre: float, half: float) -> tuple[list, float]:
+        gap = max(0.0, abs(centre) - half)  # height of the piece's nearest point
+        omega = math.pi * geom.L_s * (2.0 * half) * geom.d_x / (
+            2.0 * wavelength * (geom.d_x**2 + gap**2)
+        )
+        n, r, whole = math.ceil(2.0 * omega) + 24, r_count * half / top[1], half == top[1]
+        own = ([(centre, half, n)], n * (s_count + r) + _PIECE_COST)
+        if whole:  # one piece while n (R + S) < R S
+            stop = n * (r_count + s_count) < r_count * s_count
+        else:  # no split can cost less: each part has n > 24
+            stop = own[1] <= 24.0 * (2.0 * s_count + r) + 2.0 * _PIECE_COST
+        if stop:
+            return own
+        left, right = (cheapest(centre + d, half / 2.0) for d in (-half / 2.0, half / 2.0))
+        split = (left[0] + right[0], left[1] + right[1])
+        return split if whole or split[1] < own[1] else own
+
+    pieces = cheapest(*top)[0]
+    # every receive node interpolates from the piece it lies in
+    bounds = [0, *(bisect.bisect_left(nodes, c - h) for c, h, _ in pieces[1:]), r_count]
+    return [_Piece(*p, slice(a, b)) for p, a, b in zip(pieces, bounds, bounds[1:])]
 
 
 class ReceiveProjection:
-    """The receive half of H: the (n, N) transpose of M = Psi^H W diag(exp(j kappa rho)) V.
+    """The receive half of H: the (n_i, N) transpose of one block M_i per piece.
 
-    H = M G, G the (n, N) reduced fields exp(-j kappa rho) F_m at n
-    first-kind Chebyshev points of the receive segment
-    (:func:`_reduced_field`), rho = ||r|| the distance from the source
-    centre.  V interpolates those samples onto the composite rule's
-    receive nodes (barycentric form), W weighs them and Psi^H projects
-    onto the receive tones.  None of this depends on the source
-    orientation, so one projection serves every orientation of one
-    receive segment (L_s, L_r, d_x, d_z and the config alike); it keeps
-    the receive rule's nodes and weights and builds M for each n asked of
-    it once.
+    H = sum_i M_i G_i, G_i the reduced fields at n_i Chebyshev points of
+    piece i (:func:`_pieces`, :func:`_reduced_field`) and M_i = Psi_i^H
+    W_i diag(exp(j kappa rho)) V_i over the piece's receive nodes: V_i
+    interpolates (barycentric form), W_i weighs and Psi_i^H projects onto
+    the receive tones.  None of it depends on the source orientation, so
+    a projection serves every orientation of one receive segment.
     """
 
     def __init__(self, geom: LinkGeometry, cfg: WdmConfig) -> None:
+        _validate_mode_count(geom, cfg)
         self._key = (replace(geom, theta_s=0.0, phi_s=0.0), cfg)
         self.kappas = _mode_frequencies(cfg, geom)
         half = geom.L_r / 2.0
         self.nodes, self.weights = composite_gauss_nodes(
             geom.d_z - half, geom.d_z + half, cfg.wavelength / 2.0, cfg.quadrature
         )
-        self._matrices: dict[int, np.ndarray] = {}
+        self.s_rule = em_field._transmit_rule(geom, cfg.wavelength, cfg.quadrature)
+        self.pieces = _pieces(geom, cfg.wavelength, self.nodes, self.s_rule[0].size)
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}
 
     def serves(self, geom: LinkGeometry, cfg: WdmConfig) -> bool:
         """Whether the geometry differs from this one's at most in orientation."""
         return self._key == (replace(geom, theta_s=0.0, phi_s=0.0), cfg)
 
-    def matrix(self, n: int) -> np.ndarray:
-        """M^T for n samples, built once, over blocks of at most _BLOCK_PAIRS entries."""
-        if n in self._matrices:
-            return self._matrices[n]
+    def block(self, i: int, n: int, keep: bool) -> np.ndarray:
+        """M_i^T for n samples, over blocks of at most _BLOCK_PAIRS entries; kept if ``keep``."""
+        if (i, n) in self._blocks:
+            return self._blocks[i, n]
         geom, cfg = self._key
-        angles, points = _chebyshev_points(geom, n)
+        piece = self.pieces[i]
+        angles, points = _chebyshev_points(piece.centre, piece.half, n)
         bary = np.sin(angles)
         bary[1::2] *= -1.0  # barycentric weights (-1)^j sin(theta_j)
-        rx_cycles = self.kappas / (-2.0 * math.pi)
-        m_t = np.zeros((n, self.kappas.size), dtype=complex)
-        step = max(1, em_field._BLOCK_PAIRS // max(n, self.kappas.size))
-        for start in range(0, self.nodes.size, step):
-            rows = slice(start, start + step)
+        rx_cycles, n_modes = self.kappas / (-2.0 * math.pi), self.kappas.size
+        m_t = np.zeros((n, n_modes), dtype=complex)
+        step = max(1, em_field._BLOCK_PAIRS // max(n, n_modes))
+        for start in range(piece.rows.start, piece.rows.stop, step):
+            rows = slice(start, min(start + step, piece.rows.stop))
             r = self.nodes[rows]
-            # the weighted conjugate receive tones times exp(j kappa rho), (rows, N)
+            # the weighted conjugate receive tones times exp(j kappa rho),
+            # (rows, N), written over their phases in cycles
             cycles = (np.hypot(geom.d_x, r) / cfg.wavelength)[:, None] + np.outer(r, rx_cycles)
-            tones = em_field._phasor(cycles, self.weights[rows, None])
+            tones = np.empty(cycles.shape, dtype=complex)
+            em_field._phasor_into(tones, cycles, np.repeat(self.weights[rows, None], n_modes, 1))
+            del cycles
             m_t += _interpolation(r, points, bary).T @ tones
-        self._matrices[n] = m_t
+        if keep:
+            self._blocks[i, n] = m_t
         return m_t
 
 
@@ -232,40 +293,19 @@ def _interpolation(x: np.ndarray, points: np.ndarray, bary: np.ndarray) -> np.nd
 
 
 def _reduced_field(
-    geom: LinkGeometry,
-    cfg: WdmConfig,
-    kappas: np.ndarray,
-    s_rule: tuple[np.ndarray, np.ndarray],
-    limit: int,
-) -> tuple[Optional[np.ndarray], float]:
-    """Reduced tone fields at n first-kind Chebyshev points, or None from n = limit up.
+    geom: LinkGeometry, wavelength: float, piece: _Piece, s_nodes: np.ndarray, tx_tones: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Reduced tone fields at n first-kind Chebyshev points of a piece of the receive segment.
 
-    G_m(r) = exp(-j kappa rho) F_m(r), F_m the tone field of
-    :func:`wdmlink.em_field.tone_fields`, is band-limited (Bucci &
-    Franceschetti, IEEE TAP 1989; Miller, Appl. Opt. 2000): in the far
-    field its phase moves along the receive line at most at kappa (L_s/2)
-    |d r_hat / dr| = kappa (L_s/2) d_x / rho^2, so over the half-length
-    L_r/2 of the segment by at most omega = kappa L_s L_r d_x / (4
-    rho_min^2).  n starts at 2 omega + 24, which the far field needs, and
-    doubles until the last _TAIL_TERMS Chebyshev coefficients pass
-    _TAIL_TOL; near the source omega is an overestimate that sends the
-    point to the direct sum at once.  Returns the (n, N) samples, or None
-    once n reaches ``limit``, and the last tail: its largest coefficient
-    over the samples' largest real or imaginary part (inf if no n was
-    tried).  The weighted transmit tones on ``s_rule`` are formed only
-    if an n is tried.
+    n starts at the piece's start count (:func:`_pieces`) and doubles until
+    the last _TAIL_TERMS Chebyshev coefficients pass _TAIL_TOL.  Returns
+    the (n, N) samples and their tail: the largest of those coefficients
+    over the samples' largest real or imaginary part.
     """
-    gap = max(0.0, abs(geom.d_z) - geom.L_r / 2.0)  # height of the segment's nearest point
-    omega = math.pi * geom.L_s * geom.L_r * geom.d_x / (
-        2.0 * cfg.wavelength * (geom.d_x**2 + gap**2)
-    )
-    n = math.ceil(2.0 * omega) + 24
-    if n >= limit:
-        return None, math.inf
-    s_nodes, tx_tones = s_rule[0], em_field._weighted_tones(geom, s_rule, kappas)
-    while n < limit:
-        angles, points = _chebyshev_points(geom, n)
-        samples = em_field._tone_sums(geom, cfg.wavelength, points, s_nodes, tx_tones, True)
+    n = piece.start
+    while True:
+        angles, points = _chebyshev_points(piece.centre, piece.half, n)
+        samples = em_field._tone_sums(geom, wavelength, points, s_nodes, tx_tones, True)
         # coefficient k of the Chebyshev series is (2 / n) sum_j cos(k theta_j) G(x_j)
         coeffs = np.cos(np.outer(np.arange(n - _TAIL_TERMS, n), angles)) @ samples
         # the largest real or imaginary part, within sqrt(2) of max |G|
@@ -273,64 +313,49 @@ def _reduced_field(
         parts = samples.view(float)
         scale = max(float(parts.max()), -float(parts.min()))
         top = 2.0 / n * float(np.max(np.abs(coeffs)))
-        tail = top / scale if scale > 0.0 else 0.0
         if top <= _TAIL_TOL * scale:
-            return samples, tail
+            return samples, top / scale if scale > 0.0 else 0.0
         del samples  # before the next, larger set is evaluated
         n *= 2
-    return None, tail
 
 
-def _direct_H(
-    geom: LinkGeometry,
-    cfg: WdmConfig,
-    projection: ReceiveProjection,
-    s_rule: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """H as the direct tensor-product sum over the receive and transmit nodes.
+def _direct_H(geom: LinkGeometry, cfg: WdmConfig, projection: ReceiveProjection) -> np.ndarray:
+    """H as the direct tensor-product sum over every receive and transmit node pair.
 
-    Each kernel block of receive nodes is contracted with its weighted
-    receive tones into an (N, S) sum over the s-nodes, which meets the
-    weighted transmit tones once.  Those are formed only then, after
-    the kernel blocks are freed: at full scale with a 12 m receive
-    segment that takes the traced peak from 0.80 to 0.70 MB.
+    Only the reference of :func:`H_against_direct_sum`.  Each kernel
+    block of receive nodes meets its weighted receive tones in an (N, S)
+    sum over the s-nodes, which meets the weighted transmit tones once.
     """
     rx_cycles = -projection.kappas / (2.0 * math.pi)
-    rx_kern = np.zeros((cfg.n_modes, s_rule[0].size), dtype=complex)
-    blocks = em_field._kernel_blocks(geom, cfg.wavelength, projection.nodes, s_rule[0])
+    rx_kern = np.zeros((cfg.n_modes, projection.s_rule[0].size), dtype=complex)
+    blocks = em_field._kernel_blocks(geom, cfg.wavelength, projection.nodes, projection.s_rule[0])
     for rows, kern in blocks:
         # the block's weighted conjugate receive tones, exp(-j kappa_n r_z) w_r
-        rx = em_field._phasor(
-            np.outer(rx_cycles, projection.nodes[rows]), projection.weights[rows]
-        )
+        rx = em_field._phasor(np.outer(rx_cycles, projection.nodes[rows]), projection.weights[rows])
         rx_kern += rx @ kern
-    return rx_kern @ em_field._weighted_tones(geom, s_rule, projection.kappas)
+    return rx_kern @ em_field._weighted_tones(geom, projection.s_rule, projection.kappas)
 
 
 def _form_H(
-    geom: LinkGeometry, cfg: WdmConfig, projection: ReceiveProjection
-) -> tuple[np.ndarray, Optional[int], float]:
-    """H, and the n and tail of the reduced field it came from (n None for the direct sum).
+    geom: LinkGeometry, cfg: WdmConfig, projection: ReceiveProjection, keep: bool
+) -> tuple[np.ndarray, list, float]:
+    """H = sum_i M_i G_i, the sample count of each piece and the largest tail.
 
-    With R and S the receive and transmit node counts, G costs the kernel
-    at n S node pairs and a fresh M an interpolation of n R entries and
-    its product, against the kernel at the R S node pairs of the direct
-    sum.  So H is M G only while n (R + S) < R S: n below 66 on the
-    desk link and 150 on the full-scale one.  Per H with a fresh M, on a 2-core Xeon, M G took
-    0.51 to 0.82 of the direct sum's time for n from 20 to 60 on desk
-    and 0.39 to 0.73 for n from 62 to 140 at full scale, and first took
-    longer at n ~ 1.1 S on both.  With M reused it took 0.3 to 0.4 (desk)
-    and 0.06 to 0.13 (full scale).
+    Pieces are sampled one at a time, so only one piece's samples and,
+    without ``keep``, one block of M are held at once: at full scale a
+    12 m receive segment peaks within ~0.12 MB of a 3 m one.
     """
-    s_rule = em_field._transmit_rule(geom, cfg.wavelength, cfg.quadrature)
-    em_field._near_field_guard(geom, cfg.wavelength, projection.nodes, s_rule[0], stacklevel=4)
-    r_count, s_count = projection.nodes.size, s_rule[0].size
-    limit = r_count * s_count // (r_count + s_count)
-    samples, tail = _reduced_field(geom, cfg, projection.kappas, s_rule, limit)
-    if samples is None:
-        return _direct_H(geom, cfg, projection, s_rule), None, tail
-    n = samples.shape[0]
-    return projection.matrix(n).T @ samples, n, tail
+    s_nodes = projection.s_rule[0]
+    em_field._near_field_guard(geom, cfg.wavelength, projection.nodes, s_nodes, stacklevel=4)
+    tx_tones = em_field._weighted_tones(geom, projection.s_rule, projection.kappas)
+    sizes, tail = [], 0.0
+    for i, piece in enumerate(projection.pieces):
+        samples, piece_tail = _reduced_field(geom, cfg.wavelength, piece, s_nodes, tx_tones)
+        sizes.append(samples.shape[0])
+        tail = max(tail, piece_tail)
+        product = projection.block(i, sizes[i], keep).T @ samples
+        H = product if i == 0 else H + product
+    return H, sizes, tail
 
 
 def assemble_H(
@@ -343,11 +368,9 @@ def assemble_H(
     receive segment (:func:`wdmlink.em_field.tone_fields`).  Both
     integration axes oscillate at a rate of at most 2 kappa (propagation
     phase plus tone), so both composite rules are sized with half a
-    wavelength as the oscillation period.  H is M G from the reduced
-    field at n Chebyshev points (:func:`_reduced_field`,
-    :class:`ReceiveProjection`), or the direct sum over the node pairs
-    (:func:`_direct_H`) where n samples would cost as much as the direct
-    sum, as near the source (:func:`_form_H`).
+    wavelength as the oscillation period.  H is sum_i M_i G_i from the
+    reduced field at Chebyshev points of each piece of the receive
+    segment (:func:`_reduced_field`, :class:`ReceiveProjection`).
 
     Args:
         projection: The receive segment's projection, built here if not
@@ -362,32 +385,27 @@ def assemble_H(
     Warns:
         NearFieldWarning: If the segments come within ten wavelengths.
     """
-    _validate_mode_count(geom, cfg)
-    if projection is None:
-        projection = ReceiveProjection(geom, cfg)
-    elif not projection.serves(geom, cfg):
+    if projection is not None and not projection.serves(geom, cfg):
         raise ValueError("the projection was built for another receive segment or config")
-    return _form_H(geom, cfg, projection)[0]
+    keep = projection is not None  # a projection built here serves this H alone
+    return _form_H(geom, cfg, projection if keep else ReceiveProjection(geom, cfg), keep)[0]
 
 
 def H_against_direct_sum(
     geom: LinkGeometry, cfg: WdmConfig
-) -> tuple[np.ndarray, np.ndarray, Optional[int], float]:
+) -> tuple[np.ndarray, np.ndarray, list, float]:
     """:func:`assemble_H`'s H next to the direct sum over every node pair.
 
-    Returns H, the direct sum, and the number n of reduced-field samples
-    H came from and their Chebyshev tail (the largest of the last
-    coefficients over the largest sample); n is None where H is the
-    direct sum itself, and the tail is then inf if no n was tried.
+    Returns H, the direct sum, the number of reduced-field samples on
+    each piece of the receive segment, and their largest Chebyshev tail
+    (the largest of the last coefficients over the largest sample).
 
     Warns:
         NearFieldWarning: As :func:`assemble_H`.
     """
-    _validate_mode_count(geom, cfg)
     projection = ReceiveProjection(geom, cfg)
-    H, n, tail = _form_H(geom, cfg, projection)
-    s_rule = em_field._transmit_rule(geom, cfg.wavelength, cfg.quadrature)
-    return H, _direct_H(geom, cfg, projection, s_rule), n, tail
+    H, sizes, tail = _form_H(geom, cfg, projection, keep=False)
+    return H, _direct_H(geom, cfg, projection), sizes, tail
 
 
 def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:

@@ -74,23 +74,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     profile = profile_by_name(args.profile)
     file_entries = read_config_entries(args.config) if args.config else []
-    source = f"config file {args.config}"
-    cfg = apply_entries(profile, file_entries, source)
     entries = [
         (*dest.split("."), raw)
         for dest, raw in vars(args).items()
         if "." in dest and raw is not None
     ]
     if args.command == "avg-sweep":
-        given = {(section, key) for section, key, _ in file_entries + entries}
-        if ("sweep", "start") not in given and cfg.sweep.parameter != "d_x":
-            # profile sweeps move d_z by default; the file and the flags
-            # apply on top of the 5..15 m lateral range the averaged
-            # curves are read over
-            ranged = replace(profile, sweep=replace(profile.sweep, start=5.0, stop=15.0))
-            cfg = apply_entries(ranged, file_entries, source)
         entries = [("sweep", "parameter", "d_x")] + entries
-    return apply_entries(cfg, entries, "command line")
+
+    def resolve(base: RunConfig) -> RunConfig:
+        cfg = apply_entries(base, file_entries, f"config file {args.config}")
+        return apply_entries(cfg, entries, "command line")
+
+    cfg = resolve(profile)
+    given = {(section, key) for section, key, _ in file_entries + entries}
+    if cfg.sweep.parameter == "d_x" and ("sweep", "start") not in given:
+        # profile sweeps move d_z from 0; a d_x grid starts from the 5..15 m
+        # lateral range instead, and the file and the flags apply on top
+        cfg = resolve(replace(profile, sweep=replace(profile.sweep, start=5.0, stop=15.0)))
+    return cfg
 
 
 def _runner(module: str, name: str) -> Callable:

@@ -43,18 +43,18 @@ kappa (||u|| - rho) it forms from ||u||^2 - rho^2 = s^2 - 2 s s_hat . r
 without cancellation.  ``tone_fields`` (behind
 ``received_field_profile``) contracts each block with the weighted
 transmit tones (below); the coupling matrix H of :mod:`wdmlink.channel`
-does the same with the reduced kernel at a few Chebyshev points of the
-receive segment, or, where those would not be few, contracts each block
-of receive nodes with its receive tones and the transmit tones once at
-the end, so none holds an array over the whole receive segment beyond
-its nodes.
+does the same with the reduced kernel at a few Chebyshev points of each
+piece of the receive segment, and its reference, the direct sum over
+every node pair, contracts each block of receive nodes with its receive
+tones and the transmit tones once at the end, so none holds an array
+over the whole receive segment beyond its nodes.
 
 The approximation degrades below roughly ten wavelengths of separation;
 operations that evaluate it warn (``NearFieldWarning``) instead of
 failing, since grazing node pairs can dip below the guard while the
 integral remains accurate.  The guard (``_near_field_guard``) looks at
 the closest pair of the quadrature nodes (``_closest_separation``), for
-tone_fields and both forms of H alike.
+tone_fields and H alike.
 
 Mode ``n`` of an N-mode multiplex excites phi_n(s) proportional to
 exp(j kappa_n s), a spatial tone of wavenumber kappa_n.  Its normalized
@@ -118,16 +118,17 @@ FAR_FIELD_GUARD_WAVELENGTHS = 10.0
 # take at most 64 + 64 + 128 KiB: the complex one stays within glibc's
 # default 128 KiB mmap threshold, so no block is mapped afresh at each
 # call, and the three set the traced peak of H.  Medians of the direct
-# sum over every node pair (channel._direct_H, the form H takes near the
-# source) over 7 alternating rounds, one process per size and round, on
-# a 2-core Xeon (2 MiB L2 per core), default rule, glibc 2.36 with its
-# default thresholds, and its traced peak at full scale:
+# sum over every node pair (channel._direct_H, which runs every kernel
+# block of a receive segment and is now only H's reference) over 7
+# alternating rounds, one process per size and round, on a 2-core Xeon
+# (2 MiB L2 per core), default rule, glibc 2.36 with its default
+# thresholds, and its traced peak at full scale:
 #   2**12: desk 1.70 ms, full 21.4 ms, 0.40 MB
 #   2**13: desk 1.37 ms, full 15.6 ms, 0.58 MB
 #   2**14: desk 1.27 ms, full 14.4 ms, 0.91 MB
 #   2**15: desk 1.71 ms, full 14.2 ms, 1.67 MB
-# Larger blocks would save ~1.3 ms per near-source full-scale point, but
-# they add half or more to the peak of every H, so 2**13 is kept.
+# Larger blocks add half or more to the peak of every H, so 2**13 is
+# kept; the pieces of H's reduced field were not timed against it.
 _BLOCK_PAIRS = 2**13
 
 
@@ -420,17 +421,17 @@ def tone_fields(
 
     Returns the (len(r_z), len(kappas)) array of Integral phi_m(s)
     gz(r - s s_hat) ds, with phi_m(s) = exp(j kappa_m s) / sqrt(L_s) and
-    r = (d_x, 0, r_z): the :func:`_tone_sums` of the weighted tones of
-    :func:`_transmit_tones`.
+    r = (d_x, 0, r_z): the :func:`_tone_sums` of the :func:`_weighted_tones`
+    on the s-rule (:func:`_transmit_rule`).
 
     Warns:
         NearFieldWarning: If any node pair falls below the guard; the
             warning points at the caller of ``received_field_profile``.
     """
-    s_nodes, weighted_tones = _transmit_tones(geom, wavelength, kappas, spec)
+    rule = _transmit_rule(geom, wavelength, spec)
     r_z = np.asarray(r_z, dtype=float)
-    _near_field_guard(geom, wavelength, np.sort(r_z), s_nodes, stacklevel=4)
-    return _tone_sums(geom, wavelength, r_z, s_nodes, weighted_tones)
+    _near_field_guard(geom, wavelength, np.sort(r_z), rule[0], stacklevel=4)
+    return _tone_sums(geom, wavelength, r_z, rule[0], _weighted_tones(geom, rule, kappas))
 
 
 def _tone_sums(
@@ -450,14 +451,6 @@ def _tone_sums(
     for rows, kern in _kernel_blocks(geom, wavelength, r_z, s_nodes, reduced):
         np.matmul(kern, weighted_tones, out=out[rows])
     return out
-
-
-def _transmit_tones(
-    geom: LinkGeometry, wavelength: float, kappas: np.ndarray, spec: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the s-rule (:func:`_transmit_rule`) and the weighted tones on them."""
-    rule = _transmit_rule(geom, wavelength, spec)
-    return rule[0], _weighted_tones(geom, rule, kappas)
 
 
 def _transmit_rule(

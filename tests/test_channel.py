@@ -99,7 +99,8 @@ class TestToneTable:
         kappas = np.array(
             [spatial_frequency(n, n_modes, geom.L_s) for n in range(1, n_modes + 1)]
         )
-        s, tones = em_field._transmit_tones(geom, cfg.wavelength, kappas, ORACLE_SPEC)
+        rule = em_field._transmit_rule(geom, cfg.wavelength, ORACLE_SPEC)
+        s, tones = rule[0], em_field._weighted_tones(geom, rule, kappas)
         phi = np.exp(1j * np.outer(s, kappas)) / math.sqrt(geom.L_s)
         gram = tones.T @ phi.conj()
         assert np.max(np.abs(gram - np.eye(n_modes))) <= 1e-12
@@ -257,7 +258,7 @@ class TestAssembleH:
     def test_repeated_full_scale_channel_set_peak_memory(self, full_scale):
         # H's kernel blocks are written in place into arrays of at most
         # 128 KiB and R is in closed form, so a cold full-scale point, its
-        # noise factor included, peaks at ~0.71 MB (set by H), and
+        # noise factor included, peaks at ~0.62 MB (set by H), and
         # repeated calls must not pile up
         def cold_point(geom, cfg):
             return white_channel(geom, cfg, noise_factor(geom, cfg))
@@ -266,8 +267,9 @@ class TestAssembleH:
         assert peak <= 1.0e6
 
     def test_peak_memory_does_not_grow_with_receive_length(self, full_scale):
-        # a 4x longer receive segment has 4x the receive nodes, but only
-        # their node arrays grow: ~0.80 MB against ~0.69 MB
+        # a 4x longer receive segment has 4x the receive nodes and is
+        # sampled in 14 pieces, but the pieces are sampled one at a time, so
+        # little beyond the node arrays grows: ~0.72 MB against ~0.60 MB
         geom, cfg = full_scale.geometry, full_scale.wdm
         short = _traced_peak(assemble_H, geom, cfg)
         long = _traced_peak(assemble_H, replace(geom, L_r=4.0 * geom.L_r), cfg)
@@ -324,28 +326,32 @@ def _rel_error(A, ref):
 
 
 class TestReducedFieldH:
-    """H = M G from the reduced field against the direct sum over every node pair.
+    """H = sum_i M_i G_i from the reduced field against the direct sum over every node pair.
 
     Both carry rounding of the propagation phase, ~1e-16 of kappa d, in
     their own way, so they part by ~2e-13 at 500 wavelengths and ~5e-13
     at 1500; the d_x ranges stop at 750 (desk) and 1000 (full) wavelengths.
+    They start at 12 wavelengths, where a tilted source comes within the
+    near-field guard and the receive segment is cut into pieces.
     """
 
+    @pytest.mark.filterwarnings("ignore::wdmlink.em_field.NearFieldWarning")
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
         theta_s=st.floats(0.0, math.pi),
         phi_s=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-        d_x_in_wavelengths=st.floats(80.0, 750.0),
+        d_x_in_wavelengths=st.floats(12.0, 750.0),
         d_z=st.floats(-3.0, 3.0),
     )
     def test_desk_matches_direct_sum(self, desk, theta_s, phi_s, d_x_in_wavelengths, d_z):
         self._check(desk, theta_s, phi_s, d_x_in_wavelengths, d_z)
 
+    @pytest.mark.filterwarnings("ignore::wdmlink.em_field.NearFieldWarning")
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(
         theta_s=st.floats(0.0, math.pi),
         phi_s=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-        d_x_in_wavelengths=st.floats(200.0, 1000.0),
+        d_x_in_wavelengths=st.floats(12.0, 1000.0),
         d_z=st.floats(-3.0, 3.0),
     )
     def test_full_matches_direct_sum(self, full_scale, theta_s, phi_s, d_x_in_wavelengths, d_z):
@@ -358,30 +364,49 @@ class TestReducedFieldH:
             profile.geometry, theta_s=theta_s, phi_s=phi_s, d_z=d_z,
             d_x=d_x_in_wavelengths * cfg.wavelength,
         )
-        H, direct, n, _ = channel.H_against_direct_sum(geom, cfg)
-        assert n is not None  # the reduced path is the one under test
+        H, direct, _, _ = channel.H_against_direct_sum(geom, cfg)
         assert np.linalg.norm(H - direct) <= 1e-12 * np.linalg.norm(direct)
 
     @pytest.mark.filterwarnings("ignore::wdmlink.em_field.NearFieldWarning")
-    @pytest.mark.parametrize("d_x", [0.12, 0.6, 1.0])
-    def test_near_source_takes_the_direct_sum(self, full_scale, d_x):
-        # from 12 wavelengths out to 1 m the reduced field needs 213 samples
-        # or more, which with a fresh M cost as much as the direct sum over
-        # the 2400 x 160 node pairs (the cut is 2400 * 160 / 2560 = 150)
-        geom = replace(full_scale.geometry, d_x=d_x, theta_s=0.3, phi_s=1.1)
-        H, direct, n, _ = channel.H_against_direct_sum(geom, full_scale.wdm)
-        assert n is None
-        assert np.array_equal(H, direct)
-        assert np.array_equal(assemble_H(geom, full_scale.wdm), direct)
+    @pytest.mark.parametrize(
+        "profile, d_x",
+        [
+            ("full_scale", 0.12), ("full_scale", 0.6), ("full_scale", 1.0),
+            ("desk", 0.2), ("desk", 0.3),
+        ],
+    )
+    def test_near_source_samples_pieces(self, request, profile, d_x):
+        # from 12 wavelengths out to 1 m (full) or 0.3 m (desk) one piece
+        # would need as many samples as the direct sum has node pairs to
+        # cost (n (R + S) >= R S), so the segment is cut into pieces
+        cfg = request.getfixturevalue(profile)
+        geom = replace(cfg.geometry, d_x=d_x, theta_s=0.3, phi_s=1.1)
+        H, direct, sizes, tail = channel.H_against_direct_sum(geom, cfg.wdm)
+        assert len(sizes) > 1
+        assert tail <= channel._TAIL_TOL
+        assert np.linalg.norm(H - direct) <= 1e-12 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("profile", ["desk", "full_scale"])
     def test_default_link_takes_the_reduced_path(self, request, profile):
-        # a sizing that fell back to the direct sum (2400 x 160 node pairs
-        # at full scale) would be many times slower
+        # the default links sample the segment as one piece, at n = 40
+        # (desk) and 62 (full scale)
         cfg = request.getfixturevalue(profile)
-        _, _, n, tail = channel.H_against_direct_sum(cfg.geometry, cfg.wdm)
-        assert n is not None and n <= 64
+        _, _, sizes, tail = channel.H_against_direct_sum(cfg.geometry, cfg.wdm)
+        assert len(sizes) == 1 and sizes[0] <= 64
         assert tail <= channel._TAIL_TOL
+
+    def test_pieces_cover_the_receive_nodes_in_order(self, full_scale):
+        # every receive node lies in the one piece it interpolates from
+        geom = replace(full_scale.geometry, d_x=0.4, d_z=0.4)
+        projection = channel.ReceiveProjection(geom, full_scale.wdm)
+        pieces = projection.pieces
+        assert pieces[0].rows.start == 0 and pieces[-1].rows.stop == projection.nodes.size
+        for piece, after in zip(pieces, pieces[1:]):
+            assert piece.rows.stop == after.rows.start
+            assert after.centre - after.half == pytest.approx(piece.centre + piece.half, abs=1e-15)
+        for piece in pieces:
+            r = projection.nodes[piece.rows]
+            assert np.all(np.abs(r - piece.centre) <= piece.half * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("profile", ["desk", "full_scale"])
     def test_reused_projection_gives_the_fresh_H(self, request, profile):
@@ -406,7 +431,7 @@ class TestReducedFieldH:
         # barycentric weights of first-kind Chebyshev points; at a point the
         # basis is that point's unit vector (to ~1e-306) although x - x_j = 0
         geom = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0, d_z=0.3)
-        angles, points = channel._chebyshev_points(geom, 9)
+        angles, points = channel._chebyshev_points(geom.d_z, geom.L_r / 2.0, 9)
         bary = np.sin(angles) * (-1.0) ** np.arange(9)
         basis = channel._interpolation(points, points, bary)
         assert np.array_equal(np.diag(basis), np.ones(9))
@@ -753,11 +778,11 @@ class TestSerialization:
             load_matching_channel_set(str(path), other, REDUCED_CFG)
 
     def test_entry_is_header_then_hex_values(self, tmp_path):
-        # a v10 entry is text: the header, then one float.hex line per scheme
+        # a v11 entry is text: the header, then one float.hex line per scheme
         path = tmp_path / "entry.wdmch"
         save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)
-        assert header.startswith("wdmlink-channel-set v10\n")
+        assert header.startswith("wdmlink-channel-set v11\n")
         body = "".join(f"{v.hex()}\n" for v in SE_VALUES)
         assert path.read_text(encoding="ascii") == header + body
 
@@ -780,11 +805,11 @@ class TestSerialization:
     def test_cache_key_is_pinned(self):
         # the file name is the header's CRC-32 and Adler-32, which depend on
         # its bytes alone: not on the process, platform or Python version
-        # (the header's format tag is v10, text entries holding a point's
+        # (the header's format tag is v11, text entries holding a point's
         # four SE values from the closed-form R, the H of the reduced field
-        # and the receivers' Gram-matrix SINRs, and the header names both
-        # QuadratureSpec fields)
-        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "acd92cb136d0691e"
+        # sampled piece by piece and the receivers' Gram-matrix SINRs, and
+        # the header names both QuadratureSpec fields)
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "d94ce00237f9691f"
 
     def test_cache_key_follows_exactly_what_the_se_depends_on(self):
         # every field a point's SE depends on changes the key

@@ -315,6 +315,28 @@ def test_avg_sweep_stop_from_file_equals_stop_flag(tmp_path):
     )
 
 
+def test_sweep_over_d_x_defaults_to_the_lateral_range(tmp_path, capsys):
+    # the profiles sweep d_z from 0; a d_x grid from 0 would fail at once
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--parameter", "d_x", "--count", "3", "--out", str(out), "--no-svg"])
+    assert rc == 0, capsys.readouterr().err
+    cols = read_csv_columns(str(out))
+    assert cols["value"] == ["5", "10", "15"] and cols["error"] == ["", "", ""]
+    assert _resolved_range("sweep", "--parameter", "d_x", "--stop", "9") == ("d_x", 5.0, 9.0)
+
+
+def test_avg_sweep_file_naming_only_d_x_keeps_the_lateral_range(tmp_path, capsys):
+    # the same run as without the file, which sweeps d_x over 5..15 m
+    cfg_file = tmp_path / "dx.cfg"
+    cfg_file.write_text("[sweep]\nparameter = d_x\n")
+    out = tmp_path / "avg.csv"
+    rc = cli.main(["avg-sweep", "--config", str(cfg_file), "--count", "2", "--draws", "1",
+                   "--out", str(out), "--no-svg"])
+    assert rc == 0, capsys.readouterr().err
+    assert read_csv_columns(str(out))["value"] == ["5", "15"]
+    assert _resolved_range("avg-sweep", "--config", str(cfg_file)) == _resolved_range("avg-sweep")
+
+
 # modules a serial, uncached run without a config file never needs; numpy
 # is the only numerical library, so scipy is never needed at all, the
 # tilt ensemble is drawn without numpy.random and the Gauss-Legendre rule

@@ -404,10 +404,11 @@ class TestNearFieldGuard:
             else:
                 assert messages == []
         assert 0 < warned < 25  # both verdicts occur
-        # the last geometry warns on the reduced path of H
-        with pytest.warns(NearFieldWarning):
-            _, _, n, _ = channel.H_against_direct_sum(geom, wdm)
-        assert messages and n is not None
+        # the last geometry warns, and H beside the direct sum warns once too
+        with pytest.warns(NearFieldWarning) as record:
+            channel.H_against_direct_sum(geom, wdm)
+        assert messages and len(record) == 1
+        assert record[0].filename == __file__  # attributed to the caller
 
     def test_no_pair_on_an_empty_grid(self, desk):
         geom, wavelength = desk.geometry, desk.wdm.wavelength

@@ -157,6 +157,24 @@ class TestRunSweep:
         assert last.se_mr < first.se_mr
         assert last.se_plain < first.se_plain
 
+    @pytest.mark.filterwarnings("ignore::wdmlink.em_field.NearFieldWarning")
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    def test_near_source_d_x_sweep_never_takes_the_direct_sum(
+        self, request, tmp_path, monkeypatch, profile
+    ):
+        # from 0.2 m the receive segment is sampled piece by piece; the
+        # direct sum over every node pair is only the tests' reference
+        def direct_sum(*args):
+            raise AssertionError("the direct sum is not a production form of H")
+
+        monkeypatch.setattr(channel, "_direct_H", direct_sum)
+        cfg = small_sweep(request.getfixturevalue(profile), parameter="d_x", start=0.2, stop=2.0,
+                          count=5)
+        path = str(tmp_path / "sweep.csv")
+        records = run_sweep(cfg, path)
+        assert read_csv_columns(path)["error"] == [""] * 5
+        assert all(rec.se_svd > rec.se_mmse > 0.0 for rec in records)
+
     def test_serial_and_parallel_runs_are_byte_identical(self, desk, tmp_path):
         cfg = small_sweep(desk, count=5)
         paths = [tmp_path / name for name in ("a.csv", "b.csv", "p.csv")]
@@ -746,7 +764,18 @@ def test_selfcheck_passes_on_desk_link(desk, capsys):
     assert out.count("[PASS]") == 5
     assert "under node doubling (tolerance 1e-06)" in out
     assert re.search(r"\[PASS\] H reduced field vs direct sum: relative gap \S+ with "
-                     r"\d+ Chebyshev samples, tail \S+ \(tolerance 1e-06\)", out)
+                     r"1 piece, 40 Chebyshev samples, largest tail \S+ \(tolerance 1e-06\)", out)
+    assert "[FAIL]" not in out
+
+
+def test_selfcheck_names_the_pieces_near_the_source(desk, capsys):
+    # at 15 wavelengths the desk segment is sampled in four pieces, and H
+    # from them is still compared with the direct sum over every node pair
+    near = replace(desk, geometry=replace(desk.geometry, d_x=0.3))
+    assert run_selfcheck(near) is True
+    out = capsys.readouterr().out
+    assert re.search(r"\[PASS\] H reduced field vs direct sum: relative gap \S+ with "
+                     r"4 pieces, 182 Chebyshev samples, largest tail \S+", out)
     assert "[FAIL]" not in out
 
 
