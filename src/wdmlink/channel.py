@@ -26,7 +26,7 @@ tensor-product composite Gauss-Legendre sum on the node set of
 pieces of the receive segment (:func:`_pieces`): G_i holds the reduced
 fields G_m = exp(-j kappa rho) F_m, rho the distance from the source
 centre, at the few first-kind Chebyshev points of piece i that fix them
-to rounding (:func:`_reduced_field`), and M_i interpolates them onto the
+to rounding (:func:`_reduced_fields`), and M_i interpolates them onto the
 piece's receive nodes, weighs them and projects them onto the receive
 tones (:class:`ReceiveProjection`).  Every default point takes one piece,
 the segment itself; near the source, where one sample count for the
@@ -54,6 +54,15 @@ factors C = sigma2_emi R + sigma2_hdw I = L L^H and returns
 H_tilde = L^{-1} H for the receiver stage; a sweep factors C once
 (:func:`noise_factor`) and whitens each point as L0^{-1} (D H) instead.
 
+:func:`assemble_H` and :func:`white_channel` also take a sequence of
+geometries that differ only in orientation and return a stack, as a
+sweep evaluates the orientations of one receive segment.  A stack's
+kernel blocks, samples and products are matrices of their own in
+numpy's per-matrix loops (3-D ``matmul``, stacked ``linalg``), never one
+fused product, so each orientation gets the bits of its own call, and
+no stacked array holds more than ``em_field._BLOCK_PAIRS`` entries
+unless one orientation's alone does (:func:`stack_size`).
+
 A channel dump (:func:`save_channel_dump`) is an npz archive of the
 ``header`` string and ``H`` and ``R``.  A sweep's cache entry is text
 and needs no numpy (:mod:`wdmlink.cache`); its writer and reader are
@@ -66,7 +75,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import namedtuple
-from typing import Optional
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,6 +96,7 @@ __all__ = [
     "whiten",
     "noise_factor",
     "white_channel",
+    "stack_size",
     "save_channel_dump",
     "save_channel_set",
     "load_matching_channel_set",
@@ -222,11 +232,13 @@ class ReceiveProjection:
     """The receive half of H: the (n_i, N) transpose of one block M_i per piece.
 
     H = sum_i M_i G_i, G_i the reduced fields at n_i Chebyshev points of
-    piece i (:func:`_pieces`, :func:`_reduced_field`) and M_i = Psi_i^H
+    piece i (:func:`_pieces`, :func:`_reduced_fields`) and M_i = Psi_i^H
     W_i diag(exp(j kappa rho)) V_i over the piece's receive nodes: V_i
     interpolates (barycentric form), W_i weighs and Psi_i^H projects onto
-    the receive tones.  None of it depends on the source orientation, so
-    a projection serves every orientation of one receive segment.
+    the receive tones.  None of it depends on the source orientation, and
+    neither do the weighted transmit tones ``tx_tones`` that G_i is summed
+    against, so a projection serves every orientation of one receive
+    segment.
     """
 
     def __init__(self, geom: LinkGeometry, cfg: WdmConfig) -> None:
@@ -238,6 +250,7 @@ class ReceiveProjection:
             geom.d_z - half, geom.d_z + half, cfg.wavelength / 2.0, cfg.quadrature
         )
         self.s_rule = em_field._transmit_rule(geom, cfg.wavelength, cfg.quadrature)
+        self.tx_tones = em_field._weighted_tones(geom, self.s_rule, self.kappas)
         self.pieces = _pieces(geom, cfg.wavelength, self.nodes, self.s_rule[0].size)
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
 
@@ -292,30 +305,47 @@ def _interpolation(x: np.ndarray, points: np.ndarray, bary: np.ndarray) -> np.nd
     return basis
 
 
-def _reduced_field(
-    geom: LinkGeometry, wavelength: float, piece: _Piece, s_nodes: np.ndarray, tx_tones: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Reduced tone fields at n first-kind Chebyshev points of a piece of the receive segment.
+def _reduced_fields(
+    geoms: Sequence[LinkGeometry],
+    wavelength: float,
+    piece: _Piece,
+    s_nodes: np.ndarray,
+    tx_tones: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Reduced tone fields of each orientation at n first-kind Chebyshev points of a piece.
 
-    n starts at the piece's start count (:func:`_pieces`) and doubles until
-    the last _TAIL_TERMS Chebyshev coefficients pass _TAIL_TOL.  Returns
-    the (n, N) samples and their tail: the largest of those coefficients
-    over the samples' largest real or imaginary part.
+    Each orientation's n starts at the piece's start count (:func:`_pieces`)
+    and doubles until its last _TAIL_TERMS Chebyshev coefficients pass
+    _TAIL_TOL.  Orientations are sampled in stacks of at most
+    ``em_field._BLOCK_PAIRS`` entries.  Yields (n, indices, samples,
+    tails): the indices into ``geoms`` of the orientations that passed at
+    n, their (len(indices), n, N) samples and their tails, the largest of
+    those coefficients over the samples' largest real or imaginary part.
     """
-    n = piece.start
-    while True:
+    pending, n = np.arange(len(geoms)), piece.start
+    while pending.size:
         angles, points = _chebyshev_points(piece.centre, piece.half, n)
-        samples = em_field._tone_sums(geom, wavelength, points, s_nodes, tx_tones, True)
         # coefficient k of the Chebyshev series is (2 / n) sum_j cos(k theta_j) G(x_j)
-        coeffs = np.cos(np.outer(np.arange(n - _TAIL_TERMS, n), angles)) @ samples
-        # the largest real or imaginary part, within sqrt(2) of max |G|
-        # and, unlike np.abs, with no (n, N) temporary
-        parts = samples.view(float)
-        scale = max(float(parts.max()), -float(parts.min()))
-        top = 2.0 / n * float(np.max(np.abs(coeffs)))
-        if top <= _TAIL_TOL * scale:
-            return samples, top / scale if scale > 0.0 else 0.0
-        del samples  # before the next, larger set is evaluated
+        cosines = np.cos(np.outer(np.arange(n - _TAIL_TERMS, n), angles))
+        stack = max(1, em_field._BLOCK_PAIRS // (n * tx_tones.shape[1]))
+        failed = []
+        for first in range(0, pending.size, stack):
+            chunk = pending[first : first + stack]
+            oriented = [geoms[k] for k in chunk]
+            samples = em_field._tone_sums(oriented, wavelength, points, s_nodes, tx_tones, True)
+            coeffs = cosines @ samples
+            # the largest real or imaginary part, within sqrt(2) of max |G|
+            # and, unlike np.abs, with no (n, N) temporary
+            parts = samples.view(float)
+            scale = np.maximum(parts.max(axis=(1, 2)), -parts.min(axis=(1, 2)))
+            top = 2.0 / n * np.abs(coeffs).max(axis=(1, 2))
+            passed = top <= _TAIL_TOL * scale
+            if passed.any():
+                tails = np.divide(top, scale, out=np.zeros_like(top), where=scale > 0.0)
+                yield n, chunk[passed], samples if passed.all() else samples[passed], tails[passed]
+            failed.append(chunk[~passed])
+            del samples, coeffs  # before the next stack is evaluated
+        pending = np.concatenate(failed)
         n *= 2
 
 
@@ -328,40 +358,59 @@ def _direct_H(geom: LinkGeometry, cfg: WdmConfig, projection: ReceiveProjection)
     """
     rx_cycles = -projection.kappas / (2.0 * math.pi)
     rx_kern = np.zeros((cfg.n_modes, projection.s_rule[0].size), dtype=complex)
-    blocks = em_field._kernel_blocks(geom, cfg.wavelength, projection.nodes, projection.s_rule[0])
-    for rows, kern in blocks:
+    blocks = em_field._kernel_blocks([geom], cfg.wavelength, projection.nodes, projection.s_rule[0])
+    for rows, _, kern in blocks:
+        r = projection.nodes[rows]
         # the block's weighted conjugate receive tones, exp(-j kappa_n r_z) w_r
-        rx = em_field._phasor(np.outer(rx_cycles, projection.nodes[rows]), projection.weights[rows])
-        rx_kern += rx @ kern
-    return rx_kern @ em_field._weighted_tones(geom, projection.s_rule, projection.kappas)
+        rx = np.empty((cfg.n_modes, r.size), dtype=complex)
+        weights = np.repeat(projection.weights[None, rows], cfg.n_modes, 0)
+        em_field._phasor_into(rx, np.outer(rx_cycles, r), weights)
+        rx_kern += rx @ kern[0]
+    return rx_kern @ projection.tx_tones
 
 
 def _form_H(
-    geom: LinkGeometry, cfg: WdmConfig, projection: ReceiveProjection, keep: bool
-) -> tuple[np.ndarray, list, float]:
-    """H = sum_i M_i G_i, the sample count of each piece and the largest tail.
+    geoms: Sequence[LinkGeometry], cfg: WdmConfig, projection: ReceiveProjection, keep: bool
+) -> tuple[np.ndarray, list, np.ndarray]:
+    """H = sum_i M_i G_i of each orientation, the sample counts of its pieces and its largest tail.
 
-    Pieces are sampled one at a time, so only one piece's samples and,
-    without ``keep``, one block of M are held at once: at full scale a
-    12 m receive segment peaks within ~0.12 MB of a 3 m one.
+    Returns the (len(geoms), N, N) stack, one list of per-piece sample
+    counts per orientation and their largest tails.  Each orientation is
+    guarded in turn, and each product M_i G_i is a matrix of its own in
+    a stack (numpy's per-matrix loop, not one fused product), so an
+    orientation's H does not depend on the others in the stack.  Pieces
+    are sampled one at a time, so only one stack of samples and, without
+    ``keep``, one block of M are held at once: at full scale a 12 m
+    receive segment peaks within ~0.12 MB of a 3 m one.
     """
     s_nodes = projection.s_rule[0]
-    em_field._near_field_guard(geom, cfg.wavelength, projection.nodes, s_nodes, stacklevel=4)
-    tx_tones = em_field._weighted_tones(geom, projection.s_rule, projection.kappas)
-    sizes, tail = [], 0.0
+    em_field._near_field_guard(geoms, cfg.wavelength, projection.nodes, s_nodes, stacklevel=4)
+    H = np.empty((len(geoms), cfg.n_modes, cfg.n_modes), dtype=complex)
+    sizes, tails = [[] for _ in geoms], np.zeros(len(geoms))
     for i, piece in enumerate(projection.pieces):
-        samples, piece_tail = _reduced_field(geom, cfg.wavelength, piece, s_nodes, tx_tones)
-        sizes.append(samples.shape[0])
-        tail = max(tail, piece_tail)
-        product = projection.block(i, sizes[i], keep).T @ samples
-        H = product if i == 0 else H + product
-    return H, sizes, tail
+        block = None
+        fields = _reduced_fields(geoms, cfg.wavelength, piece, s_nodes, projection.tx_tones)
+        for n, members, samples, piece_tails in fields:
+            if block is None or block.shape[0] != n:
+                block = projection.block(i, n, keep)
+            product = block.T @ samples
+            if i == 0:
+                H[members] = product
+            else:
+                H[members] += product
+            del samples, product  # before the next stack is sampled
+            for k in members:
+                sizes[k].append(n)
+            tails[members] = np.maximum(tails[members], piece_tails)
+    return H, sizes, tails
 
 
 def assemble_H(
-    geom: LinkGeometry, cfg: WdmConfig, projection: Optional[ReceiveProjection] = None
+    geom: Union[LinkGeometry, Sequence[LinkGeometry]],
+    cfg: WdmConfig,
+    projection: Optional[ReceiveProjection] = None,
 ) -> np.ndarray:
-    """Mode coupling matrix of the link.
+    """Mode coupling matrix of the link, or a stack of them.
 
     H[n, m] couples transmit tone m to receive tone n: it is receive
     tone n projected onto the field that tone m radiates along the
@@ -370,25 +419,36 @@ def assemble_H(
     phase plus tone), so both composite rules are sized with half a
     wavelength as the oscillation period.  H is sum_i M_i G_i from the
     reduced field at Chebyshev points of each piece of the receive
-    segment (:func:`_reduced_field`, :class:`ReceiveProjection`).
+    segment (:func:`_reduced_fields`, :class:`ReceiveProjection`).
 
     Args:
+        geom: One geometry, or a nonempty sequence of geometries that
+            differ only in orientation, evaluated as one stack; each
+            matrix of the stack has the bits of its geometry's own H.
         projection: The receive segment's projection, built here if not
             given; a sweep passes one for all orientations of a segment.
 
     Returns:
-        Complex array (N, N), row index = receive tone.
+        Complex array (N, N), row index = receive tone; (len(geom), N, N)
+        for a sequence.
 
     Raises:
-        ValueError: If ``projection`` serves another receive segment.
+        ValueError: If ``projection`` serves another receive segment, or
+            the geometries differ in more than orientation.
 
     Warns:
-        NearFieldWarning: If the segments come within ten wavelengths.
+        NearFieldWarning: If the segments come within ten wavelengths,
+            once per geometry that does, in order.
     """
-    if projection is not None and not projection.serves(geom, cfg):
-        raise ValueError("the projection was built for another receive segment or config")
+    single = isinstance(geom, LinkGeometry)
+    geoms = [geom] if single else list(geom)
     keep = projection is not None  # a projection built here serves this H alone
-    return _form_H(geom, cfg, projection if keep else ReceiveProjection(geom, cfg), keep)[0]
+    if not keep:
+        projection = ReceiveProjection(geoms[0], cfg)
+    if not all(projection.serves(g, cfg) for g in geoms):
+        raise ValueError("the projection was built for another receive segment or config")
+    H = _form_H(geoms, cfg, projection, keep)[0]
+    return H[0] if single else H
 
 
 def H_against_direct_sum(
@@ -404,8 +464,8 @@ def H_against_direct_sum(
         NearFieldWarning: As :func:`assemble_H`.
     """
     projection = ReceiveProjection(geom, cfg)
-    H, sizes, tail = _form_H(geom, cfg, projection, keep=False)
-    return H, _direct_H(geom, cfg, projection), sizes, tail
+    H, sizes, tails = _form_H([geom], cfg, projection, keep=False)
+    return H[0], _direct_H(geom, cfg, projection), sizes[0], float(tails[0])
 
 
 def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
@@ -446,10 +506,12 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     si, cin = _si_cin(np.concatenate((k + kappas, k - kappas)) * L)
     g = (cin[n:] - cin[:n] + 1j * (si[:n] + si[n:])) / (2j * k)
     c = np.concatenate((k + kappas, kappas - k))  # a, then -b
-    e = em_field._phasor(c * (L / (4.0 * math.pi)), L * np.sinc(c * (L / (2.0 * math.pi))))
+    e = np.empty(2 * n, dtype=complex)
+    em_field._phasor_into(e, c * (L / (4.0 * math.pi)), L * np.sinc(c * (L / (2.0 * math.pi))))
     h = (e[:n] - e[n:]) / (2j * k)
     delta = kappas[None, :] - kappas[:, None]
-    half = em_field._phasor(L * delta / (4.0 * math.pi))
+    half = np.empty((n, n), dtype=complex)
+    em_field._phasor_into(half, L * delta / (4.0 * math.pi), np.ones((n, n)))
     # the identity only keeps the diagonal finite; it is overwritten next
     P = (half * g[:, None] - half.conj() * g[None, :]) / (
         1j * (delta + np.eye(n))
@@ -502,6 +564,16 @@ def whiten(H: np.ndarray, R: np.ndarray, cfg: WdmConfig) -> tuple[np.ndarray, ..
     return C, L, np.linalg.solve(L, H)
 
 
+def stack_size(cfg: WdmConfig) -> int:
+    """Most geometries a sweep whitens and evaluates as one stack.
+
+    Every (B, N, N) array of a stack then stays within
+    ``em_field._BLOCK_PAIRS`` entries, the 128 KiB under which glibc
+    reuses its heap instead of mapping memory afresh; at least one.
+    """
+    return max(1, em_field._BLOCK_PAIRS // cfg.n_modes**2)
+
+
 def noise_factor(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     """Lower Cholesky factor L0 of C at d_z = 0, raising as :func:`whiten`.
 
@@ -512,7 +584,7 @@ def noise_factor(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
 
 
 def white_channel(
-    geom: LinkGeometry,
+    geom: Union[LinkGeometry, Sequence[LinkGeometry]],
     cfg: WdmConfig,
     L0: np.ndarray,
     projection: Optional[ReceiveProjection] = None,
@@ -520,11 +592,15 @@ def white_channel(
     """Whitened channel L0^{-1} (D H) of the geometry, L0 from :func:`noise_factor`.
 
     The factor at d_z is D^H L0 D, so this is D times whiten's L^{-1} H,
-    and no receiver's SE sees a unit diagonal on the left.  ``projection``
-    goes to :func:`assemble_H`.
+    and no receiver's SE sees a unit diagonal on the left.  ``geom`` and
+    ``projection`` go to :func:`assemble_H`; for a sequence of geometries,
+    which share d_z, the result is a stack, and each matrix of it is
+    solved on its own (numpy's per-matrix loop), with the bits of its
+    geometry's own whitened channel.
     """
     H = assemble_H(geom, cfg, projection)
-    return np.linalg.solve(L0, _dz_phase(geom, cfg)[:, None] * H)
+    first = geom if isinstance(geom, LinkGeometry) else geom[0]
+    return np.linalg.solve(L0, _dz_phase(first, cfg)[:, None] * H)
 
 
 def save_channel_dump(

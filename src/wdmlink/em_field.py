@@ -34,10 +34,10 @@ a cosine.  With numpy 2.4 on a 2-core Xeon, float64 np.tan takes about
 3 ns per element, np.cos about 29 ns and complex np.exp about 48 ns.
 
 One private generator, ``_kernel_blocks``, evaluates it on bounded
-blocks of receive nodes against the transmit-segment nodes, in place
-into three arrays reused for every block (``_gz_into``, which
-``gz_kernel`` calls too), so the transmit-field integral has one
-implementation.  It also gives the reduced kernel gz(u) exp(-j kappa
+blocks of receive nodes against the transmit-segment nodes, for a stack
+of orientations at once, in place into three arrays reused for every
+block (``_gz_into``, which ``gz_kernel`` calls too), so the
+transmit-field integral has one implementation.  It also gives the reduced kernel gz(u) exp(-j kappa
 rho), rho = ||r|| the distance from the source centre, whose phase
 kappa (||u|| - rho) it forms from ||u||^2 - rho^2 = s^2 - 2 s s_hat . r
 without cancellation.  ``tone_fields`` (behind
@@ -53,7 +53,7 @@ The approximation degrades below roughly ten wavelengths of separation;
 operations that evaluate it warn (``NearFieldWarning``) instead of
 failing, since grazing node pairs can dip below the guard while the
 integral remains accurate.  The guard (``_near_field_guard``) looks at
-the closest pair of the quadrature nodes (``_closest_separation``), for
+the closest pair of the quadrature nodes (``_closest_separations``), for
 tone_fields and H alike.
 
 Mode ``n`` of an N-mode multiplex excites phi_n(s) proportional to
@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -430,12 +430,12 @@ def tone_fields(
     """
     rule = _transmit_rule(geom, wavelength, spec)
     r_z = np.asarray(r_z, dtype=float)
-    _near_field_guard(geom, wavelength, np.sort(r_z), rule[0], stacklevel=4)
-    return _tone_sums(geom, wavelength, r_z, rule[0], _weighted_tones(geom, rule, kappas))
+    _near_field_guard([geom], wavelength, np.sort(r_z), rule[0], stacklevel=4)
+    return _tone_sums([geom], wavelength, r_z, rule[0], _weighted_tones(geom, rule, kappas))[0]
 
 
 def _tone_sums(
-    geom: LinkGeometry,
+    geoms: Sequence[LinkGeometry],
     wavelength: float,
     r_z: np.ndarray,
     s_nodes: np.ndarray,
@@ -444,12 +444,16 @@ def _tone_sums(
 ) -> np.ndarray:
     """Each kernel block of :func:`_kernel_blocks` times ``weighted_tones``.
 
-    The (len(r_z), tones) sums over the s-nodes, written block by block
-    into the rows of the result; with ``reduced``, of the reduced kernel.
+    The (len(geoms), len(r_z), tones) sums over the s-nodes, one matrix
+    per orientation, written block by block; with ``reduced``, of the
+    reduced kernel.  Each product is a matrix of the same receive rows
+    whatever the number of orientations (numpy's per-matrix loop over
+    the stack, not one fused product), so an orientation's sums do not
+    depend on the others in the stack.
     """
-    out = np.empty((r_z.size, weighted_tones.shape[1]), dtype=complex)
-    for rows, kern in _kernel_blocks(geom, wavelength, r_z, s_nodes, reduced):
-        np.matmul(kern, weighted_tones, out=out[rows])
+    out = np.empty((len(geoms), r_z.size, weighted_tones.shape[1]), dtype=complex)
+    for rows, members, kern in _kernel_blocks(geoms, wavelength, r_z, s_nodes, reduced):
+        np.matmul(kern, weighted_tones, out=out[members, rows])
     return out
 
 
@@ -469,68 +473,88 @@ def _weighted_tones(
 ) -> np.ndarray:
     """The (S, len(kappas)) array w_s phi_m(s) on the s-rule ``rule``."""
     s_nodes, s_weights = rule
-    return _phasor(
-        np.outer(s_nodes, kappas / (2.0 * math.pi)),
-        (s_weights / math.sqrt(geom.L_s))[:, None],
-    )
+    tones = np.empty((s_nodes.size, kappas.size), dtype=complex)
+    scale = np.repeat((s_weights / math.sqrt(geom.L_s))[:, None], kappas.size, 1)
+    _phasor_into(tones, np.outer(s_nodes, kappas / (2.0 * math.pi)), scale)
+    return tones
 
 
 def _kernel_blocks(
-    geom: LinkGeometry,
+    geoms: Sequence[LinkGeometry],
     wavelength: float,
     r_z: np.ndarray,
     s_nodes: np.ndarray,
     reduced: bool = False,
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (rows, gz(r - s s_hat)) over r_z x s_nodes, block by block.
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Yield (rows, members, gz(r - s s_hat)) over r_z x s_nodes, block by block.
 
-    Each block covers about ``_BLOCK_PAIRS`` node pairs, so memory stays
-    bounded whatever the node count; ``rows`` is the block's slice of
-    r_z.  Every block is written in place into the same three arrays, so
-    a yielded block is valid only until the next one is requested.  Of
-    the separation r - s s_hat only the z-part depends on r; the x- and
-    y-parts, and the kernel terms built from them alone, are rows over s.
-    With ``reduced`` the blocks hold gz(r - s s_hat) exp(-j kappa ||r||)
-    (the ``centre`` form of :func:`_gz_into`).  No near-field guard is
+    ``geoms`` differ at most in orientation.  The receive nodes are cut
+    into blocks of about ``_BLOCK_PAIRS`` node pairs (``rows``, a slice
+    of r_z), and each block is yielded for a stack of orientations
+    (``members``, a slice of ``geoms``) as one (members, rows, S) array
+    of at most ``_BLOCK_PAIRS`` entries, or of one orientation where a
+    block alone is that large; so memory stays bounded whatever the node
+    count and the number of orientations, and an orientation's blocks
+    are the same rows whatever stack it is in.  Every stack is written
+    in place into the same three buffers, so a yielded one is valid only
+    until the next one is requested.  Of the separation r - s s_hat only
+    the z-part depends on r; the x- and y-parts, and the kernel terms
+    built from them alone, are rows over s, one per orientation.  With
+    ``reduced`` the blocks hold gz(r - s s_hat) exp(-j kappa ||r||) (the
+    ``centre`` form of :func:`_gz_into`).  No near-field guard is
     applied here (:func:`_near_field_guard`).
     """
-    s_hat = source_direction(geom.theta_s, geom.phi_s)
+    geom = geoms[0]
+    # (3, orientations, 1, 1): each component broadcasts over a stack
+    s_hat = np.array([source_direction(g.theta_s, g.phi_s) for g in geoms]).T[:, :, None, None]
     lateral = _gz_lateral(geom.d_x - s_nodes * s_hat[0], -s_nodes * s_hat[1], s_hat)
     s_z = s_nodes * s_hat[2]
     if reduced:
         rho = np.hypot(geom.d_x, r_z)
         lags = (s_nodes * (s_nodes - 2.0 * geom.d_x * s_hat[0]), -2.0 * s_z)
     step = max(1, _BLOCK_PAIRS // s_nodes.size)
-    shape = (min(step, r_z.size), s_nodes.size)
-    uz, dist2 = np.empty(shape), np.empty(shape)
-    kern = np.empty(shape, dtype=complex)
+    pairs = max(1, min(step, r_z.size)) * s_nodes.size
+    stack = max(1, _BLOCK_PAIRS // pairs)
+    # flat buffers, so each stack is a C-contiguous prefix of them
+    uz, dist2 = np.empty(stack * pairs), np.empty(stack * pairs)
+    kern = np.empty(stack * pairs, dtype=complex)
     for start in range(0, r_z.size, step):
         rows = slice(start, min(start + step, r_z.size))
-        n = rows.stop - start
-        np.subtract(r_z[rows, None], s_z, out=uz[:n])
-        centre = (r_z[rows, None], rho[rows, None], *lags) if reduced else None
-        _gz_into(kern[:n], uz[:n], dist2[:n], lateral, wavelength, centre)
-        yield rows, kern[:n]
+        for first in range(0, len(geoms), stack):
+            members = slice(first, min(first + stack, len(geoms)))
+            shape = (members.stop - first, rows.stop - start, s_nodes.size)
+            size = math.prod(shape)
+            block_uz, block_dist2 = uz[:size].reshape(shape), dist2[:size].reshape(shape)
+            block = kern[:size].reshape(shape)
+            np.subtract(r_z[rows, None], s_z[members], out=block_uz)
+            centre = None
+            if reduced:
+                centre = (r_z[rows, None], rho[rows, None], *(q[members] for q in lags))
+            terms = tuple(term[members] for term in lateral)
+            _gz_into(block, block_uz, block_dist2, terms, wavelength, centre)
+            yield rows, members, block
 
 
-def _closest_separation(geom: LinkGeometry, r_z: np.ndarray, s_nodes: np.ndarray) -> float:
-    """Smallest ||r - s s_hat|| over the node pairs r_z x s_nodes, r = (d_x, 0, r_z).
+def _closest_separations(
+    geoms: Sequence[LinkGeometry], r_z: np.ndarray, s_nodes: np.ndarray
+) -> np.ndarray:
+    """Smallest ||r - s s_hat|| over the node pairs r_z x s_nodes of each geometry, r = (d_x, 0, r_z).
 
-    ``r_z`` is ascending.  For each s-node the lateral part of ||u||^2 is
-    fixed, so the closest receive node is one of the two that bracket
-    s s_hat_z in r_z (``searchsorted``): O(S log R) instead of all R S
-    pairs.  ||u||^2 is formed as :func:`_gz_into` forms it, and rounding
-    is monotone, so the result equals the all-pairs minimum bit for bit.
-    With no receive node there is no pair, and the result is inf.
-
-    Raises:
-        ValueError: If a receive node coincides with a transmit node.
+    ``geoms`` differ at most in orientation, and ``r_z`` is ascending.
+    For each s-node the lateral part of ||u||^2 is fixed, so the closest
+    receive node is one of the two that bracket s s_hat_z in r_z
+    (``searchsorted``): O(S log R) instead of all R S pairs, for every
+    orientation at once.  ||u||^2 is formed as :func:`_gz_into` forms it,
+    and rounding is monotone, so each result equals the all-pairs minimum
+    bit for bit.  With no receive node there is no pair, and the results
+    are inf; a receive node on a transmit node gives 0.
     """
     if r_z.size == 0:
-        return math.inf
-    s_hat = source_direction(geom.theta_s, geom.phi_s)
+        return np.full(len(geoms), math.inf)
+    # (3, orientations, 1): each component broadcasts over the s-nodes
+    s_hat = np.array([source_direction(g.theta_s, g.phi_s) for g in geoms]).T[:, :, None]
     # the lateral u_x^2 + u_y^2 of _gz_lateral, for the same u_x and u_y
-    u_x, u_y = geom.d_x - s_nodes * s_hat[0], -s_nodes * s_hat[1]
+    u_x, u_y = geoms[0].d_x - s_nodes * s_hat[0], -s_nodes * s_hat[1]
     uxy2 = u_x * u_x + u_y * u_y
     s_z = s_nodes * s_hat[2]
     # take clips the bracket at either end of r_z in place of two np.clip
@@ -540,27 +564,35 @@ def _closest_separation(geom: LinkGeometry, r_z: np.ndarray, s_nodes: np.ndarray
         np.abs(r_z.take(above - 1, mode="clip") - s_z),
         np.abs(r_z.take(above, mode="clip") - s_z),
     )
-    d2_min = float(np.min(uz * uz + uxy2))
-    if d2_min == 0.0:
-        raise ValueError("kernel evaluated at zero separation")
-    return math.sqrt(d2_min)
+    return np.sqrt(np.min(uz * uz + uxy2, axis=1))
 
 
 def _near_field_guard(
-    geom: LinkGeometry, wavelength: float, r_z: np.ndarray, s_nodes: np.ndarray, stacklevel: int
+    geoms: Sequence[LinkGeometry],
+    wavelength: float,
+    r_z: np.ndarray,
+    s_nodes: np.ndarray,
+    stacklevel: int,
 ) -> None:
-    """Warn if the node pairs (``r_z`` ascending) come within the guard.
+    """Warn for each geometry whose node pairs (``r_z`` ascending) come within the guard.
 
-    The warning points ``stacklevel`` frames up, counted from here.
+    One warning per such geometry, in their order, pointing ``stacklevel``
+    frames up, counted from here.
+
+    Raises:
+        ValueError: At the first geometry whose receive node coincides
+            with a transmit node.
     """
-    d_min = _closest_separation(geom, r_z, s_nodes)
-    if d_min < FAR_FIELD_GUARD_WAVELENGTHS * wavelength:
-        warnings.warn(
-            f"closest source/receive separation {d_min:.3g} m is below "
-            f"{FAR_FIELD_GUARD_WAVELENGTHS:g} wavelengths",
-            NearFieldWarning,
-            stacklevel=stacklevel,
-        )
+    for d_min in _closest_separations(geoms, r_z, s_nodes):
+        if d_min == 0.0:
+            raise ValueError("kernel evaluated at zero separation")
+        if d_min < FAR_FIELD_GUARD_WAVELENGTHS * wavelength:
+            warnings.warn(
+                f"closest source/receive separation {d_min:.3g} m is below "
+                f"{FAR_FIELD_GUARD_WAVELENGTHS:g} wavelengths",
+                NearFieldWarning,
+                stacklevel=stacklevel,
+            )
 
 
 def received_field_profile(

@@ -12,7 +12,7 @@ line when one of those four commands runs.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .channel import (
     assemble_R,
     noise_factor,
     save_channel_dump,
+    stack_size,
     white_channel,
     whiten,
 )
@@ -38,7 +39,7 @@ from .em_field import (
     source_direction,
 )
 from .experiments import SCHEME_ORDER, Point, SweepRecord, _fmt, _UniformStream, _write_csv
-from .geometry import replace
+from .geometry import LinkGeometry, replace
 from .receivers import spectral_efficiency, waterfill
 from .svgplot import line_plot_svg, polar_plot_svg, write_svg
 
@@ -59,25 +60,66 @@ def evaluate_points(wdm: WdmConfig, points: Sequence[Point]) -> List[SweepRecord
     rather than of the point.  The points differ only in d_x, d_z and
     orientation, so one noise factor, built at the first point, whitens
     them all, and one receive projection serves a run of points with the
-    same d_x and d_z, rebuilt where either changes.
+    same d_x and d_z, rebuilt where either changes.  Such a run is
+    evaluated in stacks of up to :func:`wdmlink.channel.stack_size`
+    points (:func:`_stack_se`), and each point's values have the same
+    bits whatever stack it is in.
     """
     power, L0, projection, records = total_power(wdm), None, None, []
-    for value, geom, path in points:
+    limit, start = stack_size(wdm), 0
+    while start < len(points):
+        value, geom, _ = points[start]
         try:
             # a failed factor flags this point, and the next one tries again
             L0 = noise_factor(geom, wdm) if L0 is None else L0
             if projection is None or not projection.serves(geom, wdm):
                 projection = ReceiveProjection(geom, wdm)
-            H_tilde = white_channel(geom, wdm, L0, projection)
-            se = [spectral_efficiency(s, H_tilde, power).se_total for s in SCHEME_ORDER]
         except Exception as exc:  # flagged row per grid point, file stays complete
-            error = f"{type(exc).__name__}: {exc}"
-            records.append(SweepRecord(value, *[math.nan] * 4, error=error))
+            records.append(SweepRecord(value, *[math.nan] * 4, error=_message(exc)))
+            start += 1
             continue
-        if path:
-            save_channel_set(path, geom, wdm, se)
-        records.append(SweepRecord(value, *se))
+        stop = start + 1
+        while stop < min(start + limit, len(points)) and projection.serves(points[stop][1], wdm):
+            stop += 1
+        stack = points[start:stop]
+        outcomes = _stack_se(wdm, [point[1] for point in stack], L0, projection, power)
+        for (value, geom, path), se in zip(stack, outcomes):
+            if isinstance(se, str):
+                records.append(SweepRecord(value, *[math.nan] * 4, error=se))
+                continue
+            if path:
+                save_channel_set(path, geom, wdm, se)
+            records.append(SweepRecord(value, *se))
+        start = stop
     return records
+
+
+def _stack_se(
+    wdm: WdmConfig,
+    geoms: List[LinkGeometry],
+    L0: np.ndarray,
+    projection: ReceiveProjection,
+    power: float,
+) -> List[Union[List[float], str]]:
+    """Each geometry's four SE values in SCHEME_ORDER, or the message of its failure.
+
+    The geometries differ only in orientation and are whitened and
+    evaluated as one stack.  A stack that raises is evaluated again one
+    geometry at a time, so only a geometry that fails on its own is
+    flagged, with its own message.
+    """
+    try:
+        H_tilde = white_channel(geoms, wdm, L0, projection)
+        results = spectral_efficiency(SCHEME_ORDER, H_tilde, power)
+    except Exception as exc:  # flagged row per grid point, file stays complete
+        if len(geoms) == 1:
+            return [_message(exc)]
+        return [se for geom in geoms for se in _stack_se(wdm, [geom], L0, projection, power)]
+    return [[float(result.se_total[k]) for result in results] for k in range(len(geoms))]
+
+
+def _message(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _center_mode(n_modes: int) -> int:

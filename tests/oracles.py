@@ -375,3 +375,39 @@ def sinr(B, G, p):
         others = sum(gain[m] * p[m] for m in modes if m != n)
         out[n] = gain[n] * p[n] / (others + np.vdot(B[:, n], B[:, n]).real)
     return out
+
+
+def waterfill_loop(chi, power):
+    """Water-filling by a Python loop over k: the receivers' previous form, kept as reference.
+
+    mu is the candidate (power + sum of the k smallest 1/chi) / k of the
+    last k whose candidate exceeds the k-th smallest 1/chi; zero gains
+    take no power.  The arithmetic of each step is that of the stacked
+    :func:`wdmlink.receivers.waterfill`, so the two agree bit for bit.
+    """
+    chi = np.asarray(chi, dtype=float)
+    if chi.ndim != 1 or chi.size == 0:
+        raise ValueError("chi must be a nonempty vector")
+    if np.any(chi < 0.0) or not np.all(np.isfinite(chi)):
+        raise ValueError("gains must be finite and nonnegative")
+    if not power > 0.0:
+        raise ValueError(f"power budget must be positive, got {power}")
+    active = np.flatnonzero(chi > 0.0)
+    if active.size == 0:
+        raise ValueError("all channel gains are zero, nothing to allocate")
+    inv = 1.0 / chi[active]
+    inv_sorted = inv[np.argsort(inv, kind="stable")]
+    prefix = np.cumsum(inv_sorted)
+    mu, count = 0.0, 0
+    for k in range(1, inv_sorted.size + 1):
+        candidate = (power + prefix[k - 1]) / k
+        if candidate > inv_sorted[k - 1]:
+            mu, count = candidate, k
+    if count == 0:
+        raise ValueError(
+            f"water-filling found no active mode: power {power:g} + 1/chi "
+            f"rounds to 1/chi = {inv_sorted[0]:g}"
+        )
+    p = np.zeros_like(chi)
+    p[active] = np.maximum(0.0, mu - inv)
+    return p, mu

@@ -33,6 +33,7 @@ from wdmlink.em_field import (
 )
 from wdmlink.geometry import LinkGeometry, replace
 from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
+from wdmlink.numerical import evaluate_points
 from wdmlink.receivers import Scheme, spectral_efficiency
 
 from oracles import (
@@ -266,6 +267,22 @@ class TestAssembleH:
         peak = _traced_peak(cold_point, full_scale.geometry, full_scale.wdm)
         assert peak <= 1.0e6
 
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    def test_stack_of_orientations_peak_memory(self, request, profile):
+        # 20 orientations of one receive segment through a sweep's
+        # evaluation (noise factor, projection, stacks of H, whitening and
+        # receivers) stay within a cold point's bound: every stacked array
+        # holds at most _BLOCK_PAIRS entries (~0.79 MB desk, ~0.92 MB full)
+        prof = request.getfixturevalue(profile)
+        orientations = [
+            replace(prof.geometry, theta_s=0.05 * k, phi_s=0.3 * k) for k in range(20)
+        ]
+
+        def stack(geom, cfg):
+            return evaluate_points(cfg, [(0.0, oriented, "") for oriented in orientations])
+
+        assert _traced_peak(stack, prof.geometry, prof.wdm) <= 1.0e6
+
     def test_peak_memory_does_not_grow_with_receive_length(self, full_scale):
         # a 4x longer receive segment has 4x the receive nodes and is
         # sampled in 14 pieces, but the pieces are sampled one at a time, so
@@ -417,6 +434,26 @@ class TestReducedFieldH:
             oriented = replace(geom, theta_s=theta_s, phi_s=phi_s)
             reused = assemble_H(oriented, cfg.wdm, projection)
             assert np.array_equal(reused, assemble_H(oriented, cfg.wdm))
+
+    @pytest.mark.parametrize("profile", ["desk", "full_scale"])
+    def test_stack_gives_each_orientation_its_own_bits(self, request, profile):
+        # H and the whitened channel of a stack, with or without a passed
+        # projection, equal each orientation's own to the bit
+        cfg = request.getfixturevalue(profile)
+        geom = replace(cfg.geometry, d_z=0.4)
+        stack = [replace(geom, theta_s=t, phi_s=p) for t, p in [(0.3, 1.1), (1.2, 0.5), (2.5, 4.0)]]
+        L0 = noise_factor(geom, cfg.wdm)
+        projection = channel.ReceiveProjection(geom, cfg.wdm)
+        alone_H = np.array([assemble_H(oriented, cfg.wdm) for oriented in stack])
+        alone_white = np.array([white_channel(oriented, cfg.wdm, L0) for oriented in stack])
+        assert np.array_equal(assemble_H(stack, cfg.wdm), alone_H)
+        assert np.array_equal(assemble_H(stack, cfg.wdm, projection), alone_H)
+        assert np.array_equal(white_channel(stack, cfg.wdm, L0, projection), alone_white)
+
+    def test_stack_must_share_the_receive_segment(self, desk):
+        stack = [desk.geometry, replace(desk.geometry, theta_s=0.3), replace(desk.geometry, d_z=0.1)]
+        with pytest.raises(ValueError):
+            assemble_H(stack, desk.wdm)
 
     def test_projection_serves_only_its_receive_segment(self, desk):
         projection = channel.ReceiveProjection(desk.geometry, desk.wdm)

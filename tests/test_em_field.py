@@ -248,15 +248,42 @@ class TestToneFields:
         geom, wavelength, r_z = _tilted_receive_nodes(desk)
         s_nodes, _ = s_rule(geom, wavelength, SEVERAL_BLOCKS_SPEC)
         blocks = [
-            (rows, kern.copy())
-            for rows, kern in em_field._kernel_blocks(geom, wavelength, r_z, s_nodes)
+            (rows, members, kern.copy())
+            for rows, members, kern in em_field._kernel_blocks([geom], wavelength, r_z, s_nodes)
         ]
-        assert len(blocks) > 2 and blocks[-1][1].shape[0] < blocks[0][1].shape[0]
+        assert len(blocks) > 2 and blocks[-1][2].shape[1] < blocks[0][2].shape[1]
         assert blocks[-1][0].stop == r_z.size
         u = separation_grid(geom, r_z, s_nodes)
         expected = gz_kernel(u, geom.theta_s, geom.phi_s, wavelength)
-        for rows, kern in blocks:
-            assert np.array_equal(kern, expected[rows])
+        for rows, members, kern in blocks:
+            assert members == slice(0, 1)
+            assert np.array_equal(kern[0], expected[rows])
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_stacked_kernel_blocks_equal_one_orientation_bit_for_bit(self, desk, reduced):
+        # 30 receive nodes against the desk s-rule leave room for a few
+        # orientations per stack of at most _BLOCK_PAIRS entries: every
+        # stack stays within it, and each orientation's block is the one
+        # it gets alone
+        geom, wavelength, r_z = _tilted_receive_nodes(desk)
+        r_z = r_z[::53]
+        s_nodes, _ = s_rule(geom, wavelength, desk.wdm.quadrature)
+        geoms = [
+            replace(geom, theta_s=theta, phi_s=phi)
+            for theta, phi in [(0.0, 0.0), (0.3, 1.1), (1.2, 5.0), (2.9, 3.3), (0.7, 0.2)]
+        ]
+        alone = {}
+        for k, oriented in enumerate(geoms):
+            for rows, _, kern in em_field._kernel_blocks([oriented], wavelength, r_z, s_nodes, reduced):
+                alone[k, rows.start] = kern[0].copy()
+        seen, stacks = set(), []
+        for rows, members, kern in em_field._kernel_blocks(geoms, wavelength, r_z, s_nodes, reduced):
+            assert kern.size <= em_field._BLOCK_PAIRS and kern.flags.c_contiguous
+            stacks.append(kern.shape[0])
+            for k in range(members.start, members.stop):
+                assert np.array_equal(kern[k - members.start], alone[k, rows.start])
+                seen.add((k, rows.start))
+        assert seen == set(alone) and 1 < max(stacks) < len(geoms)
 
     def test_grid_within_one_block_matches_one_slab(self, desk):
         geom = replace(desk.geometry, theta_s=math.radians(12.0))
@@ -376,11 +403,38 @@ class TestNearFieldGuard:
 
     @pytest.mark.parametrize("profile, near_gap", NEAR_GAPS)
     def test_closest_separation_is_the_all_pairs_minimum(self, request, profile, near_gap):
+        # alone, and in stacks of the orientations of one receive segment
         cfg = request.getfixturevalue(profile)
-        for geom in self._geometries(cfg.geometry, cfg.wdm.wavelength, near_gap):
-            r_z, s_nodes = self._nodes(geom, cfg.wdm)
-            oracle = closest_separation_all_pairs(geom, r_z, s_nodes)
-            assert em_field._closest_separation(geom, r_z, s_nodes) == oracle
+        geoms = list(self._geometries(cfg.geometry, cfg.wdm.wavelength, near_gap))
+        for first in range(0, len(geoms), len(self.ORIENTATIONS)):
+            stack = geoms[first : first + len(self.ORIENTATIONS)]
+            r_z, s_nodes = self._nodes(stack[0], cfg.wdm)
+            oracles = [closest_separation_all_pairs(geom, r_z, s_nodes) for geom in stack]
+            for geom, oracle in zip(stack, oracles):
+                assert em_field._closest_separations([geom], r_z, s_nodes)[0] == oracle
+            assert em_field._closest_separations(stack, r_z, s_nodes).tolist() == oracles
+
+    @pytest.mark.parametrize("profile, near_gap", NEAR_GAPS)
+    def test_stack_warns_once_per_orientation_in_order(self, request, profile, near_gap):
+        # a stack of H warns for the orientations that warn alone, in order
+        cfg = request.getfixturevalue(profile)
+        geoms = list(self._geometries(cfg.geometry, cfg.wdm.wavelength, near_gap))
+        warned = 0
+        for first in range(0, len(geoms) - 1, len(self.ORIENTATIONS)):
+            stack = geoms[first : first + len(self.ORIENTATIONS)]
+            alone = []
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                for geom in stack:
+                    alone.append(assemble_H(geom, cfg.wdm))
+            with warnings.catch_warnings(record=True) as stacked:
+                warnings.simplefilter("always")
+                H = assemble_H(stack, cfg.wdm)
+            assert [str(w.message) for w in stacked] == [str(w.message) for w in record]
+            assert all(w.filename == __file__ for w in stacked)
+            assert np.array_equal(H, np.array(alone))
+            warned += 0 < len(record) < len(stack)
+        assert warned > 0  # some stacks mix the two verdicts
 
     @pytest.mark.parametrize("profile, near_gap", NEAR_GAPS)
     def test_assemble_H_warns_where_the_pairs_come_within_the_guard(
@@ -413,7 +467,7 @@ class TestNearFieldGuard:
     def test_no_pair_on_an_empty_grid(self, desk):
         geom, wavelength = desk.geometry, desk.wdm.wavelength
         s_nodes, _ = s_rule(geom, wavelength, desk.wdm.quadrature)
-        assert em_field._closest_separation(geom, np.array([]), s_nodes) == math.inf
+        assert em_field._closest_separations([geom], np.array([]), s_nodes).tolist() == [math.inf]
         m = ModeIndex.from_mode_number(11, 21, geom.L_s, wavelength)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

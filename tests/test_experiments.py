@@ -17,7 +17,7 @@ from wdmlink.cache import FORMAT_VERSION, channel_cache_key, channel_header
 from wdmlink.channel import load_matching_channel_set, noise_factor, white_channel
 from wdmlink.config import FieldSettings, total_power
 from wdmlink.experiments import SCHEME_ORDER, run_avg_sweep, run_sweep
-from wdmlink.geometry import replace
+from wdmlink.geometry import LinkGeometry, replace
 from wdmlink.numerical import run_channel_dump, run_field, run_pattern, run_selfcheck
 from wdmlink.receivers import spectral_efficiency
 
@@ -392,13 +392,14 @@ class TestRunSweep:
         assert float(tilt_cols["se_plain"][2]) < float(tilt_cols["se_plain"][0])
 
     def test_failed_point_flags_row_without_aborting(self, desk, tmp_path, monkeypatch):
+        # each d_z has its own receive segment, so each point is a stack of one
         cfg = small_sweep(desk, count=3)
         real = numerical.white_channel
 
-        def sabotaged(geom, wdm, L0, projection):
-            if geom.d_z == 1.0:
+        def sabotaged(geoms, wdm, L0, projection):
+            if any(geom.d_z == 1.0 for geom in geoms):
                 raise RuntimeError("synthetic failure")
-            return real(geom, wdm, L0, projection)
+            return real(geoms, wdm, L0, projection)
 
         monkeypatch.setattr(numerical, "white_channel", sabotaged)
         path = str(tmp_path / "sweep.csv")
@@ -414,6 +415,30 @@ class TestRunSweep:
             assert cols[col][1] == ""
             assert cols[col][0] != "" and cols[col][2] != ""
         assert cols["error"][1] == "RuntimeError: synthetic failure"
+
+    def test_failed_point_in_a_stack_flags_only_its_row(self, desk, tmp_path, monkeypatch):
+        # the five orientations share one receive segment and one stack; the
+        # stack raises, is evaluated again one point at a time, and only the
+        # point that fails on its own is flagged: its stack-mates keep the
+        # bits they get without the failure
+        cfg = small_sweep(desk, parameter="theta_s", start=0.0, stop=40.0, count=5)
+        clean = run_sweep(cfg, str(tmp_path / "clean.csv"))
+        real = numerical.white_channel
+        stacks = []
+
+        def sabotaged(geoms, wdm, L0, projection):
+            stacks.append([round(math.degrees(geom.theta_s)) for geom in geoms])
+            if any(round(math.degrees(geom.theta_s)) == 20 for geom in geoms):
+                raise RuntimeError("synthetic failure")
+            return real(geoms, wdm, L0, projection)
+
+        monkeypatch.setattr(numerical, "white_channel", sabotaged)
+        records = run_sweep(cfg, str(tmp_path / "sweep.csv"))
+        assert stacks == [[0, 10, 20, 30, 40], [0], [10], [20], [30], [40]]
+        assert [rec.error for rec in records] == ["", "", "RuntimeError: synthetic failure", "", ""]
+        assert all(math.isnan(se) for se in records[2][1:5])
+        for k in (0, 1, 3, 4):
+            assert [se.hex() for se in records[k][1:5]] == [se.hex() for se in clean[k][1:5]]
 
     def test_failed_noise_factor_flags_every_row(self, desk, tmp_path, monkeypatch):
         # an indefinite covariance fails the factor; each point tries it
@@ -450,17 +475,26 @@ class TestRunSweep:
 
 
 def _count_calls(monkeypatch):
-    """Count the calls of H, R, the noise factor and the receivers a sweep makes here."""
+    """Count what a sweep makes here: calls and "points".
+
+    The calls of H, R, the noise factor, the receive projection and the
+    receivers; H and the receivers run once per stack of points, and
+    "points" counts the geometries H evaluates over all stacks.
+    """
     calls = collections.Counter()
     for module, name in (
         (channel, "assemble_H"),
         (channel, "assemble_R"),
         (numerical, "noise_factor"),
+        (numerical, "ReceiveProjection"),
         (numerical, "spectral_efficiency"),
     ):
 
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "assemble_H":
+                geom = args[0]
+                calls["points"] += 1 if isinstance(geom, LinkGeometry) else len(geom)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -471,8 +505,22 @@ class TestNoiseFactorPerRun:
     def test_cold_serial_sweep_factors_once(self, desk, tmp_path, monkeypatch):
         calls = _count_calls(monkeypatch)
         run_sweep(small_sweep(desk, count=5), str(tmp_path / "sweep.csv"))
+        # each d_z is a receive segment of its own: five stacks of one
         assert calls == {
-            "assemble_H": 5, "assemble_R": 1, "noise_factor": 1, "spectral_efficiency": 20,
+            "assemble_H": 5, "points": 5, "assemble_R": 1, "noise_factor": 1,
+            "ReceiveProjection": 5, "spectral_efficiency": 5,
+        }
+
+    def test_orientations_of_one_segment_share_stacks(self, desk, tmp_path, monkeypatch):
+        # 41 orientations of one receive segment: one projection, and stacks
+        # of at most stack_size (18 on desk), each point evaluated once
+        cfg = small_sweep(desk, parameter="theta_s", start=0.0, stop=40.0, count=41)
+        assert channel.stack_size(cfg.wdm) == 18
+        calls = _count_calls(monkeypatch)
+        run_sweep(cfg, str(tmp_path / "sweep.csv"))
+        assert calls == {
+            "assemble_H": 3, "points": 41, "assemble_R": 1, "noise_factor": 1,
+            "ReceiveProjection": 1, "spectral_efficiency": 3,
         }
 
     def test_warm_sweep_assembles_nothing(self, desk, tmp_path, monkeypatch):
@@ -498,7 +546,8 @@ class TestNoiseFactorPerRun:
         calls = _count_calls(monkeypatch)
         run_sweep(cached, str(rerun))
         assert calls == {
-            "assemble_H": 2, "assemble_R": 1, "noise_factor": 1, "spectral_efficiency": 8,
+            "assemble_H": 2, "points": 2, "assemble_R": 1, "noise_factor": 1,
+            "ReceiveProjection": 2, "spectral_efficiency": 2,
         }
         assert rerun.read_bytes() == cold.read_bytes()
 
@@ -513,6 +562,80 @@ class TestNoiseFactorPerRun:
         run_sweep(replace(cfg, output=replace(cfg.output, workers=2)), str(pooled))
         assert calls == {}
         assert pooled.read_bytes() == serial.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Stacks of points that share a receive segment
+
+
+def _missed_points(monkeypatch, run, cfg, tmp_path):
+    """The (value, geometry, path) points a run hands to the numerical layer."""
+    points, real = [], experiments._compute
+
+    def capture(cfg, missed):
+        points.extend(missed)
+        return real(cfg, missed)
+
+    monkeypatch.setattr(experiments, "_compute", capture)
+    run(cfg, str(tmp_path / "run.csv"))
+    monkeypatch.setattr(experiments, "_compute", real)
+    return points
+
+
+def _hex_records(records):
+    return [(rec.value, *(se.hex() for se in rec[1:5]), rec.error) for rec in records]
+
+
+class TestStackInvariance:
+    """A point's four SE values do not depend on the stack it is evaluated in.
+
+    Each point is evaluated alone, in either strided half (as each of two
+    workers takes it) and in the whole list, and every SE value must have
+    the same bits.
+    """
+
+    @staticmethod
+    def _check(wdm, points):
+        whole = _hex_records(numerical.evaluate_points(wdm, points))
+        alone = [_hex_records(numerical.evaluate_points(wdm, [point]))[0] for point in points]
+        halves = [_hex_records(numerical.evaluate_points(wdm, points[i::2])) for i in (0, 1)]
+        assert whole == alone
+        assert halves[0] == whole[0::2] and halves[1] == whole[1::2]
+        assert all(rec[-1] == "" for rec in whole)
+
+    def test_averaged_desk_sweep(self, desk, tmp_path, monkeypatch):
+        # the shape of the benchmark's pooled desk workload: 3 d_x x 20
+        # orientations, stacks of 18 and 2 per d_x, or of 10 in each half
+        cfg = small_sweep(desk, parameter="d_x", start=5.0, stop=15.0, count=3,
+                          draws_per_phi=4, seed=17)
+        points = _missed_points(monkeypatch, run_avg_sweep, cfg, tmp_path)
+        assert len(points) == 60
+        self._check(desk.wdm, points)
+
+    def test_full_theta_sweep(self, full_scale, tmp_path, monkeypatch):
+        # 41 orientations of one full-scale receive segment, stacks of 4
+        cfg = small_sweep(full_scale, parameter="theta_s", start=0.0, stop=180.0, count=41)
+        points = _missed_points(monkeypatch, run_sweep, cfg, tmp_path)
+        assert len(points) == 41 and channel.stack_size(full_scale.wdm) == 4
+        self._check(full_scale.wdm, points)
+
+    @pytest.mark.filterwarnings("ignore::wdmlink.em_field.NearFieldWarning")
+    def test_near_source_desk_stack(self, desk):
+        # at d_x = 0.2 m and d_z = 0.4 the segment is sampled in three
+        # pieces, and on the first some orientations double their samples
+        # once and others do not (at d_x = 0.3 m no orientation of a
+        # 31 x 12 grid doubles, so 0.2 m is taken)
+        geom = replace(desk.geometry, d_x=0.2, d_z=0.4)
+        rng = np.random.default_rng(30)
+        geoms = [
+            replace(geom, theta_s=float(theta), phi_s=float(phi))
+            for theta, phi in zip(rng.uniform(0.0, math.pi, 24), rng.uniform(0.0, 2 * math.pi, 24))
+        ]
+        projection = channel.ReceiveProjection(geom, desk.wdm)
+        _, sizes, _ = channel._form_H(geoms, desk.wdm, projection, keep=False)
+        assert len(projection.pieces) > 1
+        assert len({tuple(size) for size in sizes}) > 1  # tails double at different counts
+        self._check(desk.wdm, [(0.0, oriented, "") for oriented in geoms])
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +718,23 @@ class TestRunAvgSweep:
             draws_per_phi=2, phi_set_deg=(0.0, 90.0), seed=5,
         )
         real = numerical.white_channel
-        failures = []
+        failures, stacks = [], []
 
-        def sabotaged(geom, wdm, L0, projection):
-            # both orientations at phi = 90 degrees fail at d_x = 3
-            if geom.d_x == 3.0 and geom.phi_s > 0.0:
-                failures.append(geom.theta_s)
+        def sabotaged(geoms, wdm, L0, projection):
+            # both orientations at phi = 90 degrees fail at d_x = 3: their
+            # stack of four, and then each of the two on its own
+            stacks.append(len(geoms))
+            if any(geom.d_x == 3.0 and geom.phi_s > 0.0 for geom in geoms):
+                if len(geoms) == 1:
+                    failures.append(geoms[0].theta_s)
                 raise RuntimeError(f"synthetic failure {len(failures)}")
-            return real(geom, wdm, L0, projection)
+            return real(geoms, wdm, L0, projection)
 
         monkeypatch.setattr(numerical, "white_channel", sabotaged)
         path = str(tmp_path / "avg.csv")
         svg = tmp_path / "avg.svg"
         records = run_avg_sweep(cfg, path, str(svg))
-        assert len(failures) == 2
+        assert len(failures) == 2 and stacks == [4, 4, 1, 1, 1, 1, 4]
         assert [rec.error for rec in records] == [
             "", "RuntimeError: synthetic failure 1", "",
         ]

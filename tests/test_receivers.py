@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdmlink.config import total_power
 from wdmlink.receivers import Scheme, scheme_gains, spectral_efficiency, waterfill
@@ -67,6 +70,93 @@ class TestWaterfill:
             waterfill(np.array([]), 1.0)
         with pytest.raises(ValueError, match=r"\+ 1/chi rounds to 1/chi"):
             waterfill(np.array([1e-18]), 1e-3)
+
+
+# gains from zero through tiny (1/chi up to 1e300, which sums without
+# overflow over 21 modes) to huge, rows of one to 21 modes
+_GAIN = st.one_of(st.just(0.0), st.floats(1e-300, 1e-200), st.floats(1e-12, 1e12))
+_POWER = st.one_of(st.just(1e12), st.floats(1e-6, 1e6))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestStackedWaterfill:
+    """One call over a (B, N) stack gives each row the bits of its own call."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        stack=st.integers(1, 21).flatmap(
+            lambda n: st.lists(st.lists(_GAIN, min_size=n, max_size=n), min_size=1, max_size=6)
+        ),
+        power=_POWER,
+    )
+    def test_rows_equal_their_own_calls_and_the_loop(self, stack, power):
+        chi = np.array(stack)
+        rows = []
+        for row in chi:
+            try:
+                rows.append(waterfill(row, power))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    oracles.waterfill_loop(row, power)
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    waterfill(chi, power)  # the first failing row's error
+                return
+            p_ref, mu_ref = oracles.waterfill_loop(row, power)
+            assert _bits(rows[-1][0]) == _bits(p_ref) and _bits(rows[-1][1]) == _bits(mu_ref)
+        p, mu = waterfill(chi, power)
+        assert p.shape == chi.shape and mu.shape == chi.shape[:1]
+        assert _bits(p) == _bits([r[0] for r in rows])
+        assert _bits(mu) == _bits([r[1] for r in rows])
+
+    def test_one_vector_keeps_its_types(self):
+        p, mu = waterfill(np.array([2.0, 1.0]), 1.0)
+        assert p.shape == (2,) and isinstance(mu, np.float64)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0.0, 0.0, 0.0], "all channel gains are zero, nothing to allocate"),
+            ([1.0, math.nan, 2.0], "gains must be finite and nonnegative"),
+            ([1.0, math.inf, 2.0], "gains must be finite and nonnegative"),
+            ([1.0, -1e-300, 2.0], "gains must be finite and nonnegative"),
+            ([1e-18, 0.0, 0.0], "water-filling found no active mode"),
+        ],
+    )
+    def test_failing_row_raises_its_own_error(self, bad, message):
+        good = [[1.0, 2.0, 3.0], [0.5, 0.0, 4.0]]
+        with pytest.raises(ValueError) as alone:
+            waterfill(np.array(bad), 1e-3)
+        assert str(alone.value).startswith(message)
+        for at in range(3):
+            stack = np.array(good[:at] + [bad] + good[at:])
+            with pytest.raises(ValueError) as stacked:
+                waterfill(stack, 1e-3)
+            assert str(stacked.value) == str(alone.value)
+        with pytest.raises(ValueError, match="power budget must be positive"):
+            waterfill(np.array(good), 0.0)
+
+
+class TestStackedSpectralEfficiency:
+    """A stack of channels and several schemes in one call, bit for bit as one at a time."""
+
+    def test_stack_and_scheme_tuple_equal_single_calls(self, rng):
+        for n, power in ((21, 1e3), (5, 1e12), (3, 0.5)):
+            H = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+            H[2, :, 1] = 0.0  # a zero column: MR's G_nn = 0 gets no power
+            results = spectral_efficiency(tuple(Scheme), H, power)
+            assert [r.scheme for r in results] == list(Scheme)
+            for result in results:
+                assert result.se_total.shape == (7,)
+                for k in range(7):
+                    alone = spectral_efficiency(result.scheme, H[k], power)
+                    assert isinstance(alone.se_total, float)
+                    assert _bits(result.se_total[k]) == _bits(alone.se_total)
+                    for field in ("p", "mu", "sinr"):
+                        got = getattr(result, field)[k]
+                        assert _bits(got) == _bits(getattr(alone, field)), (result.scheme, field)
 
 
 class TestSchemeMatrices:
