@@ -357,9 +357,9 @@ def _direct_H(geom: LinkGeometry, cfg: WdmConfig, projection: ReceiveProjection)
     sum over the s-nodes, which meets the weighted transmit tones once.
     """
     rx_cycles = -projection.kappas / (2.0 * math.pi)
-    rx_kern = np.zeros((cfg.n_modes, projection.s_rule[0].size), dtype=complex)
-    blocks = em_field._kernel_blocks([geom], cfg.wavelength, projection.nodes, projection.s_rule[0])
-    for rows, _, kern in blocks:
+    s_nodes = projection.s_rule[0]
+    rx_kern = np.zeros((cfg.n_modes, s_nodes.size), dtype=complex)
+    for rows, _, kern in em_field._kernel_blocks([geom], cfg.wavelength, projection.nodes, s_nodes):
         r = projection.nodes[rows]
         # the block's weighted conjugate receive tones, exp(-j kappa_n r_z) w_r
         rx = np.empty((cfg.n_modes, r.size), dtype=complex)

@@ -37,10 +37,10 @@ One private generator, ``_kernel_blocks``, evaluates it on bounded
 blocks of receive nodes against the transmit-segment nodes, for a stack
 of orientations at once, in place into three arrays reused for every
 block (``_gz_into``, which ``gz_kernel`` calls too), so the
-transmit-field integral has one implementation.  It also gives the reduced kernel gz(u) exp(-j kappa
-rho), rho = ||r|| the distance from the source centre, whose phase
-kappa (||u|| - rho) it forms from ||u||^2 - rho^2 = s^2 - 2 s s_hat . r
-without cancellation.  ``tone_fields`` (behind
+transmit-field integral has one implementation.  It also gives the
+reduced kernel gz(u) exp(-j kappa rho), rho = ||r|| the distance from
+the source centre, whose phase kappa (||u|| - rho) it forms from
+||u||^2 - rho^2 = s^2 - 2 s s_hat . r without cancellation.  ``tone_fields`` (behind
 ``received_field_profile``) contracts each block with the weighted
 transmit tones (below); the coupling matrix H of :mod:`wdmlink.channel`
 does the same with the reduced kernel at a few Chebyshev points of each
@@ -524,8 +524,7 @@ def _kernel_blocks(
             members = slice(first, min(first + stack, len(geoms)))
             shape = (members.stop - first, rows.stop - start, s_nodes.size)
             size = math.prod(shape)
-            block_uz, block_dist2 = uz[:size].reshape(shape), dist2[:size].reshape(shape)
-            block = kern[:size].reshape(shape)
+            block_uz, block_dist2, block = (b[:size].reshape(shape) for b in (uz, dist2, kern))
             np.subtract(r_z[rows, None], s_z[members], out=block_uz)
             centre = None
             if reduced:
@@ -538,9 +537,9 @@ def _kernel_blocks(
 def _closest_separations(
     geoms: Sequence[LinkGeometry], r_z: np.ndarray, s_nodes: np.ndarray
 ) -> np.ndarray:
-    """Smallest ||r - s s_hat|| over the node pairs r_z x s_nodes of each geometry, r = (d_x, 0, r_z).
+    """Smallest ||r - s s_hat|| of each geometry over the node pairs r_z x s_nodes.
 
-    ``geoms`` differ at most in orientation, and ``r_z`` is ascending.
+    r = (d_x, 0, r_z), and ``geoms`` differ at most in orientation, and ``r_z`` is ascending.
     For each s-node the lateral part of ||u||^2 is fixed, so the closest
     receive node is one of the two that bracket s s_hat_z in r_z
     (``searchsorted``): O(S log R) instead of all R S pairs, for every

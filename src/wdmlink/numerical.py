@@ -68,21 +68,20 @@ def evaluate_points(wdm: WdmConfig, points: Sequence[Point]) -> List[SweepRecord
     power, L0, projection, records = total_power(wdm), None, None, []
     limit, start = stack_size(wdm), 0
     while start < len(points):
-        value, geom, _ = points[start]
+        geom = points[start][1]
         try:
             # a failed factor flags this point, and the next one tries again
             L0 = noise_factor(geom, wdm) if L0 is None else L0
             if projection is None or not projection.serves(geom, wdm):
                 projection = ReceiveProjection(geom, wdm)
         except Exception as exc:  # flagged row per grid point, file stays complete
-            records.append(SweepRecord(value, *[math.nan] * 4, error=_message(exc)))
-            start += 1
-            continue
-        stop = start + 1
-        while stop < min(start + limit, len(points)) and projection.serves(points[stop][1], wdm):
-            stop += 1
-        stack = points[start:stop]
-        outcomes = _stack_se(wdm, [point[1] for point in stack], L0, projection, power)
+            stack, outcomes = points[start : start + 1], [_message(exc)]
+        else:
+            stop, end = start + 1, min(start + limit, len(points))
+            while stop < end and projection.serves(points[stop][1], wdm):
+                stop += 1
+            stack = points[start:stop]
+            outcomes = _stack_se(wdm, [point[1] for point in stack], L0, projection, power)
         for (value, geom, path), se in zip(stack, outcomes):
             if isinstance(se, str):
                 records.append(SweepRecord(value, *[math.nan] * 4, error=se))
@@ -90,7 +89,7 @@ def evaluate_points(wdm: WdmConfig, points: Sequence[Point]) -> List[SweepRecord
             if path:
                 save_channel_set(path, geom, wdm, se)
             records.append(SweepRecord(value, *se))
-        start = stop
+        start += len(stack)
     return records
 
 

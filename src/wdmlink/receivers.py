@@ -49,7 +49,9 @@ __all__ = [
 
 
 class SchemeResult(NamedTuple):
-    """Outcome of one architecture on one channel.
+    """Outcome of one architecture on one channel, or on a stack of them.
+
+    For a stack every field but ``scheme`` has the stack's leading axes.
 
     Attributes:
         scheme: Architecture evaluated.
@@ -138,11 +140,15 @@ def _statistic(
         cross = np.abs(H_tilde) ** 2
         return cross.diagonal(axis1=-2, axis2=-1).copy(), cross
     if kind in (Scheme.MMSE, Scheme.MR):
-        if gram is None:
-            gram = H_tilde.conj().swapaxes(-1, -2) @ H_tilde
+        gram = _gram(H_tilde) if gram is None else gram
         chi = gram.diagonal(axis1=-2, axis2=-1).real.copy()
         return chi, gram if kind is Scheme.MMSE else np.abs(gram) ** 2
     raise ValueError(f"unknown scheme {kind!r}")
+
+
+def _gram(H_tilde: np.ndarray) -> np.ndarray:
+    """G = H_tilde^H H_tilde of each matrix (numpy's per-matrix product)."""
+    return H_tilde.conj().swapaxes(-1, -2) @ H_tilde
 
 
 def scheme_gains(kind: Scheme, H_tilde: np.ndarray) -> np.ndarray:
@@ -174,9 +180,7 @@ def spectral_efficiency(
     """
     kinds = (kind,) if isinstance(kind, Scheme) else tuple(kind)
     H_tilde = np.asarray(H_tilde)
-    gram = None
-    if Scheme.MMSE in kinds and Scheme.MR in kinds:
-        gram = H_tilde.conj().swapaxes(-1, -2) @ H_tilde
+    gram = _gram(H_tilde) if Scheme.MMSE in kinds and Scheme.MR in kinds else None
     results = tuple(_evaluate(k, H_tilde, power, gram) for k in kinds)
     return results[0] if isinstance(kind, Scheme) else results
 

@@ -441,7 +441,8 @@ class TestReducedFieldH:
         # projection, equal each orientation's own to the bit
         cfg = request.getfixturevalue(profile)
         geom = replace(cfg.geometry, d_z=0.4)
-        stack = [replace(geom, theta_s=t, phi_s=p) for t, p in [(0.3, 1.1), (1.2, 0.5), (2.5, 4.0)]]
+        orientations = [(0.3, 1.1), (1.2, 0.5), (2.5, 4.0)]
+        stack = [replace(geom, theta_s=t, phi_s=p) for t, p in orientations]
         L0 = noise_factor(geom, cfg.wdm)
         projection = channel.ReceiveProjection(geom, cfg.wdm)
         alone_H = np.array([assemble_H(oriented, cfg.wdm) for oriented in stack])
@@ -451,7 +452,8 @@ class TestReducedFieldH:
         assert np.array_equal(white_channel(stack, cfg.wdm, L0, projection), alone_white)
 
     def test_stack_must_share_the_receive_segment(self, desk):
-        stack = [desk.geometry, replace(desk.geometry, theta_s=0.3), replace(desk.geometry, d_z=0.1)]
+        geom = desk.geometry
+        stack = [geom, replace(geom, theta_s=0.3), replace(geom, d_z=0.1)]
         with pytest.raises(ValueError):
             assemble_H(stack, desk.wdm)
 

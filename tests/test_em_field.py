@@ -274,10 +274,12 @@ class TestToneFields:
         ]
         alone = {}
         for k, oriented in enumerate(geoms):
-            for rows, _, kern in em_field._kernel_blocks([oriented], wavelength, r_z, s_nodes, reduced):
+            blocks = em_field._kernel_blocks([oriented], wavelength, r_z, s_nodes, reduced)
+            for rows, _, kern in blocks:
                 alone[k, rows.start] = kern[0].copy()
         seen, stacks = set(), []
-        for rows, members, kern in em_field._kernel_blocks(geoms, wavelength, r_z, s_nodes, reduced):
+        blocks = em_field._kernel_blocks(geoms, wavelength, r_z, s_nodes, reduced)
+        for rows, members, kern in blocks:
             assert kern.size <= em_field._BLOCK_PAIRS and kern.flags.c_contiguous
             stacks.append(kern.shape[0])
             for k in range(members.start, members.stop):

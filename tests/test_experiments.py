@@ -435,7 +435,8 @@ class TestRunSweep:
         monkeypatch.setattr(numerical, "white_channel", sabotaged)
         records = run_sweep(cfg, str(tmp_path / "sweep.csv"))
         assert stacks == [[0, 10, 20, 30, 40], [0], [10], [20], [30], [40]]
-        assert [rec.error for rec in records] == ["", "", "RuntimeError: synthetic failure", "", ""]
+        failed = "RuntimeError: synthetic failure"
+        assert [rec.error for rec in records] == ["", "", failed, "", ""]
         assert all(math.isnan(se) for se in records[2][1:5])
         for k in (0, 1, 3, 4):
             assert [se.hex() for se in records[k][1:5]] == [se.hex() for se in clean[k][1:5]]
