@@ -375,11 +375,8 @@ def _form_H(
     """H = sum_i M_i G_i of each orientation, the sample counts of its pieces and its largest tail.
 
     Returns the (len(geoms), N, N) stack, one list of per-piece sample
-    counts per orientation and their largest tails.  Each orientation is
-    guarded in turn, and each product M_i G_i is a matrix of its own in
-    a stack (numpy's per-matrix loop, not one fused product), so an
-    orientation's H does not depend on the others in the stack.  Pieces
-    are sampled one at a time, so only one stack of samples and, without
+    counts per orientation and their largest tails.  Pieces are sampled
+    one at a time, so only one stack of samples and, without
     ``keep``, one block of M are held at once: at full scale a 12 m
     receive segment peaks within ~0.12 MB of a 3 m one.
     """
@@ -423,8 +420,7 @@ def assemble_H(
 
     Args:
         geom: One geometry, or a nonempty sequence of geometries that
-            differ only in orientation, evaluated as one stack; each
-            matrix of the stack has the bits of its geometry's own H.
+            differ only in orientation, evaluated as one stack.
         projection: The receive segment's projection, built here if not
             given; a sweep passes one for all orientations of a segment.
 
@@ -593,10 +589,8 @@ def white_channel(
 
     The factor at d_z is D^H L0 D, so this is D times whiten's L^{-1} H,
     and no receiver's SE sees a unit diagonal on the left.  ``geom`` and
-    ``projection`` go to :func:`assemble_H`; for a sequence of geometries,
-    which share d_z, the result is a stack, and each matrix of it is
-    solved on its own (numpy's per-matrix loop), with the bits of its
-    geometry's own whitened channel.
+    ``projection`` go to :func:`assemble_H`, and a sequence of geometries
+    gives a stack.
     """
     H = assemble_H(geom, cfg, projection)
     first = geom if isinstance(geom, LinkGeometry) else geom[0]

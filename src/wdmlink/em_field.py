@@ -444,12 +444,10 @@ def _tone_sums(
 ) -> np.ndarray:
     """Each kernel block of :func:`_kernel_blocks` times ``weighted_tones``.
 
-    The (len(geoms), len(r_z), tones) sums over the s-nodes, one matrix
-    per orientation, written block by block; with ``reduced``, of the
-    reduced kernel.  Each product is a matrix of the same receive rows
-    whatever the number of orientations (numpy's per-matrix loop over
-    the stack, not one fused product), so an orientation's sums do not
-    depend on the others in the stack.
+    The (len(geoms), len(r_z), tones) sums over the s-nodes, written
+    block by block; with ``reduced``, of the reduced kernel.  Each
+    orientation's block is a product of its own (numpy's per-matrix loop
+    over a stack), so its sums do not depend on the rest of the stack.
     """
     out = np.empty((len(geoms), r_z.size, weighted_tones.shape[1]), dtype=complex)
     for rows, members, kern in _kernel_blocks(geoms, wavelength, r_z, s_nodes, reduced):

@@ -164,10 +164,7 @@ def spectral_efficiency(
     """Water-fill one architecture, or several, and evaluate the sum rate.
 
     The gains chi never depend on p, so the allocation is computed first
-    and the SINR (for MMSE p-dependent) afterwards.  Every step runs on
-    the whole stack at once, each matrix in numpy's per-matrix loops
-    (stacked ``linalg`` and ``matmul``), so each channel's result has the
-    bits of its own call.
+    and the SINR (for MMSE p-dependent) afterwards.
 
     Args:
         kind: Architecture, or a sequence of them, which share the Gram
