@@ -40,14 +40,15 @@ block (``_gz_into``, which ``gz_kernel`` calls too), so the
 transmit-field integral has one implementation.  It also gives the
 reduced kernel gz(u) exp(-j kappa rho), rho = ||r|| the distance from
 the source centre, whose phase kappa (||u|| - rho) it forms from
-||u||^2 - rho^2 = s^2 - 2 s s_hat . r without cancellation.  ``tone_fields`` (behind
-``received_field_profile``) contracts each block with the weighted
-transmit tones (below); the coupling matrix H of :mod:`wdmlink.channel`
-does the same with the reduced kernel at a few Chebyshev points of each
-piece of the receive segment, and its reference, the direct sum over
-every node pair, contracts each block of receive nodes with its receive
-tones and the transmit tones once at the end, so none holds an array
-over the whole receive segment beyond its nodes.
+||u||^2 - rho^2 = s^2 - 2 s s_hat . r without cancellation.
+``tone_fields`` (behind ``received_field_profile``) contracts each block
+with the weighted transmit tones (below); the coupling matrix H of
+:mod:`wdmlink.channel` does the same with the reduced kernel at a few
+Chebyshev points of each piece of the receive segment, and its
+reference, the direct sum over every node pair, contracts each block of
+receive nodes with its receive tones and the transmit tones once at the
+end, so none holds an array over the whole receive segment beyond its
+nodes.
 
 The approximation degrades below roughly ten wavelengths of separation;
 operations that evaluate it warn (``NearFieldWarning``) instead of
@@ -537,14 +538,15 @@ def _closest_separations(
 ) -> np.ndarray:
     """Smallest ||r - s s_hat|| of each geometry over the node pairs r_z x s_nodes.
 
-    r = (d_x, 0, r_z), and ``geoms`` differ at most in orientation, and ``r_z`` is ascending.
-    For each s-node the lateral part of ||u||^2 is fixed, so the closest
-    receive node is one of the two that bracket s s_hat_z in r_z
-    (``searchsorted``): O(S log R) instead of all R S pairs, for every
-    orientation at once.  ||u||^2 is formed as :func:`_gz_into` forms it,
-    and rounding is monotone, so each result equals the all-pairs minimum
-    bit for bit.  With no receive node there is no pair, and the results
-    are inf; a receive node on a transmit node gives 0.
+    r = (d_x, 0, r_z); ``geoms`` differ at most in orientation, and
+    ``r_z`` is ascending.  For each s-node the lateral part of ||u||^2 is
+    fixed, so the closest receive node is one of the two that bracket
+    s s_hat_z in r_z (``searchsorted``): O(S log R) instead of all R S
+    pairs, for every orientation at once.  ||u||^2 is formed as
+    :func:`_gz_into` forms it, and rounding is monotone, so each result
+    equals the all-pairs minimum bit for bit.  With no receive node there
+    is no pair, and the results are inf; a receive node on a transmit
+    node gives 0.
     """
     if r_z.size == 0:
         return np.full(len(geoms), math.inf)
