@@ -238,12 +238,13 @@ class ReceiveProjection:
     the receive tones.  None of it depends on the source orientation, and
     neither do the weighted transmit tones ``tx_tones`` that G_i is summed
     against, so a projection serves every orientation of one receive
-    segment.
+    segment: every geometry whose first four fields equal those of
+    ``geom``, the one it was built for, with the same ``cfg``.
     """
 
     def __init__(self, geom: LinkGeometry, cfg: WdmConfig) -> None:
         _validate_mode_count(geom, cfg)
-        self._key = (replace(geom, theta_s=0.0, phi_s=0.0), cfg)
+        self.geom, self.cfg = geom, cfg
         self.kappas = _mode_frequencies(cfg, geom)
         half = geom.L_r / 2.0
         self.nodes, self.weights = composite_gauss_nodes(
@@ -254,15 +255,11 @@ class ReceiveProjection:
         self.pieces = _pieces(geom, cfg.wavelength, self.nodes, self.s_rule[0].size)
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
 
-    def serves(self, geom: LinkGeometry, cfg: WdmConfig) -> bool:
-        """Whether the geometry differs from this one's at most in orientation."""
-        return self._key == (replace(geom, theta_s=0.0, phi_s=0.0), cfg)
-
     def block(self, i: int, n: int, keep: bool) -> np.ndarray:
         """M_i^T for n samples, over blocks of at most _BLOCK_PAIRS entries; kept if ``keep``."""
         if (i, n) in self._blocks:
             return self._blocks[i, n]
-        geom, cfg = self._key
+        geom, cfg = self.geom, self.cfg
         piece = self.pieces[i]
         angles, points = _chebyshev_points(piece.centre, piece.half, n)
         bary = np.sin(angles)
@@ -441,7 +438,8 @@ def assemble_H(
     keep = projection is not None  # a projection built here serves this H alone
     if not keep:
         projection = ReceiveProjection(geoms[0], cfg)
-    if not all(projection.serves(g, cfg) for g in geoms):
+    # g[:4] is (L_s, L_r, d_x, d_z), the fields of the receive segment
+    if projection.cfg != cfg or any(g[:4] != projection.geom[:4] for g in geoms):
         raise ValueError("the projection was built for another receive segment or config")
     H = _form_H(geoms, cfg, projection, keep)[0]
     return H[0] if single else H

@@ -11,6 +11,7 @@ line when one of those four commands runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -58,38 +59,37 @@ def evaluate_points(wdm: WdmConfig, points: Sequence[Point]) -> List[SweepRecord
     Each point's four SE values are stored at its path unless that is
     empty; a failed write raises its OSError, an i/o failure of the run
     rather than of the point.  The points differ only in d_x, d_z and
-    orientation, so one noise factor, built at the first point, whitens
-    them all, and one receive projection serves a run of points with the
-    same d_x and d_z, rebuilt where either changes.  Such a run is
-    evaluated in stacks of up to :func:`wdmlink.channel.stack_size`
-    points (:func:`_stack_se`), and each point's values have the same
-    bits whatever stack it is in.
+    orientation, so one noise factor, built at the first run, whitens
+    them all.  A run of consecutive points with the same receive segment
+    shares one receive projection and is evaluated in stacks of up to
+    :func:`wdmlink.channel.stack_size` points (:func:`_stack_se`), and
+    each point's values have the same bits whatever stack it is in.  A
+    failed factor or projection flags every point of its run.
     """
-    power, L0, projection, records = total_power(wdm), None, None, []
-    limit, start = stack_size(wdm), 0
-    while start < len(points):
-        geom = points[start][1]
+    power, limit, L0, records = total_power(wdm), stack_size(wdm), None, []
+    # geom[:4] is (L_s, L_r, d_x, d_z), the fields of the receive segment
+    for _, group in itertools.groupby(points, key=lambda point: point[1][:4]):
+        run = list(group)
+        geoms = [point[1] for point in run]
         try:
-            # a failed factor flags this point, and the next one tries again
-            L0 = noise_factor(geom, wdm) if L0 is None else L0
-            if projection is None or not projection.serves(geom, wdm):
-                projection = ReceiveProjection(geom, wdm)
+            # a failed factor flags this run, and the next run tries again
+            L0 = noise_factor(geoms[0], wdm) if L0 is None else L0
+            projection = ReceiveProjection(geoms[0], wdm)
         except Exception as exc:  # flagged row per grid point, file stays complete
-            stack, outcomes = points[start : start + 1], [_message(exc)]
+            outcomes = [_message(exc)] * len(run)
         else:
-            stop, end = start + 1, min(start + limit, len(points))
-            while stop < end and projection.serves(points[stop][1], wdm):
-                stop += 1
-            stack = points[start:stop]
-            outcomes = _stack_se(wdm, [point[1] for point in stack], L0, projection, power)
-        for (value, geom, path), se in zip(stack, outcomes):
+            outcomes = [
+                se
+                for start in range(0, len(geoms), limit)
+                for se in _stack_se(wdm, geoms[start : start + limit], L0, projection, power)
+            ]
+        for (value, geom, path), se in zip(run, outcomes):
             if isinstance(se, str):
                 records.append(SweepRecord(value, *[math.nan] * 4, error=se))
                 continue
             if path:
                 save_channel_set(path, geom, wdm, se)
             records.append(SweepRecord(value, *se))
-        start += len(stack)
     return records
 
 

@@ -43,7 +43,6 @@ from .config import Scheme
 __all__ = [
     "SchemeResult",
     "waterfill",
-    "scheme_gains",
     "spectral_efficiency",
 ]
 
@@ -151,11 +150,6 @@ def _statistic(
 def _gram(H_tilde: np.ndarray) -> np.ndarray:
     """G = H_tilde^H H_tilde of each matrix (numpy's per-matrix product)."""
     return H_tilde.conj().swapaxes(-1, -2) @ H_tilde
-
-
-def scheme_gains(kind: Scheme, H_tilde: np.ndarray) -> np.ndarray:
-    """Water-filling gains chi_n of one architecture (see module docs)."""
-    return _statistic(kind, H_tilde)[0]
 
 
 def spectral_efficiency(

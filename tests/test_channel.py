@@ -458,13 +458,23 @@ class TestReducedFieldH:
             assemble_H(stack, desk.wdm)
 
     def test_projection_serves_only_its_receive_segment(self, desk):
-        projection = channel.ReceiveProjection(desk.geometry, desk.wdm)
-        assert projection.serves(replace(desk.geometry, theta_s=0.7, phi_s=2.0), desk.wdm)
-        for other in (replace(desk.geometry, d_x=3.0), replace(desk.geometry, d_z=0.1)):
-            assert not projection.serves(other, desk.wdm)
-            with pytest.raises(ValueError):
+        # a projection serves every orientation of the segment it was built
+        # for; any other segment length, offset or config is rejected
+        geom = desk.geometry
+        projection = channel.ReceiveProjection(geom, desk.wdm)
+        oriented = replace(geom, theta_s=0.7, phi_s=2.0)
+        assert np.array_equal(
+            assemble_H(oriented, desk.wdm, projection), assemble_H(oriented, desk.wdm)
+        )
+        others = [
+            replace(geom, **{field: value})
+            for field, value in (("d_x", 3.0), ("d_z", 0.1), ("L_r", 0.5), ("L_s", 0.3))
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="another receive segment"):
                 assemble_H(other, desk.wdm, projection)
-        assert not projection.serves(desk.geometry, replace(desk.wdm, n_modes=5))
+        with pytest.raises(ValueError, match="another receive segment"):
+            assemble_H(geom, replace(desk.wdm, n_modes=5), projection)
 
     def test_interpolation_is_exact_on_the_points(self):
         # barycentric weights of first-kind Chebyshev points; at a point the

@@ -6,6 +6,7 @@ import os
 import re
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wdmlink import channel
 from wdmlink.cache import FORMAT_VERSION, channel_cache_key, channel_header
 from wdmlink.channel import load_matching_channel_set, noise_factor, white_channel
 from wdmlink.config import FieldSettings, total_power
+from wdmlink.em_field import NearFieldWarning
 from wdmlink.experiments import SCHEME_ORDER, run_avg_sweep, run_sweep
 from wdmlink.geometry import LinkGeometry, replace
 from wdmlink.numerical import run_channel_dump, run_field, run_pattern, run_selfcheck
@@ -591,8 +593,9 @@ class TestStackInvariance:
     """A point's four SE values do not depend on the stack it is evaluated in.
 
     Each point is evaluated alone, in either strided half (as each of two
-    workers takes it) and in the whole list, and every SE value must have
-    the same bits.
+    workers takes it), in either contiguous half, cut one point past the
+    middle so that the second starts inside a run of one receive segment,
+    and in the whole list, and every SE value must have the same bits.
     """
 
     @staticmethod
@@ -600,8 +603,14 @@ class TestStackInvariance:
         whole = _hex_records(numerical.evaluate_points(wdm, points))
         alone = [_hex_records(numerical.evaluate_points(wdm, [point]))[0] for point in points]
         halves = [_hex_records(numerical.evaluate_points(wdm, points[i::2])) for i in (0, 1)]
+        cut = len(points) // 2 + 1
+        first, second = (
+            _hex_records(numerical.evaluate_points(wdm, part))
+            for part in (points[:cut], points[cut:])
+        )
         assert whole == alone
         assert halves[0] == whole[0::2] and halves[1] == whole[1::2]
+        assert first + second == whole
         assert all(rec[-1] == "" for rec in whole)
 
     def test_averaged_desk_sweep(self, desk, tmp_path, monkeypatch):
@@ -637,6 +646,20 @@ class TestStackInvariance:
         assert len(projection.pieces) > 1
         assert len({tuple(size) for size in sizes}) > 1  # tails double at different counts
         self._check(desk.wdm, [(0.0, oriented, "") for oriented in geoms])
+
+
+def test_near_source_sweep_shows_each_warning_once(desk, tmp_path):
+    # under the default filter a NearFieldWarning repeated with the same
+    # text from the same line is shown once: 41 orientations at d_x =
+    # 0.25 m show 13 distinct ones, whatever stacks they are evaluated in
+    near = replace(desk, geometry=replace(desk.geometry, d_x=0.25))
+    cfg = small_sweep(near, parameter="theta_s", start=0.0, stop=180.0, count=41)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default", NearFieldWarning)
+        run_sweep(cfg, str(tmp_path / "sweep.csv"))
+    assert all(w.category is NearFieldWarning for w in caught)
+    messages = [str(w.message) for w in caught]
+    assert len(set(messages)) == len(messages) == 13
 
 
 # ---------------------------------------------------------------------------
