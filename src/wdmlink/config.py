@@ -128,8 +128,8 @@ class WdmConfig(
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
         if not (self.source_power >= 0.0 and math.isfinite(self.source_power)):
             raise ValueError(f"source_power must be nonnegative, got {self.source_power}")
-        if self.sigma2_emi < 0.0 or self.sigma2_hdw < 0.0:
-            raise ValueError("noise variances must be nonnegative")
+        if not (0.0 <= self.sigma2_emi < math.inf and 0.0 <= self.sigma2_hdw < math.inf):
+            raise ValueError("noise variances must be finite and nonnegative")
         if self.sigma2_emi == 0.0 and self.sigma2_hdw == 0.0:
             raise ValueError("at least one noise variance must be positive")
         return self
@@ -154,6 +154,9 @@ def emi_variance(power: float, snr_db: float) -> float:
     """Interference variance giving the ratio power/sigma2_emi in dB."""
     if not power > 0.0:
         raise ValueError(f"power must be positive, got {power}")
+    # within 3080 dB the ratio 10^(snr_db / 10) neither over- nor underflows
+    if not abs(snr_db) <= 3080.0:
+        raise ValueError(f"snr_emi_db must be finite and within 3080 dB of 0, got {snr_db}")
     return power / 10.0 ** (snr_db / 10.0)
 
 
@@ -460,7 +463,8 @@ def read_config_entries(path: str) -> List[Tuple[str, str, str]]:
     """(section, key, raw string) entries of a config file in file order; ValueError if not INI."""
     import configparser  # ~3 ms with its regex compiles, so only --config pays
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read raw: a "%" is a character, not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     # keys like L_s are case sensitive; the default folds them to lower case
     parser.optionxform = str
     try:

@@ -17,17 +17,15 @@ spectral efficiencies are stored under a checksum of its header
 (:mod:`wdmlink.cache`), and the engine first looks every point up there.
 This module, the cache and the CSV and SVG writers need no numpy, so a
 run whose every point is found never loads it.  Only a point not found
-imports :mod:`wdmlink.numerical`, and with it numpy, which assembles,
-whitens and evaluates it and stores the entry; an entry that cannot be
-read, does not match or holds no four SE values is recomputed and
-rewritten.  The points not found are independent and share one noise
-factor (:func:`wdmlink.channel.noise_factor`), so with ``[output]
-workers`` above 1 they are split into strided slices, one per forked
-child, each factoring once and sending its records back over a pipe.
-The children are forked after the import, so they inherit numpy, and
-the parent only waits for them.  Where ``os.fork`` does not exist
-(Windows) the run is serial.  Rows are emitted in grid order regardless
-of worker count.
+(or whose entry is unreadable, mismatched or short) imports
+:mod:`wdmlink.numerical`, and with it numpy, which maps the geometries
+of those points to their SE values.  They are independent and share one
+noise factor, so with ``[output] workers`` above 1 they are split into
+strided slices, one per forked child (forked after the import, so it
+inherits numpy), each factoring once and sending its SE values back over
+a pipe; where ``os.fork`` does not exist (Windows) the run is serial.
+The parent then stores every computed entry and builds every record, in
+grid order: no other module reads or writes the cache.
 """
 
 from __future__ import annotations
@@ -37,9 +35,9 @@ import functools
 import math
 import operator
 import os
-from typing import BinaryIO, Callable, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, List, NamedTuple, NoReturn, Optional, Sequence, Tuple, Union
 
-from .cache import FORMAT_VERSION, channel_cache_key, load_matching_channel_set
+from .cache import FORMAT_VERSION, channel_cache_key, load_matching_channel_set, save_channel_set
 from .config import RunConfig, Scheme, WdmConfig
 from .geometry import LinkGeometry, replace
 from .svgplot import line_plot_svg, write_svg
@@ -89,51 +87,45 @@ class AvgSweepRecord(NamedTuple):
     error: str = ""
 
 
-# One point of a sweep: its grid value, its geometry and the path of its
-# cache entry ("" without a cache).
-Point = Tuple[float, LinkGeometry, str]
-
-
-def _cached_record(point: Point, wdm: WdmConfig) -> Optional[SweepRecord]:
-    """The point's record from its cache entry, or None to compute and store it."""
-    value, geom, path = point
+def _cached_se(path: str, geom: LinkGeometry, wdm: WdmConfig) -> Optional[Tuple[float, ...]]:
+    """The point's four SE values from its cache entry, or None to compute and store them."""
     if not path:
         return None
     try:
-        return SweepRecord(value, *load_matching_channel_set(path, geom, wdm))
+        return load_matching_channel_set(path, geom, wdm)
     except (ValueError, OSError):
         return None  # missing, mismatched or unusable entry
 
 
-def _compute(cfg: RunConfig, points: Sequence[Point]) -> List[SweepRecord]:
-    """Records of points not found in the cache, computed in grid order."""
+def _compute(cfg: RunConfig, geoms: Sequence[LinkGeometry]) -> List[Union[List[float], str]]:
+    """SE values or failure messages of the points not found in the cache, in grid order."""
     from . import numerical  # numpy loads here, in the parent, before any child forks
 
-    if cfg.output.cache_dir:
-        os.makedirs(os.path.join(cfg.output.cache_dir, FORMAT_VERSION), exist_ok=True)
     evaluate = functools.partial(numerical.evaluate_points, cfg.wdm)
-    workers = min(cfg.output.workers, len(points))
+    workers = min(cfg.output.workers, len(geoms))
     if workers > 1 and hasattr(os, "fork"):
-        return _fork_join(evaluate, points, workers)
-    return evaluate(points)
+        return _fork_join(evaluate, geoms, workers)
+    return evaluate(geoms)
 
 
 def _fork_join(
-    evaluate: Callable[[Sequence[Point]], List[SweepRecord]],
-    points: Sequence[Point],
+    evaluate: Callable[[Sequence[LinkGeometry]], list],
+    geoms: Sequence[LinkGeometry],
     workers: int,
-) -> List[SweepRecord]:
-    """``evaluate(points)`` over ``workers`` forked children, one strided slice each.
+) -> list:
+    """``evaluate(geoms)`` over ``workers`` forked children, one strided slice each.
 
-    Child ``i`` takes ``points[i::workers]``: striding balances cost along
+    Child ``i`` takes ``geoms[i::workers]``: striding balances cost along
     the grid, and a run of points with the same d_x and d_z still shares
-    one receive projection.  It pickles its records, or the exception
-    that escaped ``evaluate``, to its pipe and leaves through ``os._exit``.
-    The parent computes nothing (so its peak memory stays that of the
-    imports): it reads each pipe to EOF, reaps each child, re-raises a
-    child's exception and interleaves the slices back into grid order.
-    A child that ends without a result raises RuntimeError.  Every child
-    not yet reaped when this returns or raises is killed and reaped.
+    one receive projection.  It pickles the list ``evaluate`` returns (SE
+    values and failure messages; the child writes no file), or the
+    exception that escaped ``evaluate``, to its pipe and leaves through
+    ``os._exit``.  The parent computes nothing (so its peak memory stays
+    that of the imports): it reads each pipe to EOF, reaps each child,
+    re-raises a child's exception and interleaves the slices back into
+    grid order.  A child that ends without a result raises RuntimeError.
+    Every child not yet reaped when this returns or raises is killed and
+    reaped.
     """
     import pickle
     import signal
@@ -148,7 +140,7 @@ def _fork_join(
             with open(write_fd, "wb") as writer:
                 pid = os.fork()
                 if pid == 0:
-                    _run_child(evaluate, points[i::workers], writer)
+                    _run_child(evaluate, geoms[i::workers], writer)
                 unreaped.append(pid)
         slices = []
         for pid, pipe in zip(list(unreaped), pipes):
@@ -163,7 +155,7 @@ def _fork_join(
             if isinstance(outcome, Exception):
                 raise outcome
             slices.append(outcome)
-        return [slices[j % workers][j // workers] for j in range(len(points))]
+        return [slices[j % workers][j // workers] for j in range(len(geoms))]
     finally:
         for pipe in pipes:
             pipe.close()
@@ -173,11 +165,11 @@ def _fork_join(
 
 
 def _run_child(
-    evaluate: Callable[[Sequence[Point]], List[SweepRecord]],
-    points: Sequence[Point],
+    evaluate: Callable[[Sequence[LinkGeometry]], list],
+    geoms: Sequence[LinkGeometry],
     writer: BinaryIO,
 ) -> NoReturn:
-    """In a forked child: send ``evaluate(points)`` or its exception to ``writer``, then exit.
+    """In a forked child: send ``evaluate(geoms)`` or its exception to ``writer``, then exit.
 
     ``os._exit`` in every case, so the child never returns into the
     parent's stack, runs no ``atexit`` handler and flushes none of the
@@ -188,7 +180,7 @@ def _run_child(
     status = 1
     try:
         try:
-            outcome: object = evaluate(points)
+            outcome: object = evaluate(geoms)
         except Exception as exc:  # re-raised by the parent
             outcome = exc
         pickle.dump(outcome, writer)
@@ -208,18 +200,31 @@ def _entry_path(cache_dir: str, geom: LinkGeometry, wdm: WdmConfig) -> str:
 def _run_groups(
     cfg: RunConfig, groups: Sequence[Tuple[float, Sequence[LinkGeometry]]]
 ) -> List[List[SweepRecord]]:
-    """Point records of each (grid value, geometries) group, in grid order."""
-    wdm = cfg.wdm
-    points = [
-        (value, geom, _entry_path(cfg.output.cache_dir, geom, wdm))
-        for value, geometries in groups
-        for geom in geometries
+    """Point records of each (grid value, geometries) group, in grid order.
+
+    The points not found in the cache are computed together, then their
+    entries stored in grid order; a failed write raises its OSError, an
+    i/o failure of the run rather than of a point.
+    """
+    wdm, cache_dir = cfg.wdm, cfg.output.cache_dir
+    geoms = [geom for _, geometries in groups for geom in geometries]
+    paths = [_entry_path(cache_dir, geom, wdm) for geom in geoms]
+    # each point's fields after its grid value: four SE values, or NaNs and an error
+    fields: List[Optional[Sequence]] = [_cached_se(p, g, wdm) for p, g in zip(paths, geoms)]
+    missed = [i for i, se in enumerate(fields) if se is None]
+    if missed:
+        if cache_dir:
+            os.makedirs(os.path.join(cache_dir, FORMAT_VERSION), exist_ok=True)
+        for i, se in zip(missed, _compute(cfg, [geoms[i] for i in missed])):
+            if isinstance(se, str):
+                se = [math.nan] * 4 + [se]
+            elif cache_dir:
+                save_channel_set(paths[i], geoms[i], wdm, se)
+            fields[i] = se
+    remaining = iter(fields)
+    return [
+        [SweepRecord(value, *next(remaining)) for _ in geometries] for value, geometries in groups
     ]
-    found = [_cached_record(point, wdm) for point in points]
-    missed = [point for point, record in zip(points, found) if record is None]
-    computed = iter(_compute(cfg, missed) if missed else [])
-    records = iter([next(computed) if record is None else record for record in found])
-    return [[next(records) for _ in geometries] for _, geometries in groups]
 
 
 _SWEEP_LABELS = {"d_z": "d_z [m]", "theta_s": "theta_s [deg]", "d_x": "d_x [m]"}

@@ -1,12 +1,13 @@
 """The numerical layer's runners: everything a CLI run computes with numpy.
 
-:func:`evaluate_points` assembles, whitens and evaluates the sweep
-points that :mod:`wdmlink.experiments` did not find in the cache, and
-the pattern, field, dump and self-check runners compute everything they
-write.  Importing this module loads numpy, :mod:`wdmlink.em_field`, the
-quadrature rule, :mod:`wdmlink.channel` and :mod:`wdmlink.receivers`;
-the sweep engine imports it at a run's first cache miss and the command
-line when one of those four commands runs.
+:func:`evaluate_points` maps the geometries of the sweep points that
+:mod:`wdmlink.experiments` did not find in the cache to their SE values,
+which the engine stores and records, and the pattern, field, dump and
+self-check runners compute everything they write.  Importing this
+module loads numpy, :mod:`wdmlink.em_field`, the quadrature rule,
+:mod:`wdmlink.channel` and :mod:`wdmlink.receivers`; the sweep engine
+imports it at a run's first cache miss and the command line when one of
+those four commands runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cache import save_channel_set
 from .channel import (
     H_against_direct_sum,
     ReceiveProjection,
@@ -39,7 +39,7 @@ from .em_field import (
     received_field_profile,
     source_direction,
 )
-from .experiments import SCHEME_ORDER, Point, SweepRecord, _fmt, _UniformStream, _write_csv
+from .experiments import SCHEME_ORDER, _fmt, _UniformStream, _write_csv
 from .geometry import LinkGeometry, replace
 from .receivers import spectral_efficiency, waterfill
 from .svgplot import line_plot_svg, polar_plot_svg, write_svg
@@ -53,44 +53,33 @@ __all__ = [
 ]
 
 
-def evaluate_points(wdm: WdmConfig, points: Sequence[Point]) -> List[SweepRecord]:
-    """SE records of (grid value, geometry, cache path) points in order, a failed point flagged.
+def evaluate_points(
+    wdm: WdmConfig, geoms: Sequence[LinkGeometry]
+) -> List[Union[List[float], str]]:
+    """Each geometry's four SE values in SCHEME_ORDER, or the message of its failure, in order.
 
-    Each point's four SE values are stored at its path unless that is
-    empty; a failed write raises its OSError, an i/o failure of the run
-    rather than of the point.  The points differ only in d_x, d_z and
-    orientation, so one noise factor, built at the first run, whitens
-    them all.  A run of consecutive points with the same receive segment
-    shares one receive projection and is evaluated in stacks of up to
-    :func:`wdmlink.channel.stack_size` points (:func:`_stack_se`), and
-    each point's values have the same bits whatever stack it is in.  A
-    failed factor or projection flags every point of its run.
+    The geometries differ only in d_x, d_z and orientation, so one noise
+    factor, built at the first run, whitens them all.  A run of
+    consecutive geometries with the same receive segment shares one
+    receive projection and is evaluated in stacks of up to
+    :func:`wdmlink.channel.stack_size` geometries (:func:`_stack_se`), and
+    each geometry's values have the same bits whatever stack it is in.  A
+    failed factor or projection fails every geometry of its run.
     """
-    power, limit, L0, records = total_power(wdm), stack_size(wdm), None, []
+    power, limit, L0, outcomes = total_power(wdm), stack_size(wdm), None, []
     # geom[:4] is (L_s, L_r, d_x, d_z), the fields of the receive segment
-    for _, group in itertools.groupby(points, key=lambda point: point[1][:4]):
+    for _, group in itertools.groupby(geoms, key=lambda geom: geom[:4]):
         run = list(group)
-        geoms = [point[1] for point in run]
         try:
             # a failed factor flags this run, and the next run tries again
-            L0 = noise_factor(geoms[0], wdm) if L0 is None else L0
-            projection = ReceiveProjection(geoms[0], wdm)
+            L0 = noise_factor(run[0], wdm) if L0 is None else L0
+            projection = ReceiveProjection(run[0], wdm)
         except Exception as exc:  # flagged row per grid point, file stays complete
-            outcomes = [_message(exc)] * len(run)
-        else:
-            outcomes = [
-                se
-                for start in range(0, len(geoms), limit)
-                for se in _stack_se(wdm, geoms[start : start + limit], L0, projection, power)
-            ]
-        for (value, geom, path), se in zip(run, outcomes):
-            if isinstance(se, str):
-                records.append(SweepRecord(value, *[math.nan] * 4, error=se))
-                continue
-            if path:
-                save_channel_set(path, geom, wdm, se)
-            records.append(SweepRecord(value, *se))
-    return records
+            outcomes += [_message(exc)] * len(run)
+            continue
+        for start in range(0, len(run), limit):
+            outcomes += _stack_se(wdm, run[start : start + limit], L0, projection, power)
+    return outcomes
 
 
 def _stack_se(

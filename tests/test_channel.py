@@ -278,10 +278,15 @@ class TestAssembleH:
             replace(prof.geometry, theta_s=0.05 * k, phi_s=0.3 * k) for k in range(20)
         ]
 
+        outcomes = []
+
         def stack(geom, cfg):
-            return evaluate_points(cfg, [(0.0, oriented, "") for oriented in orientations])
+            outcomes[:] = evaluate_points(cfg, orientations)
 
         assert _traced_peak(stack, prof.geometry, prof.wdm) <= 1.0e6
+        # every orientation gave four SE values, not a failure message
+        assert len(outcomes) == 20
+        assert all(not isinstance(se, str) and len(se) == 4 for se in outcomes)
 
     def test_peak_memory_does_not_grow_with_receive_length(self, full_scale):
         # a 4x longer receive segment has 4x the receive nodes and is

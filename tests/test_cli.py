@@ -148,6 +148,29 @@ def test_fixed_quadrature_settings_are_unknown_keys(tmp_path, capsys, section, k
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [("sigma2_hdw", "nan"), ("sigma2_hdw", "inf"), ("snr_emi_db", "nan"),
+     ("snr_emi_db", "-inf"), ("snr_emi_db", "-4000"), ("snr_emi_db", "4000")],
+)
+def test_noise_setting_out_of_range_exits_1(tmp_path, capsys, key, raw):
+    cfg_file = tmp_path / "noise.cfg"
+    cfg_file.write_text(f"[wdm]\n{key} = {raw}\n")
+    rc = cli.main(["sweep", "--count", "2", "--out", str(tmp_path / "s.csv"), "--no-svg",
+                   "--config", str(cfg_file)])
+    assert rc == 1
+    assert "invalid config file" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_percent_in_a_config_value_is_a_character(tmp_path):
+    cfg_file = tmp_path / "percent.cfg"
+    cfg_file.write_text(f"[output]\ncsv = {tmp_path / 'out%.csv'}\n")
+    rc = cli.main(["sweep", "--count", "2", "--no-svg", "--config", str(cfg_file)])
+    assert rc == 0
+    assert (tmp_path / "out%.csv").exists()
+
+
 def test_unknown_flag_exits_1(tmp_path, capsys):
     rc = cli.main(["sweep", "--out", str(tmp_path / "s.csv"), "--bogus", "1"])
     assert rc == 1
@@ -193,10 +216,10 @@ def test_worker_dying_without_a_result_exits_2(tmp_path, monkeypatch, capsys):
             "--no-svg"]
     second = cli._resolve_config(cli._build_parser().parse_args(argv)).sweep.values()[1]
 
-    def dies(wdm, points):
-        if os.getpid() != parent and points[0][0] == second:
+    def dies(wdm, geoms):
+        if os.getpid() != parent and geoms[0].d_z == second:
             os._exit(7)
-        return real(wdm, points)
+        return real(wdm, geoms)
 
     monkeypatch.setattr(numerical, "evaluate_points", dies)
     assert cli.main(argv) == 2

@@ -197,6 +197,12 @@ class TestLoadConfig:
         cfg = apply_entries(desk_profile(), read_config_entries(path), path)
         assert cfg.wdm.sigma2_emi == pytest.approx(total_power(cfg.wdm) * 1e-9, rel=1e-12)
 
+    def test_values_are_read_raw(self, tmp_path):
+        # a "%" is a character: no interpolation, so none can fail either
+        path = self.write(tmp_path, "[output]\ncsv = out%.csv\nsvg = %(csv)s.svg\n")
+        cfg = apply_entries(desk_profile(), read_config_entries(path), path)
+        assert (cfg.output.csv_path, cfg.output.svg_path) == ("out%.csv", "%(csv)s.svg")
+
     def test_unknown_entries_all_reported(self, tmp_path):
         path = self.write(
             tmp_path,

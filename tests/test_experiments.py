@@ -194,11 +194,11 @@ class TestRunSweep:
         log = tmp_path / "slices.log"
         real = numerical.evaluate_points
 
-        def logged(wdm, points):
+        def logged(wdm, geoms):
             # runs in a child, so it reports through a file
             with open(log, "a", encoding="ascii") as out:
-                out.write(" ".join(repr(value) for value, _, _ in points) + "\n")
-            return real(wdm, points)
+                out.write(" ".join(repr(geom.d_z) for geom in geoms) + "\n")
+            return real(wdm, geoms)
 
         cfg = small_sweep(desk, count=19)
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
@@ -260,12 +260,12 @@ class TestRunSweep:
         parent = os.getpid()
         real = numerical.evaluate_points
 
-        def one_fails_one_hangs(wdm, points):
+        def one_fails_one_hangs(wdm, geoms):
             assert os.getpid() != parent
-            if points[0][0] == 0.0:
+            if geoms[0].d_z == 0.0:
                 raise OSError(28, "synthetic full disk")
             time.sleep(60)
-            return real(wdm, points)
+            return real(wdm, geoms)
 
         monkeypatch.setattr(numerical, "evaluate_points", one_fails_one_hangs)
         cfg = small_sweep(desk, start=0.0, stop=1.0, count=4)
@@ -572,7 +572,7 @@ class TestNoiseFactorPerRun:
 
 
 def _missed_points(monkeypatch, run, cfg, tmp_path):
-    """The (value, geometry, path) points a run hands to the numerical layer."""
+    """The geometries a run hands to the numerical layer."""
     points, real = [], experiments._compute
 
     def capture(cfg, missed):
@@ -585,8 +585,9 @@ def _missed_points(monkeypatch, run, cfg, tmp_path):
     return points
 
 
-def _hex_records(records):
-    return [(rec.value, *(se.hex() for se in rec[1:5]), rec.error) for rec in records]
+def _hex_outcomes(outcomes):
+    """Each outcome's SE values in ``float.hex``, a failure message as it is."""
+    return [se if isinstance(se, str) else [value.hex() for value in se] for se in outcomes]
 
 
 class TestStackInvariance:
@@ -600,18 +601,18 @@ class TestStackInvariance:
 
     @staticmethod
     def _check(wdm, points):
-        whole = _hex_records(numerical.evaluate_points(wdm, points))
-        alone = [_hex_records(numerical.evaluate_points(wdm, [point]))[0] for point in points]
-        halves = [_hex_records(numerical.evaluate_points(wdm, points[i::2])) for i in (0, 1)]
+        whole = _hex_outcomes(numerical.evaluate_points(wdm, points))
+        alone = [_hex_outcomes(numerical.evaluate_points(wdm, [point]))[0] for point in points]
+        halves = [_hex_outcomes(numerical.evaluate_points(wdm, points[i::2])) for i in (0, 1)]
         cut = len(points) // 2 + 1
         first, second = (
-            _hex_records(numerical.evaluate_points(wdm, part))
+            _hex_outcomes(numerical.evaluate_points(wdm, part))
             for part in (points[:cut], points[cut:])
         )
         assert whole == alone
         assert halves[0] == whole[0::2] and halves[1] == whole[1::2]
         assert first + second == whole
-        assert all(rec[-1] == "" for rec in whole)
+        assert all(not isinstance(se, str) and len(se) == 4 for se in whole)
 
     def test_averaged_desk_sweep(self, desk, tmp_path, monkeypatch):
         # the shape of the benchmark's pooled desk workload: 3 d_x x 20
@@ -645,7 +646,7 @@ class TestStackInvariance:
         _, sizes, _ = channel._form_H(geoms, desk.wdm, projection, keep=False)
         assert len(projection.pieces) > 1
         assert len({tuple(size) for size in sizes}) > 1  # tails double at different counts
-        self._check(desk.wdm, [(0.0, oriented, "") for oriented in geoms])
+        self._check(desk.wdm, geoms)
 
 
 def test_near_source_sweep_shows_each_warning_once(desk, tmp_path):

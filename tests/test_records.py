@@ -1,5 +1,6 @@
 """The package's records: immutable named tuples, checked whenever one is built."""
 
+import math
 import pickle
 
 import pytest
@@ -11,6 +12,7 @@ from wdmlink.config import (
     QuadratureSpec,
     SweepSettings,
     desk_profile,
+    emi_variance,
 )
 from wdmlink.experiments import AvgSweepRecord, SweepRecord
 from wdmlink.geometry import replace
@@ -27,6 +29,8 @@ REJECTED = [
     (DESK.wdm, dict(wavelength=0.0)),
     (DESK.wdm, dict(n_modes=0)),
     (DESK.wdm, dict(sigma2_emi=0.0, sigma2_hdw=0.0)),
+    *((DESK.wdm, {name: value}) for name in ("sigma2_emi", "sigma2_hdw")
+      for value in (math.nan, math.inf, -1.0)),
     (SweepSettings(), dict(count=0)),
     (SweepSettings(), dict(phi_set_deg=(0.0, 360.0))),
     (FieldSettings(), dict(grid_points=1)),
@@ -62,6 +66,16 @@ def test_replace_rejects_what_the_constructor_rejects(record, changes):
     with pytest.raises(ValueError) as replaced:
         replace(record, **changes)
     assert str(replaced.value) == str(built.value)
+
+
+# ratios in dB whose 10^(snr / 10) is not finite or leaves the float range
+REJECTED_SNR_DB = [math.nan, math.inf, -math.inf, -4000.0, 4000.0]
+
+
+@pytest.mark.parametrize("snr_db", REJECTED_SNR_DB)
+def test_emi_variance_rejects_a_ratio_outside_the_float_range(snr_db):
+    with pytest.raises(ValueError, match="snr_emi_db"):
+        emi_variance(1.0, snr_db)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
