@@ -49,14 +49,15 @@ are bit-identical.
 
 Ambient electromagnetic interference reaching the receive segment is
 isotropic with spatial correlation sinc(2 ||r' - r|| / lambda), variance
-sigma2_emi; hardware noise adds a white sigma2_hdw on top.  ``whiten``
-factors C = sigma2_emi R + sigma2_hdw I = L L^H and returns
-H_tilde = L^{-1} H for the receiver stage; a sweep factors C once
-(:func:`noise_factor`) and whitens each point as L0^{-1} (D H) instead.
+sigma2_emi; hardware noise adds a white sigma2_hdw on top.  A sweep
+factors C = sigma2_emi R + sigma2_hdw I once, at d_z = 0, as L0 L0^H
+(:func:`noise_factor`); the factor at d_z is then D^H L0 D, and
+:func:`whiten` gives each point's channel as L0^{-1} (D H), which
+differs from L^{-1} H by a unit diagonal that no receiver's SE sees.
 
-:func:`assemble_H` and :func:`white_channel` also take a sequence of
-geometries that differ only in orientation and return a stack, as a
-sweep evaluates the orientations of one receive segment.  A stack's
+:func:`assemble_H` also takes a sequence of geometries that differ only
+in orientation and returns a stack, which :func:`whiten` whitens as one,
+as a sweep evaluates the orientations of one receive segment.  A stack's
 kernel blocks, samples and products are matrices of their own in
 numpy's per-matrix loops (3-D ``matmul``, stacked ``linalg``), never one
 fused product, so each orientation gets the bits of its own call, and
@@ -93,9 +94,8 @@ __all__ = [
     "H_against_direct_sum",
     "assemble_H",
     "assemble_R",
-    "whiten",
     "noise_factor",
-    "white_channel",
+    "whiten",
     "stack_size",
     "save_channel_dump",
     "save_channel_set",
@@ -521,45 +521,8 @@ def _dz_phase(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     return em_field._phasor(_mode_frequencies(cfg, geom) * (geom.d_z / (2.0 * math.pi)))
 
 
-def _factor_noise(R: np.ndarray, cfg: WdmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """C = sigma2_emi R + sigma2_hdw I and its lower Cholesky factor."""
-    C = cfg.sigma2_emi * R + cfg.sigma2_hdw * np.eye(R.shape[0])
-    try:
-        return C, np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(C)[0])
-        raise np.linalg.LinAlgError(
-            f"noise covariance is not positive definite "
-            f"(smallest eigenvalue {smallest:.6e})"
-        ) from None
-
-
-def whiten(H: np.ndarray, R: np.ndarray, cfg: WdmConfig) -> tuple[np.ndarray, ...]:
-    """Factor the noise covariance and whiten the channel.
-
-    Args:
-        H: Coupling matrix (N, N).
-        R: Interference correlation (N, N), Hermitian.
-        cfg: Noise variances.
-
-    Returns:
-        C = sigma2_emi R + sigma2_hdw I, its lower Cholesky factor L and
-        H_tilde = L^{-1} H (a linear solve with L, no explicit inverse).
-
-    Raises:
-        numpy.linalg.LinAlgError: If C is not positive definite; the
-            message reports the smallest eigenvalue.
-    """
-    H = np.asarray(H)
-    R = np.asarray(R)
-    if H.shape != R.shape or H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H and R must be square and congruent, got {H.shape} and {R.shape}")
-    C, L = _factor_noise(R, cfg)
-    return C, L, np.linalg.solve(L, H)
-
-
 def stack_size(cfg: WdmConfig) -> int:
-    """Most geometries a sweep whitens and evaluates as one stack.
+    """Most geometries a sweep assembles, whitens and evaluates as one stack.
 
     Every (B, N, N) array of a stack then stays within
     ``em_field._BLOCK_PAIRS`` entries, the 128 KiB under which glibc
@@ -569,30 +532,37 @@ def stack_size(cfg: WdmConfig) -> int:
 
 
 def noise_factor(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
-    """Lower Cholesky factor L0 of C at d_z = 0, raising as :func:`whiten`.
+    """Lower Cholesky factor L0 of C = sigma2_emi R + sigma2_hdw I at d_z = 0.
 
     Beyond the d_z congruence R depends on the geometry only through L_s
-    and L_r, so one L0 serves every point of a sweep (:func:`white_channel`).
+    and L_r, so one L0 serves every point of a sweep (:func:`whiten`).
+
+    Raises:
+        numpy.linalg.LinAlgError: If C is not positive definite; the
+            message reports the smallest eigenvalue.
     """
-    return _factor_noise(assemble_R(replace(geom, d_z=0.0), cfg), cfg)[1]
+    R = assemble_R(replace(geom, d_z=0.0), cfg)
+    C = cfg.sigma2_emi * R + cfg.sigma2_hdw * np.eye(R.shape[0])
+    try:
+        return np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(C)[0])
+        raise np.linalg.LinAlgError(
+            f"noise covariance is not positive definite "
+            f"(smallest eigenvalue {smallest:.6e})"
+        ) from None
 
 
-def white_channel(
-    geom: Union[LinkGeometry, Sequence[LinkGeometry]],
-    cfg: WdmConfig,
-    L0: np.ndarray,
-    projection: Optional[ReceiveProjection] = None,
-) -> np.ndarray:
-    """Whitened channel L0^{-1} (D H) of the geometry, L0 from :func:`noise_factor`.
+def whiten(H: np.ndarray, geom: LinkGeometry, cfg: WdmConfig, L0: np.ndarray) -> np.ndarray:
+    """Whitened channel L0^{-1} (D H) of ``geom``, L0 from :func:`noise_factor`.
 
-    The factor at d_z is D^H L0 D, so this is D times whiten's L^{-1} H,
-    and no receiver's SE sees a unit diagonal on the left.  ``geom`` and
-    ``projection`` go to :func:`assemble_H`, and a sequence of geometries
-    gives a stack.
+    The factor of C at d_z is D^H L0 D, so this is D L^{-1} H, and no
+    receiver's SE sees the unit diagonal on the left.  ``H`` is one
+    (N, N) matrix or a (B, N, N) stack of one receive segment's
+    orientations, which share ``geom.d_z``; a linear solve with L0, no
+    explicit inverse.
     """
-    H = assemble_H(geom, cfg, projection)
-    first = geom if isinstance(geom, LinkGeometry) else geom[0]
-    return np.linalg.solve(L0, _dz_phase(first, cfg)[:, None] * H)
+    return np.linalg.solve(L0, _dz_phase(geom, cfg)[:, None] * H)
 
 
 def save_channel_dump(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from typing import Callable, List, NoReturn, Optional
+from typing import List, NoReturn, Optional
 
 from .config import PARAMETERS, RunConfig, apply_entries, profile_by_name, read_config_entries
 from .geometry import replace
@@ -28,17 +28,22 @@ _COMMON_FLAGS = (
     "--out", "--svg", "--workers", "--seed", "--dx", "--dz", "--theta", "--phi", "--n-modes",
 )
 
-# subcommand: (help, value flags on top of the common ones)
+# subcommand: (help, value flags on top of the common ones, runner module,
+# runner name, default output path)
 _COMMANDS = {
-    "pattern": ("radiation pattern cuts of selected modes", ("--mode-offsets", "--step")),
+    "pattern": ("radiation pattern cuts of selected modes", ("--mode-offsets", "--step"),
+                "numerical", "run_pattern", "pattern.csv"),
     "field": ("received field profiles of selected modes",
-              ("--mode-offsets", "--grid-points")),
+              ("--mode-offsets", "--grid-points"), "numerical", "run_field", "field.csv"),
     "sweep": ("spectral efficiency over a parameter grid",
-              ("--parameter", "--start", "--stop", "--count", "--cache-dir")),
+              ("--parameter", "--start", "--stop", "--count", "--cache-dir"),
+              "experiments", "run_sweep", "sweep.csv"),
     "avg-sweep": ("orientation-averaged SE versus d_x",
-                  ("--start", "--stop", "--count", "--draws", "--cache-dir")),
-    "dump-channel": ("assemble and save the channel matrices", ()),
-    "selfcheck": ("run numerical health checks", ()),
+                  ("--start", "--stop", "--count", "--draws", "--cache-dir"),
+                  "experiments", "run_avg_sweep", "avg_sweep.csv"),
+    "dump-channel": ("assemble and save the channel matrices", (),
+                     "numerical", "run_channel_dump", "channel.wdmch"),
+    "selfcheck": ("run numerical health checks", (), "numerical", "run_selfcheck", None),
 }
 
 
@@ -55,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Line-of-sight wavenumber-division multiplexing link simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _COMMANDS.items():
+    for command, (help_text, flags, *_) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--profile", default="desk", help="base profile: desk or full")
         p.add_argument("--config", default=None, help="INI config file overriding the profile")
@@ -95,11 +100,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _runner(module: str, name: str) -> Callable:
-    """``wdmlink.<module>.<name>``, looked up per call so a rebound attribute is seen."""
-    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
-
-
 def _numerical_failure(exc: Exception) -> bool:
     """Whether ``exc`` is a numerical failure (exit 2).
 
@@ -116,31 +116,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        if args.command == "dump-channel":
-            out = cfg.output.csv_path or "channel.wdmch"
-            _runner("numerical", "run_channel_dump")(cfg, out)
-            print(f"wrote {out}")
-        elif args.command == "selfcheck":
-            if not _runner("numerical", "run_selfcheck")(cfg):
+        *_, module, name, default_out = _COMMANDS[args.command]
+        # looked up per call, so a rebound attribute is seen
+        runner = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+        out = cfg.output.csv_path or default_out
+        if args.command == "selfcheck":
+            if not runner(cfg):
                 return 2
+        elif args.command == "dump-channel":
+            runner(cfg, out)
+            print(f"wrote {out}")
         else:
-            module, name, default_csv = {
-                "pattern": ("numerical", "run_pattern", "pattern.csv"),
-                "field": ("numerical", "run_field", "field.csv"),
-                "sweep": ("experiments", "run_sweep", "sweep.csv"),
-                "avg-sweep": ("experiments", "run_avg_sweep", "avg_sweep.csv"),
-            }[args.command]
-            runner = _runner(module, name)
-            csv_path = cfg.output.csv_path or default_csv
-            stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
+            stem = out[:-4] if out.endswith(".csv") else out
             svg_path = None if args.no_svg else cfg.output.svg_path or stem + ".svg"
-            result = runner(cfg, csv_path, svg_path)
+            result = runner(cfg, out, svg_path)
             if args.command in ("pattern", "field"):
-                print(f"wrote {csv_path}" + (f" and {svg_path}" if svg_path else ""))
+                print(f"wrote {out}" + (f" and {svg_path}" if svg_path else ""))
             else:
                 flagged = sum(1 for r in result if r.error)
                 print(
-                    f"wrote {csv_path}: {len(result)} points"
+                    f"wrote {out}: {len(result)} points"
                     + (f", {flagged} flagged" if flagged else "")
                 )
         return 0

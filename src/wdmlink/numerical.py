@@ -2,8 +2,10 @@
 
 :func:`evaluate_points` maps the geometries of the sweep points that
 :mod:`wdmlink.experiments` did not find in the cache to their SE values,
-which the engine stores and records, and the pattern, field, dump and
-self-check runners compute everything they write.  Importing this
+which the engine stores and records, each whitened by
+:func:`wdmlink.channel.whiten` against one noise factor per run; the
+pattern, field, dump and self-check runners compute everything they
+write.  Importing this
 module loads numpy, :mod:`wdmlink.em_field`, the quadrature rule,
 :mod:`wdmlink.channel` and :mod:`wdmlink.receivers`; the sweep engine
 imports it at a run's first cache miss and the command line when one of
@@ -26,7 +28,6 @@ from .channel import (
     noise_factor,
     save_channel_dump,
     stack_size,
-    white_channel,
     whiten,
 )
 from .config import RunConfig, WdmConfig, total_power
@@ -91,13 +92,14 @@ def _stack_se(
 ) -> List[Union[List[float], str]]:
     """Each geometry's four SE values in SCHEME_ORDER, or the message of its failure.
 
-    The geometries differ only in orientation and are whitened and
-    evaluated as one stack.  A stack that raises is evaluated again one
+    The geometries differ only in orientation and pass as one stack through
+    ``assemble_H``, ``whiten`` against the run's factor ``L0`` and
+    ``spectral_efficiency``.  A stack that raises is evaluated again one
     geometry at a time, so only a geometry that fails on its own is
     flagged, with its own message.
     """
     try:
-        H_tilde = white_channel(geoms, wdm, L0, projection)
+        H_tilde = whiten(assemble_H(geoms, wdm, projection), geoms[0], wdm, L0)
         results = spectral_efficiency(SCHEME_ORDER, H_tilde, power)
     except Exception as exc:  # flagged row per grid point, file stays complete
         if len(geoms) == 1:
@@ -229,9 +231,9 @@ def run_selfcheck(cfg: RunConfig) -> bool:
     Verifies quadrature convergence of H under node doubling (R is in
     closed form and has no rule), H from the reduced field against the
     direct sum over every node pair, the scalar kernel against the dyadic
-    Green's function, the whitening factorization and the water-filling
-    optimality conditions.  Prints one PASS/FAIL line per check and
-    returns overall success.
+    Green's function, the run's noise factor through its whitening at
+    two heights and the water-filling optimality conditions.  Prints one
+    PASS/FAIL line per check and returns overall success.
     """
     checks: List[Tuple[str, bool, str]] = []
     geom, wdm = cfg.geometry, cfg.wdm
@@ -278,13 +280,23 @@ def run_selfcheck(cfg: RunConfig) -> bool:
         )
     )
 
-    C, L, _ = whiten(H, assemble_R(geom, wdm), wdm)
-    recon = float(np.linalg.norm(L @ L.conj().T - C) / np.linalg.norm(C))
+    # the run's L0, through the run's whiten, must take C to I at d_z and at
+    # d_z + L_s/4, where D != I; W - I is measured back through L0, as
+    # D C D^H - L0 L0^H, which stays at rounding against C for any cond(C)
+    L0, eye, off = noise_factor(geom, wdm), np.eye(wdm.n_modes), 0.0
+    heights = (geom.d_z, geom.d_z + geom.L_s / 4.0)
+    for d_z in heights:
+        moved = replace(geom, d_z=d_z)
+        C = wdm.sigma2_emi * assemble_R(moved, wdm) + wdm.sigma2_hdw * eye
+        white = whiten(whiten(C, moved, wdm, L0).conj().T, moved, wdm, L0)
+        gap = L0 @ (white - eye) @ L0.conj().T
+        off = max(off, float(np.linalg.norm(gap) / np.linalg.norm(C)))
     checks.append(
         (
             "noise factorization",
-            recon < 1e-12,
-            f"Cholesky reconstruction error {recon:.3e}",
+            off < 1e-12,
+            f"whitened covariance off I by {off:.3e} (relative to C) at "
+            f"d_z = {heights[0]:g} and {heights[1]:g} m",
         )
     )
 

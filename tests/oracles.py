@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from wdmlink.channel import assemble_H, assemble_R, whiten
+from wdmlink.channel import assemble_H, assemble_R
 from wdmlink.config import WdmConfig
 from wdmlink import em_field
 from wdmlink.em_field import (
@@ -39,14 +39,17 @@ ORACLE_SPEC = QuadratureSpec(points_per_wavelength=16.0, nodes_per_panel=8)
 
 
 def channel_set(geom, cfg):
-    """H, R and whiten's C, L and H_tilde of one geometry.
+    """H, R, C, L and H_tilde = L^{-1} H of one geometry, whitened at its own d_z.
 
-    Each point whitened against its own R(d_z), the route a sweep replaced
-    with one noise factor per run (``channel.noise_factor``).
+    The per-point route: C = sigma2_emi R(d_z) + sigma2_hdw I is factored
+    as L L^H at each point, where a sweep factors it once per run at
+    d_z = 0 (``channel.noise_factor``) and moves that factor to each
+    point by the d_z congruence (``channel.whiten``).
     """
     H, R = assemble_H(geom, cfg), assemble_R(geom, cfg)
-    C, L, H_tilde = whiten(H, R, cfg)
-    return SimpleNamespace(H=H, R=R, C=C, L=L, H_tilde=H_tilde)
+    C = cfg.sigma2_emi * R + cfg.sigma2_hdw * np.eye(R.shape[0])
+    L = np.linalg.cholesky(C)
+    return SimpleNamespace(H=H, R=R, C=C, L=L, H_tilde=np.linalg.solve(L, H))
 
 
 def tensor_sum(f, domain, osc_wavelengths, spec):

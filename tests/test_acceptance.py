@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from wdmlink.channel import assemble_H, assemble_R
+from wdmlink.channel import assemble_H, assemble_R, noise_factor
 from wdmlink.config import max_modes, total_power
 from wdmlink.em_field import (
     ModeIndex,
@@ -125,8 +125,12 @@ def test_c06_quadrature_convergence_under_node_doubling(desk):
     assert np.linalg.norm(R - R_fine) / np.linalg.norm(R_fine) < 1e-6
 
 
-def test_c07_noise_covariance_and_whitening(desk_channel):
-    R, C, L = desk_channel.R, desk_channel.C, desk_channel.L
+def test_c07_noise_covariance_and_whitening(desk):
+    # the factor a run whitens with, against C at d_z = 0
+    geom, wdm = desk.geometry, desk.wdm
+    R = assemble_R(replace(geom, d_z=0.0), wdm)
+    C = wdm.sigma2_emi * R + wdm.sigma2_hdw * np.eye(wdm.n_modes)
+    L = noise_factor(geom, wdm)
     assert np.array_equal(R, R.conj().T)
     eigs = np.linalg.eigvalsh(R)
     assert eigs.min() >= -1e-10 * eigs.max()

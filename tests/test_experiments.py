@@ -15,7 +15,7 @@ import wdmlink.experiments as experiments
 import wdmlink.numerical as numerical
 from wdmlink import channel
 from wdmlink.cache import FORMAT_VERSION, channel_cache_key, channel_header
-from wdmlink.channel import load_matching_channel_set, noise_factor, white_channel
+from wdmlink.channel import assemble_H, load_matching_channel_set, noise_factor, whiten
 from wdmlink.config import FieldSettings, total_power
 from wdmlink.em_field import NearFieldWarning
 from wdmlink.experiments import SCHEME_ORDER, run_avg_sweep, run_sweep
@@ -43,7 +43,7 @@ def cache_entry(cache, geom, wdm):
 
 def fresh_se(geom, wdm):
     """The four SE values of the point, computed without a cache."""
-    H_tilde = white_channel(geom, wdm, noise_factor(geom, wdm))
+    H_tilde = whiten(assemble_H(geom, wdm), geom, wdm, noise_factor(geom, wdm))
     return np.array(
         [spectral_efficiency(s, H_tilde, total_power(wdm)).se_total for s in SCHEME_ORDER]
     )
@@ -396,14 +396,14 @@ class TestRunSweep:
     def test_failed_point_flags_row_without_aborting(self, desk, tmp_path, monkeypatch):
         # each d_z has its own receive segment, so each point is a stack of one
         cfg = small_sweep(desk, count=3)
-        real = numerical.white_channel
+        real = numerical.assemble_H
 
-        def sabotaged(geoms, wdm, L0, projection):
+        def sabotaged(geoms, wdm, projection):
             if any(geom.d_z == 1.0 for geom in geoms):
                 raise RuntimeError("synthetic failure")
-            return real(geoms, wdm, L0, projection)
+            return real(geoms, wdm, projection)
 
-        monkeypatch.setattr(numerical, "white_channel", sabotaged)
+        monkeypatch.setattr(numerical, "assemble_H", sabotaged)
         path = str(tmp_path / "sweep.csv")
         records = run_sweep(cfg, path)
         assert [rec.error for rec in records] == [
@@ -425,16 +425,16 @@ class TestRunSweep:
         # bits they get without the failure
         cfg = small_sweep(desk, parameter="theta_s", start=0.0, stop=40.0, count=5)
         clean = run_sweep(cfg, str(tmp_path / "clean.csv"))
-        real = numerical.white_channel
+        real = numerical.assemble_H
         stacks = []
 
-        def sabotaged(geoms, wdm, L0, projection):
+        def sabotaged(geoms, wdm, projection):
             stacks.append([round(math.degrees(geom.theta_s)) for geom in geoms])
             if any(round(math.degrees(geom.theta_s)) == 20 for geom in geoms):
                 raise RuntimeError("synthetic failure")
-            return real(geoms, wdm, L0, projection)
+            return real(geoms, wdm, projection)
 
-        monkeypatch.setattr(numerical, "white_channel", sabotaged)
+        monkeypatch.setattr(numerical, "assemble_H", sabotaged)
         records = run_sweep(cfg, str(tmp_path / "sweep.csv"))
         assert stacks == [[0, 10, 20, 30, 40], [0], [10], [20], [30], [40]]
         failed = "RuntimeError: synthetic failure"
@@ -486,7 +486,7 @@ def _count_calls(monkeypatch):
     """
     calls = collections.Counter()
     for module, name in (
-        (channel, "assemble_H"),
+        (numerical, "assemble_H"),
         (channel, "assemble_R"),
         (numerical, "noise_factor"),
         (numerical, "ReceiveProjection"),
@@ -727,12 +727,12 @@ class TestRunAvgSweep:
         run_avg_sweep(cfg, str(reused))
         if workers == 1:
             assert built == [5.0, 10.0, 15.0]
-        real = numerical.white_channel
+        real = numerical.assemble_H
 
-        def fresh_projection(geom, wdm, L0, projection):
-            return real(geom, wdm, L0)  # assemble_H builds its own
+        def fresh_projection(geom, wdm, projection):
+            return real(geom, wdm)  # assemble_H builds its own
 
-        monkeypatch.setattr(numerical, "white_channel", fresh_projection)
+        monkeypatch.setattr(numerical, "assemble_H", fresh_projection)
         rebuilt = tmp_path / "rebuilt.csv"
         run_avg_sweep(cfg, str(rebuilt))
         assert reused.read_bytes() == rebuilt.read_bytes()
@@ -742,10 +742,10 @@ class TestRunAvgSweep:
             desk, parameter="d_x", start=2.0, stop=4.0, count=3,
             draws_per_phi=2, phi_set_deg=(0.0, 90.0), seed=5,
         )
-        real = numerical.white_channel
+        real = numerical.assemble_H
         failures, stacks = [], []
 
-        def sabotaged(geoms, wdm, L0, projection):
+        def sabotaged(geoms, wdm, projection):
             # both orientations at phi = 90 degrees fail at d_x = 3: their
             # stack of four, and then each of the two on its own
             stacks.append(len(geoms))
@@ -753,9 +753,9 @@ class TestRunAvgSweep:
                 if len(geoms) == 1:
                     failures.append(geoms[0].theta_s)
                 raise RuntimeError(f"synthetic failure {len(failures)}")
-            return real(geoms, wdm, L0, projection)
+            return real(geoms, wdm, projection)
 
-        monkeypatch.setattr(numerical, "white_channel", sabotaged)
+        monkeypatch.setattr(numerical, "assemble_H", sabotaged)
         path = str(tmp_path / "avg.csv")
         svg = tmp_path / "avg.svg"
         records = run_avg_sweep(cfg, path, str(svg))
@@ -916,7 +916,22 @@ def test_selfcheck_passes_on_desk_link(desk, capsys):
     assert "under node doubling (tolerance 1e-06)" in out
     assert re.search(r"\[PASS\] H reduced field vs direct sum: relative gap \S+ with "
                      r"1 piece, 40 Chebyshev samples, largest tail \S+ \(tolerance 1e-06\)", out)
+    assert re.search(r"\[PASS\] noise factorization: whitened covariance off I by \S+ "
+                     r"\(relative to C\) at d_z = 0 and 0.05 m", out)
     assert "[FAIL]" not in out
+
+
+def test_selfcheck_checks_the_runs_whitening(desk, capsys, monkeypatch):
+    # a whiten that moves the factor by conj(D) is exact at d_z = 0, where
+    # D = I, so only the second height, d_z + L_s/4, shows it
+    def conjugated(H, geom, wdm, L0):
+        return np.linalg.solve(L0, channel._dz_phase(geom, wdm).conj()[:, None] * H)
+
+    monkeypatch.setattr(numerical, "whiten", conjugated)
+    assert run_selfcheck(desk) is False
+    out = capsys.readouterr().out
+    assert "[FAIL] noise factorization" in out
+    assert out.count("[PASS]") == 4
 
 
 def test_selfcheck_names_the_pieces_near_the_source(desk, capsys):
