@@ -102,15 +102,6 @@ __all__ = [
     "load_matching_channel_set",
 ]
 
-def _mode_frequencies(cfg: WdmConfig, geom: LinkGeometry) -> np.ndarray:
-    """kappa_n of :func:`wdmlink.em_field.spatial_frequency` for n = 1..N, as one array.
-
-    The same two roundings as there, so the same bits.
-    """
-    n = cfg.n_modes
-    return 2.0 * math.pi / geom.L_s * (np.arange(1, n + 1) - (n + 1) / 2.0)
-
-
 # Si(x) / x and Cin(x) / x^2 as power series in x^2, highest power first;
 # the last of the 20 terms is below 1e-20 for x < 4
 _SI_SERIES = [(-1) ** n / ((2 * n + 1) * math.factorial(2 * n + 1)) for n in range(19, -1, -1)]
@@ -245,7 +236,7 @@ class ReceiveProjection:
     def __init__(self, geom: LinkGeometry, cfg: WdmConfig) -> None:
         _validate_mode_count(geom, cfg)
         self.geom, self.cfg = geom, cfg
-        self.kappas = _mode_frequencies(cfg, geom)
+        self.kappas = em_field._kappas(cfg.n_modes, geom.L_s)
         half = geom.L_r / 2.0
         self.nodes, self.weights = composite_gauss_nodes(
             geom.d_z - half, geom.d_z + half, cfg.wavelength / 2.0, cfg.quadrature
@@ -495,7 +486,7 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     _validate_mode_count(geom, cfg)
     L = geom.L_r
     k = 2.0 * math.pi / cfg.wavelength
-    kappas = _mode_frequencies(cfg, geom)
+    kappas = em_field._kappas(cfg.n_modes, geom.L_s)
     n = cfg.n_modes
     si, cin = _si_cin(np.concatenate((k + kappas, k - kappas)) * L)
     g = (cin[n:] - cin[:n] + 1j * (si[:n] + si[n:])) / (2j * k)
@@ -518,7 +509,8 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
 
 def _dz_phase(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     """exp(j kappa_n d_z), the diagonal of D in R(d_z) = D^H R(0) D."""
-    return em_field._phasor(_mode_frequencies(cfg, geom) * (geom.d_z / (2.0 * math.pi)))
+    kappas = em_field._kappas(cfg.n_modes, geom.L_s)
+    return em_field._phasor(kappas * (geom.d_z / (2.0 * math.pi)))
 
 
 def stack_size(cfg: WdmConfig) -> int:

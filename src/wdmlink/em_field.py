@@ -137,6 +137,11 @@ class NearFieldWarning(UserWarning):
     """Far-field expressions evaluated below the 10-wavelength guard."""
 
 
+def _kappas(n_modes: int, L_s: float) -> np.ndarray:
+    """kappa_n of every transmit mode, n = 1..n_modes, as one array [rad/m]."""
+    return 2.0 * math.pi / L_s * (np.arange(1, n_modes + 1) - (n_modes + 1) / 2.0)
+
+
 def spatial_frequency(n: int, n_modes: int, L_s: float) -> float:
     """Wavenumber of transmit mode ``n`` out of ``n_modes`` [rad/m].
 
@@ -147,7 +152,7 @@ def spatial_frequency(n: int, n_modes: int, L_s: float) -> float:
         raise ValueError(f"mode index {n} outside [1, {n_modes}]")
     if not L_s > 0.0:
         raise ValueError(f"L_s must be positive, got {L_s}")
-    return 2.0 * math.pi / L_s * (n - (n_modes + 1) / 2.0)
+    return float(_kappas(n_modes, L_s)[n - 1])
 
 
 def source_direction(theta_s: float, phi_s: float) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 Every runner consumes a :class:`wdmlink.config.RunConfig`, writes one
 CSV (and optionally one SVG rendered from the same data) and returns the
-computed records.  CSV cells are decimal with 9 significant digits and
-every row ends with an ``error`` column: a failed sweep point produces a
-flagged row with empty values instead of aborting the file.  For a fixed
-config and seed the bytes written are identical from run to run.  The
-pattern, field, dump and self-check runners compute everything they
-write, so they live in :mod:`wdmlink.numerical`.
+computed records.  This module also holds the one CSV and SVG output
+writer (``_write_table``), through which the sweeps here and the pattern
+and field runners of :mod:`wdmlink.numerical` write their tables: the
+grid column first, cells decimal with 9 significant digits and an
+``error`` column last, so a failed sweep point produces a flagged row
+with empty values instead of aborting the file.  For a fixed config and
+seed the bytes written are identical from run to run.  The pattern,
+field, dump and self-check runners compute everything they write, so
+they live in :mod:`wdmlink.numerical`.
 
 Both SE sweeps run on one engine: each grid value carries a group of
 link geometries, one for a plain sweep and one per source orientation
@@ -50,10 +53,6 @@ __all__ = [
 ]
 
 SCHEME_ORDER = (Scheme.SVD, Scheme.MMSE, Scheme.MR, Scheme.PLAIN)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
@@ -228,45 +227,40 @@ def _run_groups(
 
 
 _SWEEP_LABELS = {"d_z": "d_z [m]", "theta_s": "theta_s [deg]", "d_x": "d_x [m]"}
+_SCHEME_LABELS = ("SVD", "MMSE", "MR", "plain")  # plot labels of SCHEME_ORDER
 
 
-def _write_se_outputs(
-    cfg: RunConfig,
+def _write_table(
     csv_path: str,
     svg_path: Optional[str],
-    columns: Sequence[str],
-    records: Sequence,
-    cells: Sequence[Sequence[float]],
-    ylabel: str,
-    title: str,
+    grid: Tuple[str, Sequence[float]],
+    columns: Sequence[Tuple[str, Optional[str], Sequence[float]]],
+    errors: Sequence[str],
+    render: Callable[[list], str],
 ) -> None:
-    """CSV and four-scheme SVG of sweep records.
+    """Write a CSV table and, given ``svg_path``, its plot drawn by ``render``.
 
-    ``cells[i]`` are the SE columns of ``records[i]``, the SVD, MMSE, MR
-    and plain values first; those four are plotted over the grid.  A
-    flagged record gets blank SE cells and its error.
+    ``grid`` is the first column's (name, values), each column a value
+    column's (CSV name, plot label or None, values).  A row with an error
+    gets blank value cells.  ``render`` gets each labelled column as a
+    (label, grid values, values) series.
     """
+    name, xs = grid
     rows = [
-        [_fmt(rec.value)]
-        + ([""] * len(row) + [rec.error] if rec.error else [_fmt(v) for v in row] + [""])
-        for rec, row in zip(records, cells)
+        [f"{x:.9g}"]
+        + ([""] * len(columns) + [error] if error else [f"{c[2][i]:.9g}" for c in columns] + [""])
+        for i, (x, error) in enumerate(zip(xs, errors))
     ]
-    _write_csv(csv_path, ["value", *columns, "error"], rows)
+    _write_csv(csv_path, [name, *(c[0] for c in columns), "error"], rows)
     if svg_path:
-        xs = [rec.value for rec in records]
-        series = [
-            (name, xs, [row[i] for row in cells])
-            for i, name in enumerate(("SVD", "MMSE", "MR", "plain"))
-        ]
-        write_svg(
-            svg_path,
-            line_plot_svg(
-                series,
-                xlabel=_SWEEP_LABELS[cfg.sweep.parameter],
-                ylabel=ylabel,
-                title=title,
-            ),
-        )
+        write_svg(svg_path, render([(label, xs, values) for _, label, values in columns if label]))
+
+
+def _se_plot(cfg: RunConfig, ylabel: str, title: str) -> Callable[[list], str]:
+    """The line plot of a sweep's SE columns over its grid."""
+    return functools.partial(
+        line_plot_svg, xlabel=_SWEEP_LABELS[cfg.sweep.parameter], ylabel=ylabel, title=title
+    )
 
 
 def run_sweep(
@@ -284,15 +278,14 @@ def run_sweep(
         for value in cfg.sweep.values()
     ]
     records = [group[0] for group in _run_groups(cfg, groups)]
-    _write_se_outputs(
-        cfg,
+    names = [f"se_{s.value}" for s in SCHEME_ORDER]
+    _write_table(
         csv_path,
         svg_path,
-        [f"se_{s.value}" for s in SCHEME_ORDER],
-        records,
-        [(r.se_svd, r.se_mmse, r.se_mr, r.se_plain) for r in records],
-        ylabel="spectral efficiency [bit per channel use]",
-        title=f"SE sweep over {parameter}",
+        ("value", [r.value for r in records]),
+        list(zip(names, _SCHEME_LABELS, zip(*[r[1:5] for r in records]))),
+        [r.error for r in records],
+        _se_plot(cfg, "spectral efficiency [bit per channel use]", f"SE sweep over {parameter}"),
     )
     return records
 
@@ -421,14 +414,15 @@ def run_avg_sweep(
         mean, stderr = (tuple(stat) for stat in zip(*stats))
         error = next((g.error for g in group if g.error), "")
         records.append(AvgSweepRecord(value, mean, stderr, error))
-    _write_se_outputs(
-        cfg,
+    names = [f"se_{s.value}_{stat}" for stat in ("mean", "stderr") for s in SCHEME_ORDER]
+    _write_table(
         csv_path,
         svg_path,
-        [f"se_{s.value}_{stat}" for stat in ("mean", "stderr") for s in SCHEME_ORDER],
-        records,
-        [r.mean + r.stderr for r in records],
-        ylabel="average spectral efficiency [bit per channel use]",
-        title="Orientation-averaged SE",
+        ("value", [r.value for r in records]),
+        list(zip(names, _SCHEME_LABELS + (None,) * 4, zip(*[r.mean + r.stderr for r in records]))),
+        [r.error for r in records],
+        _se_plot(
+            cfg, "average spectral efficiency [bit per channel use]", "Orientation-averaged SE"
+        ),
     )
     return records

@@ -5,15 +5,17 @@
 which the engine stores and records, each whitened by
 :func:`wdmlink.channel.whiten` against one noise factor per run; the
 pattern, field, dump and self-check runners compute everything they
-write.  Importing this
-module loads numpy, :mod:`wdmlink.em_field`, the quadrature rule,
-:mod:`wdmlink.channel` and :mod:`wdmlink.receivers`; the sweep engine
-imports it at a run's first cache miss and the command line when one of
-those four commands runs.
+write, the pattern and field runners through the output writer of
+:mod:`wdmlink.experiments`.  Importing this module loads numpy,
+:mod:`wdmlink.em_field`, the quadrature rule, :mod:`wdmlink.channel`
+and :mod:`wdmlink.receivers`; the sweep engine imports it at a run's
+first cache miss and the command line when one of those four commands
+runs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -40,10 +42,10 @@ from .em_field import (
     received_field_profile,
     source_direction,
 )
-from .experiments import SCHEME_ORDER, _fmt, _UniformStream, _write_csv
+from .experiments import SCHEME_ORDER, _UniformStream, _write_table
 from .geometry import LinkGeometry, replace
 from .receivers import spectral_efficiency, waterfill
-from .svgplot import line_plot_svg, polar_plot_svg, write_svg
+from .svgplot import line_plot_svg, polar_plot_svg
 
 __all__ = [
     "evaluate_points",
@@ -151,17 +153,14 @@ def run_pattern(
     theta_deg = np.linspace(0.0, 180.0, steps + 1)
     theta = np.radians(theta_deg)
     values = {m.n: radiation_pattern(theta, m, cfg.geometry, cfg.wdm.wavelength) for m in modes}
-    header = ["theta_deg"] + [f"mode_{m.n}" for m in modes] + ["error"]
-    rows = [
-        [_fmt(theta_deg[i])] + [_fmt(values[m.n][i]) for m in modes] + [""]
-        for i in range(theta_deg.size)
-    ]
-    _write_csv(csv_path, header, rows)
-    if svg_path:
-        series = [
-            (f"mode {m.n}", theta_deg, values[m.n]) for m in modes
-        ]
-        write_svg(svg_path, polar_plot_svg(series, title="Mode radiation patterns"))
+    _write_table(
+        csv_path,
+        svg_path,
+        ("theta_deg", theta_deg),
+        [(f"mode_{m.n}", f"mode {m.n}", values[m.n]) for m in modes],
+        [""] * theta_deg.size,
+        functools.partial(polar_plot_svg, title="Mode radiation patterns"),
+    )
     return values
 
 
@@ -189,24 +188,19 @@ def run_field(
         m.n: np.abs(received_field_profile(m, geom, wdm.wavelength, grid, wdm.quadrature)) / e0
         for m in modes
     }
-    offsets = grid - geom.d_z
-    header = ["r_offset"] + [f"mode_{m.n}" for m in modes] + ["error"]
-    rows = [
-        [_fmt(offsets[i])] + [_fmt(profiles[m.n][i]) for m in modes] + [""]
-        for i in range(grid.size)
-    ]
-    _write_csv(csv_path, header, rows)
-    if svg_path:
-        series = [(f"mode {m.n}", offsets, profiles[m.n]) for m in modes]
-        write_svg(
-            svg_path,
-            line_plot_svg(
-                series,
-                xlabel="r_z - d_z [m]",
-                ylabel="|e_z| / e_0",
-                title="Received field profiles",
-            ),
-        )
+    _write_table(
+        csv_path,
+        svg_path,
+        ("r_offset", grid - geom.d_z),
+        [(f"mode_{m.n}", f"mode {m.n}", profiles[m.n]) for m in modes],
+        [""] * grid.size,
+        functools.partial(
+            line_plot_svg,
+            xlabel="r_z - d_z [m]",
+            ylabel="|e_z| / e_0",
+            title="Received field profiles",
+        ),
+    )
     return profiles
 
 

@@ -2,7 +2,9 @@
 
 Generates static line and polar plots without any plotting dependency,
 numpy included; output is deterministic (no timestamps, no randomness)
-so repeated runs produce identical files.
+so repeated runs produce identical files.  Both plots draw their body
+inside one document frame: the SVG head, a white background, the body,
+the legend and the closing tag.
 """
 
 from __future__ import annotations
@@ -80,6 +82,19 @@ def _legend(labels: Sequence[str], x0: float, y0: float) -> List[str]:
     return parts
 
 
+def _document(body: List[str], series: Sequence[tuple], legend_x: float) -> str:
+    """The SVG document around ``body``: head, white background, body, legend, closing tag."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
+        f'width="{_W}" height="{_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        *body,
+        *_legend([label for label, _, _ in series], legend_x, _MT + 16),
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
+
 def line_plot_svg(
     series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
     xlabel: str,
@@ -109,11 +124,7 @@ def line_plot_svg(
     def sy(y: float) -> float:
         return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
-        f'width="{_W}" height="{_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
+    parts = []
     for t in _nice_ticks(x_lo, x_hi):
         x = sx(t)
         parts.append(
@@ -150,9 +161,7 @@ def line_plot_svg(
         f'<text x="18" y="{_H / 2:.1f}" font-size="13" font-family="sans-serif" '
         f'text-anchor="middle" transform="rotate(-90 18 {_H / 2:.1f})">{ylabel}</text>'
     )
-    parts.extend(_legend([label for label, _, _ in series], _W - _MR - 170, _MT + 16))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(parts, series, _W - _MR - 170)
 
 
 def polar_plot_svg(
@@ -172,11 +181,7 @@ def polar_plot_svg(
         scale = radius * min(r, 1.0)
         return cx + scale * math.sin(ang), cy - scale * math.cos(ang)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
-        f'width="{_W}" height="{_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
+    parts = []
     for frac in (0.25, 0.5, 0.75, 1.0):
         parts.append(
             f'<circle cx="{cx}" cy="{cy}" r="{radius * frac:.1f}" fill="none" '
@@ -204,9 +209,7 @@ def polar_plot_svg(
         if len(pts) > 1:
             parts.append(_polyline(pts, color))
     parts.append(_text(_W / 2, 24, title, size=15))
-    parts.extend(_legend([label for label, _, _ in series], _W - _MR - 150, _MT + 16))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(parts, series, _W - _MR - 150)
 
 
 def write_svg(path: str, svg_text: str) -> None:

@@ -21,8 +21,9 @@ from wdmlink.em_field import (
     rotation_matrix,
     source_direction,
 )
-from wdmlink.experiments import run_sweep
+from wdmlink.experiments import run_avg_sweep, run_sweep
 from wdmlink.geometry import replace
+from wdmlink.numerical import run_field, run_pattern
 from wdmlink.receivers import Scheme, spectral_efficiency, waterfill
 
 from oracles import (
@@ -217,3 +218,26 @@ def test_c12_byte_identical_reruns(desk, tmp_path):
     run_sweep(cfg, str(path_a))
     run_sweep(cfg, str(path_b))
     assert path_a.read_bytes() == path_b.read_bytes()
+    # every CSV-writing runner, CSV and SVG, at small sizes
+    small = replace(
+        desk,
+        sweep=replace(desk.sweep, count=3),
+        pattern=replace(desk.pattern, step_deg=10.0),
+        field=replace(desk.field, grid_points=9),
+    )
+    avg = replace(
+        small,
+        sweep=replace(small.sweep, parameter="d_x", start=2.0, stop=3.0, count=2, draws_per_phi=2),
+    )
+    for name, runner, run_cfg in (
+        ("sweep", run_sweep, small),
+        ("avg", run_avg_sweep, avg),
+        ("pattern", run_pattern, small),
+        ("field", run_field, small),
+    ):
+        outputs = []
+        for rerun in "ab":
+            paths = [tmp_path / f"{name}_{rerun}.{ext}" for ext in ("csv", "svg")]
+            runner(run_cfg, *map(str, paths))
+            outputs.append([path.read_bytes() for path in paths])
+        assert outputs[0] == outputs[1], name

@@ -84,7 +84,7 @@ class TestToneTable:
     def test_mode_frequencies_are_spatial_frequency_bit_for_bit(self, n_modes):
         geom, cfg = REDUCED_GEOM, replace(REDUCED_CFG, n_modes=n_modes)
         expected = [spatial_frequency(n, n_modes, geom.L_s) for n in range(1, n_modes + 1)]
-        assert channel._mode_frequencies(cfg, geom).tolist() == expected
+        assert em_field._kappas(cfg.n_modes, geom.L_s).tolist() == expected
 
     @pytest.mark.parametrize("profile", ["desk", "full_scale"])
     @pytest.mark.parametrize("parity", ["odd", "even", "one"])

@@ -825,6 +825,83 @@ class TestRunAvgSweep:
         assert (max(svd) - min(svd)) / max(svd) < 0.25
 
 
+# ---------------------------------------------------------------------------
+# Table format shared by every CSV-writing runner
+
+
+class TestTableFormat:
+    """The CSV cells every runner writes: the grid column first, values at
+    9 significant digits, blank value cells and the error on a flagged
+    row, and the ``error`` column last."""
+
+    @staticmethod
+    def fixed_outcomes(monkeypatch, outcomes):
+        def evaluate(wdm, geoms):
+            assert len(geoms) == len(outcomes)
+            return list(outcomes)
+
+        monkeypatch.setattr(numerical, "evaluate_points", evaluate)
+
+    def test_sweep_csv_text(self, desk, tmp_path, monkeypatch):
+        self.fixed_outcomes(
+            monkeypatch,
+            [
+                [1.0 / 3.0, 2.0, 0.5, 1e-3],
+                "LinAlgError: not positive definite, at d_z = 1",
+                [10.0, 1.25, 3.0, 123456789.125],
+            ],
+        )
+        path = tmp_path / "sweep.csv"
+        run_sweep(small_sweep(desk, count=3), str(path))
+        assert path.read_text(encoding="ascii") == (
+            "value,se_svd,se_mmse,se_mr,se_plain,error\n"
+            "0,0.333333333,2,0.5,0.001,\n"
+            '1,,,,,"LinAlgError: not positive definite, at d_z = 1"\n'
+            "2,10,1.25,3,123456789,\n"
+        )
+
+    def test_avg_sweep_csv_text(self, desk, tmp_path, monkeypatch):
+        # two orientations per grid point; the second point's both fail
+        self.fixed_outcomes(
+            monkeypatch,
+            [
+                [0.0, 1.0 / 3.0, 1.0, 4.0],
+                [2.0, 1.0 / 3.0, 3.0, 4.0],
+                "RuntimeError: first",
+                "RuntimeError: second",
+            ],
+        )
+        cfg = small_sweep(
+            desk, parameter="d_x", start=2.0, stop=3.0, count=2,
+            draws_per_phi=2, phi_set_deg=(0.0,),
+        )
+        path = tmp_path / "avg.csv"
+        run_avg_sweep(cfg, str(path))
+        assert path.read_text(encoding="ascii") == (
+            "value,se_svd_mean,se_mmse_mean,se_mr_mean,se_plain_mean,"
+            "se_svd_stderr,se_mmse_stderr,se_mr_stderr,se_plain_stderr,error\n"
+            "2,1,0.333333333,2,4,1,0,1,0,\n"
+            "3,,,,,,,,,RuntimeError: first\n"
+        )
+
+    def test_pattern_header_and_error_column(self, desk, tmp_path):
+        cfg = replace(desk, pattern=replace(desk.pattern, mode_offsets=(-1, 0), step_deg=10.0))
+        path = str(tmp_path / "pattern.csv")
+        run_pattern(cfg, path)
+        cols = read_csv_columns(path)
+        assert list(cols) == ["theta_deg", "mode_10", "mode_11", "error"]
+        assert cols["theta_deg"] == [str(10 * i) for i in range(19)]
+        assert cols["error"] == [""] * 19
+
+    def test_field_header_and_error_column(self, desk, tmp_path):
+        cfg = replace(desk, field=FieldSettings(mode_offsets=(0,), grid_points=5))
+        path = str(tmp_path / "field.csv")
+        run_field(cfg, path)
+        cols = read_csv_columns(path)
+        assert list(cols) == ["r_offset", "mode_11", "error"]
+        assert cols["error"] == [""] * 5
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 100, 129, 1000])
 def test_ensemble_statistics_are_numpy_bit_for_bit(size):
     # the averaged sweep's mean and standard error, computed without
