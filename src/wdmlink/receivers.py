@@ -8,7 +8,7 @@ per-mode SINR follow from one statistic of H_tilde, in closed form:
            chi_n = S_n^2 and SINR_n = p_n chi_n.
     MMSE   Gram matrix G = H_tilde^H H_tilde; chi_n = G_nn and
            1 + SINR_n = 1 / d_n with d_n = [(I + P^1/2 G P^1/2)^{-1}]_nn,
-           taken from one Cholesky factor.
+           taken from the QR factor of [H_tilde P^1/2; I], not from G.
     MR     G again; chi_n = G_nn and
            SINR_n = p_n G_nn^2 / (sum_{m != n} |G_nm|^2 p_m + G_nn).
     PLAIN  |H_tilde|^2 entrywise (no receive processing);
@@ -129,10 +129,10 @@ def _statistic(
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Gains chi of one architecture and the matrix its SINR is read from.
 
-    That matrix is G for MMSE, |G|^2 for MR, |H_tilde|^2 for PLAIN and
-    none for SVD, whose SINR needs only chi.  ``H_tilde`` may be a stack
-    of matrices, and ``gram``, G if already formed, is shared by MMSE and
-    MR.
+    That matrix is |G|^2 for MR, |H_tilde|^2 for PLAIN and none for SVD,
+    whose SINR needs only chi, and MMSE, whose SINR is read from H_tilde.
+    ``H_tilde`` may be a stack of matrices, and ``gram``, G if already
+    formed, is shared by MMSE and MR.
     """
     if kind is Scheme.SVD:
         s = np.linalg.svd(H_tilde, compute_uv=False)
@@ -143,7 +143,7 @@ def _statistic(
     if kind in (Scheme.MMSE, Scheme.MR):
         gram = _gram(H_tilde) if gram is None else gram
         chi = gram.diagonal(axis1=-2, axis2=-1).real.copy()
-        return chi, gram if kind is Scheme.MMSE else np.abs(gram) ** 2
+        return chi, np.abs(gram) ** 2 if kind is Scheme.MR else None
     raise ValueError(f"unknown scheme {kind!r}")
 
 
@@ -186,10 +186,7 @@ def _evaluate(
     p, mu = waterfill(chi, power)
     diagonal = np.arange(p.shape[-1])
     if kind is Scheme.MMSE:
-        root = np.sqrt(p)
-        K = np.eye(p.shape[-1]) + root[..., :, None] * stat * root[..., None, :]
-        # K = L L^H gives K^{-1} = L^{-H} L^{-1}: d_n is column n's squared norm of L^{-1}
-        d = np.sum(np.abs(np.linalg.inv(np.linalg.cholesky(K))) ** 2, axis=-2)
+        d = _mmse_d(H_tilde, p)
         return SchemeResult(kind, p, mu, 1.0 / d - 1.0, _total(-np.sum(np.log2(d), axis=-1)))
     if kind is Scheme.SVD:
         sinr = p * chi
@@ -202,6 +199,26 @@ def _evaluate(
         # a zero column of H_tilde (MR's G_nn = 0) has no signal and no noise
         sinr = np.divide(signal, den, out=np.zeros_like(signal), where=den > 0.0)
     return SchemeResult(kind, p, mu, sinr, _total(np.sum(np.log2(1.0 + sinr), axis=-1)))
+
+
+def _mmse_d(H_tilde: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """d_n = [K^{-1}]_nn, K = I + P^1/2 G P^1/2, from the QR factor of [H_tilde P^1/2; I].
+
+    That augmented matrix A has A^H A = K = R^H R, so K^{-1} = R^{-1} R^{-H}
+    and d_n is row n's squared norm of R^{-1}; no Gram matrix is formed,
+    and R, whose singular values are those of A, all at least 1, is never
+    singular (Hassibi, ICASSP 2000; Wuebben et al., VTC-Fall 2003).  A
+    stack is factored in two halves, so no (2N, N) array, nor the copy
+    that ``qr`` takes of it, holds more entries than the stack itself.
+    """
+    n = p.shape[-1]
+    scaled = (H_tilde * np.sqrt(p)[..., None, :]).reshape(-1, n, n)
+    half = -(-len(scaled) // 2)
+    d = []
+    for part in (scaled[:half], scaled[half:]):
+        A = np.concatenate((part, np.broadcast_to(np.eye(n), part.shape)), axis=-2)
+        d.append(np.sum(np.abs(np.linalg.inv(np.linalg.qr(A, mode="r"))) ** 2, axis=-1))
+    return np.concatenate(d).reshape(p.shape)
 
 
 def _total(se: np.ndarray) -> Union[float, np.ndarray]:

@@ -837,11 +837,11 @@ class TestSerialization:
             load_matching_channel_set(str(path), other, REDUCED_CFG)
 
     def test_entry_is_header_then_hex_values(self, tmp_path):
-        # a v11 entry is text: the header, then one float.hex line per scheme
+        # a v12 entry is text: the header, then one float.hex line per scheme
         path = tmp_path / "entry.wdmch"
         save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)
-        assert header.startswith("wdmlink-channel-set v11\n")
+        assert header.startswith("wdmlink-channel-set v12\n")
         body = "".join(f"{v.hex()}\n" for v in SE_VALUES)
         assert path.read_text(encoding="ascii") == header + body
 
@@ -864,11 +864,12 @@ class TestSerialization:
     def test_cache_key_is_pinned(self):
         # the file name is the header's CRC-32 and Adler-32, which depend on
         # its bytes alone: not on the process, platform or Python version
-        # (the header's format tag is v11, text entries holding a point's
+        # (the header's format tag is v12, text entries holding a point's
         # four SE values from the closed-form R, the H of the reduced field
-        # sampled piece by piece and the receivers' Gram-matrix SINRs, and
-        # the header names both QuadratureSpec fields)
-        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "d94ce00237f9691f"
+        # sampled piece by piece, MMSE from the QR factor of the augmented
+        # channel and MR from the Gram matrix, and the header names both
+        # QuadratureSpec fields)
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "47f2b5d739226920"
 
     def test_cache_key_follows_exactly_what_the_se_depends_on(self):
         # every field a point's SE depends on changes the key

@@ -344,3 +344,31 @@ class TestAgainstSchemeMatrices:
             A, B, _ = oracles.scheme_matrices(kind, H, res.p)
             se = float(np.sum(np.log2(1.0 + oracles.sinr(B, H @ A, res.p))))
             assert abs(res.se_total - se) <= 1e-12 * se, kind
+
+
+class TestMmseSquareRoot:
+    """MMSE's d_n against a channel whose d_n has a closed form.
+
+    H_tilde = Q diag(s) F^H, with Q unitary and F the unitary DFT, has
+    G = F diag(s^2) F^H, so every G_nn is mean(s^2), water-filling splits
+    the power evenly, p_n = P/N, and
+    d_n = [F diag(1 / (1 + p s^2)) F^H]_nn = (1/N) sum_k 1 / (1 + p s_k^2).
+    Its singular values span six decades, so d_n formed from G is off by
+    ~1e-6, and from the QR factor of [H_tilde P^1/2; I] by ~1e-11.  (At
+    s_min = 1e-8 the product Q diag(s) F^H alone, rounded at eps s_max,
+    moves d_n by ~5e-10 whatever the receiver.)
+    """
+
+    @pytest.mark.parametrize("s_min, power", [(1e-6, 1e12), (1e-6, 1e16)])
+    def test_unitary_dft_channel_closed_form(self, s_min, power):
+        n = 12
+        rng = np.random.default_rng(13)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        F = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
+        s = np.geomspace(s_min, 1.0, n)
+        res = spectral_efficiency(Scheme.MMSE, Q @ np.diag(s) @ F.conj().T, power)
+        assert np.allclose(res.p, power / n, rtol=1e-12, atol=0.0)
+        d = 1.0 / (1.0 + res.sinr)
+        exact = np.mean(1.0 / (1.0 + res.p[:, None] * s**2), axis=1)
+        assert np.max(np.abs(d - exact) / exact) <= 1e-10
+        assert res.se_total == pytest.approx(-np.sum(np.log2(exact)), rel=1e-10)
