@@ -64,50 +64,45 @@ def evaluate_points(
     The geometries differ only in d_x, d_z and orientation, so one noise
     factor, built at the first run, whitens them all.  A run of
     consecutive geometries with the same receive segment shares one
-    receive projection and is evaluated in stacks of up to
+    receive projection and is evaluated once, in stacks of up to
     :func:`wdmlink.channel.stack_size` geometries (:func:`_stack_se`), and
-    each geometry's values have the same bits whatever stack it is in.  A
-    failed factor or projection fails every geometry of its run.
+    each geometry's values have the same bits whatever stack it is in.  An
+    exception in a stack's factor, projection or evaluation flags every
+    geometry of the stack with its message.
     """
-    power, limit, L0, outcomes = total_power(wdm), stack_size(wdm), None, []
+    limit, L0, outcomes = stack_size(wdm), None, []
     # geom[:4] is (L_s, L_r, d_x, d_z), the fields of the receive segment
     for _, group in itertools.groupby(geoms, key=lambda geom: geom[:4]):
-        run = list(group)
-        try:
-            # a failed factor flags this run, and the next run tries again
-            L0 = noise_factor(run[0], wdm) if L0 is None else L0
-            projection = ReceiveProjection(run[0], wdm)
-        except Exception as exc:  # flagged row per grid point, file stays complete
-            outcomes += [_message(exc)] * len(run)
-            continue
-        for start in range(0, len(run), limit):
-            outcomes += _stack_se(wdm, run[start : start + limit], L0, projection, power)
+        run, projection = list(group), None
+        for stack in (run[start : start + limit] for start in range(0, len(run), limit)):
+            try:
+                # a failed factor or projection flags this stack, and the next tries again
+                L0 = noise_factor(run[0], wdm) if L0 is None else L0
+                projection = projection or ReceiveProjection(run[0], wdm)
+                outcomes += _stack_se(wdm, stack, L0, projection)
+            except Exception as exc:  # flagged row per grid point, file stays complete
+                outcomes += [_message(exc)] * len(stack)
     return outcomes
 
 
 def _stack_se(
-    wdm: WdmConfig,
-    geoms: List[LinkGeometry],
-    L0: np.ndarray,
-    projection: ReceiveProjection,
-    power: float,
+    wdm: WdmConfig, geoms: List[LinkGeometry], L0: np.ndarray, projection: ReceiveProjection
 ) -> List[Union[List[float], str]]:
     """Each geometry's four SE values in SCHEME_ORDER, or the message of its failure.
 
-    The geometries differ only in orientation and pass as one stack through
-    ``assemble_H``, ``whiten`` against the run's factor ``L0`` and
-    ``spectral_efficiency``.  A stack that raises is evaluated again one
-    geometry at a time, so only a geometry that fails on its own is
-    flagged, with its own message.
+    The geometries differ only in orientation and pass once, as one stack,
+    through ``assemble_H``, ``whiten`` against the run's factor ``L0`` and
+    ``spectral_efficiency``.  A geometry whose water-filling fails is
+    flagged with the error of the first scheme in SCHEME_ORDER that fails
+    it, as it would be alone.
     """
-    try:
-        H_tilde = whiten(assemble_H(geoms, wdm, projection), geoms[0], wdm, L0)
-        results = spectral_efficiency(SCHEME_ORDER, H_tilde, power)
-    except Exception as exc:  # flagged row per grid point, file stays complete
-        if len(geoms) == 1:
-            return [_message(exc)]
-        return [se for geom in geoms for se in _stack_se(wdm, [geom], L0, projection, power)]
-    return [[float(result.se_total[k]) for result in results] for k in range(len(geoms))]
+    H_tilde = whiten(assemble_H(geoms, wdm, projection), geoms[0], wdm, L0)
+    results = spectral_efficiency(SCHEME_ORDER, H_tilde, total_power(wdm))
+    outcomes = []
+    for k in range(len(geoms)):
+        errors = [r.error[k] for r in results if r.error[k] is not None]
+        outcomes.append(_message(errors[0]) if errors else [float(r.se_total[k]) for r in results])
+    return outcomes
 
 
 def _message(exc: Exception) -> str:
@@ -295,7 +290,7 @@ def run_selfcheck(cfg: RunConfig) -> bool:
     )
 
     chi = rng.uniform(0.1, 10.0, wdm.n_modes)
-    p, mu = waterfill(chi, total_power(wdm))
+    p, mu, _ = waterfill(chi, total_power(wdm))
     budget = abs(p.sum() - total_power(wdm)) / total_power(wdm)
     kkt = True
     for pn, cn in zip(p, chi):

@@ -58,6 +58,8 @@ class SchemeResult(NamedTuple):
         mu: Water level.
         sinr: Per-mode SINR; for MMSE 1/d_n - 1 (see module docs).
         se_total: Sum spectral efficiency [bit per channel use].
+        error: None, or the ValueError of a channel that water-filling
+            failed (:func:`waterfill`), evaluated at zero power.
     """
 
     scheme: Scheme
@@ -65,9 +67,10 @@ class SchemeResult(NamedTuple):
     mu: float
     sinr: np.ndarray
     se_total: float
+    error: Optional[ValueError]
 
 
-def waterfill(chi: np.ndarray, power: float) -> Tuple[np.ndarray, np.ndarray]:
+def waterfill(chi: np.ndarray, power: float) -> Tuple[np.ndarray, np.ndarray, object]:
     """Exact water-filling of ``power`` over channel gains ``chi``.
 
     The modes' 1/chi are sorted and mu is the largest level (power +
@@ -80,19 +83,22 @@ def waterfill(chi: np.ndarray, power: float) -> Tuple[np.ndarray, np.ndarray]:
         power: Total power budget, positive, the same for every row.
 
     Returns:
-        (p, mu) with p_n = max(0, mu - 1/chi_n) and sum p = power; p has
-        chi's shape and mu its shape without the last axis (a numpy
-        float for one vector).  Each row has the bits of its own call.
+        (p, mu, error) with p_n = max(0, mu - 1/chi_n) and sum p = power;
+        p has chi's shape and mu and error its shape without the last
+        axis (a numpy float and an object for one vector).  A row with a
+        negative or non-finite gain, no nonzero gain or a budget lost to
+        rounding against its strongest mode's 1/chi fails: it gets zero
+        power, mu NaN and, as error, the ValueError that says why; every
+        other row's error is None.  Each row has the bits of its own call.
 
     Raises:
-        ValueError: On a negative or non-finite gain, an all-zero gain
-            vector, a nonpositive budget or a budget lost to rounding
-            against the strongest mode's 1/chi; for a stack, the error of
-            the first row that has one, as that row alone raises it.
+        ValueError: On an empty gain vector or a nonpositive budget.
     """
     chi = np.asarray(chi, dtype=float)
     if chi.ndim == 0 or chi.shape[-1] == 0:
         raise ValueError("chi must be a nonempty vector")
+    if not power > 0.0:
+        raise ValueError(f"power budget must be positive, got {power}")
     rows = chi.reshape(-1, chi.shape[-1])
     active = rows > 0.0
     # 1/chi of the active modes; a zero gain sorts last as inf and gets none
@@ -106,22 +112,21 @@ def waterfill(chi: np.ndarray, power: float) -> Tuple[np.ndarray, np.ndarray]:
     last = rows.shape[1] - 1 - np.argmax(fits[:, ::-1], axis=1)
     mu = candidate[np.arange(rows.shape[0]), last]
     valid = ((rows >= 0.0) & (rows < np.inf)).all(axis=1)
-    if not (power > 0.0 and (valid & fits.any(axis=1)).all()):
-        row = int(np.argmax(~(valid & fits.any(axis=1)))) if power > 0.0 else 0
-        if not valid[row]:
-            raise ValueError("gains must be finite and nonnegative")
-        if not power > 0.0:
-            raise ValueError(f"power budget must be positive, got {power}")
-        if not active[row].any():
-            raise ValueError("all channel gains are zero, nothing to allocate")
-        # power + 1/chi rounds to 1/chi for the strongest mode
-        raise ValueError(
-            f"water-filling found no active mode: power {power:g} + 1/chi "
+    failed = ~(valid & fits.any(axis=1))
+    error = np.full(rows.shape[0], None, dtype=object)
+    for row in np.flatnonzero(failed):
+        # power + 1/chi rounds to 1/chi for the strongest mode in the last case
+        error[row] = ValueError(
+            "gains must be finite and nonnegative" if not valid[row]
+            else "all channel gains are zero, nothing to allocate" if not active[row].any()
+            else f"water-filling found no active mode: power {power:g} + 1/chi "
             f"rounds to 1/chi = {inv_sorted[row, 0]:g}"
         )
-    p = np.subtract(mu[:, None], inv, out=np.zeros_like(rows), where=active)
+    mu[failed] = np.nan
+    p = np.subtract(mu[:, None], inv, out=np.zeros_like(rows), where=active & ~failed[:, None])
     np.maximum(0.0, p, out=p)
-    return p.reshape(chi.shape), mu.reshape(chi.shape[:-1])[()]
+    shape = chi.shape[:-1]
+    return p.reshape(chi.shape), mu.reshape(shape)[()], error.reshape(shape)[()]
 
 
 def _statistic(
@@ -183,11 +188,13 @@ def _evaluate(
 ) -> SchemeResult:
     """:func:`spectral_efficiency` of one architecture."""
     chi, stat = _statistic(kind, H_tilde, gram)
-    p, mu = waterfill(chi, power)
+    p, mu, error = waterfill(chi, power)
     diagonal = np.arange(p.shape[-1])
     if kind is Scheme.MMSE:
         d = _mmse_d(H_tilde, p)
-        return SchemeResult(kind, p, mu, 1.0 / d - 1.0, _total(-np.sum(np.log2(d), axis=-1)))
+        # 0.0 - sum: a row whose every d_n is 1 gets +0, not -0
+        se = _total(0.0 - np.sum(np.log2(d), axis=-1))
+        return SchemeResult(kind, p, mu, 1.0 / d - 1.0, se, error)
     if kind is Scheme.SVD:
         sinr = p * chi
     else:
@@ -198,7 +205,7 @@ def _evaluate(
         den = (stat @ p[..., None])[..., 0] + noise
         # a zero column of H_tilde (MR's G_nn = 0) has no signal and no noise
         sinr = np.divide(signal, den, out=np.zeros_like(signal), where=den > 0.0)
-    return SchemeResult(kind, p, mu, sinr, _total(np.sum(np.log2(1.0 + sinr), axis=-1)))
+    return SchemeResult(kind, p, mu, sinr, _total(np.sum(np.log2(1.0 + sinr), axis=-1)), error)
 
 
 def _mmse_d(H_tilde: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -212,10 +219,8 @@ def _mmse_d(H_tilde: np.ndarray, p: np.ndarray) -> np.ndarray:
     that ``qr`` takes of it, holds more entries than the stack itself.
     """
     n = p.shape[-1]
-    scaled = (H_tilde * np.sqrt(p)[..., None, :]).reshape(-1, n, n)
-    half = -(-len(scaled) // 2)
     d = []
-    for part in (scaled[:half], scaled[half:]):
+    for part in np.array_split((H_tilde * np.sqrt(p)[..., None, :]).reshape(-1, n, n), 2):
         A = np.concatenate((part, np.broadcast_to(np.eye(n), part.shape)), axis=-2)
         d.append(np.sum(np.abs(np.linalg.inv(np.linalg.qr(A, mode="r"))) ** 2, axis=-1))
     return np.concatenate(d).reshape(p.shape)

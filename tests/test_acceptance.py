@@ -139,12 +139,12 @@ def test_c07_noise_covariance_and_whitening(desk):
 
 
 def test_c08_waterfilling_budget_and_kkt(rng):
-    p, mu = waterfill(np.array([2.0, 1.0]), 1.0)
+    p, mu, _ = waterfill(np.array([2.0, 1.0]), 1.0)
     assert p[0] == 0.75 and p[1] == 0.25
     for _ in range(50):
         chi = rng.uniform(0.01, 20.0, rng.integers(2, 12))
         power = float(rng.uniform(0.1, 50.0))
-        p, mu = waterfill(chi, power)
+        p, mu, _ = waterfill(chi, power)
         assert abs(p.sum() - power) <= 1e-9 * power
         for pn, cn in zip(p, chi):
             if pn > 0.0:

@@ -16,7 +16,7 @@ import wdmlink.numerical as numerical
 from wdmlink import channel
 from wdmlink.cache import FORMAT_VERSION, channel_cache_key, channel_header
 from wdmlink.channel import assemble_H, load_matching_channel_set, noise_factor, whiten
-from wdmlink.config import FieldSettings, total_power
+from wdmlink.config import FieldSettings, emi_variance, total_power
 from wdmlink.em_field import NearFieldWarning
 from wdmlink.experiments import SCHEME_ORDER, run_avg_sweep, run_sweep
 from wdmlink.geometry import LinkGeometry, replace
@@ -30,6 +30,12 @@ SWEEP_HEADER = ["value", "se_svd", "se_mmse", "se_mr", "se_plain", "error"]
 
 def small_sweep(cfg, **overrides):
     return replace(cfg, sweep=replace(cfg.sweep, **overrides))
+
+
+def quiet(cfg, snr_emi_db):
+    """``cfg`` with the interference ``snr_emi_db`` below the power budget."""
+    sigma2_emi = emi_variance(total_power(cfg.wdm), snr_emi_db)
+    return replace(cfg, wdm=replace(cfg.wdm, sigma2_emi=sigma2_emi))
 
 
 def with_cache(cfg, cache, workers=1):
@@ -419,29 +425,40 @@ class TestRunSweep:
         assert cols["error"][1] == "RuntimeError: synthetic failure"
 
     def test_failed_point_in_a_stack_flags_only_its_row(self, desk, tmp_path, monkeypatch):
-        # the five orientations share one receive segment and one stack; the
-        # stack raises, is evaluated again one point at a time, and only the
-        # point that fails on its own is flagged: its stack-mates keep the
-        # bits they get without the failure
-        cfg = small_sweep(desk, parameter="theta_s", start=0.0, stop=40.0, count=5)
-        clean = run_sweep(cfg, str(tmp_path / "clean.csv"))
+        # at -130 dB the five orientations share one receive segment and pass
+        # once, as one stack; at 45, 90 and 135 degrees the budget rounds
+        # away against the strongest mode's 1/chi, so water-filling fails
+        # those rows alone, each with its own message, and rows 0 and 180
+        # keep the bits they get alone (MMSE's +0 written as 0, not -0)
+        cfg = small_sweep(quiet(desk, -130.0), parameter="theta_s", start=0.0, stop=180.0,
+                          count=5)
         real = numerical.assemble_H
         stacks = []
 
-        def sabotaged(geoms, wdm, projection):
-            stacks.append([round(math.degrees(geom.theta_s)) for geom in geoms])
-            if any(round(math.degrees(geom.theta_s)) == 20 for geom in geoms):
-                raise RuntimeError("synthetic failure")
+        def recorded(geoms, wdm, projection):
+            stacks.append(list(geoms))
             return real(geoms, wdm, projection)
 
-        monkeypatch.setattr(numerical, "assemble_H", sabotaged)
-        records = run_sweep(cfg, str(tmp_path / "sweep.csv"))
-        assert stacks == [[0, 10, 20, 30, 40], [0], [10], [20], [30], [40]]
-        failed = "RuntimeError: synthetic failure"
-        assert [rec.error for rec in records] == ["", "", failed, "", ""]
-        assert all(math.isnan(se) for se in records[2][1:5])
-        for k in (0, 1, 3, 4):
-            assert [se.hex() for se in records[k][1:5]] == [se.hex() for se in clean[k][1:5]]
+        monkeypatch.setattr(numerical, "assemble_H", recorded)
+        path = tmp_path / "sweep.csv"
+        records = run_sweep(cfg, str(path))
+        assert [[round(math.degrees(g.theta_s)) for g in stack] for stack in stacks] == [
+            [0, 45, 90, 135, 180]
+        ]
+        failed = (
+            "ValueError: water-filling found no active mode: power 1400.75 + 1/chi rounds to 1/chi = "
+        )
+        assert [rec.error for rec in records] == [
+            "", failed + "1.22803e+22", failed + "1.248e+20", failed + "2.63083e+21", "",
+        ]
+        assert all(math.isnan(se) for rec in records[1:4] for se in rec[1:5])
+        monkeypatch.setattr(numerical, "assemble_H", real)
+        for k in (0, 4):
+            alone = numerical.evaluate_points(cfg.wdm, [stacks[0][k]])[0]
+            assert [se.hex() for se in records[k][1:5]] == [se.hex() for se in alone]
+        rows = path.read_text().splitlines()
+        assert rows[1] == "0,3.2034265e-16,0,3.2034265e-16,3.2034265e-16,"
+        assert rows[5] == "180,3.2034265e-16,0,3.2034265e-16,3.2034265e-16,"
 
     def test_failed_noise_factor_flags_every_row(self, desk, tmp_path, monkeypatch):
         # an indefinite covariance fails the factor; each point tries it
@@ -600,7 +617,7 @@ class TestStackInvariance:
     """
 
     @staticmethod
-    def _check(wdm, points):
+    def _check(wdm, points, failing=()):
         whole = _hex_outcomes(numerical.evaluate_points(wdm, points))
         alone = [_hex_outcomes(numerical.evaluate_points(wdm, [point]))[0] for point in points]
         halves = [_hex_outcomes(numerical.evaluate_points(wdm, points[i::2])) for i in (0, 1)]
@@ -612,7 +629,8 @@ class TestStackInvariance:
         assert whole == alone
         assert halves[0] == whole[0::2] and halves[1] == whole[1::2]
         assert first + second == whole
-        assert all(not isinstance(se, str) and len(se) == 4 for se in whole)
+        assert [isinstance(se, str) for se in whole] == [k in failing for k in range(len(whole))]
+        assert all(len(se) == 4 for se in whole if not isinstance(se, str))
 
     def test_averaged_desk_sweep(self, desk, tmp_path, monkeypatch):
         # the shape of the benchmark's pooled desk workload: 3 d_x x 20
@@ -629,6 +647,14 @@ class TestStackInvariance:
         points = _missed_points(monkeypatch, run_sweep, cfg, tmp_path)
         assert len(points) == 41 and channel.stack_size(full_scale.wdm) == 4
         self._check(full_scale.wdm, points)
+
+    def test_stacks_with_failed_rows(self, desk):
+        # at -100 dB water-filling fails the 14 desk orientations from 58.5
+        # to 117 degrees, across the first two stacks of 18 and the cut
+        # between the halves: each keeps its own message in every stack
+        wdm = quiet(desk, -100.0).wdm
+        points = [replace(desk.geometry, theta_s=math.radians(4.5 * k)) for k in range(41)]
+        self._check(wdm, points, failing=range(13, 27))
 
     @pytest.mark.filterwarnings("ignore::wdmlink.em_field.NearFieldWarning")
     def test_near_source_desk_stack(self, desk):
@@ -661,6 +687,25 @@ def test_near_source_sweep_shows_each_warning_once(desk, tmp_path):
     assert all(w.category is NearFieldWarning for w in caught)
     messages = [str(w.message) for w in caught]
     assert len(set(messages)) == len(messages) == 13
+
+
+def test_near_source_stack_with_failed_rows_shows_each_warning_once(desk, tmp_path):
+    # at -120 dB water-filling fails 8 of 41 orientations at d_x = 0.25 m;
+    # the stacks are evaluated once, so under an "always" filter the sweep
+    # shows exactly the NearFieldWarnings that its points show alone
+    near = replace(quiet(desk, -120.0), geometry=replace(desk.geometry, d_x=0.25))
+    cfg = small_sweep(near, parameter="theta_s", start=0.0, stop=180.0, count=41)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NearFieldWarning)
+        records = run_sweep(cfg, str(tmp_path / "sweep.csv"))
+        swept = [str(w.message) for w in caught]
+        del caught[:]
+        for k in range(41):
+            geom = replace(near.geometry, theta_s=math.radians(4.5 * k))
+            numerical.evaluate_points(near.wdm, [geom])
+    assert sum(bool(rec.error) for rec in records) == 8
+    assert swept == [str(w.message) for w in caught]
+    assert len(swept) == 27 and len(set(swept)) == 13
 
 
 # ---------------------------------------------------------------------------
@@ -743,26 +788,22 @@ class TestRunAvgSweep:
             draws_per_phi=2, phi_set_deg=(0.0, 90.0), seed=5,
         )
         real = numerical.assemble_H
-        failures, stacks = [], []
+        stacks = []
 
         def sabotaged(geoms, wdm, projection):
-            # both orientations at phi = 90 degrees fail at d_x = 3: their
-            # stack of four, and then each of the two on its own
+            # the orientations at phi = 90 degrees fail at d_x = 3, and the
+            # exception flags their stack of four, which is evaluated once
             stacks.append(len(geoms))
             if any(geom.d_x == 3.0 and geom.phi_s > 0.0 for geom in geoms):
-                if len(geoms) == 1:
-                    failures.append(geoms[0].theta_s)
-                raise RuntimeError(f"synthetic failure {len(failures)}")
+                raise RuntimeError("synthetic failure")
             return real(geoms, wdm, projection)
 
         monkeypatch.setattr(numerical, "assemble_H", sabotaged)
         path = str(tmp_path / "avg.csv")
         svg = tmp_path / "avg.svg"
         records = run_avg_sweep(cfg, path, str(svg))
-        assert len(failures) == 2 and stacks == [4, 4, 1, 1, 1, 1, 4]
-        assert [rec.error for rec in records] == [
-            "", "RuntimeError: synthetic failure 1", "",
-        ]
+        assert stacks == [4, 4, 4]
+        assert [rec.error for rec in records] == ["", "RuntimeError: synthetic failure", ""]
         assert all(math.isnan(m) for m in records[1].mean)
         for rec in (records[0], records[2]):
             assert all(m > 0.0 for m in rec.mean)
@@ -773,7 +814,7 @@ class TestRunAvgSweep:
         for col in se_columns:
             assert cols[col][1] == ""
             assert cols[col][0] != "" and cols[col][2] != ""
-        assert cols["error"] == ["", "RuntimeError: synthetic failure 1", ""]
+        assert cols["error"] == ["", "RuntimeError: synthetic failure", ""]
         text = svg.read_text()
         assert text.startswith("<svg")
         assert "</svg>" in text

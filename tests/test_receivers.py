@@ -15,24 +15,24 @@ import oracles
 
 class TestWaterfill:
     def test_symmetric_split(self):
-        p, mu = waterfill(np.array([1.0, 1.0]), 2.0)
+        p, mu, _ = waterfill(np.array([1.0, 1.0]), 2.0)
         assert np.array_equal(p, [1.0, 1.0])
         assert mu == 2.0
 
     def test_two_active_modes_exact(self):
-        p, mu = waterfill(np.array([2.0, 1.0]), 1.0)
+        p, mu, _ = waterfill(np.array([2.0, 1.0]), 1.0)
         # all quantities are exact binary fractions
         assert p[0] == 0.75 and p[1] == 0.25
         assert mu == 1.25
 
     def test_weak_mode_shut_off(self):
-        p, mu = waterfill(np.array([10.0, 0.01]), 1.0)
+        p, mu, _ = waterfill(np.array([10.0, 0.01]), 1.0)
         assert p[0] == pytest.approx(1.0, abs=1e-12)
         assert p[1] == 0.0
         assert mu == pytest.approx(1.1, rel=1e-12)
 
     def test_zero_gain_gets_zero_power(self):
-        p, mu = waterfill(np.array([1.0, 0.0, 2.0]), 1.0)
+        p, mu, _ = waterfill(np.array([1.0, 0.0, 2.0]), 1.0)
         assert p[1] == 0.0
         assert np.sum(p) == pytest.approx(1.0, rel=1e-12)
 
@@ -41,7 +41,7 @@ class TestWaterfill:
             n = int(rng.integers(1, 15))
             chi = np.abs(rng.standard_normal(n)) + 1e-6
             P = float(rng.uniform(1e-3, 1e3))
-            p, _ = waterfill(chi, P)
+            p, _, _ = waterfill(chi, P)
             assert np.all(p >= 0.0)
             assert abs(np.sum(p) - P) <= 1e-9 * P
 
@@ -53,7 +53,7 @@ class TestWaterfill:
             if not np.any(chi > 0.0):
                 chi[0] = 1.0
             P = float(rng.uniform(0.1, 50.0))
-            p, mu = waterfill(chi, P)
+            p, mu, _ = waterfill(chi, P)
             for i in range(n):
                 if p[i] > 0.0:
                     assert abs(mu - (p[i] + 1.0 / chi[i])) <= 1e-9 * mu
@@ -61,16 +61,21 @@ class TestWaterfill:
                     assert mu <= 1.0 / chi[i] + 1e-12 * max(1.0, mu)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            waterfill(np.array([1.0, -0.5]), 1.0)
-        with pytest.raises(ValueError):
-            waterfill(np.array([0.0, 0.0]), 1.0)
+        # a bad budget or an empty vector raises; bad gains fail their row,
+        # which gets zero power, a NaN level and the error that says why
         with pytest.raises(ValueError):
             waterfill(np.array([1.0]), 0.0)
         with pytest.raises(ValueError):
             waterfill(np.array([]), 1.0)
-        with pytest.raises(ValueError, match=r"\+ 1/chi rounds to 1/chi"):
-            waterfill(np.array([1e-18]), 1e-3)
+        for chi, message in (
+            ([1.0, -0.5], "gains must be finite"),
+            ([0.0, 0.0], "all channel gains are zero"),
+            ([1e-18], r"\+ 1/chi rounds to 1/chi"),
+        ):
+            p, mu, error = waterfill(np.array(chi), 1e-3 if chi == [1e-18] else 1.0)
+            assert isinstance(error, ValueError) and re.search(message, str(error))
+            assert np.array_equal(p, np.zeros(len(chi))) and math.isnan(mu)
+        assert waterfill(np.array([2.0, 1.0]), 1.0)[2] is None
 
 
 # gains from zero through tiny (1/chi up to 1e300, which sums without
@@ -94,27 +99,28 @@ class TestStackedWaterfill:
         power=_POWER,
     )
     def test_rows_equal_their_own_calls_and_the_loop(self, stack, power):
+        # a failing row reports the loop's error and takes no power; the
+        # others keep the loop's bits, in their own call and in the stack
         chi = np.array(stack)
-        rows = []
-        for row in chi:
+        rows = [waterfill(row, power) for row in chi]
+        for row, (p, mu, error) in zip(chi, rows):
             try:
-                rows.append(waterfill(row, power))
+                p_ref, mu_ref = oracles.waterfill_loop(row, power)
             except ValueError as exc:
-                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                    oracles.waterfill_loop(row, power)
-                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                    waterfill(chi, power)  # the first failing row's error
-                return
-            p_ref, mu_ref = oracles.waterfill_loop(row, power)
-            assert _bits(rows[-1][0]) == _bits(p_ref) and _bits(rows[-1][1]) == _bits(mu_ref)
-        p, mu = waterfill(chi, power)
-        assert p.shape == chi.shape and mu.shape == chi.shape[:1]
+                assert str(error) == str(exc) and isinstance(error, ValueError)
+                assert _bits(p) == _bits(np.zeros_like(row)) and math.isnan(mu)
+                continue
+            assert error is None
+            assert _bits(p) == _bits(p_ref) and _bits(mu) == _bits(mu_ref)
+        p, mu, error = waterfill(chi, power)
+        assert p.shape == chi.shape and mu.shape == error.shape == chi.shape[:1]
         assert _bits(p) == _bits([r[0] for r in rows])
         assert _bits(mu) == _bits([r[1] for r in rows])
+        assert [str(e) for e in error] == [str(r[2]) for r in rows]
 
     def test_one_vector_keeps_its_types(self):
-        p, mu = waterfill(np.array([2.0, 1.0]), 1.0)
-        assert p.shape == (2,) and isinstance(mu, np.float64)
+        p, mu, error = waterfill(np.array([2.0, 1.0]), 1.0)
+        assert p.shape == (2,) and isinstance(mu, np.float64) and error is None
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -127,15 +133,21 @@ class TestStackedWaterfill:
         ],
     )
     def test_failing_row_raises_its_own_error(self, bad, message):
+        # the failing row's ValueError, which it raised until water-filling
+        # failed rows in place: in any place of a stack it is that of the
+        # row's own call, and its stack-mates keep their bits and have none
         good = [[1.0, 2.0, 3.0], [0.5, 0.0, 4.0]]
-        with pytest.raises(ValueError) as alone:
-            waterfill(np.array(bad), 1e-3)
-        assert str(alone.value).startswith(message)
+        alone = waterfill(np.array(bad), 1e-3)[2]
+        assert str(alone).startswith(message)
         for at in range(3):
-            stack = np.array(good[:at] + [bad] + good[at:])
-            with pytest.raises(ValueError) as stacked:
-                waterfill(stack, 1e-3)
-            assert str(stacked.value) == str(alone.value)
+            p, mu, error = waterfill(np.array(good[:at] + [bad] + good[at:]), 1e-3)
+            assert [str(e) for e in error] == [
+                str(alone) if k == at else "None" for k in range(3)
+            ]
+            assert not p[at].any() and math.isnan(mu[at])
+            mates = waterfill(np.array(good), 1e-3)
+            assert _bits(np.delete(p, at, axis=0)) == _bits(mates[0])
+            assert _bits(np.delete(mu, at)) == _bits(mates[1])
         with pytest.raises(ValueError, match="power budget must be positive"):
             waterfill(np.array(good), 0.0)
 
@@ -158,6 +170,34 @@ class TestStackedSpectralEfficiency:
                     for field in ("p", "mu", "sinr"):
                         got = getattr(result, field)[k]
                         assert _bits(got) == _bits(getattr(alone, field)), (result.scheme, field)
+
+
+    def test_failed_row_gets_zero_power_in_every_scheme(self, rng):
+        # a zero channel and one whose budget rounds away fail water-filling
+        # in every scheme: zero power, SINR 0 and SE +0 with the error of
+        # their own call, no warning, and their stack-mates keep their bits
+        H = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        H[1] = 0.0
+        H[3] *= 1e-12
+        for result in spectral_efficiency(tuple(Scheme), H, 1e-3):
+            for k in range(4):
+                alone = spectral_efficiency(result.scheme, H[k], 1e-3)
+                assert str(result.error[k]) == str(alone.error)
+                assert _bits(result.se_total[k]) == _bits(alone.se_total)
+            assert result.error[0] is None and result.error[2] is None
+            for k in (1, 3):
+                assert isinstance(result.error[k], ValueError)
+                assert not result.p[k].any() and not result.sinr[k].any()
+                assert _bits(result.se_total[k]) == _bits(0.0)
+
+    def test_mmse_of_unit_d_is_plus_zero(self):
+        # every d_n is exactly 1 while SVD still gets 3.2e-16 bit: MMSE's
+        # -sum log2 d_n is +0, which a CSV writes as 0, not -0
+        H = np.array([[1e-9 + 0j]])
+        assert spectral_efficiency(Scheme.SVD, H, 100.0).se_total > 0.0
+        mmse = spectral_efficiency(Scheme.MMSE, H, 100.0)
+        assert mmse.error is None and mmse.sinr[0] == 0.0
+        assert math.copysign(1.0, mmse.se_total) == 1.0
 
 
 class TestSchemeMatrices:
@@ -304,7 +344,7 @@ class TestAgainstSchemeMatrices:
             for kind in Scheme:
                 res = spectral_efficiency(kind, H, P)
                 _, _, chi = oracles.scheme_matrices(kind, H, np.zeros(len(H)))
-                p, _ = waterfill(chi, P)
+                p, _, _ = waterfill(chi, P)
                 A, B, _ = oracles.scheme_matrices(kind, H, p)
                 ratio = oracles.sinr(B, H @ A, p)
                 se = float(np.sum(np.log2(1.0 + ratio)))
