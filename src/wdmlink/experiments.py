@@ -52,9 +52,6 @@ __all__ = [
     "run_avg_sweep",
 ]
 
-SCHEME_ORDER = (Scheme.SVD, Scheme.MMSE, Scheme.MR, Scheme.PLAIN)
-
-
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
     with open(path, "w", encoding="ascii", newline="") as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -227,7 +224,7 @@ def _run_groups(
 
 
 _SWEEP_LABELS = {"d_z": "d_z [m]", "theta_s": "theta_s [deg]", "d_x": "d_x [m]"}
-_SCHEME_LABELS = ("SVD", "MMSE", "MR", "plain")  # plot labels of SCHEME_ORDER
+_SCHEME_LABELS = ("SVD", "MMSE", "MR", "plain")  # plot labels of Scheme's members
 
 
 def _write_table(
@@ -278,7 +275,7 @@ def run_sweep(
         for value in cfg.sweep.values()
     ]
     records = [group[0] for group in _run_groups(cfg, groups)]
-    names = [f"se_{s.value}" for s in SCHEME_ORDER]
+    names = [f"se_{s.value}" for s in Scheme]
     _write_table(
         csv_path,
         svg_path,
@@ -414,7 +411,7 @@ def run_avg_sweep(
         mean, stderr = (tuple(stat) for stat in zip(*stats))
         error = next((g.error for g in group if g.error), "")
         records.append(AvgSweepRecord(value, mean, stderr, error))
-    names = [f"se_{s.value}_{stat}" for stat in ("mean", "stderr") for s in SCHEME_ORDER]
+    names = [f"se_{s.value}_{stat}" for stat in ("mean", "stderr") for s in Scheme]
     _write_table(
         csv_path,
         svg_path,

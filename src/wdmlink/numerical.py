@@ -42,7 +42,7 @@ from .em_field import (
     received_field_profile,
     source_direction,
 )
-from .experiments import SCHEME_ORDER, _UniformStream, _write_table
+from .experiments import _UniformStream, _write_table
 from .geometry import LinkGeometry, replace
 from .receivers import spectral_efficiency, waterfill
 from .svgplot import line_plot_svg, polar_plot_svg
@@ -59,7 +59,7 @@ __all__ = [
 def evaluate_points(
     wdm: WdmConfig, geoms: Sequence[LinkGeometry]
 ) -> List[Union[List[float], str]]:
-    """Each geometry's four SE values in SCHEME_ORDER, or the message of its failure, in order.
+    """Each geometry's four SE values in ``Scheme`` order, or the message of its failure, in order.
 
     The geometries differ only in d_x, d_z and orientation, so one noise
     factor, built at the first run, whitens them all.  A run of
@@ -88,16 +88,16 @@ def evaluate_points(
 def _stack_se(
     wdm: WdmConfig, geoms: List[LinkGeometry], L0: np.ndarray, projection: ReceiveProjection
 ) -> List[Union[List[float], str]]:
-    """Each geometry's four SE values in SCHEME_ORDER, or the message of its failure.
+    """Each geometry's four SE values in ``Scheme`` order, or the message of its failure.
 
     The geometries differ only in orientation and pass once, as one stack,
     through ``assemble_H``, ``whiten`` against the run's factor ``L0`` and
     ``spectral_efficiency``.  A geometry whose water-filling fails is
-    flagged with the error of the first scheme in SCHEME_ORDER that fails
-    it, as it would be alone.
+    flagged with the error of the first scheme in ``Scheme`` order that
+    fails it, as it would be alone.
     """
     H_tilde = whiten(assemble_H(geoms, wdm, projection), geoms[0], wdm, L0)
-    results = spectral_efficiency(SCHEME_ORDER, H_tilde, total_power(wdm))
+    results = spectral_efficiency(H_tilde, total_power(wdm)).values()
     outcomes = []
     for k in range(len(geoms)):
         errors = [r.error[k] for r in results if r.error[k] is not None]

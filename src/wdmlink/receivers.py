@@ -9,7 +9,7 @@ per-mode SINR follow from one statistic of H_tilde, in closed form:
     MMSE   Gram matrix G = H_tilde^H H_tilde; chi_n = G_nn and
            1 + SINR_n = 1 / d_n with d_n = [(I + P^1/2 G P^1/2)^{-1}]_nn,
            taken from the QR factor of [H_tilde P^1/2; I], not from G.
-    MR     G again; chi_n = G_nn and
+    MR     G again, with MMSE's chi_n = G_nn and powers p, and
            SINR_n = p_n G_nn^2 / (sum_{m != n} |G_nm|^2 p_m + G_nn).
     PLAIN  |H_tilde|^2 entrywise (no receive processing);
            chi_n = |H_tilde_nn|^2 and
@@ -26,15 +26,17 @@ sorted-breakpoint method, so a zero column of H_tilde gets no power and
 SINR 0.  The sum spectral efficiency is sum log2(1 + SINR_n), for MMSE
 -sum log2 d_n.
 
-Every function here also takes a stack of channels (..., N, N) and runs
-on all of it at once, with numpy's per-matrix loops (stacked ``linalg``
-and ``matmul``) and a water-filling without a loop over modes or
-channels, so each channel's result has the bits of its own call.
+:func:`spectral_efficiency` evaluates all four architectures in one
+pass: one SVD, one G, one |H_tilde|^2 and three water-fillings, since
+MMSE and MR share one.  It also takes a stack of channels (..., N, N)
+and runs on all of it at once, with numpy's per-matrix loops (stacked
+``linalg`` and ``matmul``) and a water-filling without a loop over modes
+or channels, so each channel's result has the bits of its own call.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -129,83 +131,59 @@ def waterfill(chi: np.ndarray, power: float) -> Tuple[np.ndarray, np.ndarray, ob
     return p.reshape(chi.shape), mu.reshape(shape)[()], error.reshape(shape)[()]
 
 
-def _statistic(
-    kind: Scheme, H_tilde: np.ndarray, gram: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Gains chi of one architecture and the matrix its SINR is read from.
+def spectral_efficiency(H_tilde: np.ndarray, power: float) -> Dict[Scheme, SchemeResult]:
+    """Water-fill every architecture and evaluate its sum rate, in one pass.
 
-    That matrix is |G|^2 for MR, |H_tilde|^2 for PLAIN and none for SVD,
-    whose SINR needs only chi, and MMSE, whose SINR is read from H_tilde.
-    ``H_tilde`` may be a stack of matrices, and ``gram``, G if already
-    formed, is shared by MMSE and MR.
-    """
-    if kind is Scheme.SVD:
-        s = np.linalg.svd(H_tilde, compute_uv=False)
-        return s * s, None
-    if kind is Scheme.PLAIN:
-        cross = np.abs(H_tilde) ** 2
-        return cross.diagonal(axis1=-2, axis2=-1).copy(), cross
-    if kind in (Scheme.MMSE, Scheme.MR):
-        gram = _gram(H_tilde) if gram is None else gram
-        chi = gram.diagonal(axis1=-2, axis2=-1).real.copy()
-        return chi, np.abs(gram) ** 2 if kind is Scheme.MR else None
-    raise ValueError(f"unknown scheme {kind!r}")
-
-
-def _gram(H_tilde: np.ndarray) -> np.ndarray:
-    """G = H_tilde^H H_tilde of each matrix (numpy's per-matrix product)."""
-    return H_tilde.conj().swapaxes(-1, -2) @ H_tilde
-
-
-def spectral_efficiency(
-    kind: Union[Scheme, Sequence[Scheme]], H_tilde: np.ndarray, power: float
-) -> Union[SchemeResult, Tuple[SchemeResult, ...]]:
-    """Water-fill one architecture, or several, and evaluate the sum rate.
-
-    The gains chi never depend on p, so the allocation is computed first
-    and the SINR (for MMSE p-dependent) afterwards.
+    The gains chi never depend on p, so each allocation is computed first
+    and the SINR (for MMSE p-dependent) afterwards.  MMSE and MR have the
+    same gains G_nn and share one allocation, so three water-fillings
+    serve the four architectures.
 
     Args:
-        kind: Architecture, or a sequence of them, which share the Gram
-            matrix of MMSE and MR.
         H_tilde: Whitened channel matrix (N, N), or a stack (..., N, N).
         power: Total power budget P.
 
     Returns:
-        SchemeResult with ``se_total`` = sum log2(1 + SINR), a float for
-        one matrix and an array over the stack otherwise; for a sequence
-        of architectures, a tuple of them in its order.
+        Each architecture's SchemeResult, keyed and ordered as ``Scheme``,
+        with ``se_total`` = sum log2(1 + SINR), a float for one matrix and
+        an array over the stack otherwise.
     """
-    kinds = (kind,) if isinstance(kind, Scheme) else tuple(kind)
     H_tilde = np.asarray(H_tilde)
-    gram = _gram(H_tilde) if Scheme.MMSE in kinds and Scheme.MR in kinds else None
-    results = tuple(_evaluate(k, H_tilde, power, gram) for k in kinds)
-    return results[0] if isinstance(kind, Scheme) else results
-
-
-def _evaluate(
-    kind: Scheme, H_tilde: np.ndarray, power: float, gram: Optional[np.ndarray]
-) -> SchemeResult:
-    """:func:`spectral_efficiency` of one architecture."""
-    chi, stat = _statistic(kind, H_tilde, gram)
+    s = np.linalg.svd(H_tilde, compute_uv=False)
+    chi = s * s
     p, mu, error = waterfill(chi, power)
+    sinr = p * chi
+    svd = SchemeResult(Scheme.SVD, p, mu, sinr, _rate(sinr), error)
+    gram = H_tilde.conj().swapaxes(-1, -2) @ H_tilde
+    chi = gram.diagonal(axis1=-2, axis2=-1).real.copy()
+    p, mu, error = waterfill(chi, power)
+    d = _mmse_d(H_tilde, p)
+    # 0.0 - sum: a row whose every d_n is 1 gets +0, not -0
+    se = _total(0.0 - np.sum(np.log2(d), axis=-1))
+    mmse = SchemeResult(Scheme.MMSE, p, mu, 1.0 / d - 1.0, se, error)
+    mr = _interference_limited(Scheme.MR, np.abs(gram) ** 2, chi, p, mu, error)
+    cross = np.abs(H_tilde) ** 2
+    chi = cross.diagonal(axis1=-2, axis2=-1).copy()
+    plain = _interference_limited(Scheme.PLAIN, cross, 1.0, *waterfill(chi, power))
+    return {result.scheme: result for result in (svd, mmse, mr, plain)}
+
+
+def _interference_limited(
+    kind: Scheme, cross: np.ndarray, noise: object, p: np.ndarray, mu: object, error: object
+) -> SchemeResult:
+    """MR's or PLAIN's result: SINR_n = p_n c_nn / (sum_{m != n} c_nm p_m + noise_n).
+
+    ``cross`` is c, |G|^2 or |H_tilde|^2, and is overwritten; p, mu and
+    error are its water-filling (:func:`waterfill`).
+    """
+    signal = cross.diagonal(axis1=-2, axis2=-1) * p
+    # interference sums m != n without cancelling the signal
     diagonal = np.arange(p.shape[-1])
-    if kind is Scheme.MMSE:
-        d = _mmse_d(H_tilde, p)
-        # 0.0 - sum: a row whose every d_n is 1 gets +0, not -0
-        se = _total(0.0 - np.sum(np.log2(d), axis=-1))
-        return SchemeResult(kind, p, mu, 1.0 / d - 1.0, se, error)
-    if kind is Scheme.SVD:
-        sinr = p * chi
-    else:
-        signal = stat.diagonal(axis1=-2, axis2=-1) * p
-        # interference sums m != n without cancelling the signal
-        stat[..., diagonal, diagonal] = 0.0
-        noise = chi if kind is Scheme.MR else 1.0
-        den = (stat @ p[..., None])[..., 0] + noise
-        # a zero column of H_tilde (MR's G_nn = 0) has no signal and no noise
-        sinr = np.divide(signal, den, out=np.zeros_like(signal), where=den > 0.0)
-    return SchemeResult(kind, p, mu, sinr, _total(np.sum(np.log2(1.0 + sinr), axis=-1)), error)
+    cross[..., diagonal, diagonal] = 0.0
+    den = (cross @ p[..., None])[..., 0] + noise
+    # a zero column of H_tilde (MR's G_nn = 0) has no signal and no noise
+    sinr = np.divide(signal, den, out=np.zeros_like(signal), where=den > 0.0)
+    return SchemeResult(kind, p, mu, sinr, _rate(sinr), error)
 
 
 def _mmse_d(H_tilde: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -224,6 +202,11 @@ def _mmse_d(H_tilde: np.ndarray, p: np.ndarray) -> np.ndarray:
         A = np.concatenate((part, np.broadcast_to(np.eye(n), part.shape)), axis=-2)
         d.append(np.sum(np.abs(np.linalg.inv(np.linalg.qr(A, mode="r"))) ** 2, axis=-1))
     return np.concatenate(d).reshape(p.shape)
+
+
+def _rate(sinr: np.ndarray) -> Union[float, np.ndarray]:
+    """sum log2(1 + SINR_n) over the modes."""
+    return _total(np.sum(np.log2(1.0 + sinr), axis=-1))
 
 
 def _total(se: np.ndarray) -> Union[float, np.ndarray]:

@@ -37,8 +37,6 @@ def _fmt(x: float) -> str:
 def _nice_ticks(lo: float, hi: float) -> List[float]:
     if not math.isfinite(lo) or not math.isfinite(hi):
         return []
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -50,6 +48,8 @@ def _nice_ticks(lo: float, hi: float) -> List[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # a step below half an ulp of t would never end
+            break
         t += step
     return ticks
 
@@ -110,10 +110,12 @@ def line_plot_svg(
     finite_y = [float(v) for _, _, y in series for v in y if math.isfinite(v)]
     x_lo, x_hi = (min(finite_x), max(finite_x)) if finite_x else (0.0, 1.0)
     y_lo, y_hi = (min(finite_y), max(finite_y)) if finite_y else (0.0, 1.0)
+    # an empty range gets width 1, or 4 ulp of its value where that is
+    # more, so that a tick step, at least a sixth of it, moves a tick
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, 4.0 * math.ulp(x_lo))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, 4.0 * math.ulp(y_lo))
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

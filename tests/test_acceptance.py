@@ -158,7 +158,7 @@ def test_c08_waterfilling_budget_and_kkt(rng):
 def test_c09_svd_receiver_consistency(desk, desk_channel):
     power = total_power(desk.wdm)
     H = desk_channel.H_tilde
-    res = spectral_efficiency(Scheme.SVD, H, power)
+    res = spectral_efficiency(H, power)[Scheme.SVD]
     sigma2 = np.linalg.svd(H, compute_uv=False) ** 2
     # combining with U behind precoder V leaves the modes interference-free
     V, U, _ = scheme_matrices(Scheme.SVD, H)
@@ -185,10 +185,8 @@ def test_c10_scheme_ordering(desk_dz_sweep, rng):
         n = int(rng.integers(2, 7))
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         power = float(rng.uniform(0.5, 50.0))
-        se = {
-            kind: spectral_efficiency(kind, g, power).se_total
-            for kind in (Scheme.SVD, Scheme.MMSE, Scheme.MR)
-        }
+        results = spectral_efficiency(g, power)
+        se = {kind: results[kind].se_total for kind in (Scheme.SVD, Scheme.MMSE, Scheme.MR)}
         assert se[Scheme.SVD] >= se[Scheme.MMSE] - 1e-9
         assert se[Scheme.MMSE] >= se[Scheme.MR] - 1e-9
 
@@ -200,14 +198,14 @@ def test_c11_geometry_trends(desk, desk_channel, desk_dz_sweep):
     assert last.se_mr < first.se_mr
     assert last.se_plain < first.se_plain
     power = total_power(desk.wdm)
-    plain_broadside = spectral_efficiency(Scheme.PLAIN, desk_channel.H_tilde, power).se_total
+    plain_broadside = spectral_efficiency(desk_channel.H_tilde, power)[Scheme.PLAIN].se_total
     theta = math.radians(30.0)
     tilted_x = channel_set(replace(desk.geometry, theta_s=theta), desk.wdm)
-    plain_x = spectral_efficiency(Scheme.PLAIN, tilted_x.H_tilde, power).se_total
+    plain_x = spectral_efficiency(tilted_x.H_tilde, power)[Scheme.PLAIN].se_total
     tilted_y = channel_set(
         replace(desk.geometry, theta_s=theta, phi_s=math.radians(90.0)), desk.wdm
     )
-    plain_y = spectral_efficiency(Scheme.PLAIN, tilted_y.H_tilde, power).se_total
+    plain_y = spectral_efficiency(tilted_y.H_tilde, power)[Scheme.PLAIN].se_total
     assert plain_x < plain_broadside
     assert plain_y > plain_x
 

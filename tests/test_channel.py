@@ -951,7 +951,7 @@ class TestNoiseFactor:
                     D = np.exp(1j * _kappas(geom, cfg) * d_z)
                     err = np.linalg.norm(ours - D[:, None] * ref)
                     assert err <= 1e-13 * np.linalg.norm(ref), geom
+                    wants, gots = (spectral_efficiency(h, power) for h in (ref, ours))
                     for kind in Scheme:
-                        want = spectral_efficiency(kind, ref, power).se_total
-                        got = spectral_efficiency(kind, ours, power).se_total
+                        want, got = wants[kind].se_total, gots[kind].se_total
                         assert abs(got - want) <= 1e-12 * want, (geom, kind)

@@ -18,7 +18,7 @@ from wdmlink.cache import FORMAT_VERSION, channel_cache_key, channel_header
 from wdmlink.channel import assemble_H, load_matching_channel_set, noise_factor, whiten
 from wdmlink.config import FieldSettings, emi_variance, total_power
 from wdmlink.em_field import NearFieldWarning
-from wdmlink.experiments import SCHEME_ORDER, run_avg_sweep, run_sweep
+from wdmlink.experiments import run_avg_sweep, run_sweep
 from wdmlink.geometry import LinkGeometry, replace
 from wdmlink.numerical import run_channel_dump, run_field, run_pattern, run_selfcheck
 from wdmlink.receivers import spectral_efficiency
@@ -50,9 +50,7 @@ def cache_entry(cache, geom, wdm):
 def fresh_se(geom, wdm):
     """The four SE values of the point, computed without a cache."""
     H_tilde = whiten(assemble_H(geom, wdm), geom, wdm, noise_factor(geom, wdm))
-    return np.array(
-        [spectral_efficiency(s, H_tilde, total_power(wdm)).se_total for s in SCHEME_ORDER]
-    )
+    return np.array([r.se_total for r in spectral_efficiency(H_tilde, total_power(wdm)).values()])
 
 
 # ---------------------------------------------------------------------------

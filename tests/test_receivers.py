@@ -1,12 +1,12 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdmlink import receivers
 from wdmlink.config import total_power
 from wdmlink.receivers import Scheme, spectral_efficiency, waterfill
 
@@ -153,18 +153,26 @@ class TestStackedWaterfill:
 
 
 class TestStackedSpectralEfficiency:
-    """A stack of channels and several schemes in one call, bit for bit as one at a time."""
+    """A stack of channels in one call, bit for bit as one at a time."""
 
     def test_stack_and_scheme_tuple_equal_single_calls(self, rng):
         for n, power in ((21, 1e3), (5, 1e12), (3, 0.5)):
             H = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
             H[2, :, 1] = 0.0  # a zero column: MR's G_nn = 0 gets no power
-            results = spectral_efficiency(tuple(Scheme), H, power)
-            assert [r.scheme for r in results] == list(Scheme)
-            for result in results:
+            H[4] *= 1e-30  # a budget lost to rounding fails water-filling
+            results = spectral_efficiency(H, power)
+            assert list(results) == list(Scheme)
+            assert all(result.scheme is kind for kind, result in results.items())
+            # MMSE and MR water-fill the same gains G_nn once: failed row included
+            mmse, mr = results[Scheme.MMSE], results[Scheme.MR]
+            assert _bits(mmse.p) == _bits(mr.p) and _bits(mmse.mu) == _bits(mr.mu)
+            assert [str(e) for e in mmse.error] == [str(e) for e in mr.error]
+            assert mmse.error[4] is not None
+            singles = [spectral_efficiency(H[k], power) for k in range(7)]
+            for result in results.values():
                 assert result.se_total.shape == (7,)
                 for k in range(7):
-                    alone = spectral_efficiency(result.scheme, H[k], power)
+                    alone = singles[k][result.scheme]
                     assert isinstance(alone.se_total, float)
                     assert _bits(result.se_total[k]) == _bits(alone.se_total)
                     for field in ("p", "mu", "sinr"):
@@ -179,9 +187,10 @@ class TestStackedSpectralEfficiency:
         H = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
         H[1] = 0.0
         H[3] *= 1e-12
-        for result in spectral_efficiency(tuple(Scheme), H, 1e-3):
+        singles = [spectral_efficiency(H[k], 1e-3) for k in range(4)]
+        for result in spectral_efficiency(H, 1e-3).values():
             for k in range(4):
-                alone = spectral_efficiency(result.scheme, H[k], 1e-3)
+                alone = singles[k][result.scheme]
                 assert str(result.error[k]) == str(alone.error)
                 assert _bits(result.se_total[k]) == _bits(alone.se_total)
             assert result.error[0] is None and result.error[2] is None
@@ -194,8 +203,9 @@ class TestStackedSpectralEfficiency:
         # every d_n is exactly 1 while SVD still gets 3.2e-16 bit: MMSE's
         # -sum log2 d_n is +0, which a CSV writes as 0, not -0
         H = np.array([[1e-9 + 0j]])
-        assert spectral_efficiency(Scheme.SVD, H, 100.0).se_total > 0.0
-        mmse = spectral_efficiency(Scheme.MMSE, H, 100.0)
+        results = spectral_efficiency(H, 100.0)
+        assert results[Scheme.SVD].se_total > 0.0
+        mmse = results[Scheme.MMSE]
         assert mmse.error is None and mmse.sinr[0] == 0.0
         assert math.copysign(1.0, mmse.se_total) == 1.0
 
@@ -241,7 +251,7 @@ class TestSinr:
     def test_svd_interference_free(self, desk_channel, desk):
         P = total_power(desk.wdm)
         H = desk_channel.H_tilde
-        res = spectral_efficiency(Scheme.SVD, H, P)
+        res = spectral_efficiency(H, P)[Scheme.SVD]
         A, B, _ = oracles.scheme_matrices(Scheme.SVD, H)
         sigma = np.linalg.svd(H, compute_uv=False)
         expected = res.p * sigma**2
@@ -259,19 +269,18 @@ class TestSinr:
 
 class TestSpectralEfficiency:
     def test_identity_channel_two_bits(self):
-        for kind in Scheme:
-            res = spectral_efficiency(kind, np.eye(2, dtype=complex), 2.0)
+        for res in spectral_efficiency(np.eye(2, dtype=complex), 2.0).values():
             assert res.se_total == pytest.approx(2.0, rel=1e-12)
 
     def test_svd_diagonal_analytic(self):
-        res = spectral_efficiency(Scheme.SVD, np.diag([2.0, 1.0]).astype(complex), 1.0)
+        res = spectral_efficiency(np.diag([2.0, 1.0]).astype(complex), 1.0)[Scheme.SVD]
         assert res.p[0] == 0.875 and res.p[1] == 0.125
         expected = math.log2(4.5) + math.log2(1.125)
         assert res.se_total == pytest.approx(expected, rel=1e-14)
 
     def test_svd_rate_equals_sinr_sum(self, desk_channel, desk):
         P = total_power(desk.wdm)
-        res = spectral_efficiency(Scheme.SVD, desk_channel.H_tilde, P)
+        res = spectral_efficiency(desk_channel.H_tilde, P)[Scheme.SVD]
         assert res.se_total == pytest.approx(float(np.sum(np.log2(1.0 + res.sinr))), rel=1e-9)
 
     def test_scheme_ordering_random_channels(self, rng):
@@ -279,9 +288,10 @@ class TestSpectralEfficiency:
             n = int(rng.integers(2, 9))
             G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             P = float(rng.uniform(0.5, 50.0))
-            se_svd = spectral_efficiency(Scheme.SVD, G, P).se_total
-            se_mmse = spectral_efficiency(Scheme.MMSE, G, P).se_total
-            se_mr = spectral_efficiency(Scheme.MR, G, P).se_total
+            results = spectral_efficiency(G, P)
+            se_svd = results[Scheme.SVD].se_total
+            se_mmse = results[Scheme.MMSE].se_total
+            se_mr = results[Scheme.MR].se_total
             assert se_svd >= se_mmse - 1e-9
             assert se_mmse >= se_mr - 1e-9
 
@@ -289,8 +299,9 @@ class TestSpectralEfficiency:
         # same powers, same gains; the MMSE combiner maximizes each
         # per-mode ratio, so it wins pointwise, not only in the sum
         G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        res_mmse = spectral_efficiency(Scheme.MMSE, G, 10.0)
-        res_mr = spectral_efficiency(Scheme.MR, G, 10.0)
+        results = spectral_efficiency(G, 10.0)
+        res_mmse = results[Scheme.MMSE]
+        res_mr = results[Scheme.MR]
         assert np.array_equal(res_mmse.p, res_mr.p)
         assert np.all(res_mmse.sinr >= res_mr.sinr - 1e-9)
 
@@ -300,24 +311,31 @@ class TestSpectralEfficiency:
         H = np.array([[1.0, 0.0], [0.5, 0.0]], dtype=complex)
         live = math.log2(2.25)
         expected = {Scheme.SVD: live, Scheme.MMSE: live, Scheme.MR: live, Scheme.PLAIN: 1.0}
-        for kind in Scheme:
-            res = spectral_efficiency(kind, H, 1.0)
+        for kind, res in spectral_efficiency(H, 1.0).items():
             assert res.p[1] == 0.0 and res.sinr[1] == 0.0, kind
             assert res.se_total == pytest.approx(expected[kind], rel=1e-14), kind
 
     def test_result_records_architecture(self, desk_channel, desk):
         P = total_power(desk.wdm)
-        res = spectral_efficiency(Scheme.MR, desk_channel.H_tilde, P)
+        res = spectral_efficiency(desk_channel.H_tilde, P)[Scheme.MR]
         assert res.scheme is Scheme.MR
         assert res.p.shape == res.sinr.shape == (desk_channel.H_tilde.shape[0],)
         assert np.sum(res.p) == pytest.approx(P, rel=1e-9)
         assert res.se_total >= 0.0
 
-    def test_gains_match_scheme_gains(self, desk_channel):
-        for kind in Scheme:
-            chi = receivers._statistic(kind, desk_channel.H_tilde)[0]
+    def test_gains_match_scheme_gains(self, desk_channel, desk):
+        # each architecture's powers water-fill the gains of the module
+        # docs: S_n^2, G_nn for MMSE and MR, and |H_tilde_nn|^2
+        H, P = desk_channel.H_tilde, total_power(desk.wdm)
+        s = np.linalg.svd(H, compute_uv=False)
+        g_nn = (H.conj().T @ H).diagonal().real.copy()
+        gains = {Scheme.SVD: s * s, Scheme.MMSE: g_nn, Scheme.MR: g_nn}
+        gains[Scheme.PLAIN] = np.abs(H.diagonal()) ** 2
+        for kind, res in spectral_efficiency(H, P).items():
+            chi = gains[kind]
             assert np.all(chi >= 0.0)
             assert chi.shape == (desk_channel.H_tilde.shape[0],)
+            assert _bits(res.p) == _bits(waterfill(chi, P)[0]), kind
 
 
 class TestAgainstSchemeMatrices:
@@ -341,8 +359,7 @@ class TestAgainstSchemeMatrices:
             G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             channels.append((G, float(rng.uniform(0.5, 50.0))))
         for H, P in channels:
-            for kind in Scheme:
-                res = spectral_efficiency(kind, H, P)
+            for kind, res in spectral_efficiency(H, P).items():
                 _, _, chi = oracles.scheme_matrices(kind, H, np.zeros(len(H)))
                 p, _, _ = waterfill(chi, P)
                 A, B, _ = oracles.scheme_matrices(kind, H, p)
@@ -363,8 +380,9 @@ class TestAgainstSchemeMatrices:
             H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             H *= 10.0 ** rng.uniform(-2.0, 0.0, n)[None, :]
             P = float(rng.uniform(0.05, 5.0))
+            results = spectral_efficiency(H, P)
             for kind in (Scheme.MMSE, Scheme.MR, Scheme.PLAIN):
-                res = spectral_efficiency(kind, H, P)
+                res = results[kind]
                 A, B, _ = oracles.scheme_matrices(kind, H, res.p)
                 ratio = oracles.sinr(B, H @ A, res.p)
                 off = res.p == 0.0
@@ -379,8 +397,7 @@ class TestAgainstSchemeMatrices:
         rng = np.random.default_rng(12)
         H = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         P = 1e12
-        for kind in Scheme:
-            res = spectral_efficiency(kind, H, P)
+        for kind, res in spectral_efficiency(H, P).items():
             A, B, _ = oracles.scheme_matrices(kind, H, res.p)
             se = float(np.sum(np.log2(1.0 + oracles.sinr(B, H @ A, res.p))))
             assert abs(res.se_total - se) <= 1e-12 * se, kind
@@ -406,9 +423,35 @@ class TestMmseSquareRoot:
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         F = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
         s = np.geomspace(s_min, 1.0, n)
-        res = spectral_efficiency(Scheme.MMSE, Q @ np.diag(s) @ F.conj().T, power)
+        res = spectral_efficiency(Q @ np.diag(s) @ F.conj().T, power)[Scheme.MMSE]
         assert np.allclose(res.p, power / n, rtol=1e-12, atol=0.0)
         d = 1.0 / (1.0 + res.sinr)
         exact = np.mean(1.0 / (1.0 + res.p[:, None] * s**2), axis=1)
         assert np.max(np.abs(d - exact) / exact) <= 1e-10
         assert res.se_total == pytest.approx(-np.sum(np.log2(exact)), rel=1e-10)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_examples_run(capsys):
+    # the library examples run in order in one namespace, and a line
+    # commented "# ValueError: <message>" raises that message
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    namespace, raised = {}, 0
+    for block in blocks:
+        code = []
+        for line in block.splitlines():
+            expected = re.search(r"# ValueError: (.*)$", line)
+            if expected is None:
+                code.append(line)
+                continue
+            exec("\n".join(code), namespace)
+            code, raised = [], raised + 1
+            with pytest.raises(ValueError, match=re.escape(expected.group(1))):
+                exec(line, namespace)
+        exec("\n".join(code), namespace)
+    assert len(blocks) == 3 and raised == 1
+    assert list(namespace["results"]) == list(Scheme)
+    assert all(r.se_total.shape == (3,) for r in namespace["results"].values())
+    assert capsys.readouterr().out

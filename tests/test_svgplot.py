@@ -38,6 +38,25 @@ class TestLinePlot:
         # the series still has its legend entry
         assert ">a</text>" in svg
 
+    @pytest.mark.parametrize("x", [1e16, -1e16, 1e17, 2.0**53])
+    def test_one_point_where_x_plus_one_rounds_to_x_gets_ticks(self, x):
+        # a one-point sweep at such a grid value: widening its empty x range
+        # by 1 left it empty, and the tick step's log10(0) raised
+        assert x + 1.0 == x
+        svg = line([("a", [x], [2.0])])
+        assert f">{x:.6g}</text>" in svg and ">2</text>" in svg
+
+    def test_narrow_range_far_from_zero_ends(self):
+        # a tick step of 0.2 is below half an ulp at 2**52: the tick loop
+        # stops at the first tick instead of adding 0.2 forever
+        svg = line([("a", [2.0**52, 2.0**52 + 1.0], [1.0, 2.0])])
+        assert svg.count(">4.5036e+15</text>") == 1 and len(polylines(svg)) == 1
+
+    def test_one_point_keeps_its_unit_range(self):
+        svg = line([("a", [5.0], [2.0])])
+        for label in ("5", "5.2", "6", "2", "3"):
+            assert f">{label}</text>" in svg
+
 
 class TestPolarPlot:
     # centre (330, 260), unit circle of radius 200, zero degrees up
