@@ -30,7 +30,7 @@ __all__ = [
 
 # A sweep's cache keeps its entries in a directory of this name, so a
 # format change leaves the old entries in one directory to delete.
-FORMAT_VERSION = "v12"
+FORMAT_VERSION = "v13"
 _FORMAT_TAG = f"wdmlink-channel-set {FORMAT_VERSION}"
 
 

@@ -85,7 +85,7 @@ from .cache import channel_header, replacing
 # the cache entry writer and reader, which perfbench/layers.py traces
 # under these names
 from .cache import load_matching_channel_set, save_channel_set
-from .config import WdmConfig, max_modes
+from .config import WdmConfig, check_mode_count
 from .geometry import LinkGeometry, replace
 from .quadrature import composite_gauss_nodes
 
@@ -137,15 +137,6 @@ def _si_cin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     si[~series] = 0.5 * math.pi + e1.imag
     cin[~series] = 0.5772156649015329 + np.log(z) + e1.real  # Euler's gamma
     return si, cin
-
-
-def _validate_mode_count(geom: LinkGeometry, cfg: WdmConfig) -> None:
-    n_max = max_modes(geom.L_s, cfg.wavelength)
-    if cfg.n_modes > n_max:
-        raise ValueError(
-            f"n_modes = {cfg.n_modes} exceeds the usable maximum {n_max} "
-            f"for L_s = {geom.L_s} m at wavelength {cfg.wavelength} m"
-        )
 
 
 # The reduced field passes at n samples once its last _TAIL_TERMS
@@ -234,7 +225,7 @@ class ReceiveProjection:
     """
 
     def __init__(self, geom: LinkGeometry, cfg: WdmConfig) -> None:
-        _validate_mode_count(geom, cfg)
+        check_mode_count(geom, cfg)
         self.geom, self.cfg = geom, cfg
         self.kappas = em_field._kappas(cfg.n_modes, geom.L_s)
         half = geom.L_r / 2.0
@@ -483,7 +474,7 @@ def assemble_R(geom: LinkGeometry, cfg: WdmConfig) -> np.ndarray:
     Returns:
         Complex Hermitian PSD array (N, N).
     """
-    _validate_mode_count(geom, cfg)
+    check_mode_count(geom, cfg)
     L = geom.L_r
     k = 2.0 * math.pi / cfg.wavelength
     kappas = em_field._kappas(cfg.n_modes, geom.L_s)

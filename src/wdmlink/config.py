@@ -15,7 +15,9 @@ field it lands in and the converter from the raw string.  Config files
 (:func:`read_config_entries`) and CLI flags both turn into (section, key,
 raw) entries that :func:`apply_entries` applies to a base config.  Angles
 are degrees, lengths meters, powers A^2 and noise levels a power ratio in
-dB.
+dB.  A :class:`WdmConfig` derives ``sigma2_emi`` from ``snr_emi_db``, so
+the interference follows its power budget.  :func:`apply_entries` rejects
+a mode count above :func:`max_modes`.
 
 Sections and keys:
 
@@ -45,8 +47,8 @@ __all__ = [
     "QuadratureSpec",
     "WdmConfig",
     "max_modes",
+    "check_mode_count",
     "total_power",
-    "emi_variance",
     "SweepSettings",
     "FieldSettings",
     "PatternSettings",
@@ -102,8 +104,8 @@ class QuadratureSpec(
 class WdmConfig(
     namedtuple(
         "WdmConfig",
-        "wavelength n_modes source_power sigma2_emi sigma2_hdw quadrature",
-        defaults=(1e-7, 1.0, 0.0, QuadratureSpec()),
+        "wavelength n_modes source_power snr_emi_db sigma2_hdw quadrature",
+        defaults=(1e-7, 90.0, 0.0, QuadratureSpec()),
     )
 ):
     """Multiplexing and noise parameters.
@@ -112,7 +114,8 @@ class WdmConfig(
         wavelength: Carrier wavelength [m].
         n_modes: Number of multiplexed tones N.
         source_power: Current power constraint P_s [A^2].
-        sigma2_emi: Interference variance at the receive segment [V^2/m^2].
+        snr_emi_db: Ratio of the power budget :func:`total_power` to the
+            interference variance :attr:`sigma2_emi` [dB].
         sigma2_hdw: White hardware noise variance [V^2/m^2]; zero keeps
             the noise purely interference-limited.
         quadrature: Sizing of the H and field-profile integrals.
@@ -126,13 +129,23 @@ class WdmConfig(
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if int(self.n_modes) != self.n_modes or self.n_modes < 1:
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
-        if not (self.source_power >= 0.0 and math.isfinite(self.source_power)):
-            raise ValueError(f"source_power must be nonnegative, got {self.source_power}")
-        if not (0.0 <= self.sigma2_emi < math.inf and 0.0 <= self.sigma2_hdw < math.inf):
+        if not (self.source_power > 0.0 and math.isfinite(self.source_power)):
+            raise ValueError(f"source_power must be positive, got {self.source_power}")
+        # within 3080 dB the ratio 10^(snr_emi_db / 10) neither over- nor underflows
+        if not abs(self.snr_emi_db) <= 3080.0:
+            raise ValueError(
+                f"snr_emi_db must be finite and within 3080 dB of 0, got {self.snr_emi_db}"
+            )
+        if not (self.sigma2_emi < math.inf and 0.0 <= self.sigma2_hdw < math.inf):
             raise ValueError("noise variances must be finite and nonnegative")
         if self.sigma2_emi == 0.0 and self.sigma2_hdw == 0.0:
             raise ValueError("at least one noise variance must be positive")
         return self
+
+    @property
+    def sigma2_emi(self) -> float:
+        """Interference variance at the receive segment [V^2/m^2], snr_emi_db below the budget."""
+        return total_power(self) / 10.0 ** (self.snr_emi_db / 10.0)
 
 
 def max_modes(L_s: float, wavelength: float) -> int:
@@ -144,20 +157,20 @@ def max_modes(L_s: float, wavelength: float) -> int:
     return 2 * math.floor(L_s / wavelength) + 1
 
 
+def check_mode_count(geom: LinkGeometry, cfg: WdmConfig) -> None:
+    """Raise ValueError if ``cfg`` multiplexes more modes than :func:`max_modes` allows."""
+    n_max = max_modes(geom.L_s, cfg.wavelength)
+    if cfg.n_modes > n_max:
+        raise ValueError(
+            f"n_modes = {cfg.n_modes} exceeds the usable maximum {n_max} "
+            f"for L_s = {geom.L_s} m at wavelength {cfg.wavelength} m"
+        )
+
+
 def total_power(cfg: WdmConfig) -> float:
     """Transmit power budget P = (kappa * Z0)^2 * P_s [V^2/m^2]."""
     kappa = 2.0 * math.pi / cfg.wavelength
     return (kappa * FREE_SPACE_IMPEDANCE) ** 2 * cfg.source_power
-
-
-def emi_variance(power: float, snr_db: float) -> float:
-    """Interference variance giving the ratio power/sigma2_emi in dB."""
-    if not power > 0.0:
-        raise ValueError(f"power must be positive, got {power}")
-    # within 3080 dB the ratio 10^(snr_db / 10) neither over- nor underflows
-    if not abs(snr_db) <= 3080.0:
-        raise ValueError(f"snr_emi_db must be finite and within 3080 dB of 0, got {snr_db}")
-    return power / 10.0 ** (snr_db / 10.0)
 
 
 SWEEP_PARAMETERS = ("d_z", "theta_s", "d_x")
@@ -276,23 +289,11 @@ class RunConfig(NamedTuple):
     output: OutputSettings = OutputSettings()
 
 
-DEFAULT_SNR_EMI_DB = 90.0
-
-
-def _with_snr(wdm: WdmConfig, snr_emi_db: float) -> WdmConfig:
-    """``wdm`` with sigma2_emi set snr_emi_db below its power budget."""
-    return replace(wdm, sigma2_emi=emi_variance(total_power(wdm), snr_emi_db))
-
-
-def _max_mode_wdm(wavelength: float, L_s: float) -> WdmConfig:
-    wdm = WdmConfig(wavelength=wavelength, n_modes=max_modes(L_s, wavelength))
-    return _with_snr(wdm, DEFAULT_SNR_EMI_DB)
-
-
 def desk_profile() -> RunConfig:
     """Bench-sized link: 2 cm wavelength, 1 m receive segment, 21 modes."""
     geom = LinkGeometry(L_s=0.2, L_r=1.0, d_x=2.0)
-    return RunConfig(geometry=geom, wdm=_max_mode_wdm(0.02, geom.L_s))
+    wdm = WdmConfig(wavelength=0.02, n_modes=max_modes(geom.L_s, 0.02))
+    return RunConfig(geometry=geom, wdm=wdm)
 
 
 def full_profile() -> RunConfig:
@@ -300,7 +301,7 @@ def full_profile() -> RunConfig:
     geom = LinkGeometry(L_s=0.2, L_r=3.0, d_x=5.0)
     return RunConfig(
         geometry=geom,
-        wdm=_max_mode_wdm(0.01, geom.L_s),
+        wdm=WdmConfig(wavelength=0.01, n_modes=max_modes(geom.L_s, 0.01)),
         sweep=SweepSettings(stop=5.0),
         field=FieldSettings(mode_offsets=(-2, 0, 5)),
         pattern=PatternSettings(mode_offsets=(-17, -10, -5, 0, 5, 10, 17)),
@@ -367,8 +368,7 @@ class Param(NamedTuple):
     convert: Callable[[str], Any]
 
 
-# Every parameter a config file or a flag can set.  ``snr_emi_db`` has no
-# WdmConfig field: it re-derives ``sigma2_emi`` (see :func:`apply_entries`).
+# Every parameter a config file or a flag can set.
 PARAMETERS = (
     Param("geometry", "L_s", None, "geometry.L_s", float),
     Param("geometry", "L_r", None, "geometry.L_r", float),
@@ -409,10 +409,6 @@ def apply_entries(
 ) -> RunConfig:
     """Apply (section, key, raw string) entries to ``base``; later entries win.
 
-    ``sigma2_emi`` keeps its base value unless ``snr_emi_db`` is given or
-    the wavelength or source power changes; then it is derived from
-    ``snr_emi_db`` (default 90 dB) against the new power budget.
-
     Raises:
         ValueError: On unknown keys, malformed values or an invalid
             result, naming ``source`` and every offender.
@@ -437,19 +433,12 @@ def apply_entries(
     try:
         geometry = replace(base.geometry, **changes["geometry"])
         wdm_changes = changes["wdm"]
-        snr_emi_db = wdm_changes.pop("snr_emi_db", None)
         if "n_modes" in wdm_changes and wdm_changes["n_modes"] is None:
             wavelength = wdm_changes.get("wavelength", base.wdm.wavelength)
             wdm_changes["n_modes"] = max_modes(geometry.L_s, wavelength)
         quadrature = replace(base.wdm.quadrature, **changes["quadrature"])
         wdm = replace(base.wdm, quadrature=quadrature, **wdm_changes)
-        rescaled = (wdm.wavelength, wdm.source_power) != (
-            base.wdm.wavelength, base.wdm.source_power
-        )
-        if snr_emi_db is None and rescaled:
-            snr_emi_db = DEFAULT_SNR_EMI_DB
-        if snr_emi_db is not None:
-            wdm = _with_snr(wdm, snr_emi_db)
+        check_mode_count(geometry, wdm)
         settings = {
             part: replace(getattr(base, part), **changes[part])
             for part in ("sweep", "field", "pattern", "output")

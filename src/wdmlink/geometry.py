@@ -43,6 +43,11 @@ def is_azimuth(phi: float) -> bool:
     return 0.0 <= phi < 2.0 * math.pi
 
 
+def _both_units(angle: float) -> str:
+    # config files and flags give angles in degrees, the records radians
+    return f"{angle} rad ({math.degrees(angle):.6g} degrees)"
+
+
 class LinkGeometry(
     namedtuple("LinkGeometry", "L_s L_r d_x d_z theta_s phi_s", defaults=(0.0, 0.0, 0.0))
 ):
@@ -71,7 +76,7 @@ class LinkGeometry(
         if not math.isfinite(self.d_z):
             raise ValueError(f"d_z must be finite, got {self.d_z}")
         if not 0.0 <= self.theta_s <= math.pi:
-            raise ValueError(f"theta_s must lie in [0, pi], got {self.theta_s}")
+            raise ValueError(f"theta_s must lie in [0, pi] rad, got {_both_units(self.theta_s)}")
         if not is_azimuth(self.phi_s):
-            raise ValueError(f"phi_s must lie in [0, 2*pi), got {self.phi_s}")
+            raise ValueError(f"phi_s must lie in [0, 2*pi) rad, got {_both_units(self.phi_s)}")
         return self

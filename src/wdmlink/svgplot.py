@@ -30,8 +30,14 @@ _W, _H = 760, 500
 _ML, _MR, _MT, _MB = 72, 24, 40, 56
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _tick_labels(ticks: Sequence[float]) -> List[str]:
+    """One axis's tick labels, at the fewest significant digits (at least 6) that differ."""
+    # 17 digits tell any two floats apart
+    for digits in range(6, 18):
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def _nice_ticks(lo: float, hi: float) -> List[float]:
@@ -127,20 +133,21 @@ def line_plot_svg(
         return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
     parts = []
-    for t in _nice_ticks(x_lo, x_hi):
+    x_ticks, y_ticks = _nice_ticks(x_lo, x_hi), _nice_ticks(y_lo, y_hi)
+    for t, label in zip(x_ticks, _tick_labels(x_ticks)):
         x = sx(t)
         parts.append(
             f'<line x1="{x:.1f}" y1="{_MT}" x2="{x:.1f}" y2="{_H - _MB}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
-        parts.append(_text(x, _H - _MB + 18, _fmt(t), size=12))
-    for t in _nice_ticks(y_lo, y_hi):
+        parts.append(_text(x, _H - _MB + 18, label, size=12))
+    for t, label in zip(y_ticks, _tick_labels(y_ticks)):
         y = sy(t)
         parts.append(
             f'<line x1="{_ML}" y1="{y:.1f}" x2="{_W - _MR}" y2="{y:.1f}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
-        parts.append(_text(_ML - 8, y + 4, _fmt(t), size=12, anchor="end"))
+        parts.append(_text(_ML - 8, y + 4, label, size=12, anchor="end"))
     parts.append(
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>'
@@ -184,15 +191,13 @@ def polar_plot_svg(
         return cx + scale * math.sin(ang), cy - scale * math.cos(ang)
 
     parts = []
-    for frac in (0.25, 0.5, 0.75, 1.0):
+    fracs = (0.25, 0.5, 0.75, 1.0)
+    for frac, label in zip(fracs, _tick_labels(fracs)):
         parts.append(
             f'<circle cx="{cx}" cy="{cy}" r="{radius * frac:.1f}" fill="none" '
             f'stroke="#dddddd"/>'
         )
-        parts.append(
-            _text(cx + 4, cy - radius * frac + 12, _fmt(frac), size=11,
-                  anchor="start")
-        )
+        parts.append(_text(cx + 4, cy - radius * frac + 12, label, size=11, anchor="start"))
     for deg in range(0, 181, 30):
         x, y = to_xy(deg, 1.0)
         parts.append(

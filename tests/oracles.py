@@ -28,7 +28,8 @@ from wdmlink.quadrature import QuadratureSpec, composite_gauss_nodes
 from wdmlink.receivers import Scheme
 
 REDUCED_GEOM = LinkGeometry(L_s=0.2, L_r=0.5, d_x=1.0)
-REDUCED_CFG = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=1.0)
+# its interference variance is ~1.0: 17.5 dB below its ~56 V^2/m^2 budget
+REDUCED_CFG = WdmConfig(wavelength=0.1, n_modes=3, snr_emi_db=17.5)
 
 # The R oracle comparisons pit two discretisations of one integral against
 # each other at 1e-12, so they run on a rule fine enough that quadrature

@@ -20,7 +20,8 @@ from wdmlink.channel import (
 from wdmlink.config import (
     FREE_SPACE_IMPEDANCE,
     WdmConfig,
-    emi_variance,
+    desk_profile,
+    full_profile,
     max_modes,
     total_power,
 )
@@ -70,8 +71,9 @@ class TestWdmConfig:
             WdmConfig(wavelength=0.01, n_modes=0)
         with pytest.raises(ValueError):
             WdmConfig(wavelength=0.01, n_modes=3, source_power=-1.0)
-        with pytest.raises(ValueError):
-            WdmConfig(wavelength=0.01, n_modes=3, sigma2_emi=0.0, sigma2_hdw=0.0)
+        with pytest.raises(ValueError, match="at least one noise variance"):
+            # sigma2_emi underflows to zero, and there is no hardware noise
+            WdmConfig(wavelength=0.01, n_modes=3, source_power=1e-300, snr_emi_db=3080.0)
 
     def test_mode_count_capped_by_segment(self, desk):
         over = replace(desk.wdm, n_modes=23)  # desk maximum is 21
@@ -742,6 +744,17 @@ class TestAssembleRAgainstOracle:
         assert _oracle_mismatch(geom, cfg) <= 1e-12
 
 
+def _wdm_at(n_modes, sigma2_emi, sigma2_hdw=0.0):
+    """A 0.1 m config whose sigma2_emi is ``sigma2_emi`` to rounding.
+
+    A zero variance is 3080 dB below the budget, where sigma2_emi R rounds
+    away against any sigma2_hdw.
+    """
+    budget = total_power(WdmConfig(wavelength=0.1, n_modes=n_modes))
+    snr_emi_db = 10.0 * math.log10(budget / sigma2_emi) if sigma2_emi else 3080.0
+    return WdmConfig(0.1, n_modes, snr_emi_db=snr_emi_db, sigma2_hdw=sigma2_hdw)
+
+
 def _run_factor(monkeypatch, R, cfg):
     """The run's noise factor L0 of C = sigma2_emi R + sigma2_hdw I, for any R."""
     monkeypatch.setattr(channel, "assemble_R", lambda geom, cfg: R)
@@ -751,7 +764,7 @@ def _run_factor(monkeypatch, R, cfg):
 class TestWhiten:
     # the run's route: noise_factor against a given R, then whiten at d_z = 0
     def test_white_interference_passthrough(self, monkeypatch):
-        cfg = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=1.0, sigma2_hdw=0.0)
+        cfg = _wdm_at(3, sigma2_emi=1.0)
         H = np.arange(9, dtype=complex).reshape(3, 3) + 1j
         L = _run_factor(monkeypatch, np.eye(3, dtype=complex), cfg)
         H_tilde = whiten(H, REDUCED_GEOM, cfg, L)
@@ -759,7 +772,7 @@ class TestWhiten:
         assert np.allclose(H_tilde, H)
 
     def test_hardware_noise_only(self, monkeypatch):
-        cfg = WdmConfig(wavelength=0.1, n_modes=3, sigma2_emi=0.0, sigma2_hdw=4.0)
+        cfg = _wdm_at(3, sigma2_emi=0.0, sigma2_hdw=4.0)
         H = np.arange(9, dtype=complex).reshape(3, 3) - 2j
         L = _run_factor(monkeypatch, np.eye(3, dtype=complex), cfg)
         H_tilde = whiten(H, REDUCED_GEOM, cfg, L)
@@ -770,7 +783,7 @@ class TestWhiten:
         n = 6
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         R = A @ A.conj().T + n * np.eye(n)
-        cfg = WdmConfig(wavelength=0.1, n_modes=n, sigma2_emi=0.5, sigma2_hdw=0.25)
+        cfg = _wdm_at(n, sigma2_emi=0.5, sigma2_hdw=0.25)
         C = cfg.sigma2_emi * R + cfg.sigma2_hdw * np.eye(n)
         L = _run_factor(monkeypatch, R, cfg)
         err = np.linalg.norm(L @ L.conj().T - C) / np.linalg.norm(C)
@@ -795,13 +808,28 @@ class TestPowerModel:
         assert total_power(cfg) == pytest.approx(5.603e3, rel=1e-3)
 
     def test_zero_source_power(self):
-        cfg = WdmConfig(wavelength=0.01, n_modes=1, source_power=0.0)
-        assert total_power(cfg) == 0.0
+        # a zero budget leaves no interference level to derive
+        with pytest.raises(ValueError, match="source_power must be positive"):
+            WdmConfig(wavelength=0.01, n_modes=1, source_power=0.0)
 
     def test_emi_variance_from_snr(self):
-        assert emi_variance(5603.0, 90.0) == pytest.approx(5603.0e-9, rel=1e-12)
-        with pytest.raises(ValueError):
-            emi_variance(0.0, 90.0)
+        cfg = WdmConfig(wavelength=0.01, n_modes=1, source_power=1e-7)
+        assert cfg.snr_emi_db == 90.0
+        assert cfg.sigma2_emi == total_power(cfg) / 10.0 ** 9.0
+        assert cfg.sigma2_emi == pytest.approx(5603.0e-9, rel=1e-3)
+        assert replace(cfg, snr_emi_db=60.0).sigma2_emi == pytest.approx(5603.0e-6, rel=1e-3)
+
+    def test_profile_emi_variance_keeps_its_bits(self):
+        assert desk_profile().wdm.sigma2_emi.hex() == "0x1.7802b3ac9dc1bp-20"
+        assert full_profile().wdm.sigma2_emi.hex() == "0x1.7802b3ac9dc1bp-18"
+
+    def test_changed_wavelength_rescales_the_emi_variance(self):
+        # the level stays snr_emi_db below the budget, which goes as 1 / wavelength^2
+        desk = desk_profile().wdm
+        finer = replace(desk, wavelength=desk.wavelength / 2.0)
+        assert finer.snr_emi_db == desk.snr_emi_db
+        assert finer.sigma2_emi == total_power(finer) / 10.0 ** 9.0
+        assert finer.sigma2_emi == pytest.approx(4.0 * desk.sigma2_emi, rel=1e-12)
 
 
 # four SE values with full 53-bit mantissas, a subnormal and a zero
@@ -842,11 +870,11 @@ class TestSerialization:
             load_matching_channel_set(str(path), other, REDUCED_CFG)
 
     def test_entry_is_header_then_hex_values(self, tmp_path):
-        # a v12 entry is text: the header, then one float.hex line per scheme
+        # a v13 entry is text: the header, then one float.hex line per scheme
         path = tmp_path / "entry.wdmch"
         save_channel_set(str(path), REDUCED_GEOM, REDUCED_CFG, SE_VALUES)
         header = channel_header(REDUCED_GEOM, REDUCED_CFG)
-        assert header.startswith("wdmlink-channel-set v12\n")
+        assert header.startswith("wdmlink-channel-set v13\n")
         body = "".join(f"{v.hex()}\n" for v in SE_VALUES)
         assert path.read_text(encoding="ascii") == header + body
 
@@ -863,18 +891,18 @@ class TestSerialization:
         assert base == channel_cache_key(REDUCED_GEOM, REDUCED_CFG)
         assert base != channel_cache_key(replace(REDUCED_GEOM, d_z=0.1), REDUCED_CFG)
         assert base != channel_cache_key(
-            REDUCED_GEOM, replace(REDUCED_CFG, sigma2_emi=2.0)
+            REDUCED_GEOM, replace(REDUCED_CFG, snr_emi_db=20.0)
         )
 
     def test_cache_key_is_pinned(self):
         # the file name is the header's CRC-32 and Adler-32, which depend on
         # its bytes alone: not on the process, platform or Python version
-        # (the header's format tag is v12, text entries holding a point's
+        # (the header's format tag is v13, text entries holding a point's
         # four SE values from the closed-form R, the H of the reduced field
         # sampled piece by piece, MMSE from the QR factor of the augmented
-        # channel and MR from the Gram matrix, and the header names both
-        # QuadratureSpec fields)
-        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "47f2b5d739226920"
+        # channel and MR from the Gram matrix, and the header names
+        # wdm.snr_emi_db and both QuadratureSpec fields)
+        assert channel_cache_key(REDUCED_GEOM, REDUCED_CFG) == "a9a2984caf396992"
 
     def test_cache_key_follows_exactly_what_the_se_depends_on(self):
         # every field a point's SE depends on changes the key
@@ -926,7 +954,7 @@ class TestNoiseFactor:
             assert np.array_equal(noise_factor(moved, cfg), L0)
 
     def test_indefinite_covariance_rejected_as_whiten(self, monkeypatch):
-        cfg = WdmConfig(wavelength=0.1, n_modes=2, sigma2_emi=1.0)
+        cfg = _wdm_at(2, sigma2_emi=1.0)
         R = np.diag([1.0, -0.5]).astype(complex)
         monkeypatch.setattr(channel, "assemble_R", lambda geom, cfg: R)
         with pytest.raises(np.linalg.LinAlgError) as ours:

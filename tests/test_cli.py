@@ -72,11 +72,15 @@ def test_dump_channel_honors_geometry_flags(tmp_path):
         (["field", "--grid-points", "5", "--out", "{d}/f.csv"], "wrote {d}/f.csv and {d}/f.svg"),
         (["field", "--grid-points", "5", "--out", "{d}/f.csv", "--no-svg"], "wrote {d}/f.csv"),
         (["sweep", "--count", "2", "--out", "{d}/s.csv"], "wrote {d}/s.csv: 2 points"),
-        (["sweep", "--count", "3", "--n-modes", "99", "--out", "{d}/s.csv"],
+        # so far out that the power budget rounds away against every mode's
+        # 1/chi, and water-filling flags every point
+        (["sweep", "--parameter", "d_x", "--start", "1e16", "--stop", "2e16", "--count", "3",
+          "--out", "{d}/s.csv"],
          "wrote {d}/s.csv: 3 points, 3 flagged"),
         (["avg-sweep", "--count", "1", "--draws", "1", "--out", "{d}/a.csv", "--no-svg"],
          "wrote {d}/a.csv: 1 points"),
-        (["avg-sweep", "--count", "2", "--draws", "1", "--n-modes", "99", "--out", "{d}/a.csv"],
+        (["avg-sweep", "--start", "1e16", "--stop", "2e16", "--count", "2", "--draws", "1",
+          "--out", "{d}/a.csv"],
          "wrote {d}/a.csv: 2 points, 2 flagged"),
         (["dump-channel", "--out", "{d}/link.wdmch"], "wrote {d}/link.wdmch"),
     ],
@@ -85,6 +89,53 @@ def test_each_command_reports_one_line(tmp_path, capsys, argv, line):
     d = str(tmp_path)
     assert cli.main([arg.format(d=d) for arg in argv]) == 0
     assert capsys.readouterr().out == line.format(d=d) + "\n"
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize(
+    "source, message",
+    [("file", "n_modes = 21 exceeds the usable maximum 9 for L_s = 0.2 m at wavelength 0.05 m"),
+     ("flag", "n_modes = 23 exceeds the usable maximum 21 for L_s = 0.2 m at wavelength 0.02 m")],
+    ids=["file", "flag"],
+)
+def test_mode_count_above_the_maximum_exits_1(tmp_path, capsys, command, source, message):
+    # rejected with the configuration, before any command writes a file
+    cfg_file = tmp_path / "coarse.cfg"
+    cfg_file.write_text("[wdm]\nwavelength = 0.05\n")
+    given = ["--config", str(cfg_file)] if source == "file" else ["--n-modes", "23"]
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--out", str(out), *given]) == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["coarse.cfg"]
+
+
+def test_zero_source_power_exits_1(tmp_path, capsys):
+    cfg_file = tmp_path / "dark.cfg"
+    cfg_file.write_text("[wdm]\nsource_power = 0\n")
+    rc = cli.main(["sweep", "--count", "2", "--out", str(tmp_path / "s.csv"),
+                   "--config", str(cfg_file)])
+    assert rc == 1
+    assert "source_power must be positive, got 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theta", "200"],
+         "theta_s must lie in [0, pi] rad, got 3.490658503988659 rad (200 degrees)"),
+        (["--phi", "360"],
+         "phi_s must lie in [0, 2*pi) rad, got 6.283185307179586 rad (360 degrees)"),
+        # the 21-point grid's first tilt beyond 180 degrees
+        (["--parameter", "theta_s", "--start", "0", "--stop", "200"],
+         "theta_s must lie in [0, pi] rad, got 3.3161255787892263 rad (190 degrees)"),
+    ],
+)
+def test_out_of_range_angle_is_reported_in_degrees(tmp_path, capsys, flags, message):
+    rc = cli.main(["sweep", "--out", str(tmp_path / "s.csv"), *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_unknown_profile_exits_1(tmp_path, capsys):

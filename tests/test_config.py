@@ -13,6 +13,8 @@ from wdmlink.config import (
     FieldSettings,
     OutputSettings,
     PatternSettings,
+    QuadratureSpec,
+    RunConfig,
     SweepSettings,
     apply_entries,
     desk_profile,
@@ -192,6 +194,14 @@ class TestLoadConfig:
         cfg = apply_entries(desk_profile(), read_config_entries(path), path)
         assert cfg.wdm.n_modes == 41
 
+    @pytest.mark.parametrize(
+        "text", ["[wdm]\nwavelength = 0.05\n", "[wdm]\nn_modes = 23\n", "[geometry]\nL_s = 0.1\n"]
+    )
+    def test_mode_count_above_the_maximum_rejected(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=rf"^invalid {re.escape(path)}: n_modes = \d+ exceeds"):
+            apply_entries(desk_profile(), read_config_entries(path), path)
+
     def test_wavelength_change_rederives_emi_level(self, tmp_path):
         path = self.write(tmp_path, "[wdm]\nwavelength = 0.01\n")
         cfg = apply_entries(desk_profile(), read_config_entries(path), path)
@@ -254,6 +264,14 @@ class TestLoadConfig:
         path = self.write(tmp_path, "[sweep]\nphi_set = 0, 359.9\n")
         cfg = apply_entries(desk_profile(), read_config_entries(path), path)
         assert cfg.sweep.phi_set_deg == (0.0, 359.9)
+
+
+def test_every_parameter_names_a_record_field():
+    records = {part: type(record) for part, record in zip(RunConfig._fields, desk_profile())}
+    records["quadrature"] = QuadratureSpec
+    for param in PARAMETERS:
+        part, name = param.field.split(".")
+        assert name in records[part]._fields, param
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -16,7 +16,7 @@ import wdmlink.numerical as numerical
 from wdmlink import channel
 from wdmlink.cache import FORMAT_VERSION, channel_cache_key, channel_header
 from wdmlink.channel import assemble_H, load_matching_channel_set, noise_factor, whiten
-from wdmlink.config import FieldSettings, emi_variance, total_power
+from wdmlink.config import FieldSettings, total_power
 from wdmlink.em_field import NearFieldWarning
 from wdmlink.experiments import run_avg_sweep, run_sweep
 from wdmlink.geometry import LinkGeometry, replace
@@ -34,8 +34,7 @@ def small_sweep(cfg, **overrides):
 
 def quiet(cfg, snr_emi_db):
     """``cfg`` with the interference ``snr_emi_db`` below the power budget."""
-    sigma2_emi = emi_variance(total_power(cfg.wdm), snr_emi_db)
-    return replace(cfg, wdm=replace(cfg.wdm, sigma2_emi=sigma2_emi))
+    return replace(cfg, wdm=replace(cfg.wdm, snr_emi_db=snr_emi_db))
 
 
 def with_cache(cfg, cache, workers=1):

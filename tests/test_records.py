@@ -12,7 +12,6 @@ from wdmlink.config import (
     QuadratureSpec,
     SweepSettings,
     desk_profile,
-    emi_variance,
 )
 from wdmlink.experiments import AvgSweepRecord, SweepRecord
 from wdmlink.geometry import replace
@@ -28,9 +27,13 @@ REJECTED = [
     (QuadratureSpec(), dict(nodes_per_panel=65)),
     (DESK.wdm, dict(wavelength=0.0)),
     (DESK.wdm, dict(n_modes=0)),
-    (DESK.wdm, dict(sigma2_emi=0.0, sigma2_hdw=0.0)),
-    *((DESK.wdm, {name: value}) for name in ("sigma2_emi", "sigma2_hdw")
-      for value in (math.nan, math.inf, -1.0)),
+    (DESK.wdm, dict(source_power=0.0)),
+    # sigma2_emi underflows to zero, and there is no hardware noise
+    (DESK.wdm, dict(source_power=1e-300, snr_emi_db=3080.0)),
+    # sigma2_emi overflows
+    (DESK.wdm, dict(snr_emi_db=-3080.0)),
+    (DESK.wdm, dict(snr_emi_db=math.nan)),
+    *((DESK.wdm, dict(sigma2_hdw=value)) for value in (math.nan, math.inf, -1.0)),
     (SweepSettings(), dict(count=0)),
     (SweepSettings(), dict(phi_set_deg=(0.0, 360.0))),
     (FieldSettings(), dict(grid_points=1)),
@@ -74,8 +77,9 @@ REJECTED_SNR_DB = [math.nan, math.inf, -math.inf, -4000.0, 4000.0]
 
 @pytest.mark.parametrize("snr_db", REJECTED_SNR_DB)
 def test_emi_variance_rejects_a_ratio_outside_the_float_range(snr_db):
+    # sigma2_emi is derived from snr_emi_db, which WdmConfig checks
     with pytest.raises(ValueError, match="snr_emi_db"):
-        emi_variance(1.0, snr_db)
+        replace(DESK.wdm, snr_emi_db=snr_db)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)

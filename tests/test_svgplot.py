@@ -14,6 +14,11 @@ def line(series):
     return line_plot_svg(series, xlabel="x", ylabel="y", title="t")
 
 
+def x_tick_labels(svg):
+    """The x-axis tick labels, left to right (they sit 18 px below the plot frame)."""
+    return re.findall(r'<text x="[^"]*" y="462.0" font-size="12"[^>]*>([^<]*)</text>', svg)
+
+
 def polylines(svg):
     """The point lists of every polyline, in document order."""
     return re.findall(r'<polyline [^>]*points="([^"]*)"/>', svg)
@@ -44,7 +49,21 @@ class TestLinePlot:
         # by 1 left it empty, and the tick step's log10(0) raised
         assert x + 1.0 == x
         svg = line([("a", [x], [2.0])])
-        assert f">{x:.6g}</text>" in svg and ">2</text>" in svg
+        assert float(x_tick_labels(svg)[0]) == x and ">2</text>" in svg
+
+    @pytest.mark.parametrize(
+        "x, labels",
+        [
+            # six ticks 0.2 apart, which 6 significant digits print as
+            # 123456 three times and 123457 three times
+            ([123456.0, 123457.0],
+             ["123456", "123456.2", "123456.4", "123456.6", "123456.8", "123457"]),
+            # five ticks 2 apart, all 1e+16 at 6 digits
+            ([1e16], [f"{1e16 + 2 * k:.17g}" for k in range(5)]),
+        ],
+    )
+    def test_adjacent_tick_labels_differ(self, x, labels):
+        assert x_tick_labels(line([("a", x, [2.0] * len(x))])) == labels
 
     def test_narrow_range_far_from_zero_ends(self):
         # a tick step of 0.2 is below half an ulp at 2**52: the tick loop
