@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: pattern, field, sweep, avg-sweep, dump-channel, selfcheck.
-Each resolves its configuration from a built-in profile, an optional
-config file and flag overrides, in that order.  Every value flag sets one
-entry of :data:`wdmlink.config.PARAMETERS` and is converted exactly like
-its config-file key; angles are degrees.
+Each applies an optional config file's entries, then the flags' (which
+win), to a built-in profile in one :func:`wdmlink.config.apply_entries`
+call and checks the result once, so a file may rely on the flags.  Every
+value flag sets one entry of :data:`wdmlink.config.PARAMETERS` and is
+converted exactly like its config-file key; angles are degrees.
 
 Exit codes: 0 success, 1 invalid configuration or command line,
 2 numerical failure, 3 I/O failure.
@@ -22,7 +23,6 @@ import sys
 from typing import List, NoReturn, Optional
 
 from .config import PARAMETERS, RunConfig, apply_entries, profile_by_name, read_config_entries
-from .geometry import replace
 
 _COMMON_FLAGS = (
     "--out", "--svg", "--workers", "--seed", "--dx", "--dz", "--theta", "--phi", "--n-modes",
@@ -77,27 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    profile = profile_by_name(args.profile)
-    file_entries = read_config_entries(args.config) if args.config else []
-    entries = [
+    entries = read_config_entries(args.config) if args.config else []
+    if args.command == "avg-sweep":
+        entries.append(("sweep", "parameter", "d_x"))
+    entries += [
         (*dest.split("."), raw)
         for dest, raw in vars(args).items()
         if "." in dest and raw is not None
     ]
-    if args.command == "avg-sweep":
-        entries = [("sweep", "parameter", "d_x")] + entries
-
-    def resolve(base: RunConfig) -> RunConfig:
-        cfg = apply_entries(base, file_entries, f"config file {args.config}")
-        return apply_entries(cfg, entries, "command line")
-
-    cfg = resolve(profile)
-    given = {(section, key) for section, key, _ in file_entries + entries}
-    if cfg.sweep.parameter == "d_x" and ("sweep", "start") not in given:
-        # profile sweeps move d_z from 0; a d_x grid starts from the 5..15 m
-        # lateral range instead, and the file and the flags apply on top
-        cfg = resolve(replace(profile, sweep=replace(profile.sweep, start=5.0, stop=15.0)))
-    return cfg
+    source = f"config file {args.config} with the command line" if args.config else "command line"
+    return apply_entries(profile_by_name(args.profile), entries, source)
 
 
 def _numerical_failure(exc: Exception) -> bool:

@@ -13,11 +13,12 @@ and ``full`` (the production-scale link).
 and key, the command-line flag that sets the same value, the RunConfig
 field it lands in and the converter from the raw string.  Config files
 (:func:`read_config_entries`) and CLI flags both turn into (section, key,
-raw) entries that :func:`apply_entries` applies to a base config.  Angles
-are degrees, lengths meters, powers A^2 and noise levels a power ratio in
-dB.  A :class:`WdmConfig` derives ``sigma2_emi`` from ``snr_emi_db``, so
-the interference follows its power budget.  :func:`apply_entries` rejects
-a mode count above :func:`max_modes`.
+raw) entries that :func:`apply_entries` applies to a base config and
+checks once.  Angles are degrees, lengths meters, powers A^2 and noise
+levels a power ratio in dB.  A :class:`WdmConfig` derives ``sigma2_emi``
+from ``snr_emi_db``, so the interference follows its power budget.
+:func:`apply_entries` rejects a mode count above :func:`max_modes` and
+gives a switch to a ``d_x`` sweep with no ``start`` the 5..15 m range.
 
 Sections and keys:
 
@@ -409,6 +410,9 @@ def apply_entries(
 ) -> RunConfig:
     """Apply (section, key, raw string) entries to ``base``; later entries win.
 
+    Entries that switch the sweep to ``d_x`` and name no ``start`` sweep
+    the 5..15 m lateral range, or up to the ``stop`` they name.
+
     Raises:
         ValueError: On unknown keys, malformed values or an invalid
             result, naming ``source`` and every offender.
@@ -429,6 +433,11 @@ def apply_entries(
         changes[part][name] = value
     if errors:
         raise ValueError(f"invalid {source}: " + "; ".join(errors))
+    sweep = changes["sweep"]
+    if sweep.get("parameter") == "d_x" and base.sweep.parameter != "d_x" and "start" not in sweep:
+        # the profiles sweep d_z from 0; a d_x grid that names no start runs
+        # over the 5..15 m lateral range, beneath the entries' own changes
+        changes["sweep"] = {"start": 5.0, "stop": 15.0, **sweep}
 
     try:
         geometry = replace(base.geometry, **changes["geometry"])
@@ -452,8 +461,9 @@ def read_config_entries(path: str) -> List[Tuple[str, str, str]]:
     """(section, key, raw string) entries of a config file in file order; ValueError if not INI."""
     import configparser  # ~3 ms with its regex compiles, so only --config pays
 
-    # values are read raw: a "%" is a character, not an interpolation
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # values are read raw: a "%" is a character, not an interpolation; and
+    # [DEFAULT] is an ordinary section, so its keys are checked like any other
+    parser = configparser.RawConfigParser(inline_comment_prefixes=("#", ";"), default_section=None)
     # keys like L_s are case sensitive; the default folds them to lower case
     parser.optionxform = str
     try:

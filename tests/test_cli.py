@@ -411,6 +411,62 @@ def test_avg_sweep_file_naming_only_d_x_keeps_the_lateral_range(tmp_path, capsys
     assert _resolved_range("avg-sweep", "--config", str(cfg_file)) == _resolved_range("avg-sweep")
 
 
+def test_config_file_may_rely_on_its_flags(tmp_path, capsys):
+    # the file and the flags are checked once, as one config: start 5 from
+    # the file alone would be past the profile's stop of 2
+    cfg_file = tmp_path / "start.cfg"
+    cfg_file.write_text("[sweep]\nstart = 5\n")
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--config", str(cfg_file), "--stop", "15", "--count", "2",
+                   "--out", str(out), "--no-svg"])
+    assert rc == 0, capsys.readouterr().err
+    cols = read_csv_columns(str(out))
+    assert cols["value"] == ["5", "15"] and cols["error"] == ["", ""]
+
+
+def test_wavelength_from_a_file_takes_its_mode_count_from_a_flag(tmp_path, capsys):
+    # 0.05 m leaves desk at most 9 modes, fewer than the profile's 21
+    cfg_file = tmp_path / "wavelength.cfg"
+    cfg_file.write_text("[wdm]\nwavelength = 0.05\n")
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(cfg_file), "--n-modes", "9", "--count", "2",
+            "--out", str(out), "--no-svg"]
+    assert cli._resolve_config(cli._build_parser().parse_args(argv)).wdm.n_modes == 9
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert read_csv_columns(str(out))["error"] == ["", ""]
+
+
+def test_config_file_invalid_with_its_flags_exits_1(tmp_path, capsys):
+    cfg_file = tmp_path / "start.cfg"
+    cfg_file.write_text("[sweep]\nstart = 5\n")
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--config", str(cfg_file), "--stop", "3", "--count", "2",
+                   "--out", str(out), "--no-svg"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"invalid config file {cfg_file} with the command line: sweep needs stop" in err
+    assert not out.exists()
+
+
+def test_malformed_flag_without_a_file_names_the_command_line(tmp_path, capsys):
+    rc = cli.main(["sweep", "--count", "two", "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert "invalid command line: [sweep] count = 'two'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ["[DEFAULT]\ncount = 3\n", "[DEFAULT]\ncount = 3\n\n[sweep]\nstop = 1\n"]
+)
+def test_keys_under_default_are_unknown(tmp_path, capsys, text):
+    cfg_file = tmp_path / "default.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--config", str(cfg_file), "--out", str(out)])
+    assert rc == 1
+    assert "unknown key [DEFAULT] count" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "sweep.svg").exists()
+
+
 # modules a serial, uncached run without a config file never needs; numpy
 # is the only numerical library, so scipy is never needed at all, the
 # tilt ensemble is drawn without numpy.random and the Gauss-Legendre rule

@@ -23,6 +23,7 @@ from wdmlink.config import (
     read_config_entries,
     total_power,
 )
+from wdmlink.geometry import replace
 
 
 class TestSweepSettings:
@@ -264,6 +265,37 @@ class TestLoadConfig:
         path = self.write(tmp_path, "[sweep]\nphi_set = 0, 359.9\n")
         cfg = apply_entries(desk_profile(), read_config_entries(path), path)
         assert cfg.sweep.phi_set_deg == (0.0, 359.9)
+
+    def test_default_section_is_an_ordinary_section(self, tmp_path):
+        # configparser would otherwise drop [DEFAULT] or copy its keys into
+        # every other section
+        path = self.write(tmp_path, "[DEFAULT]\ncount = 3\n\n[sweep]\nstop = 1\n")
+        entries = read_config_entries(path)
+        assert entries == [("DEFAULT", "count", "3"), ("sweep", "stop", "1")]
+        with pytest.raises(ValueError, match=r"unknown key \[DEFAULT\] count"):
+            apply_entries(desk_profile(), entries, path)
+
+
+ON_D_X = replace(desk_profile(), sweep=SweepSettings(parameter="d_x", start=1.0, stop=2.0))
+
+
+@pytest.mark.parametrize(
+    "base, entries, expected",
+    [
+        # a switch to a d_x grid that names no start sweeps 5..15 m
+        (desk_profile(), {"parameter": "d_x"}, ("d_x", 5.0, 15.0)),
+        (desk_profile(), {"parameter": "d_x", "start": "1"}, ("d_x", 1.0, 2.0)),
+        (full_profile(), {"stop": "9", "parameter": "d_x"}, ("d_x", 5.0, 9.0)),
+        # a base already on d_x keeps its range
+        (ON_D_X, {"parameter": "d_x"}, ("d_x", 1.0, 2.0)),
+        (ON_D_X, {"count": "3"}, ("d_x", 1.0, 2.0)),
+        (desk_profile(), {"parameter": "theta_s"}, ("theta_s", 0.0, 2.0)),
+    ],
+    ids=["d_x", "d_x-start", "d_x-stop", "on-d_x", "on-d_x-count", "theta_s"],
+)
+def test_lateral_range_of_a_d_x_sweep(base, entries, expected):
+    sweep = apply_entries(base, [("sweep", k, raw) for k, raw in entries.items()], "test").sweep
+    assert (sweep.parameter, sweep.start, sweep.stop) == expected
 
 
 def test_every_parameter_names_a_record_field():
