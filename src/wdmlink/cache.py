@@ -42,14 +42,13 @@ def channel_header(geom: LinkGeometry, cfg: WdmConfig) -> str:
     parameter matches.  A sweep's cache entry and a ``dump-channel`` file
     of H and R both start with it.
     """
-    lines = [_FORMAT_TAG]
-    lines += [f"geometry.{name} = {value!r}" for name, value in zip(geom._fields, geom)]
-    lines += [
-        f"wdm.{name} = {value!r}" for name, value in zip(cfg._fields, cfg) if name != "quadrature"
-    ]
-    lines += [
-        f"quadrature.{name} = {value!r}"
-        for name, value in zip(cfg.quadrature._fields, cfg.quadrature)
+    # the config's rule is named field by field, after the config's own fields
+    records = (("geometry", geom), ("wdm", cfg), ("quadrature", cfg.quadrature))
+    lines = [_FORMAT_TAG] + [
+        f"{part}.{name} = {value!r}"
+        for part, record in records
+        for name, value in zip(record._fields, record)
+        if name != "quadrature"
     ]
     return "\n".join(lines) + "\n"
 

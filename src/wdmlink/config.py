@@ -2,12 +2,12 @@
 
 A run is described by a :class:`RunConfig`; its link by a
 :class:`wdmlink.geometry.LinkGeometry` and a :class:`WdmConfig`, whose
-integrals are sized by a :class:`QuadratureSpec`.  Like the sweep engine
-(:mod:`wdmlink.experiments`) and the cache (:mod:`wdmlink.cache`), this
-module needs no numpy: a sweep whose every point is cached never loads
-it.  Two profiles ship with the
-package: ``desk`` (a bench-sized link that keeps every experiment fast)
-and ``full`` (the production-scale link).
+integrals are sized by a :class:`QuadratureSpec`: no file or flag sets
+it, so a run uses the default, 4 points per period on 16-node panels.
+Like the sweep engine (:mod:`wdmlink.experiments`) and the cache
+(:mod:`wdmlink.cache`), this module needs no numpy: a sweep whose every
+point is cached never loads it.  Two profiles ship with the package:
+``desk`` (a bench-sized link) and ``full`` (the production-scale link).
 
 :data:`PARAMETERS` lists every settable parameter once: its INI section
 and key, the command-line flag that sets the same value, the RunConfig
@@ -17,15 +17,15 @@ raw) entries that :func:`apply_entries` applies to a base config and
 checks once.  Angles are degrees, lengths meters, powers A^2 and noise
 levels a power ratio in dB.  A :class:`WdmConfig` derives ``sigma2_emi``
 from ``snr_emi_db``, so the interference follows its power budget.
-:func:`apply_entries` rejects a mode count above :func:`max_modes` and
-gives a switch to a ``d_x`` sweep with no ``start`` the 5..15 m range.
+:func:`apply_entries` rejects a mode count above :func:`max_modes` and a
+sweep grid that leaves the swept field's range, and gives a switch to a
+``d_x`` sweep with no ``start`` the 5..15 m range.
 
 Sections and keys:
 
     [geometry]   L_s, L_r, d_x, d_z, theta_s, phi_s
     [wdm]        wavelength, n_modes ("max" allowed), source_power,
                  snr_emi_db, sigma2_hdw
-    [quadrature] points_per_wavelength, nodes_per_panel
     [sweep]      parameter (d_z | theta_s | d_x), start, stop, count,
                  seed, draws_per_phi, phi_set, theta_max
     [field]      mode_offsets, grid_points
@@ -236,6 +236,11 @@ class SweepSettings(
         grid[-1] = stop
         return grid
 
+    def geometry_at(self, base: LinkGeometry, value: float) -> LinkGeometry:
+        """``base`` at grid ``value``; a theta_s grid is degrees, d_z and d_x grids meters."""
+        angle = self.parameter == "theta_s"
+        return replace(base, **{self.parameter: math.radians(value) if angle else value})
+
 
 class FieldSettings(
     namedtuple("FieldSettings", "mode_offsets grid_points", defaults=((-2, 0, 5), 1201))
@@ -357,8 +362,7 @@ class Param(NamedTuple):
         section: Config-file section.
         key: Config-file key within ``section``.
         flag: Command-line flag setting the same value, or None.
-        field: Target as ``part.attr`` of :class:`RunConfig` (``part`` is
-            a RunConfig field or ``quadrature``).
+        field: Target as ``part.attr`` of :class:`RunConfig`.
         convert: Raw string to value; raises ValueError when malformed.
     """
 
@@ -382,8 +386,6 @@ PARAMETERS = (
     Param("wdm", "source_power", None, "wdm.source_power", float),
     Param("wdm", "snr_emi_db", None, "wdm.snr_emi_db", float),
     Param("wdm", "sigma2_hdw", None, "wdm.sigma2_hdw", float),
-    Param("quadrature", "points_per_wavelength", None, "quadrature.points_per_wavelength", float),
-    Param("quadrature", "nodes_per_panel", None, "quadrature.nodes_per_panel", int),
     Param("sweep", "parameter", "--parameter", "sweep.parameter", _choice(*SWEEP_PARAMETERS)),
     Param("sweep", "start", "--start", "sweep.start", float),
     Param("sweep", "stop", "--stop", "sweep.stop", float),
@@ -445,13 +447,19 @@ def apply_entries(
         if "n_modes" in wdm_changes and wdm_changes["n_modes"] is None:
             wavelength = wdm_changes.get("wavelength", base.wdm.wavelength)
             wdm_changes["n_modes"] = max_modes(geometry.L_s, wavelength)
-        quadrature = replace(base.wdm.quadrature, **changes["quadrature"])
-        wdm = replace(base.wdm, quadrature=quadrature, **wdm_changes)
+        wdm = replace(base.wdm, **wdm_changes)
         check_mode_count(geometry, wdm)
         settings = {
             part: replace(getattr(base, part), **changes[part])
             for part in ("sweep", "field", "pattern", "output")
         }
+        grid = settings["sweep"]
+        # each swept field's range is an interval, so the grid's ends decide
+        for key in ("start", "stop")[: min(grid.count, 2)]:
+            try:
+                grid.geometry_at(geometry, getattr(grid, key))
+            except ValueError as exc:
+                raise ValueError(f"[sweep] {key}: {exc}") from None
         return replace(base, geometry=geometry, wdm=wdm, **settings)
     except ValueError as exc:
         raise ValueError(f"invalid {source}: {exc}") from None

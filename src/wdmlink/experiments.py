@@ -269,11 +269,7 @@ def run_sweep(
     are meters.
     """
     parameter = cfg.sweep.parameter
-    to_geometry = math.radians if parameter == "theta_s" else float
-    groups = [
-        (value, [replace(cfg.geometry, **{parameter: to_geometry(value)})])
-        for value in cfg.sweep.values()
-    ]
+    groups = [(v, [cfg.sweep.geometry_at(cfg.geometry, v)]) for v in cfg.sweep.values()]
     records = [group[0] for group in _run_groups(cfg, groups)]
     names = [f"se_{s.value}" for s in Scheme]
     _write_table(
@@ -398,7 +394,7 @@ def run_avg_sweep(
         for theta in theta_draws
     ]
     groups = [
-        (value, [replace(geom, d_x=value) for geom in oriented])
+        (value, [cfg.sweep.geometry_at(geom, value) for geom in oriented])
         for value in cfg.sweep.values()
     ]
     records = []

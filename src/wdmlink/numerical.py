@@ -32,7 +32,7 @@ from .channel import (
     stack_size,
     whiten,
 )
-from .config import RunConfig, WdmConfig, total_power
+from .config import QuadratureSpec, RunConfig, WdmConfig, total_power
 from .em_field import (
     ModeIndex,
     boresight_reference_peak,
@@ -109,14 +109,10 @@ def _message(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _center_mode(n_modes: int) -> int:
-    return (n_modes + 1) // 2
-
-
 def _modes_from_offsets(
     offsets: Sequence[int], cfg: RunConfig
 ) -> List[ModeIndex]:
-    center = _center_mode(cfg.wdm.n_modes)
+    center = (cfg.wdm.n_modes + 1) // 2
     modes = []
     for off in offsets:
         n = center + off
@@ -227,8 +223,8 @@ def run_selfcheck(cfg: RunConfig) -> bool:
     checks: List[Tuple[str, bool, str]] = []
     geom, wdm = cfg.geometry, cfg.wdm
 
-    doubled = 2.0 * wdm.quadrature.points_per_wavelength
-    fine = replace(wdm, quadrature=replace(wdm.quadrature, points_per_wavelength=doubled))
+    per_period, nodes = wdm.quadrature
+    fine = replace(wdm, quadrature=QuadratureSpec(2.0 * per_period, nodes))
     H, direct, sizes, tail = H_against_direct_sum(geom, wdm)
     ref = assemble_H(geom, fine)
     drift = float(np.linalg.norm(H - ref) / max(np.linalg.norm(ref), 1e-300))
@@ -236,7 +232,8 @@ def run_selfcheck(cfg: RunConfig) -> bool:
         (
             "H quadrature convergence",
             drift < _H_DRIFT_TOL,
-            f"relative drift {drift:.3e} under node doubling (tolerance {_H_DRIFT_TOL:g})",
+            f"relative drift {drift:.3e} at {per_period:g} -> {2.0 * per_period:g} points per "
+            f"period, {nodes}-node panels, under node doubling (tolerance {_H_DRIFT_TOL:g})",
         )
     )
 

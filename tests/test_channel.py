@@ -558,6 +558,54 @@ class TestDefaultRuleAccuracy:
         self._check(geom, cfg)
 
 
+class TestDefaultRuleAtTheGuard:
+    """The default rule at d_x = 10 wavelengths, where the CLI starts to warn.
+
+    Relative drift of H against the 32-points-per-period rule, measured
+    at the six orientations below (R is in closed form and does not
+    move):
+
+        (theta_s, phi_s, d_z)    (0, 0, 0)  (0.3, 1.1, 0.4)  (1.2, 0, 0.4)
+        desk                     4.8e-13    4.1e-13          1.1e-11
+        full-like                3.3e-13    2.3e-13          4.8e-10
+
+        (theta_s, phi_s, d_z)    (1.2, 0, -0.4)  (pi/2, pi/2, 0)  (2.5, 4.0, -0.4)
+        desk                     6.6e-12         1.3e-12          8.7e-13
+        full-like                1.8e-8          8.7e-13          2.3e-13
+
+    Each bound is about five times the profile's worst case of these
+    six: 5e-11 on desk, 1e-7 full-like.  The far-field model error there,
+    C / (k d_min), is 1.9e-2 (C = 1.2) to 4.6e-2 (C = 2.9), so the rule
+    never limits a printed number.
+    """
+
+    ORIENTATIONS = [
+        (0.0, 0.0, 0.0), (0.3, 1.1, 0.4), (1.2, 0.0, 0.4),
+        (1.2, 0.0, -0.4), (math.pi / 2, math.pi / 2, 0.0), (2.5, 4.0, -0.4),
+    ]
+
+    @staticmethod
+    def _drift(profile, theta_s, phi_s, d_z, **changes):
+        cfg = profile.wdm
+        geom = replace(
+            profile.geometry, theta_s=theta_s, phi_s=phi_s, d_z=d_z,
+            d_x=10.0 * cfg.wavelength, **changes,
+        )
+        fine = replace(cfg, quadrature=FINE_SPEC)
+        return _rel_error(assemble_H(geom, cfg), assemble_H(geom, fine))
+
+    @pytest.mark.filterwarnings("ignore::wdmlink.em_field.NearFieldWarning")
+    @pytest.mark.parametrize("theta_s, phi_s, d_z", ORIENTATIONS)
+    def test_desk(self, desk, theta_s, phi_s, d_z):
+        assert self._drift(desk, theta_s, phi_s, d_z) <= 5e-11
+
+    @pytest.mark.filterwarnings("ignore::wdmlink.em_field.NearFieldWarning")
+    @pytest.mark.parametrize("theta_s, phi_s, d_z", ORIENTATIONS)
+    def test_full_like(self, full_scale, theta_s, phi_s, d_z):
+        # full wavelength, source and mode count on 1.05 m of the receive segment
+        assert self._drift(full_scale, theta_s, phi_s, d_z, L_r=1.05) <= 1e-7
+
+
 class TestFarFieldModelError:
     # ||H - H_exact||_F / ||H_exact||_F times k d_min at desk, H_exact the
     # exact free-space dyad on the fine oracle rule (whose far-field form

@@ -126,8 +126,8 @@ def test_zero_source_power_exits_1(tmp_path, capsys):
          "theta_s must lie in [0, pi] rad, got 3.490658503988659 rad (200 degrees)"),
         (["--phi", "360"],
          "phi_s must lie in [0, 2*pi) rad, got 6.283185307179586 rad (360 degrees)"),
-        # the 21-point grid's first tilt beyond 180 degrees
-        (["--parameter", "theta_s", "--start", "0", "--stop", "200"],
+        # the grid's stop, checked with the configuration before any point
+        (["--parameter", "theta_s", "--start", "0", "--stop", "190"],
          "theta_s must lie in [0, pi] rad, got 3.3161255787892263 rad (190 degrees)"),
     ],
 )
@@ -186,17 +186,74 @@ def test_empty_mode_offsets_flag_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, key, raw",
     [("quadrature", "max_panels", "4096"), ("quadrature", "rel_tol", "1e-6"),
-     ("wdm", "mmse_form", "table")],
+     ("wdm", "mmse_form", "table"), ("quadrature", "points_per_wavelength", "4"),
+     ("quadrature", "nodes_per_panel", "16")],
 )
 def test_fixed_quadrature_settings_are_unknown_keys(tmp_path, capsys, section, key, raw):
-    # the panel cap and selfcheck's tolerance change no result, and MMSE
-    # has one filter, so no config file sets them
+    # the panel cap and selfcheck's tolerance change no result, every run
+    # uses the one converged rule and MMSE has one filter, so no config
+    # file sets them
     cfg_file = tmp_path / "fixed.cfg"
     cfg_file.write_text(f"[{section}]\n{key} = {raw}\n")
     rc = cli.main(["sweep", "--out", str(tmp_path / "s.csv"), "--config", str(cfg_file)])
     assert rc == 1
     assert f"unknown key [{section}] {key}" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["avg-sweep", "selfcheck"])
+def test_quadrature_rule_from_a_file_exits_1(tmp_path, capsys, command):
+    # a coarser rule would print unconverged digits with exit 0
+    cfg_file = tmp_path / "coarse.cfg"
+    cfg_file.write_text("[quadrature]\npoints_per_wavelength = 2\nnodes_per_panel = 4\n")
+    rc = cli.main([command, "--out", str(tmp_path / "s.csv"), "--config", str(cfg_file)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("unknown key [quadrature] points_per_wavelength; "
+            "unknown key [quadrature] nodes_per_panel") in err
+    assert os.listdir(tmp_path) == ["coarse.cfg"]
+
+
+_GRIDS = {
+    "sweep": {"parameter": "theta_s", "start": "-30", "stop": "30", "count": "3"},
+    "avg-sweep": {"start": "-1", "stop": "3", "count": "3"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [("sweep", "[sweep] start: theta_s must lie in [0, pi] rad, got -0.5235987755982988 rad "
+               "(-30 degrees)"),
+     ("avg-sweep", "[sweep] start: d_x must be positive, got -1.0")],
+)
+@pytest.mark.parametrize("source", ["file", "flags"])
+def test_grid_end_outside_its_range_names_the_key(tmp_path, capsys, command, message, source):
+    grid = _GRIDS[command]
+    if source == "file":
+        cfg_file = tmp_path / "grid.cfg"
+        cfg_file.write_text("[sweep]\n" + "".join(f"{k} = {v}\n" for k, v in grid.items()))
+        given = ["--config", str(cfg_file)]
+        prefix = f"invalid config file {cfg_file} with the command line: "
+    else:
+        given = [f"--{k}={v}" for k, v in grid.items()]
+        prefix = "invalid command line: "
+    rc = cli.main([command, "--out", str(tmp_path / "s.csv"), *given])
+    assert rc == 1
+    assert prefix + message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == (["grid.cfg"] if source == "file" else [])
+
+
+@pytest.mark.parametrize("command", ["pattern", "field", "dump-channel", "selfcheck"])
+def test_grid_end_outside_its_range_fails_every_command(tmp_path, capsys, command):
+    # the [sweep] section is checked with the rest of the configuration
+    cfg_file = tmp_path / "grid.cfg"
+    cfg_file.write_text("[sweep]\nparameter = theta_s\nstart = -30\nstop = 30\ncount = 3\n")
+    rc = cli.main([command, "--out", str(tmp_path / "out"), "--config", str(cfg_file)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "[sweep] start: theta_s must lie in [0, pi]" in err
+    assert os.listdir(tmp_path) == ["grid.cfg"]
 
 
 @pytest.mark.parametrize(

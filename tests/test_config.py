@@ -13,7 +13,6 @@ from wdmlink.config import (
     FieldSettings,
     OutputSettings,
     PatternSettings,
-    QuadratureSpec,
     RunConfig,
     SweepSettings,
     apply_entries,
@@ -75,6 +74,14 @@ class TestSweepSettings:
         with pytest.raises(ValueError):
             SweepSettings(theta_max_deg=200.0)
 
+    def test_geometry_at_a_grid_value(self):
+        geom = desk_profile().geometry
+        assert SweepSettings(parameter="theta_s").geometry_at(geom, 90.0).theta_s == math.pi / 2
+        assert SweepSettings(parameter="d_z").geometry_at(geom, 0.4) == replace(geom, d_z=0.4)
+        assert SweepSettings(parameter="d_x").geometry_at(geom, 7.0) == replace(geom, d_x=7.0)
+        with pytest.raises(ValueError, match="d_x must be positive, got -1.0"):
+            SweepSettings(parameter="d_x").geometry_at(geom, -1.0)
+
     def test_other_settings_validation(self):
         with pytest.raises(ValueError):
             FieldSettings(grid_points=1)
@@ -134,10 +141,6 @@ class TestLoadConfig:
             snr_emi_db = 80
             sigma2_hdw = 0.5
 
-            [quadrature]
-            points_per_wavelength = 24
-            nodes_per_panel = 6
-
             [sweep]
             parameter = theta_s
             start = 0
@@ -171,8 +174,6 @@ class TestLoadConfig:
         assert cfg.wdm.source_power == 2e-7
         assert total_power(cfg.wdm) / cfg.wdm.sigma2_emi == pytest.approx(1e8, rel=1e-12)
         assert cfg.wdm.sigma2_hdw == 0.5
-        assert cfg.wdm.quadrature.points_per_wavelength == 24.0
-        assert cfg.wdm.quadrature.nodes_per_panel == 6
         assert cfg.sweep.parameter == "theta_s"
         assert cfg.sweep.count == 7
         assert cfg.sweep.phi_set_deg == (0.0, 45.0, 90.0)
@@ -298,9 +299,45 @@ def test_lateral_range_of_a_d_x_sweep(base, entries, expected):
     assert (sweep.parameter, sweep.start, sweep.stop) == expected
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"parameter": "theta_s", "start": "-30", "stop": "30", "count": "3"},
+         "[sweep] start: theta_s must lie in [0, pi] rad, got -0.5235987755982988 rad "
+         "(-30 degrees)"),
+        ({"parameter": "theta_s", "start": "90", "stop": "200", "count": "3"},
+         "[sweep] stop: theta_s must lie in [0, pi] rad, got 3.490658503988659 rad "
+         "(200 degrees)"),
+        ({"parameter": "d_x", "start": "-1", "stop": "3", "count": "3"},
+         "[sweep] start: d_x must be positive, got -1.0"),
+        ({"parameter": "d_x", "start": "0", "stop": "3", "count": "3"},
+         "[sweep] start: d_x must be positive, got 0.0"),
+    ],
+    ids=["theta_s-start", "theta_s-stop", "d_x-start", "d_x-zero"],
+)
+def test_grid_end_outside_its_range_names_the_key(entries, message):
+    # checked as the entries are applied, not when a sweep builds its points
+    with pytest.raises(ValueError) as info:
+        apply_entries(desk_profile(), [("sweep", k, raw) for k, raw in entries.items()], "test")
+    assert str(info.value) == f"invalid test: {message}"
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # one point is the start, so the stop is not a grid end
+        {"parameter": "theta_s", "start": "90", "stop": "200", "count": "1"},
+        {"parameter": "theta_s", "start": "0", "stop": "180", "count": "3"},
+        {"parameter": "d_z", "start": "-3", "stop": "3", "count": "3"},
+    ],
+    ids=["single-point", "theta_s-closed", "d_z-negative"],
+)
+def test_grid_within_its_range_is_accepted(entries):
+    apply_entries(desk_profile(), [("sweep", k, raw) for k, raw in entries.items()], "test")
+
+
 def test_every_parameter_names_a_record_field():
     records = {part: type(record) for part, record in zip(RunConfig._fields, desk_profile())}
-    records["quadrature"] = QuadratureSpec
     for param in PARAMETERS:
         part, name = param.field.split(".")
         assert name in records[part]._fields, param

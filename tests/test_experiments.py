@@ -1029,6 +1029,9 @@ def test_selfcheck_passes_on_desk_link(desk, capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 5
     assert "under node doubling (tolerance 1e-06)" in out
+    # the run's rule, the one every CLI run uses, and its doubling
+    assert re.search(r"\[PASS\] H quadrature convergence: relative drift \S+ at 4 -> 8 points "
+                     r"per period, 16-node panels, under node doubling", out)
     assert re.search(r"\[PASS\] H reduced field vs direct sum: relative gap \S+ with "
                      r"1 piece, 40 Chebyshev samples, largest tail \S+ \(tolerance 1e-06\)", out)
     assert re.search(r"\[PASS\] noise factorization: whitened covariance off I by \S+ "
